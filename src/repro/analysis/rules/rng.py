@@ -26,8 +26,6 @@ from ..source import Project
 SEED_BOUNDARIES: dict[str, str] = {
     # Tuner.__init__ is THE seed boundary: default_rng(seed) starts the run's stream
     "tuner": "Tuner.__init__ turns the user seed into the run's generator",
-    # deterministic auto-RF probe generator derived from the observation count
-    "baco": "auto-RF latch probes with a child generator derived from n",
     # per-tree child streams split off the forest's own generator
     "random_forest": "per-tree streams split from the forest generator",
     # deterministic fallback when no rng is injected (ad-hoc / test use)

@@ -4,12 +4,7 @@ from .acquisition import AcquisitionFunction, expected_improvement, lower_confid
 from .baco import BacoSettings, BacoTuner
 from .doe import default_doe_size, initial_design, initial_design_queue
 from .feasibility import FeasibilityModel, FeasibilityThresholdSchedule
-from .local_search import (
-    LocalSearchSettings,
-    multistart_local_search,
-    multistart_local_search_batch,
-    random_candidates,
-)
+from .local_search import LocalSearchSettings, multistart_local_search_batch
 from .result import Evaluation, ObjectiveFunction, ObjectiveResult, TuningHistory
 from .session import Suggestion, TuningSession, drive
 from .tuner import Tuner
@@ -34,7 +29,5 @@ __all__ = [
     "initial_design",
     "initial_design_queue",
     "lower_confidence_bound",
-    "multistart_local_search",
     "multistart_local_search_batch",
-    "random_candidates",
 ]

@@ -3,8 +3,9 @@
 The first few configurations of a BO run are sampled uniformly at random from
 the feasible region (the "initial phase" of Fig. 2).  When the search space
 has a Chain-of-Trees, sampling uniformly over leaves removes the structural
-bias of sampling per-level (Sec. 4.2); both variants are exposed so the bias
-can be studied (CoT-sampling baseline of the evaluation).
+bias of sampling per-level (Sec. 4.2); the biased per-level draw stays
+available through ``SearchSpace.sample_rows(biased_cot=True)`` for the
+CoT-sampling baseline of the evaluation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ def initial_design(
     space: SearchSpace,
     n_samples: int,
     rng: np.random.Generator,
-    biased_cot: bool = False,
     deduplicate: bool = True,
     max_attempts_factor: int = 20,
 ) -> list[Configuration]:
@@ -50,7 +50,7 @@ def initial_design(
     while len(samples) < n_samples and attempts < max_attempts:
         batch = min(n_samples - len(samples), max_attempts - attempts)
         attempts += batch
-        for row in space.sample_rows(rng, batch, biased_cot=biased_cot):
+        for row in space.sample_rows(rng, batch):
             config = decode(row)
             key = space.freeze(config)
             if deduplicate and key in seen:
@@ -60,7 +60,7 @@ def initial_design(
     # If the space is tiny (fewer feasible points than requested), allow
     # duplicates rather than failing: the tuner still needs a full DoE.
     if len(samples) < n_samples:
-        rows = space.sample_rows(rng, n_samples - len(samples), biased_cot=biased_cot)
+        rows = space.sample_rows(rng, n_samples - len(samples))
         samples.extend(decode(row) for row in rows)
     return samples
 

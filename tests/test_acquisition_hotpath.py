@@ -257,16 +257,11 @@ class TestFusedScoringEquivalence:
 
 class TestPoolPolicySpec:
     def test_parse_spec_round_trip(self):
-        for spec, expect in [
-            ("fast,pool=512", (512, True)),
-            ("fast,refit_every=16,pool=64,cache=off", (64, False)),
-            ("fast,pool=8,cache=on", (8, True)),
-        ]:
+        for spec, expect in [("fast,pool=512", 512), ("fast,refit_every=16,pool=64", 64)]:
             policy = SurrogatePolicy.parse(spec)
-            assert (policy.pool_size, policy.cross_cache) == expect
+            assert policy.pool_size == expect
             assert SurrogatePolicy.parse(policy.spec()) == policy
-        # cache=on is the default and stays implicit in the canonical spec
-        assert SurrogatePolicy.parse("fast,pool=8,cache=on").spec() == (
+        assert SurrogatePolicy.parse("fast,pool=8").spec() == (
             "fast,refit_every=8,sweep_every=40,pool=8"
         )
 
@@ -275,11 +270,13 @@ class TestPoolPolicySpec:
             "exact,pool=8",
             "fast,pool=1",
             "fast,pool=abc",
-            "fast,cache=off",          # cache without a pool
-            "fast,pool=8,cache=maybe",
             "fast,pool=8,pool=9",
         ):
             with pytest.raises(ValueError):
+                SurrogatePolicy.parse(bad)
+        # the cross-distance cache is always on: 'cache' is no option
+        for bad in ("fast,pool=8,cache=on", "fast,refit_every=16,pool=64,cache=off"):
+            with pytest.raises(ValueError, match="unknown policy option 'cache'"):
                 SurrogatePolicy.parse(bad)
         with pytest.raises(ValueError, match="fast"):
             SurrogatePolicy(pool_size=8)  # exact mode cannot pool
@@ -297,11 +294,7 @@ class TestPooledPolicyEndToEnd:
         history = tuner.tune(bench.evaluator, budget, benchmark_name=bench.name)
         return bench, tuner, history
 
-    @pytest.mark.parametrize(
-        "policy",
-        ["fast,refit_every=3,sweep_every=10,pool=48",
-         "fast,refit_every=3,sweep_every=10,pool=48,cache=off"],
-    )
+    @pytest.mark.parametrize("policy", ["fast,refit_every=3,sweep_every=10,pool=48"])
     def test_pooled_run_completes_and_profiles(self, policy):
         _, tuner, history = self._run(policy)
         assert len(history) == 14
@@ -341,10 +334,7 @@ class TestPooledPolicyCheckpointBitCompatibility:
     BENCHMARK = "hpvm_bfs"
     BUDGET = 18
     INTERRUPT_AT = 7
-    POLICIES = (
-        "fast,refit_every=3,sweep_every=10,pool=48",
-        "fast,refit_every=3,sweep_every=10,pool=48,cache=off",
-    )
+    POLICIES = ("fast,refit_every=3,sweep_every=10,pool=48",)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_in_process_resume_identical(self, policy):

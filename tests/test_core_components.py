@@ -14,7 +14,11 @@ from repro.core.acquisition import (
 )
 from repro.core.doe import default_doe_size, initial_design
 from repro.core.feasibility import FeasibilityModel, FeasibilityThresholdSchedule
-from repro.core.local_search import LocalSearchSettings, multistart_local_search, random_candidates
+from repro.core.local_search import (
+    LocalSearchSettings,
+    multistart_local_search_batch,
+    random_candidate_rows,
+)
 from repro.core.result import Evaluation, ObjectiveResult, TuningHistory
 from repro.models.gp import GaussianProcess
 
@@ -198,13 +202,13 @@ class TestLocalSearch:
                 ]
             )
 
-        best, value = multistart_local_search(
+        [(best, _)] = multistart_local_search_batch(
             small_space,
             acquisition,
             rng,
             settings=LocalSearchSettings(n_random_samples=64, n_starts=4, max_steps=20),
+            k=1,
         )
-        assert best is not None
         assert best["p1"] == best["p2"]
         assert tuple(best["order"]) == (2, 1, 0)
 
@@ -217,14 +221,14 @@ class TestLocalSearch:
             for s in ("static", "dynamic", "guided")
             for o in small_space["order"].values_list()
         }
-        best, _ = multistart_local_search(
-            small_space, acquisition, rng, exclude=excluded_keys
+        [(best, _)] = multistart_local_search_batch(
+            small_space, acquisition, rng, exclude=excluded_keys, k=1
         )
-        assert best is not None
         assert small_space.freeze(best) not in excluded_keys
 
     def test_random_candidates_are_unique_and_feasible(self, small_space, rng):
-        candidates = random_candidates(small_space, 64, rng)
+        rows = random_candidate_rows(small_space, 64, rng)
+        candidates = [small_space.encoder.decode(row) for row in rows]
         keys = {small_space.freeze(c) for c in candidates}
         assert len(keys) == len(candidates)
         assert all(small_space.is_feasible(c) for c in candidates)

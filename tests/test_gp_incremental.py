@@ -16,7 +16,7 @@ hypothesis-randomized R/I/O/C/P spaces:
   diagnostic call (the pre-fix implementation refactorized every call).
 
 Plus the :class:`~repro.core.baco.SurrogatePolicy` unit surface (spec
-parsing, refit cadence, GP→RF budget switch) and the policy's behavior
+parsing, refit cadence) and the policy's behavior
 inside a live :class:`~repro.core.baco.BacoTuner`.
 """
 
@@ -342,7 +342,7 @@ class TestLogLikelihood:
 
 
 # ---------------------------------------------------------------------------
-# SurrogatePolicy: spec grammar, cadence, budget switch
+# SurrogatePolicy: spec grammar, cadence
 # ---------------------------------------------------------------------------
 
 class TestSurrogatePolicy:
@@ -354,18 +354,18 @@ class TestSurrogatePolicy:
 
     @pytest.mark.parametrize(
         "spec",
-        ["exact", "fast", "fast,refit_every=3", "fast,refit_every=8,sweep_every=40,rf_at=256"],
+        ["exact", "fast", "fast,refit_every=3", "fast,refit_every=8,sweep_every=40,pool=256"],
     )
     def test_spec_round_trip(self, spec):
         policy = SurrogatePolicy.parse(spec)
         assert SurrogatePolicy.parse(policy.spec()) == policy
 
     def test_parse_options(self):
-        policy = SurrogatePolicy.parse("fast,refit_every=5,sweep_every=20,rf_at=100")
+        policy = SurrogatePolicy.parse("fast,refit_every=5,sweep_every=20,pool=100")
         assert policy.mode == "fast"
         assert policy.refit_hypers_every == 5
         assert policy.sweep_every == 20
-        assert policy.rf_threshold == 100
+        assert policy.pool_size == 100
 
     @pytest.mark.parametrize(
         "spec",
@@ -396,13 +396,6 @@ class TestSurrogatePolicy:
         assert policy.fit_strategy(15, 5, 8) == "sweep"
         # exact mode always sweeps
         assert SurrogatePolicy().fit_strategy(100, 50, 99) == "sweep"
-
-    def test_surrogate_for_threshold(self):
-        policy = SurrogatePolicy.parse("fast,rf_at=16")
-        assert policy.surrogate_for(15) == "gp"
-        assert policy.surrogate_for(16) == "rf"
-        assert SurrogatePolicy.parse("fast").surrogate_for(10**6) == "gp"
-        assert SurrogatePolicy().surrogate_for(10**6) == "gp"
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +473,6 @@ class TestBacoTunerPolicy:
         assert st["last_refit_n"] > st["last_sweep_n"]
         # warm refits refactorize (new hypers) but never re-run the sweep
         assert tuner._fast_gp.n_train_factorizations > 1
-
-    def test_rf_threshold_switches_surrogate(self):
-        policy = "fast,refit_every=100,sweep_every=100,rf_at=6"
-        tuner = BacoTuner(
-            _toy_space(), settings=_fast_settings(surrogate_policy=policy), seed=4
-        )
-        tuner.tune(_toy_objective, 20)
-        gp = tuner._fast_gp
-        # the GP stopped being refit once the RF took over at 6 observations
-        assert gp is None or gp._chol_n <= 6 + 1
-        assert len(tuner._feasible_values) > 6
 
     def test_set_surrogate_policy_rejects_bad_spec(self):
         tuner = BacoTuner(_toy_space(), settings=_fast_settings(), seed=5)

@@ -100,6 +100,17 @@ def test_rng_seeded_default_rng_outside_boundary(tmp_path):
     assert rule_lines(report, "rng-discipline") == [2]
 
 
+def test_rng_seeded_default_rng_in_baco_module_is_flagged(tmp_path):
+    # the tuner module is no seed boundary: its draws come from Tuner._rng
+    report = check_snippet(
+        tmp_path,
+        "baco.py",
+        "import numpy as np\nrng = np.random.default_rng(3)\n",
+        select=["rng-discipline"],
+    )
+    assert rule_lines(report, "rng-discipline") == [2]
+
+
 def test_rng_seeded_default_rng_inside_boundary_is_clean(tmp_path):
     report = check_snippet(
         tmp_path,
