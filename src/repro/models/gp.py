@@ -20,9 +20,10 @@ directly, and ``fit_rows`` accepts an externally cached train-train distance
 tensor (see :class:`repro.models.distances.IncrementalDistanceTensor`) so the
 per-iteration fit never recomputes the full pairwise structure.  The
 dict-based :meth:`fit` / :meth:`predict` remain as thin adapters that encode
-and delegate.  The train tensor is computed once per fit and shared across
-all hyper-parameter restarts — only the (cheap) kernel evaluation depends on
-the hyper-parameters.
+and delegate.  The train tensor is computed once per fit and shared, through
+one MAP objective (:class:`_MapObjective`) built per fit, across every
+hyper-parameter vector the search scores — only the kernel evaluation and
+its factorization depend on the hyper-parameters.
 
 Incremental refit
 -----------------
@@ -61,7 +62,7 @@ from scipy import linalg, optimize
 
 from ..space.parameters import Parameter
 from .distances import DistanceComputer
-from .kernels import KERNELS
+from .kernels import KERNELS, KernelWork
 from .priors import GammaPrior
 
 __all__ = ["GaussianProcess", "GPHyperparameters"]
@@ -91,6 +92,77 @@ class GPHyperparameters:
             outputscale=float(values[-2]),
             noise_variance=float(values[-1]),
         )
+
+
+class _MapObjective:
+    """Negative log posterior of the GP hyper-parameters, for one fit.
+
+    :meth:`GaussianProcess.fit_rows` builds one per fit and hands it to the
+    prior-sample sweep, the ``warm_start`` score and every L-BFGS-B call.
+    L-BFGS-B takes its gradient by finite differences, so a fit calls it
+    hundreds of times; what does not depend on the hyper-parameter vector is
+    set up here once:
+
+    * a contiguous copy of the ``(D, n, n)`` train tensor, transposed in its
+      last two axes, so that the row-major kernel buffer holds ``Kᵀ``.  Its
+      transpose is ``K`` in the column-major order LAPACK works in, so
+      ``potrf`` factors it in place and reads the lower triangle of ``K``;
+    * :class:`~repro.models.kernels.KernelWork` arrays that the kernel fills
+      with the same ufuncs, in the same order, as an allocating build;
+    * the LAPACK ``potrf`` / ``potrs`` that ``scipy.linalg.cholesky`` /
+      ``cho_solve`` call, without their argument checks and batch wrapper.
+
+    The noise goes onto the diagonal in place.  That equals adding
+    ``(σ² + jitter)·I``, whose off-diagonal terms only add +0.0.  ``K`` is
+    still checked for NaN and inf on every call, as ``cholesky`` checks it,
+    and ``y`` once per fit, so bad inputs raise ``ValueError`` at the same
+    point as before.  Every float operation is the reference's, in its order,
+    so the value is bit-identical; ``tests/test_gp_map_objective.py`` pins it.
+    """
+
+    def __init__(
+        self, gp: "GaussianProcess", distance_tensor: np.ndarray, y: np.ndarray
+    ) -> None:
+        self._tensor = np.ascontiguousarray(np.swapaxes(distance_tensor, 1, 2))
+        self._work = KernelWork(self._tensor.shape)
+        n = len(y)
+        self._diagonal = self._work.kernel.reshape(-1)[:: n + 1]
+        self._kernel = gp._kernel
+        self._y = y
+        self._y_finite = bool(np.isfinite(y).all())
+        self._log_2pi_term = 0.5 * n * math.log(2.0 * math.pi)
+        self._priors = (gp.lengthscale_prior, gp.noise_prior, gp.outputscale_prior)
+        self._potrf, self._potrs = linalg.get_lapack_funcs(
+            ("potrf", "potrs"), (self._work.kernel,)
+        )
+
+    def __call__(self, vector: np.ndarray) -> float:
+        hp = GPHyperparameters.from_vector(vector)
+        k_t = self._kernel(self._tensor, hp.lengthscales, hp.outputscale, out=self._work)
+        self._diagonal += hp.noise_variance + _JITTER
+        if not np.isfinite(k_t).all():
+            raise ValueError("array must not contain infs or NaNs")
+        chol, info = self._potrf(k_t.T, lower=1, overwrite_a=1, clean=0)
+        if info > 0:  # not positive definite
+            return 1e25
+        if not self._y_finite:
+            raise ValueError("array must not contain infs or NaNs")
+        alpha, solve_info = self._potrs(chol, self._y, lower=1)
+        if info or solve_info:
+            raise ValueError(f"LAPACK rejected an argument (info {info}, {solve_info})")
+        nll = 0.5 * float(self._y @ alpha)
+        nll += float(np.sum(np.log(np.diag(chol))))
+        nll += self._log_2pi_term
+        ls_prior, noise_prior, out_prior = self._priors
+        if ls_prior is not None:
+            nll -= float(np.sum(ls_prior.log_pdf(hp.lengthscales)))
+        if noise_prior is not None:
+            nll -= noise_prior.log_pdf(hp.noise_variance)
+        if out_prior is not None:
+            nll -= out_prior.log_pdf(hp.outputscale)
+        if not math.isfinite(nll):
+            return 1e25
+        return nll
 
 
 class GaussianProcess:
@@ -182,17 +254,18 @@ class GaussianProcess:
     # ------------------------------------------------------------------
     # target transforms
     # ------------------------------------------------------------------
-    def _transform_targets(self, y: np.ndarray) -> np.ndarray:
+    def _transform_targets(self, y: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """Model-scale targets with the mean and std that produced them."""
         y = np.asarray(y, dtype=float)
         if self.log_transform_output:
             if np.any(y <= 0):
                 raise ValueError("log transform of the objective requires positive values")
             y = np.log(y)
-        self._y_mean = float(np.mean(y)) if self.standardize_output else 0.0
-        self._y_std = float(np.std(y)) if self.standardize_output else 1.0
-        if self._y_std < _MIN_STD:
-            self._y_std = 1.0
-        return (y - self._y_mean) / self._y_std
+        mean = float(np.mean(y)) if self.standardize_output else 0.0
+        std = float(np.std(y)) if self.standardize_output else 1.0
+        if std < _MIN_STD:
+            std = 1.0
+        return (y - mean) / std, mean, std
 
     def to_model_scale(self, y: float | np.ndarray) -> np.ndarray:
         """Map raw objective values to the (log, standardized) model scale."""
@@ -219,28 +292,6 @@ class GaussianProcess:
             n = k.shape[0]
             k = k + (hp.noise_variance + _JITTER) * np.eye(n)
         return k
-
-    def _negative_log_posterior(self, vector: np.ndarray, y: np.ndarray) -> float:
-        hp = GPHyperparameters.from_vector(vector)
-        k = self._kernel_matrix(self._train_distance, hp, noise=True)
-        try:
-            chol = linalg.cholesky(k, lower=True)
-        except linalg.LinAlgError:
-            return 1e25
-        alpha = linalg.cho_solve((chol, True), y)
-        n = len(y)
-        nll = 0.5 * float(y @ alpha)
-        nll += float(np.sum(np.log(np.diag(chol))))
-        nll += 0.5 * n * math.log(2.0 * math.pi)
-        if self.lengthscale_prior is not None:
-            nll -= float(np.sum(self.lengthscale_prior.log_pdf(hp.lengthscales)))
-        if self.noise_prior is not None:
-            nll -= float(np.sum(self.noise_prior.log_pdf(hp.noise_variance)))
-        if self.outputscale_prior is not None:
-            nll -= float(np.sum(self.outputscale_prior.log_pdf(hp.outputscale)))
-        if not np.isfinite(nll):
-            return 1e25
-        return nll
 
     def _log_prior(self, hp: GPHyperparameters) -> float:
         """Summed log prior density of ``hp`` (0.0 when priors are disabled)."""
@@ -320,77 +371,77 @@ class GaussianProcess:
             raise ValueError("configurations and targets must have the same length")
         if len(rows) < 2:
             raise ValueError("need at least two observations to fit a GP")
-        self._train_rows = rows
-        y = self._transform_targets(np.asarray(targets, dtype=float))
+        # everything is computed into locals and committed only after the
+        # final factorization, so a fit that raises leaves the GP as it was
+        y, y_mean, y_std = self._transform_targets(targets)
         if distance_tensor is not None:
             expected = (self._distance.n_dimensions, len(rows), len(rows))
             if distance_tensor.shape != expected:
                 raise ValueError(
                     f"distance tensor has shape {distance_tensor.shape}, expected {expected}"
                 )
-            self._train_distance = distance_tensor
         else:
-            self._train_distance = self._distance.pairwise_rows(rows)
+            distance_tensor = self._distance.pairwise_rows(rows)
 
         if hyper_strategy == "frozen":
             if self.hyperparameters is None:
                 raise RuntimeError("hyper_strategy='frozen' requires a previous fit")
-        elif hyper_strategy == "warm":
-            if warm_start is None:
+            hyperparameters = self.hyperparameters
+        else:
+            if hyper_strategy == "warm" and warm_start is None:
                 if self.hyperparameters is None:
                     raise RuntimeError(
                         "hyper_strategy='warm' requires warm_start or a previous fit"
                     )
                 warm_start = self.hyperparameters.to_vector()
-            start = np.asarray(warm_start, dtype=float)
-            best_value, best_vector = self._negative_log_posterior(start, y), start
-            if self.advanced_fit:
-                result = optimize.minimize(
-                    self._negative_log_posterior,
-                    start,
-                    args=(y,),
-                    method="L-BFGS-B",
-                    bounds=self._hyper_bounds(),
-                    options={"maxiter": self.max_optimizer_iterations},
-                )
-                if result.fun < best_value:
-                    best_value, best_vector = float(result.fun), result.x
-            self.hyperparameters = GPHyperparameters.from_vector(best_vector)
-        else:
-            candidates: list[tuple[float, np.ndarray]] = []
-            for _ in range(self.n_prior_samples):
-                hp = self._sample_hyperparameters()
-                vec = hp.to_vector()
-                candidates.append((self._negative_log_posterior(vec, y), vec))
-            if warm_start is not None:
-                vec = np.asarray(warm_start, dtype=float)
-                candidates.append((self._negative_log_posterior(vec, y), vec))
-            candidates.sort(key=lambda item: item[0])
+            objective = _MapObjective(self, distance_tensor, y)
+            hyperparameters = self._map_search(objective, hyper_strategy, warm_start)
 
-            if self.advanced_fit:
-                best_value, best_vector = candidates[0]
-                for _, start in candidates[: self.n_refined_starts]:
-                    result = optimize.minimize(
-                        self._negative_log_posterior,
-                        start,
-                        args=(y,),
-                        method="L-BFGS-B",
-                        bounds=self._hyper_bounds(),
-                        options={"maxiter": self.max_optimizer_iterations},
-                    )
-                    if result.fun < best_value:
-                        best_value, best_vector = float(result.fun), result.x
-                self.hyperparameters = GPHyperparameters.from_vector(best_vector)
-            else:
-                # BaCO--: no gradient refinement, just the best prior sample.
-                self.hyperparameters = GPHyperparameters.from_vector(candidates[0][1])
-
-        k = self._kernel_matrix(self._train_distance, self.hyperparameters, noise=True)
-        self._cholesky = linalg.cholesky(k, lower=True)
-        self._alpha = linalg.cho_solve((self._cholesky, True), y)
-        self._train_y = y
+        k = self._kernel_matrix(distance_tensor, hyperparameters, noise=True)
+        cholesky = linalg.cholesky(k, lower=True)
+        alpha = linalg.cho_solve((cholesky, True), y)
+        self.hyperparameters = hyperparameters
+        self._train_rows = rows
+        self._train_distance = distance_tensor
+        self._y_mean, self._y_std = y_mean, y_std
+        self._cholesky, self._alpha, self._train_y = cholesky, alpha, y
         self._chol_n = self._chol_base_n = len(rows)
         self.n_train_factorizations += 1
+
+    def _map_search(
+        self,
+        objective: _MapObjective,
+        hyper_strategy: str,
+        warm_start: np.ndarray | None,
+    ) -> GPHyperparameters:
+        """MAP hyper-parameters by the ``"sweep"`` or ``"warm"`` strategy."""
+        if hyper_strategy == "warm":
+            start = np.asarray(warm_start, dtype=float)
+            candidates, n_refined = [(objective(start), start)], 1
+        else:
+            candidates, n_refined = [], self.n_refined_starts
+            for _ in range(self.n_prior_samples):
+                vec = self._sample_hyperparameters().to_vector()
+                candidates.append((objective(vec), vec))
+            if warm_start is not None:
+                vec = np.asarray(warm_start, dtype=float)
+                candidates.append((objective(vec), vec))
+            candidates.sort(key=lambda item: item[0])
+        if not self.advanced_fit:
+            # BaCO--: no gradient refinement, just the best prior sample.
+            return GPHyperparameters.from_vector(candidates[0][1])
+        best_value, best_vector = candidates[0]
+        for _, start in candidates[:n_refined]:
+            result = optimize.minimize(
+                objective,
+                start,
+                method="L-BFGS-B",
+                bounds=self._hyper_bounds(),
+                options={"maxiter": self.max_optimizer_iterations},
+            )
+            if result.fun < best_value:
+                best_value, best_vector = float(result.fun), result.x
+        return GPHyperparameters.from_vector(best_vector)
 
     @property
     def is_fitted(self) -> bool:
@@ -480,9 +531,9 @@ class GaussianProcess:
             raise ValueError(
                 f"got {len(targets)} targets for a factor covering {self._chol_n} rows"
             )
-        y = self._transform_targets(targets)
-        self._train_y = y
+        y, y_mean, y_std = self._transform_targets(targets)
         self._alpha = linalg.cho_solve((self._cholesky, True), y)
+        self._y_mean, self._y_std, self._train_y = y_mean, y_std, y
 
     # ------------------------------------------------------------------
     # prediction

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.core.baco import BacoSettings, BacoTuner, SurrogatePolicy
 from repro.core.result import ObjectiveResult
 from repro.models.distances import DistanceComputer, IncrementalDistanceTensor
-from repro.models.gp import GaussianProcess, GPHyperparameters
+from repro.models.gp import GaussianProcess, GPHyperparameters, _MapObjective
 from repro.space.parameters import (
     CategoricalParameter,
     IntegerParameter,
@@ -321,13 +321,14 @@ class TestLogLikelihood:
         assert gp.n_train_factorizations == 1  # zero factorizations per call
 
     def test_matches_negative_log_posterior(self):
-        """The cached value agrees with the optimizer's objective at the
+        """The cached value agrees with the optimizer's MAP objective at the
         fitted hyper-parameters (the quantity the old code recomputed)."""
         parameters = [OrdinalParameter("tile", [2, 4, 8, 16, 32], transform="log")]
         configs, values = _dataset(parameters, 29, 9)
         gp = _make_gp(parameters, 29)
         gp.fit(configs, values)
-        direct = -gp._negative_log_posterior(gp.hyperparameters.to_vector(), gp._train_y)
+        objective = _MapObjective(gp, gp._train_distance, gp._train_y)
+        direct = -objective(gp.hyperparameters.to_vector())
         assert gp.log_likelihood() == pytest.approx(direct, abs=1e-9)
 
     def test_alias_and_guards(self):
