@@ -27,21 +27,25 @@ def experiment_config():
 
 @pytest.fixture(scope="session")
 def emit():
-    """Print a rendered table/figure and append it to ``results/paper_artifacts.txt``.
+    """Print a rendered table/figure and write it to ``results/paper_artifacts.txt``.
 
     pytest captures stdout by default, so the artifact file is the reliable
     place to inspect the regenerated tables and figure series after a
-    benchmark run (or pass ``-s`` to see them live).
+    benchmark run (or pass ``-s`` to see them live).  The session's first
+    artifact truncates the file, so it holds the latest run only.
     """
     artifact_path = Path(__file__).resolve().parents[1] / "results" / "paper_artifacts.txt"
     artifact_path.parent.mkdir(parents=True, exist_ok=True)
+    mode = "w"
 
     def _emit(text: str) -> None:
+        nonlocal mode
         print()
         print(text)
         print()
-        with artifact_path.open("a") as handle:
+        with artifact_path.open(mode) as handle:
             handle.write(text + "\n\n")
+        mode = "a"
 
     return _emit
 

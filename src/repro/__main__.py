@@ -24,9 +24,8 @@ Two subcommands drive single ask/tell tuning sessions
   TCP server (:mod:`repro.server`) with named sessions, LRU eviction, and
   crash-safe autosave/resume via ``--sessions-dir``.
 
-A further subcommand, ``bench``, runs the tuner hot-path microbenchmarks
-(legacy dict path vs. the vectorized encoding layer) and writes
-``BENCH_tuner_hotpath.json``.
+A further subcommand, ``check``, runs the static invariant checker
+(:mod:`repro.analysis`).
 
 Examples::
 
@@ -41,7 +40,6 @@ Examples::
     PYTHONPATH=src python -m repro serve
     PYTHONPATH=src python -m repro serve --tcp 7730 --sessions-dir runs/ \\
         --max-sessions 16
-    PYTHONPATH=src python -m repro bench --quick
 
 Environment variables (``REPRO_*``, see :mod:`repro.experiments.config`)
 provide the defaults; command-line flags override them.
@@ -373,107 +371,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_baseline_speedups(path: Path) -> dict[str, float]:
-    """Per-section speedups from the committed baseline JSON (empty if absent)."""
-    try:
-        committed = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-    sections = committed.get("sections")
-    if not isinstance(sections, dict):
-        return {}
-    speedups: dict[str, float] = {}
-    for name, section in sections.items():
-        if not isinstance(section, dict):
-            continue
-        # sections report the speedup of their most advanced path; for
-        # end_to_end (v5) that is the pooled fast policy, with plain "speedup"
-        # (exact vs fast) kept for older baselines
-        value = section.get("pooled_speedup", section.get("speedup"))
-        if isinstance(value, (int, float)):
-            speedups[name] = float(value)
-    return speedups
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .experiments.hotpath_bench import (
-        DEFAULT_OUTPUT,
-        run_hotpath_benchmarks,
-        write_results,
-    )
-
-    scale = 0.25 if args.quick else 1.0
-    payload = run_hotpath_benchmarks(
-        n_distance_configs=max(20, int(args.distance_configs * scale)),
-        n_train=max(10, int(args.train * scale)),
-        n_candidates=max(50, int(args.candidates * scale)),
-        n_generated=max(64, int(args.generated * scale)),
-        repeats=args.repeats,
-        # the end-to-end budget is exempt from --quick scaling: below ~3x the
-        # DoE size the learning loop barely runs and the policy speedups the
-        # CI gate asserts on become meaningless noise
-        end_to_end_budget=args.end_to_end_budget,
-        sections=args.section or None,
-    )
-    # delta column against the committed baseline, so perf regressions show
-    # up directly in PR logs
-    baseline = _bench_baseline_speedups(DEFAULT_OUTPUT)
-    headers = ["Section", "Baseline", "Optimized", "Speedup", "Throughput", "Δ committed"]
-    rows = []
-    for name, section in payload["sections"].items():
-        base_s = section.get("legacy_seconds", section.get("exact_seconds"))
-        new_s = section.get(
-            "vectorized_seconds",
-            section.get(
-                "incremental_seconds",
-                section.get("pooled_seconds", section.get("fast_seconds")),
-            ),
-        )
-        throughput = next(
-            (
-                f"{section[key]:,.0f} {key.rsplit('_', 3)[-3]}/s"
-                for key in (
-                    "vectorized_candidates_per_sec",
-                    "vectorized_configs_per_sec",
-                    "incremental_fits_per_sec",
-                    "pooled_iters_per_sec",
-                    "fast_iters_per_sec",
-                )
-                if key in section
-            ),
-            "—",
-        )
-        # headline the section's most advanced path (pooled for end_to_end),
-        # matching what _bench_baseline_speedups reads from the committed JSON
-        speedup = section.get("pooled_speedup", section["speedup"])
-        committed_speedup = baseline.get(name)
-        if committed_speedup:
-            ratio = speedup / committed_speedup
-            delta = f"{committed_speedup:.1f}x ({'+' if ratio >= 1 else ''}{(ratio - 1) * 100:.0f}%)"
-        else:
-            delta = "—"
-        rows.append(
-            [
-                name,
-                f"{base_s * 1e3:.1f} ms",
-                f"{new_s * 1e3:.1f} ms",
-                f"{speedup:.1f}x",
-                throughput,
-                delta,
-            ]
-        )
-    print(format_table(headers, rows, title="tuner hot path: optimized vs baseline paths"))
-    out = args.out
-    if out is None:
-        # single-section payloads are not complete baselines — only write
-        # them when the caller asked for a file explicitly
-        out = None if args.section else DEFAULT_OUTPUT
-    if out is not None:
-        path = write_results(payload, out)
-        print(f"wrote {path}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -605,48 +502,6 @@ def main(argv: list[str] | None = None) -> int:
         help="sessions kept in memory before LRU eviction (default: 8)",
     )
     serve_parser.set_defaults(handler=_cmd_serve)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="run the tuner hot-path microbenchmarks"
-    )
-    bench_parser.add_argument(
-        "--out", type=Path, default=None,
-        help="output JSON path (default: BENCH_tuner_hotpath.json for full "
-             "runs; --section runs print only unless --out is given)",
-    )
-    bench_parser.add_argument(
-        "--section", action="append", default=None, metavar="NAME",
-        help="run only this section (repeatable), e.g. --section gp_fit; "
-             "see repro.experiments.hotpath_bench.ALL_SECTIONS",
-    )
-    bench_parser.add_argument(
-        "--end-to-end-budget", type=int, default=40,
-        help="evaluation budget for the end_to_end section (default: 40; "
-             "not scaled by --quick)",
-    )
-    bench_parser.add_argument(
-        "--distance-configs", type=int, default=300,
-        help="batch size for the distance-matrix build section",
-    )
-    bench_parser.add_argument(
-        "--train", type=int, default=80, help="GP training-set size"
-    )
-    bench_parser.add_argument(
-        "--candidates", type=int, default=1000,
-        help="candidate batch size for the EI-maximization section",
-    )
-    bench_parser.add_argument(
-        "--generated", type=int, default=256,
-        help="batch size for the candidate-generation / constraint-eval sections",
-    )
-    bench_parser.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (minimum is reported)"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="quarter-size problem instances (CI smoke mode)",
-    )
-    bench_parser.set_defaults(handler=_cmd_bench)
 
     check_parser = subparsers.add_parser(
         "check",

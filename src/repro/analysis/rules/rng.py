@@ -31,8 +31,7 @@ SEED_BOUNDARIES: dict[str, str] = {
     # deterministic fallback when no rng is injected (ad-hoc / test use)
     "gp": "deterministic default generator when no rng is injected",
     "feasibility": "deterministic default generator when no rng is injected",
-    # bench harnesses and workload synthesis mint their own fixed-seed streams
-    "hotpath_bench": "microbenchmark harness mints fixed-seed generators",
+    # workload synthesis mints its own fixed-seed streams
     "tensors": "deterministic tensor synthesis from fixed seeds",
     "rise_suite": "fixed-seed fallback default configuration sample",
 }

@@ -42,7 +42,6 @@ EXEMPT_ATTRS = {
     "phase_profiler",
     "_session",
     "_history",
-    "_objective",
     "space",
     "seed",
     "name",

@@ -143,7 +143,7 @@ class YtoptLikeTuner(Tuner):
     ) -> np.ndarray:
         best = float(np.min(values))
         if self.surrogate == "rf":
-            features = self.space.encode_many(configs)
+            features = self.space.encode_batch(configs)
             model = RandomForestRegressor(n_trees=self.rf_trees, rng=self._rng)
             model.fit(features, values)
             mean, variance = model.predict_with_uncertainty(pool_rows)

@@ -13,7 +13,7 @@ climb counts as ``predict``, not twice.
 The profiler is pure observation: it never touches RNG streams or model
 arithmetic, so enabling it cannot perturb a trajectory.  Every
 :class:`~repro.core.tuner.Tuner` carries one as ``phase_profiler``; the
-service ``status`` op and the ``end_to_end`` benchmark read the summary.
+service ``status`` op reads the summary.
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ class Tuner(ABC):
         self._rng = np.random.default_rng(seed)
         self._session: "TuningSession | None" = None
         self._history: TuningHistory | None = None
-        self._objective: ObjectiveFunction | None = None
         self._evaluated_keys: set[tuple] = set()
         self._doe_queue: deque[Configuration] = deque()
         #: wall-clock per recommendation-loop phase (sample/fit/predict/ei/
@@ -90,7 +89,6 @@ class Tuner(ABC):
         bit-identical to the historical push-driven loop.
         """
         session = self.start_session(budget, benchmark_name=benchmark_name)
-        self._objective = objective
         start = time.perf_counter()
         while not session.done:
             for suggestion in session.ask():
@@ -174,38 +172,13 @@ class Tuner(ABC):
         snapshotted hyper-parameters).  Must not consume randomness."""
 
     # ------------------------------------------------------------------
-    # history access and legacy helpers
+    # history access
     # ------------------------------------------------------------------
 
-    def _require_history(self) -> TuningHistory:
+    @property
+    def history(self) -> TuningHistory:
         if self._history is None:
             raise RuntimeError(
                 "no active tuning session — call tune() or start_session() first"
             )
         return self._history
-
-    @property
-    def history(self) -> TuningHistory:
-        return self._require_history()
-
-    def _remaining(self, budget: int) -> int:
-        return budget - len(self._require_history())
-
-    def _evaluate(self, configuration: Mapping[str, Any], phase: str = "learning") -> ObjectiveResult:
-        """Evaluate one configuration through the black box and record it.
-
-        Legacy push-style helper kept for ad-hoc use inside an active
-        :meth:`tune` call; the session drivers evaluate through ask/tell
-        instead.
-        """
-        history = self._require_history()
-        if self._objective is None:
-            raise RuntimeError(
-                "no active tuning session — call tune() or start_session() first"
-            )
-        start = time.perf_counter()
-        result = self._objective(configuration)
-        history.evaluation_seconds += time.perf_counter() - start
-        history.append(configuration, result, phase=phase)
-        self._record_observation(configuration, result)
-        return result

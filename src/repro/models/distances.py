@@ -17,9 +17,8 @@ absolute differences, categorical Hamming, and all four permutation
 semimetrics including Kendall — is computed with vectorized numpy, with no
 per-pair Python loop anywhere.  :meth:`DistanceComputer.pairwise` remains as
 a thin adapter for callers holding raw configuration dicts (it encodes, then
-delegates), and :meth:`DistanceComputer.pairwise_reference` preserves the
-historical per-pair implementation as the ground truth for regression tests
-and the hot-path microbenchmark.
+delegates).  The historical per-pair implementation lives on in the test
+suite as the ground truth these blocks are pinned against.
 
 :class:`IncrementalDistanceTensor` grows the symmetric train-train tensor one
 observation at a time: appending a row computes only the new cross block, so
@@ -212,50 +211,6 @@ class DistanceComputer:
         rows_a = self.encoder.encode_batch(configs_a)
         rows_b = None if configs_b is None else self.encoder.encode_batch(configs_b)
         return self.pairwise_rows(rows_a, rows_b)
-
-    # ------------------------------------------------------------------
-    # reference path (pre-vectorization semantics, kept for tests / benchmarks)
-    # ------------------------------------------------------------------
-    def pairwise_reference(
-        self,
-        configs_a: Sequence[Mapping[str, Any]],
-        configs_b: Sequence[Mapping[str, Any]] | None = None,
-    ) -> np.ndarray:
-        """The historical implementation: per-call feature re-derivation from
-        raw dicts and a per-pair Python double loop for the Kendall
-        semimetric.  Kept as the ground truth that
-        ``tests/test_hotpath_equivalence.py`` pins :meth:`pairwise_rows`
-        against, and as the "legacy" side of the hot-path microbenchmark.
-        Do not use in production code paths.
-        """
-        b = configs_a if configs_b is None else configs_b
-        out = np.zeros((self.n_dimensions, len(configs_a), len(b)))
-        for k, param in enumerate(self.parameters):
-            values_a = [cfg[param.name] for cfg in configs_a]
-            values_b = values_a if configs_b is None else [cfg[param.name] for cfg in b]
-            if isinstance(param, PermutationParameter):
-                tuples_a = [param.canonical(v) for v in values_a]
-                tuples_b = [param.canonical(v) for v in values_b]
-                raw = np.empty((len(tuples_a), len(tuples_b)))
-                for i, pa in enumerate(tuples_a):
-                    for j, pb in enumerate(tuples_b):
-                        raw[i, j] = param.distance(pa, pb)
-                matrix = np.sqrt(raw)
-            elif isinstance(param, CategoricalParameter):
-                idx_a = np.array([param.index_of(v) for v in values_a])
-                idx_b = np.array([param.index_of(v) for v in values_b])
-                matrix = (idx_a[:, None] != idx_b[None, :]).astype(float)
-            elif isinstance(param, NumericParameter):
-                warped_a = np.array([param._warp(v) for v in values_a], dtype=float)
-                warped_b = np.array([param._warp(v) for v in values_b], dtype=float)
-                matrix = np.abs(warped_a[:, None] - warped_b[None, :])
-            else:  # pragma: no cover - defensive fallback
-                matrix = np.array(
-                    [[param.distance(va, vb) for vb in values_b] for va in values_a],
-                    dtype=float,
-                )
-            out[k] = matrix / self.scales[k]
-        return out
 
 
 class IncrementalDistanceTensor:

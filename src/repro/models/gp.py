@@ -595,15 +595,6 @@ class GaussianProcess:
             var = var + hp.noise_variance
         return mean, var
 
-    def predict_raw(
-        self, configurations: Sequence[Mapping[str, Any]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Predictive mean on the raw objective scale (approximate for log models)."""
-        mean, var = self.predict(configurations)
-        raw_mean = self.from_model_scale(mean)
-        raw_std = np.abs(raw_mean) * np.sqrt(var) * self._y_std if self.log_transform_output else np.sqrt(var) * self._y_std
-        return raw_mean, raw_std**2
-
     def log_likelihood(self) -> float:
         """Log posterior density of the fitted model (for diagnostics).
 
@@ -620,7 +611,3 @@ class GaussianProcess:
         ll -= 0.5 * len(y) * math.log(2.0 * math.pi)
         ll += self._log_prior(self.hyperparameters)
         return ll
-
-    def log_marginal_likelihood(self) -> float:
-        """Backwards-compatible alias for :meth:`log_likelihood`."""
-        return self.log_likelihood()

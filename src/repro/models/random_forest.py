@@ -159,13 +159,6 @@ class DecisionTree:
             stack.append((node.right, idx[~goes_left]))
         return out
 
-    def _predict_one(self, row: np.ndarray) -> float:
-        """Reference scalar traversal (kept for the hot-path microbenchmark)."""
-        node = self._root
-        while not node.is_leaf():
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
-
     def depth(self) -> int:
         def rec(node: _Node | None) -> int:
             if node is None or node.is_leaf():

@@ -16,6 +16,8 @@ when ``ok`` is false — the service keeps serving after errors) and are
 tokens.  Inside snapshot payloads they are wire-encoded as
 ``{"$float": "inf"}`` markers (see :func:`wire_encode`); scalar response
 fields such as ``best_value`` are ``null`` until a feasible result exists.
+The integer fields ``budget``, ``seed``, ``n`` and ``id`` must be JSON
+integers: a float, boolean, string or ``null`` there is an error.
 
 =========  ==============================================================
 op         meaning
@@ -145,6 +147,22 @@ def _reject_constant(token: str) -> float:
 def _short(value: Any, limit: int = 120) -> str:
     text = repr(value)
     return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def _int_field(request: Mapping[str, Any], key: str, default: int | None = None) -> int:
+    """The JSON integer ``request[key]`` (``default`` when absent).
+
+    ``int()`` would truncate ``0.99`` to suggestion 0 and read ``true`` as 1,
+    so anything but an ``int`` that is not a ``bool`` is refused.
+    """
+    if key not in request:
+        if default is None:
+            raise ValueError(f"missing integer {key!r}")
+        return default
+    value = request[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {_short(value)}")
+    return value
 
 
 class _ManagedSession:
@@ -468,8 +486,6 @@ class SessionRegistry:
             )
         if "benchmark" not in request:
             raise ValueError("start needs a 'benchmark' name")
-        if "budget" not in request:
-            raise ValueError("start needs an integer 'budget'")
         surrogate_policy = request.get("surrogate_policy")
         if surrogate_policy is not None and not isinstance(surrogate_policy, str):
             raise ValueError("'surrogate_policy' must be a policy spec string")
@@ -479,8 +495,8 @@ class SessionRegistry:
         session, benchmark = make_session(
             str(request["benchmark"]),
             str(request.get("tuner", "BaCO")),
-            int(request["budget"]),
-            int(request.get("seed", 0)),
+            _int_field(request, "budget"),
+            _int_field(request, "seed", 0),
             fidelity=str(request.get("fidelity", "fast")),
             surrogate_policy=surrogate_policy,
             propagate=propagate,
@@ -501,7 +517,7 @@ class SessionRegistry:
 
     def _op_ask(self, request: Mapping[str, Any]) -> dict[str, Any]:
         name = self._session_name(request)
-        n = int(request.get("n", 1))
+        n = _int_field(request, "n", 1)
         with self._locked_entry(name) as entry:
             suggestions = entry.session.ask(n)
             done = entry.session.done
@@ -532,9 +548,10 @@ class SessionRegistry:
         elapsed = float(request.get("elapsed", 0.0))
         if not math.isfinite(elapsed):
             raise ValueError(f"'elapsed' must be finite, got {elapsed!r}")
+        suggestion_id = _int_field(request, "id")
         with self._locked_entry(name) as entry:
             evaluation = entry.session.tell(
-                int(request["id"]),
+                suggestion_id,
                 ObjectiveResult(value=value, feasible=feasible),
                 elapsed=elapsed,
             )

@@ -204,29 +204,6 @@ class Tree:
             node = matched
         return True
 
-    def sample_leaf(self, rng: np.random.Generator) -> dict[str, Any]:
-        """Sample a partial configuration uniformly over the leaves (bias-free)."""
-        node = self.root
-        values: dict[str, Any] = {}
-        for param in self.parameters:
-            weights = np.array([child.leaf_count for child in node.children], dtype=float)
-            total = weights.sum()
-            probabilities = weights / total
-            idx = int(rng.choice(len(node.children), p=probabilities))
-            node = node.children[idx]
-            values[param.name] = node.value
-        return values
-
-    def sample_path(self, rng: np.random.Generator) -> dict[str, Any]:
-        """Sample by choosing a uniformly random child at every level (biased)."""
-        node = self.root
-        values: dict[str, Any] = {}
-        for param in self.parameters:
-            idx = int(rng.integers(len(node.children)))
-            node = node.children[idx]
-            values[param.name] = node.value
-        return values
-
     def _materialize_leaves(self) -> None:
         """One walk filling both leaf caches (list + biased sampling weights).
 
@@ -281,10 +258,11 @@ class Tree:
         """Draw ``n`` leaf indices (into :meth:`leaves`) in one vectorized pass.
 
         Uniform mode draws indices uniformly — exactly the bias-free
-        uniform-over-leaves distribution of :meth:`sample_leaf`.  Biased mode
-        inverts the cumulative per-leaf probability of the ATF-style
-        per-level walk, reproducing :meth:`sample_path`'s distribution
-        without walking the tree per sample.
+        uniform-over-leaves distribution of a leaf-count-weighted walk.
+        Biased mode inverts the cumulative per-leaf probability of the
+        ATF-style walk that picks a uniformly random child per level,
+        reproducing that walk's distribution without walking the tree per
+        sample.
         """
         if self._leaves is None:
             self._materialize_leaves()
@@ -367,19 +345,6 @@ class ChainOfTrees:
 
     def contains(self, configuration: Mapping[str, Any]) -> bool:
         return all(tree.contains(configuration) for tree in self.trees)
-
-    def sample(self, rng: np.random.Generator, biased: bool = False) -> dict[str, Any]:
-        """Sample the constrained part of a configuration.
-
-        With ``biased=False`` (BaCO's fix) the sample is uniform over feasible
-        configurations; with ``biased=True`` it reproduces the ATF-style
-        uniform-per-level walk that over-weights sparse subtrees.
-        """
-        values: dict[str, Any] = {}
-        for tree in self.trees:
-            draw = tree.sample_path(rng) if biased else tree.sample_leaf(rng)
-            values.update(draw)
-        return values
 
     def feasible_values(
         self, parameter_name: str, configuration: Mapping[str, Any]

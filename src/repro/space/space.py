@@ -373,9 +373,8 @@ class SearchSpace:
         entirely in row space (leaf-matrix CoT draws, batched parameter
         sampling, compiled residual constraints) and each accepted row is
         decoded once.  The feasible distribution matches the historical
-        per-configuration scalar loop, which survives as
-        :meth:`sample_reference` (the oracle used by tests and benchmarks);
-        the RNG consumption order is the vectorized scheme's.
+        per-configuration scalar loop, which the test suite keeps as its
+        oracle; the RNG consumption order is the vectorized scheme's.
         """
         rows = self.sample_rows(
             rng,
@@ -386,41 +385,6 @@ class SearchSpace:
         )
         decode = self.encoder.decode
         return [decode(row) for row in rows]
-
-    def sample_reference(
-        self,
-        rng: np.random.Generator,
-        n_samples: int = 1,
-        biased_cot: bool = False,
-        max_rejection_rounds: int = 10_000,
-    ) -> list[Configuration]:
-        """The historical scalar sampling loop (reference oracle).
-
-        One configuration at a time: per-level Chain-of-Trees walks, one
-        scalar ``Parameter.sample`` call per uncovered parameter, and one
-        Python ``eval`` per residual constraint.  Kept verbatim so the
-        vectorized path has an executable specification to be tested and
-        benchmarked against.
-        """
-        samples: list[Configuration] = []
-        covered = self._covered_names()
-        attempts = 0
-        while len(samples) < n_samples:
-            attempts += 1
-            if attempts > max_rejection_rounds * max(1, n_samples):
-                raise RuntimeError(
-                    "rejection sampling failed to find feasible configurations; "
-                    "the feasible region may be too sparse"
-                )
-            config: Configuration = {}
-            if self.chain_of_trees is not None:
-                config.update(self.chain_of_trees.sample(rng, biased=biased_cot))
-            for param in self.parameters:
-                if param.name not in covered:
-                    config[param.name] = param.sample(rng)
-            if all(c.evaluate(config) for c in self._residual_constraints):
-                samples.append(config)
-        return samples
 
     def sample_rows(
         self,
@@ -787,14 +751,6 @@ class SearchSpace:
     def encode_batch(self, configurations: Sequence[Mapping[str, Any]]) -> np.ndarray:
         """Encode a batch of configurations as an ``(n, width)`` float matrix."""
         return self.encoder.encode_batch(configurations)
-
-    # kept as an alias for historical callers
-    def encode_many(self, configurations: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        return self.encoder.encode_batch(configurations)
-
-    def decode_row(self, row: Sequence[float]) -> Configuration:
-        """Round-trip an encoded row back to a configuration."""
-        return self.encoder.decode(row)
 
     def freeze(self, configuration: Mapping[str, Any]) -> tuple:
         """Hashable key for a configuration (used for de-duplication)."""

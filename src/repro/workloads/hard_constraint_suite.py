@@ -13,8 +13,7 @@ Each instance stacks ``k`` unary divisibility constraints (each keeping 1 in
 disjunction, giving feasibility densities of roughly ``10**-k``:
 
 * ``hard_constraint_1e-2`` — ``k = 2``, rejection is merely wasteful;
-* ``hard_constraint_1e-4`` — ``k = 4``, rejection rounds explode (the CI
-  bench gate compares rejection vs propagation here);
+* ``hard_constraint_1e-4`` — ``k = 4``, rejection rounds explode;
 * ``hard_constraint_1e-6`` — ``k = 6``, rejection exhausts its default
   budget and raises, while domain propagation samples in a handful of
   rounds.

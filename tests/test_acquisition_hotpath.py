@@ -10,8 +10,10 @@ Guarantees for the PR-9 overhaul:
 * the fused, memoized, cross-distance-backed scoring path produces the same
   acquisition values as the plain per-batch path to 1e-10 across all five
   parameter types (real / integer / ordinal / categorical / permutation),
-* the ``pool=`` policy family round-trips through spec strings, runs end to
-  end, snapshots its pool, and a resumed run replays bit-identically,
+* the ``exact``, ``fast`` and pooled policies each run end to end with calls
+  in every profiler phase,
+* the ``pool=`` policy family round-trips through spec strings, snapshots
+  its pool, and a resumed run replays bit-identically,
 * the service ``status`` op surfaces the per-phase timings.
 """
 
@@ -294,14 +296,25 @@ class TestPooledPolicyEndToEnd:
         history = tuner.tune(bench.evaluator, budget, benchmark_name=bench.name)
         return bench, tuner, history
 
-    @pytest.mark.parametrize("policy", ["fast,refit_every=3,sweep_every=10,pool=48"])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            "exact",
+            "fast,refit_every=3,sweep_every=10",
+            "fast,refit_every=3,sweep_every=10,pool=48",
+        ],
+    )
     def test_pooled_run_completes_and_profiles(self, policy):
+        """Every policy runs end to end and records calls in every phase;
+        the pooled one also keeps its pool across asks."""
         _, tuner, history = self._run(policy)
         assert len(history) == 14
         assert all(np.isfinite(e.value) for e in history if e.feasible)
         summary = tuner.phase_profiler.summary()
-        for phase in ("sample", "fit", "predict", "ei", "climb"):
+        for phase in PHASES:
             assert summary["calls"][phase] > 0, phase
+        if "pool=" not in policy:
+            return
         # the pool survived across asks and slots were recycled, not redrawn
         assert tuner._candidate_pool is not None
         assert len(tuner._candidate_pool) == 48

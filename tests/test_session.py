@@ -182,22 +182,12 @@ class TestSessionProtocol:
 
 
 class TestNoActiveSession:
-    """Satellite: legacy helpers fail with a clear error before tune()."""
+    """The history accessor fails with a clear error before tune()."""
 
     def test_history_property(self, small_space):
         tuner = _make_tuner("uniform", small_space, 0)
         with pytest.raises(RuntimeError, match="no active tuning session"):
             tuner.history
-
-    def test_remaining(self, small_space):
-        tuner = _make_tuner("uniform", small_space, 0)
-        with pytest.raises(RuntimeError, match="no active tuning session"):
-            tuner._remaining(10)
-
-    def test_evaluate(self, small_space):
-        tuner = _make_tuner("uniform", small_space, 0)
-        with pytest.raises(RuntimeError, match="no active tuning session"):
-            tuner._evaluate(small_space.default_configuration())
 
 
 class TestSnapshotRestore:

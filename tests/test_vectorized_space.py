@@ -32,6 +32,8 @@ from repro.space import (
 )
 from repro.space.constraints import _SCALAR_GLOBALS, compile_column_evaluator
 
+from oracles import sample_reference
+
 
 def _mixed_params():
     return [
@@ -335,7 +337,7 @@ class TestRowSpaceAPI:
             key = space.freeze(config)
             vector_counts[key] = vector_counts.get(key, 0) + 1
         reference_counts: dict[tuple, int] = {}
-        for config in space.sample_reference(rng_ref, n):
+        for config in sample_reference(space, rng_ref, n):
             key = space.freeze(config)
             reference_counts[key] = reference_counts.get(key, 0) + 1
         assert set(vector_counts) == set(reference_counts)
@@ -345,7 +347,7 @@ class TestRowSpaceAPI:
     def test_sample_reference_remains_the_scalar_oracle(self):
         space = _mixed_space()
         rng = np.random.default_rng(2)
-        for config in space.sample_reference(rng, 25):
+        for config in sample_reference(space, rng, 25):
             assert space.is_feasible(config)
 
     def test_neighbour_rows_match_dict_neighbours(self):
@@ -404,7 +406,7 @@ def riocp_spaces(draw):
     space = SearchSpace(parameters, constraints)
     # keep only satisfiable spaces: a feasible witness must exist
     try:
-        space.sample_reference(np.random.default_rng(0), 1, max_rejection_rounds=200)
+        sample_reference(space, np.random.default_rng(0), 1, max_rejection_rounds=200)
     except RuntimeError:
         return SearchSpace(parameters, [])
     return space
