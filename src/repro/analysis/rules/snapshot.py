@@ -40,7 +40,6 @@ ASK_ROOTS = {"_plan", "_propose"}
 EXEMPT_ATTRS = {
     "_rng",
     "phase_profiler",
-    "_session",
     "_history",
     "space",
     "seed",

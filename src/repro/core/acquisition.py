@@ -232,19 +232,23 @@ class AcquisitionFunction:
             else:
                 values = lower_confidence_bound(mean, variance, self.lcb_beta)
             if self.feasibility_model is not None and self.feasibility_model.is_trained:
-                if (
-                    hasattr(self.feasibility_model, "encoder")
-                    and self.feasibility_model.encoder.signature() == encoder.signature()
-                ):
-                    probability = self.feasibility_model.predict_probability_rows(rows)
-                else:
-                    # duck-typed feasibility models (no encoder attribute) get
-                    # the dict surface, mirroring __call__'s hasattr guard
-                    if configurations is None:
-                        configurations = encoder.decode_batch(rows)
-                    probability = self.feasibility_model.predict_probability(
-                        configurations
-                    )
+                feas_phase = (
+                    profiler.phase("feas_predict") if profiler is not None else nullcontext()
+                )
+                with feas_phase:
+                    if (
+                        hasattr(self.feasibility_model, "encoder")
+                        and self.feasibility_model.encoder.signature() == encoder.signature()
+                    ):
+                        probability = self.feasibility_model.predict_probability_rows(rows)
+                    else:
+                        # duck-typed feasibility models (no encoder attribute)
+                        # get the dict surface, mirroring __call__'s hasattr guard
+                        if configurations is None:
+                            configurations = encoder.decode_batch(rows)
+                        probability = self.feasibility_model.predict_probability(
+                            configurations
+                        )
                 values = values * probability
                 values = np.where(
                     probability >= self.feasibility_threshold, values, -np.inf

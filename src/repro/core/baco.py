@@ -450,7 +450,7 @@ class BacoTuner(Tuner):
         # beyond the DoE): skip the feasibility fit — vstack of zero rows is
         # an error — and let the too-few-values guard below go random
         if self._feasibility is not None and self._space_rows_all:
-            with profiler.phase("fit"):
+            with profiler.phase("feas_fit"):
                 self._feasibility.fit_rows(
                     np.vstack(self._space_rows_all), self._feasible_flags
                 )

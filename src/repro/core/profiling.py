@@ -1,9 +1,10 @@
 """Per-phase wall-clock profiling of the tuner's recommendation loop.
 
-The BaCO loop spends its time between black-box evaluations in five places:
-drawing feasible candidates (**sample**), fitting the surrogate and the
-feasibility model (**fit**), GP/RF posterior prediction (**predict**), the
-EI / feasibility-weighting arithmetic (**ei**), and the multistart local
+The BaCO loop spends its time between black-box evaluations in seven places:
+drawing feasible candidates (**sample**), refitting the feasibility forest
+(**feas_fit**), fitting the surrogate (**fit**), GP/RF posterior prediction
+(**predict**), the EI / feasibility-weighting arithmetic (**ei**) with the
+forest's feasibility probability (**feas_predict**), and the multistart local
 search bookkeeping around them (**climb**).  :class:`PhaseProfiler` attributes
 wall-clock to those phases with *exclusive* (self-time) accounting: entering
 a nested phase pauses the enclosing one, so the per-phase seconds always sum
@@ -24,8 +25,8 @@ from typing import Any, Iterator
 
 __all__ = ["PHASES", "PhaseProfiler"]
 
-#: canonical phase names, in loop order (summaries always list all five)
-PHASES = ("sample", "fit", "predict", "ei", "climb")
+#: canonical phase names, in loop order (summaries always list all seven)
+PHASES = ("sample", "feas_fit", "fit", "predict", "ei", "feas_predict", "climb")
 
 
 class PhaseProfiler:

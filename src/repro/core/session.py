@@ -223,9 +223,11 @@ class TuningSession:
         """Per-phase wall-clock breakdown of the tuner's recommendation loop.
 
         Delegates to the tuner's :class:`~repro.core.profiling.PhaseProfiler`
-        summary — seconds and call counts for sample/fit/predict/ei/climb.
-        Timings are process-local observations (they are not part of
-        snapshots and reset when the tuner state is rebuilt on restore).
+        summary — seconds and call counts for every phase in
+        :data:`~repro.core.profiling.PHASES` (sample, feas_fit, fit, predict,
+        ei, feas_predict, climb).  Timings are process-local observations
+        (they are not part of snapshots and reset when the tuner state is
+        rebuilt on restore).
         """
         return self.tuner.phase_profiler.summary()
 

@@ -58,12 +58,11 @@ class Tuner(ABC):
         self.space = space
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._session: "TuningSession | None" = None
         self._history: TuningHistory | None = None
         self._evaluated_keys: set[tuple] = set()
         self._doe_queue: deque[Configuration] = deque()
-        #: wall-clock per recommendation-loop phase (sample/fit/predict/ei/
-        #: climb); pure observation, never consulted by the tuner itself
+        #: wall-clock per recommendation-loop phase (profiling.PHASES); pure
+        #: observation, never consulted by the tuner itself
         self.phase_profiler = PhaseProfiler()
 
     # ------------------------------------------------------------------
@@ -103,8 +102,11 @@ class Tuner(ABC):
         return history
 
     def _bind_session(self, session: "TuningSession") -> None:
-        """Attach the session's history so ``self.history`` works mid-run."""
-        self._session = session
+        """Attach the session's history so ``self.history`` works mid-run.
+
+        Only the history is kept: a back-reference to the session would make
+        session ↔ tuner a reference cycle, freed only by the cyclic GC.
+        """
         self._history = session.history
 
     # ------------------------------------------------------------------

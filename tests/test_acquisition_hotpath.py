@@ -401,5 +401,5 @@ class TestStatusTimings:
         assert status["ok"]
         timings = status["timings"]
         assert set(timings) == {"seconds", "calls"}
-        for phase in ("sample", "fit", "predict", "ei", "climb"):
+        for phase in ("sample", "feas_fit", "fit", "predict", "ei", "feas_predict", "climb"):
             assert phase in timings["seconds"]

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import ReferenceTree, forest_reference
 from repro.models.random_forest import (
     DecisionTree,
     RandomForestClassifier,
@@ -62,13 +65,8 @@ class TestDecisionTree:
         x, y = _regression_data(rng, n=30)
         tree = DecisionTree(min_samples_leaf=10, max_features=None, rng=rng)
         tree.fit(x, y)
-
-        def leaf_sizes(node):
-            if node.is_leaf():
-                return [node.n_samples]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert min(leaf_sizes(tree._root)) >= 10
+        leaves = tree.left == -1
+        assert leaves.any() and tree.n_samples[leaves].min() >= 10
 
 
 class TestRandomForestRegressor:
@@ -140,3 +138,154 @@ class TestRandomForestClassifier:
         a = RandomForestClassifier(n_trees=8, rng=np.random.default_rng(11)).fit(x, y)
         b = RandomForestClassifier(n_trees=8, rng=np.random.default_rng(11)).fit(x, y)
         assert np.allclose(a.predict_proba(x), b.predict_proba(x))
+
+
+@pytest.mark.parametrize("forest_class", [RandomForestRegressor, RandomForestClassifier])
+@pytest.mark.parametrize(
+    "features, targets",
+    [
+        (np.arange(10.0).reshape(5, 2), np.zeros(7)),  # more targets than rows
+        (np.arange(10.0).reshape(5, 2), np.zeros(3)),  # fewer targets than rows
+        (np.arange(5.0), np.zeros(5)),  # 1-D features
+        (np.full((5, 2), np.nan), np.zeros(5)),  # non-finite features
+    ],
+)
+def test_rejected_fit_draws_nothing(forest_class, features, targets):
+    """Bad input raises ValueError before the forest draws any randomness."""
+    generator = np.random.default_rng(3)
+    before = generator.bit_generator.state
+    with pytest.raises(ValueError):
+        forest_class(rng=generator).fit(features, targets)
+    assert generator.bit_generator.state == before
+
+
+# ---------------------------------------------------------------------------
+# the flat-array forest against the recursive oracle
+# ---------------------------------------------------------------------------
+
+
+def _column(rng, kind, n):
+    if kind == "levels":  # BaCO's regime: a few distinct encoded values
+        levels = rng.normal(size=int(rng.integers(2, 9))) * rng.choice([1.0, 8.0])
+        return levels[rng.integers(len(levels), size=n)]
+    return rng.normal(size=n) * 10.0  # continuous: >33 distinct -> quantiles
+
+
+def _targets(rng, kind, n):
+    if kind == "binary":
+        return (rng.random(n) < rng.uniform(0.2, 0.9)).astype(float)
+    if kind == "continuous":
+        return rng.normal(size=n) * 3.0 + 1.0
+    # Ytopt-style: runtimes, with infeasible points at a large penalty
+    values = rng.lognormal(size=n)
+    infeasible = rng.random(n) < 0.3
+    penalty = values[~infeasible].max() * 10.0 if (~infeasible).any() else 1e6
+    return np.where(infeasible, penalty, values)
+
+
+@st.composite
+def forest_cases(draw):
+    n = draw(st.integers(1, 150))
+    n_features = draw(st.integers(1, 12))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for j in range(n_features):
+        kind = draw(st.sampled_from(["levels", "levels", "continuous", "duplicate"]))
+        if kind == "duplicate" and columns:
+            columns.append(columns[draw(st.integers(0, j - 1))].copy())
+        else:
+            columns.append(_column(data, "levels" if kind == "duplicate" else kind, n))
+    features = np.column_stack(columns)
+    target_kind = draw(st.sampled_from(["binary", "continuous", "penalty"]))
+    targets = _targets(data, target_kind, n)
+    fresh = np.where(
+        data.random((40, n_features)) < 0.5,
+        features[data.integers(n, size=40)],
+        data.normal(size=(40, n_features)) * 10.0,
+    )
+    params = dict(
+        n_trees=draw(st.integers(1, 6)),
+        max_depth=draw(st.sampled_from([2, 5, 12])),
+        min_samples_split=draw(st.integers(2, 6)),
+        min_samples_leaf=draw(st.integers(1, 10)),
+        max_features=draw(st.sampled_from([None, "sqrt", draw(st.integers(1, 13))])),
+        bootstrap=draw(st.booleans()),
+    )
+    forest_class = RandomForestClassifier if target_kind == "binary" else RandomForestRegressor
+    return forest_class, params, draw(st.integers(0, 2**32 - 1)), features, targets, fresh
+
+
+def _preorder(node, out):
+    out.append((node.feature, node.threshold, node.value, node.n_samples, node.is_leaf()))
+    if not node.is_leaf():
+        _preorder(node.left, out)
+        _preorder(node.right, out)
+    return out
+
+
+def _flat(tree):
+    return [
+        (int(f), float(t), float(v), int(n), bool(left < 0))
+        for f, t, v, n, left in zip(
+            tree.feature, tree.threshold, tree.value, tree.n_samples, tree.left
+        )
+    ]
+
+
+class TestOracleEquivalence:
+    """The flat-array lockstep forest against the recursive implementation
+    in ``tests/oracles.py``: same splits, same leaf values, same predictions
+    and the same generator state, compared with ``==``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(forest_cases())
+    def test_forest_matches_recursive_oracle(self, case):
+        forest_class, params, seed, features, targets, fresh = case
+        forest = forest_class(rng=np.random.default_rng(seed), **params)
+        forest.fit(features, targets)
+        oracle = forest_class(rng=np.random.default_rng(seed), **params)
+        reference = forest_reference(oracle, features, targets)
+
+        # node splits and leaf values agree in preorder
+        assert [_flat(tree) for tree in forest.trees_] == [
+            _preorder(tree._root, []) for tree in reference
+        ]
+        assert forest._rng.bit_generator.state == oracle._rng.bit_generator.state
+
+        for rows in (features, fresh, np.zeros((0, features.shape[1]))):
+            expected = np.vstack([tree.predict(rows) for tree in reference])
+            mean = expected.mean(axis=0)
+            if forest_class is RandomForestClassifier:
+                proba = np.clip(mean, 0.0, 1.0)
+                assert np.array_equal(forest.predict_proba(rows), proba)
+                assert np.array_equal(forest.predict(rows), (proba >= 0.5).astype(int))
+            else:
+                assert np.array_equal(forest.predict(rows), mean)
+                got_mean, got_var = forest.predict_with_uncertainty(rows)
+                assert np.array_equal(got_mean, mean)
+                assert np.array_equal(got_var, expected.var(axis=0) + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_binary_ties_break_like_np_var(self, seed):
+        """Small 0/1 data is full of exactly tied gains, which ``np.var``'s
+        pairwise summation breaks by element order; the re-score must break
+        them the same way (a screened argmax alone does not)."""
+        data = np.random.default_rng(seed)
+        features = data.integers(0, 4, size=(60, 6)).astype(float)
+        targets = (data.random(60) < 0.4).astype(float)
+        forest = RandomForestClassifier(n_trees=16, rng=np.random.default_rng(seed))
+        forest.fit(features, targets)
+        oracle = RandomForestClassifier(n_trees=16, rng=np.random.default_rng(seed))
+        reference = forest_reference(oracle, features, targets)
+        assert [_flat(tree) for tree in forest.trees_] == [
+            _preorder(tree._root, []) for tree in reference
+        ]
+
+    def test_tree_matches_recursive_oracle(self, rng):
+        x = rng.integers(0, 3, size=(80, 5)).astype(float)
+        y = (rng.random(80) < 0.5).astype(float)
+        tree = DecisionTree(max_features=2, rng=np.random.default_rng(4)).fit(x, y)
+        reference = ReferenceTree(max_features=2, rng=np.random.default_rng(4)).fit(x, y)
+        assert _flat(tree) == _preorder(reference._root, [])
+        assert tree.depth() == reference.depth()
+        assert np.array_equal(tree.predict(x), reference.predict(x))

@@ -8,6 +8,7 @@ Covers the tentpole guarantees of the API inversion:
 * batch asks never over-commit the budget, deduplicate against pending
   work, and yield deterministic traces for a fixed batch size,
 * the legacy helpers raise a clear error outside an active session,
+* a dropped session and its tuner are freed by reference counting alone,
 * the JSON-lines service drives a session end to end (``SessionService``
   is now the single-session view of ``SessionRegistry``; the multi-session
   registry, the TCP server, and the malformed-traffic hardening are covered
@@ -16,8 +17,10 @@ Covers the tentpole guarantees of the API inversion:
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -320,3 +323,35 @@ class TestSessionService:
         assert not service.handle({"op": "tell", "id": 123, "value": 1.0})["ok"]
         assert service.handle({"op": "shutdown"})["ok"]
         assert not service.running
+
+
+class TestSessionLifetime:
+    """Session and tuner form no reference cycle, so dropping a session
+    frees its tuner without the cyclic GC (which the server's evictions and
+    every checkpoint reload would otherwise wait on)."""
+
+    @staticmethod
+    def _tuner_dies_with(make):
+        gc.collect()
+        gc.disable()
+        try:
+            session = make()
+            tuner = weakref.ref(session.tuner)
+            del session
+            return tuner() is None
+        finally:
+            gc.enable()
+
+    def test_fresh_session(self):
+        from repro.experiments.runner import make_session
+
+        assert self._tuner_dies_with(lambda: make_session("hpvm_bfs", "BaCO", 6, 0)[0])
+
+    def test_restored_session(self, tmp_path):
+        from repro.experiments.runner import load_session, make_session, save_session
+
+        session, bench = make_session("hpvm_bfs", "BaCO", 6, 0)
+        for suggestion in session.ask(2):
+            session.tell(suggestion.id, bench.evaluator(suggestion.configuration))
+        path = save_session(session, tmp_path / "session.ckpt.json")
+        assert self._tuner_dies_with(lambda: load_session(path)[0])
