@@ -439,9 +439,9 @@ def main(argv: list[str] | None = None) -> int:
         "--surrogate-policy", default=None, metavar="SPEC",
         help="surrogate refit policy for BaCO-family tuners: 'exact' (default, "
              "bit-compatible full refit per iteration) or 'fast[,refit_every=N]"
-             "[,sweep_every=N][,pool=N]' (incremental Cholesky updates, "
-             "warm-started hyperparameters, optional persistent candidate "
-             "pool of N rows); incompatible with --resume",
+             "[,sweep_every=N]' (incremental Cholesky updates, warm-started "
+             "hyperparameters); incompatible with --resume, which reads the "
+             "policy from the checkpoint",
     )
     tune_parser.add_argument(
         "--propagate", action="store_true",

@@ -1,6 +1,6 @@
 """The BaCO optimizer: acquisition, feasibility model, local search, sessions."""
 
-from .acquisition import AcquisitionFunction, expected_improvement, lower_confidence_bound
+from .acquisition import AcquisitionFunction, expected_improvement
 from .baco import BacoSettings, BacoTuner
 from .doe import default_doe_size, initial_design, initial_design_queue
 from .feasibility import FeasibilityModel, FeasibilityThresholdSchedule
@@ -28,6 +28,5 @@ __all__ = [
     "expected_improvement",
     "initial_design",
     "initial_design_queue",
-    "lower_confidence_bound",
     "multistart_local_search_batch",
 ]

@@ -32,14 +32,12 @@ from ..models.gp import GaussianProcess
 
 __all__ = [
     "expected_improvement",
-    "lower_confidence_bound",
     "floored_std",
     "AcquisitionFunction",
     "FusedAcquisitionScorer",
 ]
 
-#: floor applied to the predictive variance before taking the square root; a
-#: single shared constant so EI and LCB can never drift apart
+#: floor applied to the predictive variance before taking the square root
 _VARIANCE_FLOOR = 1e-18
 #: sqrt(2*pi), precomputed for the inline standard-normal pdf
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -69,13 +67,6 @@ def expected_improvement(
     return np.maximum(ei, 0.0)
 
 
-def lower_confidence_bound(
-    mean: np.ndarray, variance: np.ndarray, beta: float = 2.0
-) -> np.ndarray:
-    """Negated LCB so that *larger is better*, like EI (for minimization)."""
-    return -(mean - beta * floored_std(variance))
-
-
 class AcquisitionFunction:
     """Feasibility-weighted (noiseless) EI over configurations.
 
@@ -93,8 +84,6 @@ class AcquisitionFunction:
         assigned an acquisition value of ``-inf``.
     noiseless:
         Use the noise-free predictive variance (BaCO's modified EI).
-    kind:
-        ``"ei"`` (default) or ``"lcb"``.
     """
 
     def __init__(
@@ -104,12 +93,8 @@ class AcquisitionFunction:
         feasibility_model: Any | None = None,
         feasibility_threshold: float = 0.0,
         noiseless: bool = True,
-        kind: str = "ei",
-        lcb_beta: float = 2.0,
         profiler: Any | None = None,
     ) -> None:
-        if kind not in ("ei", "lcb"):
-            raise ValueError(f"unknown acquisition kind {kind!r}")
         if not math.isfinite(best_value):
             raise ValueError("best_value must be finite to compute EI")
         self.model = model
@@ -122,8 +107,6 @@ class AcquisitionFunction:
         self.feasibility_model = feasibility_model
         self.feasibility_threshold = feasibility_threshold
         self.noiseless = noiseless
-        self.kind = kind
-        self.lcb_beta = lcb_beta
         # The GP encodes with the (possibly transform-adjusted) model space,
         # the feasibility model with the original space.  When the two
         # layouts warp values identically, one encoded matrix serves both.
@@ -152,10 +135,7 @@ class AcquisitionFunction:
             mean, variance = self.model.predict(
                 configurations, include_noise=not self.noiseless
             )
-        if self.kind == "ei":
-            values = expected_improvement(mean, variance, self._best_model_scale)
-        else:
-            values = lower_confidence_bound(mean, variance, self.lcb_beta)
+        values = expected_improvement(mean, variance, self._best_model_scale)
         if self.feasibility_model is not None and self.feasibility_model.is_trained:
             if self._shared_encoding and rows is not None:
                 probability = self.feasibility_model.predict_probability_rows(rows)
@@ -167,12 +147,7 @@ class AcquisitionFunction:
             )
         return values
 
-    def evaluate_rows(
-        self,
-        rows: np.ndarray,
-        encoder: Any,
-        cross_distance: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def evaluate_rows(self, rows: np.ndarray, encoder: Any) -> np.ndarray:
         """Acquisition values for pre-encoded rows in ``encoder``'s layout.
 
         The fast path of the row-space acquisition optimizer: when the GP's
@@ -182,14 +157,6 @@ class AcquisitionFunction:
         feasibility RF without ever materializing configuration dicts.
         Mismatching layouts decode once and re-encode for the model — the
         correctness fallback for e.g. the no-transformations ablation.
-
-        ``cross_distance`` — cached test-train cross tensor for ``rows`` (the
-        persistent candidate pool's :class:`~repro.models.distances.
-        CrossDistanceTensor` view); forwarded to
-        :meth:`~repro.models.gp.GaussianProcess.predict_rows` on the
-        shared-encoding fast path so the predict skips distance computation
-        entirely.  Only valid when the model rows coincide with ``rows``
-        (signature equality), which the caller guarantees.
         """
         if len(rows) == 0:
             return np.empty(0)
@@ -204,16 +171,7 @@ class AcquisitionFunction:
                 hasattr(self.model, "encoder")
                 and self.model.encoder.signature() == encoder.signature()
             ):
-                if cross_distance is not None:
-                    mean, variance = self.model.predict_rows(
-                        rows, include_noise=include_noise, cross_distance=cross_distance
-                    )
-                else:
-                    # keyword omitted so duck-typed models with the plain
-                    # two-argument predict_rows keep working
-                    mean, variance = self.model.predict_rows(
-                        rows, include_noise=include_noise
-                    )
+                mean, variance = self.model.predict_rows(rows, include_noise=include_noise)
             else:
                 configurations = encoder.decode_batch(rows)
                 if hasattr(self.model, "encoder"):
@@ -227,10 +185,7 @@ class AcquisitionFunction:
                     )
         ei_phase = profiler.phase("ei") if profiler is not None else nullcontext()
         with ei_phase:
-            if self.kind == "ei":
-                values = expected_improvement(mean, variance, self._best_model_scale)
-            else:
-                values = lower_confidence_bound(mean, variance, self.lcb_beta)
+            values = expected_improvement(mean, variance, self._best_model_scale)
             if self.feasibility_model is not None and self.feasibility_model.is_trained:
                 feas_phase = (
                     profiler.phase("feas_predict") if profiler is not None else nullcontext()
@@ -255,10 +210,8 @@ class AcquisitionFunction:
                 )
         return values
 
-    def single(self, configuration: Mapping[str, Any]) -> float:
-        return float(self([configuration])[0])
 
-
+# Unused by the tuner; kept because perfbench/tracing.py:PATCHES wraps its methods by name.
 class FusedAcquisitionScorer:
     """Memoizing, buffer-reusing scorer for one acquisition maximization.
 
@@ -267,8 +220,8 @@ class FusedAcquisitionScorer:
     maps to one acquisition value.  The scorer exploits that three ways:
 
     * **per-row memoization** — values are cached by ``row.tobytes()``, so
-      climb steps that re-visit rows (overlapping neighbourhoods, re-climbed
-      pool starts) never re-predict;
+      climb steps that re-visit rows (overlapping neighbourhoods) never
+      re-predict;
     * **fused batch pass** — the unseen rows of a batch go through a single
       predict → EI → feasibility-weighting pipeline
       (:meth:`AcquisitionFunction.evaluate_rows`), not one call per row;
@@ -276,9 +229,6 @@ class FusedAcquisitionScorer:
       that grows monotonically, so the lockstep climb allocates nothing per
       step.  The returned array is a view into that workspace: consume it
       before the next ``score_rows`` call.
-
-    :meth:`prime_pool` additionally accepts the pool's cached cross-distance
-    tensor, turning the pool-scoring predict into a pure kernel-apply.
     """
 
     def __init__(self, acquisition: AcquisitionFunction, encoder: Any) -> None:
@@ -296,15 +246,10 @@ class FusedAcquisitionScorer:
             self._values_buf = np.empty(max(n, 2 * self._values_buf.shape[0]))
         return self._values_buf[:n]
 
-    def prime_pool(
-        self, rows: np.ndarray, cross_distance: np.ndarray | None = None
-    ) -> np.ndarray:
+    def prime_pool(self, rows: np.ndarray) -> np.ndarray:
         """Score the candidate pool in one pass and seed the memo with it."""
         values = np.asarray(
-            self._acquisition.evaluate_rows(
-                rows, self._encoder, cross_distance=cross_distance
-            ),
-            dtype=float,
+            self._acquisition.evaluate_rows(rows, self._encoder), dtype=float
         )
         memo = self._memo
         # repro: allow[hot-path-purity] memo seeding: one dict insert per row after a single fused batch predict — no vectorized dict alternative

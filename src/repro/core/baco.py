@@ -25,16 +25,13 @@ threshold, and the surrogate family (GP vs. RF).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
-from ..models.distances import (
-    CrossDistanceTensor,
-    DistanceComputer,
-    IncrementalDistanceTensor,
-)
+from ..models.distances import DistanceComputer, IncrementalDistanceTensor
 from ..models.gp import GaussianProcess, GPHyperparameters
 from ..models.priors import GammaPrior
 from ..models.random_forest import RandomForestRegressor
@@ -46,18 +43,10 @@ from ..space.parameters import (
     RealParameter,
 )
 from ..space.space import Configuration, SearchSpace
-from .acquisition import (
-    AcquisitionFunction,
-    FusedAcquisitionScorer,
-    expected_improvement,
-)
+from .acquisition import AcquisitionFunction, expected_improvement
 from .doe import default_doe_size, initial_design_queue
 from .feasibility import FeasibilityModel, FeasibilityThresholdSchedule
-from .local_search import (
-    LocalSearchSettings,
-    multistart_local_search_batch,
-    pooled_local_search_batch,
-)
+from .local_search import LocalSearchSettings, multistart_local_search_batch
 from .result import ObjectiveResult
 from .tuner import Tuner
 
@@ -82,25 +71,16 @@ class SurrogatePolicy:
     * every ``sweep_every`` feasible observations the full multistart
       **sweep** re-runs (with the previous optimum joining the pool).
 
-    ``pool=N`` (``fast`` only) keeps a **persistent candidate pool** of
-    ``N`` feasible rows that survives across asks: instead of redrawing the
-    full random batch every iteration, only the rows consumed as climb
-    starts (or filtered out by the refreshed ε_f) are resampled, and the
-    rest keep their cached test–train distance columns
-    (:class:`~repro.models.distances.CrossDistanceTensor`), so pool predicts
-    are a pure kernel-apply.  It rides on ``fast`` because the pool redraw
-    pattern consumes a different RNG stream than the exact path's
-    batch-per-ask draw.
+    Both modes draw a fresh random candidate batch and climb from its best
+    rows on every ask; they differ only in how the GP is refitted.
 
     Spec strings round-trip through :meth:`parse` / :meth:`spec`:
-    ``"exact"``, ``"fast"``, ``"fast,refit_every=8,sweep_every=40"``, or
-    ``"fast,pool=512"``.
+    ``"exact"``, ``"fast"`` or ``"fast,refit_every=8,sweep_every=40"``.
     """
 
     mode: str = "exact"
     refit_hypers_every: int = 8
     sweep_every: int = 40
-    pool_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "fast"):
@@ -109,11 +89,6 @@ class SurrogatePolicy:
             raise ValueError("refit_hypers_every must be >= 1")
         if self.sweep_every < 1:
             raise ValueError("sweep_every must be >= 1")
-        if self.pool_size is not None:
-            if self.mode != "fast":
-                raise ValueError("pool= requires the 'fast' policy mode")
-            if self.pool_size < 2:
-                raise ValueError("pool_size must be >= 2")
 
     @classmethod
     def parse(cls, spec: "str | SurrogatePolicy | None") -> "SurrogatePolicy":
@@ -135,11 +110,7 @@ class SurrogatePolicy:
                 f"unknown surrogate policy {mode!r}; expected 'exact' or 'fast'"
             )
         kwargs: dict[str, Any] = {}
-        keys = {
-            "refit_every": "refit_hypers_every",
-            "sweep_every": "sweep_every",
-            "pool": "pool_size",
-        }
+        keys = {"refit_every": "refit_hypers_every", "sweep_every": "sweep_every"}
         for option in options:
             if "=" not in option:
                 raise ValueError(f"malformed policy option {option!r} (expected key=value)")
@@ -162,10 +133,7 @@ class SurrogatePolicy:
         """Canonical spec string (``parse(spec())`` round-trips)."""
         if self.mode == "exact":
             return "exact"
-        spec = f"fast,refit_every={self.refit_hypers_every},sweep_every={self.sweep_every}"
-        if self.pool_size is not None:
-            spec += f",pool={self.pool_size}"
-        return spec
+        return f"fast,refit_every={self.refit_hypers_every},sweep_every={self.sweep_every}"
 
     def fit_strategy(self, n_train: int, last_sweep_n: int, last_refit_n: int) -> str:
         """The :meth:`GaussianProcess.fit_rows` strategy for the next refit."""
@@ -176,6 +144,59 @@ class SurrogatePolicy:
         if n_train - last_refit_n >= self.refit_hypers_every:
             return "warm"
         return "frozen"
+
+
+#: the keys :meth:`BacoTuner._state_dict` writes for a ``fast`` policy
+_POLICY_STATE_KEYS = ("spec", "last_sweep_n", "last_refit_n", "hypers", "chol_base_n")
+_HYPER_KEYS = ("lengthscales", "outputscale", "noise_variance")
+
+
+def _state_counter(payload: Mapping[str, Any], key: str, high: int) -> int:
+    """``payload[key]`` as a JSON integer in ``[0, high]``.
+
+    ``int()`` would read ``true`` as 1 and truncate ``8.9`` to 8, so only an
+    ``int`` that is not a ``bool`` passes, as for the service's wire integers.
+    """
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= high:
+        raise ValueError(
+            f"surrogate_policy.{key} must be an integer in [0, {high}], got {value!r}"
+        )
+    return value
+
+
+def _positive(value: Any, field: str) -> float:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(
+            f"surrogate_policy.hypers.{field} must be finite and positive, got {value!r}"
+        )
+    return float(value)
+
+
+def _state_hypers(hypers: Any, n_dimensions: int) -> dict[str, Any] | None:
+    """The snapshotted GP hyper-parameters, checked: ``None`` or one finite
+    positive lengthscale per dimension plus outputscale and noise variance."""
+    if hypers is None:
+        return None
+    if not isinstance(hypers, Mapping) or set(hypers) != set(_HYPER_KEYS):
+        raise ValueError(
+            f"surrogate_policy.hypers must be null or hold exactly {list(_HYPER_KEYS)}"
+        )
+    lengthscales = hypers["lengthscales"]
+    if not isinstance(lengthscales, list) or len(lengthscales) != n_dimensions:
+        raise ValueError(
+            f"surrogate_policy.hypers.lengthscales must list {n_dimensions} values"
+        )
+    return {
+        "lengthscales": [_positive(x, "lengthscales") for x in lengthscales],
+        "outputscale": _positive(hypers["outputscale"], "outputscale"),
+        "noise_variance": _positive(hypers["noise_variance"], "noise_variance"),
+    }
 
 
 def _without_log_transform(param: Parameter) -> Parameter:
@@ -300,19 +321,7 @@ class BacoTuner(Tuner):
         # full refit; "fast" reuses _fast_gp across iterations with
         # incremental Cholesky extension and warm-started hyper fits).
         self._policy = SurrogatePolicy.parse(self.settings.surrogate_policy)
-        # Acquisition hot-path caches (pooled fast policies only): the
-        # pool↔train cross-distance tensor and the cross-ask neighbour-matrix
-        # cache of the pooled climb; _reset_policy_state adds the persistent
-        # candidate pool and the indices due a resample before the next ask.
-        self._cross_distance = CrossDistanceTensor(self._model_distance)
-        self._neighbour_cache: dict[bytes, np.ndarray] = {}
         self._reset_policy_state()
-        # The cross tensor measures distances in the *model* encoding; it can
-        # only stand in for pool-row distances when both encoders agree on
-        # every warp (false under e.g. the no-transformations ablation).
-        self._shared_model_encoding = (
-            self._model_distance.encoder.signature() == self._space_encoder.signature()
-        )
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -356,7 +365,7 @@ class BacoTuner(Tuner):
         self._reset_policy_state()
 
     def _reset_policy_state(self) -> None:
-        """Drop the persistent GP, its refit cadence, and the pool caches."""
+        """Drop the persistent ``fast`` GP and its refit cadence counters."""
         self._fast_gp: GaussianProcess | None = None
         self._policy_state: dict[str, Any] = {
             "last_sweep_n": 0,
@@ -364,10 +373,6 @@ class BacoTuner(Tuner):
             "hypers": None,
         }
         self._restored_chol_base_n = 0
-        self._candidate_pool: np.ndarray | None = None
-        self._pool_refill: list[int] = []
-        self._cross_distance.reset()
-        self._neighbour_cache.clear()
 
     @property
     def surrogate_policy(self) -> SurrogatePolicy:
@@ -459,8 +464,7 @@ class BacoTuner(Tuner):
         if len(values) < 2 or len(set(values)) < 2:
             return self._random_fallback_batch(k, exclude)
 
-        use_gp = self.settings.surrogate == "gp"
-        if not use_gp:
+        if self.settings.surrogate != "gp":
             with profiler.phase("fit"):
                 acquisition = self._fit_rf_acquisition(values)
         else:
@@ -491,91 +495,17 @@ class BacoTuner(Tuner):
             n_starts=self.settings.n_local_search_starts,
             max_steps=self.settings.max_local_search_steps if self.settings.use_local_search else 0,
         )
-        if self._policy.pool_size is not None and use_gp:
-            ranked = self._pooled_search(acquisition, settings, exclude, k)
-        else:
-            ranked = multistart_local_search_batch(
-                self.space,
-                acquisition,
-                self._rng,
-                settings=settings,
-                exclude=exclude,
-                k=k,
-                profiler=profiler,
-            )
-        chosen = [config for config, value in ranked if np.isfinite(value)]
-        return self._random_fallback_batch(k, exclude, chosen)
-
-    def _pooled_search(
-        self,
-        acquisition: AcquisitionFunction,
-        settings: LocalSearchSettings,
-        exclude: set[tuple],
-        k: int,
-    ) -> list[tuple[Configuration, float]]:
-        """One ask over the persistent candidate pool (``pool=N`` policies).
-
-        The pool lifecycle implements lazy invalidation: the first ask draws
-        ``pool_size`` feasible rows, later asks resample only the slots the
-        previous ask consumed as climb starts or found dead under its ε_f
-        (acquisition ``-inf``).  When the model and space encodings agree the
-        pool's test–train distance columns are maintained alongside — new
-        observations append column blocks, resampled slots recompute their
-        row — so priming the pool through the surrogate is a pure
-        kernel-apply with no distance computation.
-        """
-        profiler = self.phase_profiler
-        pool_size = self._policy.pool_size
-        refreshed: list[int] = []
-        full_redraw = False
-        with profiler.phase("sample"):
-            if self._candidate_pool is None or len(self._candidate_pool) != pool_size:
-                self._candidate_pool = np.array(
-                    self.space.sample_rows(self._rng, pool_size), copy=True
-                )
-                self._pool_refill = []
-                full_redraw = True
-            elif self._pool_refill:
-                refreshed = sorted(set(self._pool_refill))
-                self._candidate_pool[refreshed] = self.space.sample_rows(
-                    self._rng, len(refreshed)
-                )
-                self._pool_refill = []
-        pool = self._candidate_pool
-
-        cross_view = None
-        if self._shared_model_encoding:
-            cross = self._cross_distance
-            train_rows = self._gp_distance_cache.rows
-            if full_redraw or cross.n_pool != len(pool):
-                cross.set_pool(pool, train_rows)
-            else:
-                if len(cross) < len(train_rows):
-                    cross.extend_train(train_rows[len(cross) :])
-                if refreshed:
-                    cross.refresh_pool_rows(refreshed, pool[refreshed], train_rows)
-            cross_view = cross.tensor
-
-        scorer = FusedAcquisitionScorer(acquisition, self._space_encoder)
-        pool_values = scorer.prime_pool(pool, cross_distance=cross_view)
-        ranked, consumed = pooled_local_search_batch(
+        ranked = multistart_local_search_batch(
             self.space,
-            scorer,
-            pool,
-            pool_values,
+            acquisition,
+            self._rng,
             settings=settings,
             exclude=exclude,
             k=k,
-            neighbour_cache=self._neighbour_cache,
             profiler=profiler,
         )
-        # Slots to resample before the next ask: consumed starts (their rows
-        # were either proposed or climbed away from) plus everything the
-        # current ε_f filtered out — the next ε is redrawn, so dead rows are
-        # stale, not permanently infeasible.
-        stale = np.nonzero(~np.isfinite(pool_values))[0]
-        self._pool_refill = sorted({*(int(i) for i in consumed), *(int(i) for i in stale)})
-        return ranked
+        chosen = [config for config, value in ranked if np.isfinite(value)]
+        return self._random_fallback_batch(k, exclude, chosen)
 
     def _fit_gp(self, values: list[float]) -> GaussianProcess | None:
         """Fit the GP surrogate on the feasible observations.
@@ -641,37 +571,60 @@ class BacoTuner(Tuner):
             payload["chol_base_n"] = (
                 gp._chol_base_n if gp is not None and gp.hyperparameters is not None else 0
             )
-            if self._policy.pool_size is not None:
-                # the pool rows themselves must be snapshotted — their RNG
-                # draws are already consumed, so a resumed run cannot redraw
-                # them without diverging from the original stream
-                payload["pool_rows"] = (
-                    None
-                    if self._candidate_pool is None
-                    else [[float(x) for x in row] for row in self._candidate_pool]
-                )
-                payload["pool_refill"] = [int(i) for i in self._pool_refill]
             state["surrogate_policy"] = payload
         return state
 
     def _load_state_dict(self, state: Mapping[str, Any]) -> None:
+        """Load the ``fast`` policy state that :meth:`_state_dict` wrote.
+
+        The payload may come from a client (the service's ``restore`` op), so
+        it is checked before anything is installed: exactly the five keys
+        :meth:`_state_dict` writes, counters that are JSON integers within
+        the replayed feasible history, and finite positive hyper-parameters.
+        Anything else raises ``ValueError`` naming the field, rather than
+        resuming a run that silently diverges from the original.
+        """
         super()._load_state_dict(state)
         payload = state.get("surrogate_policy")
-        if payload is not None:
-            spec = payload.get("spec")
-            if spec is not None:
-                self._policy = SurrogatePolicy.parse(spec)
-            self._policy_state = {
-                "last_sweep_n": int(payload.get("last_sweep_n", 0)),
-                "last_refit_n": int(payload.get("last_refit_n", 0)),
-                "hypers": payload.get("hypers"),
-            }
-            self._restored_chol_base_n = int(payload.get("chol_base_n", 0))
-            pool_rows = payload.get("pool_rows")
-            self._candidate_pool = (
-                None if pool_rows is None else np.asarray(pool_rows, dtype=float)
+        if payload is None:
+            if self._policy.mode == "fast":
+                raise ValueError(
+                    "snapshot of a 'fast' surrogate policy session has no "
+                    "surrogate_policy state"
+                )
+            return
+        if not isinstance(payload, Mapping):
+            raise ValueError("surrogate_policy state must be an object")
+        for key in payload:
+            if key not in _POLICY_STATE_KEYS:
+                raise ValueError(f"unknown surrogate_policy state key {key!r}")
+        for key in _POLICY_STATE_KEYS:
+            if key not in payload:
+                raise ValueError(f"surrogate_policy state lacks {key!r}")
+        spec = payload["spec"]
+        if not isinstance(spec, str):
+            raise ValueError(f"surrogate_policy.spec must be a string, got {spec!r}")
+        policy = SurrogatePolicy.parse(spec)
+        if policy.mode != "fast":
+            raise ValueError(f"surrogate_policy.spec must be a 'fast' policy, got {spec!r}")
+        n_feasible = len(self._feasible_values)
+        counters = {
+            key: _state_counter(payload, key, n_feasible)
+            for key in ("last_sweep_n", "last_refit_n", "chol_base_n")
+        }
+        hypers = _state_hypers(payload["hypers"], len(self._model_space.parameters))
+        if hypers is None and counters["chol_base_n"] >= 2:
+            raise ValueError(
+                f"surrogate_policy.chol_base_n is {counters['chol_base_n']} "
+                "but surrogate_policy.hypers is null"
             )
-            self._pool_refill = [int(i) for i in payload.get("pool_refill", [])]
+        self._policy = policy
+        self._policy_state = {
+            "last_sweep_n": counters["last_sweep_n"],
+            "last_refit_n": counters["last_refit_n"],
+            "hypers": hypers,
+        }
+        self._restored_chol_base_n = counters["chol_base_n"]
 
     def _post_restore(self) -> None:
         """Rebuild the fast-policy GP so a resumed run replays bit-exactly.
@@ -685,28 +638,11 @@ class BacoTuner(Tuner):
         """
         if self._policy.mode == "exact":
             return
-        if (
-            self._candidate_pool is not None
-            and self._shared_model_encoding
-            and len(self._feasible_values) >= 2
-        ):
-            # rebuild the pool's cross-distance cache from the replayed
-            # history; block assembly is bit-identical to a fresh pairwise
-            # computation, so the resumed predicts match the original run
-            self._cross_distance.set_pool(
-                self._candidate_pool, self._gp_distance_cache.rows
-            )
-        st = self._policy_state
-        hypers = st.get("hypers")
+        hypers = self._policy_state["hypers"]
         base_n = self._restored_chol_base_n
         if hypers is None or base_n < 2:
             self._fast_gp = None
             return
-        if base_n > len(self._feasible_values):
-            raise ValueError(
-                f"surrogate policy state covers {base_n} observations but the "
-                f"restored history holds {len(self._feasible_values)}"
-            )
         gp = self._make_gp()
         gp.hyperparameters = GPHyperparameters(
             lengthscales=np.asarray(hypers["lengthscales"], dtype=float),

@@ -24,8 +24,8 @@ for the returned winners, i.e. at the tuner boundary.
 
 There is one climb (:func:`_climb_and_rank`) behind two start-selection
 front ends: :func:`multistart_local_search_batch` draws a fresh random batch
-per call, :func:`pooled_local_search_batch` starts from a persistent,
-pre-scored candidate pool and caches neighbourhoods across calls.
+per call and is the one the tuner uses; :func:`pooled_local_search_batch`
+starts from a caller's pre-scored rows.
 """
 # repro: hot-path — row-space module: per-row Python loops, .tolist(), and in-loop decode are flagged (see repro.analysis)
 
@@ -44,11 +44,6 @@ __all__ = [
     "pooled_local_search_batch",
     "random_candidate_rows",
 ]
-
-#: cross-ask neighbour-matrix cache entries kept before FIFO eviction; the
-#: space is immutable, so a row's feasible neighbourhood is a pure function
-#: of the row and entries never go stale — the cap only bounds memory
-_NEIGHBOUR_CACHE_MAX = 4096
 
 
 class LocalSearchSettings:
@@ -107,33 +102,6 @@ def _phase(profiler: Any | None, name: str):
     return profiler.phase(name) if profiler is not None else nullcontext()
 
 
-def _neighbourhoods(
-    space: SearchSpace,
-    points: np.ndarray,
-    cache: dict[bytes, np.ndarray] | None,
-) -> tuple[np.ndarray, Sequence[int]]:
-    """The feasible neighbours of ``points`` as one owner-major matrix, and
-    how many of them belong to each point.
-
-    Without a cache this is one ``neighbour_rows_batch`` call (its output is
-    already owner-major).  With one, only the points the cache misses are
-    expanded — in one batched call, split by owner and stored under
-    ``point.tobytes()``.
-    """
-    if cache is None:
-        batch, owners = space.neighbour_rows_batch(points)
-        return batch, np.bincount(owners, minlength=len(points))
-    mats = [cache.get(point.tobytes()) for point in points]
-    missing = [i for i, mat in enumerate(mats) if mat is None]
-    if missing:
-        batch, owners = space.neighbour_rows_batch(points[missing])
-        for j, i in enumerate(missing):
-            mats[i] = cache[points[i].tobytes()] = batch[owners == j]
-        while len(cache) > _NEIGHBOUR_CACHE_MAX:
-            cache.pop(next(iter(cache)))
-    return np.concatenate(mats, axis=0), [len(mat) for mat in mats]
-
-
 def _climb_and_rank(
     space: SearchSpace,
     score: Callable[[np.ndarray], np.ndarray],
@@ -144,14 +112,14 @@ def _climb_and_rank(
     settings: LocalSearchSettings,
     exclude: Iterable[tuple],
     k: int,
-    neighbour_cache: dict[bytes, np.ndarray] | None,
     profiler: Any | None,
 ) -> list[tuple[Configuration, float]]:
     """Climb from ``rows[start_indices]`` and rank the top-``k`` results.
 
     ``rows`` are scored candidates with acquisition ``values`` and
     ``order = argsort(-values)``.  Per lockstep step, the neighbourhoods of
-    every still-active start are scored in one ``score`` call and each start
+    every still-active start come from one ``neighbour_rows_batch`` call
+    (owner-major), are scored in one ``score`` call, and each start
     moves to the argmax of its own slice when that strictly improves on it,
     exactly as if it climbed alone.  The per-start local optima are ranked
     by value (ties keep start order) and de-duplicated; when fewer than
@@ -169,7 +137,8 @@ def _climb_and_rank(
         if not active:
             break
         with _phase(profiler, "climb"):
-            fused, lengths = _neighbourhoods(space, current[active], neighbour_cache)
+            fused, owners = space.neighbour_rows_batch(current[active])
+            lengths = np.bincount(owners, minlength=len(active))
         if len(fused) == 0:
             break
         fused_values = score(fused)
@@ -268,10 +237,11 @@ def multistart_local_search_batch(
     order = np.argsort(-values)
     return _climb_and_rank(
         space, score, candidates, values, order, order[: settings.n_starts],
-        settings, exclude, k, None, profiler,
+        settings, exclude, k, profiler,
     )
 
 
+# Unused by the tuner; kept because perfbench/tracing.py:PATCHES wraps it by name.
 def pooled_local_search_batch(
     space: SearchSpace,
     scorer: Any,
@@ -280,28 +250,23 @@ def pooled_local_search_batch(
     settings: LocalSearchSettings | None = None,
     exclude: Iterable[tuple] = (),
     k: int = 1,
-    neighbour_cache: dict[bytes, np.ndarray] | None = None,
     profiler: Any | None = None,
 ) -> tuple[list[tuple[Configuration, float]], list[int]]:
-    """The top-``k`` configurations from a *persistent*, pre-scored pool.
+    """The top-``k`` configurations from a pre-scored candidate pool.
 
-    Instead of drawing a fresh random batch, the caller hands in the cross-ask
-    pool (``pool_rows``) with its acquisition values (``pool_values``,
-    typically from :meth:`~repro.core.acquisition.FusedAcquisitionScorer.
-    prime_pool`), and ``scorer`` is that
-    :class:`~repro.core.acquisition.FusedAcquisitionScorer`, whose per-ask
-    memo folds away re-visited rows during the climb.  ``neighbour_cache``
-    maps ``row.tobytes()`` to the row's feasible neighbour matrix; it
-    persists *across asks*, so only rows never climbed through before pay a
-    ``neighbour_rows_batch`` call.
+    Instead of drawing a fresh random batch, the caller hands in the pool
+    (``pool_rows``) with its acquisition values (``pool_values``, typically
+    from :meth:`~repro.core.acquisition.FusedAcquisitionScorer.prime_pool`),
+    and ``scorer`` is that
+    :class:`~repro.core.acquisition.FusedAcquisitionScorer`, whose memo
+    folds away re-visited rows during the climb.
 
     Dead starts are pruned: rows whose pooled value is ``-inf`` or NaN
     (ε_f-filtered or otherwise unscorable) and repeated rows never seed a
     climb; a pool without live rows returns ``([], [])``.
 
     Returns ``(ranked, start_indices)`` where ``start_indices`` are the pool
-    row indices consumed as climb starts — the caller refreshes exactly those
-    slots before the next ask.
+    row indices consumed as climb starts.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -324,6 +289,6 @@ def pooled_local_search_batch(
         return [], []
     ranked = _climb_and_rank(
         space, scorer.score_rows, pool_rows, pool_values, order, start_indices,
-        settings, exclude, k, neighbour_cache, profiler,
+        settings, exclude, k, profiler,
     )
     return ranked, start_indices

@@ -3,7 +3,7 @@
 from .distances import DistanceComputer, parameter_scale
 from .gp import GaussianProcess, GPHyperparameters
 from .kernels import KERNELS, matern52, rbf, scaled_distance
-from .priors import GammaPrior, LogNormalPrior, UniformPrior
+from .priors import GammaPrior
 from .random_forest import DecisionTree, RandomForestClassifier, RandomForestRegressor
 
 __all__ = [
@@ -13,10 +13,8 @@ __all__ = [
     "GaussianProcess",
     "GPHyperparameters",
     "KERNELS",
-    "LogNormalPrior",
     "RandomForestClassifier",
     "RandomForestRegressor",
-    "UniformPrior",
     "matern52",
     "parameter_scale",
     "rbf",

@@ -23,17 +23,9 @@ suite as the ground truth these blocks are pinned against.
 :class:`IncrementalDistanceTensor` grows the symmetric train-train tensor one
 observation at a time: appending a row computes only the new cross block, so
 the per-iteration cost of extending the GP's Gram inputs is O(n·D) instead of
-O(n²·D).  Block assembly is bit-identical to a full recompute.
-
-:class:`CrossDistanceTensor` mirrors that on the candidate side: it caches the
-``(D, P, n)`` cross tensor between a persistent candidate pool (``P`` rows)
-and the growing training set (``n`` rows).  Each new observation appends one
-column block (O(P·D)); replacing individual pooled candidates recomputes only
-their rows (O(k·n·D)).  Because every per-type block is computed per
-(candidate, train) pair independently — elementwise differences, Hamming
-indicators, and matmul inner products whose summation never crosses pairs —
-block assembly is again bit-identical to a full
-:meth:`DistanceComputer.pairwise_rows` recompute.
+O(n²·D).  Block assembly is bit-identical to a full recompute.  Candidate
+rows get their test-train cross tensor from one
+:meth:`DistanceComputer.pairwise_rows` call per predict.
 """
 # repro: hot-path — row-space module: per-row Python loops, .tolist(), and in-loop decode are flagged (see repro.analysis)
 
@@ -55,7 +47,6 @@ __all__ = [
     "parameter_scale",
     "DistanceComputer",
     "IncrementalDistanceTensor",
-    "CrossDistanceTensor",
     "kendall_pairwise_rows",
 ]
 
@@ -286,125 +277,3 @@ class IncrementalDistanceTensor:
         self._tensor_buf[:, n : n + k, n : n + k] = self._computer.pairwise_rows(new_rows)
         self._n = n + k
 
-
-class CrossDistanceTensor:
-    """Caches candidate-pool-to-training-set cross distances incrementally.
-
-    The acquisition hot path predicts over the same pooled candidate rows
-    every iteration; rebuilding their ``(D, P, n)`` cross-distance tensor per
-    predict is O(P·n·D) of redundant work.  This cache computes the tensor
-    once per pool (:meth:`set_pool`), extends it by one *column* block per new
-    observation (:meth:`extend_train`), and recomputes only the rows of
-    replaced candidates (:meth:`refresh_pool_rows`).  The train axis grows by
-    capacity doubling; :attr:`tensor` hands out read-only snapshot views.
-
-    Invariant: ``tensor`` always equals
-    ``computer.pairwise_rows(pool_rows, train_rows)`` bit for bit (see module
-    docstring for why block assembly cannot drift).
-    """
-
-    def __init__(self, computer: DistanceComputer) -> None:
-        self._computer = computer
-        self._pool: np.ndarray | None = None
-        self._train_n = 0
-        self._tensor_buf: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        """Number of training rows covered (the tensor's column count)."""
-        return self._train_n
-
-    @property
-    def n_pool(self) -> int:
-        return 0 if self._pool is None else self._pool.shape[0]
-
-    @property
-    def pool_rows(self) -> np.ndarray:
-        """The pooled candidate rows, shape ``(P, width)`` (read-only view)."""
-        if self._pool is None:
-            return np.empty((0, self._computer.encoder.width))
-        view = self._pool[:]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def tensor(self) -> np.ndarray:
-        """Cross tensor, shape ``(D, P, n_train)`` (read-only view)."""
-        if self._pool is None or self._tensor_buf is None:
-            return np.empty((self._computer.n_dimensions, self.n_pool, 0))
-        view = self._tensor_buf[:, :, : self._train_n]
-        view.flags.writeable = False
-        return view
-
-    def reset(self) -> None:
-        self._pool = None
-        self._train_n = 0
-        self._tensor_buf = None
-
-    def _ensure_capacity(self, needed: int) -> None:
-        capacity = 0 if self._tensor_buf is None else self._tensor_buf.shape[2]
-        if needed <= capacity:
-            return
-        new_capacity = max(needed, max(8, 2 * capacity))
-        tensor = np.empty(
-            (self._computer.n_dimensions, self.n_pool, new_capacity)
-        )
-        if self._train_n:
-            tensor[:, :, : self._train_n] = self._tensor_buf[:, :, : self._train_n]
-        self._tensor_buf = tensor
-
-    def set_pool(self, pool_rows: np.ndarray, train_rows: np.ndarray) -> None:
-        """(Re)build the cache for a fresh pool against ``train_rows``."""
-        self._pool = np.array(pool_rows, dtype=float, copy=True)
-        train_rows = np.asarray(train_rows, dtype=float)
-        self._train_n = 0
-        self._tensor_buf = None
-        if len(train_rows):
-            self._ensure_capacity(len(train_rows))
-            self._tensor_buf[:, :, : len(train_rows)] = self._computer.pairwise_rows(
-                self._pool, train_rows
-            )
-            self._train_n = len(train_rows)
-
-    def extend_train(self, new_train_rows: np.ndarray) -> None:
-        """Append the column block for newly observed training rows."""
-        if self._pool is None:
-            raise RuntimeError("extend_train() before set_pool()")
-        new_train_rows = np.atleast_2d(np.asarray(new_train_rows, dtype=float))
-        k = new_train_rows.shape[0]
-        if k == 0:
-            return
-        n = self._train_n
-        self._ensure_capacity(n + k)
-        self._tensor_buf[:, :, n : n + k] = self._computer.pairwise_rows(
-            self._pool, new_train_rows
-        )
-        self._train_n = n + k
-
-    def refresh_pool_rows(
-        self, indices: Sequence[int], new_pool_rows: np.ndarray, train_rows: np.ndarray
-    ) -> None:
-        """Replace pooled candidates at ``indices`` and recompute their rows.
-
-        ``train_rows`` must be the same ``(n_train, width)`` matrix the cached
-        columns were built against (the caller's incremental train cache).
-        """
-        if self._pool is None:
-            raise RuntimeError("refresh_pool_rows() before set_pool()")
-        indices = np.asarray(indices, dtype=int)
-        if len(indices) == 0:
-            return
-        new_pool_rows = np.atleast_2d(np.asarray(new_pool_rows, dtype=float))
-        if len(new_pool_rows) != len(indices):
-            raise ValueError(
-                f"{len(indices)} indices but {len(new_pool_rows)} replacement rows"
-            )
-        train_rows = np.asarray(train_rows, dtype=float)
-        if len(train_rows) != self._train_n:
-            raise ValueError(
-                f"cache covers {self._train_n} training rows, got {len(train_rows)}"
-            )
-        self._pool[indices] = new_pool_rows
-        if self._train_n:
-            self._tensor_buf[:, indices, : self._train_n] = (
-                self._computer.pairwise_rows(new_pool_rows, train_rows)
-            )

@@ -282,7 +282,7 @@ class GaussianProcess:
         return y
 
     # ------------------------------------------------------------------
-    # marginal likelihood
+    # kernel matrix and hyper-parameter search space
     # ------------------------------------------------------------------
     def _kernel_matrix(
         self, distance: np.ndarray, hp: GPHyperparameters, noise: bool
@@ -292,17 +292,6 @@ class GaussianProcess:
             n = k.shape[0]
             k = k + (hp.noise_variance + _JITTER) * np.eye(n)
         return k
-
-    def _log_prior(self, hp: GPHyperparameters) -> float:
-        """Summed log prior density of ``hp`` (0.0 when priors are disabled)."""
-        lp = 0.0
-        if self.lengthscale_prior is not None:
-            lp += float(np.sum(self.lengthscale_prior.log_pdf(hp.lengthscales)))
-        if self.noise_prior is not None:
-            lp += float(np.sum(self.noise_prior.log_pdf(hp.noise_variance)))
-        if self.outputscale_prior is not None:
-            lp += float(np.sum(self.outputscale_prior.log_pdf(hp.outputscale)))
-        return lp
 
     def _hyper_bounds(self) -> list[tuple[float, float]]:
         d = self._distance.n_dimensions
@@ -552,10 +541,7 @@ class GaussianProcess:
         )
 
     def predict_rows(
-        self,
-        rows: np.ndarray,
-        include_noise: bool = False,
-        cross_distance: np.ndarray | None = None,
+        self, rows: np.ndarray, include_noise: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """Predictive mean and variance for pre-encoded rows (model scale).
 
@@ -563,28 +549,11 @@ class GaussianProcess:
         batch.  ``include_noise=False`` returns the latent (noise-free)
         predictive variance used by BaCO's modified EI, which discourages
         re-sampling already-observed configurations.
-
-        ``cross_distance`` — when the caller maintains the test-train cross
-        tensor incrementally (see
-        :class:`~repro.models.distances.CrossDistanceTensor`), passing the
-        ``(D, len(rows), n_train)`` tensor here turns the predict into a pure
-        kernel-apply: no distance computation at all.  It must be the cross
-        tensor of ``rows`` against the fitted training rows.
         """
         if not self.is_fitted:
             raise RuntimeError("predict() called before fit()")
         hp = self.hyperparameters
-        if cross_distance is not None:
-            cross = np.asarray(cross_distance, dtype=float)
-            expected = (self._distance.n_dimensions, len(rows), len(self._train_rows))
-            if cross.shape != expected:
-                raise ValueError(
-                    f"cross-distance tensor has shape {cross.shape}, expected {expected}"
-                )
-        else:
-            cross = self._distance.pairwise_rows(
-                np.asarray(rows, dtype=float), self._train_rows
-            )
+        cross = self._distance.pairwise_rows(np.asarray(rows, dtype=float), self._train_rows)
         k_star = self._kernel(cross, hp.lengthscales, hp.outputscale)
         mean = k_star @ self._alpha
         v = linalg.solve_triangular(self._cholesky, k_star.T, lower=True)
@@ -594,20 +563,3 @@ class GaussianProcess:
         if include_noise:
             var = var + hp.noise_variance
         return mean, var
-
-    def log_likelihood(self) -> float:
-        """Log posterior density of the fitted model (for diagnostics).
-
-        Pure readback of the cached ``_cholesky`` / ``_alpha`` / targets —
-        no kernel rebuild and no refactorization.  (The pre-fix
-        implementation reconstructed the targets as ``alpha @ K`` and then
-        refactorized the full train matrix on every call.)
-        """
-        if not self.is_fitted:
-            raise RuntimeError("model is not fitted")
-        y = self._train_y
-        ll = -0.5 * float(y @ self._alpha)
-        ll -= float(np.sum(np.log(np.diag(self._cholesky))))
-        ll -= 0.5 * len(y) * math.log(2.0 * math.pi)
-        ll += self._log_prior(self.hyperparameters)
-        return ll

@@ -3,19 +3,17 @@
 BaCO uses gamma priors on the kernel lengthscales (Sec. 3.2) to stop the MLE
 from collapsing some lengthscales towards zero (which would make the GP
 behave like a sparse model over discrete inputs) or inflating them to
-infinity.  Log-normal priors are provided as the alternative the paper
-mentions.
+infinity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-__all__ = ["GammaPrior", "LogNormalPrior", "UniformPrior"]
+__all__ = ["GammaPrior"]
 
 
 @dataclass(frozen=True)
@@ -53,47 +51,3 @@ class GammaPrior:
     def mean(self) -> float:
         return self.shape / self.rate
 
-
-@dataclass(frozen=True)
-class LogNormalPrior:
-    """Log-normal prior, an alternative with similar qualitative shape."""
-
-    mu: float = 0.0
-    sigma: float = 1.0
-
-    def log_pdf(self, value: float | np.ndarray) -> float | np.ndarray:
-        # imported here: loading scipy.stats costs about 0.35 s and 20 MB,
-        # and no code path outside the tests uses this prior
-        from scipy import stats
-
-        value = np.asarray(value, dtype=float)
-        lp = stats.lognorm.logpdf(value, s=self.sigma, scale=math.exp(self.mu))
-        return lp if lp.shape else float(lp)
-
-    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...] = 1) -> np.ndarray:
-        return rng.lognormal(self.mu, self.sigma, size=size)
-
-    @property
-    def mean(self) -> float:
-        return math.exp(self.mu + self.sigma**2 / 2.0)
-
-
-@dataclass(frozen=True)
-class UniformPrior:
-    """Flat prior on ``[low, high]`` -- effectively "no prior" for MAP fitting."""
-
-    low: float = 1e-3
-    high: float = 1e3
-
-    def log_pdf(self, value: float | np.ndarray) -> float | np.ndarray:
-        value = np.asarray(value, dtype=float)
-        inside = (value >= self.low) & (value <= self.high)
-        lp = np.where(inside, -math.log(self.high - self.low), -np.inf)
-        return lp if lp.shape else float(lp)
-
-    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...] = 1) -> np.ndarray:
-        return np.exp(rng.uniform(math.log(self.low), math.log(self.high), size=size))
-
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0

@@ -13,17 +13,21 @@ specifications the vectorized paths are tested against:
 * :class:`ReferenceTree` (recursive ``_Node`` growth, ``_best_split``'s
   ``np.var`` scoring and the stack-walk ``predict``) and
   :func:`forest_reference` (the per-tree bootstrap loop) pin the flat-array
-  lockstep forest of ``repro.models.random_forest``.
+  lockstep forest of ``repro.models.random_forest``;
+* :func:`log_likelihood` reads a fitted GP's log posterior back from its
+  cached factor, the yardstick the GP-fit tests compare fits with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.models.distances import DistanceComputer
+from repro.models.gp import GaussianProcess
 from repro.space.chain_of_trees import ChainOfTrees, Tree
 from repro.space.parameters import (
     CategoricalParameter,
@@ -319,3 +323,26 @@ def forest_reference(forest, features: np.ndarray, targets: np.ndarray) -> list[
         tree.fit(features[idx], targets[idx])
         trees.append(tree)
     return trees
+
+
+def log_likelihood(gp: GaussianProcess) -> float:
+    """Log posterior density of a fitted GP at its hyper-parameters.
+
+    Pure readback of the cached ``_cholesky`` / ``_alpha`` / targets: no
+    kernel rebuild and no refactorization.
+    """
+    if not gp.is_fitted:
+        raise RuntimeError("model is not fitted")
+    y = gp._train_y
+    ll = -0.5 * float(y @ gp._alpha)
+    ll -= float(np.sum(np.log(np.diag(gp._cholesky))))
+    ll -= 0.5 * len(y) * math.log(2.0 * math.pi)
+    hp = gp.hyperparameters
+    lp = 0.0
+    if gp.lengthscale_prior is not None:
+        lp += float(np.sum(gp.lengthscale_prior.log_pdf(hp.lengthscales)))
+    if gp.noise_prior is not None:
+        lp += float(np.sum(gp.noise_prior.log_pdf(hp.noise_variance)))
+    if gp.outputscale_prior is not None:
+        lp += float(np.sum(gp.outputscale_prior.log_pdf(hp.outputscale)))
+    return ll + lp

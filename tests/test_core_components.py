@@ -7,11 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.acquisition import (
-    AcquisitionFunction,
-    expected_improvement,
-    lower_confidence_bound,
-)
+from repro.core.acquisition import AcquisitionFunction, expected_improvement
 from repro.core.doe import default_doe_size, initial_design
 from repro.core.feasibility import FeasibilityModel, FeasibilityThresholdSchedule
 from repro.core.local_search import (
@@ -45,11 +41,6 @@ class TestExpectedImprovement:
         means = np.linspace(-3, 3, 21)
         ei = expected_improvement(means, np.full(21, 0.3), best_value=0.0)
         assert np.all(ei >= 0)
-
-    def test_lcb_prefers_uncertain_points(self):
-        low = lower_confidence_bound(np.array([1.0]), np.array([0.01]))
-        high = lower_confidence_bound(np.array([1.0]), np.array([1.0]))
-        assert high[0] > low[0]
 
 
 class TestAcquisitionFunction:

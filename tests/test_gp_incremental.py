@@ -10,10 +10,10 @@ hypothesis-randomized R/I/O/C/P spaces:
   same kernel matrix (``allclose`` with pinned tolerances);
 * a warm-started hyper-parameter fit reaches a posterior at least as good as
   the cold multistart sweep (within tolerance);
-* ``log_likelihood`` after N incremental observes equals a fresh
-  ``fit_rows`` on the same data;
-* the ``log_likelihood`` bugfix: one factorization per fit, zero per
-  diagnostic call (the pre-fix implementation refactorized every call).
+* the log posterior (``oracles.log_likelihood``) after N incremental
+  observes equals a fresh ``fit_rows`` on the same data;
+* reading the log posterior back costs no factorization: one per fit, zero
+  per call.
 
 Plus the :class:`~repro.core.baco.SurrogatePolicy` unit surface (spec
 parsing, refit cadence) and the policy's behavior
@@ -41,6 +41,8 @@ from repro.space.parameters import (
     RealParameter,
 )
 from repro.space.space import SearchSpace
+
+from oracles import log_likelihood
 
 # pinned equivalence tolerances: the incremental updates are backward-stable
 # triangular solves on jitter-regularized matrices, so they track the full
@@ -209,14 +211,14 @@ class TestWarmStartedFits:
 
         cold = _make_gp(parameters, seed, computer=computer)
         cold.fit_rows(rows, values, distance_tensor=tensor)
-        cold_ll = cold.log_likelihood()
+        cold_ll = log_likelihood(cold)
 
         warm = _make_gp(parameters, seed + 1, computer=computer)
         warm.fit_rows(
             rows, values, distance_tensor=tensor,
             hyper_strategy="warm", warm_start=cold.hyperparameters.to_vector(),
         )
-        assert warm.log_likelihood() >= cold_ll - 1e-6
+        assert log_likelihood(warm) >= cold_ll - 1e-6
 
     def test_warm_fit_consumes_no_rng(self):
         parameters = [OrdinalParameter("t", [2, 4, 8, 16], transform="log")]
@@ -242,7 +244,7 @@ class TestWarmStartedFits:
 
         strong = _make_gp(parameters, 13, computer=computer, n_prior_samples=16)
         strong.fit_rows(rows, values)
-        strong_ll = strong.log_likelihood()
+        strong_ll = log_likelihood(strong)
 
         weak = _make_gp(
             parameters, 14, computer=computer,
@@ -252,7 +254,7 @@ class TestWarmStartedFits:
             rows, values,
             hyper_strategy="sweep", warm_start=strong.hyperparameters.to_vector(),
         )
-        assert weak.log_likelihood() >= strong_ll - 1e-6
+        assert log_likelihood(weak) >= strong_ll - 1e-6
 
     def test_unknown_strategy_rejected(self):
         parameters = [OrdinalParameter("t", [1, 2, 4])]
@@ -274,7 +276,7 @@ class TestWarmStartedFits:
 
 
 # ---------------------------------------------------------------------------
-# log_likelihood: incremental observes == fresh fit; cached, no refactorization
+# log posterior: incremental observes == fresh fit; cached, no refactorization
 # ---------------------------------------------------------------------------
 
 class TestLogLikelihood:
@@ -282,7 +284,7 @@ class TestLogLikelihood:
     @settings(max_examples=15, deadline=None)
     def test_incremental_observes_equal_fresh_fit(self, parameters, seed, n_new):
         """Property: N incremental observes == one fresh fit_rows on the
-        same data, as seen through log_likelihood."""
+        same data, as seen through the log posterior."""
         n_total = 7 + n_new
         configs, values = _dataset(parameters, seed, n_total)
         computer = DistanceComputer(parameters)
@@ -300,13 +302,13 @@ class TestLogLikelihood:
         fresh.hyperparameters = incremental.hyperparameters
         fresh.fit_rows(rows, values, distance_tensor=tensor, hyper_strategy="frozen")
 
-        assert incremental.log_likelihood() == pytest.approx(
-            fresh.log_likelihood(), abs=1e-7, rel=1e-9
+        assert log_likelihood(incremental) == pytest.approx(
+            log_likelihood(fresh), abs=1e-7, rel=1e-9
         )
 
     def test_one_factorization_per_fit_none_per_call(self):
-        """Regression for the log_likelihood bugfix: the diagnostic must read
-        the cached factor, not rebuild the kernel and refactorize."""
+        """Reading the log posterior back uses the cached factor: it never
+        rebuilds the kernel or refactorizes."""
         parameters = [
             OrdinalParameter("tile", [2, 4, 8, 16, 32], transform="log"),
             CategoricalParameter("sched", ["a", "b"]),
@@ -315,9 +317,9 @@ class TestLogLikelihood:
         gp = _make_gp(parameters, 23)
         gp.fit(configs, values)
         assert gp.n_train_factorizations == 1
-        first = gp.log_likelihood()
+        first = log_likelihood(gp)
         for _ in range(5):
-            assert gp.log_likelihood() == first
+            assert log_likelihood(gp) == first
         assert gp.n_train_factorizations == 1  # zero factorizations per call
 
     def test_matches_negative_log_posterior(self):
@@ -329,16 +331,16 @@ class TestLogLikelihood:
         gp.fit(configs, values)
         objective = _MapObjective(gp, gp._train_distance, gp._train_y)
         direct = -objective(gp.hyperparameters.to_vector())
-        assert gp.log_likelihood() == pytest.approx(direct, abs=1e-9)
+        assert log_likelihood(gp) == pytest.approx(direct, abs=1e-9)
 
     def test_alias_and_guards(self):
         parameters = [OrdinalParameter("tile", [2, 4, 8])]
         configs, values = _dataset(parameters, 31, 6)
         gp = _make_gp(parameters, 31)
         with pytest.raises(RuntimeError):
-            gp.log_likelihood()
+            log_likelihood(gp)
         gp.fit(configs, values)
-        assert math.isfinite(gp.log_likelihood())
+        assert math.isfinite(log_likelihood(gp))
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +356,17 @@ class TestSurrogatePolicy:
 
     @pytest.mark.parametrize(
         "spec",
-        ["exact", "fast", "fast,refit_every=3", "fast,refit_every=8,sweep_every=40,pool=256"],
+        ["exact", "fast", "fast,refit_every=3", "fast,refit_every=8,sweep_every=40"],
     )
     def test_spec_round_trip(self, spec):
         policy = SurrogatePolicy.parse(spec)
         assert SurrogatePolicy.parse(policy.spec()) == policy
 
     def test_parse_options(self):
-        policy = SurrogatePolicy.parse("fast,refit_every=5,sweep_every=20,pool=100")
+        policy = SurrogatePolicy.parse("fast,refit_every=5,sweep_every=20")
         assert policy.mode == "fast"
         assert policy.refit_hypers_every == 5
         assert policy.sweep_every == 20
-        assert policy.pool_size == 100
 
     @pytest.mark.parametrize(
         "spec",

@@ -44,6 +44,8 @@ from repro.space.parameters import (
 )
 from repro.space.space import SearchSpace
 
+from oracles import log_likelihood
+
 # ---------------------------------------------------------------------------
 # the reference oracle
 # ---------------------------------------------------------------------------
@@ -375,7 +377,7 @@ class TestFailedFitLeavesGpUnchanged:
     @staticmethod
     def _readback(gp, probe_rows):
         mean, var = gp.predict_rows(probe_rows)
-        return mean, var, gp.to_model_scale([0.7, 2.0, 4.5]), gp.log_likelihood()
+        return mean, var, gp.to_model_scale([0.7, 2.0, 4.5]), log_likelihood(gp)
 
     def _assert_unchanged(self, gp, before, probe_rows):
         after = self._readback(gp, probe_rows)

@@ -7,10 +7,12 @@ Four layers of protection for the encoding-layer and ask/tell refactors:
   against the reference implementation,
 * GP predictions through the encoded-rows path match the legacy dict path,
   and the incremental train-train tensor matches a full recompute,
-* a seeded end-to-end ``BacoTuner`` run reproduces the recorded pre-refactor
-  evaluation trace bit for bit on one RISE, one TACO, and one HPVM2FPGA
-  workload (``tests/data/bitcompat_trajectories.json``) — now driven through
-  the ask/tell ``TuningSession`` underneath ``tune()``,
+* a seeded end-to-end ``BacoTuner`` run reproduces the recorded evaluation
+  trace bit for bit on one RISE, one TACO, and one HPVM2FPGA workload, under
+  the ``exact`` policy (``tests/data/bitcompat_trajectories.json``) and the
+  ``fast`` one (``tests/data/bitcompat_trajectories_fast.json``) — driven
+  through the ask/tell ``TuningSession`` underneath ``tune()``,
+* a tampered ``fast`` policy state is refused on restore, naming the field,
 * every tuner checkpointed mid-run and restored **in a fresh process**
   completes with a trace bit-identical to an uninterrupted run,
 * a session driven over the concurrent TCP tuning server — with another
@@ -20,6 +22,7 @@ Four layers of protection for the encoding-layer and ask/tell refactors:
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.baco import BacoTuner
+from repro.core.baco import BacoSettings, BacoTuner
 from repro.models.distances import (
     DistanceComputer,
     IncrementalDistanceTensor,
@@ -47,7 +50,15 @@ from repro.space.parameters import (
 
 from oracles import pairwise_reference
 
-FIXTURES = Path(__file__).parent / "data" / "bitcompat_trajectories.json"
+FIXTURES = {
+    "exact": Path(__file__).parent / "data" / "bitcompat_trajectories.json",
+    "fast": Path(__file__).parent / "data" / "bitcompat_trajectories_fast.json",
+}
+TRAJECTORY_CASES = [
+    (policy, name)
+    for policy in FIXTURES
+    for name in ("rise_mm_gpu", "taco_spmm_scircuit", "hpvm_audio")
+]
 
 
 def _params(metric: str = "kendall"):
@@ -175,26 +186,33 @@ class TestGPEquivalence:
 
 
 class TestTrajectoryBitCompatibility:
-    """The refactored tuner reproduces pre-refactor runs exactly.
+    """The tuner reproduces recorded runs exactly, under both policies.
 
-    Fixtures were recorded from the pre-refactor implementation (per-pair
-    dict distances, per-start local search, full GP recompute each
-    iteration) on one workload per compiler framework.
+    The ``exact`` fixtures were recorded from the pre-refactor implementation
+    (per-pair dict distances, per-start local search, full GP recompute each
+    iteration) on one workload per compiler framework.  The ``fast`` ones
+    use the same seed and budget; each run's 14 learning asks cover the
+    first sweep, warm refits and frozen Cholesky extensions.
     """
 
     @pytest.fixture(scope="class")
     def fixtures(self):
-        return json.loads(FIXTURES.read_text())
+        return {policy: json.loads(path.read_text()) for policy, path in FIXTURES.items()}
 
     @pytest.mark.parametrize(
-        "benchmark_name", ["rise_mm_gpu", "taco_spmm_scircuit", "hpvm_audio"]
+        "policy,benchmark_name",
+        TRAJECTORY_CASES,
+        # the exact cases keep the ids they had before fast was pinned too
+        ids=[name if policy == "exact" else f"{policy}-{name}" for policy, name in TRAJECTORY_CASES],
     )
-    def test_identical_trace(self, fixtures, benchmark_name):
+    def test_identical_trace(self, fixtures, policy, benchmark_name):
         from repro.workloads.registry import get_benchmark
 
-        fx = fixtures[benchmark_name]
+        fx = fixtures[policy][benchmark_name]
         bench = get_benchmark(benchmark_name)
-        tuner = BacoTuner(bench.space, seed=fx["seed"])
+        tuner = BacoTuner(
+            bench.space, BacoSettings(surrogate_policy=policy), seed=fx["seed"]
+        )
         history = tuner.tune(bench.evaluate, fx["budget"], benchmark_name=benchmark_name)
         got = [
             {
@@ -354,12 +372,12 @@ class TestFastPolicyCheckpointBitCompatibility:
     cadence counters) snapshots and restores *exactly*.  A run interrupted at
     iteration k and resumed — in-process, in a fresh interpreter, or over
     TCP — finishes bit-identical to the uninterrupted run, for every policy
-    shape including the persistent candidate pool."""
+    shape."""
 
     BENCHMARK = "hpvm_bfs"
     BUDGET = 18
     INTERRUPT_AT = 7
-    POLICIES = ("fast", "fast,refit_every=3,sweep_every=10", "fast,pool=32")
+    POLICIES = ("fast", "fast,refit_every=3,sweep_every=10")
 
     def _expected_trace(self, policy):
         from repro.experiments.runner import make_tuner
@@ -494,31 +512,16 @@ class TestFastPolicyCheckpointBitCompatibility:
         response = registry.handle({**base, "surrogate_policy": "fast"})
         assert response["ok"], response
 
-    def test_removed_policy_options_fail_loudly(self, tmp_path):
-        """``rf_at`` and ``cache`` are gone: specs and old checkpoints that
-        name them raise a ``ValueError`` naming the option instead of
-        silently falling back to another policy."""
+    def _assert_checkpoint_rejected(self, payload, option, tmp_path):
+        """``restore_session``, ``repro tune --resume`` and the TCP ``start``
+        and ``restore`` ops all refuse ``payload`` naming ``option``."""
         from repro.client import TuningClient
-        from repro.core.baco import SurrogatePolicy
         from repro.experiments.runner import restore_session
         from repro.server import running_server
-        from repro.service import SessionRegistry
-        from repro.workloads.registry import get_benchmark
+        from repro.service import SessionRegistry, wire_encode
 
-        for spec, option in (
-            ("fast,rf_at=8", "rf_at"),
-            ("fast,rf_at=auto", "rf_at"),
-            ("fast,pool=8,cache=off", "cache"),
-        ):
-            with pytest.raises(ValueError, match=f"unknown policy option '{option}'"):
-                SurrogatePolicy.parse(spec)
-
-        # a checkpoint written before the options were removed
-        session = self._partial_session(get_benchmark(self.BENCHMARK), "fast")
-        payload = json.loads(json.dumps(session.snapshot()))
-        payload["meta"]["surrogate_policy"] = "fast,rf_at=8"
-        payload["tuner_state"]["surrogate_policy"]["spec"] = "fast,rf_at=8"
-        with pytest.raises(ValueError, match="unknown policy option 'rf_at'"):
+        message = f"unknown policy option '{option}'"
+        with pytest.raises(ValueError, match=message):
             restore_session(payload)
 
         checkpoint = tmp_path / "old.ckpt.json"
@@ -535,13 +538,134 @@ class TestFastPolicyCheckpointBitCompatibility:
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
-        assert "unknown policy option 'rf_at'" in proc.stderr
+        assert message in proc.stderr
 
         with running_server(SessionRegistry(max_sessions=2)) as server:
             with TuningClient(port=server.port, session="old-spec") as client:
-                response = client.call(
+                started = client.call(
                     "start", benchmark=self.BENCHMARK, tuner="BaCO", budget=4,
-                    seed=0, surrogate_policy="fast,rf_at=auto",
+                    seed=0, surrogate_policy=payload["meta"]["surrogate_policy"],
                 )
+                restored = client.call("restore", payload=wire_encode(payload))
+        for response in (started, restored):
+            assert not response["ok"]
+            assert message in response["error"]
+
+    def test_removed_policy_options_fail_loudly(self, tmp_path):
+        """``rf_at``, ``cache`` and ``pool`` are gone: specs and old
+        checkpoints that name them raise a ``ValueError`` naming the option
+        instead of silently falling back to another policy."""
+        from repro.core.baco import SurrogatePolicy
+        from repro.workloads.registry import get_benchmark
+
+        for spec, option in (
+            ("fast,rf_at=8", "rf_at"),
+            ("fast,rf_at=auto", "rf_at"),
+            ("fast,cache=off", "cache"),
+            ("fast,pool=8", "pool"),
+        ):
+            with pytest.raises(ValueError, match=f"unknown policy option '{option}'"):
+                SurrogatePolicy.parse(spec)
+
+        policy = "fast,refit_every=3,sweep_every=10"
+        session = self._partial_session(get_benchmark(self.BENCHMARK), policy)
+        snapshot = json.loads(json.dumps(session.snapshot()))
+
+        # a checkpoint written before rf_at was removed
+        payload = copy.deepcopy(snapshot)
+        payload["meta"]["surrogate_policy"] = "fast,rf_at=auto"
+        payload["tuner_state"]["surrogate_policy"]["spec"] = "fast,rf_at=auto"
+        self._assert_checkpoint_rejected(payload, "rf_at", tmp_path)
+
+        # one of a pool=N run, with the pool rows and refill slots it carried
+        payload = copy.deepcopy(snapshot)
+        payload["meta"]["surrogate_policy"] = f"{policy},pool=48"
+        state = payload["tuner_state"]["surrogate_policy"]
+        state["spec"] = f"{policy},pool=48"
+        state["pool_rows"] = session.tuner.space.sample_rows(
+            np.random.default_rng(0), 48
+        ).tolist()
+        state["pool_refill"] = [0, 3, 7]
+        self._assert_checkpoint_rejected(payload, "pool", tmp_path)
+
+
+def _policy_state(edit):
+    """A snapshot edit applied to ``tuner_state.surrogate_policy``."""
+    return lambda tuner_state: edit(tuner_state["surrogate_policy"])
+
+
+def _negate_lengthscales(state):
+    state["hypers"]["lengthscales"] = [-x for x in state["hypers"]["lengthscales"]]
+
+
+#: (case id, edit of the snapshot's tuner_state, text the error must contain)
+TAMPERED_POLICY_STATES = [
+    ("chol_base_n-negative", _policy_state(lambda st: st.update(chol_base_n=-5)), "chol_base_n"),
+    ("chol_base_n-float", _policy_state(lambda st: st.update(chol_base_n=8.9)), "chol_base_n"),
+    ("chol_base_n-beyond-history", _policy_state(lambda st: st.update(chol_base_n=10)), "chol_base_n"),
+    ("last_refit_n-bool", _policy_state(lambda st: st.update(last_refit_n=True)), "last_refit_n"),
+    ("last_sweep_n-negative", _policy_state(lambda st: st.update(last_sweep_n=-3)), "last_sweep_n"),
+    ("last_sweep_n-missing", _policy_state(lambda st: st.pop("last_sweep_n")), "last_sweep_n"),
+    ("lengthscales-negated", _policy_state(_negate_lengthscales), "lengthscales"),
+    ("lengthscales-short", _policy_state(lambda st: st["hypers"]["lengthscales"].pop()), "lengthscales"),
+    ("noise_variance-zero", _policy_state(lambda st: st["hypers"].update(noise_variance=0.0)), "noise_variance"),
+    ("hypers-null", _policy_state(lambda st: st.update(hypers=None)), "hypers"),
+    ("pool_rows", _policy_state(lambda st: st.update(pool_rows=[[0.0] * 4])), "pool_rows"),
+    ("pool_refill", _policy_state(lambda st: st.update(pool_refill=[0])), "pool_refill"),
+    ("payload-missing", lambda tuner_state: tuner_state.pop("surrogate_policy"), "has no surrogate_policy"),
+]
+
+
+class TestTamperedPolicyStateRejected:
+    """The ``fast`` policy state is checked on restore: every field must be
+    what :meth:`BacoTuner._state_dict` could have written for the replayed
+    history.  A client's tampered snapshot raises a ``ValueError`` naming the
+    field — in-process and through the TCP ``restore`` op — instead of
+    resuming a run that silently diverges from the original."""
+
+    BENCHMARK = "hpvm_bfs"
+    POLICY = "fast,refit_every=3,sweep_every=10"
+    BUDGET = 18
+    INTERRUPT_AT = 9
+
+    @pytest.fixture(scope="class")
+    def snapshot(self):
+        from repro.experiments.runner import make_session
+        from repro.workloads.registry import get_benchmark
+
+        bench = get_benchmark(self.BENCHMARK)
+        session, _ = make_session(
+            self.BENCHMARK, "BaCO", self.BUDGET, 17, surrogate_policy=self.POLICY
+        )
+        while len(session.history) < self.INTERRUPT_AT:
+            [suggestion] = session.ask(1)
+            session.tell(suggestion, bench.evaluator(suggestion.configuration))
+        payload = json.loads(json.dumps(session.snapshot()))
+        # the honest state the cases edit: 9 feasible observations, the last
+        # full factorization over 8 of them
+        state = payload["tuner_state"]["surrogate_policy"]
+        assert state["chol_base_n"] == 8 and state["hypers"] is not None
+        assert sum(e["feasible"] for e in payload["history"]["evaluations"]) == 9
+        return payload
+
+    @pytest.mark.parametrize(
+        "edit,field", [case[1:] for case in TAMPERED_POLICY_STATES],
+        ids=[case[0] for case in TAMPERED_POLICY_STATES],
+    )
+    def test_rejected_naming_the_field(self, snapshot, edit, field):
+        from repro.client import TuningClient
+        from repro.experiments.runner import restore_session
+        from repro.server import running_server
+        from repro.service import SessionRegistry, wire_encode
+
+        payload = copy.deepcopy(snapshot)
+        edit(payload["tuner_state"])
+        with pytest.raises(ValueError, match=field):
+            restore_session(payload)
+
+        with running_server(SessionRegistry(max_sessions=2)) as server:
+            with TuningClient(port=server.port, session="tampered") as client:
+                response = client.call("restore", payload=wire_encode(payload))
         assert not response["ok"]
-        assert "rf_at" in response["error"]
+        assert response["error"].startswith("ValueError: ")
+        assert field in response["error"]

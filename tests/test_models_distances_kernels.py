@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.models.distances import DistanceComputer, parameter_scale
 from repro.models.kernels import matern52, rbf, scaled_distance
-from repro.models.priors import GammaPrior, LogNormalPrior, UniformPrior
+from repro.models.priors import GammaPrior
 from repro.space.parameters import (
     CategoricalParameter,
     OrdinalParameter,
@@ -149,17 +149,6 @@ class TestPriors:
         samples = prior.sample(rng, size=500)
         assert np.all(samples > 0)
         assert abs(samples.mean() - prior.mean) < 0.2
-
-    def test_lognormal(self, rng):
-        prior = LogNormalPrior(mu=0.0, sigma=0.5)
-        samples = prior.sample(rng, size=200)
-        assert np.all(samples > 0)
-        assert np.isfinite(prior.log_pdf(1.0))
-
-    def test_uniform_prior_support(self):
-        prior = UniformPrior(low=0.1, high=10.0)
-        assert np.isneginf(prior.log_pdf(0.01))
-        assert np.isfinite(prior.log_pdf(1.0))
 
     @given(st.floats(min_value=0.01, max_value=50.0))
     @settings(max_examples=50, deadline=None)
