@@ -251,15 +251,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.propagate:
-            # same contract: the sampling mode changes the RNG stream and is
-            # recorded in (and restored from) the checkpoint metadata
-            print(
-                "error: --propagate cannot be combined with --resume "
-                "(the checkpoint already records the sampling mode)",
-                file=sys.stderr,
-            )
-            return 2
         session, benchmark = load_session(checkpoint)
         if not args.quiet:
             print(
@@ -279,7 +270,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             args.benchmark, args.tuner, budget, args.seed or 0,
             fidelity=args.fidelity or "fast",
             surrogate_policy=args.surrogate_policy,
-            propagate=args.propagate,
         )
 
     stop_after = args.stop_after
@@ -442,12 +432,6 @@ def main(argv: list[str] | None = None) -> int:
              "[,sweep_every=N]' (incremental Cholesky updates, warm-started "
              "hyperparameters); incompatible with --resume, which reads the "
              "policy from the checkpoint",
-    )
-    tune_parser.add_argument(
-        "--propagate", action="store_true",
-        help="sample candidates from constraint-propagation pruned domains "
-             "(SearchSpace.with_propagation); changes the RNG stream, so "
-             "off by default and incompatible with --resume",
     )
     tune_parser.add_argument(
         "--eval-workers", type=int, default=None,

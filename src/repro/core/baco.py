@@ -254,11 +254,6 @@ class BacoSettings:
     rf_trees: int = 32
     #: surrogate refit policy spec ("exact" default; see :class:`SurrogatePolicy`)
     surrogate_policy: str = "exact"
-    #: draw candidates from constraint-propagation pruned domains
-    #: (:meth:`SearchSpace.with_propagation`).  Opt-in: pruning changes the
-    #: sampler's RNG stream, so the default keeps every committed trajectory
-    #: bit-identical; feasibility semantics are unchanged either way.
-    constraint_propagation: bool = False
 
     def __post_init__(self) -> None:
         if self.surrogate not in ("gp", "rf"):
@@ -288,15 +283,8 @@ class BacoTuner(Tuner):
         settings: BacoSettings | None = None,
         seed: int | None = None,
     ) -> None:
-        settings = settings or BacoSettings()
-        if settings.constraint_propagation:
-            # swap in the propagating clone before anything captures a
-            # reference: self.space, the feasibility model, and the encoder
-            # all see the same object (the clone shares parameters,
-            # constraints, trees, and encoder with the original)
-            space = space.with_propagation()
         super().__init__(space, seed=seed)
-        self.settings = settings
+        self.settings = settings or BacoSettings()
         self._model_space = self._prepare_model_space(space, self.settings)
         self._feasibility = FeasibilityModel(
             space, n_trees=self.settings.feasibility_trees, rng=self._rng

@@ -136,23 +136,15 @@ def make_tuner(
     seed: int,
     fidelity: str = "fast",
     surrogate_policy: str | None = None,
-    propagate: bool = False,
 ) -> Tuner:
     """Instantiate a tuner variant by display name.
 
     ``surrogate_policy`` (a :class:`~repro.core.baco.SurrogatePolicy` spec
     string, e.g. ``"fast,refit_every=8"``) overrides the variant's surrogate
-    refit policy; only BaCO-family tuners accept one.  ``propagate`` swaps in
-    the constraint-propagation clone of the space
-    (:meth:`SearchSpace.with_propagation`) before the tuner is built, so any
-    variant's candidate sampling draws from arc-consistent pruned domains —
-    this changes the RNG stream, hence opt-in and recorded in session
-    metadata.
+    refit policy; only BaCO-family tuners accept one.
     """
     if name not in TUNER_VARIANTS:
         raise KeyError(f"unknown tuner {name!r}; available: {sorted(TUNER_VARIANTS)}")
-    if propagate:
-        space = space.with_propagation()
     tuner = TUNER_VARIANTS[name](space, seed, fidelity)
     tuner.name = name
     if surrogate_policy is not None:
@@ -337,28 +329,23 @@ def make_session(
     seed: int,
     fidelity: str = "fast",
     surrogate_policy: str | None = None,
-    propagate: bool = False,
 ) -> tuple[TuningSession, Benchmark]:
     """A fresh ask/tell session for one (benchmark, tuner, budget, seed) cell.
 
-    ``surrogate_policy`` and ``propagate`` are recorded in the session
-    metadata (like the fidelity) so checkpoints and service restores rebuild
-    the tuner with the same policy and sampling mode — a propagating session
-    resumed without the flag would silently fork its RNG stream.
+    ``surrogate_policy`` is recorded in the session metadata (like the
+    fidelity) so checkpoints and service restores rebuild the tuner with the
+    same policy.
     """
     if isinstance(benchmark, str):
         benchmark = get_benchmark(benchmark)
     tuner = make_tuner(
         tuner_name, benchmark.space, seed,
         fidelity=fidelity, surrogate_policy=surrogate_policy,
-        propagate=propagate,
     )
     session = tuner.start_session(budget, benchmark_name=benchmark.name)
     session.meta["fidelity"] = fidelity
     if surrogate_policy is not None:
         session.meta["surrogate_policy"] = surrogate_policy
-    if propagate:
-        session.meta["propagate"] = True
     return session, benchmark
 
 
@@ -417,7 +404,6 @@ def restore_session(payload: Mapping[str, Any]) -> tuple[TuningSession, Benchmar
         tuner_meta["seed"],
         fidelity=snap_meta.get("fidelity", "fast"),
         surrogate_policy=snap_meta.get("surrogate_policy"),
-        propagate=bool(snap_meta.get("propagate", False)),
     )
     return TuningSession.restore(payload, tuner), benchmark
 

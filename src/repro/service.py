@@ -489,9 +489,6 @@ class SessionRegistry:
         surrogate_policy = request.get("surrogate_policy")
         if surrogate_policy is not None and not isinstance(surrogate_policy, str):
             raise ValueError("'surrogate_policy' must be a policy spec string")
-        propagate = request.get("propagate", False)
-        if not isinstance(propagate, bool):
-            raise ValueError("'propagate' must be a boolean")
         session, benchmark = make_session(
             str(request["benchmark"]),
             str(request.get("tuner", "BaCO")),
@@ -499,7 +496,6 @@ class SessionRegistry:
             _int_field(request, "seed", 0),
             fidelity=str(request.get("fidelity", "fast")),
             surrogate_policy=surrogate_policy,
-            propagate=propagate,
         )
         if force:
             path = self._autosave_path(name)

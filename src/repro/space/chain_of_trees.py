@@ -31,7 +31,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .constraints import Constraint, Domain, compile_domain_reducer, propagate_domains
+from .constraints import Constraint
 from .parameters import Parameter
 
 __all__ = ["CoTNode", "Tree", "ChainOfTrees", "FeasibleSetTooLarge"]
@@ -49,9 +49,6 @@ class CoTNode:
     depth: int
     children: list["CoTNode"] = field(default_factory=list)
     leaf_count: int = 0
-    #: pruned domains of the parameters *below* this node, memoized at build
-    #: time when the tree is built with ``propagate=True`` (else ``None``)
-    domains: dict[str, Domain] | None = None
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -65,7 +62,6 @@ class Tree:
         parameters: Sequence[Parameter],
         constraints: Sequence[Constraint],
         max_nodes: int = 2_000_000,
-        propagate: bool = False,
     ) -> None:
         for param in parameters:
             if not param.is_discrete:
@@ -81,27 +77,8 @@ class Tree:
         #: immutable after construction so they are never invalidated
         self._leaves: list[dict[str, Any]] | None = None
         self._biased_cumulative: np.ndarray | None = None
-        self.propagate = bool(propagate)
-        self._reducers = (
-            [
-                reducer
-                for reducer in (compile_domain_reducer(c) for c in self.constraints)
-                if reducer is not None
-            ]
-            if self.propagate
-            else []
-        )
         self.root = CoTNode(value=None, depth=-1)
-        root_domains: dict[str, Domain] | None = None
-        if self._reducers:
-            initial = {
-                p.name: dom
-                for p in self.parameters
-                if (dom := p.propagation_domain()) is not None
-            }
-            root_domains, _ = propagate_domains(self._reducers, initial, {})
-            self.root.domains = root_domains
-        self._build(self.root, {}, root_domains)
+        self._build(self.root, {})
         self._count_leaves(self.root)
         if self.root.leaf_count == 0:
             raise ValueError(
@@ -116,35 +93,14 @@ class Tree:
                 return False
         return True
 
-    def _candidate_values(
-        self, param: Parameter, domains: Mapping[str, Domain] | None
-    ) -> list[Any]:
-        """Candidate values for ``param`` at the current node, post-pruning.
-
-        GAC soundness makes the propagated tree provably identical to the
-        unpropagated one: a pruned value admits no feasible completion, so
-        the plain build would have discarded its subtree anyway — pruning
-        only skips the doomed descent.
-        """
-        values = param.values_list()
-        if domains is None or param.name not in domains:
-            return values
-        dom = domains[param.name]
-        if dom.kind == "discrete":
-            return list(dom.values)
-        return [v for v in values if dom.low <= v <= dom.high]
-
-    def _build(
-        self,
-        node: CoTNode,
-        partial: dict[str, Any],
-        domains: dict[str, Domain] | None,
-    ) -> None:
+    def _build(self, node: CoTNode, partial: dict[str, Any]) -> None:
+        # no domain propagation: per-node pruning builds the same tree, only
+        # slower (docs/architecture.md, "Constraint propagation")
         depth = node.depth + 1
         if depth == len(self.parameters):
             return
         param = self.parameters[depth]
-        for value in self._candidate_values(param, domains):
+        for value in param.values_list():
             partial[param.name] = value
             if self._applicable(partial):
                 self._node_count += 1
@@ -153,20 +109,7 @@ class Tree:
                         f"feasible enumeration exceeded {self._max_nodes} nodes"
                     )
                 child = CoTNode(value=value, depth=depth)
-                child_domains: dict[str, Domain] | None = None
-                doomed = False
-                if domains is not None:
-                    remaining = {k: d for k, d in domains.items() if k != param.name}
-                    if remaining:
-                        child_domains, _ = propagate_domains(
-                            self._reducers, remaining, partial
-                        )
-                        doomed = any(d.is_empty for d in child_domains.values())
-                    else:
-                        child_domains = remaining
-                    child.domains = child_domains
-                if not doomed:
-                    self._build(child, partial, child_domains)
+                self._build(child, partial)
                 # only keep children that lead to at least one full assignment
                 if depth == len(self.parameters) - 1 or child.children:
                     node.children.append(child)

@@ -53,6 +53,17 @@ __all__ = [
 ]
 
 
+def _draw_from_table(
+    rng: np.random.Generator, n: int, values: Sequence[Any], dtype: type, name: str
+) -> np.ndarray:
+    """``n`` uniform draws from ``values``, as a column of ``dtype``."""
+    if not len(values):
+        raise ValueError(f"empty domain for parameter {name!r}")
+    table = np.empty(len(values), dtype=dtype)
+    table[:] = list(values)
+    return table[rng.integers(len(table), size=n)]
+
+
 class Parameter(ABC):
     """Abstract base class for all tunable parameters."""
 
@@ -69,7 +80,9 @@ class Parameter(ABC):
     def sample(self, rng: np.random.Generator) -> Any:
         """Draw a value uniformly at random."""
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> Any:
+    def sample_batch(
+        self, rng: np.random.Generator, n: int, domain: Domain | None = None
+    ) -> Any:
         """Draw ``n`` values as one column (vectorized where the type allows).
 
         Returns a float column for numeric types, an object column for
@@ -77,7 +90,15 @@ class Parameter(ABC):
         The distribution matches ``n`` independent :meth:`sample` calls; the
         RNG consumption differs (one batched draw instead of ``n`` scalar
         ones), which is what makes the row samplers fast.
+
+        A ``domain`` narrowed by constraint propagation restricts the draw to
+        it; the parameter's own :meth:`propagation_domain` draws exactly what
+        ``None`` draws (values, dtype and generator state).
         """
+        if domain is not None:
+            raise TypeError(
+                f"{type(self).__name__} does not support domain-restricted sampling"
+            )
         column = np.empty(n, dtype=object)
         column[:] = [self.sample(rng) for _ in range(n)]
         return column
@@ -90,22 +111,6 @@ class Parameter(ABC):
         always sampled unrestricted and left to rejection filtering.
         """
         return None
-
-    def sample_batch_from(
-        self, rng: np.random.Generator, n: int, domain: Domain | None
-    ) -> Any:
-        """Like :meth:`sample_batch`, but restricted to ``domain``.
-
-        Sampling is uniform over the restricted domain, with the same column
-        dtype as :meth:`sample_batch`.  Passing ``None`` means unrestricted.
-        The RNG consumption differs from :meth:`sample_batch` in general, so
-        callers must only use this on the opt-in propagation path.
-        """
-        if domain is None:
-            return self.sample_batch(rng, n)
-        raise TypeError(
-            f"{type(self).__name__} does not support domain-restricted sampling"
-        )
 
     @abstractmethod
     def contains(self, value: Any) -> bool:
@@ -203,31 +208,23 @@ class RealParameter(NumericParameter):
             return float(np.exp(rng.uniform(math.log(self.low), math.log(self.high))))
         return float(rng.uniform(self.low, self.high))
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.transform == "log":
-            return np.exp(rng.uniform(math.log(self.low), math.log(self.high), size=n))
-        return rng.uniform(self.low, self.high, size=n)
-
-    def propagation_domain(self) -> Domain:
-        return Domain.interval(self.low, self.high)
-
-    def sample_batch_from(
-        self, rng: np.random.Generator, n: int, domain: Domain | None
+    def sample_batch(
+        self, rng: np.random.Generator, n: int, domain: Domain | None = None
     ) -> np.ndarray:
-        if domain is None:
-            return self.sample_batch(rng, n)
-        low = max(self.low, domain.low)
-        high = min(self.high, domain.high)
-        if not low <= high:
-            raise ValueError(
-                f"empty propagated domain for real parameter {self.name!r}"
-            )
-        # a truncated uniform (or truncated log-uniform) is again uniform on
-        # the sub-interval, so pruning preserves the sampling distribution
-        # conditioned on feasibility
+        low, high = self.low, self.high
+        if domain is not None:
+            # a truncated uniform (or truncated log-uniform) is again uniform
+            # on the sub-interval, so narrowing preserves the sampling
+            # distribution conditioned on feasibility
+            low, high = max(low, domain.low), min(high, domain.high)
+            if not low <= high:
+                raise ValueError(f"empty domain for real parameter {self.name!r}")
         if self.transform == "log":
             return np.exp(rng.uniform(math.log(low), math.log(high), size=n))
         return rng.uniform(low, high, size=n)
+
+    def propagation_domain(self) -> Domain:
+        return Domain.interval(self.low, self.high)
 
     def contains(self, value: Any) -> bool:
         try:
@@ -278,8 +275,18 @@ class IntegerParameter(NumericParameter):
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.low, self.high + 1))
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.integers(self.low, self.high + 1, size=n).astype(float)
+    def sample_batch(
+        self, rng: np.random.Generator, n: int, domain: Domain | None = None
+    ) -> np.ndarray:
+        if domain is not None and domain.kind == "discrete":
+            return _draw_from_table(rng, n, domain.values, float, self.name)
+        low, high = self.low, self.high
+        if domain is not None:
+            low = max(low, math.ceil(domain.low))
+            high = min(high, math.floor(domain.high))
+            if low > high:
+                raise ValueError(f"empty domain for integer parameter {self.name!r}")
+        return rng.integers(low, high + 1, size=n).astype(float)
 
     #: ranges wider than this propagate as intervals instead of value sets
     ENUMERATION_CAP = 4096
@@ -288,26 +295,6 @@ class IntegerParameter(NumericParameter):
         if self.cardinality() <= self.ENUMERATION_CAP:
             return Domain.discrete(range(self.low, self.high + 1))
         return Domain.interval(self.low, self.high)
-
-    def sample_batch_from(
-        self, rng: np.random.Generator, n: int, domain: Domain | None
-    ) -> np.ndarray:
-        if domain is None:
-            return self.sample_batch(rng, n)
-        if domain.kind == "discrete":
-            if not domain.values:
-                raise ValueError(
-                    f"empty propagated domain for integer parameter {self.name!r}"
-                )
-            table = np.asarray(domain.values, dtype=float)
-            return table[rng.integers(len(table), size=n)]
-        low = max(self.low, math.ceil(domain.low))
-        high = min(self.high, math.floor(domain.high))
-        if low > high:
-            raise ValueError(
-                f"empty propagated domain for integer parameter {self.name!r}"
-            )
-        return rng.integers(low, high + 1, size=n).astype(float)
 
     def contains(self, value: Any) -> bool:
         try:
@@ -374,24 +361,14 @@ class OrdinalParameter(NumericParameter):
     def sample(self, rng: np.random.Generator) -> Any:
         return self.values[int(rng.integers(len(self.values)))]
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        table = np.asarray([float(v) for v in self.values], dtype=float)
-        return table[rng.integers(len(self.values), size=n)]
+    def sample_batch(
+        self, rng: np.random.Generator, n: int, domain: Domain | None = None
+    ) -> np.ndarray:
+        values = self.values if domain is None else domain.values
+        return _draw_from_table(rng, n, values, float, self.name)
 
     def propagation_domain(self) -> Domain:
         return Domain.discrete(self.values)
-
-    def sample_batch_from(
-        self, rng: np.random.Generator, n: int, domain: Domain | None
-    ) -> np.ndarray:
-        if domain is None:
-            return self.sample_batch(rng, n)
-        if not domain.values:
-            raise ValueError(
-                f"empty propagated domain for ordinal parameter {self.name!r}"
-            )
-        table = np.asarray([float(v) for v in domain.values], dtype=float)
-        return table[rng.integers(len(table), size=n)]
 
     def contains(self, value: Any) -> bool:
         try:
@@ -444,26 +421,14 @@ class CategoricalParameter(Parameter):
     def sample(self, rng: np.random.Generator) -> Any:
         return self.values[int(rng.integers(len(self.values)))]
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        table = np.empty(len(self.values), dtype=object)
-        table[:] = self.values
-        return table[rng.integers(len(self.values), size=n)]
+    def sample_batch(
+        self, rng: np.random.Generator, n: int, domain: Domain | None = None
+    ) -> np.ndarray:
+        values = self.values if domain is None else domain.values
+        return _draw_from_table(rng, n, values, object, self.name)
 
     def propagation_domain(self) -> Domain:
         return Domain.discrete(self.values)
-
-    def sample_batch_from(
-        self, rng: np.random.Generator, n: int, domain: Domain | None
-    ) -> np.ndarray:
-        if domain is None:
-            return self.sample_batch(rng, n)
-        if not domain.values:
-            raise ValueError(
-                f"empty propagated domain for categorical parameter {self.name!r}"
-            )
-        table = np.empty(len(domain.values), dtype=object)
-        table[:] = list(domain.values)
-        return table[rng.integers(len(table), size=n)]
 
     def contains(self, value: Any) -> bool:
         return value in self._index
@@ -563,7 +528,11 @@ class PermutationParameter(Parameter):
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(int(i) for i in rng.permutation(self.n_elements))
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample_batch(
+        self, rng: np.random.Generator, n: int, domain: Domain | None = None
+    ) -> np.ndarray:
+        if domain is not None:
+            raise TypeError("permutations have no propagation domain")
         base = np.tile(np.arange(self.n_elements, dtype=float), (n, 1))
         return rng.permuted(base, axis=1)
 

@@ -5,7 +5,7 @@ scheduling language together with the *known constraints* relating them.  It
 offers everything the optimizers need:
 
 * feasible random sampling (through the Chain-of-Trees where possible,
-  rejection sampling otherwise),
+  rejection sampling from propagation-narrowed domains otherwise),
 * feasibility tests against the known constraints,
 * neighbour enumeration restricted to the feasible region (for the
   acquisition-function local search),
@@ -57,7 +57,6 @@ class SearchSpace:
         constraints: Sequence[Constraint] = (),
         build_chain_of_trees: bool = True,
         max_cot_nodes: int = 2_000_000,
-        propagate: bool = False,
     ) -> None:
         names = [p.name for p in parameters]
         if len(names) != len(set(names)):
@@ -72,15 +71,8 @@ class SearchSpace:
                 raise ValueError(
                     f"constraint {constraint.name!r} references unknown parameters {sorted(unknown)}"
                 )
-        #: opt-in constraint propagation (domain pruning before sampling).
-        #: Default off: the propagated draw consumes the RNG differently, and
-        #: the default path must stay bit-compatible with committed
-        #: trajectories.  Feasibility *semantics* are identical either way —
-        #: pruning only removes values that can never appear in a feasible
-        #: configuration, and the rejection filter still runs last.
-        self.propagate = bool(propagate)
-        #: per-sample_rows diagnostics (acceptance rate, rounds, breakdowns),
-        #: refreshed by every call — also embedded in rejection-failure errors
+        #: diagnostics of the latest sample_rows call (acceptance rate,
+        #: rounds, breakdowns); a failing call embeds its own in the error
         self.last_sample_stats: dict[str, Any] | None = None
         self.chain_of_trees: ChainOfTrees | None = None
         #: constraints not captured by the CoT (evaluated explicitly)
@@ -101,36 +93,19 @@ class SearchSpace:
         state.pop("encoder", None)
         return state
 
-    def with_propagation(self, propagate: bool = True) -> "SearchSpace":
-        """A view of this space with constraint propagation toggled.
-
-        Shares parameters, constraints, the chain of trees, and the encoder
-        with the original (benchmark spaces are process-wide singletons via an
-        ``lru_cache``, so mutating them in place would leak the toggle across
-        unrelated tuners); only the propagation flag and the lazily built
-        vector caches are private to the view.
-        """
-        if bool(propagate) == self.propagate:
-            return self
-        self.encoder  # materialize the cached_property so the view shares it
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone.propagate = bool(propagate)
-        clone._vector_caches = {}
-        clone.last_sample_stats = None
-        return clone
-
-    def _pruned_free_domains(self) -> tuple[dict[str, Domain], int]:
-        """Arc-consistent domains for the free (non-tree) parameters, cached.
+    def _narrowed_free_domains(self) -> dict[str, Domain]:
+        """Free-parameter domains the residual constraints narrow, cached.
 
         Residual constraints can only reference free parameters — the
         co-dependency grouping is transitively closed and tree capture is
-        all-or-nothing per group — so one global fixed point (no prefix)
-        covers every ``sample_rows`` batch; per-node propagation lives in the
-        :class:`~repro.space.chain_of_trees.Tree` builder instead.
+        all-or-nothing per group — so one global arc-consistency fixed point
+        (no prefix) covers every ``sample_rows`` batch.  Only the domains the
+        fixed point narrows are kept: a draw from a parameter's own full
+        domain is the unrestricted draw, so every other parameter keeps its
+        plain ``sample_batch`` call.
         """
-        cached = self._vector_caches.get("pruned_free_domains")
-        if cached is None:
+        narrowed = self._vector_caches.get("narrowed_free_domains")
+        if narrowed is None:
             covered = self._covered_names()
             initial = {
                 p.name: dom
@@ -142,13 +117,12 @@ class SearchSpace:
                 for c in self._residual_constraints
                 if (reducer := compile_domain_reducer(c)) is not None
             ]
+            narrowed = {}
             if initial and reducers:
-                domains, rounds = propagate_domains(reducers, initial, {})
-            else:
-                domains, rounds = initial, 0
-            cached = (domains, rounds)
-            self._vector_caches["pruned_free_domains"] = cached
-        return cached
+                domains, _rounds = propagate_domains(reducers, initial)
+                narrowed = {n: d for n, d in domains.items() if d != initial[n]}
+            self._vector_caches["narrowed_free_domains"] = narrowed
+        return narrowed
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -169,14 +143,7 @@ class SearchSpace:
             if any(p.cardinality() > 10_000 for p in group_params):
                 continue
             try:
-                trees.append(
-                    Tree(
-                        group_params,
-                        group_constraints,
-                        max_nodes=max_cot_nodes,
-                        propagate=self.propagate,
-                    )
-                )
+                trees.append(Tree(group_params, group_constraints, max_nodes=max_cot_nodes))
             except FeasibleSetTooLarge:
                 continue
             captured.extend(group_constraints)
@@ -365,7 +332,6 @@ class SearchSpace:
         n_samples: int = 1,
         biased_cot: bool = False,
         max_rejection_rounds: int = 10_000,
-        propagate: bool | None = None,
     ) -> list[Configuration]:
         """Draw ``n_samples`` feasible configurations.
 
@@ -381,7 +347,6 @@ class SearchSpace:
             n_samples,
             biased_cot=biased_cot,
             max_rejection_rounds=max_rejection_rounds,
-            propagate=propagate,
         )
         decode = self.encoder.decode
         return [decode(row) for row in rows]
@@ -392,7 +357,6 @@ class SearchSpace:
         n_samples: int = 1,
         biased_cot: bool = False,
         max_rejection_rounds: int = 10_000,
-        propagate: bool | None = None,
     ) -> np.ndarray:
         """Draw ``n_samples`` feasible configurations as encoded rows.
 
@@ -402,19 +366,14 @@ class SearchSpace:
         evaluators.  Returns an ``(n_samples, width)`` float matrix in the
         shared :class:`~repro.space.encoding.ConfigEncoder` layout.
 
-        With ``propagate`` (``None`` defers to the space-level flag), free
-        parameters draw from their arc-consistency-pruned domains instead of
-        the full ranges — the compiled residual mask still runs as the final
-        filter, so feasibility is decided by exactly the same code either
-        way.  Because pruning only removes values that appear in *no*
-        feasible configuration, the accepted-sample distribution is unchanged
-        (uniform draws restricted to a superset of the feasible set stay
-        uniform after conditioning on feasibility); only the RNG consumption
-        differs, which is why the flag defaults to off.
+        A free parameter whose domain the residual constraints narrow
+        (:meth:`_narrowed_free_domains`) draws from the narrowed domain, and
+        the residual mask still filters last.  Pruning only removes values in
+        *no* feasible configuration, so the accepted rows are distributed as
+        under plain rejection; far fewer draws are rejected.
         """
         if n_samples < 0:
             raise ValueError("n_samples must be non-negative")
-        effective_propagate = self.propagate if propagate is None else bool(propagate)
         encoder = self.encoder
         tree_tables = self._tree_tables()
         covered = self._covered_names()
@@ -423,16 +382,14 @@ class SearchSpace:
         residual_vars: set[str] = set()
         for constraint, _ in residuals:
             residual_vars |= constraint.variables
-        pruned_domains: dict[str, Domain] = {}
-        if effective_propagate:
-            pruned_domains, _rounds = self._pruned_free_domains()
-            empty = sorted(n for n, d in pruned_domains.items() if d.is_empty)
-            if empty:
-                raise RuntimeError(
-                    "constraint propagation pruned the domains of parameters "
-                    f"{empty} to empty: the known constraints admit no "
-                    "feasible configuration"
-                )
+        narrowed = self._narrowed_free_domains()
+        empty = sorted(n for n, d in narrowed.items() if d.is_empty)
+        if empty:
+            raise RuntimeError(
+                "constraint propagation pruned the domains of parameters "
+                f"{empty} to empty: the known constraints admit no "
+                "feasible configuration"
+            )
 
         collected: list[np.ndarray] = []
         constraint_passed = [0] * len(residuals)
@@ -443,11 +400,10 @@ class SearchSpace:
         while accepted < n_samples:
             need = n_samples - accepted
             if drawn >= budget:
-                self._record_sample_stats(
-                    n_samples, accepted, drawn, rounds, effective_propagate,
-                    residuals, constraint_passed,
+                stats = self._record_sample_stats(
+                    n_samples, accepted, drawn, rounds, residuals, constraint_passed
                 )
-                raise RuntimeError(self._rejection_failure_message())
+                raise RuntimeError(_rejection_failure_message(stats))
             need = min(need, budget - drawn)
             drawn += need
             rounds += 1
@@ -461,12 +417,7 @@ class SearchSpace:
                     if name in residual_vars:
                         env[name] = raw[name][indices]
             for param in free_params:
-                if effective_propagate:
-                    column = param.sample_batch_from(
-                        rng, need, pruned_domains.get(param.name)
-                    )
-                else:
-                    column = param.sample_batch(rng, need)
+                column = param.sample_batch(rng, need, narrowed.get(param.name))
                 rows[:, encoder.columns(param.name)] = encoder.encode_value_column(
                     param.name, column
                 )
@@ -482,8 +433,7 @@ class SearchSpace:
             collected.append(rows)
             accepted += len(rows)
         self._record_sample_stats(
-            n_samples, accepted, drawn, rounds, effective_propagate,
-            residuals, constraint_passed,
+            n_samples, accepted, drawn, rounds, residuals, constraint_passed
         )
         if not collected:
             return np.empty((0, encoder.width), dtype=float)
@@ -495,24 +445,23 @@ class SearchSpace:
         accepted: int,
         drawn: int,
         rounds: int,
-        propagate: bool,
         residuals: list,
         constraint_passed: list[int],
-    ) -> None:
-        """Refresh :attr:`last_sample_stats` after a ``sample_rows`` run."""
+    ) -> dict[str, Any]:
+        """Store a ``sample_rows`` run's diagnostics and return them (a call
+        on another thread may replace :attr:`last_sample_stats` first)."""
         trees = []
         if self.chain_of_trees is not None:
             trees = [
                 {"parameters": list(tree.parameter_names), "leaves": tree.n_feasible}
                 for tree in self.chain_of_trees.trees
             ]
-        self.last_sample_stats = {
+        stats = {
             "requested": requested,
             "accepted": accepted,
             "drawn": drawn,
             "rounds": rounds,
             "acceptance_rate": accepted / drawn if drawn else float("nan"),
-            "propagate": propagate,
             "constraints": [
                 {
                     "name": constraint.name,
@@ -523,43 +472,8 @@ class SearchSpace:
             ],
             "trees": trees,
         }
-
-    def _rejection_failure_message(self) -> str:
-        """Rich diagnostics for an exhausted rejection budget.
-
-        Keeps the historical first line (callers and tests match on it) and
-        appends the measured acceptance rate, the rounds attempted, the
-        per-residual-constraint pass rates, and the per-tree leaf counts so a
-        too-sparse space can be diagnosed from the error alone.
-        """
-        stats = self.last_sample_stats or {}
-        lines = [
-            "rejection sampling failed to find feasible configurations; "
-            "the feasible region may be too sparse.",
-            f"  requested {stats.get('requested', '?')} samples, accepted "
-            f"{stats.get('accepted', '?')} of {stats.get('drawn', '?')} draws "
-            f"(acceptance rate {stats.get('acceptance_rate', float('nan')):.3g}) "
-            f"over {stats.get('rounds', '?')} rounds "
-            f"(propagate={stats.get('propagate', False)})",
-        ]
-        for entry in stats.get("constraints", []):
-            lines.append(
-                f"  residual constraint {entry['name']!r}: "
-                f"{entry['passed']} passed (rate {entry['rate']:.3g})"
-            )
-        for entry in stats.get("trees", []):
-            lines.append(
-                f"  tree over {entry['parameters']}: {entry['leaves']} feasible "
-                "leaves (tree draws are always feasible by construction)"
-            )
-        if not stats.get("propagate", False) and self._residual_constraints:
-            lines.append(
-                "  hint: constraint propagation (SearchSpace.with_propagation() "
-                "or BacoSettings(constraint_propagation=True)) prunes domains "
-                "before drawing and can cut rejection rates by orders of "
-                "magnitude on sparse spaces"
-            )
-        return "\n".join(lines)
+        self.last_sample_stats = stats
+        return stats
 
     def feasible_mask_rows(self, rows: np.ndarray) -> np.ndarray:
         """Known-constraint feasibility of encoded rows, fully vectorized.
@@ -657,15 +571,6 @@ class SearchSpace:
         residual_vars: set[str] = set()
         for constraint, _ in residuals:
             residual_vars |= constraint.variables
-        # with propagation on, drop candidate values the fixed point proved
-        # infeasible before materializing them: they could only fail the
-        # residual mask below, so the returned neighbours are identical
-        pruned_sets: dict[str, Any] = {}
-        if self.propagate:
-            for name, dom in self._pruned_free_domains()[0].items():
-                pruned_sets[name] = (
-                    set(dom.values) if dom.kind == "discrete" else dom
-                )
 
         blocks: list[np.ndarray] = []
         owners: list[int] = []
@@ -692,17 +597,6 @@ class SearchSpace:
                     candidates = [
                         v for v in param.neighbours(current) if param.contains(v)
                     ]
-                    admitted = pruned_sets.get(param.name)
-                    if isinstance(admitted, set):
-                        candidates = [
-                            v for v in candidates if param.canonical(v) in admitted
-                        ]
-                    elif admitted is not None:
-                        candidates = [
-                            v
-                            for v in candidates
-                            if admitted.low <= float(v) <= admitted.high
-                        ]
                 if not candidates:
                     continue
                 block = np.tile(rows[i], (len(candidates), 1))
@@ -777,3 +671,32 @@ class SearchSpace:
             "feasible_size": self.feasible_size(),
             "n_known_constraints": len(self.constraints),
         }
+
+
+def _rejection_failure_message(stats: Mapping[str, Any]) -> str:
+    """Rich diagnostics for an exhausted rejection budget.
+
+    Keeps the historical first line (callers and tests match on it) and
+    appends the measured acceptance rate, the rounds attempted, the
+    per-residual-constraint pass rates, and the per-tree leaf counts so a
+    too-sparse space can be diagnosed from the error alone.
+    """
+    lines = [
+        "rejection sampling failed to find feasible configurations; "
+        "the feasible region may be too sparse.",
+        f"  requested {stats['requested']} samples, accepted "
+        f"{stats['accepted']} of {stats['drawn']} draws "
+        f"(acceptance rate {stats['acceptance_rate']:.3g}) "
+        f"over {stats['rounds']} rounds",
+    ]
+    for entry in stats["constraints"]:
+        lines.append(
+            f"  residual constraint {entry['name']!r}: "
+            f"{entry['passed']} passed (rate {entry['rate']:.3g})"
+        )
+    for entry in stats["trees"]:
+        lines.append(
+            f"  tree over {entry['parameters']}: {entry['leaves']} feasible "
+            "leaves (tree draws are always feasible by construction)"
+        )
+    return "\n".join(lines)

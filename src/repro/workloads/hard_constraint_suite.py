@@ -6,17 +6,21 @@ constraints are captured by the Chain-of-Trees.  This suite constructs mixed
 R/O/C/P spaces whose *known* constraints are left entirely to the sampler:
 the spaces are built with ``build_chain_of_trees=False``, modelling the
 regime where feasible enumeration exceeds the CoT node budget and candidate
-generation must either reject or propagate.
+generation has no trees to draw from.
 
 Each instance stacks ``k`` unary divisibility constraints (each keeping 1 in
 10 values of a 100-value ordinal) on top of one binary comparison and one
-disjunction, giving feasibility densities of roughly ``10**-k``:
+disjunction, giving feasibility densities of roughly ``10**-k``.  Plain
+rejection sampling would degrade with ``k``:
 
 * ``hard_constraint_1e-2`` — ``k = 2``, rejection is merely wasteful;
 * ``hard_constraint_1e-4`` — ``k = 4``, rejection rounds explode;
 * ``hard_constraint_1e-6`` — ``k = 6``, rejection exhausts its default
-  budget and raises, while domain propagation samples in a handful of
-  rounds.
+  budget and raises.
+
+The sampler always narrows the free parameters' domains by constraint
+propagation first, which removes the unary constraints' rejections, so every
+instance draws its feasible rows in a handful of rounds.
 
 The objective is a smooth, deterministic synthetic function (no hidden
 constraints), so these benchmarks double as end-to-end tuner workloads: the
@@ -68,7 +72,7 @@ def build_hard_constraint_space(density: str) -> SearchSpace:
     constraints.append(Constraint("x4 <= x5 + 50"))
     constraints.append(Constraint("eps >= 0.05 or x0 <= 50"))
     # no Chain-of-Trees on purpose: this models constraint groups beyond the
-    # enumeration budget, where sampling must reject — or propagate
+    # enumeration budget, which the sampler meets by propagation and rejection
     return SearchSpace(parameters, constraints, build_chain_of_trees=False)
 
 

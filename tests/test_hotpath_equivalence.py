@@ -10,7 +10,10 @@ Four layers of protection for the encoding-layer and ask/tell refactors:
 * a seeded end-to-end ``BacoTuner`` run reproduces the recorded evaluation
   trace bit for bit on one RISE, one TACO, and one HPVM2FPGA workload, under
   the ``exact`` policy (``tests/data/bitcompat_trajectories.json``) and the
-  ``fast`` one (``tests/data/bitcompat_trajectories_fast.json``) — driven
+  ``fast`` one (``tests/data/bitcompat_trajectories_fast.json``), and with
+  default settings on the three hard-constraint spaces, whose residual
+  constraints run the propagation-pruned sampler
+  (``tests/data/bitcompat_trajectories_hard_constraint.json``) — driven
   through the ask/tell ``TuningSession`` underneath ``tune()``,
 * a tampered ``fast`` policy state is refused on restore, naming the field,
 * every tuner checkpointed mid-run and restored **in a fresh process**
@@ -50,14 +53,20 @@ from repro.space.parameters import (
 
 from oracles import pairwise_reference
 
+_DATA = Path(__file__).parent / "data"
 FIXTURES = {
-    "exact": Path(__file__).parent / "data" / "bitcompat_trajectories.json",
-    "fast": Path(__file__).parent / "data" / "bitcompat_trajectories_fast.json",
+    "exact": _DATA / "bitcompat_trajectories.json",
+    "fast": _DATA / "bitcompat_trajectories_fast.json",
+    "hard_constraint": _DATA / "bitcompat_trajectories_hard_constraint.json",
 }
+#: (fixture, benchmark, surrogate policy)
 TRAJECTORY_CASES = [
-    (policy, name)
-    for policy in FIXTURES
+    (policy, name, policy)
+    for policy in ("exact", "fast")
     for name in ("rise_mm_gpu", "taco_spmm_scircuit", "hpvm_audio")
+] + [
+    ("hard_constraint", f"hard_constraint_{density}", "exact")
+    for density in ("1e-2", "1e-4", "1e-6")
 ]
 
 
@@ -192,7 +201,10 @@ class TestTrajectoryBitCompatibility:
     (per-pair dict distances, per-start local search, full GP recompute each
     iteration) on one workload per compiler framework.  The ``fast`` ones
     use the same seed and budget; each run's 14 learning asks cover the
-    first sweep, warm refits and frozen Cholesky extensions.
+    first sweep, warm refits and frozen Cholesky extensions.  The
+    ``hard_constraint`` ones (same seed and budget, default settings) pin the
+    sampler that draws propagation-narrowed domains, DoE and local search
+    alike.
     """
 
     @pytest.fixture(scope="class")
@@ -200,15 +212,15 @@ class TestTrajectoryBitCompatibility:
         return {policy: json.loads(path.read_text()) for policy, path in FIXTURES.items()}
 
     @pytest.mark.parametrize(
-        "policy,benchmark_name",
+        "fixture,benchmark_name,policy",
         TRAJECTORY_CASES,
         # the exact cases keep the ids they had before fast was pinned too
-        ids=[name if policy == "exact" else f"{policy}-{name}" for policy, name in TRAJECTORY_CASES],
+        ids=[name if policy == "exact" else f"{policy}-{name}" for _, name, policy in TRAJECTORY_CASES],
     )
-    def test_identical_trace(self, fixtures, policy, benchmark_name):
+    def test_identical_trace(self, fixtures, fixture, benchmark_name, policy):
         from repro.workloads.registry import get_benchmark
 
-        fx = fixtures[policy][benchmark_name]
+        fx = fixtures[fixture][benchmark_name]
         bench = get_benchmark(benchmark_name)
         tuner = BacoTuner(
             bench.space, BacoSettings(surrogate_policy=policy), seed=fx["seed"]

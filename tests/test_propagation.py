@@ -1,6 +1,8 @@
 """The constraint-propagation sampling engine: reducers, pruned draws, suite.
 
-Four protection layers for the domain-pruning layer under ``sample_rows``:
+Four protection layers for the domain-pruning layer under ``sample_rows``,
+which always draws propagation-narrowed free parameters from their narrowed
+domains:
 
 * **soundness against the scalar oracle** — per-constraint domain reducers
   and the fixed point never prune a value that participates in any feasible
@@ -9,19 +11,23 @@ Four protection layers for the domain-pruning layer under ``sample_rows``:
   scalar ``sample_reference`` oracle);
 * **confluence** — the arc-consistency fixed point is independent of the
   order the reducers are applied in (contracting + monotone);
-* **semantic equivalence** — ``propagate=True`` produces only feasible rows
+* **semantic equivalence** — the sampler produces only feasible rows
   (``feasible_mask_rows`` stays the final filter), reaches the exact
-  per-constraint support, and keeps unconstrained dimensions untouched,
-  while the default-off path consumes the RNG stream bit-identically to the
-  pre-propagation sampler;
-* **the hard-constraint workload suite** — densities behave as labelled:
-  rejection works at 1e-2, propagation is required at 1e-6, and at 1e-2
-  propagation accepts at least 5x as many of its draws as rejection does.
+  per-constraint support, and keeps unconstrained dimensions untouched;
+  a draw from a parameter's own full domain is the unrestricted draw (same
+  values, dtype and generator state), so parameters the fixed point leaves
+  alone keep their plain streams;
+* **the hard-constraint workload suite** — densities behave as labelled
+  under plain rejection (unconstrained draws masked by
+  ``feasible_mask_rows``), the sampler draws the 1e-6 instance, and at 1e-2
+  it accepts at least 5x as many of its draws as plain rejection does.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +35,6 @@ from hypothesis import assume, given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
-from repro.space.chain_of_trees import Tree
 from repro.space.constraints import (
     Constraint,
     Domain,
@@ -223,7 +228,7 @@ def constrained_spaces(draw):
         Constraint(template.format(n=draw(st.integers(2, 8)))) for template in chosen
     ]
     # residual-only on purpose: propagation over the free parameters is the
-    # code under test (tree capture is covered by TestTreeBuildEquivalence)
+    # code under test (the tree builder does not propagate)
     return SearchSpace(parameters, constraints, build_chain_of_trees=False)
 
 
@@ -236,10 +241,10 @@ def test_no_feasible_configuration_is_ever_pruned(space, seed):
         configs = sample_reference(space, rng, 5, max_rejection_rounds=400)
     except RuntimeError:
         assume(False)  # feasible region too sparse to exercise the oracle
-    pruned, _rounds = space.with_propagation()._pruned_free_domains()
+    narrowed = space._narrowed_free_domains()
     for config in configs:
         assert space.is_feasible(config)
-        for name, domain in pruned.items():
+        for name, domain in narrowed.items():
             assert _admits(domain, config[name]), (name, config[name], domain)
 
 
@@ -264,25 +269,55 @@ def test_fixed_point_is_order_independent(space, shuffler):
 @given(constrained_spaces(), st.integers(0, 2**31 - 1))
 @hyp_settings(max_examples=20, deadline=None)
 def test_propagated_rows_are_feasible_and_default_stream_unchanged(space, seed):
-    propagating = space.with_propagation()
     try:
-        rows = propagating.sample_rows(np.random.default_rng(seed), 16)
+        rows = space.sample_rows(np.random.default_rng(seed), 16)
     except RuntimeError:
         assume(False)
     assert len(rows) == 16
     assert bool(np.all(space.feasible_mask_rows(rows)))
-    # default-off consumes the RNG stream identically with the kwarg spelled
-    # out or omitted, and independently of the propagating view existing
-    baseline = space.sample_rows(np.random.default_rng(seed), 16)
-    explicit = space.sample_rows(np.random.default_rng(seed), 16, propagate=False)
-    np.testing.assert_array_equal(baseline, explicit)
+    # handing every free parameter its full fixed-point domain, narrowed or
+    # not, draws the same rows: un-narrowed parameters keep their streams
+    full = {
+        p.name: dom
+        for p in space.parameters
+        if (dom := p.propagation_domain()) is not None
+    }
+    full.update(space._narrowed_free_domains())
+    twin = SearchSpace(space.parameters, space.constraints, build_chain_of_trees=False)
+    with mock.patch.object(twin, "_narrowed_free_domains", return_value=full):
+        replay = twin.sample_rows(np.random.default_rng(seed), 16)
+    np.testing.assert_array_equal(rows, replay)
+
+
+_FULL_DOMAIN_PARAMETERS = [
+    RealParameter("r", 0.5, 8.0),
+    RealParameter("r_log", 0.01, 1.0, transform="log"),
+    IntegerParameter("i", -3, 40),
+    IntegerParameter("i_wide", 0, 10_000),  # > ENUMERATION_CAP: an interval
+    OrdinalParameter("o", [1, 2, 4, 8, 16, 32]),
+    CategoricalParameter("c", ["u", "v", "w"]),
+]
+
+
+@pytest.mark.parametrize("param", _FULL_DOMAIN_PARAMETERS, ids=lambda p: p.name)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 64))
+@hyp_settings(max_examples=25, deadline=None)
+def test_full_domain_draw_is_the_unrestricted_draw(param, seed, n):
+    """Why passing only the narrowed domains draws what passing every
+    fixed-point domain drew: a parameter's own full domain changes nothing."""
+    plain_rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    plain = param.sample_batch(plain_rng, n)
+    full = param.sample_batch(full_rng, n, param.propagation_domain())
+    assert full.dtype == plain.dtype
+    np.testing.assert_array_equal(full, plain)
+    assert full_rng.bit_generator.state == plain_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
 # the propagating sampler
 # ---------------------------------------------------------------------------
 
-def _divisible_space(**kwargs) -> SearchSpace:
+def _divisible_space() -> SearchSpace:
     return SearchSpace(
         [
             OrdinalParameter("a", list(range(30))),
@@ -293,22 +328,12 @@ def _divisible_space(**kwargs) -> SearchSpace:
         ],
         [Constraint("a % 3 == 0"), Constraint("eps >= 0.05")],
         build_chain_of_trees=False,
-        **kwargs,
     )
 
 
 class TestPropagatedSampling:
-    def test_with_propagation_is_a_non_mutating_view(self):
-        space = _divisible_space()
-        view = space.with_propagation()
-        assert view is not space
-        assert not space.propagate and view.propagate
-        assert view.with_propagation() is view  # idempotent
-        assert view.parameters is space.parameters
-        assert view.encoder is space.encoder
-
     def test_propagation_reaches_exact_support_and_uniformity(self):
-        space = _divisible_space().with_propagation()
+        space = _divisible_space()
         rows = space.sample_rows(np.random.default_rng(0), 5000)
         configs = [space.encoder.decode(row) for row in rows]
         observed = np.array([c["a"] for c in configs])
@@ -324,26 +349,20 @@ class TestPropagatedSampling:
         assert len({tuple(c["perm"]) for c in configs}) == 6
 
     def test_propagation_stats_recorded(self):
-        space = _divisible_space().with_propagation()
+        space = _divisible_space()
         space.sample_rows(np.random.default_rng(1), 64)
         stats = space.last_sample_stats
-        assert stats["propagate"] is True
+        assert "propagate" not in stats  # there is no other mode to record
         assert stats["accepted"] == 64
         assert stats["acceptance_rate"] > 0.9  # both constraints fully pruned
         assert [c["name"] for c in stats["constraints"]] == ["a % 3 == 0", "eps >= 0.05"]
-
-    def test_settings_propagate_kwarg_overrides_flag(self):
-        space = _divisible_space()
-        rows = space.sample_rows(np.random.default_rng(2), 32, propagate=True)
-        assert bool(np.all(space.feasible_mask_rows(rows)))
-        assert space.last_sample_stats["propagate"] is True
 
     def test_provably_infeasible_space_raises_immediately(self):
         space = SearchSpace(
             [OrdinalParameter("a", [1, 2, 3])],
             [Constraint("a > 5")],
             build_chain_of_trees=False,
-        ).with_propagation()
+        )
         with pytest.raises(RuntimeError, match="no feasible configuration"):
             space.sample_rows(np.random.default_rng(0), 4)
 
@@ -352,30 +371,43 @@ class TestPropagatedSampling:
             [RealParameter("eps", 0.01, 1.0, transform="log")],
             [Constraint("eps >= 0.2")],
             build_chain_of_trees=False,
-        ).with_propagation()
+        )
         rows = space.sample_rows(np.random.default_rng(3), 512)
         values = space.encoder.value_columns(rows, names=["eps"])["eps"]
         assert float(values.min()) >= 0.2
         assert float(values.max()) <= 1.0
 
     def test_neighbour_rows_agree_with_unpruned_path(self):
+        """No candidate pre-filter: the residual mask alone keeps the row
+        path's neighbours equal to the dict path's feasible ones."""
         space = _divisible_space()
-        view = space.with_propagation()
         rows = space.sample_rows(np.random.default_rng(4), 8)
-        base = space.neighbour_rows_batch(rows)
-        pruned = view.neighbour_rows_batch(rows)
-        assert len(base) == len(pruned)
-        for lhs, rhs in zip(base, pruned):
-            np.testing.assert_array_equal(lhs, rhs)
+        batch, owners = space.neighbour_rows_batch(rows)
+        assert bool(np.all(space.feasible_mask_rows(batch)))
+        for i, row in enumerate(rows):
+            expected = space.neighbours(space.encoder.decode(row))
+            assert int((owners == i).sum()) == len(expected)
+
+
+def _unprunable_space() -> SearchSpace:
+    """A sparse space propagation cannot narrow: its constraint is a callable."""
+    return SearchSpace(
+        [OrdinalParameter("a", list(range(1000)))],
+        [
+            Constraint.from_callable(
+                lambda cfg: cfg["a"] % 500 == 0, name="a is a multiple of 500",
+                variables=["a"],
+            )
+        ],
+        build_chain_of_trees=False,
+    )
 
 
 class TestRejectionDiagnostics:
     def test_failure_message_carries_acceptance_and_hint(self):
-        space = SearchSpace(
-            [OrdinalParameter("a", list(range(1000)))],
-            [Constraint("a % 500 == 0")],
-            build_chain_of_trees=False,
-        )
+        """The per-constraint pass rates are the hint: they name the
+        constraint that starves the sampler."""
+        space = _unprunable_space()
         with pytest.raises(RuntimeError) as excinfo:
             space.sample_rows(np.random.default_rng(0), 64, max_rejection_rounds=2)
         message = str(excinfo.value)
@@ -384,66 +416,40 @@ class TestRejectionDiagnostics:
             "rejection sampling failed to find feasible configurations"
         )
         assert "acceptance rate" in message
-        assert "a % 500 == 0" in message
-        assert "with_propagation" in message
+        assert "residual constraint 'a is a multiple of 500'" in message
+        assert "propagat" not in message  # there is no mode left to suggest
 
-    def test_propagating_failure_omits_the_hint(self):
-        space = SearchSpace(
-            [
-                OrdinalParameter("a", list(range(1000))),
-                OrdinalParameter("b", list(range(1000))),
-            ],
-            # not reducible to per-parameter pruning: stays sparse even when
-            # propagating, so the budget still exhausts
-            [Constraint("a == b")],
-            build_chain_of_trees=False,
-        ).with_propagation()
-        with pytest.raises(RuntimeError) as excinfo:
-            space.sample_rows(np.random.default_rng(0), 64, max_rejection_rounds=2)
-        assert "with_propagation" not in str(excinfo.value)
+    def test_failure_reports_its_own_call_under_a_concurrent_overwrite(self):
+        """Registry spaces are shared across sessions and threads: another
+        call's stats landing in ``last_sample_stats`` between this call's
+        store and its error must not leak into this call's message."""
+        space = _unprunable_space()
+        record = space._record_sample_stats
 
+        def record_then_race(*args):
+            stats = record(*args)
+            space.last_sample_stats = {
+                **space.last_sample_stats, "requested": 7, "accepted": 7, "drawn": 7,
+            }
+            return stats
 
-# ---------------------------------------------------------------------------
-# chain-of-trees build equivalence
-# ---------------------------------------------------------------------------
-
-def _tree_shape(node):
-    return (
-        node.value,
-        node.depth,
-        node.leaf_count,
-        [_tree_shape(child) for child in node.children],
-    )
-
-
-class TestTreeBuildEquivalence:
-    def test_propagated_tree_is_structurally_identical(self):
-        powers = [1, 2, 4, 8, 16, 32, 64]
-        parameters = [
-            OrdinalParameter("ts", powers),
-            OrdinalParameter("ls", powers[:4]),
-            OrdinalParameter("k", [1, 2, 3]),
-        ]
-        constraints = [
-            Constraint("ts % ls == 0"),
-            Constraint("ts * ls <= 256"),
-            Constraint("k < ls"),
-        ]
-        plain = Tree(parameters, constraints)
-        propagated = Tree(parameters, constraints, propagate=True)
-        assert plain.n_feasible == propagated.n_feasible
-        assert _tree_shape(plain.root) == _tree_shape(propagated.root)
-
-    def test_propagated_root_domains_are_populated(self):
-        parameters = [OrdinalParameter("x", list(range(10)))]
-        tree = Tree(parameters, [Constraint("x % 2 == 0")], propagate=True)
-        assert tree.root.domains is not None
-        assert set(tree.root.domains["x"].values) == {0, 2, 4, 6, 8}
+        with mock.patch.object(space, "_record_sample_stats", record_then_race):
+            with pytest.raises(RuntimeError) as excinfo:
+                space.sample_rows(np.random.default_rng(0), 64, max_rejection_rounds=2)
+        assert "requested 64 samples" in str(excinfo.value)
+        assert "of 128 draws" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
 # hard-constraint workload suite
 # ---------------------------------------------------------------------------
+
+def _plain_rejection_rate(space: SearchSpace, seed: int, n: int = 20_000) -> float:
+    """Acceptance rate of plain rejection: unconstrained ``sample_batch``
+    draws, masked afterwards by the known constraints."""
+    rows = SearchSpace(space.parameters).sample_rows(np.random.default_rng(seed), n)
+    return float(space.feasible_mask_rows(rows).mean())
+
 
 class TestHardConstraintSuite:
     def test_registry_and_names(self):
@@ -477,33 +483,27 @@ class TestHardConstraintSuite:
         from repro.workloads import get_benchmark
 
         space = get_benchmark("hard_constraint_1e-2").space
-        space.sample_rows(np.random.default_rng(7), 128, max_rejection_rounds=2_000)
-        stats = space.last_sample_stats
-        empirical = stats["accepted"] / stats["drawn"]
+        empirical = _plain_rejection_rate(space, 7)
         assert 0.002 < empirical < 0.05  # ~1e-2 up to sampling noise
 
     def test_sparsest_instance_needs_propagation(self):
         from repro.workloads import get_benchmark
 
         space = get_benchmark("hard_constraint_1e-6").space
-        with pytest.raises(RuntimeError, match="rejection sampling failed"):
-            space.sample_rows(np.random.default_rng(0), 32, max_rejection_rounds=50)
-        rows = space.with_propagation().sample_rows(np.random.default_rng(0), 32)
+        assert _plain_rejection_rate(space, 0) < 1e-3
+        rows = space.sample_rows(np.random.default_rng(0), 32)
         assert len(rows) == 32
         assert bool(np.all(space.feasible_mask_rows(rows)))
 
     def test_propagation_accepts_far_more_draws_than_rejection(self):
-        """A count, not a timing: on the 1e-2 instance the pruned draw's
-        acceptance rate is at least 5x plain rejection's (79-131x over
-        seeds 0-9)."""
+        """A count, not a timing: on the 1e-2 instance the sampler's
+        acceptance rate is at least 5x plain rejection's."""
         from repro.workloads import get_benchmark
 
         space = get_benchmark("hard_constraint_1e-2").space
+        rejection = _plain_rejection_rate(space, 0)
         space.sample_rows(np.random.default_rng(0), 32)
-        rejection = space.last_sample_stats["acceptance_rate"]
-        propagating = space.with_propagation()
-        propagating.sample_rows(np.random.default_rng(0), 32)
-        assert propagating.last_sample_stats["acceptance_rate"] >= 5 * rejection
+        assert space.last_sample_stats["acceptance_rate"] >= 5 * rejection
 
     def test_objective_is_deterministic_and_picklable(self):
         import pickle
@@ -517,42 +517,70 @@ class TestHardConstraintSuite:
 
 
 # ---------------------------------------------------------------------------
-# tuner plumbing
+# tuner plumbing: the removed knob and its old inputs
 # ---------------------------------------------------------------------------
 
+def _trace(history) -> dict:
+    payload = history.to_dict()
+    payload.pop("tuner_seconds", None)
+    payload.pop("evaluation_seconds", None)
+    return payload
+
+
 class TestTunerPlumbing:
-    def test_baco_settings_flag_swaps_the_space(self):
-        from repro.core.baco import BacoSettings, BacoTuner
-        from repro.workloads import get_benchmark
+    def test_removed_knobs_raise_type_error(self):
+        from repro.core.baco import BacoSettings
 
-        bench = get_benchmark("hard_constraint_1e-6")
-        tuner = BacoTuner(
-            bench.space,
-            settings=BacoSettings(constraint_propagation=True),
-            seed=0,
-        )
-        assert tuner.space is not bench.space
-        assert tuner.space.propagate
-        assert not bench.space.propagate  # the registry singleton is untouched
-        assert tuner._space_encoder is tuner.space.encoder
+        with pytest.raises(TypeError):
+            BacoSettings(constraint_propagation=True)
+        with pytest.raises(TypeError):
+            SearchSpace([OrdinalParameter("a", [1, 2])], propagate=True)
 
-    def test_session_meta_round_trips_propagate(self, tmp_path):
+    def test_removed_cli_flag_exits_2(self):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "--benchmark", "hpvm_bfs", "--propagate"])
+        assert excinfo.value.code == 2
+
+    def test_old_propagate_checkpoint_resumes_bit_identically(self):
+        """A checkpoint written with the old ``--propagate`` flag carries
+        ``meta.propagate: true``.  Restore no longer reads the key, and the
+        run finishes exactly like an uninterrupted one: that flag asked for
+        what is now the only sampler."""
         from repro.core.session import drive
-        from repro.experiments.runner import load_session, make_session, save_session
+        from repro.experiments.runner import make_session, restore_session
 
-        session, bench = make_session(
-            "hard_constraint_1e-6", "Uniform Sampling", 4, 11, propagate=True
-        )
-        assert session.meta["propagate"] is True
-        drive(session, bench.evaluator)
-        path = save_session(session, tmp_path / "prop.ckpt.json")
-        restored, _bench = load_session(path)
-        assert restored.tuner.space.propagate
-        assert len(restored.history) == 4
+        straight, bench = make_session("hard_constraint_1e-4", "BaCO", 10, 1)
+        expected = _trace(drive(straight, bench.evaluator))
+
+        session, _ = make_session("hard_constraint_1e-4", "BaCO", 10, 1)
+        while len(session.history) < 7:
+            [suggestion] = session.ask(1)
+            session.tell(suggestion, bench.evaluator(suggestion.configuration))
+        payload = json.loads(json.dumps(session.snapshot()))
+        payload["meta"]["propagate"] = True
+        resumed, _ = restore_session(payload)
+        assert _trace(drive(resumed, bench.evaluator)) == expected
 
     def test_default_sessions_record_no_propagate_key(self):
         from repro.experiments.runner import make_session
 
         session, _bench = make_session("hard_constraint_1e-2", "Uniform Sampling", 2, 1)
         assert "propagate" not in session.meta
-        assert not session.tuner.space.propagate
+
+    @pytest.mark.parametrize("propagate", [True, False, "yes"])
+    def test_service_start_ignores_a_propagate_field(self, propagate):
+        """Like any field ``start`` does not read; ``false`` once asked for a
+        stream that could not draw a DoE on ``hard_constraint_1e-4``."""
+        from repro.service import SessionService
+
+        service = SessionService()
+        started = service.handle({
+            "op": "start", "benchmark": "hard_constraint_1e-4",
+            "tuner": "Uniform Sampling", "budget": 4, "seed": 3,
+            "propagate": propagate,
+        })
+        assert started["ok"], started
+        asked = service.handle({"op": "ask", "n": 4})
+        assert asked["ok"] and len(asked["suggestions"]) == 4
