@@ -220,8 +220,6 @@ class BacoSettings:
     doe_size: int | None = None
     #: surrogate model family: "gp" (default) or "rf" (Fig. 8 comparison)
     surrogate: str = "gp"
-    #: GP kernel
-    kernel: str = "matern52"
     #: semimetric for permutation parameters ("spearman" default, Fig. 9 ablation)
     permutation_metric: str = "spearman"
     #: log-transform exponential parameters and the objective (Sec. 4.1 / 4.2)
@@ -369,7 +367,6 @@ class BacoTuner(Tuner):
     def _make_gp(self) -> GaussianProcess:
         return GaussianProcess(
             self._model_space.parameters,
-            kernel=self.settings.kernel,
             lengthscale_prior=GammaPrior(2.0, 2.0) if self.settings.use_lengthscale_priors else None,
             log_transform_output=self.settings.use_transformations,
             n_prior_samples=self.settings.gp_prior_samples,

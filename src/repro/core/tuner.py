@@ -14,8 +14,9 @@ Tuners are *proposal state machines* driven through an ask/tell
   checkpoint / resume.
 
 :meth:`Tuner.tune` remains the convenience entry point used throughout the
-experiment harness — it is now a thin serial driver over the session API and
-produces bit-identical traces to the pre-inversion loops.
+experiment harness — it runs the session API's one serial driver,
+:func:`~repro.core.session.drive`, and produces bit-identical traces to the
+pre-inversion loops.
 """
 
 from __future__ import annotations
@@ -83,22 +84,18 @@ class Tuner(ABC):
     ) -> TuningHistory:
         """Run the tuner for ``budget`` black-box evaluations.
 
-        A thin serial driver over :meth:`start_session`: ask one suggestion,
-        evaluate it, tell the result, repeat.  The produced trace is
-        bit-identical to the historical push-driven loop.
+        :func:`~repro.core.session.drive` over :meth:`start_session`, one
+        suggestion at a time; the produced trace is bit-identical to the
+        historical push-driven loop.
         """
+        from .session import drive
+
         session = self.start_session(budget, benchmark_name=benchmark_name)
         start = time.perf_counter()
-        while not session.done:
-            for suggestion in session.ask():
-                evaluation_start = time.perf_counter()
-                result = objective(suggestion.configuration)
-                session.tell(
-                    suggestion, result, elapsed=time.perf_counter() - evaluation_start
-                )
-        total = time.perf_counter() - start
-        history = session.history
-        history.tuner_seconds = max(0.0, total - history.evaluation_seconds)
+        history = drive(session, objective)
+        history.tuner_seconds = max(
+            0.0, time.perf_counter() - start - history.evaluation_seconds
+        )
         return history
 
     def _bind_session(self, session: "TuningSession") -> None:

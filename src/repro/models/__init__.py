@@ -2,7 +2,7 @@
 
 from .distances import DistanceComputer, parameter_scale
 from .gp import GaussianProcess, GPHyperparameters
-from .kernels import KERNELS, matern52, rbf, scaled_distance
+from .kernels import matern52, scaled_distance
 from .priors import GammaPrior
 from .random_forest import DecisionTree, RandomForestClassifier, RandomForestRegressor
 
@@ -12,11 +12,9 @@ __all__ = [
     "GammaPrior",
     "GaussianProcess",
     "GPHyperparameters",
-    "KERNELS",
     "RandomForestClassifier",
     "RandomForestRegressor",
     "matern52",
     "parameter_scale",
-    "rbf",
     "scaled_distance",
 ]

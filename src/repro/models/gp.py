@@ -62,7 +62,7 @@ from scipy import linalg, optimize
 
 from ..space.parameters import Parameter
 from .distances import DistanceComputer
-from .kernels import KERNELS, KernelWork
+from .kernels import KernelWork, matern52
 from .priors import GammaPrior
 
 __all__ = ["GaussianProcess", "GPHyperparameters"]
@@ -127,7 +127,6 @@ class _MapObjective:
         self._work = KernelWork(self._tensor.shape)
         n = len(y)
         self._diagonal = self._work.kernel.reshape(-1)[:: n + 1]
-        self._kernel = gp._kernel
         self._y = y
         self._y_finite = bool(np.isfinite(y).all())
         self._log_2pi_term = 0.5 * n * math.log(2.0 * math.pi)
@@ -138,7 +137,7 @@ class _MapObjective:
 
     def __call__(self, vector: np.ndarray) -> float:
         hp = GPHyperparameters.from_vector(vector)
-        k_t = self._kernel(self._tensor, hp.lengthscales, hp.outputscale, out=self._work)
+        k_t = matern52(self._tensor, hp.lengthscales, hp.outputscale, out=self._work)
         self._diagonal += hp.noise_variance + _JITTER
         if not np.isfinite(k_t).all():
             raise ValueError("array must not contain infs or NaNs")
@@ -172,8 +171,6 @@ class GaussianProcess:
     ----------
     parameters:
         The search-space parameters; they define the per-dimension distances.
-    kernel:
-        ``"matern52"`` (default, Eq. 1 of the paper) or ``"rbf"``.
     lengthscale_prior:
         Gamma prior applied to every lengthscale; ``None`` disables the prior
         (the "no model priors" ablation of Fig. 9).
@@ -198,7 +195,6 @@ class GaussianProcess:
     def __init__(
         self,
         parameters: Sequence[Parameter],
-        kernel: str = "matern52",
         lengthscale_prior: GammaPrior | None = GammaPrior(shape=2.0, rate=2.0),
         noise_prior: GammaPrior | None = GammaPrior(shape=1.1, rate=20.0),
         outputscale_prior: GammaPrior | None = GammaPrior(shape=2.0, rate=1.0),
@@ -211,11 +207,7 @@ class GaussianProcess:
         rng: np.random.Generator | None = None,
         distance_computer: DistanceComputer | None = None,
     ) -> None:
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; choose from {sorted(KERNELS)}")
         self.parameters = list(parameters)
-        self.kernel_name = kernel
-        self._kernel = KERNELS[kernel]
         self.lengthscale_prior = lengthscale_prior
         self.noise_prior = noise_prior
         self.outputscale_prior = outputscale_prior
@@ -287,7 +279,7 @@ class GaussianProcess:
     def _kernel_matrix(
         self, distance: np.ndarray, hp: GPHyperparameters, noise: bool
     ) -> np.ndarray:
-        k = self._kernel(distance, hp.lengthscales, hp.outputscale)
+        k = matern52(distance, hp.lengthscales, hp.outputscale)
         if noise:
             n = k.shape[0]
             k = k + (hp.noise_variance + _JITTER) * np.eye(n)
@@ -481,7 +473,7 @@ class GaussianProcess:
         L = self._cholesky
         extended = True
         for i in range(self._chol_n, m):
-            k_vec = self._kernel(distance_tensor[:, i, :i], hp.lengthscales, hp.outputscale)
+            k_vec = matern52(distance_tensor[:, i, :i], hp.lengthscales, hp.outputscale)
             b = linalg.solve_triangular(L, k_vec, lower=True)
             pivot = diag - float(b @ b)
             if pivot <= 0.0:
@@ -554,7 +546,7 @@ class GaussianProcess:
             raise RuntimeError("predict() called before fit()")
         hp = self.hyperparameters
         cross = self._distance.pairwise_rows(np.asarray(rows, dtype=float), self._train_rows)
-        k_star = self._kernel(cross, hp.lengthscales, hp.outputscale)
+        k_star = matern52(cross, hp.lengthscales, hp.outputscale)
         mean = k_star @ self._alpha
         v = linalg.solve_triangular(self._cholesky, k_star.T, lower=True)
         prior_var = hp.outputscale

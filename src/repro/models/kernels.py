@@ -12,8 +12,7 @@ combination of per-parameter distances (Eq. 2):
 
 where the per-dimension distances come from
 :class:`repro.models.distances.DistanceComputer` and the lengthscales
-``l_i`` are learned by MAP estimation.  An RBF kernel is provided for
-completeness / ablations.
+``l_i`` are learned by MAP estimation.
 
 Each function takes an optional ``out`` :class:`KernelWork`: its arrays hold
 the intermediates and the result, so a caller that builds many kernels over
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["KernelWork", "matern52", "rbf", "scaled_distance", "KERNELS"]
+__all__ = ["KernelWork", "matern52", "scaled_distance"]
 
 _SQRT5 = np.sqrt(5.0)
 
@@ -95,21 +94,3 @@ def matern52(
     np.multiply(outputscale, k, out=k)
     decay = np.exp(np.negative(sqrt5_d, out=sqrt5_d), out=sqrt5_d)
     return np.multiply(k, decay, out=k)
-
-
-def rbf(
-    distance_tensor: np.ndarray,
-    lengthscales: np.ndarray,
-    outputscale: float = 1.0,
-    out: KernelWork | None = None,
-) -> np.ndarray:
-    """Squared-exponential kernel (ablation alternative): ``outputscale * exp(-d²/2)``."""
-    if out is None:
-        out = KernelWork(np.shape(distance_tensor))
-    d = scaled_distance(distance_tensor, lengthscales, out)
-    d2 = np.square(d, out=d)
-    decay = np.exp(np.multiply(-0.5, d2, out=d2), out=d2)
-    return np.multiply(outputscale, decay, out=out.kernel)
-
-
-KERNELS = {"matern52": matern52, "rbf": rbf}

@@ -17,7 +17,11 @@ tokens.  Inside snapshot payloads they are wire-encoded as
 ``{"$float": "inf"}`` markers (see :func:`wire_encode`); scalar response
 fields such as ``best_value`` are ``null`` until a feasible result exists.
 The integer fields ``budget``, ``seed``, ``n`` and ``id`` must be JSON
-integers: a float, boolean, string or ``null`` there is an error.
+integers: a float, boolean, string or ``null`` there is an error.  The
+number fields ``value`` and ``elapsed`` take a JSON integer or float, never
+a boolean, ``null`` or a string other than ``"inf"``, ``"-inf"`` and
+``"nan"``, the spellings of the non-finite floats strict JSON has no
+number for.
 
 =========  ==============================================================
 op         meaning
@@ -29,7 +33,8 @@ start      create a session: ``benchmark``, ``budget``, optional
 ask        propose configurations: optional ``n`` (default 1)
 tell       report a result: ``id``, ``value``, optional ``feasible``
            (default true) and ``elapsed`` seconds.  Feasible results
-           must carry a finite ``value``.
+           must carry a finite ``value``; ``elapsed`` must be finite
+           and >= 0.
 status     session progress: evaluations, best value, pending ids
 snapshot   checkpoint: optional ``path`` writes a file, otherwise the
            (wire-encoded) payload is returned inline
@@ -163,6 +168,31 @@ def _int_field(request: Mapping[str, Any], key: str, default: int | None = None)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key!r} must be an integer, got {_short(value)}")
     return value
+
+
+#: strict JSON has no non-finite numbers, so clients spell them as strings
+#: (``repr`` of the float; ``TuningClient.tell`` does so)
+_NON_FINITE_SPELLINGS = ("inf", "-inf", "nan")
+
+
+def _number_field(request: Mapping[str, Any], key: str, default: float) -> float:
+    """The JSON number ``request[key]`` as a float (``default`` when absent).
+
+    ``float()`` would read ``true`` as 1.0 and parse the string ``"2.5"``,
+    so anything but an ``int`` or ``float`` that is not a ``bool`` is
+    refused, and so is an integer too large for a float.  The one other
+    spelling is a non-finite float's string, ``"inf"``, ``"-inf"`` or
+    ``"nan"``.
+    """
+    value = request.get(key, default)
+    if isinstance(value, str) and value in _NON_FINITE_SPELLINGS:
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key!r} must be a number, got {_short(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key!r} must be finite, got {_short(value)}") from None
 
 
 class _ManagedSession:
@@ -532,7 +562,7 @@ class SessionRegistry:
             raise ValueError(f"'feasible' must be a boolean, got {_short(feasible)}")
         if "value" not in request and feasible:
             raise ValueError("tell needs a 'value' (or 'feasible': false)")
-        value = float(request.get("value", math.inf))
+        value = _number_field(request, "value", math.inf)
         # json.loads happily produces inf/nan (1e999 overflows even in strict
         # mode); a non-finite feasible value would poison best_value and the
         # GP fit, so reject it here with a clear error
@@ -541,9 +571,9 @@ class SessionRegistry:
                 f"feasible results need a finite 'value', got {value!r} — "
                 "report failed measurements with \"feasible\": false"
             )
-        elapsed = float(request.get("elapsed", 0.0))
-        if not math.isfinite(elapsed):
-            raise ValueError(f"'elapsed' must be finite, got {elapsed!r}")
+        elapsed = _number_field(request, "elapsed", 0.0)
+        if not (math.isfinite(elapsed) and elapsed >= 0.0):
+            raise ValueError(f"'elapsed' must be finite and >= 0, got {elapsed!r}")
         suggestion_id = _int_field(request, "id")
         with self._locked_entry(name) as entry:
             evaluation = entry.session.tell(

@@ -1,6 +1,6 @@
 """Search-space definition layer: parameters, constraints, and Chain-of-Trees."""
 
-from .chain_of_trees import ChainOfTrees, CoTNode, FeasibleSetTooLarge, Tree
+from .chain_of_trees import ChainOfTrees, FeasibleSetTooLarge, Tree
 from .constraints import Constraint, ConstraintError, extract_variables
 from .encoding import ColumnBlock, ConfigEncoder
 from .parameters import (
@@ -26,7 +26,6 @@ __all__ = [
     "Configuration",
     "Constraint",
     "ConstraintError",
-    "CoTNode",
     "FeasibleSetTooLarge",
     "IntegerParameter",
     "NumericParameter",

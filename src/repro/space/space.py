@@ -284,12 +284,11 @@ class SearchSpace:
             tables = []
             if self.chain_of_trees is not None:
                 for tree in self.chain_of_trees.trees:
-                    leaves = tree.leaves()
                     raw = {
                         param.name: self._raw_column(
-                            param, [leaf[param.name] for leaf in leaves]
+                            param, [leaf[level] for leaf in tree.leaf_values]
                         )
-                        for param in tree.parameters
+                        for level, param in enumerate(tree.parameters)
                     }
                     encoded = {
                         name: self.encoder.encode_value_column(name, column)
@@ -516,52 +515,20 @@ class SearchSpace:
     # ------------------------------------------------------------------
     # neighbourhoods
     # ------------------------------------------------------------------
-    def neighbours(
-        self, configuration: Mapping[str, Any], feasible_only: bool = True
-    ) -> list[Configuration]:
-        """All configurations reachable by modifying a single parameter.
-
-        This is the neighbourhood used by BaCO's multi-start local search
-        (Sec. 3.3).  When a parameter belongs to a Chain-of-Trees tree, its
-        candidate values are restricted to those feasible given the other
-        parameters of the same tree, which avoids wasting moves on infeasible
-        configurations.
-        """
-        result: list[Configuration] = []
-        for param in self.parameters:
-            current = configuration[param.name]
-            if (
-                feasible_only
-                and self.chain_of_trees is not None
-                and self.chain_of_trees.covers(param.name)
-            ):
-                candidates = [
-                    v
-                    for v in self.chain_of_trees.feasible_values(param.name, configuration)
-                    if v != param.canonical(current)
-                ]
-            else:
-                candidates = param.neighbours(current)
-            for value in candidates:
-                neighbour = dict(configuration)
-                neighbour[param.name] = value
-                if not feasible_only or self.is_feasible(neighbour):
-                    result.append(neighbour)
-        return result
-
     def neighbour_rows_batch(
         self, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Feasible one-parameter-change neighbourhoods of several rows at once.
 
-        Returns ``(neighbour_rows, owners)`` where ``owners[j]`` is the index
-        of the input row that neighbour ``j`` belongs to; within one owner the
-        neighbours keep the parameter-major order of :meth:`neighbours`.  The
-        candidate *values* come from the same sources as the dict path
-        (Chain-of-Trees conditional values for covered parameters,
-        ``Parameter.neighbours`` otherwise), but materialization is one
-        matrix build and feasibility is one compiled-residual mask instead of
-        a full ``is_feasible`` walk per neighbour.
+        This is the neighbourhood of BaCO's multi-start local search
+        (Sec. 3.3).  Returns ``(neighbour_rows, owners)`` where ``owners[j]``
+        is the index of the input row that neighbour ``j`` belongs to; within
+        one owner the neighbours are parameter-major.  A parameter a
+        Chain-of-Trees tree covers moves only to the values feasible given
+        the rest of its tree (no moves are wasted on infeasible
+        configurations); any other parameter moves to its
+        ``Parameter.neighbours``.  Materialization is one matrix build and
+        feasibility one compiled-residual mask.
         """
         rows = np.asarray(rows, dtype=float)
         encoder = self.encoder
@@ -591,8 +558,7 @@ class SearchSpace:
                         if v != param.canonical(current)
                     ]
                 else:
-                    # the contains() filter mirrors the dict path, where
-                    # is_feasible drops e.g. a real neighbour whose
+                    # contains() drops e.g. a real neighbour whose
                     # exp(warp(high)) clamp overshot the raw bound by one ulp
                     candidates = [
                         v for v in param.neighbours(current) if param.contains(v)

@@ -7,9 +7,14 @@ specifications the vectorized paths are tested against:
 
 * :func:`pairwise_reference` pins ``DistanceComputer.pairwise_rows``;
 * :func:`sample_reference` pins the distribution of ``SearchSpace.sample``;
+* :class:`NodeTree` (recursive ``CoTNode`` growth, the leaf-count pass, the
+  membership walk, ``_collect_feasible_values`` / ``_subtree_matches`` and
+  the stack walk over the leaves) pins the leaf tables of
+  ``repro.space.chain_of_trees.Tree``;
 * :func:`sample_leaf` / :func:`sample_path` pin the uniform and biased modes
   of ``Tree.sample_leaf_indices``;
 * :func:`sample_chain` composes the two per tree, as the scalar sampler did;
+* :func:`neighbours` (the dict path) pins ``SearchSpace.neighbour_rows_batch``;
 * :class:`ReferenceTree` (recursive ``_Node`` growth, ``_best_split``'s
   ``np.var`` scoring and the stack-walk ``predict``) and
   :func:`forest_reference` (the per-tree bootstrap loop) pin the flat-array
@@ -21,17 +26,19 @@ specifications the vectorized paths are tested against:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.models.distances import DistanceComputer
 from repro.models.gp import GaussianProcess
-from repro.space.chain_of_trees import ChainOfTrees, Tree
+from repro.space.chain_of_trees import FeasibleSetTooLarge, Tree
+from repro.space.constraints import Constraint
 from repro.space.parameters import (
     CategoricalParameter,
     NumericParameter,
+    Parameter,
     PermutationParameter,
 )
 from repro.space.space import Configuration, SearchSpace
@@ -76,7 +83,165 @@ def pairwise_reference(
     return out
 
 
-def sample_leaf(tree: Tree, rng: np.random.Generator) -> dict[str, Any]:
+@dataclass
+class CoTNode:
+    """One node of a tree: a single value of a single parameter."""
+
+    value: Any
+    depth: int
+    children: list["CoTNode"] = field(default_factory=list)
+    leaf_count: int = 0
+
+    def is_leaf(self) -> bool:
+        return not self.children
+
+
+class NodeTree:
+    """The historical node-object Chain-of-Trees tree."""
+
+    def __init__(
+        self,
+        parameters: Sequence[Parameter],
+        constraints: Sequence[Constraint],
+        max_nodes: int = 2_000_000,
+    ) -> None:
+        self.parameters = list(parameters)
+        self.parameter_names = [p.name for p in parameters]
+        self.constraints = list(constraints)
+        self._max_nodes = max_nodes
+        self.node_count = 0
+        self.root = CoTNode(value=None, depth=-1)
+        self._build(self.root, {})
+        self._count_leaves(self.root)
+        if self.root.leaf_count == 0:
+            raise ValueError(
+                "constraints over parameters "
+                f"{self.parameter_names} admit no feasible configuration"
+            )
+
+    @classmethod
+    def of(cls, tree: Tree) -> "NodeTree":
+        return cls(tree.parameters, tree.constraints)
+
+    def _applicable(self, partial: Mapping[str, Any]) -> bool:
+        for constraint in self.constraints:
+            if constraint.is_applicable(partial) and not constraint.evaluate(partial):
+                return False
+        return True
+
+    def _build(self, node: CoTNode, partial: dict[str, Any]) -> None:
+        depth = node.depth + 1
+        if depth == len(self.parameters):
+            return
+        param = self.parameters[depth]
+        for value in param.values_list():
+            partial[param.name] = value
+            if self._applicable(partial):
+                self.node_count += 1
+                if self.node_count > self._max_nodes:
+                    raise FeasibleSetTooLarge(
+                        f"feasible enumeration exceeded {self._max_nodes} nodes"
+                    )
+                child = CoTNode(value=value, depth=depth)
+                self._build(child, partial)
+                # only keep children that lead to at least one full assignment
+                if depth == len(self.parameters) - 1 or child.children:
+                    node.children.append(child)
+            del partial[param.name]
+
+    def _count_leaves(self, node: CoTNode) -> int:
+        if node.is_leaf():
+            node.leaf_count = 1 if node.depth == len(self.parameters) - 1 else 0
+            return node.leaf_count
+        node.leaf_count = sum(self._count_leaves(child) for child in node.children)
+        return node.leaf_count
+
+    @property
+    def n_feasible(self) -> int:
+        return self.root.leaf_count
+
+    def contains(self, configuration: Mapping[str, Any]) -> bool:
+        """Walk the tree to test whether a configuration's projection is feasible."""
+        node = self.root
+        for param in self.parameters:
+            value = param.canonical(configuration[param.name])
+            matched = None
+            for child in node.children:
+                if child.value == value:
+                    matched = child
+                    break
+            if matched is None:
+                return False
+            node = matched
+        return True
+
+    def leaves(self) -> tuple[list[dict[str, Any]], np.ndarray]:
+        """The stack walk: every leaf, and the cumulative per-leaf probability
+        of the per-level uniform-child walk, in the walk's order."""
+        leaves: list[dict[str, Any]] = []
+        biased: list[float] = []
+        stack: list[tuple[CoTNode, dict[str, Any], float]] = [(self.root, {}, 1.0)]
+        while stack:
+            node, partial, probability = stack.pop()
+            if node.depth == len(self.parameters) - 1:
+                leaves.append(dict(partial))
+                biased.append(probability)
+                continue
+            next_param = self.parameters[node.depth + 1]
+            share = probability / len(node.children) if node.children else 0.0
+            for child in node.children:
+                nxt = dict(partial)
+                nxt[next_param.name] = child.value
+                stack.append((child, nxt, share))
+        cumulative = np.cumsum(np.asarray(biased, dtype=float))
+        cumulative[-1] = 1.0
+        return leaves, cumulative
+
+    def feasible_values(
+        self, parameter_name: str, configuration: Mapping[str, Any]
+    ) -> list[Any]:
+        """Values of one parameter feasible given the others held fixed."""
+        if parameter_name not in self.parameter_names:
+            raise KeyError(parameter_name)
+        target = self.parameter_names.index(parameter_name)
+        results: list[Any] = []
+        self._collect_feasible_values(self.root, configuration, target, results)
+        return results
+
+    def _collect_feasible_values(
+        self,
+        node: CoTNode,
+        configuration: Mapping[str, Any],
+        target_depth: int,
+        results: list[Any],
+    ) -> None:
+        depth = node.depth + 1
+        if depth == len(self.parameters):
+            return
+        param = self.parameters[depth]
+        for child in node.children:
+            if depth == target_depth:
+                if self._subtree_matches(child, configuration, depth + 1):
+                    if child.value not in results:
+                        results.append(child.value)
+            else:
+                if child.value == param.canonical(configuration[param.name]):
+                    self._collect_feasible_values(child, configuration, target_depth, results)
+
+    def _subtree_matches(
+        self, node: CoTNode, configuration: Mapping[str, Any], depth: int
+    ) -> bool:
+        if depth == len(self.parameters):
+            return True
+        param = self.parameters[depth]
+        value = param.canonical(configuration[param.name])
+        for child in node.children:
+            if child.value == value and self._subtree_matches(child, configuration, depth + 1):
+                return True
+        return False
+
+
+def sample_leaf(tree: NodeTree, rng: np.random.Generator) -> dict[str, Any]:
     """Sample a partial configuration uniformly over the leaves (bias-free)."""
     node = tree.root
     values: dict[str, Any] = {}
@@ -90,7 +255,7 @@ def sample_leaf(tree: Tree, rng: np.random.Generator) -> dict[str, Any]:
     return values
 
 
-def sample_path(tree: Tree, rng: np.random.Generator) -> dict[str, Any]:
+def sample_path(tree: NodeTree, rng: np.random.Generator) -> dict[str, Any]:
     """Sample by choosing a uniformly random child at every level (biased)."""
     node = tree.root
     values: dict[str, Any] = {}
@@ -102,7 +267,7 @@ def sample_path(tree: Tree, rng: np.random.Generator) -> dict[str, Any]:
 
 
 def sample_chain(
-    chain: ChainOfTrees, rng: np.random.Generator, biased: bool = False
+    trees: Sequence[NodeTree], rng: np.random.Generator, biased: bool = False
 ) -> dict[str, Any]:
     """Sample the constrained part of a configuration.
 
@@ -111,7 +276,7 @@ def sample_chain(
     uniform-per-level walk that over-weights sparse subtrees.
     """
     values: dict[str, Any] = {}
-    for tree in chain.trees:
+    for tree in trees:
         draw = sample_path(tree, rng) if biased else sample_leaf(tree, rng)
         values.update(draw)
     return values
@@ -132,6 +297,9 @@ def sample_reference(
     """
     samples: list[Configuration] = []
     covered = space._covered_names()
+    trees = []
+    if space.chain_of_trees is not None:
+        trees = [NodeTree.of(tree) for tree in space.chain_of_trees.trees]
     attempts = 0
     while len(samples) < n_samples:
         attempts += 1
@@ -140,15 +308,45 @@ def sample_reference(
                 "rejection sampling failed to find feasible configurations; "
                 "the feasible region may be too sparse"
             )
-        config: Configuration = {}
-        if space.chain_of_trees is not None:
-            config.update(sample_chain(space.chain_of_trees, rng, biased=biased_cot))
+        config: Configuration = sample_chain(trees, rng, biased=biased_cot)
         for param in space.parameters:
             if param.name not in covered:
                 config[param.name] = param.sample(rng)
         if all(c.evaluate(config) for c in space._residual_constraints):
             samples.append(config)
     return samples
+
+
+def neighbours(
+    space: SearchSpace, configuration: Mapping[str, Any], feasible_only: bool = True
+) -> list[Configuration]:
+    """All configurations reachable by modifying a single parameter.
+
+    When a parameter belongs to a Chain-of-Trees tree, its candidate values
+    are restricted to those feasible given the other parameters of the same
+    tree.
+    """
+    result: list[Configuration] = []
+    for param in space.parameters:
+        current = configuration[param.name]
+        if (
+            feasible_only
+            and space.chain_of_trees is not None
+            and space.chain_of_trees.covers(param.name)
+        ):
+            candidates = [
+                v
+                for v in space.chain_of_trees.feasible_values(param.name, configuration)
+                if v != param.canonical(current)
+            ]
+        else:
+            candidates = param.neighbours(current)
+        for value in candidates:
+            neighbour = dict(configuration)
+            neighbour[param.name] = value
+            if not feasible_only or space.is_feasible(neighbour):
+                result.append(neighbour)
+    return result
 
 
 @dataclass

@@ -1,4 +1,8 @@
-"""Tests for the Chain-of-Trees data structure."""
+"""Tests for the Chain-of-Trees data structure.
+
+The leaf-table ``Tree`` is pinned against the historical node-object tree,
+``oracles.NodeTree``, over random small discrete spaces.
+"""
 
 from __future__ import annotations
 
@@ -11,9 +15,14 @@ from hypothesis import strategies as st
 
 from repro.space.chain_of_trees import ChainOfTrees, FeasibleSetTooLarge, Tree
 from repro.space.constraints import Constraint
-from repro.space.parameters import OrdinalParameter, RealParameter
+from repro.space.parameters import (
+    CategoricalParameter,
+    OrdinalParameter,
+    PermutationParameter,
+    RealParameter,
+)
 
-from oracles import sample_chain, sample_leaf, sample_path
+from oracles import NodeTree, sample_chain, sample_leaf, sample_path
 
 
 def _paper_trees() -> ChainOfTrees:
@@ -57,26 +66,25 @@ class TestTree:
         assert not cot.contains({"p1": 2, "p2": 4, "p3": 4, "p4": 4, "p5": 8})
         assert not cot.contains({"p1": 2, "p2": 2, "p3": 4, "p4": 4, "p5": 2})
 
-    def test_iter_leaves_are_all_feasible_and_unique(self):
+    def test_leaf_values_are_all_feasible_and_unique(self):
         cot = _paper_trees()
         right = cot.tree_for("p5")
-        leaves = list(right.iter_leaves())
-        assert len(leaves) == right.n_feasible
-        seen = set()
-        for leaf in leaves:
-            assert leaf["p4"] >= leaf["p3"]
-            assert leaf["p5"] >= 2 * leaf["p4"]
-            seen.add(tuple(sorted(leaf.items())))
-        assert len(seen) == len(leaves)
+        assert right.parameter_names == ["p3", "p4", "p5"]
+        assert len(right.leaf_values) == right.n_feasible
+        for p3, p4, p5 in right.leaf_values:
+            assert p4 >= p3
+            assert p5 >= 2 * p4
+        assert len(set(right.leaf_values)) == len(right.leaf_values)
 
     def test_sample_leaf_is_uniform(self, rng):
         """Bias-free sampling: every feasible leaf has equal probability."""
         cot = _paper_trees()
         right = cot.tree_for("p3")
+        reference = NodeTree.of(right)
         counts = {}
         n = 6000
         for _ in range(n):
-            leaf = sample_leaf(right, rng)
+            leaf = sample_leaf(reference, rng)
             counts[tuple(sorted(leaf.items()))] = counts.get(tuple(sorted(leaf.items())), 0) + 1
         expected = n / right.n_feasible
         for value in counts.values():
@@ -90,10 +98,11 @@ class TestTree:
         )
         # a=1 admits b in {1,2,3,4}; a=2 admits only b=4 -> path sampling gives
         # the (2, 4) leaf probability 1/2 instead of the uniform 1/5.
+        reference = NodeTree.of(tree)
         n = 4000
-        hits = sum(1 for _ in range(n) if sample_path(tree, rng)["a"] == 2)
+        hits = sum(1 for _ in range(n) if sample_path(reference, rng)["a"] == 2)
         assert hits / n > 0.4
-        hits_uniform = sum(1 for _ in range(n) if sample_leaf(tree, rng)["a"] == 2)
+        hits_uniform = sum(1 for _ in range(n) if sample_leaf(reference, rng)["a"] == 2)
         assert hits_uniform / n < 0.3
 
     def test_feasible_values_conditioned_on_others(self):
@@ -134,9 +143,9 @@ class TestChainOfTrees:
             ChainOfTrees([tree, tree])
 
     def test_sample_respects_all_constraints(self, rng):
-        cot = _paper_trees()
+        references = [NodeTree.of(tree) for tree in _paper_trees().trees]
         for _ in range(100):
-            config = sample_chain(cot, rng)
+            config = sample_chain(references, rng)
             assert config["p1"] >= config["p2"]
             assert config["p4"] >= config["p3"]
             assert config["p5"] >= 2 * config["p4"]
@@ -159,3 +168,73 @@ def test_tree_count_matches_brute_force_random_spaces(n_a, n_b):
     )
     brute = sum(1 for a in a_values for b in b_values if a >= b)
     assert tree.n_feasible == brute
+
+
+_TEMPLATES = (
+    "{x} >= {y}",
+    "{x} * {y} <= {k}",
+    "{x} % {y} == 0",
+    "{x} + {y} != {k}",
+    "({m} == 'u') or ({x} <= {y})",
+)
+
+
+@st.composite
+def discrete_groups(draw):
+    """Random small parameter groups (ordinals, maybe a categorical and a
+    permutation) with one to three constraints over them."""
+    n_ordinal = draw(st.integers(min_value=2, max_value=3))
+    parameters = [
+        OrdinalParameter(
+            f"o{i}",
+            draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True)),
+        )
+        for i in range(n_ordinal)
+    ]
+    if draw(st.booleans()):
+        parameters.append(CategoricalParameter("m", ["u", "v", "w"][: draw(st.integers(1, 3))]))
+    if draw(st.booleans()):
+        parameters.append(PermutationParameter("p", draw(st.integers(2, 3))))
+    parameters = draw(st.permutations(parameters))
+    ordinals = [p.name for p in parameters if p.name.startswith("o")]
+    templates = _TEMPLATES if any(p.name == "m" for p in parameters) else _TEMPLATES[:-1]
+    constraints = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        x, y = draw(st.permutations(ordinals))[:2]
+        expression = draw(st.sampled_from(templates)).format(
+            x=x, y=y, m="m", k=draw(st.integers(1, 40))
+        )
+        constraints.append(Constraint(expression))
+    return parameters, constraints
+
+
+@given(discrete_groups())
+@settings(max_examples=60, deadline=None)
+def test_leaf_tables_equal_node_tree(group):
+    """Property: every query of the leaf tables equals the node-tree walk."""
+    parameters, constraints = group
+    try:
+        reference = NodeTree(parameters, constraints)
+    except ValueError:
+        with pytest.raises(ValueError, match="admit no feasible configuration"):
+            Tree(parameters, constraints)
+        return
+    tree = Tree(parameters, constraints)
+    names = tree.parameter_names
+    leaves, cumulative = reference.leaves()
+    assert tree.leaf_values == [tuple(leaf[name] for name in names) for leaf in leaves]
+    assert tree.n_feasible == reference.n_feasible == len(leaves)
+    assert tree.biased_cumulative.dtype == cumulative.dtype
+    assert np.array_equal(tree.biased_cumulative, cumulative)
+    # same node count: both fit in the same budget and overflow one below it
+    Tree(parameters, constraints, max_nodes=reference.node_count)
+    with pytest.raises(FeasibleSetTooLarge):
+        Tree(parameters, constraints, max_nodes=reference.node_count - 1)
+    # every cell of the dense product, on the tree and off it
+    for values in itertools.product(*(p.values_list() for p in parameters)):
+        configuration = dict(zip(names, values))
+        assert tree.contains(configuration) == reference.contains(configuration)
+        for name in names:
+            assert tree.feasible_values(name, configuration) == reference.feasible_values(
+                name, configuration
+            )

@@ -10,7 +10,7 @@ the straightforward form it replaced: an allocating kernel build, ``K +
 checkpoint depends on the hyper-parameters the fit lands on.
 
 Also here: ``GammaPrior.log_pdf`` against ``scipy.stats.gamma.logpdf``, the
-kernels' ``out=`` buffers against the allocating formulas, the errors a fit
+Matérn kernel's ``out=`` buffers against the allocating formula, the errors a fit
 raises on non-finite input, and a failed fit leaving the GP unchanged.
 """
 
@@ -33,7 +33,7 @@ from repro.core.baco import BacoSettings, BacoTuner
 from repro.core.result import ObjectiveResult
 from repro.models.distances import DistanceComputer, IncrementalDistanceTensor
 from repro.models.gp import GaussianProcess, GPHyperparameters, _MapObjective
-from repro.models.kernels import KERNELS, KernelWork
+from repro.models.kernels import KernelWork, matern52
 from repro.models.priors import GammaPrior
 from repro.space.parameters import (
     CategoricalParameter,
@@ -52,18 +52,17 @@ from oracles import log_likelihood
 
 
 def reference_kernel(
-    name: str, distance_tensor: np.ndarray, lengthscales: np.ndarray, outputscale: float
+    distance_tensor: np.ndarray, lengthscales: np.ndarray, outputscale: float
 ) -> np.ndarray:
-    """The kernels as allocating numpy expressions, one temporary per step."""
+    """The Matérn-5/2 kernel as allocating numpy expressions, one temporary
+    per step."""
     distance_tensor = np.asarray(distance_tensor, dtype=float)
     lengthscales = np.asarray(lengthscales, dtype=float)
     lengthscales = lengthscales.reshape(-1, *([1] * (distance_tensor.ndim - 1)))
     scaled = distance_tensor / lengthscales
     d = np.sqrt(np.sum(scaled**2, axis=0))
-    if name == "matern52":
-        sqrt5_d = np.sqrt(5.0) * d
-        return outputscale * (1.0 + sqrt5_d + (5.0 / 3.0) * d**2) * np.exp(-sqrt5_d)
-    return outputscale * np.exp(-0.5 * d**2)
+    sqrt5_d = np.sqrt(5.0) * d
+    return outputscale * (1.0 + sqrt5_d + (5.0 / 3.0) * d**2) * np.exp(-sqrt5_d)
 
 
 def reference_log_pdf(prior: GammaPrior, value):
@@ -78,7 +77,7 @@ def reference_negative_log_posterior(
 ) -> float:
     """Negative log posterior of ``vector``, computed the straightforward way."""
     hp = GPHyperparameters.from_vector(vector)
-    k = reference_kernel(gp.kernel_name, distance_tensor, hp.lengthscales, hp.outputscale)
+    k = reference_kernel(distance_tensor, hp.lengthscales, hp.outputscale)
     k = k + (hp.noise_variance + 1e-8) * np.eye(k.shape[0])
     try:
         chol = linalg.cholesky(k, lower=True)
@@ -167,13 +166,12 @@ def _dataset(parameters, seed, n):
     return configs, values
 
 
-def _gp(parameters, computer, seed=0, kernel="matern52", ls_prior=True, **kwargs):
+def _gp(parameters, computer, seed=0, ls_prior=True, **kwargs):
     kwargs.setdefault("n_prior_samples", 4)
     kwargs.setdefault("n_refined_starts", 1)
     kwargs.setdefault("max_optimizer_iterations", 10)
     return GaussianProcess(
         parameters,
-        kernel=kernel,
         lengthscale_prior=GammaPrior(2.0, 2.0) if ls_prior else None,
         rng=np.random.default_rng(seed),
         distance_computer=computer,
@@ -192,18 +190,17 @@ class TestMapObjective:
         n=st.integers(2, 130),
         seed=st.integers(0, 2**31 - 1),
         strided=st.booleans(),
-        kernel=st.sampled_from(sorted(KERNELS)),
         ls_prior=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_equals_reference_exactly(self, kinds, n, seed, strided, kernel, ls_prior, data):
+    def test_equals_reference_exactly(self, kinds, n, seed, strided, ls_prior, data):
         parameters = _parameters(kinds)
         computer = DistanceComputer(parameters)
         configs, _ = _dataset(parameters, seed, n)
         tensor = _train_tensor(computer, computer.encoder.encode_batch(configs), strided)
         y = np.random.default_rng(seed).normal(size=n)
-        gp = _gp(parameters, computer, kernel=kernel, ls_prior=ls_prior)
+        gp = _gp(parameters, computer, ls_prior=ls_prior)
         objective = _MapObjective(gp, tensor, y)
         bounds = gp._hyper_bounds()
         for _ in range(3):
@@ -230,7 +227,7 @@ class TestFitParity:
     """Whole fits land on the same bits under the objective and the oracle."""
 
     @staticmethod
-    def _fit_both(monkeypatch, strategy, kernel, ls_prior, seed=7, n=40):
+    def _fit_both(monkeypatch, strategy, seed=7, n=40):
         parameters = _parameters([0, 1, 2, 3, 4, 2])
         computer = DistanceComputer(parameters)
         configs, values = _dataset(parameters, seed, n)
@@ -239,7 +236,7 @@ class TestFitParity:
         fitted = []
         for objective in (_MapObjective, _ReferenceObjective):
             monkeypatch.setattr(gp_module, "_MapObjective", objective)
-            gp = _gp(parameters, computer, seed=seed, kernel=kernel, ls_prior=ls_prior)
+            gp = _gp(parameters, computer, seed=seed)
             gp.fit_rows(rows[:-5], values[:-5], distance_tensor=tensor[:, :-5, :-5])
             gp.fit_rows(
                 rows, values, distance_tensor=tensor, hyper_strategy=strategy,
@@ -249,10 +246,9 @@ class TestFitParity:
         return fitted
 
     @pytest.mark.parametrize("strategy", ["sweep", "warm"])
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_same_hyperparameters_and_factor(self, monkeypatch, strategy, kernel):
+    def test_same_hyperparameters_and_factor(self, monkeypatch, strategy):
         _ReferenceObjective.calls = 0
-        new, ref = self._fit_both(monkeypatch, strategy, kernel, ls_prior=kernel == "matern52")
+        new, ref = self._fit_both(monkeypatch, strategy)
         assert _ReferenceObjective.calls > 0
         assert _same_bits(new.hyperparameters.lengthscales, ref.hyperparameters.lengthscales)
         assert new.hyperparameters.outputscale == ref.hyperparameters.outputscale
@@ -287,9 +283,8 @@ class TestGammaPriorMatchesScipy:
 
 
 class TestKernelWork:
-    @pytest.mark.parametrize("name", sorted(KERNELS))
     @pytest.mark.parametrize("shape", [(3, 7, 7), (3, 5, 9), (4, 6)])
-    def test_same_bits_with_and_without_out(self, name, shape):
+    def test_same_bits_with_and_without_out(self, shape):
         rng = np.random.default_rng(11)
         buffer = rng.random((shape[0], *(s + 3 for s in shape[1:])))
         tensor = buffer[(slice(None), *(slice(0, s) for s in shape[1:]))]  # strided view
@@ -297,9 +292,9 @@ class TestKernelWork:
         for _ in range(3):
             lengthscales = rng.uniform(0.01, 10.0, shape[0])
             outputscale = float(rng.uniform(0.01, 100.0))
-            expected = reference_kernel(name, tensor, lengthscales, outputscale)
-            assert _same_bits(KERNELS[name](tensor, lengthscales, outputscale), expected)
-            got = KERNELS[name](tensor, lengthscales, outputscale, out=work)
+            expected = reference_kernel(tensor, lengthscales, outputscale)
+            assert _same_bits(matern52(tensor, lengthscales, outputscale), expected)
+            got = matern52(tensor, lengthscales, outputscale, out=work)
             assert got is work.kernel
             assert _same_bits(got, expected)
 

@@ -15,6 +15,10 @@ Four layers of protection for the encoding-layer and ask/tell refactors:
   constraints run the propagation-pruned sampler
   (``tests/data/bitcompat_trajectories_hard_constraint.json``) — driven
   through the ask/tell ``TuningSession`` underneath ``tune()``,
+* the other consumers of the Chain-of-Trees ordering reproduce theirs too
+  (``tests/data/bitcompat_baselines.json``): the ``CoT Sampling``,
+  ``ATF with OpenTuner`` and ``Uniform Sampling`` traces on one RISE and one
+  TACO workload, and the expert configuration of every Table-3 benchmark,
 * a tampered ``fast`` policy state is refused on restore, naming the field,
 * every tuner checkpointed mid-run and restored **in a fresh process**
   completes with a trace bit-identical to an uninterrupted run,
@@ -59,6 +63,13 @@ FIXTURES = {
     "fast": _DATA / "bitcompat_trajectories_fast.json",
     "hard_constraint": _DATA / "bitcompat_trajectories_hard_constraint.json",
 }
+BASELINE_FIXTURE = _DATA / "bitcompat_baselines.json"
+#: (tuner, benchmark) pairs of the baseline fixture
+BASELINE_CASES = [
+    (tuner, name)
+    for tuner in ("CoT Sampling", "ATF with OpenTuner", "Uniform Sampling")
+    for name in ("rise_mm_gpu", "taco_spmm_scircuit")
+]
 #: (fixture, benchmark, surrogate policy)
 TRAJECTORY_CASES = [
     (policy, name, policy)
@@ -77,6 +88,22 @@ def _params(metric: str = "kendall"):
         RealParameter("alpha", 0.1, 10.0, transform="log"),
         CategoricalParameter("sched", ["a", "b", "c"]),
         PermutationParameter("perm", 6, metric=metric),
+    ]
+
+
+def _plain(configuration):
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in configuration.items()}
+
+
+def _trace(history):
+    return [
+        {
+            "configuration": _plain(e.configuration),
+            "value": e.value,
+            "feasible": e.feasible,
+            "phase": e.phase,
+        }
+        for e in history
     ]
 
 
@@ -204,12 +231,19 @@ class TestTrajectoryBitCompatibility:
     first sweep, warm refits and frozen Cholesky extensions.  The
     ``hard_constraint`` ones (same seed and budget, default settings) pin the
     sampler that draws propagation-narrowed domains, DoE and local search
-    alike.
+    alike.  The baseline ones pin the other orders the Chain-of-Trees fixes:
+    ``CoT Sampling`` draws through the biased cumulative weights, OpenTuner
+    mutates through ``feasible_values`` and the expert search keeps the
+    first strictly better value in ``feasible_values`` order.
     """
 
     @pytest.fixture(scope="class")
     def fixtures(self):
         return {policy: json.loads(path.read_text()) for policy, path in FIXTURES.items()}
+
+    @pytest.fixture(scope="class")
+    def baselines(self):
+        return json.loads(BASELINE_FIXTURE.read_text())
 
     @pytest.mark.parametrize(
         "fixture,benchmark_name,policy",
@@ -226,20 +260,29 @@ class TestTrajectoryBitCompatibility:
             bench.space, BacoSettings(surrogate_policy=policy), seed=fx["seed"]
         )
         history = tuner.tune(bench.evaluate, fx["budget"], benchmark_name=benchmark_name)
-        got = [
-            {
-                "configuration": {
-                    k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in e.configuration.items()
-                },
-                "value": e.value,
-                "feasible": e.feasible,
-                "phase": e.phase,
-            }
-            for e in history
-        ]
-        assert got == fx["evaluations"]
+        assert _trace(history) == fx["evaluations"]
         assert list(history.best_so_far()) == fx["incumbent"]
+
+    @pytest.mark.parametrize("tuner_name,benchmark_name", BASELINE_CASES)
+    def test_identical_baseline_trace(self, baselines, tuner_name, benchmark_name):
+        from repro.experiments.runner import make_tuner
+        from repro.workloads.registry import get_benchmark
+
+        fx = baselines["trajectories"][tuner_name][benchmark_name]
+        bench = get_benchmark(benchmark_name)
+        tuner = make_tuner(tuner_name, bench.space, seed=fx["seed"])
+        history = tuner.tune(bench.evaluate, fx["budget"], benchmark_name=benchmark_name)
+        assert _trace(history) == fx["evaluations"]
+        assert list(history.best_so_far()) == fx["incumbent"]
+
+    def test_identical_expert_configurations(self, baselines):
+        from repro.workloads.registry import benchmark_names, get_benchmark
+
+        got = {}
+        for name in benchmark_names():
+            expert = get_benchmark(name).expert_configuration
+            got[name] = None if expert is None else _plain(expert)
+        assert got == baselines["expert_configurations"]
 
 
 # the script a "crashed and restarted" tuning process would run: load the

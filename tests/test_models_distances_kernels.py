@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.distances import DistanceComputer, parameter_scale
-from repro.models.kernels import matern52, rbf, scaled_distance
+from repro.models.kernels import matern52, scaled_distance
 from repro.models.priors import GammaPrior
 from repro.space.parameters import (
     CategoricalParameter,
@@ -114,12 +114,6 @@ class TestKernels:
         assert np.allclose(k, k.T)
         eigenvalues = np.linalg.eigvalsh(k + 1e-10 * np.eye(k.shape[0]))
         assert eigenvalues.min() > -1e-8
-
-    def test_rbf_is_symmetric_psd(self, rng):
-        tensor = self._tensor(rng, n=12)
-        k = rbf(tensor, np.full(tensor.shape[0], 0.5))
-        assert np.allclose(k, k.T)
-        assert np.linalg.eigvalsh(k + 1e-10 * np.eye(k.shape[0])).min() > -1e-8
 
     def test_kernel_decreases_with_distance(self):
         tensor = np.array([[[0.0, 0.1, 1.0], [0.1, 0.0, 0.5], [1.0, 0.5, 0.0]]])

@@ -68,8 +68,10 @@ def test_sampled_configurations_always_feasible_and_encodable(space, seed):
 @settings(max_examples=20, deadline=None)
 def test_neighbours_preserve_feasibility_and_differ_in_one_parameter(space, seed):
     rng = np.random.default_rng(seed)
-    config = space.sample_one(rng)
-    for neighbour in space.neighbours(config):
+    row = space.sample_rows(rng, 1)
+    config = space.encoder.decode(row[0])
+    neighbours, _ = space.neighbour_rows_batch(row)
+    for neighbour in map(space.encoder.decode, neighbours):
         assert space.is_feasible(neighbour)
         differing = [n for n in space.parameter_names if neighbour[n] != config[n]]
         assert len(differing) == 1

@@ -117,10 +117,16 @@ class TestSampling:
         assert set(default) == set(small_space.parameter_names)
 
 
+def _neighbours(space, config):
+    """Decoded ``neighbour_rows_batch`` neighbourhood of one configuration."""
+    rows, _ = space.neighbour_rows_batch(space.encode(config)[None, :])
+    return [space.encoder.decode(row) for row in rows]
+
+
 class TestNeighbours:
     def test_neighbours_differ_in_exactly_one_parameter(self, small_space):
         config = {"p1": 8, "p2": 4, "sched": "static", "order": (0, 1, 2)}
-        for neighbour in small_space.neighbours(config):
+        for neighbour in _neighbours(small_space, config):
             diffs = [
                 name
                 for name in small_space.parameter_names
@@ -130,18 +136,18 @@ class TestNeighbours:
 
     def test_neighbours_are_feasible(self, small_space):
         config = {"p1": 4, "p2": 4, "sched": "dynamic", "order": (2, 1, 0)}
-        for neighbour in small_space.neighbours(config):
+        for neighbour in _neighbours(small_space, config):
             assert small_space.is_feasible(neighbour)
 
     def test_constrained_neighbours_use_cot_values(self, small_space):
         config = {"p1": 2, "p2": 2, "sched": "static", "order": (0, 1, 2)}
-        p2_values = {n["p2"] for n in small_space.neighbours(config) if n["p2"] != 2}
+        p2_values = {n["p2"] for n in _neighbours(small_space, config) if n["p2"] != 2}
         # p2 can only stay <= p1 = 2, so no feasible alternative value exists
         assert p2_values == set()
 
     def test_unconstrained_neighbours(self, unconstrained_space):
         config = {"tile": 4, "threads": 4, "alpha": 1.0, "mode": "a"}
-        neighbours = unconstrained_space.neighbours(config)
+        neighbours = _neighbours(unconstrained_space, config)
         assert any(n["mode"] == "b" for n in neighbours)
         assert any(n["tile"] in (2, 8) for n in neighbours)
 

@@ -14,6 +14,12 @@ Regression tests for the four serve-loop bugs:
 Plus coverage of every documented error path and a fuzz-style test feeding
 500+ adversarial request lines through ``handle_line``, asserting it never
 raises and always answers strict JSON.
+
+And one coercion bug: ``tell`` read ``value`` and ``elapsed`` through
+``float()``, so ``"value": true`` was recorded as a feasible 1.0, strings
+such as ``"2.5"`` and ``"-3"`` were parsed, and ``null`` failed with a raw
+``TypeError``.  Both fields now take JSON numbers only (a non-finite value
+as the string ``"inf"``, ``"-inf"`` or ``"nan"``), in process and over TCP.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import string
 
 import pytest
 
+from repro.client import TuningClient
+from repro.server import running_server
 from repro.service import (
     MAX_LINE_BYTES,
     SessionRegistry,
@@ -174,6 +182,77 @@ class TestNonFiniteTellRejected:
             {"op": "tell", "id": 0, "value": 1.0, "elapsed": 1e999}
         )
         assert not response["ok"] and "elapsed" in response["error"]
+
+
+#: (field, bad value): not a JSON number (nor a non-finite float's
+#: string), a number too large for a float, or a negative ``elapsed``
+BAD_TELL_NUMBERS = [
+    *[("value", v) for v in (True, False, "2.5", "Infinity", None, [1.0], {"$float": "inf"})],
+    ("value", 10**400),
+    *[("elapsed", v) for v in (True, "-3", "0.5", None, -3, -0.5, "inf")],
+]
+
+
+class TestTellNumberFields:
+    """Regression: ``tell`` takes only JSON numbers for ``value`` and
+    ``elapsed``, and each error names its field."""
+
+    @staticmethod
+    def _started():
+        service = SessionService()
+        assert service.handle(start_request())["ok"]
+        service.handle({"op": "ask", "n": 2})
+        return service
+
+    @pytest.mark.parametrize(
+        "field, value", BAD_TELL_NUMBERS,
+        ids=[f"{field}={value!r}"[:24] for field, value in BAD_TELL_NUMBERS],
+    )
+    def test_rejected_in_process(self, field, value):
+        service = self._started()
+        request = {"op": "tell", "id": 0, "value": 2.0, field: value}
+        response = strict_loads(service.handle_line(json.dumps(request)))
+        assert response["ok"] is False
+        assert f"'{field}'" in response["error"], response["error"]
+        status = service.handle({"op": "status"})
+        assert status["pending_ids"] == [0, 1] and status["evaluations"] == 0
+
+    @pytest.mark.parametrize("value", [True, "2.5", None])
+    def test_infeasible_value_is_still_a_number(self, value):
+        service = self._started()
+        request = {"op": "tell", "id": 0, "feasible": False, "value": value}
+        response = service.handle(request)
+        assert response["ok"] is False and "'value'" in response["error"]
+
+    def test_non_finite_values_travel_as_strings(self):
+        service = self._started()
+        request = {"op": "tell", "id": 0, "feasible": False, "value": "-inf"}
+        assert service.handle(request)["ok"]
+        response = service.handle({"op": "tell", "id": 1, "value": "inf"})
+        assert response["ok"] is False and "finite 'value'" in response["error"]
+        payload = wire_decode(service.handle({"op": "snapshot"})["snapshot"])
+        assert payload["history"]["evaluations"][0]["value"] == -math.inf
+
+    def test_json_integers_are_numbers(self):
+        service = self._started()
+        told = service.handle({"op": "tell", "id": 0, "value": 3, "elapsed": 0})
+        assert told["ok"] is True and told["best_value"] == 3.0
+        assert service.handle({"op": "tell", "id": 1, "value": 2.5, "elapsed": 2})["ok"]
+
+    def test_rejected_over_tcp(self):
+        registry = SessionRegistry(max_sessions=2)
+        with running_server(registry) as server:
+            with TuningClient(port=server.port) as client:
+                client.start(benchmark=BENCH, budget=4, tuner="Uniform Sampling", seed=2)
+                client.ask(2)
+                for field, value in BAD_TELL_NUMBERS:
+                    response = client.call("tell", **{"id": 0, "value": 2.0, field: value})
+                    assert response["ok"] is False, (field, value)
+                    assert f"'{field}'" in response["error"], response["error"]
+                status = client.status()
+                assert status["pending_ids"] == [0, 1] and status["evaluations"] == 0
+                told = client.call("tell", id=0, value=2, elapsed=1)
+                assert told["ok"] is True and told["best_value"] == 2.0
 
 
 class TestStartConflicts:

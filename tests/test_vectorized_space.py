@@ -6,9 +6,9 @@ Guards for the three layers introduced by the row-space refactor:
   column evaluator that must agree with the scalar ``evaluate`` oracle on all
   full configurations (plus the applicability edge cases around missing
   variables, and the frozen eval namespace of the scalar path);
-* **Chain-of-Trees leaf caches** — the materialized leaf list and the
-  vectorized leaf-index samplers are cached once and stay consistent with
-  the recursive reference walks (trees are immutable after build);
+* **Chain-of-Trees leaf tables** — the leaf list and the vectorized
+  leaf-index samplers agree with the constraints and the per-level walk's
+  distribution;
 * **Row-space search-space API** — ``sample_rows`` / ``feasible_mask_rows`` /
   ``neighbour_rows_batch`` agree with the scalar dict paths, pinned both on
   hand-built spaces and on hypothesis-randomized R/I/O/C/P spaces.
@@ -32,7 +32,7 @@ from repro.space import (
 )
 from repro.space.constraints import _SCALAR_GLOBALS, compile_column_evaluator
 
-from oracles import sample_reference
+from oracles import neighbours, sample_reference
 
 
 def _mixed_params():
@@ -166,7 +166,7 @@ class TestCompiledConstraints:
 
 
 # ---------------------------------------------------------------------------
-# Chain-of-Trees leaf caches
+# Chain-of-Trees leaf tables
 # ---------------------------------------------------------------------------
 
 class TestLeafCaches:
@@ -178,36 +178,15 @@ class TestLeafCaches:
             [Constraint("b >= a * a")],
         )
 
-    def test_leaves_materialized_once(self, monkeypatch):
-        tree = self._tree()
-        calls = {"n": 0}
-        original = type(tree)._materialize_leaves
-
-        def counting(self):
-            calls["n"] += 1
-            original(self)
-
-        monkeypatch.setattr(type(tree), "_materialize_leaves", counting)
-        first = tree.leaves()
-        for _ in range(5):
-            assert tree.leaves() is first
-            list(tree.iter_leaves())
-            tree.sample_leaf_indices(np.random.default_rng(0), 3)
-        assert calls["n"] == 1
-
     def test_cache_matches_recursive_walk_and_counts(self):
         tree = self._tree()
-        leaves = tree.leaves()
+        leaves = tree.leaf_values
         assert len(leaves) == tree.n_feasible
-        keys = {tuple(sorted(leaf.items())) for leaf in leaves}
-        assert len(keys) == len(leaves)
-        for leaf in leaves:
-            assert leaf["b"] >= leaf["a"] * leaf["a"]
-        # iter_leaves yields copies: mutating them must not corrupt the cache
-        for leaf in tree.iter_leaves():
-            leaf["a"] = -1
-        assert tree.leaves() is leaves
-        assert all(leaf["a"] in (1, 2) for leaf in leaves)
+        assert len(set(leaves)) == len(leaves)
+        for a, b in leaves:
+            assert b >= a * a
+        # the stack-walk order: the depth-first enumeration reversed
+        assert leaves == [(2, 4), (1, 4), (1, 3), (1, 2), (1, 1)]
 
     def test_uniform_indices_cover_all_leaves(self):
         tree = self._tree()
@@ -222,8 +201,7 @@ class TestLeafCaches:
         rng = np.random.default_rng(4)
         n = 4000
         indices = tree.sample_leaf_indices(rng, n, biased=True)
-        leaves = tree.leaves()
-        hits = sum(1 for i in indices if leaves[i]["a"] == 2)
+        hits = sum(1 for i in indices if tree.leaf_values[i][0] == 2)
         # a=2 admits a single leaf reached with per-level probability 1/2
         assert abs(hits / n - 0.5) < 0.05
 
@@ -360,7 +338,7 @@ class TestRowSpaceAPI:
         for i, row in enumerate(rows):
             config = decode(row)
             want = sorted(
-                space.freeze(n) for n in space.neighbours(config, feasible_only=True)
+                space.freeze(n) for n in neighbours(space, config, feasible_only=True)
             )
             got = sorted(space.freeze(decode(r)) for r in batch[owners == i])
             assert len(got) == len(want)
