@@ -234,16 +234,15 @@ class BacoSettings:
     use_local_search: bool = True
     #: model hidden constraints with the RF feasibility classifier (Sec. 4.2)
     use_feasibility_model: bool = True
-    #: apply the random minimum-feasibility threshold ε_f
+    #: apply the random minimum-feasibility threshold ε_f (Sec. 4.2: 0 with
+    #: probability 0.3, else uniform on (0, 0.8])
     use_feasibility_threshold: bool = True
     #: local-search settings
     n_random_samples: int = 256
     n_local_search_starts: int = 5
     max_local_search_steps: int = 32
-    #: feasibility model / threshold settings
+    #: feasibility model settings
     feasibility_trees: int = 24
-    epsilon_zero_probability: float = 0.3
-    epsilon_max: float = 0.8
     #: GP fitting effort
     gp_prior_samples: int = 16
     gp_refined_starts: int = 2
@@ -288,9 +287,7 @@ class BacoTuner(Tuner):
             space, n_trees=self.settings.feasibility_trees, rng=self._rng
         ) if self.settings.use_feasibility_model else None
         self._epsilon_schedule = FeasibilityThresholdSchedule(
-            zero_probability=self.settings.epsilon_zero_probability,
-            max_threshold=self.settings.epsilon_max,
-            enabled=self.settings.use_feasibility_threshold,
+            enabled=self.settings.use_feasibility_threshold
         )
         # Shared encoding layer: one distance computer (and encoder) reused
         # by every per-iteration GP instance, plus per-observation caches

@@ -88,7 +88,6 @@ __all__ = [
     "DEFAULT_SESSION",
     "MAX_LINE_BYTES",
     "SessionRegistry",
-    "SessionService",
     "json_safe",
     "serve",
     "wire_decode",
@@ -723,20 +722,6 @@ class SessionRegistry:
         saved = self.autosave_all()
         self.running = False
         return {"stopping": True, "saved": saved}
-
-
-class SessionService(SessionRegistry):
-    """Single-session stdin/stdout dispatcher: the degenerate registry.
-
-    Kept for backwards compatibility — requests without a ``session`` field
-    operate on the ``"default"`` session as the pre-registry service did,
-    with one deliberate exception: ``start`` no longer silently discards an
-    unfinished session (that was a bug — pass ``"force": true`` for the old
-    replace-unconditionally behaviour).
-    """
-
-    def __init__(self) -> None:
-        super().__init__(sessions_dir=None, max_sessions=1)
 
 
 def serve(

@@ -101,9 +101,9 @@ class Tree:
         """The feasible leaves as value tuples, in depth-first order.
 
         Every applicable extension of a partial assignment counts as one node
-        against ``max_nodes``, dead ends included.  No domain propagation:
+        against ``max_nodes``, dead ends included.  No domain pruning:
         per-node pruning enumerates the same leaves, only slower
-        (docs/architecture.md, "Constraint propagation").
+        (docs/architecture.md, "Unary constraint narrowing").
         """
         leaves: list[tuple] = []
         partial: dict[str, Any] = {}

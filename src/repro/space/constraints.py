@@ -29,24 +29,13 @@ import numpy as np
 __all__ = [
     "Constraint",
     "ConstraintError",
-    "Domain",
-    "DomainReducer",
     "extract_variables",
     "compile_column_evaluator",
-    "compile_domain_reducer",
-    "propagate_domains",
 ]
 
 
 class ConstraintError(ValueError):
     """Raised when a constraint expression is malformed."""
-
-
-class _Unset:
-    """Sentinel distinguishing 'not compiled yet' from 'compiles to None'."""
-
-
-_UNSET = _Unset()
 
 
 _ALLOWED_FUNCTIONS: dict[str, Any] = {
@@ -118,7 +107,6 @@ class Constraint:
         self._code = compile(tree, filename="<constraint>", mode="eval")
         self._callable: Callable[[Mapping[str, Any]], bool] | None = None
         self._column_evaluator: ColumnEvaluator | None = None
-        self._domain_reducer: "DomainReducer | None | _Unset" = _UNSET
 
     @classmethod
     def from_callable(
@@ -137,7 +125,6 @@ class Constraint:
         obj._code = None
         obj._callable = func
         obj._column_evaluator = None
-        obj._domain_reducer = _UNSET
         return obj
 
     def evaluate(self, configuration: Mapping[str, Any]) -> bool:
@@ -409,524 +396,6 @@ def _compile_column_node(node: ast.AST) -> Callable[[Mapping[str, Any]], Any]:
     raise ConstraintError(  # pragma: no cover - _validate_expression guards this
         f"cannot compile node {type(node).__name__!r} for column evaluation"
     )
-
-
-# ---------------------------------------------------------------------------
-# domain reducers (constraint propagation)
-# ---------------------------------------------------------------------------
-
-#: Product-support enumeration cap: an atom whose unfixed discrete domains
-#: multiply out beyond this many tuples is left unpruned (sound fallback)
-#: rather than materialized.
-_MAX_SUPPORT_PRODUCT = 262_144
-
-#: Fixed-point iteration bound.  Reducers are contracting, so each round
-#: either shrinks some domain or terminates; the bound only guards against
-#: pathological ping-ponging from float round-off in interval endpoints.
-_MAX_PROPAGATION_ROUNDS = 64
-
-
-class Domain:
-    """A candidate domain for one parameter during propagation.
-
-    Two shapes:
-
-    * ``discrete`` — an explicit, order-preserving tuple of admissible values
-      (integers, ordinals, categoricals, small integer ranges);
-    * ``interval`` — closed endpoints ``[low, high]`` for reals and integer
-      ranges too large to enumerate.
-
-    Reducers only ever *shrink* domains (subset of values, sub-interval), so
-    propagation is monotone and its fixed point is order-independent.
-    """
-
-    __slots__ = ("kind", "values", "low", "high")
-
-    def __init__(self, kind: str, values: tuple | None, low: float, high: float):
-        self.kind = kind
-        self.values = values
-        self.low = low
-        self.high = high
-
-    @classmethod
-    def discrete(cls, values: Iterable[Any]) -> "Domain":
-        return cls("discrete", tuple(values), math.nan, math.nan)
-
-    @classmethod
-    def interval(cls, low: float, high: float) -> "Domain":
-        return cls("interval", None, float(low), float(high))
-
-    @property
-    def is_empty(self) -> bool:
-        if self.kind == "discrete":
-            return not self.values
-        return not self.low <= self.high
-
-    @property
-    def size(self) -> float:
-        """Number of values (discrete) or interval width (interval)."""
-        if self.kind == "discrete":
-            return float(len(self.values))
-        return max(0.0, self.high - self.low)
-
-    def empty_like(self) -> "Domain":
-        if self.kind == "discrete":
-            return Domain.discrete(())
-        return Domain.interval(math.inf, -math.inf)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Domain):
-            return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "discrete":
-            return self.values == other.values
-        return (self.low, self.high) == (other.low, other.high)
-
-    def __hash__(self) -> int:
-        if self.kind == "discrete":
-            return hash(("discrete", self.values))
-        return hash(("interval", self.low, self.high))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.kind == "discrete":
-            return f"Domain.discrete({self.values!r})"
-        return f"Domain.interval({self.low!r}, {self.high!r})"
-
-
-class DomainReducer:
-    """Per-constraint domain pruner.
-
-    Calling the reducer with ``(domains, fixed)`` — ``domains`` mapping each
-    unfixed parameter to its current :class:`Domain` and ``fixed`` holding the
-    concrete prefix assignment — returns a dict of *changed* domains for a
-    subset of the constraint's variables.  Guarantee (pinned by tests): a
-    returned domain never drops a value that participates in some assignment
-    satisfying the constraint, i.e. pruning is sound with respect to the
-    scalar :meth:`Constraint.evaluate` oracle.
-    """
-
-    __slots__ = ("_apply", "variables", "name")
-
-    def __init__(
-        self,
-        apply: Callable[[Mapping[str, "Domain"], Mapping[str, Any]], dict[str, "Domain"]],
-        variables: frozenset[str],
-        name: str,
-    ) -> None:
-        self._apply = apply
-        self.variables = variables
-        self.name = name
-
-    def __call__(
-        self, domains: Mapping[str, "Domain"], fixed: Mapping[str, Any]
-    ) -> dict[str, "Domain"]:
-        return self._apply(domains, fixed)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DomainReducer({self.name!r})"
-
-
-class _InfeasibleChanges(dict):
-    """Sentinel: the constraint is violated by ``fixed`` alone.
-
-    Distinguishes "nothing to prune" (plain ``{}``) from "no completion can
-    ever satisfy this constraint" when none of the constraint's variables
-    carry a domain to empty (all fixed).  Always the ``_INFEASIBLE``
-    singleton; never mutated.
-    """
-
-
-_INFEASIBLE = _InfeasibleChanges()
-
-
-def _node_variables(node: ast.AST) -> frozenset[str]:
-    return frozenset(
-        n.id
-        for n in ast.walk(node)
-        if isinstance(n, ast.Name) and n.id not in _ALLOWED_FUNCTIONS
-    )
-
-
-def _column_from_values(values: Sequence[Any]) -> np.ndarray:
-    """Value tuple -> numpy column, boxing tuples so they stay elementwise."""
-    if any(isinstance(v, (tuple, list)) for v in values):
-        column = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            column[i] = tuple(v) if isinstance(v, (tuple, list)) else v
-        return column
-    return np.asarray(values)
-
-
-def _product_gac(
-    mask_fn: Callable[[Mapping[str, Any]], Any],
-    names: Sequence[str],
-    domains: Mapping[str, Domain],
-    fixed: Mapping[str, Any],
-) -> dict[str, Domain]:
-    """Generalized arc consistency over the Cartesian product of ``names``.
-
-    Enumerates every tuple of candidate values, evaluates the atom's compiled
-    column mask once over the whole product, and keeps — per variable — the
-    values appearing in at least one satisfying tuple.
-    """
-    arrays = [_column_from_values(domains[name].values) for name in names]
-    sizes = [len(a) for a in arrays]
-    index_grid = np.indices(sizes).reshape(len(names), -1)
-    env: dict[str, Any] = dict(fixed)
-    for name, array, rows in zip(names, arrays, index_grid):
-        env[name] = array[rows]
-    with np.errstate(all="ignore"):
-        try:
-            mask = np.asarray(mask_fn(env), dtype=bool)
-        except (TypeError, ValueError):
-            return {}
-    changes: dict[str, Domain] = {}
-    for name, size, rows in zip(names, sizes, index_grid):
-        keep = np.zeros(size, dtype=bool)
-        keep[rows[mask]] = True
-        if not keep.all():
-            changes[name] = Domain.discrete(
-                value for value, kept in zip(domains[name].values, keep) if kept
-            )
-    return changes
-
-
-#: Compare-op flips for normalizing ``expr OP name`` into ``name OP expr``.
-_FLIPPED_COMPARES: dict[type, type] = {
-    ast.Lt: ast.Gt,
-    ast.LtE: ast.GtE,
-    ast.Gt: ast.Lt,
-    ast.GtE: ast.LtE,
-    ast.Eq: ast.Eq,
-    ast.NotEq: ast.NotEq,
-}
-
-
-def _interval_reduce(
-    op_type: type,
-    domain: Domain,
-    v_min: float,
-    v_max: float,
-) -> Domain | None:
-    """Tighten an interval domain against the value range of the other side.
-
-    ``op_type`` reads as ``x OP value`` with ``x`` ranging over ``domain`` and
-    the value side spanning ``[v_min, v_max]``.  Endpoints stay closed — a
-    sound over-approximation for strict compares.
-    """
-    low, high = domain.low, domain.high
-    if op_type in (ast.Lt, ast.LtE):
-        high = min(high, v_max)
-    elif op_type in (ast.Gt, ast.GtE):
-        low = max(low, v_min)
-    elif op_type is ast.Eq:
-        low, high = max(low, v_min), min(high, v_max)
-    else:
-        return None
-    if (low, high) == (domain.low, domain.high):
-        return None
-    return Domain.interval(low, high)
-
-
-def _compile_atom_reducer(node: ast.Compare) -> DomainReducer | None:
-    """Reducer for a single binary comparison atom."""
-    left, op_node, right = node.left, node.ops[0], node.comparators[0]
-    op_type = type(op_node)
-    atom_vars = _node_variables(node)
-    if not atom_vars:
-        return None
-    try:
-        mask_fn = _compile_column_node(node)
-        left_fn = _compile_column_node(left)
-        right_fn = _compile_column_node(right)
-    except (ConstraintError, KeyError):  # pragma: no cover - validated earlier
-        return None
-    left_vars = _node_variables(left)
-    right_vars = _node_variables(right)
-    left_name = left.id if isinstance(left, ast.Name) and left.id in atom_vars else None
-    right_name = (
-        right.id if isinstance(right, ast.Name) and right.id in atom_vars else None
-    )
-    ordered_vars = sorted(atom_vars)
-
-    def apply(
-        domains: Mapping[str, Domain], fixed: Mapping[str, Any]
-    ) -> dict[str, Domain]:
-        if any(v not in domains and v not in fixed for v in ordered_vars):
-            return {}
-        unfixed = [v for v in ordered_vars if v in domains]
-        if not unfixed:
-            # fully fixed: entailment check against the prefix itself
-            with np.errstate(all="ignore"):
-                try:
-                    satisfied = bool(np.asarray(mask_fn(dict(fixed))).all())
-                except (TypeError, ValueError, KeyError):
-                    return {}
-            return {} if satisfied else _INFEASIBLE
-        if any(domains[v].is_empty for v in unfixed):
-            # GAC with an empty participant: no tuple of the atom has support,
-            # so every unfixed variable of the atom empties.  Propagating the
-            # emptiness through the constraint (instead of skipping it) keeps
-            # the reducer monotone, which is what makes the fixed point
-            # order-independent.
-            return {v: domains[v].empty_like() for v in unfixed}
-        discrete = [v for v in unfixed if domains[v].kind == "discrete"]
-        intervals = [v for v in unfixed if domains[v].kind == "interval"]
-        if not intervals:
-            total = 1
-            for v in discrete:
-                total *= len(domains[v].values)
-            if total > _MAX_SUPPORT_PRODUCT:
-                return {}
-            return _product_gac(mask_fn, discrete, domains, fixed)
-        if len(intervals) == 2 and left_name in intervals and right_name in intervals:
-            # bare interval vs bare interval, e.g. ``x <= y``
-            x, y = domains[left_name], domains[right_name]
-            changes: dict[str, Domain] = {}
-            forward = _interval_reduce(op_type, x, y.low, y.high)
-            flipped = _FLIPPED_COMPARES.get(op_type)
-            backward = (
-                _interval_reduce(flipped, y, x.low, x.high) if flipped else None
-            )
-            if forward is not None:
-                changes[left_name] = forward
-            if backward is not None:
-                changes[right_name] = backward
-            return changes
-        if len(intervals) != 1:
-            return {}
-        iv = intervals[0]
-        if left_name == iv and iv not in right_vars:
-            op, value_fn, value_vars = op_type, right_fn, right_vars
-        elif right_name == iv and iv not in left_vars:
-            op = _FLIPPED_COMPARES.get(op_type)
-            if op is None:
-                return {}
-            value_fn, value_vars = left_fn, left_vars
-        else:
-            return {}
-        if op not in (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq):
-            return {}  # NotEq and membership atoms never prune intervals
-        others = [v for v in discrete if v in value_vars]
-        total = 1
-        for v in others:
-            total *= len(domains[v].values)
-        if total > _MAX_SUPPORT_PRODUCT:
-            return {}
-        env: dict[str, Any] = dict(fixed)
-        if others:
-            arrays = [_column_from_values(domains[v].values) for v in others]
-            sizes = [len(a) for a in arrays]
-            index_grid = np.indices(sizes).reshape(len(others), -1)
-            for name, array, rows in zip(others, arrays, index_grid):
-                env[name] = array[rows]
-        else:
-            sizes, index_grid, total = [], np.empty((0, 1), dtype=int), 1
-        with np.errstate(all="ignore"):
-            try:
-                values = np.asarray(value_fn(env), dtype=float)
-            except (TypeError, ValueError):
-                return {}
-        values = np.broadcast_to(values, (total,))
-        dom = domains[iv]
-        # which value-side tuples still have support from some x in [low, high]
-        if op is ast.Lt:
-            keep = values > dom.low
-        elif op is ast.LtE:
-            keep = values >= dom.low
-        elif op is ast.Gt:
-            keep = values < dom.high
-        elif op is ast.GtE:
-            keep = values <= dom.high
-        else:  # Eq
-            keep = (values >= dom.low) & (values <= dom.high)
-        changes = {}
-        if not keep.any():
-            for v in others:
-                changes[v] = domains[v].empty_like()
-            changes[iv] = dom.empty_like()
-            return changes
-        for name, size, rows in zip(others, sizes, index_grid):
-            kept = np.zeros(size, dtype=bool)
-            kept[rows[keep]] = True
-            if not kept.all():
-                changes[name] = Domain.discrete(
-                    value for value, k in zip(domains[name].values, kept) if k
-                )
-        supported = values[keep]
-        tightened = _interval_reduce(
-            op, dom, float(supported.min()), float(supported.max())
-        )
-        if tightened is not None:
-            changes[iv] = tightened
-        return changes
-
-    return DomainReducer(apply, atom_vars, ast.dump(node))
-
-
-def _sequential_reducer(
-    parts: Sequence[DomainReducer], variables: frozenset[str], name: str
-) -> DomainReducer:
-    """Conjunction: apply each part in turn, feeding pruned domains forward."""
-
-    def apply(
-        domains: Mapping[str, Domain], fixed: Mapping[str, Any]
-    ) -> dict[str, Domain]:
-        local = dict(domains)
-        merged: dict[str, Domain] = {}
-        for part in parts:
-            changes = part(local, fixed)
-            if changes is _INFEASIBLE:
-                return _INFEASIBLE
-            for key, dom in changes.items():
-                local[key] = dom
-                merged[key] = dom
-        return merged
-
-    return DomainReducer(apply, variables, name)
-
-
-def _union_reducer(
-    parts: Sequence[tuple[DomainReducer, frozenset[str]]],
-    variables: frozenset[str],
-    name: str,
-) -> DomainReducer:
-    """Disjunction: a value survives if *some* satisfiable disjunct keeps it."""
-
-    def apply(
-        domains: Mapping[str, Domain], fixed: Mapping[str, Any]
-    ) -> dict[str, Domain]:
-        relevant = [v for v in sorted(variables) if v in domains]
-        if not relevant:
-            return {}
-        contributions: list[dict[str, Domain]] = []
-        for part, _part_vars in parts:
-            pruned = part(domains, fixed)
-            if pruned is _INFEASIBLE or any(
-                dom.is_empty for dom in pruned.values()
-            ):
-                continue  # this disjunct admits no support at all
-            contributions.append(
-                {v: pruned.get(v, domains[v]) for v in relevant}
-            )
-        if not contributions:
-            return {v: domains[v].empty_like() for v in relevant}
-        changes: dict[str, Domain] = {}
-        for v in relevant:
-            base = domains[v]
-            branches = [c[v] for c in contributions]
-            if base.kind == "discrete":
-                admissible = set().union(
-                    *(set(b.values) for b in branches)
-                )
-                merged = Domain.discrete(
-                    value for value in base.values if value in admissible
-                )
-            else:
-                merged = Domain.interval(
-                    min(b.low for b in branches), max(b.high for b in branches)
-                )
-            if merged != base:
-                changes[v] = merged
-        return changes
-
-    return DomainReducer(apply, variables, name)
-
-
-def _compile_reducer_node(node: ast.AST) -> DomainReducer | None:
-    """Compile a boolean-level AST node into a domain reducer.
-
-    Handles the shapes the three suites use — ``and`` / ``or`` chains over
-    (possibly chained) comparisons and membership tests.  Anything else
-    (negations, bare calls, conditional expressions at the boolean level)
-    compiles to ``None``: no pruning, rejection handles it — soundness over
-    completeness.
-    """
-    if isinstance(node, ast.BoolOp):
-        parts = [_compile_reducer_node(value) for value in node.values]
-        if isinstance(node.op, ast.And):
-            compiled = [p for p in parts if p is not None]
-            if not compiled:
-                return None
-            variables = frozenset().union(*(p.variables for p in compiled))
-            return _sequential_reducer(compiled, variables, "and")
-        # Or: every disjunct must prune soundly, else the union is meaningless
-        if any(p is None for p in parts):
-            return None
-        variables = frozenset().union(*(p.variables for p in parts))
-        return _union_reducer([(p, p.variables) for p in parts], variables, "or")
-    if isinstance(node, ast.Compare):
-        if len(node.ops) == 1:
-            return _compile_atom_reducer(node)
-        # chained compare == conjunction of adjacent binary atoms
-        atoms: list[DomainReducer] = []
-        left = node.left
-        for op, comparator in zip(node.ops, node.comparators):
-            atom = _compile_atom_reducer(
-                ast.Compare(left=left, ops=[op], comparators=[comparator])
-            )
-            if atom is not None:
-                atoms.append(atom)
-            left = comparator
-        if not atoms:
-            return None
-        variables = frozenset().union(*(a.variables for a in atoms))
-        return _sequential_reducer(atoms, variables, "chain")
-    return None
-
-
-def compile_domain_reducer(constraint: "Constraint") -> DomainReducer | None:
-    """Compile ``constraint`` into a :class:`DomainReducer`, or ``None``.
-
-    ``None`` means the constraint's shape cannot prune domains (callable
-    constraints, negations, …); callers simply skip it and let rejection
-    sampling plus the scalar oracle enforce it.  The compiled reducer is
-    cached on the constraint, mirroring :meth:`Constraint.compile_columns`.
-    """
-    if isinstance(constraint._domain_reducer, _Unset):
-        if constraint._callable is not None:
-            constraint._domain_reducer = None
-        else:
-            body = ast.parse(constraint.expression, mode="eval").body
-            reducer = _compile_reducer_node(body)
-            if reducer is not None:
-                reducer.name = constraint.name
-            constraint._domain_reducer = reducer
-    return constraint._domain_reducer
-
-
-def propagate_domains(
-    reducers: Sequence[DomainReducer],
-    domains: Mapping[str, Domain],
-    fixed: Mapping[str, Any] | None = None,
-    max_rounds: int = _MAX_PROPAGATION_ROUNDS,
-) -> tuple[dict[str, Domain], int]:
-    """Iterate ``reducers`` over ``domains`` to the arc-consistency fixed point.
-
-    Returns ``(pruned domains, rounds used)``.  Because every reducer is
-    contracting and sound, the fixed point is unique regardless of reducer
-    order (property-tested); an empty domain in the result means the prefix
-    in ``fixed`` admits no feasible completion.
-    """
-    fixed = fixed or {}
-    current = dict(domains)
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        changed = False
-        for reducer in reducers:
-            result = reducer(current, fixed)
-            if result is _INFEASIBLE:
-                # the prefix violates this constraint outright: no completion
-                # anywhere is feasible
-                return {n: d.empty_like() for n, d in current.items()}, rounds
-            for name, dom in result.items():
-                if dom != current[name]:
-                    current[name] = dom
-                    changed = True
-        if not changed:
-            break
-    return current, rounds
 
 
 def group_codependent(

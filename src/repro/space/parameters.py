@@ -36,8 +36,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .constraints import Domain
-
 __all__ = [
     "Parameter",
     "NumericParameter",
@@ -80,9 +78,7 @@ class Parameter(ABC):
     def sample(self, rng: np.random.Generator) -> Any:
         """Draw a value uniformly at random."""
 
-    def sample_batch(
-        self, rng: np.random.Generator, n: int, domain: Domain | None = None
-    ) -> Any:
+    def sample_batch(self, rng: np.random.Generator, n: int) -> Any:
         """Draw ``n`` values as one column (vectorized where the type allows).
 
         Returns a float column for numeric types, an object column for
@@ -91,26 +87,16 @@ class Parameter(ABC):
         RNG consumption differs (one batched draw instead of ``n`` scalar
         ones), which is what makes the row samplers fast.
 
-        A ``domain`` narrowed by constraint propagation restricts the draw to
-        it; the parameter's own :meth:`propagation_domain` draws exactly what
-        ``None`` draws (values, dtype and generator state).
+        Integers, ordinals and categoricals take an optional third argument,
+        ``values``: a non-empty subsequence of :meth:`values_list` to draw
+        from instead (the unary-constraint narrowing of
+        :class:`~repro.space.space.SearchSpace`).  Passing the full
+        :meth:`values_list` draws exactly what omitting it draws (values,
+        dtype and generator state).
         """
-        if domain is not None:
-            raise TypeError(
-                f"{type(self).__name__} does not support domain-restricted sampling"
-            )
         column = np.empty(n, dtype=object)
         column[:] = [self.sample(rng) for _ in range(n)]
         return column
-
-    def propagation_domain(self) -> Domain | None:
-        """Initial :class:`Domain` for constraint propagation, or ``None``.
-
-        ``None`` opts the parameter out of domain pruning (permutations: the
-        value space has no useful set/interval shape); such parameters are
-        always sampled unrestricted and left to rejection filtering.
-        """
-        return None
 
     @abstractmethod
     def contains(self, value: Any) -> bool:
@@ -208,23 +194,10 @@ class RealParameter(NumericParameter):
             return float(np.exp(rng.uniform(math.log(self.low), math.log(self.high))))
         return float(rng.uniform(self.low, self.high))
 
-    def sample_batch(
-        self, rng: np.random.Generator, n: int, domain: Domain | None = None
-    ) -> np.ndarray:
-        low, high = self.low, self.high
-        if domain is not None:
-            # a truncated uniform (or truncated log-uniform) is again uniform
-            # on the sub-interval, so narrowing preserves the sampling
-            # distribution conditioned on feasibility
-            low, high = max(low, domain.low), min(high, domain.high)
-            if not low <= high:
-                raise ValueError(f"empty domain for real parameter {self.name!r}")
+    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.transform == "log":
-            return np.exp(rng.uniform(math.log(low), math.log(high), size=n))
-        return rng.uniform(low, high, size=n)
-
-    def propagation_domain(self) -> Domain:
-        return Domain.interval(self.low, self.high)
+            return np.exp(rng.uniform(math.log(self.low), math.log(self.high), size=n))
+        return rng.uniform(self.low, self.high, size=n)
 
     def contains(self, value: Any) -> bool:
         try:
@@ -276,25 +249,11 @@ class IntegerParameter(NumericParameter):
         return int(rng.integers(self.low, self.high + 1))
 
     def sample_batch(
-        self, rng: np.random.Generator, n: int, domain: Domain | None = None
+        self, rng: np.random.Generator, n: int, values: Sequence[int] | None = None
     ) -> np.ndarray:
-        if domain is not None and domain.kind == "discrete":
-            return _draw_from_table(rng, n, domain.values, float, self.name)
-        low, high = self.low, self.high
-        if domain is not None:
-            low = max(low, math.ceil(domain.low))
-            high = min(high, math.floor(domain.high))
-            if low > high:
-                raise ValueError(f"empty domain for integer parameter {self.name!r}")
-        return rng.integers(low, high + 1, size=n).astype(float)
-
-    #: ranges wider than this propagate as intervals instead of value sets
-    ENUMERATION_CAP = 4096
-
-    def propagation_domain(self) -> Domain:
-        if self.cardinality() <= self.ENUMERATION_CAP:
-            return Domain.discrete(range(self.low, self.high + 1))
-        return Domain.interval(self.low, self.high)
+        if values is not None:
+            return _draw_from_table(rng, n, values, float, self.name)
+        return rng.integers(self.low, self.high + 1, size=n).astype(float)
 
     def contains(self, value: Any) -> bool:
         try:
@@ -362,13 +321,10 @@ class OrdinalParameter(NumericParameter):
         return self.values[int(rng.integers(len(self.values)))]
 
     def sample_batch(
-        self, rng: np.random.Generator, n: int, domain: Domain | None = None
+        self, rng: np.random.Generator, n: int, values: Sequence[Any] | None = None
     ) -> np.ndarray:
-        values = self.values if domain is None else domain.values
+        values = self.values if values is None else values
         return _draw_from_table(rng, n, values, float, self.name)
-
-    def propagation_domain(self) -> Domain:
-        return Domain.discrete(self.values)
 
     def contains(self, value: Any) -> bool:
         try:
@@ -422,13 +378,10 @@ class CategoricalParameter(Parameter):
         return self.values[int(rng.integers(len(self.values)))]
 
     def sample_batch(
-        self, rng: np.random.Generator, n: int, domain: Domain | None = None
+        self, rng: np.random.Generator, n: int, values: Sequence[Any] | None = None
     ) -> np.ndarray:
-        values = self.values if domain is None else domain.values
+        values = self.values if values is None else values
         return _draw_from_table(rng, n, values, object, self.name)
-
-    def propagation_domain(self) -> Domain:
-        return Domain.discrete(self.values)
 
     def contains(self, value: Any) -> bool:
         return value in self._index
@@ -528,11 +481,7 @@ class PermutationParameter(Parameter):
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         return tuple(int(i) for i in rng.permutation(self.n_elements))
 
-    def sample_batch(
-        self, rng: np.random.Generator, n: int, domain: Domain | None = None
-    ) -> np.ndarray:
-        if domain is not None:
-            raise TypeError("permutations have no propagation domain")
+    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         base = np.tile(np.arange(self.n_elements, dtype=float), (n, 1))
         return rng.permuted(base, axis=1)
 

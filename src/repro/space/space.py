@@ -5,7 +5,8 @@ scheduling language together with the *known constraints* relating them.  It
 offers everything the optimizers need:
 
 * feasible random sampling (through the Chain-of-Trees where possible,
-  rejection sampling from propagation-narrowed domains otherwise),
+  rejection sampling otherwise, with each free parameter's values first
+  narrowed by the residual constraints that read only that parameter),
 * feasibility tests against the known constraints,
 * neighbour enumeration restricted to the feasible region (for the
   acquisition-function local search),
@@ -23,21 +24,30 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .chain_of_trees import ChainOfTrees, FeasibleSetTooLarge, Tree
-from .constraints import (
-    Constraint,
-    Domain,
-    compile_column_evaluator,
-    compile_domain_reducer,
-    group_codependent,
-    propagate_domains,
-)
+from .constraints import Constraint, compile_column_evaluator, group_codependent
 from .encoding import ConfigEncoder
-from .parameters import Parameter, PermutationParameter
+from .parameters import (
+    CategoricalParameter,
+    IntegerParameter,
+    OrdinalParameter,
+    Parameter,
+    PermutationParameter,
+)
 
 __all__ = ["SearchSpace", "Configuration", "freeze_configuration"]
 
 #: A configuration is a plain mapping from parameter name to value.
 Configuration = dict[str, Any]
+
+#: integer ranges wider than this are never enumerated for narrowing
+_MAX_NARROWED_INTEGERS = 4096
+
+
+def _narrowable(param: Parameter) -> bool:
+    """Whether unary constraints narrow ``param``'s values before a draw."""
+    if isinstance(param, IntegerParameter):
+        return param.cardinality() <= _MAX_NARROWED_INTEGERS
+    return isinstance(param, (OrdinalParameter, CategoricalParameter))
 
 
 def freeze_configuration(configuration: Mapping[str, Any], names: Sequence[str]) -> tuple:
@@ -80,7 +90,7 @@ class SearchSpace:
         if build_chain_of_trees and self.constraints:
             self._build_chain_of_trees(max_cot_nodes)
         #: lazily built vectorized-path caches (compiled constraint closures,
-        #: per-tree encoded leaf matrices, pruned free-parameter domains).
+        #: per-tree encoded leaf matrices, narrowed free-parameter values).
         #: Kept in one dict so pickling can drop them — they are rebuilt on
         #: demand after unpickling.
         self._vector_caches: dict[str, Any] = {}
@@ -93,35 +103,49 @@ class SearchSpace:
         state.pop("encoder", None)
         return state
 
-    def _narrowed_free_domains(self) -> dict[str, Domain]:
-        """Free-parameter domains the residual constraints narrow, cached.
+    def _narrowed_values(self) -> dict[str, list]:
+        """Values of the free parameters that unary constraints narrow, cached.
 
-        Residual constraints can only reference free parameters — the
-        co-dependency grouping is transitively closed and tree capture is
-        all-or-nothing per group — so one global arc-consistency fixed point
-        (no prefix) covers every ``sample_rows`` batch.  Only the domains the
-        fixed point narrows are kept: a draw from a parameter's own full
-        domain is the unrestricted draw, so every other parameter keeps its
-        plain ``sample_batch`` call.
+        Node consistency: each residual expression constraint whose only
+        variable is :func:`_narrowable` runs its compiled column evaluator
+        over that parameter's values, as the float or object column
+        ``sample_rows``' residual mask sees, and keeps the values it accepts
+        in ``values_list()`` order.  A parameter keeps an entry only when
+        some value failed, so every other parameter keeps its plain
+        ``sample_batch`` call.  Residual constraints only read free
+        parameters: the co-dependency grouping is transitively closed and
+        tree capture is all-or-nothing per group.
         """
-        narrowed = self._vector_caches.get("narrowed_free_domains")
+        narrowed = self._vector_caches.get("narrowed_values")
         if narrowed is None:
-            covered = self._covered_names()
-            initial = {
-                p.name: dom
-                for p in self.parameters
-                if p.name not in covered and (dom := p.propagation_domain()) is not None
+            kept: dict[str, list] = {}
+            for constraint, evaluator in self._compiled("residual"):
+                if constraint.compile_columns() is None or len(constraint.variables) != 1:
+                    continue  # callables and multi-variable constraints
+                [name] = constraint.variables
+                param = self._by_name[name]
+                if not _narrowable(param):
+                    continue
+                values = kept[name] if name in kept else param.values_list()
+                column = np.empty(
+                    len(values),
+                    dtype=object if isinstance(param, CategoricalParameter) else float,
+                )
+                column[:] = values
+                passed = np.asarray(evaluator({name: column}), dtype=bool)
+                kept[name] = [v for v, keep in zip(values, passed) if keep]
+                if not kept[name]:
+                    raise RuntimeError(
+                        f"no value of parameter {name!r} satisfies its unary "
+                        "constraints: the known constraints admit no feasible "
+                        "configuration"
+                    )
+            narrowed = {
+                name: values
+                for name, values in kept.items()
+                if len(values) < self._by_name[name].cardinality()
             }
-            reducers = [
-                reducer
-                for c in self._residual_constraints
-                if (reducer := compile_domain_reducer(c)) is not None
-            ]
-            narrowed = {}
-            if initial and reducers:
-                domains, _rounds = propagate_domains(reducers, initial)
-                narrowed = {n: d for n, d in domains.items() if d != initial[n]}
-            self._vector_caches["narrowed_free_domains"] = narrowed
+            self._vector_caches["narrowed_values"] = narrowed
         return narrowed
 
     # ------------------------------------------------------------------
@@ -365,9 +389,9 @@ class SearchSpace:
         evaluators.  Returns an ``(n_samples, width)`` float matrix in the
         shared :class:`~repro.space.encoding.ConfigEncoder` layout.
 
-        A free parameter whose domain the residual constraints narrow
-        (:meth:`_narrowed_free_domains`) draws from the narrowed domain, and
-        the residual mask still filters last.  Pruning only removes values in
+        A free parameter whose values unary residual constraints narrow
+        (:meth:`_narrowed_values`) draws from the surviving values, and the
+        residual mask still filters last.  Narrowing only removes values in
         *no* feasible configuration, so the accepted rows are distributed as
         under plain rejection; far fewer draws are rejected.
         """
@@ -381,14 +405,7 @@ class SearchSpace:
         residual_vars: set[str] = set()
         for constraint, _ in residuals:
             residual_vars |= constraint.variables
-        narrowed = self._narrowed_free_domains()
-        empty = sorted(n for n, d in narrowed.items() if d.is_empty)
-        if empty:
-            raise RuntimeError(
-                "constraint propagation pruned the domains of parameters "
-                f"{empty} to empty: the known constraints admit no "
-                "feasible configuration"
-            )
+        narrowed = self._narrowed_values()
 
         collected: list[np.ndarray] = []
         constraint_passed = [0] * len(residuals)
@@ -416,7 +433,10 @@ class SearchSpace:
                     if name in residual_vars:
                         env[name] = raw[name][indices]
             for param in free_params:
-                column = param.sample_batch(rng, need, narrowed.get(param.name))
+                if param.name in narrowed:
+                    column = param.sample_batch(rng, need, narrowed[param.name])
+                else:
+                    column = param.sample_batch(rng, need)
                 rows[:, encoder.columns(param.name)] = encoder.encode_value_column(
                     param.name, column
                 )

@@ -18,9 +18,10 @@ rejection sampling would degrade with ``k``:
 * ``hard_constraint_1e-6`` — ``k = 6``, rejection exhausts its default
   budget and raises.
 
-The sampler always narrows the free parameters' domains by constraint
-propagation first, which removes the unary constraints' rejections, so every
-instance draws its feasible rows in a handful of rounds.
+The sampler first narrows each ``x_i`` that carries a unary divisibility
+constraint to its ten surviving values, which removes those constraints'
+rejections, so every instance draws its feasible rows in a handful of rounds;
+the binary comparison and the disjunction are left to the rejection mask.
 
 The objective is a smooth, deterministic synthetic function (no hidden
 constraints), so these benchmarks double as end-to-end tuner workloads: the
@@ -72,7 +73,8 @@ def build_hard_constraint_space(density: str) -> SearchSpace:
     constraints.append(Constraint("x4 <= x5 + 50"))
     constraints.append(Constraint("eps >= 0.05 or x0 <= 50"))
     # no Chain-of-Trees on purpose: this models constraint groups beyond the
-    # enumeration budget, which the sampler meets by propagation and rejection
+    # enumeration budget, which the sampler meets by unary narrowing and
+    # rejection
     return SearchSpace(parameters, constraints, build_chain_of_trees=False)
 
 

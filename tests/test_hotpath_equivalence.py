@@ -12,13 +12,16 @@ Four layers of protection for the encoding-layer and ask/tell refactors:
   the ``exact`` policy (``tests/data/bitcompat_trajectories.json``) and the
   ``fast`` one (``tests/data/bitcompat_trajectories_fast.json``), and with
   default settings on the three hard-constraint spaces, whose residual
-  constraints run the propagation-pruned sampler
+  constraints run the unary-narrowed sampler
   (``tests/data/bitcompat_trajectories_hard_constraint.json``) — driven
   through the ask/tell ``TuningSession`` underneath ``tune()``,
 * the other consumers of the Chain-of-Trees ordering reproduce theirs too
   (``tests/data/bitcompat_baselines.json``): the ``CoT Sampling``,
   ``ATF with OpenTuner`` and ``Uniform Sampling`` traces on one RISE and one
-  TACO workload, and the expert configuration of every Table-3 benchmark,
+  TACO workload, and the expert configuration of every Table-3 benchmark;
+  the same three tuners also pin the narrowed sampler on the three
+  hard-constraint spaces
+  (``tests/data/bitcompat_baselines_hard_constraint.json``),
 * a tampered ``fast`` policy state is refused on restore, naming the field,
 * every tuner checkpointed mid-run and restored **in a fresh process**
   completes with a trace bit-identical to an uninterrupted run,
@@ -64,11 +67,17 @@ FIXTURES = {
     "hard_constraint": _DATA / "bitcompat_trajectories_hard_constraint.json",
 }
 BASELINE_FIXTURE = _DATA / "bitcompat_baselines.json"
-#: (tuner, benchmark) pairs of the baseline fixture
+HARD_CONSTRAINT_BASELINE_FIXTURE = _DATA / "bitcompat_baselines_hard_constraint.json"
+_BASELINE_TUNERS = ("CoT Sampling", "ATF with OpenTuner", "Uniform Sampling")
+#: (tuner, benchmark) pairs of the two baseline fixtures
 BASELINE_CASES = [
     (tuner, name)
-    for tuner in ("CoT Sampling", "ATF with OpenTuner", "Uniform Sampling")
+    for tuner in _BASELINE_TUNERS
     for name in ("rise_mm_gpu", "taco_spmm_scircuit")
+] + [
+    (tuner, f"hard_constraint_{density}")
+    for tuner in _BASELINE_TUNERS
+    for density in ("1e-2", "1e-4", "1e-6")
 ]
 #: (fixture, benchmark, surrogate policy)
 TRAJECTORY_CASES = [
@@ -230,11 +239,13 @@ class TestTrajectoryBitCompatibility:
     use the same seed and budget; each run's 14 learning asks cover the
     first sweep, warm refits and frozen Cholesky extensions.  The
     ``hard_constraint`` ones (same seed and budget, default settings) pin the
-    sampler that draws propagation-narrowed domains, DoE and local search
-    alike.  The baseline ones pin the other orders the Chain-of-Trees fixes:
+    sampler that draws unary-narrowed values, DoE and local search alike.
+    The baseline ones pin the other orders the Chain-of-Trees fixes:
     ``CoT Sampling`` draws through the biased cumulative weights, OpenTuner
     mutates through ``feasible_values`` and the expert search keeps the
-    first strictly better value in ``feasible_values`` order.
+    first strictly better value in ``feasible_values`` order.  On the
+    hard-constraint spaces they pin the narrowed sampler's streams outside
+    BaCO.
     """
 
     @pytest.fixture(scope="class")
@@ -243,7 +254,11 @@ class TestTrajectoryBitCompatibility:
 
     @pytest.fixture(scope="class")
     def baselines(self):
-        return json.loads(BASELINE_FIXTURE.read_text())
+        baselines = json.loads(BASELINE_FIXTURE.read_text())
+        narrowed = json.loads(HARD_CONSTRAINT_BASELINE_FIXTURE.read_text())
+        for tuner_name, traces in narrowed["trajectories"].items():
+            baselines["trajectories"][tuner_name].update(traces)
+        return baselines
 
     @pytest.mark.parametrize(
         "fixture,benchmark_name,policy",

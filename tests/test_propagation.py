@@ -1,22 +1,25 @@
-"""The constraint-propagation sampling engine: reducers, pruned draws, suite.
+"""Unary-constraint narrowing under the sampler: the filter, narrowed draws, suite.
 
-Four protection layers for the domain-pruning layer under ``sample_rows``,
-which always draws propagation-narrowed free parameters from their narrowed
-domains:
+``SearchSpace.sample_rows`` first narrows each free integer (at most 4096
+values), ordinal and categorical parameter to the values its unary residual
+expression constraints accept (node consistency), then draws the narrowed
+parameters from those values and masks every drawn row with the residual
+constraints.  Four protection layers:
 
-* **soundness against the scalar oracle** — per-constraint domain reducers
-  and the fixed point never prune a value that participates in any feasible
-  assignment (brute-force enumeration on small discrete spaces, plus a
-  hypothesis property suite over random mixed R/I/O/C/P spaces driven by the
-  scalar ``sample_reference`` oracle);
-* **confluence** — the arc-consistency fixed point is independent of the
-  order the reducers are applied in (contracting + monotone);
+* **exactness against the scalar oracle** — each narrowed value list is the
+  ordered list of values every unary expression constraint's scalar
+  ``Constraint.evaluate`` accepts; parameters with nothing to narrow, reals,
+  permutations, wide integer ranges, and parameters read only by callables
+  or multi-variable constraints are absent (brute force on small spaces,
+  plus hypothesis properties over random mixed R/I/O/C/P spaces, one driven
+  by the scalar ``sample_reference`` oracle);
 * **semantic equivalence** — the sampler produces only feasible rows
-  (``feasible_mask_rows`` stays the final filter), reaches the exact
-  per-constraint support, and keeps unconstrained dimensions untouched;
-  a draw from a parameter's own full domain is the unrestricted draw (same
-  values, dtype and generator state), so parameters the fixed point leaves
-  alone keep their plain streams;
+  (``feasible_mask_rows`` stays the final filter) and keeps unconstrained
+  dimensions untouched; a draw from a parameter's full ``values_list()`` is
+  the unrestricted draw (same values, dtype and generator state), so
+  parameters the filter leaves alone keep their plain streams;
+* **diagnostics** — a parameter with no surviving value raises at once, and
+  an exhausted rejection budget names the constraint that starved it;
 * **the hard-constraint workload suite** — densities behave as labelled
   under plain rejection (unconstrained draws masked by
   ``feasible_mask_rows``), the sampler draws the 1e-6 instance, and at 1e-2
@@ -35,12 +38,7 @@ from hypothesis import assume, given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as st
 
-from repro.space.constraints import (
-    Constraint,
-    Domain,
-    compile_domain_reducer,
-    propagate_domains,
-)
+from repro.space.constraints import Constraint
 from repro.space.parameters import (
     CategoricalParameter,
     IntegerParameter,
@@ -52,39 +50,12 @@ from repro.space.space import SearchSpace
 
 from oracles import neighbours, sample_reference
 
-
-def _reducers(constraints):
-    compiled = [compile_domain_reducer(c) for c in constraints]
-    return [r for r in compiled if r is not None]
-
-
-def _admits(domain: Domain, value) -> bool:
-    if domain.kind == "discrete":
-        return value in domain.values
-    return domain.low <= float(value) <= domain.high
+#: the parameter types the filter narrows (integers up to 4096 values)
+_NARROWABLE = (IntegerParameter, OrdinalParameter, CategoricalParameter)
 
 
 # ---------------------------------------------------------------------------
-# Domain basics
-# ---------------------------------------------------------------------------
-
-class TestDomain:
-    def test_discrete_roundtrip_and_empty(self):
-        dom = Domain.discrete([1, 2, 3])
-        assert dom.kind == "discrete" and dom.size == 3 and not dom.is_empty
-        empty = dom.empty_like()
-        assert empty.is_empty and empty.kind == "discrete"
-
-    def test_interval_and_equality(self):
-        dom = Domain.interval(0.5, 2.0)
-        assert dom.kind == "interval" and not dom.is_empty
-        assert Domain.interval(2.0, 0.5).is_empty
-        assert dom == Domain.interval(0.5, 2.0)
-        assert dom != Domain.discrete([0.5, 2.0])
-
-
-# ---------------------------------------------------------------------------
-# reducer soundness vs. brute force
+# the unary filter vs. brute force
 # ---------------------------------------------------------------------------
 
 def _brute_force_support(domains: dict, constraints) -> dict:
@@ -99,97 +70,52 @@ def _brute_force_support(domains: dict, constraints) -> dict:
     return support
 
 
-class TestReducerSoundness:
-    DOMAINS = {
-        "a": list(range(8)),
-        "b": list(range(8)),
-        "c": [1, 2, 4, 8],
-    }
+_DOMAINS = {"a": list(range(8)), "b": list(range(8)), "c": [1, 2, 4, 8]}
 
-    def _propagated(self, constraints):
-        initial = {k: Domain.discrete(v) for k, v in self.DOMAINS.items()}
-        pruned, _rounds = propagate_domains(_reducers(constraints), initial)
-        return pruned
 
-    @pytest.mark.parametrize(
-        "expression",
+@pytest.mark.parametrize("expression", ["a % 2 == 0", "c in (2, 8)", "2 <= a <= 5"])
+def test_unary_filter_is_exact(expression):
+    """The filter keeps exactly a unary constraint's support, in order, and
+    leaves the parameters it does not read un-narrowed."""
+    constraints = [Constraint(expression)]
+    space = SearchSpace(
         [
-            "a < b",
-            "a % 2 == 0",
-            "a + b <= 4",
-            "a * c <= 8",
-            "a == b",
-            "c in (2, 8)",
-            "a <= 2 or b >= 6",
-            "a % 2 == 0 and b > a",
-            "2 <= a <= 5",
+            IntegerParameter("a", 0, 7),
+            IntegerParameter("b", 0, 7),
+            OrdinalParameter("c", _DOMAINS["c"]),
         ],
+        constraints,
+        build_chain_of_trees=False,
     )
-    def test_single_constraint_gac_is_exact(self, expression):
-        """Product-form GAC on one constraint keeps exactly the support."""
-        constraints = [Constraint(expression)]
-        pruned = self._propagated(constraints)
-        support = _brute_force_support(self.DOMAINS, constraints)
-        for name in self.DOMAINS:
-            assert set(pruned[name].values) == support[name], name
+    support = _brute_force_support(_DOMAINS, constraints)
+    narrowed = space._narrowed_values()
+    for name, values in _DOMAINS.items():
+        kept = [v for v in values if v in support[name]]
+        if kept == values:
+            assert name not in narrowed, name
+        else:
+            assert narrowed[name] == kept, name
 
-    def test_conjunction_fixed_point_is_sound(self):
-        constraints = [
-            Constraint("a < b"),
-            Constraint("a + b <= 9"),
-            Constraint("a * c <= 16"),
-            Constraint("b % 2 == 0"),
-        ]
-        pruned = self._propagated(constraints)
-        support = _brute_force_support(self.DOMAINS, constraints)
-        for name in self.DOMAINS:
-            # never prune a feasible value; pruning may over-approximate
-            assert support[name] <= set(pruned[name].values), name
 
-    def test_unsatisfiable_constraint_empties_its_domain(self):
-        """A constraint with no support empties the involved domain.
-
-        (A globally unsatisfiable *conjunction* of individually consistent
-        constraints — e.g. ``a > b`` and ``a < b`` — is beyond arc
-        consistency; only per-constraint support is guaranteed.)
-        """
-        pruned = self._propagated([Constraint("a > 10")])
-        assert pruned["a"].is_empty
-        chained = self._propagated([Constraint("a < b"), Constraint("b < a")])
-        # sound even when unsatisfiable: never *wrongly* empties a domain
-        assert not chained["c"].is_empty
-
-    def test_callable_constraints_do_not_compile(self):
-        assert compile_domain_reducer(
-            Constraint.from_callable(lambda cfg: cfg["a"] > 0, name="cb", variables=["a"])
-        ) is None
-
-    def test_interval_endpoint_tightening(self):
-        initial = {"eps": Domain.interval(0.01, 1.0), "a": Domain.discrete(range(8))}
-        pruned, _ = propagate_domains(_reducers([Constraint("eps >= 0.05")]), initial)
-        assert pruned["eps"].low == pytest.approx(0.05)
-        assert pruned["eps"].high == pytest.approx(1.0)
-
-    def test_interval_vs_discrete_comparison(self):
-        initial = {"eps": Domain.interval(0.0, 10.0), "a": Domain.discrete([1, 2, 4])}
-        pruned, _ = propagate_domains(_reducers([Constraint("eps <= a")]), initial)
-        assert pruned["eps"].high == pytest.approx(4.0)
-
-    def test_fixed_values_participate(self):
-        """A fixed assignment narrows the other variables' domains."""
-        initial = {"b": Domain.discrete(range(8))}
-        pruned, _ = propagate_domains(
-            _reducers([Constraint("a < b")]), initial, fixed={"a": 5}
-        )
-        assert set(pruned["b"].values) == {6, 7}
-
-    def test_fixed_violation_through_disjunction(self):
-        """A dead disjunct must not block pruning by the live one."""
-        initial = {"eps": Domain.interval(0.01, 1.0)}
-        pruned, _ = propagate_domains(
-            _reducers([Constraint("eps >= 0.05 or a <= 50")]), initial, fixed={"a": 80}
-        )
-        assert pruned["eps"].low == pytest.approx(0.05)
+def test_reals_wide_integers_and_callables_are_not_narrowed():
+    space = SearchSpace(
+        [
+            RealParameter("eps", 0.01, 1.0),
+            IntegerParameter("wide", 0, 10_000),  # more than 4096 values
+            OrdinalParameter("o", list(range(10))),
+            PermutationParameter("perm", 3),
+        ],
+        [
+            Constraint("eps >= 0.05"),
+            Constraint("wide % 2 == 0"),
+            Constraint.from_callable(lambda cfg: cfg["o"] > 4, variables=["o"]),
+            Constraint("perm[0] != 1"),
+        ],
+        build_chain_of_trees=False,
+    )
+    assert space._narrowed_values() == {}
+    rows = space.sample_rows(np.random.default_rng(5), 64)
+    assert bool(np.all(space.feasible_mask_rows(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +133,9 @@ _TEMPLATES = (
     "a <= b or b >= {n}",
     "1 <= a <= {n}",
     "eps >= 0.05 or a <= {n}",
+    "eps >= 0.05",
+    "mode != 'u'",
+    "perm[0] != 1",
 )
 
 
@@ -227,43 +156,49 @@ def constrained_spaces(draw):
     constraints = [
         Constraint(template.format(n=draw(st.integers(2, 8)))) for template in chosen
     ]
-    # residual-only on purpose: propagation over the free parameters is the
-    # code under test (the tree builder does not propagate)
+    # residual-only on purpose: the narrowing of free parameters is the code
+    # under test
     return SearchSpace(parameters, constraints, build_chain_of_trees=False)
+
+
+@given(constrained_spaces())
+@hyp_settings(max_examples=40, deadline=None)
+def test_narrowed_values_are_the_unary_scalar_support(space):
+    """Each narrowed list is, in order, the values every unary expression
+    constraint's scalar oracle accepts; un-narrowed parameters are absent."""
+    expected = {}
+    empty = []
+    for param in space.parameters:
+        if not isinstance(param, _NARROWABLE):
+            continue
+        unary = [c for c in space.constraints if c.variables == {param.name}]
+        values = param.values_list()
+        kept = [v for v in values if all(c.evaluate({param.name: v}) for c in unary)]
+        if not kept:
+            empty.append(param.name)
+        elif kept != values:
+            expected[param.name] = kept
+    if empty:
+        with pytest.raises(RuntimeError, match="no feasible configuration"):
+            space._narrowed_values()
+    else:
+        assert space._narrowed_values() == expected
 
 
 @given(constrained_spaces(), st.integers(0, 2**31 - 1))
 @hyp_settings(max_examples=30, deadline=None)
 def test_no_feasible_configuration_is_ever_pruned(space, seed):
-    """Every config the scalar oracle accepts lies inside the pruned domains."""
+    """Every config the scalar oracle accepts uses only narrowed values."""
     rng = np.random.default_rng(seed)
     try:
         configs = sample_reference(space, rng, 5, max_rejection_rounds=400)
     except RuntimeError:
         assume(False)  # feasible region too sparse to exercise the oracle
-    narrowed = space._narrowed_free_domains()
+    narrowed = space._narrowed_values()
     for config in configs:
         assert space.is_feasible(config)
-        for name, domain in narrowed.items():
-            assert _admits(domain, config[name]), (name, config[name], domain)
-
-
-@given(constrained_spaces(), st.randoms(use_true_random=False))
-@hyp_settings(max_examples=30, deadline=None)
-def test_fixed_point_is_order_independent(space, shuffler):
-    """The propagation fixed point is confluent under reducer reordering."""
-    reducers = _reducers(space.constraints)
-    assume(reducers)
-    initial = {
-        p.name: dom
-        for p in space.parameters
-        if (dom := p.propagation_domain()) is not None
-    }
-    reference, _ = propagate_domains(reducers, initial)
-    shuffled = list(reducers)
-    shuffler.shuffle(shuffled)
-    permuted, _ = propagate_domains(shuffled, initial)
-    assert reference == permuted
+        for name, values in narrowed.items():
+            assert config[name] in values, (name, config[name], values)
 
 
 @given(constrained_spaces(), st.integers(0, 2**31 - 1))
@@ -275,25 +210,20 @@ def test_propagated_rows_are_feasible_and_default_stream_unchanged(space, seed):
         assume(False)
     assert len(rows) == 16
     assert bool(np.all(space.feasible_mask_rows(rows)))
-    # handing every free parameter its full fixed-point domain, narrowed or
-    # not, draws the same rows: un-narrowed parameters keep their streams
+    # handing every narrowable parameter its value list, narrowed or full,
+    # draws the same rows: un-narrowed parameters keep their streams
     full = {
-        p.name: dom
-        for p in space.parameters
-        if (dom := p.propagation_domain()) is not None
+        p.name: p.values_list() for p in space.parameters if isinstance(p, _NARROWABLE)
     }
-    full.update(space._narrowed_free_domains())
+    full.update(space._narrowed_values())
     twin = SearchSpace(space.parameters, space.constraints, build_chain_of_trees=False)
-    with mock.patch.object(twin, "_narrowed_free_domains", return_value=full):
+    with mock.patch.object(twin, "_narrowed_values", return_value=full):
         replay = twin.sample_rows(np.random.default_rng(seed), 16)
     np.testing.assert_array_equal(rows, replay)
 
 
 _FULL_DOMAIN_PARAMETERS = [
-    RealParameter("r", 0.5, 8.0),
-    RealParameter("r_log", 0.01, 1.0, transform="log"),
     IntegerParameter("i", -3, 40),
-    IntegerParameter("i_wide", 0, 10_000),  # > ENUMERATION_CAP: an interval
     OrdinalParameter("o", [1, 2, 4, 8, 16, 32]),
     CategoricalParameter("c", ["u", "v", "w"]),
 ]
@@ -303,18 +233,18 @@ _FULL_DOMAIN_PARAMETERS = [
 @given(st.integers(0, 2**32 - 1), st.integers(0, 64))
 @hyp_settings(max_examples=25, deadline=None)
 def test_full_domain_draw_is_the_unrestricted_draw(param, seed, n):
-    """Why passing only the narrowed domains draws what passing every
-    fixed-point domain drew: a parameter's own full domain changes nothing."""
+    """Why passing only the narrowed lists draws what passing every full
+    list would: a parameter's own ``values_list()`` changes nothing."""
     plain_rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     plain = param.sample_batch(plain_rng, n)
-    full = param.sample_batch(full_rng, n, param.propagation_domain())
+    full = param.sample_batch(full_rng, n, param.values_list())
     assert full.dtype == plain.dtype
     np.testing.assert_array_equal(full, plain)
     assert full_rng.bit_generator.state == plain_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
-# the propagating sampler
+# the narrowing sampler
 # ---------------------------------------------------------------------------
 
 def _divisible_space() -> SearchSpace:
@@ -354,8 +284,11 @@ class TestPropagatedSampling:
         stats = space.last_sample_stats
         assert "propagate" not in stats  # there is no other mode to record
         assert stats["accepted"] == 64
-        assert stats["acceptance_rate"] > 0.9  # both constraints fully pruned
-        assert [c["name"] for c in stats["constraints"]] == ["a % 3 == 0", "eps >= 0.05"]
+        divisible, bounded = stats["constraints"]
+        assert [divisible["name"], bounded["name"]] == ["a % 3 == 0", "eps >= 0.05"]
+        # `a` draws only multiples of 3; the real bound is left to the mask
+        assert divisible["passed"] == stats["drawn"]
+        assert stats["acceptance_rate"] == bounded["rate"]
 
     def test_provably_infeasible_space_raises_immediately(self):
         space = SearchSpace(
@@ -363,10 +296,10 @@ class TestPropagatedSampling:
             [Constraint("a > 5")],
             build_chain_of_trees=False,
         )
-        with pytest.raises(RuntimeError, match="no feasible configuration"):
+        with pytest.raises(RuntimeError, match="parameter 'a'.*no feasible configuration"):
             space.sample_rows(np.random.default_rng(0), 4)
 
-    def test_real_domain_draws_respect_truncation(self):
+    def test_residual_mask_enforces_real_bound(self):
         space = SearchSpace(
             [RealParameter("eps", 0.01, 1.0, transform="log")],
             [Constraint("eps >= 0.2")],
@@ -390,7 +323,7 @@ class TestPropagatedSampling:
 
 
 def _unprunable_space() -> SearchSpace:
-    """A sparse space propagation cannot narrow: its constraint is a callable."""
+    """A sparse space the sampler cannot narrow: its constraint is a callable."""
     return SearchSpace(
         [OrdinalParameter("a", list(range(1000)))],
         [
@@ -573,9 +506,9 @@ class TestTunerPlumbing:
     def test_service_start_ignores_a_propagate_field(self, propagate):
         """Like any field ``start`` does not read; ``false`` once asked for a
         stream that could not draw a DoE on ``hard_constraint_1e-4``."""
-        from repro.service import SessionService
+        from repro.service import SessionRegistry
 
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         started = service.handle({
             "op": "start", "benchmark": "hard_constraint_1e-4",
             "tuner": "Uniform Sampling", "budget": 4, "seed": 3,

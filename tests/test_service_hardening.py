@@ -35,7 +35,6 @@ from repro.server import running_server
 from repro.service import (
     MAX_LINE_BYTES,
     SessionRegistry,
-    SessionService,
     json_safe,
     wire_decode,
     wire_encode,
@@ -72,23 +71,23 @@ class TestOpValidation:
         "op", [["ask"], {"ask": 1}, 7, 1.5, None, True, [[["deep"]]]]
     )
     def test_non_string_op_is_an_error_not_a_crash(self, op):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         line = service.handle_line(json.dumps({"op": op}))
         response = strict_loads(line)
         assert response["ok"] is False
         assert "'op' must be a string" in response["error"]
 
     def test_missing_op(self):
-        response = SessionService().handle({})
+        response = SessionRegistry(max_sessions=1).handle({})
         assert response["ok"] is False and "'op'" in response["error"]
 
     def test_unknown_op_lists_available(self):
-        response = SessionService().handle({"op": "frobnicate"})
+        response = SessionRegistry(max_sessions=1).handle({"op": "frobnicate"})
         assert response["ok"] is False
         assert "ask" in response["error"] and "start" in response["error"]
 
     def test_huge_op_is_truncated_in_the_error(self):
-        response = SessionService().handle({"op": "x" * 10_000})
+        response = SessionRegistry(max_sessions=1).handle({"op": "x" * 10_000})
         assert response["ok"] is False
         assert len(response["error"]) < 500
 
@@ -97,7 +96,7 @@ class TestBestValueStrictJson:
     """Regression: infeasible-only histories must not emit ``Infinity``."""
 
     def test_tell_best_value_is_null_until_feasible(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert service.handle(start_request())["ok"]
         service.handle({"op": "ask", "n": 2})
 
@@ -113,7 +112,7 @@ class TestBestValueStrictJson:
         assert told["best_value"] == 3.25
 
     def test_snapshot_with_infeasible_history_is_strict_json(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert service.handle(start_request())["ok"]
         service.handle({"op": "ask", "n": 1})
         service.handle({"op": "tell", "id": 0, "feasible": False})
@@ -143,7 +142,7 @@ class TestNonFiniteTellRejected:
     """Regression: ``tell`` must reject non-finite feasible values."""
 
     def _started(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert service.handle(start_request())["ok"]
         service.handle({"op": "ask", "n": 1})
         return service
@@ -199,7 +198,7 @@ class TestTellNumberFields:
 
     @staticmethod
     def _started():
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert service.handle(start_request())["ok"]
         service.handle({"op": "ask", "n": 2})
         return service
@@ -259,7 +258,7 @@ class TestStartConflicts:
     """Regression: ``start`` must not silently discard an active session."""
 
     def test_start_over_in_flight_suggestions_refused(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert service.handle(start_request())["ok"]
         service.handle({"op": "ask", "n": 2})
         response = service.handle(start_request())
@@ -267,14 +266,14 @@ class TestStartConflicts:
         assert "in-flight" in response["error"] and "force" in response["error"]
 
     def test_start_over_active_session_refused(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert service.handle(start_request())["ok"]
         response = service.handle(start_request())
         assert response["ok"] is False
         assert "active" in response["error"]
 
     def test_force_discards_and_restarts(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert service.handle(start_request())["ok"]
         service.handle({"op": "ask", "n": 1})
         response = service.handle(start_request(force=True))
@@ -282,7 +281,7 @@ class TestStartConflicts:
         assert service.handle({"op": "status"})["evaluations"] == 0
 
     def test_finished_session_is_silently_replaceable(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert service.handle(start_request(budget=1))["ok"]
         service.handle({"op": "ask", "n": 1})
         service.handle({"op": "tell", "id": 0, "value": 1.0})
@@ -336,38 +335,40 @@ class TestErrorPaths:
     """Every documented error path answers ok=false and keeps serving."""
 
     def test_malformed_json(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         for line in ["{not json", "", "}{", '"just a string"', "[1, 2]", "null", "42"]:
             response = strict_loads(service.handle_line(line))
             assert response["ok"] is False, line
             assert "bad request" in response["error"]
 
     def test_oversized_line(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         response = strict_loads(service.handle_line("x" * (MAX_LINE_BYTES + 1)))
         assert response["ok"] is False and "exceeds" in response["error"]
 
     def test_ops_before_start(self):
         for op in ["ask", "tell", "status", "snapshot", "close"]:
-            response = SessionService().handle({"op": op, "id": 0, "value": 1.0})
+            response = SessionRegistry(max_sessions=1).handle(
+                {"op": op, "id": 0, "value": 1.0}
+            )
             assert response["ok"] is False, op
             assert "unknown session" in response["error"]
 
     def test_tell_unknown_id(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         service.handle(start_request())
         response = service.handle({"op": "tell", "id": 123, "value": 1.0})
         assert response["ok"] is False and "123" in response["error"]
 
     def test_tell_without_value(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         service.handle(start_request())
         service.handle({"op": "ask"})
         response = service.handle({"op": "tell", "id": 0})
         assert response["ok"] is False and "'value'" in response["error"]
 
     def test_tell_non_boolean_feasible(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         service.handle(start_request())
         service.handle({"op": "ask"})
         response = service.handle(
@@ -387,7 +388,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("value", [0.99, True, "1", None])
     def test_tell_non_integer_id(self, value):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         service.handle(start_request())
         service.handle({"op": "ask", "n": 2})
         self._assert_rejected(service, {"op": "tell", "id": value, "value": 2.0}, "id")
@@ -397,7 +398,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("value", [2.7, True, "2", None])
     def test_ask_non_integer_n(self, value):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         service.handle(start_request())
         self._assert_rejected(service, {"op": "ask", "n": value}, "n")
         assert service.handle({"op": "status"})["pending_ids"] == []
@@ -407,12 +408,12 @@ class TestErrorPaths:
         *[("seed", v) for v in (3.5, False, "3", None)],
     ])
     def test_start_non_integer_budget_or_seed(self, field, value):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         self._assert_rejected(service, start_request(**{field: value}), field)
         assert "unknown session" in service.handle({"op": "status"})["error"]
 
     def test_restore_needs_exactly_one_source(self, tmp_path):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         for extra in [{}, {"path": str(tmp_path / "x.json"), "payload": {}}]:
             response = service.handle({"op": "restore", **extra})
             assert response["ok"] is False
@@ -420,26 +421,30 @@ class TestErrorPaths:
 
     def test_restore_malformed_payload(self):
         for payload in [{}, {"session": 3}, {"session": {}}, [1], "x"]:
-            response = SessionService().handle({"op": "restore", "payload": payload})
+            response = SessionRegistry(max_sessions=1).handle(
+                {"op": "restore", "payload": payload}
+            )
             assert response["ok"] is False
 
     def test_restore_missing_file(self, tmp_path):
-        response = SessionService().handle(
+        response = SessionRegistry(max_sessions=1).handle(
             {"op": "restore", "path": str(tmp_path / "missing.json")}
         )
         assert response["ok"] is False
 
     def test_restore_payload_without_seed(self):
         # an entropy-seeded restore would silently lose determinism
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         service.handle(start_request())
         payload = service.handle({"op": "snapshot"})["snapshot"]
         del payload["tuner"]["seed"]
-        response = SessionService().handle({"op": "restore", "payload": payload})
+        response = SessionRegistry(max_sessions=1).handle(
+            {"op": "restore", "payload": payload}
+        )
         assert response["ok"] is False and "seed" in response["error"]
 
     def test_ask_after_done_returns_empty(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         service.handle(start_request(budget=1))
         service.handle({"op": "ask"})
         service.handle({"op": "tell", "id": 0, "value": 1.0})
@@ -455,7 +460,7 @@ class TestErrorPaths:
             assert "'session'" in response["error"]
 
     def test_unknown_benchmark_and_tuner(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert not service.handle(start_request(benchmark="nope_bench"))["ok"]
         assert not service.handle(start_request(tuner="NopeTuner"))["ok"]
         assert not service.handle(start_request(budget="many"))["ok"]

@@ -9,10 +9,10 @@ Covers the tentpole guarantees of the API inversion:
   work, and yield deterministic traces for a fixed batch size,
 * the legacy helpers raise a clear error outside an active session,
 * a dropped session and its tuner are freed by reference counting alone,
-* the JSON-lines service drives a session end to end (``SessionService``
-  is now the single-session view of ``SessionRegistry``; the multi-session
-  registry, the TCP server, and the malformed-traffic hardening are covered
-  by ``test_server.py`` and ``test_service_hardening.py``).
+* the JSON-lines service drives a session end to end through a
+  single-session ``SessionRegistry`` (the multi-session registry, the TCP
+  server, and the malformed-traffic hardening are covered by
+  ``test_server.py`` and ``test_service_hardening.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.baselines.ytopt import YtoptLikeTuner
 from repro.core.baco import BacoSettings, BacoTuner
 from repro.core.result import ObjectiveResult
 from repro.core.session import Suggestion, TuningSession, drive
-from repro.service import SessionService
+from repro.service import SessionRegistry
 
 
 def _fast_settings(**overrides) -> BacoSettings:
@@ -283,7 +283,7 @@ class TestSessionService:
         return response
 
     def test_start_ask_tell_roundtrip(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         started = self._start(service)
         assert started["benchmark"] == "hpvm_bfs"
 
@@ -297,7 +297,7 @@ class TestSessionService:
         assert status["best_value"] == 2.5
 
     def test_snapshot_restore_via_file(self, tmp_path):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         self._start(service)
         asked = service.handle({"op": "ask", "n": 1})
         service.handle(
@@ -307,14 +307,14 @@ class TestSessionService:
         saved = service.handle({"op": "snapshot", "path": str(path)})
         assert saved["ok"] and path.exists()
 
-        fresh = SessionService()
+        fresh = SessionRegistry(max_sessions=1)
         restored = fresh.handle({"op": "restore", "path": str(path)})
         assert restored["ok"] and restored["evaluations"] == 1
         status = fresh.handle({"op": "status"})
         assert status["best_value"] == 1.25
 
     def test_errors_do_not_kill_the_service(self):
-        service = SessionService()
+        service = SessionRegistry(max_sessions=1)
         assert not service.handle({"op": "ask"})["ok"]  # no session yet
         assert not service.handle({"op": "nope"})["ok"]
         line = service.handle_line("{not json")
