@@ -12,14 +12,18 @@ constraints.  Four protection layers:
   permutations, wide integer ranges, and parameters read only by callables
   or multi-variable constraints are absent (brute force on small spaces,
   plus hypothesis properties over random mixed R/I/O/C/P spaces, one driven
-  by the scalar ``sample_reference`` oracle);
+  by the scalar ``sample_reference`` oracle); the lists never drop a value
+  of the brute-force support, alone or in a conjunction, and do not depend
+  on the order of the constraints;
 * **semantic equivalence** — the sampler produces only feasible rows
-  (``feasible_mask_rows`` stays the final filter) and keeps unconstrained
-  dimensions untouched; a draw from a parameter's full ``values_list()`` is
+  (``feasible_mask_rows`` stays the final filter), reaches exactly the
+  brute-force support of each single constraint, unary or not, and keeps
+  unconstrained dimensions untouched; a draw from a parameter's full ``values_list()`` is
   the unrestricted draw (same values, dtype and generator state), so
   parameters the filter leaves alone keep their plain streams;
 * **diagnostics** — a parameter with no surviving value raises at once, and
-  an exhausted rejection budget names the constraint that starved it;
+  an exhausted rejection budget names the constraints that starved it (also
+  when only their conjunction is unsatisfiable);
 * **the hard-constraint workload suite** — densities behave as labelled
   under plain rejection (unconstrained draws masked by
   ``feasible_mask_rows``), the sampler draws the 1e-6 instance, and at 1e-2
@@ -72,13 +76,22 @@ def _brute_force_support(domains: dict, constraints) -> dict:
 
 _DOMAINS = {"a": list(range(8)), "b": list(range(8)), "c": [1, 2, 4, 8]}
 
+#: single constraints over ``_DOMAINS``: three unary, six multi-variable
+_SINGLE_CONSTRAINTS = [
+    "a < b",
+    "a % 2 == 0",
+    "a + b <= 4",
+    "a * c <= 8",
+    "a == b",
+    "c in (2, 8)",
+    "a <= 2 or b >= 6",
+    "a % 2 == 0 and b > a",
+    "2 <= a <= 5",
+]
 
-@pytest.mark.parametrize("expression", ["a % 2 == 0", "c in (2, 8)", "2 <= a <= 5"])
-def test_unary_filter_is_exact(expression):
-    """The filter keeps exactly a unary constraint's support, in order, and
-    leaves the parameters it does not read un-narrowed."""
-    constraints = [Constraint(expression)]
-    space = SearchSpace(
+
+def _small_space(constraints) -> SearchSpace:
+    return SearchSpace(
         [
             IntegerParameter("a", 0, 7),
             IntegerParameter("b", 0, 7),
@@ -87,6 +100,14 @@ def test_unary_filter_is_exact(expression):
         constraints,
         build_chain_of_trees=False,
     )
+
+
+@pytest.mark.parametrize("expression", ["a % 2 == 0", "c in (2, 8)", "2 <= a <= 5"])
+def test_unary_filter_is_exact(expression):
+    """The filter keeps exactly a unary constraint's support, in order, and
+    leaves the parameters it does not read un-narrowed."""
+    constraints = [Constraint(expression)]
+    space = _small_space(constraints)
     support = _brute_force_support(_DOMAINS, constraints)
     narrowed = space._narrowed_values()
     for name, values in _DOMAINS.items():
@@ -95,6 +116,49 @@ def test_unary_filter_is_exact(expression):
             assert name not in narrowed, name
         else:
             assert narrowed[name] == kept, name
+
+
+@pytest.mark.parametrize("expression", _SINGLE_CONSTRAINTS)
+def test_sampler_reaches_exact_support(expression):
+    """Narrowing never drops a supported value and the residual mask drops
+    the rest: the drawn rows cover exactly the brute-force support."""
+    constraints = [Constraint(expression)]
+    space = _small_space(constraints)
+    support = _brute_force_support(_DOMAINS, constraints)
+    for name, values in space._narrowed_values().items():
+        assert support[name] <= set(values), name
+    rows = space.sample_rows(np.random.default_rng(11), 2000)
+    columns = space.encoder.value_columns(rows, names=list(_DOMAINS))
+    for name in _DOMAINS:
+        assert set(columns[name].tolist()) == support[name], name
+
+
+def test_conjunction_narrowing_is_sound():
+    """Only the unary conjunct narrows, and it may keep values no joint
+    assignment uses (``b == 0`` needs ``a < 0``) but never drops one."""
+    constraints = [
+        Constraint("a < b"),
+        Constraint("a + b <= 9"),
+        Constraint("a * c <= 16"),
+        Constraint("b % 2 == 0"),
+    ]
+    space = _small_space(constraints)
+    support = _brute_force_support(_DOMAINS, constraints)
+    narrowed = space._narrowed_values()
+    assert narrowed == {"b": [0, 2, 4, 6]}
+    assert support["b"] == {2, 4, 6}
+    rows = space.sample_rows(np.random.default_rng(12), 256)
+    assert bool(np.all(space.feasible_mask_rows(rows)))
+
+
+def test_jointly_unsatisfiable_constraints_are_left_to_the_mask():
+    """Each constraint alone is satisfiable, so nothing narrows or raises up
+    front; the rejection budget runs out and names both constraints."""
+    space = _small_space([Constraint("a < b"), Constraint("b < a")])
+    assert space._narrowed_values() == {}
+    with pytest.raises(RuntimeError, match="rejection sampling failed") as info:
+        space.sample_rows(np.random.default_rng(0), 2, max_rejection_rounds=50)
+    assert "'a < b'" in str(info.value) and "'b < a'" in str(info.value)
 
 
 def test_reals_wide_integers_and_callables_are_not_narrowed():
@@ -185,6 +249,22 @@ def test_narrowed_values_are_the_unary_scalar_support(space):
         assert space._narrowed_values() == expected
 
 
+@given(constrained_spaces(), st.randoms(use_true_random=False))
+@hyp_settings(max_examples=30, deadline=None)
+def test_narrowing_is_order_independent(space, shuffler):
+    """Reordering the constraints narrows the same values, in the same order."""
+    shuffled = list(space.constraints)
+    shuffler.shuffle(shuffled)
+    twin = SearchSpace(space.parameters, shuffled, build_chain_of_trees=False)
+    try:
+        reference = space._narrowed_values()
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="no feasible configuration"):
+            twin._narrowed_values()
+        return
+    assert twin._narrowed_values() == reference
+
+
 @given(constrained_spaces(), st.integers(0, 2**31 - 1))
 @hyp_settings(max_examples=30, deadline=None)
 def test_no_feasible_configuration_is_ever_pruned(space, seed):
@@ -224,6 +304,7 @@ def test_propagated_rows_are_feasible_and_default_stream_unchanged(space, seed):
 
 _FULL_DOMAIN_PARAMETERS = [
     IntegerParameter("i", -3, 40),
+    IntegerParameter("i_wide", 0, 10_000),  # wider than the narrowing cap
     OrdinalParameter("o", [1, 2, 4, 8, 16, 32]),
     CategoricalParameter("c", ["u", "v", "w"]),
 ]
