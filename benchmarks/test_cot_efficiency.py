@@ -24,11 +24,24 @@ from repro.workloads import get_benchmark
 
 
 def _rejection_sample(space: SearchSpace, rng: np.random.Generator, n: int) -> list[dict]:
+    """Plain rejection: ``n`` unconstrained draws per round (one
+    ``sample_batch`` column per parameter), decoded row by row, each kept
+    when every constraint holds."""
+    encoder = space.encoder
     samples = []
     while len(samples) < n:
-        config = {p.name: p.sample(rng) for p in space.parameters}
-        if all(c.evaluate(config) for c in space.constraints):
-            samples.append(config)
+        rows = np.hstack(
+            [
+                encoder.encode_value_column(p.name, p.sample_batch(rng, n))
+                for p in space.parameters
+            ]
+        )
+        for row in rows:
+            config = encoder.decode(row)
+            if all(c.evaluate(config) for c in space.constraints):
+                samples.append(config)
+                if len(samples) == n:
+                    break
     return samples
 
 

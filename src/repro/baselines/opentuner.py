@@ -216,14 +216,11 @@ class OpenTunerLikeTuner(Tuner):
             i, j = self._rng.choice(len(elites), size=2, replace=False)
             proposal = self._crossover(elites[int(i)], elites[int(j)])
         if proposal is None or self.space.freeze(proposal) in seen:
-            # fall back to random sampling (also the "random" technique):
-            # one batched row draw instead of up to 16 scalar draws
-            decode = self.space.encoder.decode
-            for row in self.space.sample_rows(self._rng, 16):
-                candidate = decode(row)
-                if self.space.freeze(candidate) not in seen:
-                    return candidate
-            return self.space.sample_one(self._rng)
+            # fall back to random sampling (also the "random" technique): the
+            # first unseen of one 16-row draw, else one give-up draw
+            proposal = self.space.first_unseen(self._rng, 16, seen)
+            if proposal is None:
+                proposal = self.space.sample_one(self._rng)
         return proposal
 
     def _mutate(self, configuration: Mapping[str, Any]) -> Configuration | None:

@@ -46,26 +46,19 @@ class UniformSamplingTuner(Tuner):
     def _propose(self, k: int, pending_keys: set[tuple]) -> list[tuple[Configuration, str]]:
         proposals: list[tuple[Configuration, str]] = []
         blocked = self._seen | set(pending_keys)
-        decode = self.space.encoder.decode
         for _ in range(k):
-            # one vectorized draw replaces the historical loop of up to 32
-            # scalar rejection-sampled draws; the semantics are preserved:
-            # first unseen candidate wins, and a final give-up draw (never
-            # added to the seen set, so it may be re-proposed later) covers
-            # exhausted spaces
-            config = None
-            for row in self.space.sample_rows(
-                self._rng, 32, biased_cot=self._biased_cot
-            ):
-                candidate = decode(row)
-                key = self.space.freeze(candidate)
-                if key not in blocked:
-                    self._seen.add(key)
-                    blocked.add(key)
-                    config = candidate
-                    break
+            # the first unseen of one 32-row draw wins; a final give-up draw
+            # (never added to the seen set, so it may be re-proposed later)
+            # covers exhausted spaces
+            config = self.space.first_unseen(
+                self._rng, 32, blocked, biased_cot=self._biased_cot
+            )
             if config is None:
                 config = self.space.sample_one(self._rng, biased_cot=self._biased_cot)
+            else:
+                key = self.space.freeze(config)
+                self._seen.add(key)
+                blocked.add(key)
             proposals.append((config, "learning"))
         return proposals
 

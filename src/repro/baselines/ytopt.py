@@ -20,8 +20,6 @@ the manual search-space pruning the paper performs for Ytopt.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
-
 import numpy as np
 
 from ..core.acquisition import expected_improvement
@@ -129,21 +127,24 @@ class YtoptLikeTuner(Tuner):
             return self._random_unseen(evaluated)
 
         try:
-            ei = self._expected_improvement(configs, values, pool, np.asarray(pool_rows))
+            ei = self._expected_improvement(
+                self.space.encode_batch(configs), values, np.asarray(pool_rows)
+            )
         except (ValueError, np.linalg.LinAlgError):
             return self._random_unseen(evaluated)
         return pool[int(np.argmax(ei))]
 
     def _expected_improvement(
-        self,
-        configs: Sequence[Mapping[str, Any]],
-        values: np.ndarray,
-        pool: Sequence[Mapping[str, Any]],
-        pool_rows: np.ndarray,
+        self, features: np.ndarray, values: np.ndarray, pool_rows: np.ndarray
     ) -> np.ndarray:
+        """EI of the pool rows under a surrogate fitted on the evaluated rows.
+
+        Both matrices are in the space's encoding.  The GP's naive
+        permutation metric leaves that layout unchanged, so the GP fits and
+        predicts on these rows as they are.
+        """
         best = float(np.min(values))
         if self.surrogate == "rf":
-            features = self.space.encode_batch(configs)
             model = RandomForestRegressor(n_trees=self.rf_trees, rng=self._rng)
             model.fit(features, values)
             mean, variance = model.predict_with_uncertainty(pool_rows)
@@ -158,19 +159,12 @@ class YtoptLikeTuner(Tuner):
                 advanced_fit=True,
                 rng=self._rng,
             )
-            model.fit(configs, values)
+            model.fit_rows(features, values)
             best = float(model.to_model_scale(best))
-            if model.encoder.signature() == self.space.encoder.signature():
-                mean, variance = model.predict_rows(pool_rows, include_noise=True)
-            else:
-                mean, variance = model.predict(pool, include_noise=True)
+            mean, variance = model.predict_rows(pool_rows, include_noise=True)
         return expected_improvement(mean, variance, best)
 
     def _random_unseen(self, evaluated: set[tuple]) -> Configuration:
-        """First unseen configuration of one batched draw (give-up: one more)."""
-        decode = self.space.encoder.decode
-        for row in self.space.sample_rows(self._rng, 32):
-            config = decode(row)
-            if self.space.freeze(config) not in evaluated:
-                return config
-        return self.space.sample_one(self._rng)
+        """First unseen configuration of one 32-row draw (give-up: one more)."""
+        config = self.space.first_unseen(self._rng, 32, evaluated)
+        return config if config is not None else self.space.sample_one(self._rng)

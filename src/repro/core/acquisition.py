@@ -12,10 +12,10 @@ BaCO uses Expected Improvement (EI) with two modifications (Sec. 3.3 and 4.2):
 All functions operate on the GP's *model scale* (log-transformed and
 standardized objective), in minimization form.
 
-:class:`AcquisitionFunction` is batch-first: a call encodes the whole
-candidate set once, runs a single GP predict over the encoded rows, and —
-when the feasibility model shares the GP's encoding layout — reuses the same
-rows for a single batched random-forest pass.
+:class:`AcquisitionFunction` scores encoded rows through one path,
+:meth:`AcquisitionFunction.evaluate_rows`: a single GP predict over the
+candidate matrix and, when the feasibility model shares the rows' encoding
+layout, a single batched random-forest pass over the same rows.
 """
 # repro: hot-path — row-space module: per-row Python loops, .tolist(), and in-loop decode are flagged (see repro.analysis)
 
@@ -74,14 +74,15 @@ class AcquisitionFunction:
     ----------
     model:
         A fitted :class:`~repro.models.gp.GaussianProcess` (or any object with
-        a compatible ``predict`` / ``to_model_scale`` interface).
+        its ``encoder`` / ``predict_rows`` / ``to_model_scale`` interface).
     best_value:
         Best *raw* feasible objective value observed so far.
     feasibility_model:
-        Optional model with ``predict_probability(configs) -> array``; when
-        given, the EI of each configuration is multiplied by its probability
-        of feasibility and configurations below ``feasibility_threshold`` are
-        assigned an acquisition value of ``-inf``.
+        Optional model with an ``encoder`` and
+        ``predict_probability_rows(rows) -> array``; when given, the EI of
+        each configuration is multiplied by its probability of feasibility
+        and configurations below ``feasibility_threshold`` are assigned an
+        acquisition value of ``-inf``.
     noiseless:
         Use the noise-free predictive variance (BaCO's modified EI).
     """
@@ -107,56 +108,25 @@ class AcquisitionFunction:
         self.feasibility_model = feasibility_model
         self.feasibility_threshold = feasibility_threshold
         self.noiseless = noiseless
-        # The GP encodes with the (possibly transform-adjusted) model space,
-        # the feasibility model with the original space.  When the two
-        # layouts warp values identically, one encoded matrix serves both.
-        self._shared_encoding = (
-            feasibility_model is not None
-            and hasattr(model, "encoder")
-            and hasattr(feasibility_model, "encoder")
-            and model.encoder.signature() == feasibility_model.encoder.signature()
-        )
 
+    # Unused by the tuner; kept because perfbench/tracing.py:PATCHES wraps it by name.
     def __call__(self, configurations: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        """Acquisition values (larger is better) for a batch of configurations.
-
-        The batch is encoded once and pushed through a single GP predict
-        call (and, when trained, a single feasibility-model pass).
-        """
-        if not configurations:
-            return np.empty(0)
-        rows = None
-        if hasattr(self.model, "encoder"):
-            rows = self.model.encoder.encode_batch(configurations)
-            mean, variance = self.model.predict_rows(
-                rows, include_noise=not self.noiseless
-            )
-        else:
-            mean, variance = self.model.predict(
-                configurations, include_noise=not self.noiseless
-            )
-        values = expected_improvement(mean, variance, self._best_model_scale)
-        if self.feasibility_model is not None and self.feasibility_model.is_trained:
-            if self._shared_encoding and rows is not None:
-                probability = self.feasibility_model.predict_probability_rows(rows)
-            else:
-                probability = self.feasibility_model.predict_probability(configurations)
-            values = values * probability
-            values = np.where(
-                probability >= self.feasibility_threshold, values, -np.inf
-            )
-        return values
+        """Acquisition values (larger is better) for a batch of configurations,
+        encoded with the model's encoder and scored by :meth:`evaluate_rows`."""
+        encoder = self.model.encoder
+        return self.evaluate_rows(encoder.encode_batch(configurations), encoder)
 
     def evaluate_rows(self, rows: np.ndarray, encoder: Any) -> np.ndarray:
-        """Acquisition values for pre-encoded rows in ``encoder``'s layout.
+        """Acquisition values (larger is better) for encoded rows in
+        ``encoder``'s layout.
 
-        The fast path of the row-space acquisition optimizer: when the GP's
-        model-space encoding matches the search space's (``signature()``
-        equality — true unless a transform ablation changes the warps), the
-        candidate matrix flows straight into ``predict_rows`` and the
-        feasibility RF without ever materializing configuration dicts.
-        Mismatching layouts decode once and re-encode for the model — the
-        correctness fallback for e.g. the no-transformations ablation.
+        When the GP's model-space encoding matches ``encoder``
+        (``signature()`` equality — true unless a transform ablation changes
+        the warps), the candidate matrix flows straight into
+        ``predict_rows``, and likewise into the feasibility RF, without ever
+        materializing configuration dicts.  A model with a different layout
+        gets the rows decoded once and re-encoded in its own — e.g. the GP
+        of the no-transformations ablation.
         """
         if len(rows) == 0:
             return np.empty(0)
@@ -166,23 +136,19 @@ class AcquisitionFunction:
             profiler.phase("predict") if profiler is not None else nullcontext()
         )
         configurations = None
-        with predict_phase:
-            if (
-                hasattr(self.model, "encoder")
-                and self.model.encoder.signature() == encoder.signature()
-            ):
-                mean, variance = self.model.predict_rows(rows, include_noise=include_noise)
-            else:
+
+        def in_layout(model_encoder: Any) -> np.ndarray:
+            nonlocal configurations
+            if model_encoder.signature() == encoder.signature():
+                return rows
+            if configurations is None:
                 configurations = encoder.decode_batch(rows)
-                if hasattr(self.model, "encoder"):
-                    mean, variance = self.model.predict_rows(
-                        self.model.encoder.encode_batch(configurations),
-                        include_noise=include_noise,
-                    )
-                else:
-                    mean, variance = self.model.predict(
-                        configurations, include_noise=include_noise
-                    )
+            return model_encoder.encode_batch(configurations)
+
+        with predict_phase:
+            mean, variance = self.model.predict_rows(
+                in_layout(self.model.encoder), include_noise=include_noise
+            )
         ei_phase = profiler.phase("ei") if profiler is not None else nullcontext()
         with ei_phase:
             values = expected_improvement(mean, variance, self._best_model_scale)
@@ -191,19 +157,9 @@ class AcquisitionFunction:
                     profiler.phase("feas_predict") if profiler is not None else nullcontext()
                 )
                 with feas_phase:
-                    if (
-                        hasattr(self.feasibility_model, "encoder")
-                        and self.feasibility_model.encoder.signature() == encoder.signature()
-                    ):
-                        probability = self.feasibility_model.predict_probability_rows(rows)
-                    else:
-                        # duck-typed feasibility models (no encoder attribute)
-                        # get the dict surface, mirroring __call__'s hasattr guard
-                        if configurations is None:
-                            configurations = encoder.decode_batch(rows)
-                        probability = self.feasibility_model.predict_probability(
-                            configurations
-                        )
+                    probability = self.feasibility_model.predict_probability_rows(
+                        in_layout(self.feasibility_model.encoder)
+                    )
                 values = values * probability
                 values = np.where(
                     probability >= self.feasibility_threshold, values, -np.inf

@@ -662,54 +662,33 @@ class BacoTuner(Tuner):
             best=float(np.min(targets)),
             feasibility=self._feasibility,
             epsilon=epsilon,
-            space=self.space,
         )
 
     def _random_fallback(self, evaluated_keys: set[tuple]) -> Configuration:
-        """Random feasible configuration, avoiding re-evaluations when possible.
-
-        One row batch replaces the historical loop of up to 64 scalar draws;
-        the final give-up draw (everything already evaluated) stays a single
-        extra sample, as before.
-        """
-        rows = self.space.sample_rows(self._rng, 64)
-        decode = self.space.encoder.decode
-        for row in rows:
-            config = decode(row)
-            if self.space.freeze(config) not in evaluated_keys:
-                return config
-        return self.space.sample_one(self._rng)
+        """Random feasible configuration, avoiding re-evaluations when possible:
+        the first unseen of one 64-row draw, else one give-up draw."""
+        config = self.space.first_unseen(self._rng, 64, evaluated_keys)
+        return config if config is not None else self.space.sample_one(self._rng)
 
 
 class _RFAcquisition:
-    """Feasibility-weighted EI over an RF surrogate, batch- and row-capable.
+    """Feasibility-weighted EI over an RF surrogate, on encoded rows.
 
-    Both the surrogate and the feasibility model consume the original space's
-    encoding, so the row-space acquisition optimizer feeds its candidate
-    matrices straight through without any decode.
+    The surrogate and the feasibility model were both fitted on rows of the
+    tuner's space, which are the rows the local search passes in, so the
+    candidate matrices flow straight through without any decode.
     """
 
-    def __init__(self, surrogate, best, feasibility, epsilon, space) -> None:
+    def __init__(self, surrogate, best, feasibility, epsilon) -> None:
         self.surrogate = surrogate
         self.best = best
         self.feasibility = feasibility
         self.epsilon = epsilon
-        self.space = space
 
-    def _from_rows(self, rows: np.ndarray) -> np.ndarray:
+    def evaluate_rows(self, rows: np.ndarray, encoder) -> np.ndarray:
         mean, var = self.surrogate.predict_with_uncertainty(rows)
         ei = expected_improvement(mean, var, self.best)
         if self.feasibility is not None and self.feasibility.is_trained:
             probability = self.feasibility.predict_probability_rows(rows)
             ei = np.where(probability >= self.epsilon, ei * probability, -np.inf)
         return ei
-
-    def __call__(self, candidates) -> np.ndarray:
-        return self._from_rows(self.space.encode_batch(candidates))
-
-    def evaluate_rows(self, rows: np.ndarray, encoder) -> np.ndarray:
-        if encoder.signature() == self.space.encoder.signature():
-            return self._from_rows(rows)
-        return self._from_rows(
-            self.space.encode_batch(encoder.decode_batch(rows))
-        )

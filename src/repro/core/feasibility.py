@@ -54,19 +54,8 @@ class FeasibilityModel:
         """The space's shared :class:`~repro.space.encoding.ConfigEncoder`."""
         return self.space.encoder
 
-    def fit(
-        self,
-        configurations: Sequence[Mapping[str, Any]],
-        feasible: Sequence[bool],
-    ) -> None:
-        """(Re-)train on every configuration evaluated so far.
-
-        Thin adapter over :meth:`fit_rows` for configuration dicts.
-        """
-        self.fit_rows(self.encoder.encode_batch(configurations), feasible)
-
     def fit_rows(self, rows: np.ndarray, feasible: Sequence[bool]) -> None:
-        """(Re-)train on pre-encoded rows."""
+        """(Re-)train on the encoded rows of every configuration evaluated so far."""
         if len(rows) != len(feasible):
             raise ValueError("rows and labels must have the same length")
         labels = np.asarray([1.0 if f else 0.0 for f in feasible])
@@ -86,13 +75,12 @@ class FeasibilityModel:
             return np.ones(n)
         return np.full(n, (self._n_feasible + 1.0) / (total + 2.0))
 
+    # Unused by the tuner; kept because perfbench/tracing.py:PATCHES wraps it by name.
     def predict_probability(
         self, configurations: Sequence[Mapping[str, Any]]
     ) -> np.ndarray:
         """Probability that each configuration satisfies the hidden constraints."""
-        if not self.is_trained:
-            return self._untrained_probability(len(configurations))
-        return self._forest.predict_proba(self.encoder.encode_batch(configurations))
+        return self.predict_probability_rows(self.encoder.encode_batch(configurations))
 
     def predict_probability_rows(self, rows: np.ndarray) -> np.ndarray:
         """Feasibility probabilities for pre-encoded rows (batched RF pass)."""

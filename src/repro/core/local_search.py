@@ -19,8 +19,8 @@ The whole optimizer runs in **row space**: the random batch is one
 all still-active starts' neighbourhoods as a single row matrix
 (``SearchSpace.neighbour_rows_batch`` — candidate values gathered from the
 Chain-of-Trees, feasibility by compiled residual constraints), and one
-batched acquisition call scores it.  Configurations are decoded to dicts only
-for the returned winners, i.e. at the tuner boundary.
+batched ``acquisition.evaluate_rows`` call scores it.  Configurations are
+decoded to dicts only for the returned winners, i.e. at the tuner boundary.
 
 There is one climb (:func:`_climb_and_rank`) behind two start-selection
 front ends: :func:`multistart_local_search_batch` draws a fresh random batch
@@ -32,7 +32,7 @@ starts from a caller's pre-scored rows.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -75,27 +75,6 @@ def random_candidate_rows(
 ) -> np.ndarray:
     """Uniform feasible candidates as encoded rows; duplicates collapsed."""
     return _unique_rows(space.sample_rows(rng, n_samples))
-
-
-def _row_scorer(
-    acquisition: Callable[[Sequence[Mapping[str, Any]]], np.ndarray],
-    space: SearchSpace,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt an acquisition to score encoded rows.
-
-    :class:`~repro.core.acquisition.AcquisitionFunction` (and the RF
-    acquisition) expose ``evaluate_rows`` and consume the matrix directly;
-    plain dict-based callables — custom acquisitions, tests — are served by
-    decoding each batch once.
-    """
-    evaluate_rows = getattr(acquisition, "evaluate_rows", None)
-    if evaluate_rows is not None:
-        encoder = space.encoder
-        return lambda rows: np.asarray(evaluate_rows(rows, encoder), dtype=float)
-    decode = space.encoder.decode
-    return lambda rows: np.asarray(
-        acquisition([decode(row) for row in rows]), dtype=float
-    )
 
 
 def _phase(profiler: Any | None, name: str):
@@ -204,7 +183,7 @@ def _climb_and_rank(
 
 def multistart_local_search_batch(
     space: SearchSpace,
-    acquisition: Callable[[Sequence[Mapping[str, Any]]], np.ndarray],
+    acquisition: Any,
     rng: np.random.Generator,
     settings: LocalSearchSettings | None = None,
     exclude: Iterable[tuple] = (),
@@ -213,7 +192,9 @@ def multistart_local_search_batch(
 ) -> list[tuple[Configuration, float]]:
     """The top-``k`` distinct configurations according to ``acquisition``.
 
-    One fresh random-row batch per call; its ``n_starts`` best rows seed the
+    ``acquisition`` scores encoded rows through its
+    ``evaluate_rows(rows, space.encoder)``.  One fresh random-row batch per
+    call; its ``n_starts`` best rows seed the
     climb of :func:`_climb_and_rank`, and the batch back-fills the ranking.
     ``exclude`` holds frozen keys that must not be returned (typically the
     evaluated configurations); an empty list means every candidate was
@@ -232,7 +213,11 @@ def multistart_local_search_batch(
         candidates = random_candidate_rows(space, settings.n_random_samples, rng)
     if len(candidates) == 0:
         return []
-    score = _row_scorer(acquisition, space)
+    encoder = space.encoder
+
+    def score(rows: np.ndarray) -> np.ndarray:
+        return acquisition.evaluate_rows(rows, encoder)
+
     values = score(candidates)
     order = np.argsort(-values)
     return _climb_and_rank(

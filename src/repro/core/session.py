@@ -158,6 +158,82 @@ def _rng_state_from_json(rng: np.random.Generator, payload: Mapping[str, Any]) -
     }
 
 
+def _json_int(value: Any, field: str, low: int = 0) -> int:
+    """``value`` as a JSON integer ``>= low``: ``int()`` would read ``true``
+    as 1 and truncate ``8.7`` to 8, so a ``bool`` or a ``float`` is refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{field} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _check_configuration(space: Any, payload: Any, field: str) -> None:
+    """A snapshotted configuration names exactly the space's parameters, each
+    with a value the parameter contains."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{field} must be an object, got {payload!r}")
+    configuration = configuration_from_json(payload)
+    for name in (*configuration, *space.parameter_names):
+        if name not in space:
+            raise ValueError(f"{field}.{name} is not a parameter of the space")
+        if name not in configuration:
+            raise ValueError(f"{field}.{name} is missing")
+        if not space[name].contains(configuration[name]):
+            raise ValueError(
+                f"{field}.{name} holds {configuration[name]!r}, not a legal value"
+            )
+
+
+def _check_snapshot(payload: Mapping[str, Any], space: Any) -> None:
+    """Refuse a snapshot whose replay would silently differ from its run;
+    each malformed field raises ``ValueError`` naming it."""
+    meta = payload["session"]
+    budget = _json_int(meta.get("budget"), "session.budget", low=1)
+    history = payload.get("history")
+    evaluations = history.get("evaluations") if isinstance(history, Mapping) else None
+    pending = payload.get("pending", [])
+    if not isinstance(evaluations, list) or not isinstance(pending, list):
+        raise ValueError("history.evaluations and pending must be lists")
+    if len(evaluations) + len(pending) > budget:
+        raise ValueError(
+            f"session.budget {budget} is below the snapshot's {len(evaluations)} "
+            f"evaluations plus {len(pending)} pending suggestions"
+        )
+    next_id = _json_int(
+        meta.get("next_suggestion_id", len(evaluations)), "session.next_suggestion_id"
+    )
+    for i, entry in enumerate(evaluations):
+        field = f"history.evaluations[{i}]"
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"{field} must be an object")
+        if _json_int(entry.get("index"), f"{field}.index") != i:
+            raise ValueError(f"{field}.index must be {i}, got {entry['index']!r}")
+        feasible, value = entry.get("feasible"), entry.get("value")
+        if not isinstance(feasible, bool):
+            raise ValueError(f"{field}.feasible must be true or false, got {feasible!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{field}.value must be a number, got {value!r}")
+        _check_configuration(space, entry.get("configuration"), f"{field}.configuration")
+    pending_ids: set[int] = set()
+    for i, entry in enumerate(pending):
+        field = f"pending[{i}]"
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"{field} must be an object")
+        suggestion_id = _json_int(entry.get("id"), f"{field}.id")
+        if suggestion_id in pending_ids or suggestion_id >= next_id:
+            raise ValueError(
+                f"{field}.id {suggestion_id} repeats a pending id or is not below "
+                f"session.next_suggestion_id {next_id}"
+            )
+        pending_ids.add(suggestion_id)
+        _check_configuration(space, entry.get("configuration"), f"{field}.configuration")
+    rng = payload.get("rng")
+    words = rng.get("state") if isinstance(rng, Mapping) else None
+    if not isinstance(words, Mapping):
+        raise ValueError("rng.state must be an object")
+    for word, value in words.items():
+        _json_int(value, f"rng.state.{word}")
+
+
 # ---------------------------------------------------------------------------
 # the session
 # ---------------------------------------------------------------------------
@@ -342,7 +418,9 @@ class TuningSession:
         that produced the snapshot (same class, space, and settings); its RNG
         state is overwritten with the snapshotted one, and every derived cache
         is reconstructed by replaying the history through the tuner's
-        observation hook.
+        observation hook.  The payload may come from a client, so its
+        counters, entries and RNG words are checked before anything is
+        installed; a malformed field raises ``ValueError`` naming it.
         """
         version = payload.get("version")
         if version != SNAPSHOT_VERSION:
@@ -354,9 +432,10 @@ class TuningSession:
                 f"snapshot was taken by tuner {snap_tuner.get('name')!r} but "
                 f"restore() was given {tuner.name!r}"
             )
+        _check_snapshot(payload, tuner.space)
         session = cls(
             tuner,
-            int(meta["budget"]),
+            meta["budget"],
             meta.get("benchmark_name", ""),
             _restoring=True,
         )
@@ -375,7 +454,7 @@ class TuningSession:
         session._reissue = deque(
             Suggestion.from_dict(entry) for entry in payload.get("pending", ())
         )
-        session._next_id = int(meta.get("next_suggestion_id", len(session.history)))
+        session._next_id = meta.get("next_suggestion_id", len(session.history))
         return session
 
 

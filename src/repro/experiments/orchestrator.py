@@ -55,7 +55,13 @@ from ..core.result import TuningHistory
 from ..workloads.base import Benchmark
 from ..workloads.registry import get_benchmark
 from .config import ExperimentConfig, default_config
-from .runner import TUNER_VARIANTS, _cache_path, _registry_resolvable, run_single
+from .runner import (
+    TUNER_VARIANTS,
+    _cache_path,
+    _pool_init,
+    _registry_resolvable,
+    run_single,
+)
 
 __all__ = [
     "Cell",
@@ -264,13 +270,6 @@ def _run_cell_timed(
     started = time.time()
     history = _run_cell(cell, config, timeout)
     return time.time() - started, history
-
-
-def _init_worker(parent_sys_path: list[str]) -> None:
-    """Make ``repro`` importable in spawned workers even without PYTHONPATH."""
-    for entry in parent_sys_path:
-        if entry not in sys.path:
-            sys.path.append(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +482,7 @@ def _run_parallel_cells(
     with ProcessPoolExecutor(
         max_workers=min(workers, len(pending)),
         mp_context=context,
-        initializer=_init_worker,
+        initializer=_pool_init,
         initargs=(list(sys.path),),
     ) as pool:
 

@@ -260,7 +260,7 @@ def _registry_resolvable(name: str) -> bool:
 
 
 def _pool_init(parent_sys_path: list[str]) -> None:
-    """Make ``repro`` importable in spawned evaluation workers."""
+    """Make ``repro`` importable in spawned workers (evaluation and sweep pools)."""
     for entry in parent_sys_path:
         if entry not in sys.path:
             sys.path.append(entry)

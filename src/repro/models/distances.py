@@ -10,15 +10,15 @@ that a single set of lengthscale priors works across parameters of very
 different scales (Sec. 3.2: "By normalizing the input data, BaCO can use a
 single set of priors that works well for the majority of parameters").
 
-The primary entry point is :meth:`DistanceComputer.pairwise_rows`, which
+The one entry point is :meth:`DistanceComputer.pairwise_rows`, which
 operates on **pre-encoded** matrices produced by
 :class:`repro.space.encoding.ConfigEncoder`: every per-type block — numeric
 absolute differences, categorical Hamming, and all four permutation
 semimetrics including Kendall — is computed with vectorized numpy, with no
-per-pair Python loop anywhere.  :meth:`DistanceComputer.pairwise` remains as
-a thin adapter for callers holding raw configuration dicts (it encodes, then
-delegates).  The historical per-pair implementation lives on in the test
-suite as the ground truth these blocks are pinned against.
+per-pair Python loop anywhere.  Callers holding configuration dicts encode
+them first.  The historical per-pair implementation and the scalar
+permutation metrics live on in ``tests/oracles.py`` as the ground truth
+these blocks are pinned against.
 
 :class:`IncrementalDistanceTensor` grows the symmetric train-train tensor one
 observation at a time: appending a row computes only the new cross block, so
@@ -31,11 +31,11 @@ rows get their test-train cross tensor from one
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..space.encoding import ColumnBlock, ConfigEncoder
+from ..space.encoding import ConfigEncoder
 from ..space.parameters import (
     CategoricalParameter,
     NumericParameter,
@@ -116,8 +116,8 @@ def _permutation_block_rows(
     negative definite but not Euclidean; following Lomelí et al. their square
     root is Hilbertian, so combining it inside the weighted Euclidean norm of
     Eq. (2) keeps the Matérn kernel a valid (positive semi-definite)
-    covariance.  The user-facing :meth:`PermutationParameter.distance` keeps
-    the paper's raw semimetric values.
+    covariance.  :func:`_raw_permutation_block_rows` holds the paper's raw
+    semimetric values.
     """
     return np.sqrt(_raw_permutation_block_rows(param, a, b))
 
@@ -146,11 +146,10 @@ def _raw_permutation_block_rows(
 
 
 class DistanceComputer:
-    """Computes normalized per-dimension distance tensors between configurations.
+    """Computes normalized per-dimension distance tensors between encoded rows.
 
-    Built around a :class:`ConfigEncoder`: the fast path
-    (:meth:`pairwise_rows`) consumes encoded matrices directly; the dict path
-    (:meth:`pairwise`) is a thin adapter that encodes first.
+    Built around a :class:`ConfigEncoder`: :meth:`pairwise_rows` consumes
+    matrices in its layout.
     """
 
     def __init__(
@@ -164,9 +163,6 @@ class DistanceComputer:
     def n_dimensions(self) -> int:
         return len(self.parameters)
 
-    # ------------------------------------------------------------------
-    # fast path: encoded rows
-    # ------------------------------------------------------------------
     def pairwise_rows(
         self, rows_a: np.ndarray, rows_b: np.ndarray | None = None
     ) -> np.ndarray:
@@ -189,19 +185,6 @@ class DistanceComputer:
                 )
             out[k] = matrix / self.scales[k]
         return out
-
-    # ------------------------------------------------------------------
-    # dict path (thin adapter)
-    # ------------------------------------------------------------------
-    def pairwise(
-        self,
-        configs_a: Sequence[Mapping[str, Any]],
-        configs_b: Sequence[Mapping[str, Any]] | None = None,
-    ) -> np.ndarray:
-        """Distance tensor ``(D, len(a), len(b))`` from configuration dicts."""
-        rows_a = self.encoder.encode_batch(configs_a)
-        rows_b = None if configs_b is None else self.encoder.encode_batch(configs_b)
-        return self.pairwise_rows(rows_a, rows_b)
 
 
 class IncrementalDistanceTensor:

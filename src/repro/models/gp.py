@@ -18,9 +18,9 @@ The GP operates on **pre-encoded** configuration rows
 / :meth:`GaussianProcess.predict_rows` consume ``(n, width)`` float matrices
 directly, and ``fit_rows`` accepts an externally cached train-train distance
 tensor (see :class:`repro.models.distances.IncrementalDistanceTensor`) so the
-per-iteration fit never recomputes the full pairwise structure.  The
-dict-based :meth:`fit` / :meth:`predict` remain as thin adapters that encode
-and delegate.  The train tensor is computed once per fit and shared, through
+per-iteration fit never recomputes the full pairwise structure; callers
+holding configuration dicts encode them with :attr:`GaussianProcess.encoder`
+first.  The train tensor is computed once per fit and shared, through
 one MAP objective (:class:`_MapObjective`) built per fit, across every
 hyper-parameter vector the search scores — only the kernel evaluation and
 its factorization depend on the hyper-parameters.
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import linalg, optimize
@@ -165,7 +165,7 @@ class _MapObjective:
 
 
 class GaussianProcess:
-    """GP regressor over configuration dictionaries.
+    """GP regressor over encoded configuration rows.
 
     Parameters
     ----------
@@ -305,14 +305,6 @@ class GaussianProcess:
     # ------------------------------------------------------------------
     # fitting
     # ------------------------------------------------------------------
-    def fit(self, configurations: Sequence[Mapping[str, Any]], targets: Sequence[float]) -> None:
-        """Fit the GP to observed (configuration, objective) pairs.
-
-        Thin adapter over :meth:`fit_rows`: encodes the dicts once, then
-        fits on the rows.
-        """
-        self.fit_rows(self.encoder.encode_batch(configurations), targets)
-
     def fit_rows(
         self,
         rows: np.ndarray,
@@ -519,19 +511,6 @@ class GaussianProcess:
     # ------------------------------------------------------------------
     # prediction
     # ------------------------------------------------------------------
-    def predict(
-        self,
-        configurations: Sequence[Mapping[str, Any]],
-        include_noise: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Predictive mean and variance on the *model* scale.
-
-        Thin adapter over :meth:`predict_rows` for configuration dicts.
-        """
-        return self.predict_rows(
-            self.encoder.encode_batch(configurations), include_noise=include_noise
-        )
-
     def predict_rows(
         self, rows: np.ndarray, include_noise: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -543,7 +522,7 @@ class GaussianProcess:
         re-sampling already-observed configurations.
         """
         if not self.is_fitted:
-            raise RuntimeError("predict() called before fit()")
+            raise RuntimeError("predict_rows() called before fit_rows()")
         hp = self.hyperparameters
         cross = self._distance.pairwise_rows(np.asarray(rows, dtype=float), self._train_rows)
         k_star = matern52(cross, hp.lengthscales, hp.outputscale)

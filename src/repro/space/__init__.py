@@ -11,10 +11,6 @@ from .parameters import (
     Parameter,
     PermutationParameter,
     RealParameter,
-    PERMUTATION_METRICS,
-    hamming_permutation_distance,
-    kendall_distance,
-    spearman_distance,
 )
 from .space import Configuration, SearchSpace, freeze_configuration
 
@@ -32,13 +28,9 @@ __all__ = [
     "OrdinalParameter",
     "Parameter",
     "PermutationParameter",
-    "PERMUTATION_METRICS",
     "RealParameter",
     "SearchSpace",
     "Tree",
     "extract_variables",
     "freeze_configuration",
-    "hamming_permutation_distance",
-    "kendall_distance",
-    "spearman_distance",
 ]

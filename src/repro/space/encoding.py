@@ -17,12 +17,13 @@ producing a fixed-width ``float64`` row.  The column layout is:
 * permutation parameters: ``n_elements`` columns holding the canonical
   permutation tuple.
 
-The encoding is identical, value for value, to the historical
-``Parameter.to_numeric`` path, so models fitted on either representation see
-bit-identical feature matrices.  Rows round-trip: :meth:`ConfigEncoder.decode`
-maps any encoded row back to a configuration (nearest legal value per
-parameter, rank-projection for permutation blocks), and
-``decode(encode(c)) == c`` up to canonicalization for every parameter type.
+This is the one numeric view of a configuration below the tuner boundary:
+the samplers build rows directly (:meth:`ConfigEncoder.encode_value_column`),
+and the models fit, predict and score on them.  Rows round-trip:
+:meth:`ConfigEncoder.decode` maps any encoded row back to a configuration
+(nearest legal value per parameter, rank-projection for permutation blocks),
+and ``decode(encode(c)) == c`` up to canonicalization for every parameter
+type.
 """
 # repro: hot-path — row-space module: per-row Python loops, .tolist(), and in-loop decode are flagged (see repro.analysis)
 
@@ -214,25 +215,7 @@ class ConfigEncoder:
             return values.astype(float)
         return np.asarray([tuple(v) for v in values], dtype=float)
 
-    def encode_columns(self, columns: Mapping[str, Any]) -> np.ndarray:
-        """Encode raw-value columns (one entry per parameter) as a row matrix.
-
-        The column-major inverse of :meth:`value_columns`; bit-identical to
-        ``encode_batch`` on the corresponding configuration dicts.
-        """
-        lengths = {len(columns[b.parameter.name]) for b in self.blocks}
-        if len(lengths) != 1:
-            raise ValueError(f"ragged or missing columns: lengths {sorted(lengths)}")
-        (n,) = lengths
-        out = np.empty((n, self.width), dtype=float)
-        for block in self.blocks:
-            name = block.parameter.name
-            out[:, block.columns] = self.encode_value_column(name, columns[name])
-        return out
-
-    def value_columns(
-        self, rows: np.ndarray, names: "Sequence[str] | None" = None
-    ) -> dict[str, np.ndarray]:
+    def value_columns(self, rows: np.ndarray) -> dict[str, np.ndarray]:
         """Exact raw values of every parameter as per-parameter columns.
 
         The vectorized counterpart of :meth:`decode` for *legal* encoded rows:
@@ -240,19 +223,14 @@ class ConfigEncoder:
         values, categorical parameters as object columns of category values,
         permutations as object columns of tuples.  Like ``decode``, arbitrary
         rows are projected to the nearest legal value per parameter.
-        ``names`` restricts the work to the listed parameters (the constraint
-        mask only ever needs the constrained columns).
         """
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.width:
             raise ValueError(f"expected rows of width {self.width}, got {rows.shape}")
-        wanted = None if names is None else set(names)
         columns: dict[str, np.ndarray] = {}
         for block in self.blocks:
             param = block.parameter
             name = param.name
-            if wanted is not None and name not in wanted:
-                continue
             if block.kind == "numeric":
                 column = rows[:, block.start]
                 if name in self._ordinal_warped:
@@ -283,52 +261,6 @@ class ConfigEncoder:
                 ]
                 columns[name] = column
         return columns
-
-    def legal_mask(self, rows: np.ndarray) -> np.ndarray:
-        """Which rows are faithful encodings of legal parameter values.
-
-        Row-space analogue of ``all(param.contains(value) ...)``: ordinal and
-        categorical columns must hit a table entry exactly, integer columns
-        must be exact warps of in-range integers, real columns must lie in the
-        warped interval, and permutation blocks must round to a permutation.
-        """
-        rows = np.asarray(rows, dtype=float)
-        mask = np.ones(len(rows), dtype=bool)
-        for block in self.blocks:
-            param = block.parameter
-            if block.kind == "numeric":
-                column = rows[:, block.start]
-                if param.name in self._ordinal_warped:
-                    warped = self._ordinal_warped[param.name]
-                    positions = np.searchsorted(warped, column).clip(0, len(warped) - 1)
-                    mask &= warped[positions] == column
-                elif isinstance(param, IntegerParameter):
-                    raw = np.rint(
-                        np.exp(column) if param.transform == "log" else column
-                    )
-                    rewarped = (
-                        _MATH_LOG(raw).astype(float)
-                        if param.transform == "log"
-                        else raw
-                    )
-                    mask &= (raw >= param.low) & (raw <= param.high) & (rewarped == column)
-                else:  # real
-                    mask &= (column >= param._warp(param.low)) & (
-                        column <= param._warp(param.high)
-                    )
-            elif block.kind == "categorical":
-                column = rows[:, block.start]
-                indices = np.rint(column)
-                mask &= (indices == column) & (indices >= 0) & (
-                    indices < len(param.values)
-                )
-            else:  # permutation
-                sub = rows[:, block.columns]
-                rounded = np.rint(sub)
-                mask &= np.all(rounded == sub, axis=1) & np.all(
-                    np.sort(rounded, axis=1) == np.arange(block.width), axis=1
-                )
-        return mask
 
     # ------------------------------------------------------------------
     # decoding

@@ -11,15 +11,20 @@ permutations:
 * :class:`PermutationParameter` -- orderings of ``n`` elements (e.g. loop
   reorderings).
 
-Each parameter knows how to
+Each parameter implements three methods:
 
-* sample a value uniformly at random,
-* measure the *distance* between two of its values (this is what feeds the
-  Gaussian-process kernel, Eq. (2) of the paper),
-* enumerate the *neighbours* of a value (used by the acquisition-function
-  local search, Sec. 3.3),
-* convert values to a numeric *internal* representation used by models that
-  require a vector encoding (e.g. the random forest).
+* :meth:`Parameter.sample_batch` draws ``n`` values uniformly at random as
+  one column (the samplers of :class:`~repro.space.space.SearchSpace` build
+  encoded rows from these columns);
+* :meth:`Parameter.contains` tests whether a value is legal;
+* :meth:`Parameter.neighbours` enumerates the values one local-search move
+  away (the acquisition-function local search, Sec. 3.3).
+
+Distances between values, which feed the Gaussian-process kernel (Eq. (2)
+of the paper), and the numeric encoding the models consume are computed on
+encoded rows by :mod:`repro.models.distances` and
+:mod:`repro.space.encoding`; a parameter only supplies its warp and, for
+permutations, its metric name and :meth:`PermutationParameter.max_distance`.
 
 Numeric parameters may carry a ``log`` transformation; the paper observes
 (Sec. 4.1 and 4.2) that tile-size-like parameters behave exponentially and
@@ -32,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -44,10 +49,6 @@ __all__ = [
     "OrdinalParameter",
     "CategoricalParameter",
     "PermutationParameter",
-    "PERMUTATION_METRICS",
-    "kendall_distance",
-    "spearman_distance",
-    "hamming_permutation_distance",
 ]
 
 
@@ -75,17 +76,14 @@ class Parameter(ABC):
 
     # -- value handling -------------------------------------------------
     @abstractmethod
-    def sample(self, rng: np.random.Generator) -> Any:
-        """Draw a value uniformly at random."""
-
     def sample_batch(self, rng: np.random.Generator, n: int) -> Any:
-        """Draw ``n`` values as one column (vectorized where the type allows).
+        """Draw ``n`` values uniformly at random as one column.
 
         Returns a float column for numeric types, an object column for
         categoricals, and an ``(n, n_elements)`` matrix for permutations.
-        The distribution matches ``n`` independent :meth:`sample` calls; the
-        RNG consumption differs (one batched draw instead of ``n`` scalar
-        ones), which is what makes the row samplers fast.
+        The distribution is that of ``n`` independent uniform draws; the RNG
+        is consumed by one batched call, which is what makes the row
+        samplers fast.
 
         Integers, ordinals and categoricals take an optional third argument,
         ``values``: a non-empty subsequence of :meth:`values_list` to draw
@@ -94,25 +92,14 @@ class Parameter(ABC):
         :meth:`values_list` draws exactly what omitting it draws (values,
         dtype and generator state).
         """
-        column = np.empty(n, dtype=object)
-        column[:] = [self.sample(rng) for _ in range(n)]
-        return column
 
     @abstractmethod
     def contains(self, value: Any) -> bool:
         """Return ``True`` if ``value`` is a legal value of this parameter."""
 
     @abstractmethod
-    def distance(self, a: Any, b: Any) -> float:
-        """Distance between two values, used in the GP kernel."""
-
-    @abstractmethod
     def neighbours(self, value: Any) -> list[Any]:
         """Values reachable from ``value`` by a single local-search move."""
-
-    @abstractmethod
-    def to_numeric(self, value: Any) -> float | tuple[float, ...]:
-        """Numeric encoding used by vector-based models (random forests)."""
 
     # -- cardinality ----------------------------------------------------
     @property
@@ -139,9 +126,9 @@ class Parameter(ABC):
 class NumericParameter(Parameter):
     """Shared behaviour for real / integer / ordinal parameters.
 
-    The distance between two values is the absolute difference, optionally in
-    log space when ``transform="log"`` (Sec. 4.1: tile sizes 2 and 4 should
-    be about as similar as 512 and 1024).
+    Values are encoded (and their GP distances taken) after :meth:`_warp`,
+    which is the logarithm when ``transform="log"`` (Sec. 4.1: tile sizes 2
+    and 4 should be about as similar as 512 and 1024).
     """
 
     def __init__(self, name: str, transform: str = "linear") -> None:
@@ -159,12 +146,6 @@ class NumericParameter(Parameter):
                 )
             return math.log(value)
         return float(value)
-
-    def distance(self, a: Any, b: Any) -> float:
-        return abs(self._warp(a) - self._warp(b))
-
-    def to_numeric(self, value: Any) -> float:
-        return self._warp(value)
 
 
 class RealParameter(NumericParameter):
@@ -188,11 +169,6 @@ class RealParameter(NumericParameter):
         self.low = float(low)
         self.high = float(high)
         self.default = float(default) if default is not None else (low + high) / 2.0
-
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.transform == "log":
-            return float(np.exp(rng.uniform(math.log(self.low), math.log(self.high))))
-        return float(rng.uniform(self.low, self.high))
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.transform == "log":
@@ -244,9 +220,6 @@ class IntegerParameter(NumericParameter):
         self.low = int(low)
         self.high = int(high)
         self.default = int(default) if default is not None else self.low
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.low, self.high + 1))
 
     def sample_batch(
         self, rng: np.random.Generator, n: int, values: Sequence[int] | None = None
@@ -317,9 +290,6 @@ class OrdinalParameter(NumericParameter):
             raise ValueError(f"default {default!r} not among ordinal values")
         self._index = {v: i for i, v in enumerate(vals)}
 
-    def sample(self, rng: np.random.Generator) -> Any:
-        return self.values[int(rng.integers(len(self.values)))]
-
     def sample_batch(
         self, rng: np.random.Generator, n: int, values: Sequence[Any] | None = None
     ) -> np.ndarray:
@@ -358,7 +328,8 @@ class OrdinalParameter(NumericParameter):
 class CategoricalParameter(Parameter):
     """A discrete parameter with no inherent order.
 
-    Distance is the Hamming distance (Sec. 4.1): 0 if equal, 1 otherwise.
+    Its GP distance is the Hamming distance (Sec. 4.1): 0 if equal, 1
+    otherwise.
     """
 
     type_code = "C"
@@ -374,9 +345,6 @@ class CategoricalParameter(Parameter):
             raise ValueError(f"default {default!r} not among categorical values")
         self._index = {v: i for i, v in enumerate(vals)}
 
-    def sample(self, rng: np.random.Generator) -> Any:
-        return self.values[int(rng.integers(len(self.values)))]
-
     def sample_batch(
         self, rng: np.random.Generator, n: int, values: Sequence[Any] | None = None
     ) -> np.ndarray:
@@ -384,16 +352,13 @@ class CategoricalParameter(Parameter):
         return _draw_from_table(rng, n, values, object, self.name)
 
     def contains(self, value: Any) -> bool:
-        return value in self._index
-
-    def distance(self, a: Any, b: Any) -> float:
-        return 0.0 if a == b else 1.0
+        try:
+            return value in self._index
+        except TypeError:  # unhashable, e.g. an object read from JSON
+            return False
 
     def neighbours(self, value: Any) -> list[Any]:
         return [v for v in self.values if v != value]
-
-    def to_numeric(self, value: Any) -> float:
-        return float(self._index[value])
 
     def cardinality(self) -> int:
         return len(self.values)
@@ -405,43 +370,13 @@ class CategoricalParameter(Parameter):
         return self._index[value]
 
 
-# ---------------------------------------------------------------------------
-# permutation semimetrics (Fig. 3 of the paper)
-# ---------------------------------------------------------------------------
-
-def kendall_distance(a: Sequence[int], b: Sequence[int]) -> float:
-    """Number of discordant pairs between two permutations."""
-    a = tuple(a)
-    b = tuple(b)
-    n = len(a)
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (a[i] < a[j]) != (b[i] < b[j]):
-                count += 1
-    return float(count)
-
-
-def spearman_distance(a: Sequence[int], b: Sequence[int]) -> float:
-    """Sum of squared element displacements between two permutations."""
-    return float(sum((int(x) - int(y)) ** 2 for x, y in zip(a, b)))
-
-
-def hamming_permutation_distance(a: Sequence[int], b: Sequence[int]) -> float:
-    """Number of positions whose element differs between the permutations."""
-    return float(sum(1 for x, y in zip(a, b) if x != y))
-
-
-def _naive_distance(a: Sequence[int], b: Sequence[int]) -> float:
-    """Treat permutations as categoricals: 0 if identical else 1."""
-    return 0.0 if tuple(a) == tuple(b) else 1.0
-
-
-PERMUTATION_METRICS = {
-    "spearman": spearman_distance,
-    "kendall": kendall_distance,
-    "hamming": hamming_permutation_distance,
-    "naive": _naive_distance,
+#: largest distance between two permutations of ``n`` elements, per metric
+#: (reached by the identity and its reversal; Fig. 3 of the paper)
+_MAX_DISTANCE = {
+    "spearman": lambda n: n * (n * n - 1) // 3,
+    "kendall": lambda n: n * (n - 1) // 2,
+    "hamming": lambda n: n - n % 2,
+    "naive": lambda n: 1,
 }
 
 
@@ -466,20 +401,16 @@ class PermutationParameter(Parameter):
         super().__init__(name)
         if n_elements < 1:
             raise ValueError("permutation needs at least one element")
-        if metric not in PERMUTATION_METRICS:
+        if metric not in _MAX_DISTANCE:
             raise ValueError(
                 f"unknown permutation metric {metric!r}; "
-                f"choose from {sorted(PERMUTATION_METRICS)}"
+                f"choose from {sorted(_MAX_DISTANCE)}"
             )
         self.n_elements = int(n_elements)
         self.metric = metric
-        self._distance_fn = PERMUTATION_METRICS[metric]
         self.default = tuple(default) if default is not None else tuple(range(n_elements))
         if not self.contains(self.default):
             raise ValueError(f"default {default!r} is not a permutation of {n_elements} elements")
-
-    def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
-        return tuple(int(i) for i in rng.permutation(self.n_elements))
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         base = np.tile(np.arange(self.n_elements, dtype=float), (n, 1))
@@ -495,16 +426,10 @@ class PermutationParameter(Parameter):
     def canonical(self, value: Any) -> tuple[int, ...]:
         return tuple(int(v) for v in value)
 
-    def distance(self, a: Any, b: Any) -> float:
-        return self._distance_fn(self.canonical(a), self.canonical(b))
-
     def max_distance(self) -> float:
-        """Largest possible distance under the configured metric."""
-        identity = tuple(range(self.n_elements))
-        reversed_perm = tuple(reversed(identity))
-        if self.metric == "naive":
-            return 1.0
-        return self._distance_fn(identity, reversed_perm)
+        """Largest possible distance under the configured metric (the naive
+        metric's is 1 even for a single element)."""
+        return float(_MAX_DISTANCE[self.metric](self.n_elements))
 
     def neighbours(self, value: Any) -> list[tuple[int, ...]]:
         """All permutations reachable by swapping two adjacent elements."""
@@ -515,20 +440,6 @@ class PermutationParameter(Parameter):
             nxt[i], nxt[i + 1] = nxt[i + 1], nxt[i]
             out.append(tuple(nxt))
         return out
-
-    def all_swaps(self, value: Any) -> list[tuple[int, ...]]:
-        """All permutations reachable by swapping any two elements."""
-        perm = list(self.canonical(value))
-        out = []
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                nxt = perm.copy()
-                nxt[i], nxt[j] = nxt[j], nxt[i]
-                out.append(tuple(nxt))
-        return out
-
-    def to_numeric(self, value: Any) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.canonical(value))
 
     def cardinality(self) -> int:
         return math.factorial(self.n_elements)

@@ -10,7 +10,7 @@ offers everything the optimizers need:
 * feasibility tests against the known constraints,
 * neighbour enumeration restricted to the feasible region (for the
   acquisition-function local search),
-* numeric encoding of configurations (for random-forest models),
+* the fixed-width encoded rows every model layer consumes,
 * size statistics matching Table 3 of the paper (dense size vs. feasible
   size).
 """
@@ -119,7 +119,7 @@ class SearchSpace:
         narrowed = self._vector_caches.get("narrowed_values")
         if narrowed is None:
             kept: dict[str, list] = {}
-            for constraint, evaluator in self._compiled("residual"):
+            for constraint, evaluator in self._compiled_residuals():
                 if constraint.compile_columns() is None or len(constraint.variables) != 1:
                     continue  # callables and multi-variable constraints
                 [name] = constraint.variables
@@ -322,19 +322,15 @@ class SearchSpace:
             self._vector_caches["tree_tables"] = tables
         return tables
 
-    def _compiled(self, which: str) -> list:
-        """Compiled column evaluators for ``"residual"`` or ``"all"`` constraints."""
-        key = f"compiled_{which}"
-        evaluators = self._vector_caches.get(key)
+    def _compiled_residuals(self) -> list:
+        """``(constraint, compiled column evaluator)`` per residual constraint, cached."""
+        evaluators = self._vector_caches.get("compiled_residual")
         if evaluators is None:
-            constraints = (
-                self._residual_constraints if which == "residual" else self.constraints
-            )
             evaluators = [
                 (constraint, compile_column_evaluator(constraint))
-                for constraint in constraints
+                for constraint in self._residual_constraints
             ]
-            self._vector_caches[key] = evaluators
+            self._vector_caches["compiled_residual"] = evaluators
         return evaluators
 
     @staticmethod
@@ -401,7 +397,7 @@ class SearchSpace:
         tree_tables = self._tree_tables()
         covered = self._covered_names()
         free_params = [p for p in self.parameters if p.name not in covered]
-        residuals = self._compiled("residual")
+        residuals = self._compiled_residuals()
         residual_vars: set[str] = set()
         for constraint, _ in residuals:
             residual_vars |= constraint.variables
@@ -494,35 +490,24 @@ class SearchSpace:
         self.last_sample_stats = stats
         return stats
 
-    def feasible_mask_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Known-constraint feasibility of encoded rows, fully vectorized.
-
-        Row-space equivalent of :meth:`is_feasible`: a row passes when it is
-        a faithful encoding of legal parameter values *and* every known
-        constraint holds on the decoded values.  The Chain-of-Trees needs no
-        separate membership walk here — for full configurations tree
-        membership is exactly the conjunction of the tree's constraints,
-        which the compiled evaluators check directly.
-        """
-        rows = np.asarray(rows, dtype=float)
-        mask = self.encoder.legal_mask(rows)
-        evaluators = self._compiled("all")
-        if evaluators and mask.any():
-            constrained: set[str] = set()
-            for constraint, _ in evaluators:
-                constrained |= constraint.variables
-            env = {
-                name: self._env_column(column)
-                for name, column in self.encoder.value_columns(
-                    rows, names=constrained
-                ).items()
-            }
-            for _, evaluator in evaluators:
-                mask &= evaluator(env)
-        return mask
-
     def sample_one(self, rng: np.random.Generator, biased_cot: bool = False) -> Configuration:
         return self.sample(rng, 1, biased_cot=biased_cot)[0]
+
+    def first_unseen(
+        self,
+        rng: np.random.Generator,
+        n: int,
+        seen: "set[tuple] | frozenset[tuple]",
+        biased_cot: bool = False,
+    ) -> Configuration | None:
+        """The first of one ``n``-row :meth:`sample_rows` draw whose key is
+        not in ``seen``, decoded; ``None`` when every drawn key is in it."""
+        decode = self.encoder.decode
+        for row in self.sample_rows(rng, n, biased_cot=biased_cot):
+            config = decode(row)
+            if self.freeze(config) not in seen:
+                return config
+        return None
 
     def default_configuration(self) -> Configuration:
         """The per-parameter defaults (may be infeasible for constrained spaces)."""
@@ -554,7 +539,7 @@ class SearchSpace:
         encoder = self.encoder
         value_cols = encoder.value_columns(rows)
         cot = self.chain_of_trees
-        residuals = self._compiled("residual")
+        residuals = self._compiled_residuals()
         residual_vars: set[str] = set()
         for constraint, _ in residuals:
             residual_vars |= constraint.variables

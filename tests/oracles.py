@@ -5,6 +5,11 @@ the distance computer, search space or tree it used to be a method of is now
 its first argument.  Nothing in ``src/`` calls these; they are the executable
 specifications the vectorized paths are tested against:
 
+* :func:`sample_value` (the per-value ``Parameter.sample``),
+  :func:`distance` (the per-value ``Parameter.distance``) and the scalar
+  permutation metrics :func:`kendall_distance`, :func:`spearman_distance`
+  and :func:`hamming_permutation_distance` are the building blocks of the
+  two oracles below;
 * :func:`pairwise_reference` pins ``DistanceComputer.pairwise_rows``;
 * :func:`sample_reference` pins the distribution of ``SearchSpace.sample``;
 * :class:`NodeTree` (recursive ``CoTNode`` growth, the leaf-count pass, the
@@ -15,6 +20,8 @@ specifications the vectorized paths are tested against:
   of ``Tree.sample_leaf_indices``;
 * :func:`sample_chain` composes the two per tree, as the scalar sampler did;
 * :func:`neighbours` (the dict path) pins ``SearchSpace.neighbour_rows_batch``;
+* :func:`feasible_rows` checks sampler and neighbourhood output row by row
+  through ``SearchSpace.is_feasible`` and the encoding round trip;
 * :class:`ReferenceTree` (recursive ``_Node`` growth, ``_best_split``'s
   ``np.var`` scoring and the stack-walk ``predict``) and
   :func:`forest_reference` (the per-tree bootstrap loop) pin the flat-array
@@ -37,11 +44,79 @@ from repro.space.chain_of_trees import FeasibleSetTooLarge, Tree
 from repro.space.constraints import Constraint
 from repro.space.parameters import (
     CategoricalParameter,
+    IntegerParameter,
     NumericParameter,
+    OrdinalParameter,
     Parameter,
     PermutationParameter,
+    RealParameter,
 )
 from repro.space.space import Configuration, SearchSpace
+
+
+def sample_value(param: Parameter, rng: np.random.Generator) -> Any:
+    """One value drawn uniformly at random, one scalar RNG call per value."""
+    if isinstance(param, RealParameter):
+        if param.transform == "log":
+            return float(np.exp(rng.uniform(math.log(param.low), math.log(param.high))))
+        return float(rng.uniform(param.low, param.high))
+    if isinstance(param, IntegerParameter):
+        return int(rng.integers(param.low, param.high + 1))
+    if isinstance(param, (OrdinalParameter, CategoricalParameter)):
+        return param.values[int(rng.integers(len(param.values)))]
+    if isinstance(param, PermutationParameter):
+        return tuple(int(i) for i in rng.permutation(param.n_elements))
+    raise TypeError(f"no sampler for {type(param).__name__}")
+
+
+# -- permutation semimetrics (Fig. 3 of the paper) ---------------------------
+
+def kendall_distance(a: Sequence[int], b: Sequence[int]) -> float:
+    """Number of discordant pairs between two permutations."""
+    a = tuple(a)
+    b = tuple(b)
+    n = len(a)
+    count = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (a[i] < a[j]) != (b[i] < b[j]):
+                count += 1
+    return float(count)
+
+
+def spearman_distance(a: Sequence[int], b: Sequence[int]) -> float:
+    """Sum of squared element displacements between two permutations."""
+    return float(sum((int(x) - int(y)) ** 2 for x, y in zip(a, b)))
+
+
+def hamming_permutation_distance(a: Sequence[int], b: Sequence[int]) -> float:
+    """Number of positions whose element differs between the permutations."""
+    return float(sum(1 for x, y in zip(a, b) if x != y))
+
+
+def _naive_distance(a: Sequence[int], b: Sequence[int]) -> float:
+    """Treat permutations as categoricals: 0 if identical else 1."""
+    return 0.0 if tuple(a) == tuple(b) else 1.0
+
+
+PERMUTATION_METRICS = {
+    "spearman": spearman_distance,
+    "kendall": kendall_distance,
+    "hamming": hamming_permutation_distance,
+    "naive": _naive_distance,
+}
+
+
+def distance(param: Parameter, a: Any, b: Any) -> float:
+    """The per-value distance between two values, as the GP kernel reads it
+    before normalization (raw semimetric for permutations)."""
+    if isinstance(param, PermutationParameter):
+        return PERMUTATION_METRICS[param.metric](param.canonical(a), param.canonical(b))
+    if isinstance(param, CategoricalParameter):
+        return 0.0 if a == b else 1.0
+    if isinstance(param, NumericParameter):
+        return abs(param._warp(a) - param._warp(b))
+    raise TypeError(f"no distance for {type(param).__name__}")
 
 
 def pairwise_reference(
@@ -64,7 +139,7 @@ def pairwise_reference(
             raw = np.empty((len(tuples_a), len(tuples_b)))
             for i, pa in enumerate(tuples_a):
                 for j, pb in enumerate(tuples_b):
-                    raw[i, j] = param.distance(pa, pb)
+                    raw[i, j] = distance(param, pa, pb)
             matrix = np.sqrt(raw)
         elif isinstance(param, CategoricalParameter):
             idx_a = np.array([param.index_of(v) for v in values_a])
@@ -76,7 +151,7 @@ def pairwise_reference(
             matrix = np.abs(warped_a[:, None] - warped_b[None, :])
         else:  # pragma: no cover - defensive fallback
             matrix = np.array(
-                [[param.distance(va, vb) for vb in values_b] for va in values_a],
+                [[distance(param, va, vb) for vb in values_b] for va in values_a],
                 dtype=float,
             )
         out[k] = matrix / computer.scales[k]
@@ -292,7 +367,7 @@ def sample_reference(
     """The historical scalar sampling loop.
 
     One configuration at a time: per-level Chain-of-Trees walks, one
-    scalar ``Parameter.sample`` call per uncovered parameter, and one
+    scalar :func:`sample_value` call per uncovered parameter, and one
     Python ``eval`` per residual constraint.
     """
     samples: list[Configuration] = []
@@ -311,10 +386,24 @@ def sample_reference(
         config: Configuration = sample_chain(trees, rng, biased=biased_cot)
         for param in space.parameters:
             if param.name not in covered:
-                config[param.name] = param.sample(rng)
+                config[param.name] = sample_value(param, rng)
         if all(c.evaluate(config) for c in space._residual_constraints):
             samples.append(config)
     return samples
+
+
+def feasible_rows(space: SearchSpace, rows: np.ndarray) -> np.ndarray:
+    """Per encoded row: it decodes to a configuration the space accepts, and
+    that configuration encodes back to the very same row.
+
+    The round trip pins each row as a faithful encoding of legal values,
+    ``is_feasible`` checks those values and every known constraint.
+    """
+    configs = space.encoder.decode_batch(rows)
+    if not configs:
+        return np.ones(0, dtype=bool)
+    exact = np.all(space.encode_batch(configs) == np.asarray(rows), axis=1)
+    return exact & np.array([space.is_feasible(c) for c in configs], dtype=bool)
 
 
 def neighbours(

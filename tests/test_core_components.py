@@ -48,7 +48,7 @@ class TestAcquisitionFunction:
         configs = space.sample(rng, 15)
         values = [c["p1"] / c["p2"] + 1.0 for c in configs]
         gp = GaussianProcess(space.parameters, rng=rng, n_prior_samples=6, n_refined_starts=1)
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         return gp, configs, values
 
     def test_prefers_promising_configurations(self, rng, small_space):
@@ -64,8 +64,10 @@ class TestAcquisitionFunction:
 
         class StubFeasibility:
             is_trained = True
+            encoder = small_space.encoder
 
-            def predict_probability(self, candidates):
+            def predict_probability_rows(self, rows):
+                candidates = self.encoder.decode_batch(rows)
                 return np.array([0.9 if c["p1"] <= 8 else 0.05 for c in candidates])
 
         acquisition = AcquisitionFunction(
@@ -104,7 +106,7 @@ class TestFeasibilityModel:
     def test_single_class_gives_smoothed_estimate(self, small_space, rng):
         model = FeasibilityModel(small_space, rng=rng)
         configs = small_space.sample(rng, 10)
-        model.fit(configs, [True] * 10)
+        model.fit_rows(model.encoder.encode_batch(configs), [True] * 10)
         assert not model.is_trained
         probability = model.predict_probability(configs[:1])[0]
         assert 0.8 < probability <= 1.0
@@ -113,7 +115,7 @@ class TestFeasibilityModel:
         model = FeasibilityModel(small_space, n_trees=24, rng=rng)
         configs = small_space.sample(rng, 120)
         labels = [c["p1"] <= 4 for c in configs]
-        model.fit(configs, labels)
+        model.fit_rows(model.encoder.encode_batch(configs), labels)
         assert model.is_trained
         feasible_cfg = {"p1": 2, "p2": 2, "sched": "static", "order": (0, 1, 2)}
         infeasible_cfg = {"p1": 16, "p2": 2, "sched": "static", "order": (0, 1, 2)}
@@ -124,7 +126,7 @@ class TestFeasibilityModel:
     def test_length_mismatch(self, small_space, rng):
         model = FeasibilityModel(small_space, rng=rng)
         with pytest.raises(ValueError):
-            model.fit(small_space.sample(rng, 3), [True, False])
+            model.fit_rows(model.encoder.encode_batch(small_space.sample(rng, 3)), [True, False])
 
 
 class TestFeasibilityThresholdSchedule:
@@ -182,20 +184,25 @@ class TestInitialDesign:
 # local search
 # ---------------------------------------------------------------------------
 
+class _RowScorer:
+    """Scores encoded rows by decoding them and applying ``function``."""
+
+    def __init__(self, function):
+        self.function = function
+
+    def evaluate_rows(self, rows, encoder):
+        return np.array([self.function(c) for c in encoder.decode_batch(rows)])
+
+
 class TestLocalSearch:
     def test_finds_optimum_of_known_acquisition(self, small_space, rng):
-        def acquisition(configs):
+        def acquisition(c):
             # maximized at p1 == p2 and order == (2, 1, 0)
-            return np.array(
-                [
-                    -(c["p1"] / c["p2"]) - sum(i * v for i, v in enumerate(c["order"]))
-                    for c in configs
-                ]
-            )
+            return -(c["p1"] / c["p2"]) - sum(i * v for i, v in enumerate(c["order"]))
 
         [(best, _)] = multistart_local_search_batch(
             small_space,
-            acquisition,
+            _RowScorer(acquisition),
             rng,
             settings=LocalSearchSettings(n_random_samples=64, n_starts=4, max_steps=20),
             k=1,
@@ -204,8 +211,8 @@ class TestLocalSearch:
         assert tuple(best["order"]) == (2, 1, 0)
 
     def test_respects_exclusion_set(self, small_space, rng):
-        def acquisition(configs):
-            return np.array([1.0 if c["p1"] == 2 and c["p2"] == 2 else 0.0 for c in configs])
+        def acquisition(c):
+            return 1.0 if c["p1"] == 2 and c["p2"] == 2 else 0.0
 
         excluded_keys = {
             small_space.freeze({"p1": 2, "p2": 2, "sched": s, "order": o})
@@ -213,7 +220,7 @@ class TestLocalSearch:
             for o in small_space["order"].values_list()
         }
         [(best, _)] = multistart_local_search_batch(
-            small_space, acquisition, rng, exclude=excluded_keys, k=1
+            small_space, _RowScorer(acquisition), rng, exclude=excluded_keys, k=1
         )
         assert small_space.freeze(best) not in excluded_keys
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import sample_value
 from repro.models.gp import GaussianProcess, GPHyperparameters
 from repro.models.priors import GammaPrior
 from repro.space.parameters import (
@@ -26,7 +27,7 @@ def _parameters():
 
 def _dataset(rng, n=25):
     params = _parameters()
-    configs = [{p.name: p.sample(rng) for p in params} for _ in range(n)]
+    configs = [{p.name: sample_value(p, rng) for p in params} for _ in range(n)]
     values = [
         2.0 + abs(math.log2(c["tile"]) - 3.0) + (0.5 if c["sched"] == "b" else 0.0)
         for c in configs
@@ -48,24 +49,24 @@ class TestFitting:
         params, configs, values = _dataset(rng)
         gp = GaussianProcess(params, rng=rng)
         with pytest.raises(ValueError):
-            gp.fit(configs[:1], values[:1])
+            gp.fit_rows(gp.encoder.encode_batch(configs[:1]), values[:1])
 
     def test_length_mismatch_rejected(self, rng):
         params, configs, values = _dataset(rng)
         gp = GaussianProcess(params, rng=rng)
         with pytest.raises(ValueError):
-            gp.fit(configs, values[:-1])
+            gp.fit_rows(gp.encoder.encode_batch(configs), values[:-1])
 
     def test_predict_before_fit_raises(self, rng):
         params, configs, _ = _dataset(rng)
         gp = GaussianProcess(params, rng=rng)
         with pytest.raises(RuntimeError):
-            gp.predict(configs[:2])
+            gp.predict_rows(gp.encoder.encode_batch(configs[:2]))
 
     def test_fit_sets_hyperparameters(self, rng):
         params, configs, values = _dataset(rng)
         gp = GaussianProcess(params, rng=rng)
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         assert gp.is_fitted
         assert gp.hyperparameters.lengthscales.shape == (2,)
         assert gp.hyperparameters.noise_variance > 0
@@ -76,15 +77,15 @@ class TestFitting:
         bad = list(values)
         bad[0] = -1.0
         with pytest.raises(ValueError):
-            gp.fit(configs, bad)
+            gp.fit_rows(gp.encoder.encode_batch(configs), bad)
 
 
 class TestPrediction:
     def test_interpolates_training_data(self, rng):
         params, configs, values = _dataset(rng, n=20)
         gp = GaussianProcess(params, rng=rng)
-        gp.fit(configs, values)
-        mean, _ = gp.predict(configs)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
+        mean, _ = gp.predict_rows(gp.encoder.encode_batch(configs))
         predicted = gp.from_model_scale(mean)
         # noise is small, so predictions at training points track the targets
         correlation = np.corrcoef(predicted, values)[0, 1]
@@ -93,9 +94,9 @@ class TestPrediction:
     def test_noiseless_variance_small_at_training_points(self, rng):
         params, configs, values = _dataset(rng, n=20)
         gp = GaussianProcess(params, rng=rng)
-        gp.fit(configs, values)
-        _, var_noiseless = gp.predict(configs, include_noise=False)
-        _, var_noisy = gp.predict(configs, include_noise=True)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
+        _, var_noiseless = gp.predict_rows(gp.encoder.encode_batch(configs), include_noise=False)
+        _, var_noisy = gp.predict_rows(gp.encoder.encode_batch(configs), include_noise=True)
         assert np.all(var_noisy >= var_noiseless)
         assert var_noiseless.mean() < var_noisy.mean()
 
@@ -104,9 +105,9 @@ class TestPrediction:
         configs = [{"tile": v} for v in (2, 4, 8)]
         values = [1.0, 2.0, 3.0]
         gp = GaussianProcess(params, log_transform_output=False, rng=rng)
-        gp.fit(configs, values)
-        _, var_near = gp.predict([{"tile": 4}])
-        _, var_far = gp.predict([{"tile": 256}])
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
+        _, var_near = gp.predict_rows(gp.encoder.encode_batch([{"tile": 4}]))
+        _, var_far = gp.predict_rows(gp.encoder.encode_batch([{"tile": 256}]))
         assert var_far[0] > var_near[0]
 
     def test_generalization_better_than_mean_predictor(self, rng):
@@ -114,8 +115,8 @@ class TestPrediction:
         train_c, test_c = configs[:30], configs[30:]
         train_v, test_v = values[:30], values[30:]
         gp = GaussianProcess(params, rng=rng)
-        gp.fit(train_c, train_v)
-        mean, _ = gp.predict(test_c)
+        gp.fit_rows(gp.encoder.encode_batch(train_c), train_v)
+        mean, _ = gp.predict_rows(gp.encoder.encode_batch(test_c))
         predictions = gp.from_model_scale(mean)
         gp_error = np.mean((np.asarray(predictions) - np.asarray(test_v)) ** 2)
         baseline_error = np.mean((np.mean(train_v) - np.asarray(test_v)) ** 2)
@@ -124,7 +125,7 @@ class TestPrediction:
     def test_model_scale_roundtrip(self, rng):
         params, configs, values = _dataset(rng)
         gp = GaussianProcess(params, rng=rng)
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         raw = np.array([0.5, 1.0, 4.0])
         assert np.allclose(gp.from_model_scale(gp.to_model_scale(raw)), raw)
 
@@ -134,8 +135,8 @@ class TestPrediction:
         configs = [{"perm": p} for p in perms]
         values = [1.0 + sum(i * v for i, v in enumerate(p)) for p in perms]
         gp = GaussianProcess(params, log_transform_output=False, rng=rng)
-        gp.fit(configs, values)
-        mean, var = gp.predict(configs[:5])
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
+        mean, var = gp.predict_rows(gp.encoder.encode_batch(configs[:5]))
         assert mean.shape == (5,) and var.shape == (5,)
         assert np.all(var > 0)
 
@@ -145,26 +146,26 @@ class TestVariants:
         """BaCO--'s non-refined fit still produces a usable model."""
         params, configs, values = _dataset(rng, n=20)
         gp = GaussianProcess(params, advanced_fit=False, rng=rng)
-        gp.fit(configs, values)
-        mean, _ = gp.predict(configs)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
+        mean, _ = gp.predict_rows(gp.encoder.encode_batch(configs))
         assert np.corrcoef(gp.from_model_scale(mean), values)[0, 1] > 0.8
 
     def test_no_priors_variant(self, rng):
         params, configs, values = _dataset(rng, n=20)
         gp = GaussianProcess(params, lengthscale_prior=None, rng=rng)
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         assert gp.is_fitted
 
     def test_no_output_transforms(self, rng):
         params, configs, values = _dataset(rng, n=15)
         gp = GaussianProcess(params, log_transform_output=False, standardize_output=False, rng=rng)
-        gp.fit(configs, values)
-        mean, _ = gp.predict(configs)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
+        mean, _ = gp.predict_rows(gp.encoder.encode_batch(configs))
         assert np.corrcoef(mean, values)[0, 1] > 0.8
 
     def test_constant_targets_handled(self, rng):
         params, configs, _ = _dataset(rng, n=10)
         gp = GaussianProcess(params, rng=rng)
-        gp.fit(configs, [3.0] * len(configs))
-        mean, _ = gp.predict(configs[:3])
+        gp.fit_rows(gp.encoder.encode_batch(configs), [3.0] * len(configs))
+        mean, _ = gp.predict_rows(gp.encoder.encode_batch(configs[:3]))
         assert np.allclose(gp.from_model_scale(mean), 3.0, rtol=0.2)

@@ -42,7 +42,7 @@ from repro.space.parameters import (
 )
 from repro.space.space import SearchSpace
 
-from oracles import log_likelihood
+from oracles import log_likelihood, sample_value
 
 # pinned equivalence tolerances: the incremental updates are backward-stable
 # triangular solves on jitter-regularized matrices, so they track the full
@@ -67,7 +67,7 @@ def riocp_parameters(draw):
 
 def _dataset(parameters, seed, n):
     rng = np.random.default_rng(seed)
-    configs = [{p.name: p.sample(rng) for p in parameters} for _ in range(n)]
+    configs = [{p.name: sample_value(p, rng) for p in parameters} for _ in range(n)]
     values = [float(v) for v in rng.uniform(0.5, 5.0, size=n)]
     return configs, values
 
@@ -261,7 +261,7 @@ class TestWarmStartedFits:
         configs, values = _dataset(parameters, 17, 5)
         gp = _make_gp(parameters, 17)
         with pytest.raises(ValueError):
-            gp.fit(configs, values) if False else gp.fit_rows(
+            gp.fit_rows(
                 gp.encoder.encode_batch(configs), values, hyper_strategy="bogus"
             )
 
@@ -315,7 +315,7 @@ class TestLogLikelihood:
         ]
         configs, values = _dataset(parameters, 23, 10)
         gp = _make_gp(parameters, 23)
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         assert gp.n_train_factorizations == 1
         first = log_likelihood(gp)
         for _ in range(5):
@@ -328,7 +328,7 @@ class TestLogLikelihood:
         parameters = [OrdinalParameter("tile", [2, 4, 8, 16, 32], transform="log")]
         configs, values = _dataset(parameters, 29, 9)
         gp = _make_gp(parameters, 29)
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         objective = _MapObjective(gp, gp._train_distance, gp._train_y)
         direct = -objective(gp.hyperparameters.to_vector())
         assert log_likelihood(gp) == pytest.approx(direct, abs=1e-9)
@@ -339,7 +339,7 @@ class TestLogLikelihood:
         gp = _make_gp(parameters, 31)
         with pytest.raises(RuntimeError):
             log_likelihood(gp)
-        gp.fit(configs, values)
+        gp.fit_rows(gp.encoder.encode_batch(configs), values)
         assert math.isfinite(log_likelihood(gp))
 
 

@@ -44,7 +44,7 @@ from repro.space.parameters import (
 )
 from repro.space.space import SearchSpace
 
-from oracles import log_likelihood
+from oracles import log_likelihood, sample_value
 
 # ---------------------------------------------------------------------------
 # the reference oracle
@@ -161,7 +161,7 @@ def _path_tensor(depth, n):
 
 def _dataset(parameters, seed, n):
     rng = np.random.default_rng(seed)
-    configs = [{p.name: p.sample(rng) for p in parameters} for _ in range(n)]
+    configs = [{p.name: sample_value(p, rng) for p in parameters} for _ in range(n)]
     values = [float(v) for v in rng.uniform(0.5, 5.0, size=n)]
     return configs, values
 
@@ -312,7 +312,7 @@ def _fitted_gp():
     computer = DistanceComputer(parameters)
     configs, values = _dataset(parameters, 21, 12)
     gp = _gp(parameters, computer, seed=21)
-    gp.fit(configs, values)
+    gp.fit_rows(gp.encoder.encode_batch(configs), values)
     return gp, computer
 
 

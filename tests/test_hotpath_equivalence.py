@@ -55,10 +55,9 @@ from repro.space.parameters import (
     OrdinalParameter,
     PermutationParameter,
     RealParameter,
-    kendall_distance,
 )
 
-from oracles import pairwise_reference
+from oracles import kendall_distance, pairwise_reference, sample_value
 
 _DATA = Path(__file__).parent / "data"
 FIXTURES = {
@@ -118,7 +117,7 @@ def _trace(history):
 
 def _configs(params, n, seed=0):
     rng = np.random.default_rng(seed)
-    return [{p.name: p.sample(rng) for p in params} for _ in range(n)]
+    return [{p.name: sample_value(p, rng) for p in params} for _ in range(n)]
 
 
 class TestKendallVectorization:
@@ -147,15 +146,14 @@ class TestKendallVectorization:
         rows_a = computer.encoder.encode_batch(a)
         rows_b = computer.encoder.encode_batch(b)
         assert np.array_equal(computer.pairwise_rows(rows_a, rows_b), reference)
-        # the dict adapter goes through the same vectorized path
-        assert np.array_equal(computer.pairwise(a, b), reference)
 
     def test_self_tensor_matches_reference(self):
         params = _params("kendall")
         computer = DistanceComputer(params)
         configs = _configs(params, 10, seed=4)
         assert np.array_equal(
-            computer.pairwise(configs), pairwise_reference(computer, configs)
+            computer.pairwise_rows(computer.encoder.encode_batch(configs)),
+            pairwise_reference(computer, configs),
         )
 
 
@@ -197,30 +195,6 @@ class TestIncrementalTensor:
 
 
 class TestGPEquivalence:
-    def test_rows_path_matches_dict_path(self):
-        params = _params("kendall")
-        train = _configs(params, 25, seed=8)
-        rng = np.random.default_rng(9)
-        y = list(rng.uniform(0.5, 4.0, size=25))
-        candidates = _configs(params, 40, seed=10)
-
-        gp_dict = GaussianProcess(params, rng=np.random.default_rng(11))
-        gp_dict.fit(train, y)
-        mean_dict, var_dict = gp_dict.predict(candidates)
-
-        gp_rows = GaussianProcess(params, rng=np.random.default_rng(11))
-        rows = gp_rows.encoder.encode_batch(train)
-        cache = IncrementalDistanceTensor(gp_rows._distance)
-        for i in range(len(rows)):
-            cache.append(rows[i : i + 1])
-        gp_rows.fit_rows(cache.rows, y, distance_tensor=cache.tensor)
-        mean_rows, var_rows = gp_rows.predict_rows(
-            gp_rows.encoder.encode_batch(candidates)
-        )
-
-        assert np.allclose(mean_dict, mean_rows, atol=1e-8, rtol=0)
-        assert np.allclose(var_dict, var_rows, atol=1e-8, rtol=0)
-
     def test_fit_rows_rejects_mismatched_tensor(self):
         params = _params("spearman")
         gp = GaussianProcess(params, rng=np.random.default_rng(12))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import distance, sample_value
 from repro.models.distances import DistanceComputer, parameter_scale
 from repro.models.kernels import matern52, scaled_distance
 from repro.models.priors import GammaPrior
@@ -28,7 +29,7 @@ def _params():
 
 def _configs(rng, params, n):
     return [
-        {p.name: p.sample(rng) for p in params}
+        {p.name: sample_value(p, rng) for p in params}
         for _ in range(n)
     ]
 
@@ -54,12 +55,12 @@ class TestDistanceComputer:
         params = _params()
         computer = DistanceComputer(params)
         configs = _configs(rng, params, 6)
-        tensor = computer.pairwise(configs)
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
         for k, param in enumerate(params):
             scale = parameter_scale(param)
             for i in range(6):
                 for j in range(6):
-                    expected = param.distance(configs[i][param.name], configs[j][param.name])
+                    expected = distance(param, configs[i][param.name], configs[j][param.name])
                     if isinstance(param, PermutationParameter):
                         expected = np.sqrt(expected)
                     assert tensor[k, i, j] == pytest.approx(expected / scale)
@@ -68,7 +69,7 @@ class TestDistanceComputer:
         params = _params()
         computer = DistanceComputer(params)
         configs = _configs(rng, params, 8)
-        tensor = computer.pairwise(configs)
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
         assert np.allclose(tensor, np.swapaxes(tensor, 1, 2))
         for k in range(tensor.shape[0]):
             assert np.allclose(np.diag(tensor[k]), 0.0)
@@ -78,22 +79,24 @@ class TestDistanceComputer:
         computer = DistanceComputer(params)
         a = _configs(rng, params, 5)
         b = _configs(rng, params, 3)
-        assert computer.pairwise(a, b).shape == (3, 5, 3)
+        assert computer.pairwise_rows(
+            computer.encoder.encode_batch(a), computer.encoder.encode_batch(b)
+        ).shape == (3, 5, 3)
 
     def test_kendall_metric_falls_back_to_loop(self, rng):
         params = [PermutationParameter("perm", 4, metric="kendall")]
         computer = DistanceComputer(params)
         configs = _configs(rng, params, 5)
-        tensor = computer.pairwise(configs)
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
         for i in range(5):
             for j in range(5):
-                expected = np.sqrt(params[0].distance(configs[i]["perm"], configs[j]["perm"]))
+                expected = np.sqrt(distance(params[0], configs[i]["perm"], configs[j]["perm"]))
                 assert tensor[0, i, j] * parameter_scale(params[0]) == pytest.approx(expected)
 
     def test_normalized_distances_at_most_one(self, rng):
         params = _params()
         computer = DistanceComputer(params)
-        tensor = computer.pairwise(_configs(rng, params, 20))
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(_configs(rng, params, 20)))
         assert tensor.max() <= 1.0 + 1e-9
 
 
@@ -101,7 +104,7 @@ class TestKernels:
     def _tensor(self, rng, n=10):
         params = _params()
         computer = DistanceComputer(params)
-        return computer.pairwise(_configs(rng, params, n))
+        return computer.pairwise_rows(computer.encoder.encode_batch(_configs(rng, params, n)))
 
     def test_matern_diagonal_equals_outputscale(self, rng):
         tensor = self._tensor(rng)

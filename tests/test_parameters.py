@@ -10,16 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    PERMUTATION_METRICS,
+    distance,
+    hamming_permutation_distance,
+    kendall_distance,
+    sample_value,
+    spearman_distance,
+)
 from repro.space.parameters import (
     CategoricalParameter,
     IntegerParameter,
     OrdinalParameter,
     PermutationParameter,
     RealParameter,
-    PERMUTATION_METRICS,
-    hamming_permutation_distance,
-    kendall_distance,
-    spearman_distance,
 )
 
 
@@ -30,24 +34,24 @@ from repro.space.parameters import (
 class TestRealParameter:
     def test_sampling_stays_in_bounds(self, rng):
         param = RealParameter("x", 0.5, 2.5)
-        samples = [param.sample(rng) for _ in range(200)]
+        samples = [sample_value(param, rng) for _ in range(200)]
         assert all(0.5 <= s <= 2.5 for s in samples)
 
     def test_log_sampling_stays_in_bounds(self, rng):
         param = RealParameter("x", 1.0, 1024.0, transform="log")
-        samples = [param.sample(rng) for _ in range(200)]
+        samples = [sample_value(param, rng) for _ in range(200)]
         assert all(1.0 <= s <= 1024.0 for s in samples)
 
     def test_distance_is_absolute_difference(self):
         param = RealParameter("x", 0.0, 10.0)
-        assert param.distance(2.0, 5.0) == pytest.approx(3.0)
-        assert param.distance(5.0, 2.0) == pytest.approx(3.0)
+        assert distance(param, 2.0, 5.0) == pytest.approx(3.0)
+        assert distance(param, 5.0, 2.0) == pytest.approx(3.0)
 
     def test_log_distance_matches_paper_example(self):
         """Tile sizes 2/4 should be as similar as 512/1024 (Sec. 4.1)."""
         param = RealParameter("tile", 1.0, 2048.0, transform="log")
-        assert param.distance(2, 4) == pytest.approx(param.distance(512, 1024))
-        assert param.distance(512, 514) < param.distance(2, 4)
+        assert distance(param, 2, 4) == pytest.approx(distance(param, 512, 1024))
+        assert distance(param, 512, 514) < distance(param, 2, 4)
 
     def test_contains(self):
         param = RealParameter("x", 0.0, 1.0)
@@ -82,7 +86,7 @@ class TestRealParameter:
 class TestIntegerParameter:
     def test_sampling_covers_range(self, rng):
         param = IntegerParameter("n", 1, 4)
-        samples = {param.sample(rng) for _ in range(300)}
+        samples = {sample_value(param, rng) for _ in range(300)}
         assert samples == {1, 2, 3, 4}
 
     def test_contains_rejects_non_integers(self):
@@ -108,7 +112,7 @@ class TestIntegerParameter:
 
     def test_log_distance(self):
         param = IntegerParameter("n", 1, 1024, transform="log")
-        assert param.distance(2, 4) == pytest.approx(param.distance(256, 512))
+        assert distance(param, 2, 4) == pytest.approx(distance(param, 256, 512))
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +132,12 @@ class TestOrdinalParameter:
 
     def test_distance_uses_values_not_ranks(self):
         param = OrdinalParameter("o", [1, 2, 100])
-        assert param.distance(1, 2) == pytest.approx(1.0)
-        assert param.distance(2, 100) == pytest.approx(98.0)
+        assert distance(param, 1, 2) == pytest.approx(1.0)
+        assert distance(param, 2, 100) == pytest.approx(98.0)
 
     def test_log_transform_distance(self):
         param = OrdinalParameter("o", [2, 4, 512, 1024], transform="log")
-        assert param.distance(2, 4) == pytest.approx(param.distance(512, 1024))
+        assert distance(param, 2, 4) == pytest.approx(distance(param, 512, 1024))
 
     def test_default_must_be_member(self):
         with pytest.raises(ValueError):
@@ -146,7 +150,7 @@ class TestOrdinalParameter:
 
     def test_sample_only_returns_members(self, rng):
         param = OrdinalParameter("o", [1, 2, 4, 8])
-        assert {param.sample(rng) for _ in range(200)} <= {1, 2, 4, 8}
+        assert {sample_value(param, rng) for _ in range(200)} <= {1, 2, 4, 8}
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +160,12 @@ class TestOrdinalParameter:
 class TestCategoricalParameter:
     def test_hamming_distance(self):
         param = CategoricalParameter("c", ["a", "b", "c"])
-        assert param.distance("a", "a") == 0.0
-        assert param.distance("a", "b") == 1.0
+        assert distance(param, "a", "a") == 0.0
+        assert distance(param, "a", "b") == 1.0
 
     def test_neighbours_are_all_other_values(self):
         param = CategoricalParameter("c", ["a", "b", "c"])
         assert set(param.neighbours("a")) == {"b", "c"}
-
-    def test_numeric_encoding_is_index(self):
-        param = CategoricalParameter("c", ["x", "y", "z"])
-        assert param.to_numeric("y") == 1.0
 
     def test_duplicate_values_collapsed(self):
         param = CategoricalParameter("c", ["a", "b", "a"])
@@ -233,7 +233,7 @@ class TestPermutationParameter:
     def test_sampling_produces_valid_permutations(self, rng):
         param = PermutationParameter("perm", 4)
         for _ in range(50):
-            value = param.sample(rng)
+            value = sample_value(param, rng)
             assert sorted(value) == [0, 1, 2, 3]
 
     def test_contains(self):
@@ -263,22 +263,29 @@ class TestPermutationParameter:
         for n in neighbours:
             assert hamming_permutation_distance((0, 1, 2, 3), n) == 2.0
 
-    def test_all_swaps_count(self):
-        param = PermutationParameter("perm", 4)
-        assert len(param.all_swaps((0, 1, 2, 3))) == 6
-
     def test_metric_selection_changes_distance(self):
         a, b = (0, 1, 2, 3), (3, 2, 1, 0)
         spearman = PermutationParameter("perm", 4, metric="spearman")
         hamming = PermutationParameter("perm", 4, metric="hamming")
         naive = PermutationParameter("perm", 4, metric="naive")
-        assert spearman.distance(a, b) == 20.0
-        assert hamming.distance(a, b) == 4.0
-        assert naive.distance(a, b) == 1.0
+        assert distance(spearman, a, b) == 20.0
+        assert distance(hamming, a, b) == 4.0
+        assert distance(naive, a, b) == 1.0
 
     def test_max_distance_is_attained_by_reversal(self):
-        param = PermutationParameter("perm", 5, metric="spearman")
-        assert param.distance(tuple(range(5)), tuple(reversed(range(5)))) == param.max_distance()
+        """The closed forms equal the oracle metric of the identity and its
+        reversal, float for float, for every metric and n = 1..12 (the naive
+        metric's maximum is 1 even for one element, whose reversal is the
+        identity)."""
+        for metric in PERMUTATION_METRICS:
+            for n in range(1, 13):
+                param = PermutationParameter("perm", n, metric=metric)
+                identity = tuple(range(n))
+                expected = distance(param, identity, identity[::-1])
+                if metric == "naive" and n == 1:
+                    expected = 1.0
+                assert type(param.max_distance()) is float
+                assert param.max_distance() == expected, (metric, n)
 
     def test_unknown_metric_raises(self):
         with pytest.raises(ValueError):
@@ -286,10 +293,6 @@ class TestPermutationParameter:
 
     def test_default_is_identity(self):
         assert PermutationParameter("perm", 4).default == (0, 1, 2, 3)
-
-    def test_to_numeric(self):
-        param = PermutationParameter("perm", 3)
-        assert param.to_numeric((2, 0, 1)) == (2.0, 0.0, 1.0)
 
 
 def test_parameter_names_must_be_nonempty():

@@ -16,7 +16,8 @@ constraints.  Four protection layers:
   of the brute-force support, alone or in a conjunction, and do not depend
   on the order of the constraints;
 * **semantic equivalence** — the sampler produces only feasible rows
-  (``feasible_mask_rows`` stays the final filter), reaches exactly the
+  (each decodes to a configuration ``is_feasible`` accepts and encodes back
+  to itself; the residual mask stays the final filter), reaches exactly the
   brute-force support of each single constraint, unary or not, and keeps
   unconstrained dimensions untouched; a draw from a parameter's full ``values_list()`` is
   the unrestricted draw (same values, dtype and generator state), so
@@ -25,8 +26,8 @@ constraints.  Four protection layers:
   an exhausted rejection budget names the constraints that starved it (also
   when only their conjunction is unsatisfiable);
 * **the hard-constraint workload suite** — densities behave as labelled
-  under plain rejection (unconstrained draws masked by
-  ``feasible_mask_rows``), the sampler draws the 1e-6 instance, and at 1e-2
+  under plain rejection (unconstrained draws, each decoded and checked by
+  ``is_feasible``), the sampler draws the 1e-6 instance, and at 1e-2
   it accepts at least 5x as many of its draws as plain rejection does.
 """
 
@@ -52,7 +53,7 @@ from repro.space.parameters import (
 )
 from repro.space.space import SearchSpace
 
-from oracles import neighbours, sample_reference
+from oracles import feasible_rows, neighbours, sample_reference
 
 #: the parameter types the filter narrows (integers up to 4096 values)
 _NARROWABLE = (IntegerParameter, OrdinalParameter, CategoricalParameter)
@@ -128,7 +129,7 @@ def test_sampler_reaches_exact_support(expression):
     for name, values in space._narrowed_values().items():
         assert support[name] <= set(values), name
     rows = space.sample_rows(np.random.default_rng(11), 2000)
-    columns = space.encoder.value_columns(rows, names=list(_DOMAINS))
+    columns = space.encoder.value_columns(rows)
     for name in _DOMAINS:
         assert set(columns[name].tolist()) == support[name], name
 
@@ -148,7 +149,7 @@ def test_conjunction_narrowing_is_sound():
     assert narrowed == {"b": [0, 2, 4, 6]}
     assert support["b"] == {2, 4, 6}
     rows = space.sample_rows(np.random.default_rng(12), 256)
-    assert bool(np.all(space.feasible_mask_rows(rows)))
+    assert feasible_rows(space, rows).all()
 
 
 def test_jointly_unsatisfiable_constraints_are_left_to_the_mask():
@@ -179,7 +180,7 @@ def test_reals_wide_integers_and_callables_are_not_narrowed():
     )
     assert space._narrowed_values() == {}
     rows = space.sample_rows(np.random.default_rng(5), 64)
-    assert bool(np.all(space.feasible_mask_rows(rows)))
+    assert feasible_rows(space, rows).all()
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,7 @@ def test_propagated_rows_are_feasible_and_default_stream_unchanged(space, seed):
     except RuntimeError:
         assume(False)
     assert len(rows) == 16
-    assert bool(np.all(space.feasible_mask_rows(rows)))
+    assert feasible_rows(space, rows).all()
     # handing every narrowable parameter its value list, narrowed or full,
     # draws the same rows: un-narrowed parameters keep their streams
     full = {
@@ -387,7 +388,7 @@ class TestPropagatedSampling:
             build_chain_of_trees=False,
         )
         rows = space.sample_rows(np.random.default_rng(3), 512)
-        values = space.encoder.value_columns(rows, names=["eps"])["eps"]
+        values = space.encoder.value_columns(rows)["eps"]
         assert float(values.min()) >= 0.2
         assert float(values.max()) <= 1.0
 
@@ -397,7 +398,7 @@ class TestPropagatedSampling:
         space = _divisible_space()
         rows = space.sample_rows(np.random.default_rng(4), 8)
         batch, owners = space.neighbour_rows_batch(rows)
-        assert bool(np.all(space.feasible_mask_rows(batch)))
+        assert feasible_rows(space, batch).all()
         for i, row in enumerate(rows):
             expected = neighbours(space, space.encoder.decode(row))
             assert int((owners == i).sum()) == len(expected)
@@ -460,9 +461,9 @@ class TestRejectionDiagnostics:
 
 def _plain_rejection_rate(space: SearchSpace, seed: int, n: int = 20_000) -> float:
     """Acceptance rate of plain rejection: unconstrained ``sample_batch``
-    draws, masked afterwards by the known constraints."""
+    draws, checked afterwards against the known constraints."""
     rows = SearchSpace(space.parameters).sample_rows(np.random.default_rng(seed), n)
-    return float(space.feasible_mask_rows(rows).mean())
+    return float(feasible_rows(space, rows).mean())
 
 
 class TestHardConstraintSuite:
@@ -507,7 +508,7 @@ class TestHardConstraintSuite:
         assert _plain_rejection_rate(space, 0) < 1e-3
         rows = space.sample_rows(np.random.default_rng(0), 32)
         assert len(rows) == 32
-        assert bool(np.all(space.feasible_mask_rows(rows)))
+        assert feasible_rows(space, rows).all()
 
     def test_propagation_accepts_far_more_draws_than_rejection(self):
         """A count, not a timing: on the 1e-2 instance the sampler's

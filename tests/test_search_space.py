@@ -112,6 +112,25 @@ class TestSampling:
         for count in counts.values():
             assert abs(count - expected) < 0.35 * expected
 
+    def test_first_unseen_is_the_first_unseen_row_of_one_draw(self, small_space):
+        rows = small_space.sample_rows(np.random.default_rng(3), 16)
+        decoded = [small_space.encoder.decode(row) for row in rows]
+        seen = {small_space.freeze(decoded[0]), small_space.freeze(decoded[1])}
+        first = next(c for c in decoded if small_space.freeze(c) not in seen)
+        rng = np.random.default_rng(3)
+        assert small_space.first_unseen(rng, 16, seen) == first
+        # one batched draw, whatever row wins
+        after = np.random.default_rng(3)
+        small_space.sample_rows(after, 16)
+        assert rng.bit_generator.state == after.bit_generator.state
+
+    def test_first_unseen_is_none_once_every_draw_is_seen(self, small_space):
+        seen = {small_space.freeze(c) for c in small_space.iter_dense()}
+        rng = np.random.default_rng(4)
+        assert small_space.first_unseen(rng, 32, seen) is None
+        assert small_space.first_unseen(rng, 32, seen, biased_cot=True) is None
+        assert small_space.first_unseen(rng, 32, set()) is not None
+
     def test_default_configuration_contains_all_parameters(self, small_space):
         default = small_space.default_configuration()
         assert set(default) == set(small_space.parameter_names)

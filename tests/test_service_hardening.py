@@ -24,6 +24,7 @@ as the string ``"inf"``, ``"-inf"`` or ``"nan"``), in process and over TCP.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import string
@@ -252,6 +253,108 @@ class TestTellNumberFields:
                 assert status["pending_ids"] == [0, 1] and status["evaluations"] == 0
                 told = client.call("tell", id=0, value=2, elapsed=1)
                 assert told["ok"] is True and told["best_value"] == 2.0
+
+
+@functools.lru_cache(maxsize=None)
+def _baco_snapshot_text() -> str:
+    """A BaCO session on hpvm_bfs with 8 evaluations told and suggestion 8
+    pending, as the wire-encoded snapshot JSON."""
+    from repro.workloads import get_benchmark
+
+    evaluator = get_benchmark(BENCH).evaluator
+    service = SessionRegistry(max_sessions=1)
+    assert service.handle(start_request(tuner="BaCO", budget=12, seed=5))["ok"]
+    for _ in range(8):
+        [suggestion] = service.handle({"op": "ask", "n": 1})["suggestions"]
+        configuration = {
+            k: tuple(v) if isinstance(v, list) else v
+            for k, v in suggestion["configuration"].items()
+        }
+        result = evaluator(configuration)
+        told = service.handle({
+            "op": "tell", "id": suggestion["id"], "feasible": result.feasible,
+            "value": result.value if result.feasible else "inf",
+        })
+        assert told["ok"], told
+    assert service.handle({"op": "ask", "n": 1})["suggestions"][0]["id"] == 8
+    return json.dumps(service.handle({"op": "snapshot"})["snapshot"])
+
+
+def _set(path, value):
+    """An edit that sets the snapshot entry at ``path`` to ``value``."""
+
+    def edit(snapshot):
+        target = snapshot
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value(target[path[-1]]) if callable(value) else value
+
+    return edit
+
+
+#: (field the error must name, edit of a valid snapshot); at the parent of
+#: these checks every edited snapshot restored without error
+BAD_RESTORE_FIELDS = [
+    ("history.evaluations[0].configuration.unroll_visit",
+     _set(("history", "evaluations", 0, "configuration", "unroll_visit"), 3)),
+    ("history.evaluations[0].configuration.extra",
+     _set(("history", "evaluations", 0, "configuration", "extra"), 1)),
+    ("history.evaluations[0].configuration.fuse_0",
+     _set(("history", "evaluations", 0, "configuration", "fuse_0"), {"not": "hashable"})),
+    ("history.evaluations[0].feasible",
+     _set(("history", "evaluations", 0, "feasible"), "no")),
+    ("session.budget", _set(("session", "budget"), 12.9)),
+    ("session.budget", _set(("session", "budget"), 3)),
+    ("session.next_suggestion_id", _set(("session", "next_suggestion_id"), True)),
+    ("pending[0].id", _set(("pending", 0, "id"), 8.7)),
+    ("history.evaluations[2].index", _set(("history", "evaluations", 2, "index"), 7)),
+    ("rng.state.state", _set(("rng", "state", "state"), float)),
+]
+_BAD_RESTORE_IDS = [
+    "unroll_visit=3", "extra_key", "fuse_0=object", "feasible=no", "budget=12.9", "budget=3",
+    "next_id=true", "pending_id=8.7", "index=7", "float_rng_word",
+]
+
+
+class TestRestoreChecksSnapshot:
+    """Regression: ``restore`` used to accept each malformed snapshot below
+    and replay it as something else (a value outside the ordinal, ``"no"``
+    as feasible, ``12.9`` as 12, ``true`` as 1, a truncated RNG word).  Each
+    now fails with an error naming its field, in process and over TCP."""
+
+    @staticmethod
+    def _edited(edit):
+        snapshot = json.loads(_baco_snapshot_text())
+        edit(snapshot)
+        return snapshot
+
+    def test_valid_snapshot_restores(self):
+        response = SessionRegistry(max_sessions=1).handle(
+            {"op": "restore", "payload": json.loads(_baco_snapshot_text())}
+        )
+        assert response["ok"], response
+        assert response["evaluations"] == 8 and response["pending_ids"] == [8]
+
+    @pytest.mark.parametrize("field, edit", BAD_RESTORE_FIELDS, ids=_BAD_RESTORE_IDS)
+    def test_rejected_in_process(self, field, edit):
+        service = SessionRegistry(max_sessions=1)
+        request = {"op": "restore", "payload": self._edited(edit)}
+        response = strict_loads(service.handle_line(json.dumps(request)))
+        assert response["ok"] is False
+        assert field in response["error"], response["error"]
+        assert "unknown session" in service.handle({"op": "status"})["error"]
+
+    @pytest.mark.parametrize("field, edit", BAD_RESTORE_FIELDS, ids=_BAD_RESTORE_IDS)
+    def test_rejected_over_tcp(self, field, edit):
+        with running_server(SessionRegistry(max_sessions=2)) as server:
+            with TuningClient(port=server.port, session="tampered") as client:
+                response = client.call("restore", payload=self._edited(edit))
+                assert response["ok"] is False
+                assert field in response["error"], response["error"]
+                restored = client.call(
+                    "restore", payload=json.loads(_baco_snapshot_text())
+                )
+                assert restored["ok"] and restored["pending_ids"] == [8]
 
 
 class TestStartConflicts:

@@ -9,9 +9,10 @@ Guards for the three layers introduced by the row-space refactor:
 * **Chain-of-Trees leaf tables** — the leaf list and the vectorized
   leaf-index samplers agree with the constraints and the per-level walk's
   distribution;
-* **Row-space search-space API** — ``sample_rows`` / ``feasible_mask_rows`` /
-  ``neighbour_rows_batch`` agree with the scalar dict paths, pinned both on
-  hand-built spaces and on hypothesis-randomized R/I/O/C/P spaces.
+* **Row-space search-space API** — ``sample_rows`` / ``neighbour_rows_batch``
+  agree with the scalar dict paths, pinned both on hand-built spaces and on
+  hypothesis-randomized R/I/O/C/P spaces; their rows are checked one by one
+  through ``is_feasible`` and the encoding round trip.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.space import (
 )
 from repro.space.constraints import _SCALAR_GLOBALS, compile_column_evaluator
 
-from oracles import neighbours, sample_reference
+from oracles import feasible_rows, neighbours, sample_reference
 
 
 def _mixed_params():
@@ -55,11 +56,6 @@ def _mixed_space() -> SearchSpace:
             Constraint("w <= 8 or alpha >= 1.0"),
         ],
     )
-
-
-def _dense_random_configs(params, n, seed):
-    rng = np.random.default_rng(seed)
-    return [{p.name: p.sample(rng) for p in params} for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,92 +207,12 @@ class TestLeafCaches:
 # ---------------------------------------------------------------------------
 
 class TestRowSpaceAPI:
-    def test_encode_columns_bit_identical_to_encode_batch(self):
-        params = _mixed_params()
-        space = SearchSpace(params)
-        rng = np.random.default_rng(9)
-        columns = {p.name: p.sample_batch(rng, 100) for p in params}
-        rows = space.encoder.encode_columns(columns)
-        configs = [
-            {
-                p.name: (
-                    tuple(int(v) for v in columns[p.name][i])
-                    if isinstance(p, PermutationParameter)
-                    else p.canonical(columns[p.name][i])
-                    if hasattr(p, "canonical") and not isinstance(p, RealParameter)
-                    else columns[p.name][i]
-                )
-                for p in params
-            }
-            for i in range(100)
-        ]
-        assert np.array_equal(rows, space.encode_batch(configs))
-
-    def test_encode_columns_rejects_ragged_input(self):
-        space = SearchSpace(_mixed_params())
-        rng = np.random.default_rng(9)
-        columns = {p.name: p.sample_batch(rng, 4) for p in space.parameters}
-        columns["w"] = columns["w"][:3]
-        with pytest.raises(ValueError):
-            space.encoder.encode_columns(columns)
-
-    def test_evaluate_rows_supports_duck_typed_feasibility_models(self):
-        """Regression: models without an ``encoder`` attribute (the dict-only
-        surface ``__call__`` already supports) must work in row space too."""
-        from repro.core.acquisition import AcquisitionFunction
-
-        space = SearchSpace(_mixed_params())
-        rng = np.random.default_rng(4)
-
-        class StubModel:
-            def to_model_scale(self, value):
-                return value
-
-            def predict(self, configs, include_noise=False):
-                n = len(configs)
-                return np.zeros(n), np.ones(n)
-
-        class StubFeasibility:
-            is_trained = True
-
-            def predict_probability(self, configs):
-                return np.full(len(configs), 0.5)
-
-        acquisition = AcquisitionFunction(
-            StubModel(), best_value=1.0, feasibility_model=StubFeasibility()
-        )
-        rows = space.sample_rows(rng, 5)
-        values = acquisition.evaluate_rows(rows, space.encoder)
-        assert values.shape == (5,)
-        assert np.array_equal(
-            values, acquisition([space.encoder.decode(r) for r in rows])
-        )
-
     def test_sample_rows_are_feasible_and_decodable(self):
         space = _mixed_space()
         rng = np.random.default_rng(0)
         rows = space.sample_rows(rng, 200)
         assert rows.shape == (200, space.encoder.width)
-        assert space.feasible_mask_rows(rows).all()
-        for row in rows:
-            assert space.is_feasible(space.encoder.decode(row))
-
-    def test_feasible_mask_matches_is_feasible_on_dense_draws(self):
-        space = _mixed_space()
-        configs = _dense_random_configs(space.parameters, 300, seed=5)
-        mask = space.feasible_mask_rows(space.encode_batch(configs))
-        want = np.asarray([space.is_feasible(c) for c in configs])
-        assert want.any() and not want.all()  # the draw must exercise both sides
-        assert np.array_equal(mask, want)
-
-    def test_feasible_mask_rejects_corrupt_rows(self):
-        space = _mixed_space()
-        rows = space.sample_rows(np.random.default_rng(1), 4)
-        rows[0, space.encoder.columns("p1").start] = 1.234  # not a legal warp
-        rows[1, space.encoder.columns("sched").start] = 9.0  # out-of-range index
-        rows[2, space.encoder.columns("order")] = [0.0, 0.0, 2.0]  # not a perm
-        mask = space.feasible_mask_rows(rows)
-        assert mask.tolist() == [False, False, False, True]
+        assert feasible_rows(space, rows).all()
 
     def test_sample_matches_reference_distribution(self):
         space = SearchSpace(
@@ -333,7 +249,7 @@ class TestRowSpaceAPI:
         rng = np.random.default_rng(3)
         rows = space.sample_rows(rng, 8)
         batch, owners = space.neighbour_rows_batch(rows)
-        assert space.feasible_mask_rows(batch).all()
+        assert feasible_rows(space, batch).all()
         decode = space.encoder.decode
         for i, row in enumerate(rows):
             config = decode(row)
@@ -392,21 +308,10 @@ def riocp_spaces(draw):
 
 @given(riocp_spaces(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_row_mask_equals_scalar_feasibility(space, seed):
-    """Property: feasible_mask_rows(encode_batch(cfgs)) == scalar is_feasible."""
-    configs = _dense_random_configs(space.parameters, 40, seed)
-    mask = space.feasible_mask_rows(space.encode_batch(configs))
-    want = np.asarray([space.is_feasible(c) for c in configs])
-    assert np.array_equal(mask, want)
-
-
-@given(riocp_spaces(), st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=25, deadline=None)
 def test_sample_rows_decode_to_feasible_configurations(space, seed):
     """Property: every sampled row decodes to a configuration the space accepts."""
     rng = np.random.default_rng(seed)
     rows = space.sample_rows(rng, 8)
-    assert space.feasible_mask_rows(rows).all()
     for row in rows:
         config = space.encoder.decode(row)
         assert space.is_feasible(config)
