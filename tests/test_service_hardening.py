@@ -292,8 +292,7 @@ def _set(path, value):
     return edit
 
 
-#: (field the error must name, edit of a valid snapshot); at the parent of
-#: these checks every edited snapshot restored without error
+#: (field the error must name, edit of a valid snapshot)
 BAD_RESTORE_FIELDS = [
     ("history.evaluations[0].configuration.unroll_visit",
      _set(("history", "evaluations", 0, "configuration", "unroll_visit"), 3)),
@@ -319,7 +318,8 @@ _BAD_RESTORE_IDS = [
 class TestRestoreChecksSnapshot:
     """Regression: ``restore`` used to accept each malformed snapshot below
     and replay it as something else (a value outside the ordinal, ``"no"``
-    as feasible, ``12.9`` as 12, ``true`` as 1, a truncated RNG word).  Each
+    as feasible, ``12.9`` as 12, ``true`` as 1, a truncated RNG word), or
+    fail with a bare ``TypeError`` (an unhashable categorical value).  Each
     now fails with an error naming its field, in process and over TCP."""
 
     @staticmethod
