@@ -55,7 +55,7 @@ from pathlib import Path
 
 from .analysis import cli as analysis_cli
 from .core.result import TuningHistory
-from .experiments.config import ExperimentConfig, default_config
+from .experiments.config import FIDELITIES, ExperimentConfig, default_config
 from .experiments.figures import suite_benchmarks
 from .experiments.orchestrator import (
     cell_cache_path,
@@ -91,7 +91,7 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=None, help="base random seed")
     parser.add_argument(
-        "--fidelity", choices=("fast", "paper"), default=None, help="optimizer effort level"
+        "--fidelity", choices=FIDELITIES, default=None, help="optimizer effort level"
     )
     parser.add_argument(
         "--budget-scale", type=float, default=None,
@@ -423,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     tune_parser.add_argument("--seed", type=int, default=None, help="random seed (default: 0)")
     tune_parser.add_argument(
-        "--fidelity", choices=("fast", "paper"), default=None, help="optimizer effort level"
+        "--fidelity", choices=FIDELITIES, default=None, help="optimizer effort level"
     )
     tune_parser.add_argument(
         "--surrogate-policy", default=None, metavar="SPEC",

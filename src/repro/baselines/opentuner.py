@@ -33,12 +33,17 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from ..core import schema
 from ..core.result import ObjectiveResult
-from ..core.session import frozen_key_from_json, frozen_key_to_json
+from ..core.session import frozen_declaration, frozen_key_from_json, frozen_key_to_json
 from ..core.tuner import Tuner
 from ..space.space import Configuration, SearchSpace
 
 __all__ = ["OpenTunerLikeTuner", "AUCBandit"]
+
+#: the techniques the bandit allocates evaluations to
+_TECHNIQUES = ("mutate", "crossover", "random")
+_OUTCOME = schema.one_of(0.0, 1.0)
 
 
 class AUCBandit:
@@ -92,19 +97,31 @@ class AUCBandit:
             "uses": dict(self._uses),
         }
 
+    def state_declaration(self) -> dict[str, Any]:
+        """What :meth:`state_dict` writes: this bandit's constants, and
+        statistics of its techniques that fit its window."""
+        window = self.window
+        outcomes = schema.Leaf(
+            f"a list of at most {window} outcomes 0.0 or 1.0",
+            lambda value: isinstance(value, list)
+            and len(value) <= window
+            and all(map(_OUTCOME.accepts, value)),
+        )
+        return {
+            "techniques": schema.one_of(list(self.techniques)),
+            "window": schema.one_of(window),
+            "exploration": schema.one_of(self.exploration),
+            "outcomes": {name: outcomes for name in self.techniques},
+            "uses": {name: schema.integer(0) for name in self.techniques},
+        }
+
     def load_state_dict(self, payload: Mapping[str, Any]) -> None:
-        self.techniques = list(payload.get("techniques", self.techniques))
-        self.window = int(payload.get("window", self.window))
-        self.exploration = float(payload.get("exploration", self.exploration))
-        outcomes = payload.get("outcomes", {})
+        """Load statistics matching :meth:`state_declaration`."""
         self._outcomes = {
-            name: deque(
-                (float(x) for x in outcomes.get(name, ())), maxlen=self.window
-            )
+            name: deque(payload["outcomes"][name], maxlen=self.window)
             for name in self.techniques
         }
-        uses = payload.get("uses", {})
-        self._uses = {name: int(uses.get(name, 0)) for name in self.techniques}
+        self._uses = {name: payload["uses"][name] for name in self.techniques}
 
 
 class OpenTunerLikeTuner(Tuner):
@@ -124,7 +141,7 @@ class OpenTunerLikeTuner(Tuner):
         self.elite_size = elite_size
         self.n_initial_random = n_initial_random
         self.mutation_strength = mutation_strength
-        self._bandit = AUCBandit(["mutate", "crossover", "random"])
+        self._bandit = AUCBandit(list(_TECHNIQUES))
         self._initial_left = 0
         #: technique that produced each in-flight learning suggestion,
         #: keyed by frozen configuration (a list handles rare duplicates)
@@ -133,7 +150,7 @@ class OpenTunerLikeTuner(Tuner):
     # ------------------------------------------------------------------
     def _reset_state(self, budget: int) -> None:
         super()._reset_state(budget)
-        self._bandit = AUCBandit(["mutate", "crossover", "random"])
+        self._bandit = AUCBandit(list(_TECHNIQUES))
         self._initial_left = 0
         self._inflight = {}
 
@@ -193,14 +210,27 @@ class OpenTunerLikeTuner(Tuner):
         ]
         return state
 
+    def _state_declaration(self, budget: int) -> dict[str, Any]:
+        declaration = super()._state_declaration(budget)
+        declaration["initial_left"] = schema.integer(0, budget)
+        declaration["bandit"] = self._bandit.state_declaration()
+        declaration["inflight"] = [{
+            "key": frozen_declaration(self.space),
+            "techniques": [schema.one_of(*self._bandit.techniques)],
+        }]
+        return declaration
+
     def _load_state_dict(self, payload: Mapping[str, Any]) -> None:
         super()._load_state_dict(payload)
-        self._initial_left = int(payload.get("initial_left", 0))
-        self._bandit.load_state_dict(payload.get("bandit", {}))
+        self._initial_left = payload["initial_left"]
+        self._bandit.load_state_dict(payload["bandit"])
         self._inflight = {
             frozen_key_from_json(entry["key"]): list(entry["techniques"])
-            for entry in payload.get("inflight", ())
+            for entry in payload["inflight"]
         }
+        if len(self._inflight) != len(payload["inflight"]):
+            schema.fail("tuner_state.inflight", "keyed by distinct configurations",
+                        payload["inflight"])
 
     # ------------------------------------------------------------------
     def _elites(self) -> list[Configuration]:

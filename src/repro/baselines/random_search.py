@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..core.session import frozen_key_from_json, frozen_key_to_json
+from ..core import schema
+from ..core.session import frozen_declaration, frozen_key_from_json, frozen_key_to_json
 from ..core.tuner import Tuner
 from ..space.space import Configuration, SearchSpace
 
@@ -67,9 +68,17 @@ class UniformSamplingTuner(Tuner):
         state["seen"] = [frozen_key_to_json(key) for key in sorted(self._seen)]
         return state
 
+    def _state_declaration(self, budget: int) -> dict[str, Any]:
+        declaration = super()._state_declaration(budget)
+        declaration["seen"] = [frozen_declaration(self.space)]
+        return declaration
+
     def _load_state_dict(self, payload: Mapping[str, Any]) -> None:
         super()._load_state_dict(payload)
-        self._seen = {frozen_key_from_json(item) for item in payload.get("seen", ())}
+        keys = [frozen_key_from_json(item) for item in payload["seen"]]
+        if keys != sorted(set(keys)):
+            schema.fail("tuner_state.seen", "sorted and distinct", payload["seen"])
+        self._seen = set(keys)
 
 
 class CoTSamplingTuner(UniformSamplingTuner):

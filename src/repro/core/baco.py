@@ -25,7 +25,6 @@ threshold, and the surrogate family (GP vs. RF).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -43,6 +42,7 @@ from ..space.parameters import (
     RealParameter,
 )
 from ..space.space import Configuration, SearchSpace
+from . import schema
 from .acquisition import AcquisitionFunction, expected_improvement
 from .doe import default_doe_size, initial_design_queue
 from .feasibility import FeasibilityModel, FeasibilityThresholdSchedule
@@ -146,57 +146,8 @@ class SurrogatePolicy:
         return "frozen"
 
 
-#: the keys :meth:`BacoTuner._state_dict` writes for a ``fast`` policy
-_POLICY_STATE_KEYS = ("spec", "last_sweep_n", "last_refit_n", "hypers", "chol_base_n")
-_HYPER_KEYS = ("lengthscales", "outputscale", "noise_variance")
-
-
-def _state_counter(payload: Mapping[str, Any], key: str, high: int) -> int:
-    """``payload[key]`` as a JSON integer in ``[0, high]``.
-
-    ``int()`` would read ``true`` as 1 and truncate ``8.9`` to 8, so only an
-    ``int`` that is not a ``bool`` passes, as for the service's wire integers.
-    """
-    value = payload[key]
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= high:
-        raise ValueError(
-            f"surrogate_policy.{key} must be an integer in [0, {high}], got {value!r}"
-        )
-    return value
-
-
-def _positive(value: Any, field: str) -> float:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-        or value <= 0
-    ):
-        raise ValueError(
-            f"surrogate_policy.hypers.{field} must be finite and positive, got {value!r}"
-        )
-    return float(value)
-
-
-def _state_hypers(hypers: Any, n_dimensions: int) -> dict[str, Any] | None:
-    """The snapshotted GP hyper-parameters, checked: ``None`` or one finite
-    positive lengthscale per dimension plus outputscale and noise variance."""
-    if hypers is None:
-        return None
-    if not isinstance(hypers, Mapping) or set(hypers) != set(_HYPER_KEYS):
-        raise ValueError(
-            f"surrogate_policy.hypers must be null or hold exactly {list(_HYPER_KEYS)}"
-        )
-    lengthscales = hypers["lengthscales"]
-    if not isinstance(lengthscales, list) or len(lengthscales) != n_dimensions:
-        raise ValueError(
-            f"surrogate_policy.hypers.lengthscales must list {n_dimensions} values"
-        )
-    return {
-        "lengthscales": [_positive(x, "lengthscales") for x in lengthscales],
-        "outputscale": _positive(hypers["outputscale"], "outputscale"),
-        "noise_variance": _positive(hypers["noise_variance"], "noise_variance"),
-    }
+#: a snapshotted GP hyper-parameter
+_POSITIVE = schema.number(above=0)
 
 
 def _without_log_transform(param: Parameter) -> Parameter:
@@ -556,57 +507,64 @@ class BacoTuner(Tuner):
             state["surrogate_policy"] = payload
         return state
 
+    def _state_declaration(self, budget: int) -> dict[str, Any]:
+        """A ``fast`` policy's state: its own spec, counters within the
+        replayed feasible history, and ``null`` or finite positive
+        hyper-parameters."""
+        declaration = super()._state_declaration(budget)
+        if self._policy.mode == "fast":
+            counter = schema.integer(0, len(self._feasible_values))
+            declaration["surrogate_policy"] = {
+                "spec": schema.one_of(self._policy.spec()),
+                "last_sweep_n": counter,
+                "last_refit_n": counter,
+                "hypers": schema.nullable({
+                    "lengthscales": [_POSITIVE],
+                    "outputscale": _POSITIVE,
+                    "noise_variance": _POSITIVE,
+                }),
+                "chol_base_n": counter,
+            }
+        return declaration
+
     def _load_state_dict(self, state: Mapping[str, Any]) -> None:
         """Load the ``fast`` policy state that :meth:`_state_dict` wrote.
 
-        The payload may come from a client (the service's ``restore`` op), so
-        it is checked before anything is installed: exactly the five keys
-        :meth:`_state_dict` writes, counters that are JSON integers within
-        the replayed feasible history, and finite positive hyper-parameters.
-        Anything else raises ``ValueError`` naming the field, rather than
-        resuming a run that silently diverges from the original.
+        Beyond its declaration, the state must hold one lengthscale per
+        model dimension, and hyper-parameters whenever the last full
+        factorization covered two or more rows; anything else would resume a
+        run that silently diverges from the original.
         """
         super()._load_state_dict(state)
-        payload = state.get("surrogate_policy")
-        if payload is None:
-            if self._policy.mode == "fast":
-                raise ValueError(
-                    "snapshot of a 'fast' surrogate policy session has no "
-                    "surrogate_policy state"
-                )
+        if self._policy.mode == "exact":
             return
-        if not isinstance(payload, Mapping):
-            raise ValueError("surrogate_policy state must be an object")
-        for key in payload:
-            if key not in _POLICY_STATE_KEYS:
-                raise ValueError(f"unknown surrogate_policy state key {key!r}")
-        for key in _POLICY_STATE_KEYS:
-            if key not in payload:
-                raise ValueError(f"surrogate_policy state lacks {key!r}")
-        spec = payload["spec"]
-        if not isinstance(spec, str):
-            raise ValueError(f"surrogate_policy.spec must be a string, got {spec!r}")
-        policy = SurrogatePolicy.parse(spec)
-        if policy.mode != "fast":
-            raise ValueError(f"surrogate_policy.spec must be a 'fast' policy, got {spec!r}")
-        n_feasible = len(self._feasible_values)
-        counters = {
-            key: _state_counter(payload, key, n_feasible)
-            for key in ("last_sweep_n", "last_refit_n", "chol_base_n")
-        }
-        hypers = _state_hypers(payload["hypers"], len(self._model_space.parameters))
-        if hypers is None and counters["chol_base_n"] >= 2:
-            raise ValueError(
-                f"surrogate_policy.chol_base_n is {counters['chol_base_n']} "
-                "but surrogate_policy.hypers is null"
+        payload = state["surrogate_policy"]
+        hypers, base_n = payload["hypers"], payload["chol_base_n"]
+        n_dimensions = len(self._model_space.parameters)
+        if hypers is None:
+            if base_n >= 2:
+                schema.fail(
+                    "tuner_state.surrogate_policy.hypers",
+                    f"an object while chol_base_n is {base_n}",
+                    hypers,
+                )
+        elif len(hypers["lengthscales"]) != n_dimensions:
+            schema.fail(
+                "tuner_state.surrogate_policy.hypers.lengthscales",
+                f"{n_dimensions} values, one per dimension",
+                hypers["lengthscales"],
             )
-        self._policy = policy
+        else:
+            hypers = {**hypers, "lengthscales": list(hypers["lengthscales"])}
+        # the declared spec is this tuner's own; parsing it back keeps the
+        # policy riding the snapshot
+        self._policy = SurrogatePolicy.parse(payload["spec"])
         self._policy_state = {
-            "last_sweep_n": counters["last_sweep_n"],
-            "last_refit_n": counters["last_refit_n"],
+            "last_sweep_n": payload["last_sweep_n"],
+            "last_refit_n": payload["last_refit_n"],
             "hypers": hypers,
         }
-        self._restored_chol_base_n = counters["chol_base_n"]
+        self._restored_chol_base_n = base_n
 
     def _post_restore(self) -> None:
         """Rebuild the fast-policy GP so a resumed run replays bit-exactly.

@@ -16,14 +16,22 @@ from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from . import schema
+
 __all__ = [
+    "PHASES",
     "ObjectiveResult",
     "ObjectiveFunction",
     "Evaluation",
     "TuningHistory",
+    "check_evaluations",
     "configuration_to_json",
     "configuration_from_json",
+    "history_declaration",
 ]
+
+#: the phase a tuner tags each proposal with
+PHASES = ("initial", "learning")
 
 
 def configuration_to_json(configuration: Mapping[str, Any]) -> dict[str, Any]:
@@ -38,6 +46,39 @@ def configuration_from_json(payload: Mapping[str, Any]) -> dict[str, Any]:
     return {
         k: (tuple(v) if isinstance(v, list) else v) for k, v in payload.items()
     }
+
+
+def history_declaration(
+    configuration: Any,
+    tuner: Any = schema.string,
+    benchmark: Any = schema.string,
+    seed: Any = schema.nullable(schema.integer()),
+    timings: bool = True,
+) -> dict[str, Any]:
+    """The declaration of :meth:`TuningHistory.to_dict` output whose
+    configurations match ``configuration`` and whose ``tuner``, ``benchmark``
+    and ``seed`` match theirs; without ``timings``, as in a history cache
+    file, the wall-clock fields are absent."""
+    seconds = schema.number(at_least=0)
+    timed = {"tuner_seconds": seconds, "evaluation_seconds": seconds} if timings else {}
+    return {"tuner": tuner, "benchmark": benchmark, "seed": seed, **timed, "evaluations": [{
+        "index": schema.integer(0),
+        "configuration": configuration,
+        "value": schema.number(),
+        "feasible": schema.boolean,
+        "phase": schema.one_of(*PHASES),
+    }]}
+
+
+def check_evaluations(payload: Mapping[str, Any], path: str) -> None:
+    """A declared history's cross-field rules: evaluation ``i`` has index
+    ``i``, and a feasible one a finite value."""
+    for i, entry in enumerate(payload["evaluations"]):
+        field = schema.join(path, f"evaluations[{i}]")
+        if entry["index"] != i:
+            schema.fail(f"{field}.index", str(i), entry["index"])
+        if entry["feasible"] and not math.isfinite(entry["value"]):
+            schema.fail(f"{field}.value", "finite when feasible", entry["value"])
 
 
 @dataclass(frozen=True)

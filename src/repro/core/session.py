@@ -60,14 +60,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-import numpy as np
-
+from ..space.parameters import CategoricalParameter, Parameter, PermutationParameter
+from . import schema
 from .result import (
+    PHASES,
     ObjectiveFunction,
     ObjectiveResult,
     TuningHistory,
+    check_evaluations,
     configuration_from_json,
     configuration_to_json,
+    history_declaration,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tuner imports us)
@@ -76,7 +79,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tuner imports us)
 __all__ = [
     "Suggestion",
     "TuningSession",
+    "configuration_declaration",
     "drive",
+    "frozen_declaration",
     "frozen_key_from_json",
     "frozen_key_to_json",
 ]
@@ -110,11 +115,13 @@ class Suggestion:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Suggestion":
+        """Inverse of :meth:`to_dict` for a payload that matches its
+        declaration in a snapshot's ``pending`` list."""
         return cls(
-            id=int(payload["id"]),
+            id=payload["id"],
             configuration=configuration_from_json(payload["configuration"]),
             phase=payload["phase"],
-            encoded_row=tuple(float(x) for x in payload.get("encoded_row", ())),
+            encoded_row=tuple(payload["encoded_row"]),
         )
 
 
@@ -132,106 +139,123 @@ def frozen_key_from_json(items: Sequence[Any]) -> tuple:
     return tuple(tuple(v) if isinstance(v, list) else v for v in items)
 
 
-def _rng_state_to_json(rng: np.random.Generator) -> dict[str, Any]:
-    """The bit-generator state as a JSON-safe dict (ints stay exact)."""
-    state = rng.bit_generator.state
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {k: int(v) for k, v in state["state"].items()},
-        "has_uint32": int(state.get("has_uint32", 0)),
-        "uinteger": int(state.get("uinteger", 0)),
-    }
+#: a PCG64 state word (``state``, ``inc``) is 128 bits wide
+_RNG_WORD = schema.integer(0, 2**128 - 1)
+_VERSION = schema.Leaf(
+    f"snapshot version {SNAPSHOT_VERSION}", schema.one_of(SNAPSHOT_VERSION).accepts
+)
+_INTEGER = schema.integer()
+_NUMBER = schema.number()
+_SCALAR = schema.one_of(schema.string, _NUMBER)
+_PERMUTATION = schema.Leaf(
+    "a list of integers", lambda v: isinstance(v, list) and all(map(_INTEGER.accepts, v))
+)
 
 
-def _rng_state_from_json(rng: np.random.Generator, payload: Mapping[str, Any]) -> None:
-    name = type(rng.bit_generator).__name__
-    if payload["bit_generator"] != name:
-        raise ValueError(
-            f"snapshot was taken with bit generator {payload['bit_generator']!r} "
-            f"but the tuner uses {name!r}"
-        )
-    rng.bit_generator.state = {
-        "bit_generator": payload["bit_generator"],
-        "state": {k: int(v) for k, v in payload["state"].items()},
-        "has_uint32": int(payload.get("has_uint32", 0)),
-        "uinteger": int(payload.get("uinteger", 0)),
-    }
-
-
-def _json_int(value: Any, field: str, low: int = 0) -> int:
-    """``value`` as a JSON integer ``>= low``: ``int()`` would read ``true``
-    as 1 and truncate ``8.7`` to 8, so a ``bool`` or a ``float`` is refused."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{field} must be an integer >= {low}, got {value!r}")
-    return value
-
-
-def _check_configuration(space: Any, payload: Any, field: str) -> None:
-    """A snapshotted configuration names exactly the space's parameters, each
-    with a value the parameter contains."""
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{field} must be an object, got {payload!r}")
-    configuration = configuration_from_json(payload)
-    for name in (*configuration, *space.parameter_names):
-        if name not in space:
-            raise ValueError(f"{field}.{name} is not a parameter of the space")
-        if name not in configuration:
-            raise ValueError(f"{field}.{name} is missing")
-        if not space[name].contains(configuration[name]):
-            raise ValueError(
-                f"{field}.{name} holds {configuration[name]!r}, not a legal value"
-            )
-
-
-def _check_snapshot(payload: Mapping[str, Any], space: Any) -> None:
-    """Refuse a snapshot whose replay would silently differ from its run;
-    each malformed field raises ``ValueError`` naming it."""
-    meta = payload["session"]
-    budget = _json_int(meta.get("budget"), "session.budget", low=1)
-    history = payload.get("history")
-    evaluations = history.get("evaluations") if isinstance(history, Mapping) else None
-    pending = payload.get("pending", [])
-    if not isinstance(evaluations, list) or not isinstance(pending, list):
-        raise ValueError("history.evaluations and pending must be lists")
-    if len(evaluations) + len(pending) > budget:
-        raise ValueError(
-            f"session.budget {budget} is below the snapshot's {len(evaluations)} "
-            f"evaluations plus {len(pending)} pending suggestions"
-        )
-    next_id = _json_int(
-        meta.get("next_suggestion_id", len(evaluations)), "session.next_suggestion_id"
+def _value_declaration(param: Parameter) -> schema.Leaf:
+    """A value ``param`` contains, in its JSON type: a permutation is a list
+    of integers, a categorical a string or number, any other a number."""
+    json_type = (
+        _PERMUTATION if isinstance(param, PermutationParameter)
+        else _SCALAR if isinstance(param, CategoricalParameter)
+        else _NUMBER
     )
-    for i, entry in enumerate(evaluations):
-        field = f"history.evaluations[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"{field} must be an object")
-        if _json_int(entry.get("index"), f"{field}.index") != i:
-            raise ValueError(f"{field}.index must be {i}, got {entry['index']!r}")
-        feasible, value = entry.get("feasible"), entry.get("value")
-        if not isinstance(feasible, bool):
-            raise ValueError(f"{field}.feasible must be true or false, got {feasible!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{field}.value must be a number, got {value!r}")
-        _check_configuration(space, entry.get("configuration"), f"{field}.configuration")
-    pending_ids: set[int] = set()
+    return schema.Leaf(
+        "a legal value of the parameter",
+        lambda value: json_type.accepts(value) and param.contains(value),
+    )
+
+
+def configuration_declaration(space: Any) -> dict[str, schema.Leaf]:
+    """A configuration of ``space`` as JSON: exactly its parameters, each
+    holding a legal value (:func:`~repro.core.result.configuration_to_json`)."""
+    return {param.name: _value_declaration(param) for param in space.parameters}
+
+
+def frozen_declaration(space: Any) -> schema.Leaf:
+    """A frozen configuration key of ``space`` as JSON
+    (:func:`frozen_key_to_json`): one legal value per parameter, in order."""
+    accepts = [_value_declaration(param).accepts for param in space.parameters]
+    return schema.Leaf(
+        "a legal frozen configuration",
+        lambda value: isinstance(value, list)
+        and len(value) == len(accepts)
+        and all(legal(item) for legal, item in zip(accepts, value)),
+    )
+
+
+def _snapshot_declaration(tuner: "Tuner") -> dict[str, Any]:
+    """What :meth:`TuningSession.snapshot` writes for ``tuner``; the tuner
+    state is declared by the tuner and checked once the history is replayed."""
+    configuration = configuration_declaration(tuner.space)
+    rng = tuner._rng.bit_generator.state
+    return {
+        "version": _VERSION,
+        "session": {"budget": schema.integer(1), "benchmark_name": schema.string,
+                    "next_suggestion_id": schema.integer(0)},
+        "meta": {...: ...},
+        "tuner": {"name": schema.string, "class": schema.string,
+                  "seed": schema.nullable(_INTEGER)},
+        "rng": {
+            "bit_generator": schema.one_of(rng["bit_generator"]),
+            "state": {word: _RNG_WORD for word in rng["state"]},
+            "has_uint32": schema.integer(0, 1),
+            "uinteger": schema.integer(0, 2**32 - 1),
+        },
+        "history": history_declaration(configuration),
+        "pending": [{"id": schema.integer(0), "configuration": configuration,
+                     "phase": schema.one_of(*PHASES), "encoded_row": [_NUMBER]}],
+        "tuner_state": ...,
+    }
+
+
+def _check_snapshot_rules(payload: Mapping[str, Any], tuner: "Tuner") -> None:
+    """The cross-field rules of a declared snapshot: it is this tuner's, its
+    history and pending suggestions fit the budget, pending ids ascend below
+    ``session.next_suggestion_id``, and each pending ``encoded_row`` is its
+    configuration's encoding."""
+    snap_tuner, meta = payload["tuner"], payload["session"]
+    if snap_tuner["name"] != tuner.name:
+        raise ValueError(
+            f"snapshot was taken by tuner {snap_tuner['name']!r} but "
+            f"restore() was given {tuner.name!r}"
+        )
+    history, pending = payload["history"], payload["pending"]
+    for path, value, expected in (
+        ("tuner.class", snap_tuner["class"], type(tuner).__name__),
+        ("tuner.seed", snap_tuner["seed"], tuner.seed),
+        ("history.tuner", history["tuner"], tuner.name),
+        ("history.benchmark", history["benchmark"], meta["benchmark_name"]),
+        ("history.seed", history["seed"], tuner.seed),
+    ):
+        if value != expected:
+            schema.fail(path, repr(expected), value)
+    check_evaluations(history, "history")
+    evaluations = history["evaluations"]
+    if len(evaluations) + len(pending) > meta["budget"]:
+        schema.fail(
+            "session.budget",
+            f"at least the {len(evaluations)} evaluations plus "
+            f"{len(pending)} pending suggestions",
+            meta["budget"],
+        )
+    next_id, previous = meta["next_suggestion_id"], -1
+    encoder = tuner.space.encoder
     for i, entry in enumerate(pending):
-        field = f"pending[{i}]"
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"{field} must be an object")
-        suggestion_id = _json_int(entry.get("id"), f"{field}.id")
-        if suggestion_id in pending_ids or suggestion_id >= next_id:
-            raise ValueError(
-                f"{field}.id {suggestion_id} repeats a pending id or is not below "
-                f"session.next_suggestion_id {next_id}"
+        if not previous < entry["id"] < next_id:
+            schema.fail(
+                f"pending[{i}].id",
+                f"above the previous pending id {previous} and below "
+                f"session.next_suggestion_id {next_id}",
+                entry["id"],
             )
-        pending_ids.add(suggestion_id)
-        _check_configuration(space, entry.get("configuration"), f"{field}.configuration")
-    rng = payload.get("rng")
-    words = rng.get("state") if isinstance(rng, Mapping) else None
-    if not isinstance(words, Mapping):
-        raise ValueError("rng.state must be an object")
-    for word, value in words.items():
-        _json_int(value, f"rng.state.{word}")
+        previous = entry["id"]
+        row = encoder.encode(configuration_from_json(entry["configuration"]))
+        if row.tolist() != entry["encoded_row"]:
+            schema.fail(
+                f"pending[{i}].encoded_row", "the configuration's encoding",
+                entry["encoded_row"],
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +428,7 @@ class TuningSession:
                     "class": type(self.tuner).__name__,
                     "seed": self.tuner.seed,
                 },
-                "rng": _rng_state_to_json(self.tuner._rng),
+                "rng": self.tuner._rng.bit_generator.state,
                 "history": self.history.to_dict(),
                 "pending": [s.to_dict() for s in self.pending],
                 "tuner_state": self.tuner._state_dict(),
@@ -418,28 +442,17 @@ class TuningSession:
         that produced the snapshot (same class, space, and settings); its RNG
         state is overwritten with the snapshotted one, and every derived cache
         is reconstructed by replaying the history through the tuner's
-        observation hook.  The payload may come from a client, so its
-        counters, entries and RNG words are checked before anything is
-        installed; a malformed field raises ``ValueError`` naming it.
+        observation hook.  The payload may come from a client, so it must be
+        exactly what :meth:`snapshot` writes (``meta`` excepted, which is
+        free-form): it is checked against its declaration before anything is
+        installed, and the tuner state against the tuner's once the history
+        is replayed.  A malformed field raises ``ValueError`` naming it.
         """
-        version = payload.get("version")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported session snapshot version: {version!r}")
+        schema.check(payload, _snapshot_declaration(tuner))
+        _check_snapshot_rules(payload, tuner)
         meta = payload["session"]
-        snap_tuner = payload.get("tuner", {})
-        if snap_tuner.get("name") != tuner.name:
-            raise ValueError(
-                f"snapshot was taken by tuner {snap_tuner.get('name')!r} but "
-                f"restore() was given {tuner.name!r}"
-            )
-        _check_snapshot(payload, tuner.space)
-        session = cls(
-            tuner,
-            meta["budget"],
-            meta.get("benchmark_name", ""),
-            _restoring=True,
-        )
-        session.meta = dict(payload.get("meta", {}))
+        session = cls(tuner, meta["budget"], meta["benchmark_name"], _restoring=True)
+        session.meta = dict(payload["meta"])
         session.history = TuningHistory.from_dict(payload["history"])
         tuner._bind_session(session)
         tuner._reset_state(session.budget)
@@ -448,13 +461,13 @@ class TuningSession:
                 evaluation.configuration,
                 ObjectiveResult(value=evaluation.value, feasible=evaluation.feasible),
             )
-        tuner._load_state_dict(payload.get("tuner_state", {}))
+        state = payload["tuner_state"]
+        schema.check(state, tuner._state_declaration(session.budget), "tuner_state")
+        tuner._load_state_dict(state)
         tuner._post_restore()
-        _rng_state_from_json(tuner._rng, payload["rng"])
-        session._reissue = deque(
-            Suggestion.from_dict(entry) for entry in payload.get("pending", ())
-        )
-        session._next_id = meta.get("next_suggestion_id", len(session.history))
+        tuner._rng.bit_generator.state = payload["rng"]
+        session._reissue = deque(Suggestion.from_dict(entry) for entry in payload["pending"])
+        session._next_id = meta["next_suggestion_id"]
         return session
 
 

@@ -11,7 +11,9 @@ Tuners are *proposal state machines* driven through an ask/tell
   told back;
 * :meth:`Tuner._state_dict` / :meth:`Tuner._load_state_dict` round-trip the
   tuner-private state (queues, bandits, dedup sets) through JSON for
-  checkpoint / resume.
+  checkpoint / resume, and :meth:`Tuner._state_declaration` declares it
+  (:mod:`repro.core.schema`), so a restore accepts exactly what a snapshot
+  writes.
 
 :meth:`Tuner.tune` remains the convenience entry point used throughout the
 experiment harness — it runs the session API's one serial driver,
@@ -37,6 +39,7 @@ from .result import (
     configuration_from_json,
     configuration_to_json,
 )
+from .session import configuration_declaration
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .session import TuningSession
@@ -158,11 +161,18 @@ class Tuner(ABC):
         """Tuner-private state for session snapshots (JSON-serializable)."""
         return {"doe_queue": [configuration_to_json(c) for c in self._doe_queue]}
 
+    def _state_declaration(self, budget: int) -> dict[str, Any]:
+        """What :meth:`_state_dict` can write for the replayed history of a
+        ``budget``-evaluation session (:mod:`repro.core.schema`); restore
+        checks it before :meth:`_load_state_dict` runs.  Subclasses extend it
+        as they extend :meth:`_state_dict`."""
+        return {"doe_queue": [configuration_declaration(self.space)]}
+
     def _load_state_dict(self, payload: Mapping[str, Any]) -> None:
-        """Restore the state produced by :meth:`_state_dict`."""
-        self._doe_queue = deque(
-            configuration_from_json(entry) for entry in payload.get("doe_queue", ())
-        )
+        """Restore the state produced by :meth:`_state_dict`; ``payload``
+        matches :meth:`_state_declaration`, so only cross-field rules are
+        left to check."""
+        self._doe_queue = deque(configuration_from_json(entry) for entry in payload["doe_queue"])
 
     def _post_restore(self) -> None:
         """Hook called once a snapshot restore has replayed the full history

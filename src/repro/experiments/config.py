@@ -57,6 +57,10 @@ def _repo_root() -> Path:
     return Path.cwd()
 
 
+#: the optimizer effort levels a tuner is built at
+FIDELITIES = ("fast", "paper")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs controlling how much compute the experiment harness spends."""
@@ -88,8 +92,8 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.budget_scale <= 1.0:
             raise ValueError("budget_scale must be in (0, 1]")
-        if self.fidelity not in ("fast", "paper"):
-            raise ValueError("fidelity must be 'fast' or 'paper'")
+        if self.fidelity not in FIDELITIES:
+            raise ValueError(f"fidelity must be one of {FIDELITIES}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.timeout is not None and self.timeout <= 0:

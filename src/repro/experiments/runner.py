@@ -26,13 +26,14 @@ from ..baselines.opentuner import OpenTunerLikeTuner
 from ..baselines.random_search import CoTSamplingTuner, UniformSamplingTuner
 from ..baselines.ytopt import YtoptLikeTuner
 from ..core.baco import BacoSettings, BacoTuner
+from ..core import schema
 from ..core.result import ObjectiveResult, TuningHistory
 from ..core.session import Suggestion, TuningSession, drive
 from ..core.tuner import Tuner
 from ..space.space import SearchSpace
 from ..workloads.base import Benchmark
 from ..workloads.registry import get_benchmark
-from .config import ExperimentConfig, default_config
+from .config import FIDELITIES, ExperimentConfig, default_config
 
 __all__ = [
     "MAIN_TUNERS",
@@ -145,6 +146,8 @@ def make_tuner(
     """
     if name not in TUNER_VARIANTS:
         raise KeyError(f"unknown tuner {name!r}; available: {sorted(TUNER_VARIANTS)}")
+    if fidelity not in FIDELITIES:
+        raise ValueError(f"unknown fidelity {fidelity!r}; expected one of {FIDELITIES}")
     tuner = TUNER_VARIANTS[name](space, seed, fidelity)
     tuner.name = name
     if surrogate_policy is not None:
@@ -371,6 +374,22 @@ def save_session(session: TuningSession, path: Path | str, fidelity: str | None 
     return path
 
 
+#: the fields :func:`restore_session` reads to rebuild the tuner; the rest of
+#: the snapshot is checked by :meth:`TuningSession.restore`.  ``meta`` holds
+#: what :func:`make_session` records, and stays open: old checkpoints carry
+#: keys no longer read (``propagate``).
+_CHECKPOINT = {
+    "session": {"benchmark_name": schema.string, ...: ...},
+    "tuner": {"name": schema.string, "seed": schema.nullable(schema.integer()), ...: ...},
+    "meta": {
+        "fidelity": schema.one_of(*FIDELITIES),
+        "surrogate_policy?": schema.string,
+        ...: ...,
+    },
+    ...: ...,
+}
+
+
 def restore_session(payload: Mapping[str, Any]) -> tuple[TuningSession, Benchmark]:
     """Rebuild a live session (and its benchmark) from a snapshot payload.
 
@@ -380,30 +399,21 @@ def restore_session(payload: Mapping[str, Any]) -> tuple[TuningSession, Benchmar
     by :func:`load_session` (checkpoint files) and the tuning service's
     inline-payload ``restore`` op.
     """
-    meta = payload.get("session")
-    if not isinstance(meta, Mapping):
-        raise ValueError("snapshot payload has no 'session' section")
-    benchmark_name = meta.get("benchmark_name", "")
+    schema.check(payload, _CHECKPOINT)
+    benchmark_name = payload["session"]["benchmark_name"]
     if not benchmark_name:
         raise ValueError(
             "snapshot does not name a registry benchmark; "
             "restore it manually via TuningSession.restore()"
         )
     benchmark = get_benchmark(benchmark_name)
-    tuner_meta = payload.get("tuner")
-    if not isinstance(tuner_meta, Mapping) or "name" not in tuner_meta:
-        raise ValueError("snapshot payload has no 'tuner' section")
-    if "seed" not in tuner_meta:
-        # without the recorded seed the rebuilt tuner would be entropy-seeded
-        # and the restored run would silently lose its determinism metadata
-        raise ValueError("snapshot payload has no tuner seed")
-    snap_meta = payload.get("meta", {})
+    meta = payload["meta"]
     tuner = make_tuner(
-        tuner_meta["name"],
+        payload["tuner"]["name"],
         benchmark.space,
-        tuner_meta["seed"],
-        fidelity=snap_meta.get("fidelity", "fast"),
-        surrogate_policy=snap_meta.get("surrogate_policy"),
+        payload["tuner"]["seed"],
+        fidelity=meta["fidelity"],
+        surrogate_policy=meta.get("surrogate_policy"),
     )
     return TuningSession.restore(payload, tuner), benchmark
 
@@ -411,8 +421,6 @@ def restore_session(payload: Mapping[str, Any]) -> tuple[TuningSession, Benchmar
 def load_session(path: Path | str) -> tuple[TuningSession, Benchmark]:
     """Rebuild a live session (and its benchmark) from a checkpoint file."""
     payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"checkpoint {path} is not a JSON object")
     try:
         return restore_session(payload)
     except ValueError as exc:

@@ -16,12 +16,12 @@ when ``ok`` is false — the service keeps serving after errors) and are
 tokens.  Inside snapshot payloads they are wire-encoded as
 ``{"$float": "inf"}`` markers (see :func:`wire_encode`); scalar response
 fields such as ``best_value`` are ``null`` until a feasible result exists.
-The integer fields ``budget``, ``seed``, ``n`` and ``id`` must be JSON
-integers: a float, boolean, string or ``null`` there is an error.  The
-number fields ``value`` and ``elapsed`` take a JSON integer or float, never
-a boolean, ``null`` or a string other than ``"inf"``, ``"-inf"`` and
-``"nan"``, the spellings of the non-finite floats strict JSON has no
-number for.
+Each op's fields are declared in :data:`REQUESTS` and checked by
+:func:`repro.core.schema.check` before the op runs, so a bad field is an
+error naming it: an integer field such as ``budget`` or ``id`` takes no
+float, boolean, string or ``null``, and ``value`` takes a JSON number or
+``"inf"``, ``"-inf"`` or ``"nan"``, the spellings of the non-finite floats
+strict JSON has no number for.  Keys an op does not declare are ignored.
 
 =========  ==============================================================
 op         meaning
@@ -81,12 +81,15 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, IO, Iterator, Mapping
 
+from .core import schema
 from .core.result import ObjectiveResult
 from .core.session import TuningSession
+from .experiments.config import FIDELITIES
 
 __all__ = [
     "DEFAULT_SESSION",
     "MAX_LINE_BYTES",
+    "REQUESTS",
     "SessionRegistry",
     "json_safe",
     "serve",
@@ -148,50 +151,36 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"non-finite number {token} is not valid strict JSON")
 
 
-def _short(value: Any, limit: int = 120) -> str:
-    text = repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _int_field(request: Mapping[str, Any], key: str, default: int | None = None) -> int:
-    """The JSON integer ``request[key]`` (``default`` when absent).
-
-    ``int()`` would truncate ``0.99`` to suggestion 0 and read ``true`` as 1,
-    so anything but an ``int`` that is not a ``bool`` is refused.
-    """
-    if key not in request:
-        if default is None:
-            raise ValueError(f"missing integer {key!r}")
-        return default
-    value = request[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} must be an integer, got {_short(value)}")
-    return value
-
-
-#: strict JSON has no non-finite numbers, so clients spell them as strings
-#: (``repr`` of the float; ``TuningClient.tell`` does so)
-_NON_FINITE_SPELLINGS = ("inf", "-inf", "nan")
-
-
-def _number_field(request: Mapping[str, Any], key: str, default: float) -> float:
-    """The JSON number ``request[key]`` as a float (``default`` when absent).
-
-    ``float()`` would read ``true`` as 1.0 and parse the string ``"2.5"``,
-    so anything but an ``int`` or ``float`` that is not a ``bool`` is
-    refused, and so is an integer too large for a float.  The one other
-    spelling is a non-finite float's string, ``"inf"``, ``"-inf"`` or
-    ``"nan"``.
-    """
-    value = request.get(key, default)
-    if isinstance(value, str) and value in _NON_FINITE_SPELLINGS:
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key!r} must be a number, got {_short(value)}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{key!r} must be finite, got {_short(value)}") from None
+_SESSION_NAME = schema.Leaf(
+    "a name matching [A-Za-z0-9][A-Za-z0-9._-]* (at most 100 characters)",
+    lambda value: schema.string.accepts(value) and _NAME_RE.match(value) is not None,
+)
+_PATH = schema.Leaf("a file path", lambda value: schema.string.accepts(value) and value != "")
+#: a session op's fields; a request's other keys are ignored
+_SESSION_OP = {"session?": _SESSION_NAME, ...: ...}
+#: each op's request fields (:mod:`repro.core.schema`), checked before it runs
+REQUESTS: dict[str, dict[Any, Any]] = {
+    "start": {
+        **_SESSION_OP, "benchmark": schema.string, "tuner?": schema.string,
+        "budget": schema.integer(1), "seed?": schema.integer(),
+        "fidelity?": schema.one_of(*FIDELITIES),
+        "surrogate_policy?": schema.nullable(schema.string), "force?": schema.boolean,
+    },
+    "ask": {**_SESSION_OP, "n?": schema.integer(1)},
+    "tell": {
+        **_SESSION_OP, "id": schema.integer(0), "feasible?": schema.boolean,
+        # strict JSON has no non-finite numbers, so clients spell them as
+        # strings (``repr`` of the float; ``TuningClient.tell`` does so)
+        "value?": schema.one_of(schema.number(), "inf", "-inf", "nan"),
+        "elapsed?": schema.number(at_least=0),
+    },
+    "status": _SESSION_OP,
+    "snapshot": {**_SESSION_OP, "path?": schema.nullable(_PATH)},
+    "restore": {**_SESSION_OP, "path?": _PATH, "payload?": {...: ...}, "force?": schema.boolean},
+    "close": _SESSION_OP,
+    "sessions": {...: ...},
+    "shutdown": {...: ...},
+}
 
 
 class _ManagedSession:
@@ -282,16 +271,17 @@ class SessionRegistry:
         if not isinstance(op, str):
             return {
                 "ok": False,
-                "error": f"'op' must be a string, got {_short(op)}; "
+                "error": f"'op' must be a string, got {schema.short(op)}; "
                          f"available: {sorted(self._handlers)}",
             }
         handler = self._handlers.get(op)
         if handler is None:
             return {
                 "ok": False,
-                "error": f"unknown op {_short(op)}; available: {sorted(self._handlers)}",
+                "error": f"unknown op {schema.short(op)}; available: {sorted(self._handlers)}",
             }
         try:
+            schema.check(request, REQUESTS[op])
             return {"ok": True, "op": op, **handler(request)}
         except Exception as exc:  # noqa: BLE001 - the service must keep serving
             return {"ok": False, "op": op, "error": f"{type(exc).__name__}: {exc}"}
@@ -300,15 +290,9 @@ class SessionRegistry:
     # session bookkeeping
     # ------------------------------------------------------------------
 
-    def _session_name(self, request: Mapping[str, Any]) -> str:
-        name = request.get("session", DEFAULT_SESSION)
-        if not isinstance(name, str) or not _NAME_RE.match(name):
-            raise ValueError(
-                "'session' must be a name matching "
-                "[A-Za-z0-9][A-Za-z0-9._-]* (at most 100 characters), "
-                f"got {_short(name)}"
-            )
-        return name
+    @staticmethod
+    def _session_name(request: Mapping[str, Any]) -> str:
+        return request.get("session", DEFAULT_SESSION)
 
     def _autosave_path(self, name: str) -> Path | None:
         if self.sessions_dir is None:
@@ -507,24 +491,19 @@ class SessionRegistry:
         from .experiments.runner import make_session
 
         name = self._session_name(request)
-        force = request.get("force", False) is True
+        force = request.get("force", False)
         conflict = self._start_conflict(name)
         if conflict is not None and not force:
             raise RuntimeError(
                 f"{conflict} — pass \"force\": true to discard it"
             )
-        if "benchmark" not in request:
-            raise ValueError("start needs a 'benchmark' name")
-        surrogate_policy = request.get("surrogate_policy")
-        if surrogate_policy is not None and not isinstance(surrogate_policy, str):
-            raise ValueError("'surrogate_policy' must be a policy spec string")
         session, benchmark = make_session(
-            str(request["benchmark"]),
-            str(request.get("tuner", "BaCO")),
-            _int_field(request, "budget"),
-            _int_field(request, "seed", 0),
-            fidelity=str(request.get("fidelity", "fast")),
-            surrogate_policy=surrogate_policy,
+            request["benchmark"],
+            request.get("tuner", "BaCO"),
+            request["budget"],
+            request.get("seed", 0),
+            fidelity=request.get("fidelity", "fast"),
+            surrogate_policy=request.get("surrogate_policy"),
         )
         if force:
             path = self._autosave_path(name)
@@ -542,7 +521,7 @@ class SessionRegistry:
 
     def _op_ask(self, request: Mapping[str, Any]) -> dict[str, Any]:
         name = self._session_name(request)
-        n = _int_field(request, "n", 1)
+        n = request.get("n", 1)
         with self._locked_entry(name) as entry:
             suggestions = entry.session.ask(n)
             done = entry.session.done
@@ -557,11 +536,9 @@ class SessionRegistry:
     def _op_tell(self, request: Mapping[str, Any]) -> dict[str, Any]:
         name = self._session_name(request)
         feasible = request.get("feasible", True)
-        if not isinstance(feasible, bool):
-            raise ValueError(f"'feasible' must be a boolean, got {_short(feasible)}")
         if "value" not in request and feasible:
             raise ValueError("tell needs a 'value' (or 'feasible': false)")
-        value = _number_field(request, "value", math.inf)
+        value = float(request.get("value", math.inf))
         # json.loads happily produces inf/nan (1e999 overflows even in strict
         # mode); a non-finite feasible value would poison best_value and the
         # GP fit, so reject it here with a clear error
@@ -570,10 +547,8 @@ class SessionRegistry:
                 f"feasible results need a finite 'value', got {value!r} — "
                 "report failed measurements with \"feasible\": false"
             )
-        elapsed = _number_field(request, "elapsed", 0.0)
-        if not (math.isfinite(elapsed) and elapsed >= 0.0):
-            raise ValueError(f"'elapsed' must be finite and >= 0, got {elapsed!r}")
-        suggestion_id = _int_field(request, "id")
+        elapsed = request.get("elapsed", 0.0)
+        suggestion_id = request["id"]
         with self._locked_entry(name) as entry:
             evaluation = entry.session.tell(
                 suggestion_id,
@@ -613,8 +588,6 @@ class SessionRegistry:
         with self._locked_entry(name) as entry:
             if path is None:
                 return {"session": name, "snapshot": entry.session.snapshot()}
-            if not isinstance(path, str) or not path:
-                raise ValueError(f"'path' must be a file path, got {_short(path)}")
             from .experiments.runner import save_session
 
             written = save_session(entry.session, Path(path))
@@ -627,28 +600,20 @@ class SessionRegistry:
 
     def _op_restore(self, request: Mapping[str, Any]) -> dict[str, Any]:
         name = self._session_name(request)
-        force = request.get("force", False) is True
+        force = request.get("force", False)
         conflict = self._start_conflict(name)
         if conflict is not None and not force:
             raise RuntimeError(
                 f"{conflict} — pass \"force\": true to discard it"
             )
-        has_path = "path" in request
-        has_payload = "payload" in request
-        if has_path == has_payload:
+        if ("path" in request) == ("payload" in request):
             raise ValueError("restore needs exactly one of 'path' or 'payload'")
         from .experiments.runner import load_session, restore_session
 
-        if has_path:
-            path = request["path"]
-            if not isinstance(path, str) or not path:
-                raise ValueError(f"'path' must be a file path, got {_short(path)}")
-            session, benchmark = load_session(path)
+        if "path" in request:
+            session, benchmark = load_session(request["path"])
         else:
-            payload = wire_decode(request["payload"])
-            if not isinstance(payload, Mapping):
-                raise ValueError("'payload' must be a snapshot object")
-            session, benchmark = restore_session(payload)
+            session, benchmark = restore_session(wire_decode(request["payload"]))
         self._admit(name, session, guard_conflict=not force)
         return {
             "session": name,

@@ -13,9 +13,11 @@ from repro.experiments.runner import (
     MAIN_TUNERS,
     TUNER_VARIANTS,
     _cache_path,
+    make_session,
     make_tuner,
     run_single,
     run_suite,
+    save_session,
 )
 from repro.workloads import get_benchmark
 
@@ -48,6 +50,12 @@ class TestVariantConstruction:
         paper = make_tuner("BaCO", small_space, seed=0, fidelity="paper")
         assert fast.settings.gp_prior_samples < paper.settings.gp_prior_samples
         assert fast.settings.n_random_samples < paper.settings.n_random_samples
+
+    @pytest.mark.parametrize("fidelity", ["Fast", "quick"])
+    def test_unknown_fidelity_raises(self, small_space, fidelity):
+        # any fidelity but "fast" used to build BaCO at paper settings
+        with pytest.raises(ValueError, match=f"unknown fidelity '{fidelity}'"):
+            make_tuner("BaCO", small_space, seed=0, fidelity=fidelity)
 
     def test_variant_names_are_stable(self):
         # benchmarks and EXPERIMENTS.md refer to these names; keep them stable
@@ -140,3 +148,29 @@ class TestBenchmarkIntegrationSmoke:
         assert len(history) == 8
         assert history.tuner_name == "BaCO"
         assert history.best_value() < float("inf")
+
+
+class TestTamperedCheckpoint:
+    """``repro tune --resume`` on an edited checkpoint exits 2 naming the
+    field; ``meta.fidelity: "quick"`` used to resume at paper settings and
+    ``tuner_state: [1]`` to exit 1 with an ``AttributeError`` traceback."""
+
+    @pytest.mark.parametrize("field, value", [("meta", "quick"), ("tuner_state", [1])])
+    def test_resume_exits_2(self, tmp_path, capsys, field, value):
+        from repro.__main__ import main
+
+        benchmark = get_benchmark("hpvm_bfs")
+        session, _ = make_session("hpvm_bfs", "BaCO", 16, 7)
+        while len(session.history) < 4:
+            [suggestion] = session.ask(1)
+            session.tell(suggestion, benchmark.evaluator(suggestion.configuration))
+        checkpoint = save_session(session, tmp_path / "edited.ckpt.json")
+        payload = json.loads(checkpoint.read_text())
+        if field == "meta":
+            payload["meta"]["fidelity"] = value
+        else:
+            payload[field] = value
+        checkpoint.write_text(json.dumps(payload))
+        assert main(["tune", "--resume", "--checkpoint", str(checkpoint), "--quiet"]) == 2
+        named = "'meta.fidelity'" if field == "meta" else "'tuner_state'"
+        assert named in capsys.readouterr().err

@@ -20,13 +20,19 @@ And one coercion bug: ``tell`` read ``value`` and ``elapsed`` through
 such as ``"2.5"`` and ``"-3"`` were parsed, and ``null`` failed with a raw
 ``TypeError``.  Both fields now take JSON numbers only (a non-finite value
 as the string ``"inf"``, ``"-inf"`` or ``"nan"``), in process and over TCP.
+
+And restore accepts exactly what a snapshot writes: each field of an edited
+snapshot of BaCO, OpenTuner or Uniform Sampling either fails naming its
+path or restores a session whose own snapshot is the edited text.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
+import random
 import string
 
 import pytest
@@ -292,6 +298,59 @@ def _set(path, value):
     return edit
 
 
+@functools.lru_cache(maxsize=None)
+def _snapshot_text(tuner, budget, told, pending, policy=None) -> str:
+    """A session of ``tuner`` on hpvm_bfs (seed 5) with ``told`` evaluations
+    told and ``pending`` suggestions in flight, as wire-encoded snapshot
+    JSON."""
+    from repro.experiments.runner import make_session
+    from repro.workloads import get_benchmark
+
+    evaluator = get_benchmark(BENCH).evaluator
+    session, _ = make_session(BENCH, tuner, budget, 5, surrogate_policy=policy)
+    while len(session.history) < told:
+        [suggestion] = session.ask(1)
+        session.tell(suggestion, evaluator(suggestion.configuration))
+    if pending:
+        session.ask(pending)
+    return json.dumps(wire_encode(session.snapshot()))
+
+
+#: an OpenTuner session past its 3 initial samples, with 2 learning
+#: suggestions (and so 2 in-flight techniques) pending
+_OPENTUNER = ("ATF with OpenTuner", 12, 5, 2)
+_UNIFORM = ("Uniform Sampling", 12, 5, 2)
+
+
+def _on(snapshot, edit):
+    """An edit that swaps the snapshot for ``_snapshot_text(*snapshot)``'s,
+    then applies ``edit`` to it."""
+
+    def swapped(payload):
+        payload.clear()
+        payload.update(json.loads(_snapshot_text(*snapshot)))
+        edit(payload)
+
+    return swapped
+
+
+def _drop(path):
+    """An edit that deletes the snapshot entry at ``path``."""
+
+    def edit(snapshot):
+        target = snapshot
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+
+    return edit
+
+
+def _queue_unroll_visit_3(snapshot):
+    configuration = snapshot["history"]["evaluations"][0]["configuration"]
+    snapshot["tuner_state"]["doe_queue"] = [{**configuration, "unroll_visit": 3}]
+
+
 #: (field the error must name, edit of a valid snapshot)
 BAD_RESTORE_FIELDS = [
     ("history.evaluations[0].configuration.unroll_visit",
@@ -308,10 +367,39 @@ BAD_RESTORE_FIELDS = [
     ("pending[0].id", _set(("pending", 0, "id"), 8.7)),
     ("history.evaluations[2].index", _set(("history", "evaluations", 2, "index"), 7)),
     ("rng.state.state", _set(("rng", "state", "state"), float)),
+    ("tuner_state.doe_queue[0].unroll_visit", _queue_unroll_visit_3),
+    ("tuner_state", _set(("tuner_state",), [1])),
+    ("tuner.class", _set(("tuner", "class"), "OpenTunerLikeTuner")),
+    ("history.tuner", _set(("history", "tuner"), "Ytopt")),
+    ("history.benchmark", _set(("history", "benchmark"), "hpvm_audio")),
+    ("history.seed", _set(("history", "seed"), 6)),
+    ("pending[0].encoded_row",
+     _set(("pending", 0, "encoded_row"), lambda row: [x + 1.0 for x in row])),
+    ("meta.fidelity", _drop(("meta", "fidelity"))),
+    ("meta.fidelity", _set(("meta", "fidelity"), "quick")),
+    *[(f"tuner_state.{field}", _on(_OPENTUNER, _set(("tuner_state", *path), value)))
+      for field, path, value in [
+          ("initial_left", ("initial_left",), 2.7),
+          ("bandit.window", ("bandit", "window"), 0),
+          ("bandit.exploration", ("bandit", "exploration"), "nan"),
+          ("bandit.techniques", ("bandit", "techniques"), ["bogus"]),
+          ("bandit.outcomes.mutate", ("bandit", "outcomes", "mutate"), [0.5]),
+          ("bandit.uses.random", ("bandit", "uses", "random"), -1),
+          ("inflight[0].techniques[0]", ("inflight", 0, "techniques"), ["bogus"]),
+          ("inflight[0].key", ("inflight", 0, "key"), lambda key: [99, *key[1:]]),
+      ]],
+    ("tuner_state.seen", _on(_UNIFORM, _set(("tuner_state", "seen"), 5))),
+    ("tuner_state.seen", _on(_UNIFORM, _set(("tuner_state", "seen"), lambda seen: seen[::-1]))),
 ]
 _BAD_RESTORE_IDS = [
     "unroll_visit=3", "extra_key", "fuse_0=object", "feasible=no", "budget=12.9", "budget=3",
     "next_id=true", "pending_id=8.7", "index=7", "float_rng_word",
+    "doe_unroll_visit=3", "tuner_state=[1]", "class", "history_tuner", "history_benchmark",
+    "history_seed", "encoded_row", "no_fidelity", "fidelity=quick",
+    "opentuner_initial_left=2.7", "opentuner_window=0", "opentuner_exploration=nan",
+    "opentuner_techniques", "opentuner_outcome=0.5", "opentuner_uses=-1",
+    "opentuner_inflight_technique", "opentuner_inflight_key", "uniform_seen=5",
+    "uniform_seen_unsorted",
 ]
 
 
@@ -515,6 +603,13 @@ class TestErrorPaths:
         self._assert_rejected(service, start_request(**{field: value}), field)
         assert "unknown session" in service.handle({"op": "status"})["error"]
 
+    @pytest.mark.parametrize("fidelity", ["Fast", "quick"])
+    def test_start_unknown_fidelity(self, fidelity):
+        # any fidelity but "fast" used to build BaCO at paper settings
+        service = SessionRegistry(max_sessions=1)
+        self._assert_rejected(service, start_request(tuner="BaCO", fidelity=fidelity), "fidelity")
+        assert "unknown session" in service.handle({"op": "status"})["error"]
+
     def test_restore_needs_exactly_one_source(self, tmp_path):
         service = SessionRegistry(max_sessions=1)
         for extra in [{}, {"path": str(tmp_path / "x.json"), "payload": {}}]:
@@ -570,18 +665,20 @@ class TestErrorPaths:
         assert not service.handle(start_request(budget=0))["ok"]
 
 
+#: values no well-formed request or snapshot field should hold blindly
+JUNK_VALUES = [
+    None, True, False, 0, -1, 3.5, 1e999, -1e999, "x", "", [], {}, [[]],
+    {"a": [1, {"b": None}]}, "Infinity", "\x00", "日本語", 10**40,
+]
+
+
 def adversarial_lines(n: int = 520) -> list[str]:
     """A deterministic battery of adversarial request lines."""
-    import random
-
     rng = random.Random(0xBAC0)
     ops = ["start", "ask", "tell", "status", "snapshot", "restore",
            "close", "sessions", "shutdown", "nope", "", None, 3, ["ask"],
            {"op": "ask"}, True, 1.5]
-    junk_values = [
-        None, True, False, 0, -1, 3.5, 1e999, -1e999, "x", "", [], {}, [[]],
-        {"a": [1, {"b": None}]}, "Infinity", "\x00", "日本語", 10**40,
-    ]
+    junk_values = JUNK_VALUES
     keys = ["session", "n", "id", "value", "feasible", "elapsed", "benchmark",
             "tuner", "budget", "seed", "fidelity", "path", "payload", "force"]
     lines: list[str] = []
@@ -638,3 +735,119 @@ class TestFuzzNeverRaisesStrictJson:
         status = registry.handle({"op": "status"})
         assert status["ok"] is True or "unknown session" in status["error"]
         assert registry.handle(start_request(session="fresh", budget=3))["ok"]
+
+
+#: the snapshots the restore fuzz edits, as ``_snapshot_text`` arguments
+FUZZ_SNAPSHOTS = {
+    # inside the 5-configuration DoE, so the queue still holds two
+    "BaCO exact": ("BaCO", 20, 2, 1),
+    # past a warm refit, so the policy state holds hyper-parameters
+    "BaCO fast": ("BaCO", 20, 12, 1, "fast,refit_every=3,sweep_every=10"),
+    "ATF with OpenTuner": _OPENTUNER,
+    "Uniform Sampling": _UNIFORM,
+}
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _paths(payload, path=()):
+    """The path of every object member and array item inside ``payload``."""
+    items = payload.items() if isinstance(payload, dict) else (
+        enumerate(payload) if isinstance(payload, list) else ()
+    )
+    for key, value in items:
+        yield (*path, key)
+        yield from _paths(value, (*path, key))
+
+
+def _edited_snapshots(snapshot, n, seed):
+    """``n`` seeded edits of ``snapshot``, each of one place: a member or
+    item replaced by a junk value, an object member dropped, or one added."""
+    rng = random.Random(seed)
+    paths = list(_paths(snapshot))
+    members = [path for path in paths if isinstance(_at(snapshot, path[:-1]), dict)]
+    objects = [()] + [path for path in paths if isinstance(_at(snapshot, path), dict)]
+    for _ in range(n):
+        edited = copy.deepcopy(snapshot)
+        roll = rng.random()
+        if roll < 0.6:
+            path = rng.choice(paths)
+            _at(edited, path[:-1])[path[-1]] = copy.deepcopy(rng.choice(JUNK_VALUES))
+        elif roll < 0.8:
+            path = rng.choice(members)
+            del _at(edited, path[:-1])[path[-1]]
+        else:
+            _at(edited, rng.choice(objects))["extra"] = copy.deepcopy(rng.choice(JUNK_VALUES))
+        yield edited
+
+
+class TestRestoreMutationFuzz:
+    """Restore accepts exactly what ``snapshot()`` writes.  Each seeded edit
+    of a valid snapshot either fails with the ``ValueError`` or ``KeyError``
+    the service and the CLI report, or restores a session whose own snapshot
+    serialises to the edited text, with legal pending and DoE
+    configurations.  Before the snapshot had one declaration, ``tuner_state:
+    [1]`` raised ``AttributeError`` and OpenTuner's ``initial_left: 2.7``
+    came back as 2."""
+
+    @staticmethod
+    def _snapshot(name):
+        return wire_decode(json.loads(_snapshot_text(*FUZZ_SNAPSHOTS[name])))
+
+    @staticmethod
+    def _assert_legal(session):
+        space = session.tuner.space
+        queued = [s.configuration for s in session.pending] + list(session.tuner._doe_queue)
+        for configuration in queued:
+            assert list(configuration) == list(space.parameter_names)
+            assert all(space[name].contains(v) for name, v in configuration.items())
+
+    @staticmethod
+    def _outcomes(name, n):
+        """``(edited snapshot, restored session or None, error text)`` for
+        ``n`` seeded edits of one snapshot, restored in process."""
+        from repro.experiments.runner import restore_session
+
+        for edited in _edited_snapshots(TestRestoreMutationFuzz._snapshot(name), n, len(name)):
+            try:
+                session, _ = restore_session(edited)
+            except (ValueError, KeyError) as exc:
+                yield edited, None, f"{type(exc).__name__}: {exc}"
+            else:
+                yield edited, session, None
+
+    @pytest.mark.parametrize("name", FUZZ_SNAPSHOTS)
+    def test_restore_is_exact_or_refused(self, name):
+        restored = 0
+        for edited, session, _ in self._outcomes(name, 100):
+            if session is not None:
+                restored += 1
+                text = json.dumps(edited, sort_keys=True)
+                assert json.dumps(session.snapshot(), sort_keys=True) == text
+                self._assert_legal(session)
+        assert restored > 0  # the edits reach past the first failing field
+
+    def test_tcp_restore_matches_in_process(self):
+        """20 edits, restored ones and refused ones from each snapshot, give
+        the same session or the same error over TCP."""
+        subset = []
+        for name in FUZZ_SNAPSHOTS:
+            outcomes = list(self._outcomes(name, 100))
+            restored = [o for o in outcomes if o[1] is not None][:3]
+            subset += restored + [o for o in outcomes if o[1] is None][: 5 - len(restored)]
+        assert len(subset) == 20
+        with running_server(SessionRegistry(max_sessions=32)) as server:
+            with TuningClient(port=server.port) as client:
+                for i, (edited, session, error) in enumerate(subset):
+                    name = f"fuzz{i}"
+                    response = client.call("restore", session=name, payload=wire_encode(edited))
+                    if session is None:
+                        assert response == {"ok": False, "op": "restore", "error": error}
+                        continue
+                    assert response["ok"], response
+                    snapshot = wire_decode(client.call("snapshot", session=name)["snapshot"])
+                    assert json.dumps(snapshot, sort_keys=True) == json.dumps(edited, sort_keys=True)
