@@ -54,7 +54,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import cli as analysis_cli
-from .core.result import TuningHistory
 from .experiments.config import FIDELITIES, ExperimentConfig, default_config
 from .experiments.figures import suite_benchmarks
 from .experiments.orchestrator import (
@@ -65,8 +64,8 @@ from .experiments.orchestrator import (
     run_cells,
 )
 from .experiments.reporting import format_cell_event, format_sweep_summary, format_table
-from .experiments.runner import MAIN_TUNERS, TUNER_VARIANTS
-from .workloads.registry import benchmark_names
+from .experiments.runner import MAIN_TUNERS, TUNER_VARIANTS, load_history
+from .workloads.registry import benchmark_names, get_benchmark
 
 __all__ = ["main"]
 
@@ -205,17 +204,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     headers = ["Benchmark", *tuners]
     rows = []
     for name in benchmarks:
+        benchmark = get_benchmark(name)
         cells = enumerate_cells([name], tuners, config, budget=args.budget)
         per_tuner: dict[str, list[float]] = {tuner: [] for tuner in tuners}
         for cell in cells:
             path = cell_cache_path(config, cell)
-            if not path.exists():
-                continue
-            try:
-                history = TuningHistory.from_dict(json.loads(path.read_text()))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                continue
-            per_tuner[cell.tuner].append(history.best_value())
+            history = load_history(path, benchmark, cell.tuner, cell.budget, cell.seed)
+            if history is not None:
+                per_tuner[cell.tuner].append(history.best_value())
         row = [name]
         seeds = config.repetitions
         for tuner in tuners:
@@ -263,8 +259,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             return 2
         budget = args.budget
         if budget is None:
-            from .workloads.registry import get_benchmark
-
             budget = get_benchmark(args.benchmark).full_budget
         session, benchmark = make_session(
             args.benchmark, args.tuner, budget, args.seed or 0,

@@ -27,8 +27,8 @@ from ..baselines.random_search import CoTSamplingTuner, UniformSamplingTuner
 from ..baselines.ytopt import YtoptLikeTuner
 from ..core.baco import BacoSettings, BacoTuner
 from ..core import schema
-from ..core.result import ObjectiveResult, TuningHistory
-from ..core.session import Suggestion, TuningSession, drive
+from ..core.result import ObjectiveResult, TuningHistory, check_evaluations, history_declaration
+from ..core.session import Suggestion, TuningSession, configuration_declaration, drive
 from ..core.tuner import Tuner
 from ..space.space import SearchSpace
 from ..workloads.base import Benchmark
@@ -41,6 +41,7 @@ __all__ = [
     "make_tuner",
     "make_session",
     "drive_parallel",
+    "load_history",
     "load_session",
     "restore_session",
     "save_session",
@@ -200,8 +201,48 @@ def _cache_path(
 _TIMING_FIELDS = ("tuner_seconds", "evaluation_seconds")
 
 
+_TIMINGS = {fld: schema.number(at_least=0) for fld in _TIMING_FIELDS}
+
+
 def _timing_path(path: Path) -> Path:
     return path.with_suffix(".timing")
+
+
+def load_history(
+    path: Path, benchmark: Benchmark, tuner_name: str, budget: int, seed: int
+) -> TuningHistory | None:
+    """The history cached at ``path`` if it is this cell's, else ``None``.
+
+    The file must match the history declaration without the wall-clock
+    fields: this cell's tuner, benchmark and seed, configurations legal in
+    the benchmark's space, and exactly ``budget`` evaluations indexed
+    ``0 .. budget - 1``.  The ``.timing`` sidecar is read through its own
+    declaration; a malformed or missing one leaves the timings at zero.
+    """
+    declaration = history_declaration(
+        configuration_declaration(benchmark.space),
+        tuner=schema.one_of(tuner_name),
+        benchmark=schema.one_of(benchmark.name),
+        seed=schema.one_of(seed),
+        timings=False,
+    )
+    try:
+        payload = json.loads(path.read_text())
+        schema.check(payload, declaration)
+        check_evaluations(payload, "")
+        if len(payload["evaluations"]) != budget:
+            schema.fail("evaluations", f"{budget} entries long", len(payload["evaluations"]))
+    except (OSError, ValueError):
+        return None
+    history = TuningHistory.from_dict(payload)
+    try:
+        timings = json.loads(_timing_path(path).read_text())
+        schema.check(timings, _TIMINGS)
+    except (OSError, ValueError):
+        return history
+    for fld in _TIMING_FIELDS:
+        setattr(history, fld, timings[fld])
+    return history
 
 
 def run_single(
@@ -217,22 +258,12 @@ def run_single(
         benchmark = get_benchmark(benchmark)
     path = _cache_path(config, benchmark.name, tuner_name, budget, seed)
     if config.use_cache and path.exists():
-        try:
-            history = TuningHistory.from_dict(json.loads(path.read_text()))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            # malformed payloads (truncated JSON, missing keys, wrong shapes /
-            # types) all take the same unlink-and-recompute path
-            path.unlink(missing_ok=True)
-        else:
-            timing_path = _timing_path(path)
-            if timing_path.exists():
-                try:
-                    timings = json.loads(timing_path.read_text())
-                    for fld in _TIMING_FIELDS:
-                        setattr(history, fld, float(timings.get(fld, 0.0)))
-                except (json.JSONDecodeError, TypeError, ValueError):
-                    pass
+        history = load_history(path, benchmark, tuner_name, budget, seed)
+        if history is not None:
             return history
+        # a malformed file, or one holding another cell's history, is
+        # unlinked and recomputed
+        path.unlink(missing_ok=True)
     tuner = make_tuner(tuner_name, benchmark.space, seed, fidelity=config.fidelity)
     eval_workers = _effective_eval_workers(config, benchmark.name)
     if eval_workers > 1:

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import json
+import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.baco import BacoTuner
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     MAIN_TUNERS,
     TUNER_VARIANTS,
     _cache_path,
+    load_history,
     make_session,
     make_tuner,
     run_single,
@@ -148,6 +153,104 @@ class TestBenchmarkIntegrationSmoke:
         assert len(history) == 8
         assert history.tuner_name == "BaCO"
         assert history.best_value() < float("inf")
+
+
+#: the committed histories, rebuilt by ``repro sweep ... --fidelity fast``
+COMMITTED_CACHE = Path(__file__).resolve().parents[1] / "results" / "cache"
+_CACHE_NAME = re.compile(r"(?P<benchmark>.+?)__.+__b(?P<budget>\d+)__s(?P<seed>\d+)__[0-9a-f]{20}\.json")
+
+
+def _uncached(*args, **kwargs):
+    raise AssertionError("a cache hit was recomputed")
+
+
+#: (case, edit of the cached history of hpvm_bfs, Uniform Sampling, budget
+#: 6, seed 3); ``run_single`` used to return the first five as the cell's
+#: history, and the sixth raised a ``TypeError`` in ``best_value``
+TAMPERED_CACHE_FILES = [
+    ("feasible=no", lambda p: p["evaluations"][0].update(feasible="no")),
+    ("value=true", lambda p: p["evaluations"][0].update(value=True)),
+    ("two-of-six", lambda p: p.update(evaluations=p["evaluations"][:2])),
+    ("other-tuner", lambda p: p.update(tuner="CoT Sampling")),
+    ("other-benchmark", lambda p: p.update(benchmark="hpvm_audio")),
+    ("value=string", lambda p: p["evaluations"][0].update(value="3")),
+    ("other-seed", lambda p: p.update(seed=4)),
+    ("index-skipped", lambda p: p["evaluations"][1].update(index=2)),
+    ("illegal-value", lambda p: p["evaluations"][0]["configuration"].update(unroll_visit=3)),
+    ("timing-inline", lambda p: p.update(tuner_seconds=1.0)),
+]
+
+
+class TestCacheLoader:
+    """``run_single`` and ``repro report`` read a cache file through one
+    loader: it must match the history declaration and its cell (tuner,
+    benchmark, seed, exactly ``budget`` evaluations), or it is recomputed by
+    ``run_single`` and skipped by ``report``."""
+
+    CELL = ("hpvm_bfs", "Uniform Sampling", 6, 3)
+
+    def test_committed_histories_load_with_nothing_recomputed(self, tmp_path, monkeypatch):
+        config = ExperimentConfig(repetitions=1, cache_dir=tmp_path, fidelity="fast")
+        monkeypatch.setattr(runner, "make_tuner", _uncached)
+        files = sorted(COMMITTED_CACHE.glob("*__*.json"))  # no sweep_manifest.json
+        assert len(files) == 273
+        for committed in files:
+            cell = _CACHE_NAME.fullmatch(committed.name)
+            payload = json.loads(committed.read_text())
+            budget, seed = int(cell["budget"]), int(cell["seed"])
+            copied = Path(shutil.copy(committed, tmp_path))
+            assert _cache_path(config, cell["benchmark"], payload["tuner"], budget, seed) == copied
+            history = run_single(cell["benchmark"], payload["tuner"], budget, seed, config=config)
+            assert history.to_dict() == {
+                **payload, "tuner_seconds": 0.0, "evaluation_seconds": 0.0
+            }
+            assert copied.read_bytes() == committed.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit", [case[1] for case in TAMPERED_CACHE_FILES],
+        ids=[case[0] for case in TAMPERED_CACHE_FILES],
+    )
+    def test_tampered_file_is_recomputed(self, tmp_path, edit):
+        config = ExperimentConfig(repetitions=1, cache_dir=tmp_path)
+        history = run_single(*self.CELL, config=config)
+        path = next(tmp_path.glob("*.json"))
+        written = path.read_text()
+        payload = json.loads(written)
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        benchmark = get_benchmark(self.CELL[0])
+        assert load_history(path, benchmark, *self.CELL[1:]) is None
+        recomputed = run_single(*self.CELL, config=config)
+        assert [e.value for e in recomputed] == [e.value for e in history]
+        assert path.read_text() == written
+
+    def test_report_skips_a_tampered_file(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        config = ExperimentConfig(repetitions=1, cache_dir=tmp_path)
+        benchmark, tuner, budget, _ = self.CELL
+        for seed in (3, 4):
+            run_single(benchmark, tuner, budget, seed, config=config)
+        path = _cache_path(config, benchmark, tuner, budget, 4)
+        payload = json.loads(path.read_text())
+        payload["tuner"] = "CoT Sampling"
+        path.write_text(json.dumps(payload))
+        argv = ["report", "--benchmarks", benchmark, "--tuners", tuner, "--budget",
+                str(budget), "--repetitions", "2", "--seed", "3", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "(1/2)" in capsys.readouterr().out
+
+    def test_timing_sidecar_is_checked(self, tmp_path):
+        """``float(true)`` used to read a boolean sidecar field as 1.0 s."""
+        config = ExperimentConfig(repetitions=1, cache_dir=tmp_path)
+        run_single(*self.CELL, config=config)
+        path = next(tmp_path.glob("*.timing"))
+        path.write_text(json.dumps({"tuner_seconds": True, "evaluation_seconds": 0.5}))
+        reloaded = run_single(*self.CELL, config=config)
+        assert (reloaded.tuner_seconds, reloaded.evaluation_seconds) == (0.0, 0.0)
+        path.write_text(json.dumps({"tuner_seconds": 2, "evaluation_seconds": 0.5}))
+        reloaded = run_single(*self.CELL, config=config)
+        assert (reloaded.tuner_seconds, reloaded.evaluation_seconds) == (2, 0.5)
 
 
 class TestTamperedCheckpoint:
