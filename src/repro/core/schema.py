@@ -91,9 +91,17 @@ def one_of(*options: Any) -> Leaf:
     whats = [leaf.what for leaf in leaves]
     if literals:
         whats.append("one of " + ", ".join(map(repr, literals)))
-    return Leaf(" or ".join(whats), lambda v: any(
-        type(v) is type(literal) and v == literal for literal in literals
-    ) or any(leaf.accepts(v) for leaf in leaves))
+
+    def accepts(value: Any) -> bool:
+        for literal in literals:
+            if type(value) is type(literal) and value == literal:
+                return True
+        for leaf in leaves:
+            if leaf.accepts(value):
+                return True
+        return False
+
+    return Leaf(" or ".join(whats), accepts)
 
 
 boolean = Leaf("a boolean", lambda v: isinstance(v, bool))
@@ -131,11 +139,13 @@ def check(value: Any, declaration: Any, path: str = "") -> None:
                 raise ValueError(
                     f"'{join(path, name)}' must be present, got an object that has no {name}"
                 )
-        for key in value if matched < len(value) else ():
+        rest = declaration.get(..., None)
+        # the undeclared keys of an object open to anything need no walk
+        for key in value if matched < len(value) and rest is not ... else ():
             if key not in declaration and f"{key}?" not in declaration:
-                if ... not in declaration:
+                if rest is None:
                     fail(join(path, key), "absent", value[key])
-                check(value[key], declaration[...], join(path, key))
+                check(value[key], rest, join(path, key))
     else:
         if not isinstance(value, list):
             fail(path, "an array", value)
