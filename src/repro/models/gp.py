@@ -63,7 +63,7 @@ from scipy import linalg, optimize
 from ..space.parameters import Parameter
 from .distances import DistanceComputer
 from .kernels import KernelWork, matern52
-from .priors import GammaPrior
+from .priors import GammaLogDensities, GammaPrior
 
 __all__ = ["GaussianProcess", "GPHyperparameters"]
 
@@ -130,13 +130,32 @@ class _MapObjective:
         self._y = y
         self._y_finite = bool(np.isfinite(y).all())
         self._log_2pi_term = 0.5 * n * math.log(2.0 * math.pi)
-        self._priors = (gp.lengthscale_prior, gp.noise_prior, gp.outputscale_prior)
+        # the prior terms, in the order they are subtracted: each lengthscale,
+        # then the noise, then the outputscale (exp(vector) holds the
+        # lengthscales, the outputscale and the noise); a missing prior
+        # drops its entries
+        d = self._tensor.shape[0]
+        entries = [
+            (index, prior)
+            for indices, prior in (
+                (range(d), gp.lengthscale_prior),
+                ((d + 1,), gp.noise_prior),
+                ((d,), gp.outputscale_prior),
+            )
+            if prior is not None
+            for index in indices
+        ]
+        self._n_lengthscale_terms = d if gp.lengthscale_prior is not None else 0
+        self._prior_index = np.array([index for index, _ in entries], dtype=np.intp)
+        self._log_priors = GammaLogDensities([prior for _, prior in entries])
         self._potrf, self._potrs = linalg.get_lapack_funcs(
             ("potrf", "potrs"), (self._work.kernel,)
         )
 
     def __call__(self, vector: np.ndarray) -> float:
-        hp = GPHyperparameters.from_vector(vector)
+        # GPHyperparameters.from_vector, keeping the exp'd vector for the priors
+        values = np.exp(np.asarray(vector, dtype=float))
+        hp = GPHyperparameters(values[:-2], float(values[-2]), float(values[-1]))
         k_t = matern52(self._tensor, hp.lengthscales, hp.outputscale, out=self._work)
         self._diagonal += hp.noise_variance + _JITTER
         if not np.isfinite(k_t).all():
@@ -152,13 +171,13 @@ class _MapObjective:
         nll = 0.5 * float(self._y @ alpha)
         nll += float(np.sum(np.log(np.diag(chol))))
         nll += self._log_2pi_term
-        ls_prior, noise_prior, out_prior = self._priors
-        if ls_prior is not None:
-            nll -= float(np.sum(ls_prior.log_pdf(hp.lengthscales)))
-        if noise_prior is not None:
-            nll -= noise_prior.log_pdf(hp.noise_variance)
-        if out_prior is not None:
-            nll -= out_prior.log_pdf(hp.outputscale)
+        if len(self._prior_index):
+            log_prior = self._log_priors(values[self._prior_index])
+            n_lengthscales = self._n_lengthscale_terms
+            if n_lengthscales:
+                nll -= float(np.sum(log_prior[:n_lengthscales]))
+            for term in log_prior[n_lengthscales:].tolist():
+                nll -= term
         if not math.isfinite(nll):
             return 1e25
         return nll

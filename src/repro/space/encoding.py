@@ -55,17 +55,6 @@ _MATH_LOG = np.frompyfunc(math.log, 1, 1)
 _MATH_EXP = np.frompyfunc(math.exp, 1, 1)
 
 
-def _nearest_indices(sorted_table: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """Index of the nearest table entry per element (ties to the lower index,
-    matching the scalar decode's ``argmin``)."""
-    positions = np.searchsorted(sorted_table, column).clip(0, len(sorted_table) - 1)
-    lower = (positions - 1).clip(0)
-    take_lower = np.abs(sorted_table[lower] - column) <= np.abs(
-        sorted_table[positions] - column
-    )
-    return np.where(take_lower, lower, positions)
-
-
 @dataclass(frozen=True)
 class ColumnBlock:
     """The columns of the encoded matrix owned by one parameter."""
@@ -214,53 +203,6 @@ class ConfigEncoder:
         if isinstance(values, np.ndarray) and values.ndim == 2:
             return values.astype(float)
         return np.asarray([tuple(v) for v in values], dtype=float)
-
-    def value_columns(self, rows: np.ndarray) -> dict[str, np.ndarray]:
-        """Exact raw values of every parameter as per-parameter columns.
-
-        The vectorized counterpart of :meth:`decode` for *legal* encoded rows:
-        numeric parameters come back as float columns of raw (unwarped)
-        values, categorical parameters as object columns of category values,
-        permutations as object columns of tuples.  Like ``decode``, arbitrary
-        rows are projected to the nearest legal value per parameter.
-        """
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != self.width:
-            raise ValueError(f"expected rows of width {self.width}, got {rows.shape}")
-        columns: dict[str, np.ndarray] = {}
-        for block in self.blocks:
-            param = block.parameter
-            name = param.name
-            if block.kind == "numeric":
-                column = rows[:, block.start]
-                if name in self._ordinal_warped:
-                    columns[name] = self._ordinal_raw[name][
-                        _nearest_indices(self._ordinal_warped[name], column)
-                    ]
-                elif isinstance(param, IntegerParameter):
-                    raw = np.exp(column) if param.transform == "log" else column
-                    columns[name] = np.clip(np.rint(raw), param.low, param.high)
-                else:  # real
-                    raw = (
-                        _MATH_EXP(column).astype(float)
-                        if param.transform == "log"
-                        else column.astype(float)
-                    )
-                    columns[name] = np.clip(raw, param.low, param.high)
-            elif block.kind == "categorical":
-                indices = np.clip(
-                    np.rint(rows[:, block.start]).astype(int), 0, len(param.values) - 1
-                )
-                table = np.empty(len(param.values), dtype=object)
-                table[:] = param.values
-                columns[name] = table[indices]
-            else:  # permutation
-                column = np.empty(len(rows), dtype=object)
-                column[:] = [
-                    _decode_permutation(param, row) for row in rows[:, block.columns]
-                ]
-                columns[name] = column
-        return columns
 
     # ------------------------------------------------------------------
     # decoding

@@ -245,7 +245,7 @@ class IntegerParameter(NumericParameter):
         # larger jumps for wide ranges so local search is not crippled
         span = self.high - self.low
         if span > 16:
-            for delta in (-span // 8, span // 8):
+            for delta in (-(span // 8), span // 8):
                 cand = v + delta
                 if self.low <= cand <= self.high and cand != v:
                     out.add(int(cand))

@@ -26,6 +26,7 @@ import numpy as np
 from .chain_of_trees import ChainOfTrees, FeasibleSetTooLarge, Tree
 from .constraints import Constraint, compile_column_evaluator, group_codependent
 from .encoding import ConfigEncoder
+from .neighbourhood import NeighbourTables
 from .parameters import (
     CategoricalParameter,
     IntegerParameter,
@@ -90,7 +91,8 @@ class SearchSpace:
         if build_chain_of_trees and self.constraints:
             self._build_chain_of_trees(max_cot_nodes)
         #: lazily built vectorized-path caches (compiled constraint closures,
-        #: per-tree encoded leaf matrices, narrowed free-parameter values).
+        #: per-tree encoded leaf matrices, narrowed free-parameter values,
+        #: neighbourhood tables), each published by one assignment.
         #: Kept in one dict so pickling can drop them — they are rebuilt on
         #: demand after unpickling.
         self._vector_caches: dict[str, Any] = {}
@@ -532,74 +534,17 @@ class SearchSpace:
         Chain-of-Trees tree covers moves only to the values feasible given
         the rest of its tree (no moves are wasted on infeasible
         configurations); any other parameter moves to its
-        ``Parameter.neighbours``.  Materialization is one matrix build and
-        feasibility one compiled-residual mask.
+        ``Parameter.neighbours``.  The moves are looked up in
+        :class:`~repro.space.neighbourhood.NeighbourTables`, built on the
+        first call, and feasibility is one compiled-residual mask.
+
+        Rows must be legal: a discrete or permutation block that encodes no
+        value of its parameter raises :class:`ValueError` naming it.
         """
-        rows = np.asarray(rows, dtype=float)
-        encoder = self.encoder
-        value_cols = encoder.value_columns(rows)
-        cot = self.chain_of_trees
-        residuals = self._compiled_residuals()
-        residual_vars: set[str] = set()
-        for constraint, _ in residuals:
-            residual_vars |= constraint.variables
-
-        blocks: list[np.ndarray] = []
-        owners: list[int] = []
-        changed_names: list[str] = []
-        changed_values: list[Any] = []
-        for i in range(len(rows)):
-            config: Configuration | None = None
-            for param in self.parameters:
-                current = value_cols[param.name][i]
-                if cot is not None and cot.covers(param.name):
-                    if config is None:
-                        config = {
-                            name: value_cols[name][i] for name in self.parameter_names
-                        }
-                    candidates = [
-                        v
-                        for v in cot.feasible_values(param.name, config)
-                        if v != param.canonical(current)
-                    ]
-                else:
-                    # contains() drops e.g. a real neighbour whose
-                    # exp(warp(high)) clamp overshot the raw bound by one ulp
-                    candidates = [
-                        v for v in param.neighbours(current) if param.contains(v)
-                    ]
-                if not candidates:
-                    continue
-                block = np.tile(rows[i], (len(candidates), 1))
-                block[:, encoder.columns(param.name)] = encoder.encode_value_column(
-                    param.name, self._raw_column(param, candidates)
-                )
-                blocks.append(block)
-                owners.extend([i] * len(candidates))
-                changed_names.extend([param.name] * len(candidates))
-                changed_values.extend(candidates)
-        if not blocks:
-            return np.empty((0, encoder.width), dtype=float), np.empty(0, dtype=int)
-        batch = np.vstack(blocks)
-        owner_idx = np.asarray(owners, dtype=int)
-
-        if residuals:
-            changed = np.asarray(changed_names, dtype=object)
-            env: dict[str, np.ndarray] = {}
-            for name in residual_vars:
-                column = self._env_column(value_cols[name])[owner_idx]
-                replace = changed == name
-                if replace.any():
-                    column = column.copy()
-                    for j in np.nonzero(replace)[0]:
-                        column[j] = changed_values[j]
-                env[name] = column
-            mask = np.ones(len(batch), dtype=bool)
-            for _, evaluator in residuals:
-                mask &= evaluator(env)
-            batch = batch[mask]
-            owner_idx = owner_idx[mask]
-        return batch, owner_idx
+        tables = self._vector_caches.get("neighbour_tables")
+        if tables is None:
+            tables = self._vector_caches["neighbour_tables"] = NeighbourTables(self)
+        return tables.neighbours(rows)
 
     # ------------------------------------------------------------------
     # encodings

@@ -19,7 +19,10 @@ specifications the vectorized paths are tested against:
 * :func:`sample_leaf` / :func:`sample_path` pin the uniform and biased modes
   of ``Tree.sample_leaf_indices``;
 * :func:`sample_chain` composes the two per tree, as the scalar sampler did;
-* :func:`neighbours` (the dict path) pins ``SearchSpace.neighbour_rows_batch``;
+* :func:`neighbours` (the dict path) and :func:`neighbour_rows_reference`
+  (the per-row body with one dict per row it had before its lookup tables)
+  pin ``SearchSpace.neighbour_rows_batch``; :func:`value_columns` is the
+  encoder's old column decode the latter reads rows with;
 * :func:`feasible_rows` checks sampler and neighbourhood output row by row
   through ``SearchSpace.is_feasible`` and the encoding round trip;
 * :class:`ReferenceTree` (recursive ``_Node`` growth, ``_best_split``'s
@@ -27,7 +30,9 @@ specifications the vectorized paths are tested against:
   :func:`forest_reference` (the per-tree bootstrap loop) pin the flat-array
   lockstep forest of ``repro.models.random_forest``;
 * :func:`log_likelihood` reads a fitted GP's log posterior back from its
-  cached factor, the yardstick the GP-fit tests compare fits with.
+  cached factor, the yardstick the GP-fit tests compare fits with;
+* :func:`gamma_log_pdf` (``GammaPrior.log_pdf``, one prior per call) pins
+  ``repro.models.priors.GammaLogDensities``.
 """
 
 from __future__ import annotations
@@ -37,11 +42,14 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from repro.models.distances import DistanceComputer
 from repro.models.gp import GaussianProcess
+from repro.models.priors import GammaPrior
 from repro.space.chain_of_trees import FeasibleSetTooLarge, Tree
 from repro.space.constraints import Constraint
+from repro.space.encoding import _MATH_EXP, ConfigEncoder, _decode_permutation
 from repro.space.parameters import (
     CategoricalParameter,
     IntegerParameter,
@@ -438,6 +446,151 @@ def neighbours(
     return result
 
 
+def _nearest_indices(sorted_table: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Index of the nearest table entry per element (ties to the lower index,
+    matching the scalar decode's ``argmin``)."""
+    positions = np.searchsorted(sorted_table, column).clip(0, len(sorted_table) - 1)
+    lower = (positions - 1).clip(0)
+    take_lower = np.abs(sorted_table[lower] - column) <= np.abs(
+        sorted_table[positions] - column
+    )
+    return np.where(take_lower, lower, positions)
+
+
+def value_columns(encoder: ConfigEncoder, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Exact raw values of every parameter as per-parameter columns.
+
+    The vectorized counterpart of ``ConfigEncoder.decode`` for *legal* encoded rows:
+    numeric parameters come back as float columns of raw (unwarped)
+    values, categorical parameters as object columns of category values,
+    permutations as object columns of tuples.  Like ``decode``, arbitrary
+    rows are projected to the nearest legal value per parameter.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != encoder.width:
+        raise ValueError(f"expected rows of width {encoder.width}, got {rows.shape}")
+    columns: dict[str, np.ndarray] = {}
+    for block in encoder.blocks:
+        param = block.parameter
+        name = param.name
+        if block.kind == "numeric":
+            column = rows[:, block.start]
+            if name in encoder._ordinal_warped:
+                columns[name] = encoder._ordinal_raw[name][
+                    _nearest_indices(encoder._ordinal_warped[name], column)
+                ]
+            elif isinstance(param, IntegerParameter):
+                raw = np.exp(column) if param.transform == "log" else column
+                columns[name] = np.clip(np.rint(raw), param.low, param.high)
+            else:  # real
+                raw = (
+                    _MATH_EXP(column).astype(float)
+                    if param.transform == "log"
+                    else column.astype(float)
+                )
+                columns[name] = np.clip(raw, param.low, param.high)
+        elif block.kind == "categorical":
+            indices = np.clip(
+                np.rint(rows[:, block.start]).astype(int), 0, len(param.values) - 1
+            )
+            table = np.empty(len(param.values), dtype=object)
+            table[:] = param.values
+            columns[name] = table[indices]
+        else:  # permutation
+            column = np.empty(len(rows), dtype=object)
+            column[:] = [
+                _decode_permutation(param, row) for row in rows[:, block.columns]
+            ]
+            columns[name] = column
+    return columns
+
+
+def neighbour_rows_reference(
+    space: SearchSpace, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feasible one-parameter-change neighbourhoods of several rows at once.
+
+    This is the neighbourhood of BaCO's multi-start local search
+    (Sec. 3.3).  Returns ``(neighbour_rows, owners)`` where ``owners[j]``
+    is the index of the input row that neighbour ``j`` belongs to; within
+    one owner the neighbours are parameter-major.  A parameter a
+    Chain-of-Trees tree covers moves only to the values feasible given
+    the rest of its tree (no moves are wasted on infeasible
+    configurations); any other parameter moves to its
+    ``Parameter.neighbours``.  Materialization is one matrix build and
+    feasibility one compiled-residual mask.
+
+    The per-row body ``SearchSpace.neighbour_rows_batch`` had before its
+    lookup tables; unlike them, it projects an illegal row's values to the
+    nearest legal ones instead of raising.
+    """
+    rows = np.asarray(rows, dtype=float)
+    encoder = space.encoder
+    value_cols = value_columns(encoder, rows)
+    cot = space.chain_of_trees
+    residuals = space._compiled_residuals()
+    residual_vars: set[str] = set()
+    for constraint, _ in residuals:
+        residual_vars |= constraint.variables
+
+    blocks: list[np.ndarray] = []
+    owners: list[int] = []
+    changed_names: list[str] = []
+    changed_values: list[Any] = []
+    for i in range(len(rows)):
+        config: Configuration | None = None
+        for param in space.parameters:
+            current = value_cols[param.name][i]
+            if cot is not None and cot.covers(param.name):
+                if config is None:
+                    config = {
+                        name: value_cols[name][i] for name in space.parameter_names
+                    }
+                candidates = [
+                    v
+                    for v in cot.feasible_values(param.name, config)
+                    if v != param.canonical(current)
+                ]
+            else:
+                # contains() drops e.g. a real neighbour whose
+                # exp(warp(high)) clamp overshot the raw bound by one ulp
+                candidates = [
+                    v for v in param.neighbours(current) if param.contains(v)
+                ]
+            if not candidates:
+                continue
+            block = np.tile(rows[i], (len(candidates), 1))
+            block[:, encoder.columns(param.name)] = encoder.encode_value_column(
+                param.name, space._raw_column(param, candidates)
+            )
+            blocks.append(block)
+            owners.extend([i] * len(candidates))
+            changed_names.extend([param.name] * len(candidates))
+            changed_values.extend(candidates)
+    if not blocks:
+        return np.empty((0, encoder.width), dtype=float), np.empty(0, dtype=int)
+    batch = np.vstack(blocks)
+    owner_idx = np.asarray(owners, dtype=int)
+
+    if residuals:
+        changed = np.asarray(changed_names, dtype=object)
+        env: dict[str, np.ndarray] = {}
+        for name in residual_vars:
+            column = space._env_column(value_cols[name])[owner_idx]
+            replace = changed == name
+            if replace.any():
+                column = column.copy()
+                for j in np.nonzero(replace)[0]:
+                    column[j] = changed_values[j]
+            env[name] = column
+        mask = np.ones(len(batch), dtype=bool)
+        for _, evaluator in residuals:
+            mask &= evaluator(env)
+        batch = batch[mask]
+        owner_idx = owner_idx[mask]
+    return batch, owner_idx
+
+
 @dataclass
 class _Node:
     feature: int = -1
@@ -627,9 +780,33 @@ def log_likelihood(gp: GaussianProcess) -> float:
     hp = gp.hyperparameters
     lp = 0.0
     if gp.lengthscale_prior is not None:
-        lp += float(np.sum(gp.lengthscale_prior.log_pdf(hp.lengthscales)))
+        lp += float(np.sum(gamma_log_pdf(gp.lengthscale_prior, hp.lengthscales)))
     if gp.noise_prior is not None:
-        lp += float(np.sum(gp.noise_prior.log_pdf(hp.noise_variance)))
+        lp += float(np.sum(gamma_log_pdf(gp.noise_prior, hp.noise_variance)))
     if gp.outputscale_prior is not None:
-        lp += float(np.sum(gp.outputscale_prior.log_pdf(hp.outputscale)))
+        lp += float(np.sum(gamma_log_pdf(gp.outputscale_prior, hp.outputscale)))
     return ll + lp
+
+
+def gamma_log_pdf(prior: GammaPrior, value: float | np.ndarray) -> float | np.ndarray:
+    """Log density, bit for bit what ``scipy.stats.gamma.logpdf`` returns.
+
+    It is the closed form that scipy evaluates inside ``logpdf``, with
+    ``z = x / θ`` and ``θ = 1 / rate``, in scipy's operation order::
+
+        xlogy(a - 1, z) - z - gammaln(a) - log(θ)
+
+    Negative values lie outside the support and score ``-inf``; NaN stays
+    NaN.  It skips scipy's argument parsing and broadcasting, which cost
+    more than the arithmetic in the GP's hyper-parameter fit.  The GP's MAP
+    objective called it once per prior before ``GammaLogDensities`` fused
+    the three calls into one.
+    """
+    value = np.asarray(value, dtype=float)
+    scale = 1.0 / prior.rate
+    z = value / scale
+    # log(0) and the masked-out negatives raise no warnings
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp = xlogy(prior.shape - 1.0, z) - z - gammaln(prior.shape) - np.log(scale)
+    lp = np.where(value < 0.0, -np.inf, lp)
+    return lp if lp.shape else float(lp)

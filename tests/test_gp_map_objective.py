@@ -9,8 +9,9 @@ the straightforward form it replaced: an allocating kernel build, ``K +
 ``==`` on floats, no tolerance — because every trajectory, fixture and
 checkpoint depends on the hyper-parameters the fit lands on.
 
-Also here: ``GammaPrior.log_pdf`` against ``scipy.stats.gamma.logpdf``, the
-Matérn kernel's ``out=`` buffers against the allocating formula, the errors a fit
+Also here: the fused prior term ``GammaLogDensities`` and its per-prior
+oracle ``gamma_log_pdf`` against ``scipy.stats.gamma.logpdf``, the Matérn
+kernel's ``out=`` buffers against the allocating formula, the errors a fit
 raises on non-finite input, and a failed fit leaving the GP unchanged.
 """
 
@@ -34,7 +35,7 @@ from repro.core.result import ObjectiveResult
 from repro.models.distances import DistanceComputer, IncrementalDistanceTensor
 from repro.models.gp import GaussianProcess, GPHyperparameters, _MapObjective
 from repro.models.kernels import KernelWork, matern52
-from repro.models.priors import GammaPrior
+from repro.models.priors import GammaLogDensities, GammaPrior
 from repro.space.parameters import (
     CategoricalParameter,
     IntegerParameter,
@@ -44,7 +45,7 @@ from repro.space.parameters import (
 )
 from repro.space.space import SearchSpace
 
-from oracles import log_likelihood, sample_value
+from oracles import gamma_log_pdf, log_likelihood, sample_value
 
 # ---------------------------------------------------------------------------
 # the reference oracle
@@ -210,6 +211,28 @@ class TestMapObjective:
             expected = reference_negative_log_posterior(gp, tensor, vector, y)
             assert objective(vector) == expected
 
+    @pytest.mark.parametrize(
+        "missing",
+        [("lengthscale_prior",), ("noise_prior",), ("outputscale_prior",),
+         ("lengthscale_prior", "noise_prior", "outputscale_prior")],
+        ids=["lengthscale", "noise", "outputscale", "all"],
+    )
+    def test_a_missing_prior_drops_its_terms(self, missing):
+        parameters = _parameters([0, 1, 2, 3, 4])
+        computer = DistanceComputer(parameters)
+        configs, _ = _dataset(parameters, 3, 20)
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
+        y = np.random.default_rng(3).normal(size=20)
+        gp = _gp(
+            parameters, computer, ls_prior="lengthscale_prior" not in missing,
+            **{name: None for name in missing if name != "lengthscale_prior"},
+        )
+        objective = _MapObjective(gp, tensor, y)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            vector = np.array([rng.uniform(low, high) for low, high in gp._hyper_bounds()])
+            assert objective(vector) == reference_negative_log_posterior(gp, tensor, vector, y)
+
     def test_scores_an_indefinite_kernel_1e25(self):
         """A leading minor that is not positive definite scores 1e25, as
         ``LinAlgError`` did."""
@@ -273,13 +296,32 @@ class TestGammaPriorMatchesScipy:
         values = np.concatenate(
             [self.SPECIAL, rng.gamma(shape, 1.0 / rate, 500), np.exp(rng.uniform(-7.0, 7.0, 500))]
         )
-        assert _same_bits(prior.log_pdf(values), reference_log_pdf(prior, values))
+        assert _same_bits(gamma_log_pdf(prior, values), reference_log_pdf(prior, values))
         for d in (1, 2, 7, 12):  # the lengthscale vectors' sizes
-            assert _same_bits(prior.log_pdf(values[-d:]), reference_log_pdf(prior, values[-d:]))
+            assert _same_bits(gamma_log_pdf(prior, values[-d:]), reference_log_pdf(prior, values[-d:]))
         for value in self.SPECIAL:
-            got = prior.log_pdf(value)
+            got = gamma_log_pdf(prior, value)
             assert type(got) is float
             assert _same_bits(got, reference_log_pdf(prior, value))
+
+    PRIORS = [GammaPrior(2.0, 2.0), GammaPrior(1.1, 20.0), GammaPrior(2.0, 1.0), GammaPrior(0.5, 3.0)]
+
+    def test_fused_densities_bit_for_bit(self):
+        """One fused call scores every entry under its own prior with the
+        bits of a scipy call per entry: positive, zero and non-finite values,
+        in every mix of priors and lengths the MAP objective uses."""
+        rng = np.random.default_rng(4)
+        positive = [v for v in self.SPECIAL if not v < 0.0]
+        for d in (0, 1, 2, 7, 12):
+            priors = [self.PRIORS[0]] * d + self.PRIORS[1:3]
+            for _ in range(50):
+                values = np.exp(rng.uniform(-20.0, 7.0, len(priors)))
+                values[rng.random(len(priors)) < 0.1] = rng.choice(positive)
+                got = GammaLogDensities(priors)(values)
+                want = [reference_log_pdf(prior, value) for prior, value in zip(priors, values)]
+                assert _same_bits(got, want)
+        mixed = GammaLogDensities(self.PRIORS)(np.array([0.3, 0.01, 2.0, 1e-300]))
+        assert _same_bits(mixed, [reference_log_pdf(p, v) for p, v in zip(self.PRIORS, [0.3, 0.01, 2.0, 1e-300])])
 
 
 class TestKernelWork:

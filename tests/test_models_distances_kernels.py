@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import distance, sample_value
 from repro.models.distances import DistanceComputer, parameter_scale
 from repro.models.kernels import matern52, scaled_distance
-from repro.models.priors import GammaPrior
+from repro.models.priors import GammaLogDensities, GammaPrior
 from repro.space.parameters import (
     CategoricalParameter,
     OrdinalParameter,
@@ -138,8 +138,11 @@ class TestKernels:
 class TestPriors:
     def test_gamma_log_pdf_matches_scipy_shape(self):
         prior = GammaPrior(shape=2.0, rate=2.0)
-        assert prior.log_pdf(prior.mean) > prior.log_pdf(100.0)
-        assert prior.log_pdf(prior.mean) > prior.log_pdf(1e-6)
+        at_mean, far, near_zero = GammaLogDensities([prior] * 3)(
+            np.array([prior.mean, 100.0, 1e-6])
+        )
+        assert at_mean > far
+        assert at_mean > near_zero
 
     def test_gamma_samples_positive(self, rng):
         prior = GammaPrior(2.0, 2.0)
@@ -150,4 +153,4 @@ class TestPriors:
     @given(st.floats(min_value=0.01, max_value=50.0))
     @settings(max_examples=50, deadline=None)
     def test_gamma_log_pdf_finite_on_support(self, value):
-        assert np.isfinite(GammaPrior(2.0, 2.0).log_pdf(value))
+        assert np.isfinite(GammaLogDensities([GammaPrior(2.0, 2.0)])(np.array([value]))).all()

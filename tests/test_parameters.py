@@ -105,6 +105,12 @@ class TestIntegerParameter:
         neighbours = param.neighbours(500)
         assert any(abs(n - 500) > 1 for n in neighbours)
 
+    def test_wide_range_jumps_are_symmetric(self):
+        """Both jumps are ``span // 8`` long; ``-span // 8`` would floor the
+        downward one to ``(-span) // 8``, one step longer."""
+        assert IntegerParameter("n", 0, 20).neighbours(10) == [8, 9, 11, 12]
+        assert IntegerParameter("n", 1, 100).neighbours(50) == [38, 49, 51, 62]
+
     def test_values_list_and_cardinality(self):
         param = IntegerParameter("n", 3, 7)
         assert param.values_list() == [3, 4, 5, 6, 7]

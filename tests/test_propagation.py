@@ -53,7 +53,7 @@ from repro.space.parameters import (
 )
 from repro.space.space import SearchSpace
 
-from oracles import feasible_rows, neighbours, sample_reference
+from oracles import feasible_rows, neighbours, sample_reference, value_columns
 
 #: the parameter types the filter narrows (integers up to 4096 values)
 _NARROWABLE = (IntegerParameter, OrdinalParameter, CategoricalParameter)
@@ -129,7 +129,7 @@ def test_sampler_reaches_exact_support(expression):
     for name, values in space._narrowed_values().items():
         assert support[name] <= set(values), name
     rows = space.sample_rows(np.random.default_rng(11), 2000)
-    columns = space.encoder.value_columns(rows)
+    columns = value_columns(space.encoder, rows)
     for name in _DOMAINS:
         assert set(columns[name].tolist()) == support[name], name
 
@@ -388,7 +388,7 @@ class TestPropagatedSampling:
             build_chain_of_trees=False,
         )
         rows = space.sample_rows(np.random.default_rng(3), 512)
-        values = space.encoder.value_columns(rows)["eps"]
+        values = value_columns(space.encoder, rows)["eps"]
         assert float(values.min()) >= 0.2
         assert float(values.max()) <= 1.0
 
