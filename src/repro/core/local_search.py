@@ -17,9 +17,12 @@ configurations.
 The whole optimizer runs in **row space**: the random batch is one
 ``SearchSpace.sample_rows`` call, every climb step materializes the union of
 all still-active starts' neighbourhoods as a single row matrix
-(``SearchSpace.neighbour_rows_batch`` — candidate values gathered from the
-Chain-of-Trees, feasibility by compiled residual constraints), and one
-batched ``acquisition.evaluate_rows`` call scores it.  Configurations are
+(``SearchSpace.neighbour_rows_batch`` — each parameter's moves looked up in
+the space's neighbourhood tables, the Chain-of-Trees' feasible values for
+the parameters it covers, feasibility by compiled residual constraints), and
+one batched ``acquisition.evaluate_rows`` call scores it.  A climb step
+passes a few rows, so the tables are read row by row and filled into one
+gather rather than built per parameter with numpy calls.  Configurations are
 decoded to dicts only for the returned winners, i.e. at the tuner boundary.
 
 There is one climb (:func:`_climb_and_rank`) behind two start-selection

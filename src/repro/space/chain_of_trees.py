@@ -24,7 +24,12 @@ things (Sec. 4.2):
 2. **Fast membership tests** -- a set lookup of the configuration's
    projection onto each tree instead of re-evaluating every constraint.
 3. **Neighbour generation** on the feasible region for local search: per
-   level, a map from a leaf's other values to the values that complete it.
+   level, a map from a leaf's other values to the values that complete it
+   (:meth:`Tree.feasible_values`).  The climb reads the same moves from
+   the space's :class:`~repro.space.neighbourhood.NeighbourTables`, built
+   from :attr:`Tree.leaf_values` on the first neighbourhood call: per
+   level, the leaves grouped by their other values in domain order, so a
+   leaf's moves are its group minus itself.
 """
 
 from __future__ import annotations

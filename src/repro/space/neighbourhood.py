@@ -130,11 +130,9 @@ class _FlatArray:
         return np.concatenate(self.chunks) if self.chunks else np.empty(0)
 
 
-def _code_key(width: int) -> Callable[[list[float], int], Any]:
-    """The dict key of a block starting at a column: its float, or its tuple."""
-    if width == 1:
-        return lambda row, column: row[column]
-    return lambda row, column: tuple(row[column : column + width])
+def _block_key(row: list[float], column: int, width: int) -> Any:
+    """The dict key of a parameter's block: its float, or its floats' tuple."""
+    return row[column] if width == 1 else tuple(row[column : column + width])
 
 
 class _Slot:
@@ -171,24 +169,16 @@ class _Coded(_Slot):
         else:
             self.raw = space._raw_column(param, self.values)
         self.encoded = space.encoder.encode_value_column(self.name, self.raw)
-        key = _code_key(self.width)
-        self.key = key
         self.code_of = {
-            key(block, 0): code for code, block in enumerate(self.encoded.tolist())
+            _block_key(block, 0, self.width): code
+            for code, block in enumerate(self.encoded.tolist())
         }
-        self._tuples = space._env_column
 
     def code(self, row: list[float], index: int) -> int:
-        code = self.code_of.get(self.key(row, self.column))
+        code = self.code_of.get(_block_key(row, self.column, self.width))
         if code is None:
             raise _illegal(self.name, index)
         return code
-
-    def env(self, out: np.ndarray, owners: np.ndarray, batch: _Batch) -> np.ndarray:
-        if self.width > 1:
-            return self._tuples(out[:, self.column : self.column + self.width])
-        # encodings ascend with the code for every discrete type
-        return self.raw[np.searchsorted(self.encoded[:, 0], out[:, self.column])]
 
 
 class _Table(_Coded):
@@ -217,6 +207,10 @@ class _Table(_Coded):
         if code is None:
             raise _illegal(self.name, index)
         batch.add_runs(self.runs[code], self.column, 1)
+
+    def env(self, out: np.ndarray, owners: np.ndarray, batch: _Batch) -> np.ndarray:
+        # ordinal and categorical encodings ascend with the code
+        return self.raw[np.searchsorted(self.encoded[:, 0], out[:, self.column])]
 
 
 class _Tree:
@@ -420,6 +414,8 @@ class NeighbourTables:
             self.trees.append(_Tree(tree, levels, encoded, self.width, flat))
         self.source = flat.build()
         self._formulas = [slot for slot in self.slots if isinstance(slot, _Formula)]
+        # residual constraints read free parameters only: a tree captures
+        # every constraint of its co-dependent group
         self._env_slots = [slot for slot in self.slots if slot.name in residual_vars]
 
     def neighbours(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
