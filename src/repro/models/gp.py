@@ -130,24 +130,23 @@ class _MapObjective:
         self._y = y
         self._y_finite = bool(np.isfinite(y).all())
         self._log_2pi_term = 0.5 * n * math.log(2.0 * math.pi)
-        # the prior terms, in the order they are subtracted: each lengthscale,
-        # then the noise, then the outputscale (exp(vector) holds the
-        # lengthscales, the outputscale and the noise); a missing prior
-        # drops its entries
+        # exp(vector) holds the lengthscales, the outputscale and the noise;
+        # their prior terms are subtracted in the order lengthscales, noise,
+        # outputscale, and a missing prior drops its entries
         d = self._tensor.shape[0]
-        entries = [
-            (index, prior)
-            for indices, prior in (
-                (range(d), gp.lengthscale_prior),
-                ((d + 1,), gp.noise_prior),
-                ((d,), gp.outputscale_prior),
-            )
-            if prior is not None
-            for index in indices
-        ]
+        index: list[int] = []
+        priors: list[GammaPrior] = []
+        for entries, prior in (
+            (range(d), gp.lengthscale_prior),
+            ([d + 1], gp.noise_prior),
+            ([d], gp.outputscale_prior),
+        ):
+            if prior is not None:
+                index += entries
+                priors += [prior] * len(entries)
         self._n_lengthscale_terms = d if gp.lengthscale_prior is not None else 0
-        self._prior_index = np.array([index for index, _ in entries], dtype=np.intp)
-        self._log_priors = GammaLogDensities([prior for _, prior in entries])
+        self._prior_index = np.array(index, dtype=np.intp)
+        self._log_priors = GammaLogDensities(priors)
         self._potrf, self._potrs = linalg.get_lapack_funcs(
             ("potrf", "potrs"), (self._work.kernel,)
         )

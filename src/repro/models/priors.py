@@ -32,7 +32,6 @@ class GammaPrior:
         return self.shape / self.rate
 
 
-
 class GammaLogDensities:
     """Log densities of positive values, entry ``i`` under ``priors[i]``, in
     one vectorized pass.

@@ -283,11 +283,8 @@ class _TreeLevel(_Coded):
     def add(self, batch: _Batch, row: list[float], index: int, trees: list) -> None:
         spans = trees[self.tree_index]
         if isinstance(spans, dict):
-            moves = [
-                v
-                for v in self.tree.feasible_values(self.name, spans)
-                if v != self.param.canonical(spans[self.name])
-            ]
+            # the row is no leaf, so its own value completes none of these
+            moves = self.tree.feasible_values(self.name, spans)
             batch.add_values(
                 self.encoded[[self.index[v] for v in moves]].reshape(-1).tolist(),
                 self.column,

@@ -298,13 +298,15 @@ class TestGammaPriorMatchesScipy:
         )
         assert _same_bits(gamma_log_pdf(prior, values), reference_log_pdf(prior, values))
         for d in (1, 2, 7, 12):  # the lengthscale vectors' sizes
-            assert _same_bits(gamma_log_pdf(prior, values[-d:]), reference_log_pdf(prior, values[-d:]))
+            tail = values[-d:]
+            assert _same_bits(gamma_log_pdf(prior, tail), reference_log_pdf(prior, tail))
         for value in self.SPECIAL:
             got = gamma_log_pdf(prior, value)
             assert type(got) is float
             assert _same_bits(got, reference_log_pdf(prior, value))
 
-    PRIORS = [GammaPrior(2.0, 2.0), GammaPrior(1.1, 20.0), GammaPrior(2.0, 1.0), GammaPrior(0.5, 3.0)]
+    PRIORS = [GammaPrior(2.0, 2.0), GammaPrior(1.1, 20.0), GammaPrior(2.0, 1.0),
+              GammaPrior(0.5, 3.0)]
 
     def test_fused_densities_bit_for_bit(self):
         """One fused call scores every entry under its own prior with the
@@ -320,8 +322,9 @@ class TestGammaPriorMatchesScipy:
                 got = GammaLogDensities(priors)(values)
                 want = [reference_log_pdf(prior, value) for prior, value in zip(priors, values)]
                 assert _same_bits(got, want)
-        mixed = GammaLogDensities(self.PRIORS)(np.array([0.3, 0.01, 2.0, 1e-300]))
-        assert _same_bits(mixed, [reference_log_pdf(p, v) for p, v in zip(self.PRIORS, [0.3, 0.01, 2.0, 1e-300])])
+        values = [0.3, 0.01, 2.0, 1e-300]
+        mixed = GammaLogDensities(self.PRIORS)(np.array(values))
+        assert _same_bits(mixed, [reference_log_pdf(p, v) for p, v in zip(self.PRIORS, values)])
 
 
 class TestKernelWork:

@@ -11,7 +11,7 @@ shape, dtype and bytes, rows and owners alike:
   on a real and on a permutation), on sampled rows, the neighbours of their
   neighbours, legal rows off the trees' leaves, and zero rows;
 * every space the registry resolves, in chunks of 1, 3 and 64 rows;
-* two threads sharing a fresh space, both building and reading its tables;
+* threads sharing a fresh space, each building or reading its tables;
 * the legal-row contract: a discrete or permutation block that encodes no
   value of its parameter raises ``ValueError`` naming the parameter.
 """
@@ -19,6 +19,7 @@ shape, dtype and bytes, rows and owners alike:
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
 
 import numpy as np
@@ -85,12 +86,11 @@ _CONSTRAINTS = (
 
 @st.composite
 def neighbourhood_spaces(draw):
+    transform = st.sampled_from(["linear", "log"])
     parameters = [
-        RealParameter("r", 0.5, 4.0, transform=draw(st.sampled_from(["linear", "log"]))),
-        IntegerParameter(
-            "i", 1, draw(st.integers(1, 40)), transform=draw(st.sampled_from(["linear", "log"]))
-        ),
-        OrdinalParameter("o", draw(_ordinal_values), transform=draw(st.sampled_from(["linear", "log"]))),
+        RealParameter("r", 0.5, 4.0, transform=draw(transform)),
+        IntegerParameter("i", 1, draw(st.integers(1, 40)), transform=draw(transform)),
+        OrdinalParameter("o", draw(_ordinal_values), transform=draw(transform)),
         CategoricalParameter("c", ["x", "y", "z"][: draw(st.integers(1, 3))]),
         PermutationParameter("p", draw(st.integers(1, 3))),
     ]
@@ -184,28 +184,38 @@ def test_tables_are_built_on_first_use_and_not_pickled(name):
         assert_matches_reference(clone, rows)
 
 
+@pytest.mark.parametrize("threads", [2, 4])
 @pytest.mark.parametrize("name", ["taco_spmm_scircuit", "hard_constraint_1e-2"])
-def test_two_threads_on_a_fresh_space_get_the_reference(name):
+def test_threads_on_a_fresh_space_get_the_reference(name, threads):
+    """Threads that share a space whose tables are not built yet each
+    build or read them mid-climb and all get the oracle's output."""
     space = _fresh(name)
     rows = space.sample_rows(np.random.default_rng(2), 24)
-    barrier = threading.Barrier(2)
-    results: list = [None, None]
+    barrier = threading.Barrier(threads, timeout=30)
+    results: list = [None] * threads
 
     def work(slot: int) -> None:
         barrier.wait()
         results[slot] = [space.neighbour_rows_batch(rows[i : i + 3]) for i in range(0, 24, 3)]
 
-    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    want = neighbour_rows_reference(space, rows)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(slot,)) for slot in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    want_rows, want_owners = neighbour_rows_reference(space, rows)
     for result in results:
+        assert result is not None  # the thread raised
         got_rows = np.vstack([r for r, _ in result])
         got_owners = np.concatenate([o + 3 * k for k, (_, o) in enumerate(result)])
-        assert got_rows.tobytes() == want[0].tobytes()
-        assert got_owners.tobytes() == want[1].tobytes()
+        assert got_rows.tobytes() == want_rows.tobytes()
+        assert got_owners.tobytes() == want_owners.tobytes()
 
 
 # ---------------------------------------------------------------------------
