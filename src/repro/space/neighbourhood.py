@@ -222,16 +222,17 @@ class _Tree:
     its stop.
     """
 
-    def __init__(self, tree: Any, levels: list[_TreeLevel], encoded: dict, width: int,
+    def __init__(self, tree: Any, levels: list[_TreeLevel], encoded: dict,
                  flat: _FlatArray) -> None:
         self.levels = levels
         n = tree.n_feasible
         columns = [c for level in levels for c in range(level.column, level.column + level.width)]
+        # the leaves' encoded tree columns, keyed as the getter keys a row:
+        # a tuple, or the one float of a one-column tree
         self.key = itemgetter(*columns)
-        leaf_rows = np.zeros((n, width))
-        for level in levels:
-            leaf_rows[:, level.column : level.column + level.width] = encoded[level.name]
-        self.leaf_of = {key: leaf for leaf, key in enumerate(map(self.key, leaf_rows.tolist()))}
+        keys = np.hstack([encoded[level.name] for level in levels]).tolist()
+        keys = [key[0] for key in keys] if len(columns) == 1 else map(tuple, keys)
+        self.leaf_of = {key: leaf for leaf, key in enumerate(keys)}
         codes = np.array(
             [[level.index[leaf[k]] for leaf in tree.leaf_values] for k, level in enumerate(levels)],
             dtype=np.int64,
@@ -278,7 +279,7 @@ class _TreeLevel(_Coded):
         self.tree_index = tree_index
         self.level = tree.parameter_names.index(param.name)
         #: where the tree's leaf spans hold this level's (start, own, stop)
-        self.spans = slice(3 * self.level, 3 * self.level + 3)
+        self.span_columns = slice(3 * self.level, 3 * self.level + 3)
 
     def add(self, batch: _Batch, row: list[float], index: int, trees: list) -> None:
         spans = trees[self.tree_index]
@@ -291,7 +292,7 @@ class _TreeLevel(_Coded):
                 self.width,
             )
             return
-        start, own, stop = spans[self.spans]
+        start, own, stop = spans[self.span_columns]
         batch.src.extend(range(start, own))
         batch.src.extend(range(own + self.width, stop))
         batch.add_rows((stop - start) // self.width - 1, self.column, self.width, batch.dest)
@@ -408,7 +409,7 @@ class NeighbourTables:
         self.trees: list[_Tree] = []
         for tree, _, encoded in tree_tables:
             levels = [by_name[name] for name in tree.parameter_names]
-            self.trees.append(_Tree(tree, levels, encoded, self.width, flat))
+            self.trees.append(_Tree(tree, levels, encoded, flat))
         self.source = flat.build()
         self._formulas = [slot for slot in self.slots if isinstance(slot, _Formula)]
         # residual constraints read free parameters only: a tree captures
