@@ -24,16 +24,15 @@ does not depend on the row, as flat arrays plus offsets:
 A call makes one Python pass over its rows that only looks codes up and
 appends index ranges, then one ``rows[owners]`` gather, one scatter of the
 looked-up encodings (and one of any computed per row) and the compiled
-residual-constraint mask.  A climb
-step passes about three rows and gets about sixty neighbours, so the
-per-row lookups cost less than one numpy gather per parameter would.  The
-output is the dict path's, byte for byte: owner-major, then
-``space.parameters`` order, then candidate order (``tests/oracles.py``
-keeps the per-row implementation this replaced as the oracle).
+residual-constraint mask.  A climb step passes about three rows and gets
+about sixty neighbours, so the per-row lookups cost less than one numpy
+gather per parameter would.  The output is byte for byte that of the
+per-row oracle ``neighbour_rows_reference`` in ``tests/oracles.py``:
+owner-major, then ``space.parameters`` order, then candidate order.
 
 Rows must be legal: a discrete or permutation block that encodes no value
-of its parameter raises :class:`ValueError` naming the parameter, instead
-of being projected to the nearest legal value.
+of its parameter raises :class:`ValueError` naming the parameter; no
+value is projected to a nearest legal one.
 """
 
 from __future__ import annotations
@@ -156,14 +155,15 @@ class _Slot:
 
 class _Coded(_Slot):
     """A discrete parameter with per-code tables: ``values`` in domain order,
-    their encodings, and the raw column the residual constraints read."""
+    their raw column and their encodings."""
 
     def __init__(self, param: Parameter, columns: slice, space: "SearchSpace") -> None:
         super().__init__(param, columns)
         self.values = param.values_list()
         self.index = {value: code for code, value in enumerate(self.values)}
         if isinstance(param, CategoricalParameter):
-            # categories stay objects, numeric ones too
+            # objects, as constraints see categories (``_raw_column`` would
+            # turn numeric ones into floats)
             self.raw = np.empty(len(self.values), dtype=object)
             self.raw[:] = self.values
         else:
