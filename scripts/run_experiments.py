@@ -20,8 +20,9 @@ figure/table stages then only read from the cache:
     REPRO_WORKERS=16 \
     python scripts/run_experiments.py                 # paper-scale sweep
 
-An interrupted sweep is safe to re-run: completed cells are skipped via the
-cache and the checkpoint manifest (``results/cache/sweep_manifest.json``).
+An interrupted sweep is safe to re-run: a cell whose cache file holds a valid
+history is not run again.  A malformed ``REPRO_*`` value stops the script
+with an error naming the variable.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Three subcommands operate on the (benchmark, tuner, budget, seed) cell grid:
 
 * ``sweep``  — execute the grid (in parallel with ``--workers``), skipping
-  cells already satisfied by the on-disk cache and checkpointing progress in
-  the sweep manifest so an interrupted sweep resumes where it left off,
+  cells whose cache file holds a valid history, so an interrupted sweep
+  resumes where it left off, and recording each cell in the sweep manifest,
 * ``status`` — summarize the grid against the cache and manifest without
   running anything,
 * ``report`` — render a benchmark x tuner table of best-found values from
@@ -15,8 +15,9 @@ Two subcommands drive single ask/tell tuning sessions
 
 * ``tune``  — run one tuner on one benchmark with optional parallel
   evaluation (``--eval-workers``), periodic checkpointing
-  (``--checkpoint``), and crash-safe resume (``--resume``); ``--stop-after``
-  deliberately interrupts the run after N evaluations,
+  (``--checkpoint``), and crash-safe resume (``--resume``, which reads the
+  batch size from the checkpoint); ``--stop-after`` deliberately interrupts
+  the run after N evaluations,
 * ``serve`` — a long-running tuning service speaking JSON lines (see
   :mod:`repro.service`), for workloads where external systems evaluate the
   proposed configurations.  By default it serves one connection on
@@ -57,14 +58,14 @@ from .analysis import cli as analysis_cli
 from .experiments.config import FIDELITIES, ExperimentConfig, default_config
 from .experiments.figures import suite_benchmarks
 from .experiments.orchestrator import (
-    cell_cache_path,
+    cached_history,
     enumerate_cells,
     load_manifest,
     manifest_path,
     run_cells,
 )
 from .experiments.reporting import format_cell_event, format_sweep_summary, format_table
-from .experiments.runner import MAIN_TUNERS, TUNER_VARIANTS, load_history
+from .experiments.runner import MAIN_TUNERS, TUNER_VARIANTS
 from .workloads.registry import benchmark_names, get_benchmark
 
 __all__ = ["main"]
@@ -110,12 +111,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         "budget_scale": getattr(args, "budget_scale", None),
         "cache_dir": args.cache_dir,
         "workers": getattr(args, "workers", None),
-        "timeout": getattr(args, "timeout", None),
-        "retries": getattr(args, "retries", None),
-        "eval_workers": getattr(args, "eval_workers", None),
     }
-    if getattr(args, "no_resume", False):
-        overrides["resume"] = False
     if getattr(args, "no_cache", False):
         overrides["use_cache"] = False
     return replace(config, **{k: v for k, v in overrides.items() if v is not None})
@@ -179,7 +175,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
         config,
         budget=args.budget,
     )
-    cached = sum(1 for cell in cells if cell_cache_path(config, cell).exists())
+    cached = sum(1 for cell in cells if cached_history(config, cell) is not None)
     manifest = load_manifest(config)
     statuses: dict[str, int] = {}
     for entry in manifest["cells"].values():
@@ -204,12 +200,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     headers = ["Benchmark", *tuners]
     rows = []
     for name in benchmarks:
-        benchmark = get_benchmark(name)
         cells = enumerate_cells([name], tuners, config, budget=args.budget)
         per_tuner: dict[str, list[float]] = {tuner: [] for tuner in tuners}
         for cell in cells:
-            path = cell_cache_path(config, cell)
-            history = load_history(path, benchmark, cell.tuner, cell.budget, cell.seed)
+            history = cached_history(config, cell)
             if history is not None:
                 per_tuner[cell.tuner].append(history.best_value())
         row = [name]
@@ -238,15 +232,19 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.surrogate_policy is not None:
-            # the checkpoint records the policy; overriding it mid-run would
-            # silently break the deterministic replay contract
-            print(
-                "error: --surrogate-policy cannot be combined with --resume "
-                "(the checkpoint already records the policy)",
-                file=sys.stderr,
-            )
-            return 2
+        # the checkpoint records the policy and the batch size; overriding
+        # either mid-run would silently break the deterministic replay contract
+        for flag, value in (
+            ("--surrogate-policy", args.surrogate_policy),
+            ("--eval-workers", args.eval_workers),
+        ):
+            if value is not None:
+                print(
+                    f"error: {flag} cannot be combined with --resume "
+                    f"(the checkpoint already records it)",
+                    file=sys.stderr,
+                )
+                return 2
         session, benchmark = load_session(checkpoint)
         if not args.quiet:
             print(
@@ -265,6 +263,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             fidelity=args.fidelity or "fast",
             surrogate_policy=args.surrogate_policy,
         )
+        session.meta["batch_size"] = max(1, args.eval_workers or 1)
+    batch_size = session.meta.get("batch_size", 1)
 
     stop_after = args.stop_after
     if stop_after is not None and checkpoint is None:
@@ -290,10 +290,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         if stop_after is not None and done >= stop_after:
             raise _Interrupted
 
-    eval_workers = max(1, args.eval_workers or 1)
     try:
-        if eval_workers > 1:
-            drive_parallel(session, eval_workers, after_tell=after_tell)
+        if batch_size > 1:
+            drive_parallel(session, batch_size, after_tell=after_tell)
         else:
             drive(session, benchmark.evaluator, after_tell=after_tell)
     except _Interrupted:
@@ -370,21 +369,6 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=None, help="parallel worker processes (default: 1)"
     )
     sweep_parser.add_argument(
-        "--timeout", type=float, default=None, help="per-cell timeout in seconds"
-    )
-    sweep_parser.add_argument(
-        "--retries", type=int, default=None, help="re-attempts per failed cell"
-    )
-    sweep_parser.add_argument(
-        "--eval-workers", type=int, default=None,
-        help="parallel black-box evaluations inside each cell (default: 1; "
-             ">1 batches the tuner's ask() and changes the cache identity)",
-    )
-    sweep_parser.add_argument(
-        "--no-resume", action="store_true",
-        help="recompute every cell instead of skipping cached ones",
-    )
-    sweep_parser.add_argument(
         "--no-cache", action="store_true", help="do not read or write the history cache"
     )
     sweep_parser.add_argument(
@@ -429,7 +413,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     tune_parser.add_argument(
         "--eval-workers", type=int, default=None,
-        help="parallel black-box evaluations per ask() batch (default: 1)",
+        help="parallel black-box evaluations per ask() batch (default: 1); "
+             "recorded in the checkpoint, so incompatible with --resume",
     )
     tune_parser.add_argument(
         "--checkpoint", type=Path, default=None,

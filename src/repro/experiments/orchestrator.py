@@ -6,16 +6,22 @@ independent, so the whole cross product can be executed in parallel.  This
 module provides the engine that does so:
 
 * :func:`enumerate_cells` materializes the full grid up front,
-* :func:`run_cells` executes a list of cells — serially in-process when
-  ``workers == 1`` (the historical behavior of :mod:`repro.experiments.runner`),
-  or on a :class:`~concurrent.futures.ProcessPoolExecutor` otherwise — with
-  per-cell timeout and retry, skipping cells whose tuning history already
-  exists in the on-disk JSON cache,
-* a *checkpoint manifest* (``sweep_manifest.json`` next to the cache files)
-  records the status of every cell so an interrupted sweep resumes where it
-  left off and ``python -m repro status`` can summarize progress,
+* :func:`run_cells` skips each cell whose cache file
+  :func:`repro.experiments.runner.load_history` accepts and settles every
+  other one through one routine: in-process when ``workers == 1`` or when
+  its benchmark is an ad-hoc object, on a
+  :class:`~concurrent.futures.ProcessPoolExecutor` otherwise,
+* a *manifest* (``sweep_manifest.json`` next to the cache files) records
+  the status of every cell for ``python -m repro status``; it is for
+  observability only, since an interrupted sweep resumes from the cache
+  files themselves,
 * per-cell :class:`CellEvent` notifications stream to an ``on_event`` hook
   (rendered by :func:`repro.experiments.reporting.format_cell_event`).
+
+A cell runs once.  It is a deterministic function of (benchmark, tuner,
+budget, seed, fidelity), so a failed cell would fail again and is reported,
+not retried; its loops are bounded (rejection budget, local-search steps,
+L-BFGS-B iterations), so it needs no timeout.
 
 Determinism: a cell's seed is part of its identity, and parallel workers run
 the exact same :func:`repro.experiments.runner.run_single` code path as the
@@ -24,29 +30,19 @@ serial one.
 
 Parallel workers re-resolve benchmarks by *name* through
 :func:`repro.workloads.registry.get_benchmark`; ad-hoc :class:`Benchmark`
-objects that are not registry-resolvable can only be executed with
-``workers == 1`` (they are passed through in-process).
-
-Cell-level parallelism composes with *within-cell* parallel evaluation:
-with ``config.eval_workers > 1`` each cell drives its tuner through an
-ask/tell :class:`repro.core.session.TuningSession`, fanning ``ask(q)``
-batches out over a nested process pool (see
-:func:`repro.experiments.runner.run_single`).
+objects that are not registry-resolvable run in-process whatever
+``workers`` is.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import signal
 import sys
-import threading
 import time
-import warnings
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from contextlib import contextmanager
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -60,6 +56,8 @@ from .runner import (
     _cache_path,
     _pool_init,
     _registry_resolvable,
+    _write_atomically,
+    load_history,
     run_single,
 )
 
@@ -67,21 +65,16 @@ __all__ = [
     "Cell",
     "CellEvent",
     "CellOutcome",
-    "CellTimeoutError",
     "SweepResult",
+    "cached_history",
     "cell_cache_path",
     "enumerate_cells",
     "load_manifest",
     "manifest_path",
     "run_cells",
-    "sweep",
 ]
 
 MANIFEST_NAME = "sweep_manifest.json"
-
-
-class CellTimeoutError(RuntimeError):
-    """Raised inside a worker when a cell exceeds its wall-clock timeout."""
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +102,11 @@ class Cell:
 class CellEvent:
     """Progress notification emitted once per cell state change."""
 
-    kind: str  #: "start" | "cached" | "done" | "retry" | "failed"
+    kind: str  #: "start" | "cached" | "done" | "failed"
     cell: Cell
     index: int  #: 1-based position in the sweep
     total: int
     elapsed: float = 0.0
-    attempt: int = 1
     error: str = ""
 
 
@@ -124,7 +116,6 @@ class CellOutcome:
 
     cell: Cell
     status: str  #: "done" | "cached" | "failed"
-    attempts: int = 1
     elapsed: float = 0.0
     error: str = ""
 
@@ -166,8 +157,27 @@ def cell_cache_path(config: ExperimentConfig, cell: Cell) -> Path:
     return _cache_path(config, cell.benchmark, cell.tuner, cell.budget, cell.seed)
 
 
+def cached_history(
+    config: ExperimentConfig, cell: Cell, benchmark: Benchmark | None = None
+) -> TuningHistory | None:
+    """The cell's cached history if :func:`load_history` accepts its file.
+
+    This is what a cache hit means everywhere: :func:`run_cells`,
+    ``repro status`` and ``repro report`` count a cell as cached only then,
+    and :func:`run_single` recomputes a file it rejects.  ``benchmark``
+    defaults to the registry's instance of ``cell.benchmark``.
+    """
+    return load_history(
+        cell_cache_path(config, cell),
+        benchmark if benchmark is not None else get_benchmark(cell.benchmark),
+        cell.tuner,
+        cell.budget,
+        cell.seed,
+    )
+
+
 # ---------------------------------------------------------------------------
-# checkpoint manifest
+# manifest
 # ---------------------------------------------------------------------------
 
 def manifest_path(config: ExperimentConfig) -> Path:
@@ -188,11 +198,7 @@ def load_manifest(config: ExperimentConfig) -> dict[str, Any]:
 
 
 def _write_manifest(config: ExperimentConfig, manifest: Mapping[str, Any]) -> None:
-    path = manifest_path(config)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    os.replace(tmp, path)
+    _write_atomically(manifest_path(config), json.dumps(manifest, indent=1, sort_keys=True))
 
 
 def _record(manifest: dict[str, Any], config: ExperimentConfig, outcome: CellOutcome) -> None:
@@ -204,7 +210,6 @@ def _record(manifest: dict[str, Any], config: ExperimentConfig, outcome: CellOut
         "seed": cell.seed,
         "fidelity": config.fidelity,
         "status": outcome.status,
-        "attempts": outcome.attempts,
         "elapsed": round(outcome.elapsed, 3),
         "error": outcome.error,
         "file": cell_cache_path(config, cell).name,
@@ -213,79 +218,34 @@ def _record(manifest: dict[str, Any], config: ExperimentConfig, outcome: CellOut
 
 
 # ---------------------------------------------------------------------------
-# cell execution (shared by the serial path and the worker processes)
-# ---------------------------------------------------------------------------
-
-@contextmanager
-def _alarm(seconds: float | None):
-    """Raise :class:`CellTimeoutError` after ``seconds`` of wall-clock time.
-
-    Uses ``SIGALRM``, so it only arms on platforms that have it and when
-    running on the main thread (worker-process tasks always do).
-    """
-    usable = (
-        seconds is not None
-        and seconds > 0
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
-
-    def _on_alarm(signum, frame):  # pragma: no cover - exercised via timeout tests
-        raise CellTimeoutError(f"cell exceeded the {seconds:.1f}s timeout")
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, float(seconds))
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _run_cell(
-    cell: Cell,
-    config: ExperimentConfig,
-    timeout: float | None = None,
-    benchmark: Benchmark | None = None,
-) -> TuningHistory:
-    """Execute one cell (used in-process and as the process-pool task)."""
-    with _alarm(timeout):
-        return run_single(
-            benchmark if benchmark is not None else cell.benchmark,
-            cell.tuner,
-            cell.budget,
-            cell.seed,
-            config,
-        )
-
-
-def _run_cell_timed(
-    cell: Cell, config: ExperimentConfig, timeout: float | None
-) -> tuple[float, TuningHistory]:
-    """Process-pool task: cell runtime measured inside the worker, so the
-    reported elapsed time excludes queue wait."""
-    started = time.time()
-    history = _run_cell(cell, config, timeout)
-    return time.time() - started, history
-
-
-# ---------------------------------------------------------------------------
 # the sweep engine
 # ---------------------------------------------------------------------------
 
+def _run_cell(
+    cell: Cell, config: ExperimentConfig, benchmark: Benchmark | None = None
+) -> tuple[float, TuningHistory]:
+    """Run one cell, in-process or as the process-pool task; the elapsed time
+    is measured where the cell runs, so a pooled cell's excludes queue wait."""
+    started = time.time()
+    history = run_single(
+        benchmark if benchmark is not None else cell.benchmark,
+        cell.tuner,
+        cell.budget,
+        cell.seed,
+        config,
+    )
+    return time.time() - started, history
+
+
 @dataclass
 class SweepResult:
-    """Outcome of :func:`run_cells`: per-cell statuses plus loaded histories."""
+    """Outcome of :func:`run_cells`: per-cell statuses plus their histories."""
 
     config: ExperimentConfig
     outcomes: dict[Cell, CellOutcome]
     manifest_file: Path | None
     elapsed: float
     _histories: dict[Cell, TuningHistory] = field(default_factory=dict, repr=False)
-    _benchmarks: dict[str, Benchmark] = field(default_factory=dict, repr=False)
 
     @property
     def counts(self) -> Counter:
@@ -296,12 +256,7 @@ class SweepResult:
         return [o for o in self.outcomes.values() if o.status == "failed"]
 
     def history(self, cell: Cell) -> TuningHistory:
-        """The tuning history of a cell (loading from the cache if needed)."""
-        if cell not in self._histories:
-            bench = self._benchmarks.get(cell.benchmark, cell.benchmark)
-            self._histories[cell] = run_single(
-                bench, cell.tuner, cell.budget, cell.seed, self.config
-            )
+        """The tuning history of a done or cached cell (``KeyError`` otherwise)."""
         return self._histories[cell]
 
 
@@ -309,31 +264,22 @@ def run_cells(
     cells: Sequence[Cell],
     config: ExperimentConfig | None = None,
     *,
-    workers: int | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
-    resume: bool | None = None,
     benchmarks: Mapping[str, Benchmark] | None = None,
     on_event: Callable[[CellEvent], None] | None = None,
     raise_on_error: bool = False,
 ) -> SweepResult:
-    """Execute a list of cells, in parallel when ``workers > 1``.
+    """Execute a list of cells, on ``config.workers`` processes when above 1.
 
-    Keyword arguments default to the corresponding :class:`ExperimentConfig`
-    fields.  Cells whose cached history already exists are skipped (status
-    ``"cached"``) unless ``resume`` is false, in which case their cache entry
-    is removed and they are recomputed.  Each remaining cell gets
-    ``1 + retries`` attempts bounded by ``timeout`` seconds apiece.  With
-    ``raise_on_error`` the first unrecoverable cell failure is re-raised after
-    the sweep finishes (the behavior :func:`repro.experiments.runner.run_benchmark`
+    A cell :func:`cached_history` finds is not run (status ``"cached"``).
+    Every other cell runs once through :func:`run_single`: in-process when
+    ``config.workers == 1`` or when ``benchmarks`` maps its name to an
+    ad-hoc object that workers cannot resolve, on a process pool otherwise.
+    With ``raise_on_error`` the first cell failure is re-raised after the
+    sweep finishes (the behavior :func:`repro.experiments.runner.run_benchmark`
     relies on); otherwise failures are reported in the returned
     :class:`SweepResult`.
     """
     config = config or default_config()
-    workers = config.workers if workers is None else max(1, workers)
-    timeout = config.timeout if timeout is None else timeout
-    retries = config.retries if retries is None else max(0, retries)
-    resume = config.resume if resume is None else resume
     benchmark_objects = dict(benchmarks or {})
 
     # de-duplicate while preserving order; a cell is one unit of work
@@ -343,73 +289,75 @@ def run_cells(
     outcomes: dict[Cell, CellOutcome] = {}
     histories: dict[Cell, TuningHistory] = {}
     errors: dict[Cell, BaseException] = {}
-
+    starts: dict[Cell, float] = {}
     manifest = load_manifest(config) if config.use_cache else {"version": 1, "cells": {}}
-    if not resume:
-        # forget only the cells being re-run; records from other sweeps stay
-        for cell in ordered:
-            manifest["cells"].pop(cell.key, None)
 
     def emit(kind: str, cell: Cell, index: int, **kwargs: Any) -> None:
         if on_event is not None:
             on_event(CellEvent(kind=kind, cell=cell, index=index, total=total, **kwargs))
 
-    # -- partition into cached / pending -----------------------------------
-    pending: list[tuple[int, Cell]] = []
-    for index, cell in enumerate(ordered, start=1):
-        path = cell_cache_path(config, cell)
-        if config.use_cache and resume and path.exists():
-            outcomes[cell] = CellOutcome(cell, "cached")
-            emit("cached", cell, index)
-        else:
-            if config.use_cache and not resume:
-                path.unlink(missing_ok=True)
-            pending.append((index, cell))
+    def start(index: int, cell: Cell) -> None:
+        starts[cell] = time.time()
+        emit("start", cell, index)
 
-    def finish(cell: Cell, outcome: CellOutcome) -> None:
+    def settle(
+        index: int, cell: Cell, result: Callable[[], tuple[float, TuningHistory]]
+    ) -> None:
+        """Record a started cell's outcome; ``result()`` returns its
+        (elapsed, history) or raises its failure."""
+        try:
+            elapsed, histories[cell] = result()
+            outcome = CellOutcome(cell, "done", elapsed)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+            errors[cell] = exc
+            outcome = CellOutcome(
+                cell, "failed", time.time() - starts[cell],
+                error=f"{type(exc).__name__}: {exc}",
+            )
         outcomes[cell] = outcome
         if config.use_cache:
             _record(manifest, config, outcome)
             _write_manifest(config, manifest)
+        emit(outcome.status, cell, index, elapsed=outcome.elapsed, error=outcome.error)
 
-    if timeout and not hasattr(signal, "SIGALRM"):
-        warnings.warn(
-            "per-cell timeout requested but SIGALRM is unavailable on this "
-            "platform; cells will run unbounded",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    in_process: list[tuple[int, Cell]] = []
+    pooled: list[tuple[int, Cell]] = []
+    for index, cell in enumerate(ordered, start=1):
+        benchmark = benchmark_objects.get(cell.benchmark)
+        history = cached_history(config, cell, benchmark) if config.use_cache else None
+        if history is not None:
+            histories[cell] = history
+            outcomes[cell] = CellOutcome(cell, "cached")
+            emit("cached", cell, index)
+        elif config.workers == 1 or (
+            benchmark is not None and not _registry_resolvable(cell.benchmark)
+        ):
+            in_process.append((index, cell))
+        else:
+            pooled.append((index, cell))
 
-    # cells backed by ad-hoc Benchmark objects that worker processes cannot
-    # re-resolve by name must run in-process
-    serial_pending = pending
-    parallel_pending: list[tuple[int, Cell]] = []
-    if workers > 1 and pending:
-        serial_pending, parallel_pending = [], []
-        for index, cell in pending:
-            needs_object = (
-                cell.benchmark in benchmark_objects
-                and not _registry_resolvable(cell.benchmark)
-            )
-            (serial_pending if needs_object else parallel_pending).append((index, cell))
-
-    # -- serial path (workers == 1, plus any registry-unresolvable cells) ----
-    for index, cell in serial_pending:
-        emit("start", cell, index)
-        outcome = _run_serial_cell(
-            cell, config, timeout, retries, benchmark_objects, histories, errors,
-            emit_retry=lambda attempt, err, c=cell, i=index: emit(
-                "retry", c, i, attempt=attempt, error=err
-            ),
-        )
-        finish(cell, outcome)
-        emit(outcome.status, cell, index, elapsed=outcome.elapsed,
-             attempt=outcome.attempts, error=outcome.error)
-    if parallel_pending:
-        _run_parallel_cells(
-            parallel_pending, config, workers, timeout, retries, histories, errors,
-            emit, finish,
-        )
+    for index, cell in in_process:
+        start(index, cell)
+        settle(index, cell, partial(
+            _run_cell, cell, config, benchmark_objects.get(cell.benchmark)
+        ))
+    if pooled:
+        # ``fork`` (where available) inherits ``sys.path`` and skips
+        # re-importing the parent's ``__main__``; on spawn-only platforms the
+        # initializer replays the parent's ``sys.path`` so ``repro`` imports
+        context = get_context("fork" if "fork" in get_all_start_methods() else "spawn")
+        with ProcessPoolExecutor(
+            max_workers=min(config.workers, len(pooled)),
+            mp_context=context,
+            initializer=_pool_init,
+            initargs=(list(sys.path),),
+        ) as pool:
+            running = {}
+            for index, cell in pooled:
+                start(index, cell)
+                running[pool.submit(_run_cell, cell, config)] = (index, cell)
+            for future in as_completed(running):
+                settle(*running[future], future.result)
 
     if config.use_cache:
         for cell, outcome in outcomes.items():
@@ -426,115 +374,4 @@ def run_cells(
         manifest_file=manifest_path(config) if config.use_cache else None,
         elapsed=time.time() - started,
         _histories=histories,
-        _benchmarks=benchmark_objects,
     )
-
-
-def _run_serial_cell(
-    cell: Cell,
-    config: ExperimentConfig,
-    timeout: float | None,
-    retries: int,
-    benchmark_objects: Mapping[str, Benchmark],
-    histories: dict[Cell, TuningHistory],
-    errors: dict[Cell, BaseException],
-    emit_retry: Callable[[int, str], None],
-) -> CellOutcome:
-    cell_started = time.time()
-    benchmark = benchmark_objects.get(cell.benchmark)
-    for attempt in range(1, retries + 2):
-        try:
-            histories[cell] = _run_cell(cell, config, timeout, benchmark)
-            return CellOutcome(cell, "done", attempt, time.time() - cell_started)
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-            if attempt <= retries:
-                emit_retry(attempt, f"{type(exc).__name__}: {exc}")
-                continue
-            errors[cell] = exc
-            return CellOutcome(
-                cell, "failed", attempt, time.time() - cell_started,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-    raise AssertionError("unreachable")
-
-
-def _run_parallel_cells(
-    pending: Sequence[tuple[int, Cell]],
-    config: ExperimentConfig,
-    workers: int,
-    timeout: float | None,
-    retries: int,
-    histories: dict[Cell, TuningHistory],
-    errors: dict[Cell, BaseException],
-    emit: Callable[..., None],
-    finish: Callable[[Cell, CellOutcome], None],
-) -> None:
-    """Fan pending cells out over a process pool with retry.
-
-    ``fork`` (where available) inherits ``sys.path`` and skips re-importing
-    the parent's ``__main__``; on spawn-only platforms the initializer
-    replays the parent's ``sys.path`` so ``repro`` stays importable.
-    """
-    context = get_context("fork" if "fork" in get_all_start_methods() else "spawn")
-    starts: dict[Cell, float] = {}
-    attempts: dict[Cell, int] = {}
-    indices: dict[Cell, int] = {index_cell[1]: index_cell[0] for index_cell in pending}
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(pending)),
-        mp_context=context,
-        initializer=_pool_init,
-        initargs=(list(sys.path),),
-    ) as pool:
-
-        def submit(cell: Cell) -> Future:
-            attempts[cell] = attempts.get(cell, 0) + 1
-            starts[cell] = time.time()
-            emit("start" if attempts[cell] == 1 else "retry", cell, indices[cell],
-                 attempt=attempts[cell])
-            return pool.submit(_run_cell_timed, cell, config, timeout)
-
-        def fail(cell: Cell, exc: BaseException) -> None:
-            errors[cell] = exc
-            outcome = CellOutcome(
-                cell, "failed", attempts[cell], time.time() - starts[cell],
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            finish(cell, outcome)
-            emit("failed", cell, indices[cell], elapsed=outcome.elapsed,
-                 attempt=outcome.attempts, error=outcome.error)
-
-        running: dict[Future, Cell] = {submit(cell): cell for _, cell in pending}
-        while running:
-            done, _ = wait(list(running), return_when=FIRST_COMPLETED)
-            for future in done:
-                cell = running.pop(future)
-                try:
-                    elapsed, histories[cell] = future.result()
-                except Exception as exc:  # noqa: BLE001 - per-cell isolation
-                    broken = "BrokenProcessPool" in type(exc).__name__
-                    if attempts[cell] <= retries and not broken:
-                        try:
-                            running[submit(cell)] = cell
-                        except Exception as submit_exc:  # noqa: BLE001 - pool may be broken
-                            fail(cell, submit_exc)
-                        continue
-                    fail(cell, exc)
-                    continue
-                outcome = CellOutcome(cell, "done", attempts[cell], elapsed)
-                finish(cell, outcome)
-                emit("done", cell, indices[cell], elapsed=outcome.elapsed,
-                     attempt=outcome.attempts, error=outcome.error)
-
-
-def sweep(
-    benchmarks: Iterable[Benchmark | str],
-    tuners: Sequence[str],
-    config: ExperimentConfig | None = None,
-    budget: int | None = None,
-    seeds: Sequence[int] | None = None,
-    **run_kwargs: Any,
-) -> SweepResult:
-    """Enumerate the grid and execute it: ``run_cells(enumerate_cells(...))``."""
-    config = config or default_config()
-    cells = enumerate_cells(benchmarks, tuners, config, budget=budget, seeds=seeds)
-    return run_cells(cells, config, **run_kwargs)

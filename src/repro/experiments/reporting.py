@@ -67,11 +67,8 @@ def format_cell_event(event: Any) -> str:
         return f"{head} cached  {where}"
     if event.kind == "done":
         return f"{head} done    {where} ({event.elapsed:.1f}s)"
-    if event.kind == "retry":
-        suffix = f": {event.error}" if event.error else ""
-        return f"{head} retry   {where} (attempt {event.attempt}{suffix})"
     if event.kind == "failed":
-        return f"{head} FAILED  {where} after {event.attempt} attempt(s): {event.error}"
+        return f"{head} FAILED  {where}: {event.error}"
     return f"{head} {event.kind:<7} {where}"
 
 

@@ -3,8 +3,8 @@
 The paper's figures and tables all derive from the same raw data: tuning
 histories of each autotuner on each benchmark, repeated over several seeds.
 :func:`run_single` produces one such history (and caches it as JSON under the
-configured cache directory); :func:`run_benchmark` and :func:`run_suite` fan
-out over repetitions / tuners / benchmarks.
+configured cache directory); :func:`run_benchmark` fans out over repetitions
+and tuners.
 
 Tuner *variants* cover every algorithm configuration appearing in the
 evaluation: the five main tuners of Fig. 5/7, the BaCO--, Ytopt (GP) and
@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..baselines.opentuner import OpenTunerLikeTuner
 from ..baselines.random_search import CoTSamplingTuner, UniformSamplingTuner
@@ -47,7 +47,6 @@ __all__ = [
     "save_session",
     "run_single",
     "run_benchmark",
-    "run_suite",
 ]
 
 #: the five tuners compared throughout the evaluation (Fig. 5, 7, Tables 5-9)
@@ -164,34 +163,25 @@ def make_tuner(
 # caching
 # ---------------------------------------------------------------------------
 
-def _effective_eval_workers(config: ExperimentConfig, benchmark: str) -> int:
-    """The ask() batch size a run of this benchmark will actually use.
-
-    Ad-hoc benchmarks cannot be re-resolved inside evaluation workers, so
-    they always run the serial trace regardless of ``config.eval_workers`` —
-    and must cache under the serial identity.
-    """
-    if config.eval_workers > 1 and _registry_resolvable(benchmark):
-        return config.eval_workers
-    return 1
-
-
 def _cache_path(
     config: ExperimentConfig, benchmark: str, tuner: str, budget: int, seed: int
 ) -> Path:
     key = f"{benchmark}|{tuner}|{budget}|{seed}|{config.fidelity}"
-    suffix = ""
-    eval_workers = _effective_eval_workers(config, benchmark)
-    if eval_workers > 1:
-        # batched ask/tell evaluation legitimately changes the trace, so it
-        # gets its own cache identity; serial paths keep their historical keys
-        key += f"|q{eval_workers}"
-        suffix = f"__q{eval_workers}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:20]
     safe_tuner = "".join(c if c.isalnum() else "_" for c in tuner)
-    return config.cache_dir / (
-        f"{benchmark}__{safe_tuner}__b{budget}__s{seed}{suffix}__{digest}.json"
-    )
+    return config.cache_dir / f"{benchmark}__{safe_tuner}__b{budget}__s{seed}__{digest}.json"
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a synced temp file, so a crash
+    leaves the old file or the new one, never a torn one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "w") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())  # survive a hard kill right after the rename
+    os.replace(tmp, path)
 
 
 #: history fields that are wall-clock measurements, not part of the algorithmic
@@ -265,18 +255,13 @@ def run_single(
         # unlinked and recomputed
         path.unlink(missing_ok=True)
     tuner = make_tuner(tuner_name, benchmark.space, seed, fidelity=config.fidelity)
-    eval_workers = _effective_eval_workers(config, benchmark.name)
-    if eval_workers > 1:
-        session = tuner.start_session(budget, benchmark_name=benchmark.name)
-        history = drive_parallel(session, eval_workers)
-    else:
-        history = tuner.tune(benchmark.evaluator, budget, benchmark_name=benchmark.name)
+    history = tuner.tune(benchmark.evaluator, budget, benchmark_name=benchmark.name)
     if config.use_cache:
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = history.to_dict()
         timings = {fld: payload.pop(fld) for fld in _TIMING_FIELDS if fld in payload}
-        path.write_text(json.dumps(payload))
-        _timing_path(path).write_text(json.dumps(timings))
+        # the history lands last: a file load_history accepts has its sidecar
+        _write_atomically(_timing_path(path), json.dumps(timings))
+        _write_atomically(path, json.dumps(payload))
     return history
 
 
@@ -394,20 +379,14 @@ def save_session(session: TuningSession, path: Path | str, fidelity: str | None 
     path = Path(path)
     if fidelity is not None:
         session.meta["fidelity"] = fidelity
-    payload = session.snapshot()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as handle:
-        handle.write(json.dumps(payload))
-        handle.flush()
-        os.fsync(handle.fileno())  # survive a hard kill right after the rename
-    os.replace(tmp, path)
+    _write_atomically(path, json.dumps(session.snapshot()))
     return path
 
 
 #: the fields :func:`restore_session` reads to rebuild the tuner; the rest of
 #: the snapshot is checked by :meth:`TuningSession.restore`.  ``meta`` holds
-#: what :func:`make_session` records, and stays open: old checkpoints carry
+#: what :func:`make_session` records plus the ``ask()`` batch size ``repro
+#: tune`` drives the session with, and stays open: old checkpoints carry
 #: keys no longer read (``propagate``).
 _CHECKPOINT = {
     "session": {"benchmark_name": schema.string, ...: ...},
@@ -415,6 +394,7 @@ _CHECKPOINT = {
     "meta": {
         "fidelity": schema.one_of(*FIDELITIES),
         "surrogate_policy?": schema.string,
+        "batch_size?": schema.integer(1),
         ...: ...,
     },
     ...: ...,
@@ -467,9 +447,9 @@ def run_benchmark(
     """Run several tuners on one benchmark for ``config.repetitions`` seeds.
 
     Execution is delegated to :mod:`repro.experiments.orchestrator`: with
-    ``config.workers == 1`` (the default) the cells run serially in-process
-    exactly as before; with more workers they fan out over a process pool and
-    produce bit-identical cached histories.
+    ``config.workers == 1`` (the default) the cells run serially in-process;
+    with more workers they fan out over a process pool and produce
+    bit-identical cached histories.
     """
     config = config or default_config()
     if isinstance(benchmark, str):
@@ -492,19 +472,3 @@ def run_benchmark(
         raise_on_error=True,
     )
     return {tuner: [result.history(cell) for cell in cells] for tuner, cells in grid.items()}
-
-
-def run_suite(
-    benchmark_names: Iterable[str],
-    tuner_names: Sequence[str] = MAIN_TUNERS,
-    config: ExperimentConfig | None = None,
-) -> dict[str, dict[str, list[TuningHistory]]]:
-    """Run the full cross product benchmark x tuner x repetition.
-
-    Parallelism and resume behavior follow ``config.workers`` / ``config.resume``
-    (see :mod:`repro.experiments.orchestrator`).
-    """
-    config = config or default_config()
-    return {
-        name: run_benchmark(name, tuner_names, config=config) for name in benchmark_names
-    }

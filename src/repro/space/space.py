@@ -92,18 +92,8 @@ class SearchSpace:
             self._build_chain_of_trees(max_cot_nodes)
         #: lazily built vectorized-path caches (compiled constraint closures,
         #: per-tree encoded leaf matrices, narrowed free-parameter values,
-        #: neighbourhood tables), each published by one assignment.
-        #: Kept in one dict so pickling can drop them — they are rebuilt on
-        #: demand after unpickling.
+        #: neighbourhood tables), each published by one assignment
         self._vector_caches: dict[str, Any] = {}
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_vector_caches"] = {}
-        # the encoder cached_property is picklable, but compiled closures are
-        # not; `encoder` itself is cheap to rebuild so drop it alongside
-        state.pop("encoder", None)
-        return state
 
     def _narrowed_values(self) -> dict[str, list]:
         """Values of the free parameters that unary constraints narrow, cached.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +57,26 @@ class TestConfig:
         assert config.repetitions == 7
         assert config.budget_scale == 0.25
         assert config.fidelity == "paper"
+
+    def test_default_cache_is_the_checkouts_from_any_directory(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        checkout = Path(__file__).resolve().parents[1]
+        assert default_config().cache_dir == checkout / "results" / "cache"
+
+    @pytest.mark.parametrize("variable, value", [
+        ("REPRO_BUDGET_SCALE", "1,0"),
+        ("REPRO_REPETITIONS", "thirty"),
+        ("REPRO_USE_CACHE", "false"),
+        ("REPRO_FULL_SUITE", "true"),
+        ("REPRO_WORKERS", "0"),
+    ])
+    def test_malformed_env_value_raises_naming_it(self, monkeypatch, variable, value):
+        """Each of these used to fall back silently (to 0.5, 3, True, False
+        and 1), so a typo ran the CI-scale experiment."""
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError, match=f"^{variable}="):
+            default_config()
 
 
 class TestMetrics:

@@ -21,7 +21,6 @@ from repro.experiments.runner import (
     make_session,
     make_tuner,
     run_single,
-    run_suite,
     save_session,
 )
 from repro.workloads import get_benchmark
@@ -129,13 +128,6 @@ class TestCaching:
         config = ExperimentConfig(repetitions=1, cache_dir=tmp_path, use_cache=False)
         run_single("hpvm_bfs", "CoT Sampling", budget=5, seed=0, config=config)
         assert not list(tmp_path.glob("*.json"))
-
-    def test_run_suite_structure(self, tmp_path):
-        config = ExperimentConfig(repetitions=1, budget_scale=0.5, cache_dir=tmp_path)
-        results = run_suite(["hpvm_bfs"], ("Uniform Sampling",), config=config)
-        assert set(results) == {"hpvm_bfs"}
-        assert set(results["hpvm_bfs"]) == {"Uniform Sampling"}
-        assert len(results["hpvm_bfs"]["Uniform Sampling"]) == 1
 
     def test_cached_histories_are_seed_deterministic(self, tmp_path):
         """Two fresh runs with the same seed produce identical traces."""
@@ -277,3 +269,52 @@ class TestTamperedCheckpoint:
         assert main(["tune", "--resume", "--checkpoint", str(checkpoint), "--quiet"]) == 2
         named = "'meta.fidelity'" if field == "meta" else "'tuner_state'"
         assert named in capsys.readouterr().err
+
+
+class TestBatchedTune:
+    """``repro tune --eval-workers q`` drives ``ask(q)`` batches over a
+    process pool, records ``q`` in the checkpoint, and ``--resume`` reads it
+    back: a ``q = 2`` run used to finish serially when resumed without the
+    flag, a trace no single ``q`` produces."""
+
+    CELL = ["--benchmark", "hpvm_bfs", "--tuner", "BaCO", "--budget", "12", "--seed", "7"]
+
+    def _tune(self, *argv: str) -> int:
+        from repro.__main__ import main
+
+        return main(["tune", *argv, "--quiet"])
+
+    def test_matches_an_in_process_batched_drive(self, tmp_path):
+        from repro.core.session import drive
+
+        out = tmp_path / "pool.json"
+        assert self._tune(*self.CELL, "--eval-workers", "2", "--out", str(out)) == 0
+        session, benchmark = make_session("hpvm_bfs", "BaCO", 12, 7)
+        expected = drive(session, benchmark.evaluator, batch_size=2).to_dict()
+        for fld in ("tuner_seconds", "evaluation_seconds"):
+            del expected[fld]
+        assert json.loads(out.read_text()) == expected
+
+    def test_resume_keeps_the_batch_size(self, tmp_path):
+        checkpoint, resumed, straight = (
+            tmp_path / "run.ckpt.json", tmp_path / "resumed.json", tmp_path / "straight.json"
+        )
+        assert self._tune(*self.CELL, "--eval-workers", "2", "--stop-after", "6",
+                          "--checkpoint", str(checkpoint)) == 0
+        assert json.loads(checkpoint.read_text())["meta"]["batch_size"] == 2
+        assert self._tune("--resume", "--checkpoint", str(checkpoint),
+                          "--out", str(resumed)) == 0
+        assert self._tune(*self.CELL, "--eval-workers", "2", "--out", str(straight)) == 0
+        assert resumed.read_bytes() == straight.read_bytes()
+
+    def test_eval_workers_with_resume_exits_2(self, tmp_path, capsys):
+        checkpoint = tmp_path / "run.ckpt.json"
+        assert self._tune(*self.CELL, "--stop-after", "2", "--checkpoint", str(checkpoint)) == 0
+        assert self._tune("--resume", "--checkpoint", str(checkpoint),
+                          "--eval-workers", "2") == 2
+        assert "--eval-workers cannot be combined with --resume" in capsys.readouterr().err
+        payload = json.loads(checkpoint.read_text())
+        payload["meta"]["batch_size"] = 0
+        checkpoint.write_text(json.dumps(payload))
+        assert self._tune("--resume", "--checkpoint", str(checkpoint)) == 2
+        assert "'meta.batch_size'" in capsys.readouterr().err
