@@ -2,11 +2,13 @@
 """Parallel sweep: fan a small experiment grid out over worker processes.
 
 Enumerates the (benchmark, tuner, seed) cell grid for two HPVM2FPGA kernels
-and two sampling baselines, executes it on a 2-worker process pool through
-the experiment orchestrator, and prints the per-cell progress events plus a
-best-value report from the cached histories.  Re-running the script is
-(nearly) instant: every cell is already satisfied by the on-disk cache and
-the sweep only replays "cached" events.
+and two sampling baselines and sweeps it twice through the experiment
+orchestrator, into one temporary cache directory that is removed on exit.
+The first pass executes every cell on a 2-worker process pool; the second
+is (nearly) instant, because every cell is already satisfied by the on-disk
+cache, so its summary reads ``0 done, 8 cached, 0 failed``.  The script
+prints each pass's per-cell progress events and summary, then a best-value
+report from the cached histories.
 
 The same engine powers the command-line interface:
 
@@ -34,18 +36,20 @@ TUNERS = ("Uniform Sampling", "CoT Sampling")
 
 
 def main() -> int:
-    cache_dir = Path(tempfile.mkdtemp(prefix="repro-sweep-"))
-    config = ExperimentConfig(repetitions=2, cache_dir=cache_dir, workers=2)
+    with tempfile.TemporaryDirectory(prefix="repro-sweep-") as cache_dir:
+        config = ExperimentConfig(repetitions=2, cache_dir=Path(cache_dir), workers=2)
+        cells = enumerate_cells(BENCHMARKS, TUNERS, config)
+        print(f"grid: {len(cells)} cells = {len(BENCHMARKS)} benchmarks "
+              f"x {len(TUNERS)} tuners x {config.repetitions} seeds")
 
-    cells = enumerate_cells(BENCHMARKS, TUNERS, config)
-    print(f"grid: {len(cells)} cells = {len(BENCHMARKS)} benchmarks "
-          f"x {len(TUNERS)} tuners x {config.repetitions} seeds\n")
-
-    result = run_cells(
-        cells, config, on_event=lambda event: print(format_cell_event(event))
-    )
-    print("\n" + format_sweep_summary(result.counts, result.elapsed, config.workers))
-    print(f"manifest: {result.manifest_file}\n")
+        for label in ("first pass: every cell runs", "second pass: every cell is cached"):
+            print(f"\n{label}")
+            result = run_cells(
+                cells, config, on_event=lambda event: print(format_cell_event(event))
+            )
+            print(format_sweep_summary(result.counts, result.elapsed, config.workers))
+            if result.failures:
+                return 1
 
     headers = ["Benchmark", *TUNERS]
     rows = []
@@ -59,8 +63,8 @@ def main() -> int:
             ]
             row.append(mean_best_value(histories))
         rows.append(row)
-    print(format_table(headers, rows, title="mean best value over seeds"))
-    return 1 if result.failures else 0
+    print("\n" + format_table(headers, rows, title="mean best value over seeds"))
+    return 0
 
 
 if __name__ == "__main__":

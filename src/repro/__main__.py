@@ -223,6 +223,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from .core.session import drive
     from .experiments.runner import drive_parallel, load_session, make_session, save_session
 
+    for flag, value in (
+        ("--eval-workers", args.eval_workers),
+        ("--checkpoint-every", args.checkpoint_every),
+        ("--stop-after", args.stop_after),
+    ):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return 2
     checkpoint = args.checkpoint
     if args.resume:
         if checkpoint is None or not checkpoint.exists():
@@ -263,7 +271,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             fidelity=args.fidelity or "fast",
             surrogate_policy=args.surrogate_policy,
         )
-        session.meta["batch_size"] = max(1, args.eval_workers or 1)
+        session.meta["batch_size"] = args.eval_workers or 1
     batch_size = session.meta.get("batch_size", 1)
 
     stop_after = args.stop_after

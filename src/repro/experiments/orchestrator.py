@@ -361,7 +361,12 @@ def run_cells(
 
     if config.use_cache:
         for cell, outcome in outcomes.items():
-            if outcome.status == "cached" and cell.key not in manifest["cells"]:
+            # a cell recorded as failed whose history has since become valid
+            # is cached now, as ``repro status`` counts it
+            recorded = manifest["cells"].get(cell.key)
+            if outcome.status == "cached" and (
+                not isinstance(recorded, dict) or recorded.get("status") == "failed"
+            ):
                 _record(manifest, config, outcome)
         _write_manifest(config, manifest)
 

@@ -62,7 +62,7 @@ from scipy import linalg, optimize
 
 from ..space.parameters import Parameter
 from .distances import DistanceComputer
-from .kernels import KernelWork, matern52
+from .kernels import matern52, matern52_of_distance
 from .priors import GammaLogDensities, GammaPrior
 
 __all__ = ["GaussianProcess", "GPHyperparameters"]
@@ -107,33 +107,56 @@ class _MapObjective:
       last two axes, so that the row-major kernel buffer holds ``Kᵀ``.  Its
       transpose is ``K`` in the column-major order LAPACK works in, so
       ``potrf`` factors it in place and reads the lower triangle of ``K``;
-    * :class:`~repro.models.kernels.KernelWork` arrays that the kernel fills
-      with the same ufuncs, in the same order, as an allocating build;
     * the LAPACK ``potrf`` / ``potrs`` that ``scipy.linalg.cholesky`` /
       ``cho_solve`` call, without their argument checks and batch wrapper.
 
-    The noise goes onto the diagonal in place.  That equals adding
-    ``(σ² + jitter)·I``, whose off-diagonal terms only add +0.0.  ``K`` is
-    still checked for NaN and inf on every call, as ``cholesky`` checks it,
-    and ``y`` once per fit, so bad inputs raise ``ValueError`` at the same
-    point as before.  Every float operation is the reference's, in its order,
-    so the value is bit-identical; ``tests/test_gp_map_objective.py`` pins it.
+    The last vector scored in full is the *base*.  Its scaled slices
+    ``(dᵢ/lᵢ)²``, their running sums along the parameter axis, its distance
+    matrix and its noiseless kernel are kept, so the probes of a
+    finite-difference gradient, which each change one coordinate of the base,
+    skip the tensor build:
+
+    * a lengthscale probe recomputes its slice ``i`` alone, adds it to the
+      running sum through ``i − 1`` and then adds the base slices
+      ``i + 1 … D − 1``: the additions, in the order, of the axis-0 sum of a
+      full build, which adds the slices one after another;
+    * an outputscale probe runs the Matérn stage on the base distance matrix;
+    * a noise probe, or the base vector again, copies the base kernel.
+
+    Any other vector is built in full (:meth:`_build_base`) and becomes the
+    base.  The path depends only on the vector and the base, never on who
+    calls, and each gives the bits of a full build.  The noise goes onto the
+    diagonal in place.  That equals adding ``(σ² + jitter)·I``, whose
+    off-diagonal terms only add +0.0.  ``K`` is still checked for NaN and inf
+    on every call, as ``cholesky`` checks it, and ``y`` once per fit, so bad
+    inputs raise ``ValueError`` at the same point as before.  Every float
+    operation is the reference's, in its order, so the value is
+    bit-identical; ``tests/test_gp_map_objective.py`` pins it.
     """
 
     def __init__(
         self, gp: "GaussianProcess", distance_tensor: np.ndarray, y: np.ndarray
     ) -> None:
         self._tensor = np.ascontiguousarray(np.swapaxes(distance_tensor, 1, 2))
-        self._work = KernelWork(self._tensor.shape)
-        n = len(y)
-        self._diagonal = self._work.kernel.reshape(-1)[:: n + 1]
+        d, n = self._tensor.shape[0], len(y)
+        self._kernel = np.empty((n, n))
+        self._diagonal = self._kernel.reshape(-1)[:: n + 1]
+        self._probe = np.empty((n, n))
+        # the base: exp of its vector (NaN, equal to nothing, while unset),
+        # its slices, their running sums (the first is slice 0 itself), its
+        # distance matrix and its noiseless kernel
+        self._no_base = np.full(d + 2, np.nan)
+        self._base_values = self._no_base
+        self._slices = np.empty_like(self._tensor)
+        self._sums = [self._slices[0], *np.empty((d - 1, n, n))]
+        self._base_distance = np.empty((n, n))
+        self._base_kernel = np.empty((n, n))
         self._y = y
         self._y_finite = bool(np.isfinite(y).all())
         self._log_2pi_term = 0.5 * n * math.log(2.0 * math.pi)
         # exp(vector) holds the lengthscales, the outputscale and the noise;
         # their prior terms are subtracted in the order lengthscales, noise,
         # outputscale, and a missing prior drops its entries
-        d = self._tensor.shape[0]
         index: list[int] = []
         priors: list[GammaPrior] = []
         for entries, prior in (
@@ -148,15 +171,14 @@ class _MapObjective:
         self._prior_index = np.array(index, dtype=np.intp)
         self._log_priors = GammaLogDensities(priors)
         self._potrf, self._potrs = linalg.get_lapack_funcs(
-            ("potrf", "potrs"), (self._work.kernel,)
+            ("potrf", "potrs"), (self._kernel,)
         )
 
     def __call__(self, vector: np.ndarray) -> float:
         # GPHyperparameters.from_vector, keeping the exp'd vector for the priors
         values = np.exp(np.asarray(vector, dtype=float))
-        hp = GPHyperparameters(values[:-2], float(values[-2]), float(values[-1]))
-        k_t = matern52(self._tensor, hp.lengthscales, hp.outputscale, out=self._work)
-        self._diagonal += hp.noise_variance + _JITTER
+        k_t = self._noiseless_kernel(values)
+        self._diagonal += float(values[-1]) + _JITTER
         if not np.isfinite(k_t).all():
             raise ValueError("array must not contain infs or NaNs")
         chol, info = self._potrf(k_t.T, lower=1, overwrite_a=1, clean=0)
@@ -180,6 +202,45 @@ class _MapObjective:
         if not math.isfinite(nll):
             return 1e25
         return nll
+
+    def _noiseless_kernel(self, values: np.ndarray) -> np.ndarray:
+        """``Kᵀ`` without the noise for ``exp(vector)``, in the kernel buffer."""
+        d = len(self._sums)
+        changed = (values != self._base_values).nonzero()[0]
+        if len(changed) == 1 and changed[0] < d:
+            return self._lengthscale_probe(values, int(changed[0]))
+        if len(changed) == 1 and changed[0] == d:
+            return matern52_of_distance(
+                self._base_distance, float(values[d]), out=self._kernel
+            )
+        if len(changed) > 1:
+            self._build_base(values)
+        # a new base, a noise probe or the base vector again
+        np.copyto(self._kernel, self._base_kernel)
+        return self._kernel
+
+    def _build_base(self, values: np.ndarray) -> None:
+        """Build every base array for ``values``, then make it the base."""
+        d = len(self._sums)
+        self._base_values = self._no_base  # the arrays below stop matching it
+        np.divide(self._tensor, values[:d].reshape(-1, 1, 1), out=self._slices)
+        np.square(self._slices, out=self._slices)
+        for j in range(1, d):
+            np.add(self._sums[j - 1], self._slices[j], out=self._sums[j])
+        np.sqrt(self._sums[-1], out=self._base_distance)
+        matern52_of_distance(self._base_distance, float(values[d]), out=self._base_kernel)
+        self._base_values = values
+
+    def _lengthscale_probe(self, values: np.ndarray, i: int) -> np.ndarray:
+        """The base with lengthscale ``i`` replaced; writes no base array."""
+        total = np.divide(self._tensor[i], values[i], out=self._probe)
+        np.square(total, out=total)
+        if i:
+            np.add(self._sums[i - 1], total, out=total)
+        for base_slice in self._slices[i + 1 :]:
+            np.add(total, base_slice, out=total)
+        np.sqrt(total, out=total)
+        return matern52_of_distance(total, float(values[len(self._sums)]), out=self._kernel)
 
 
 class GaussianProcess:

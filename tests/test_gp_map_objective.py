@@ -1,8 +1,10 @@
 """Bit-identity of the GP's MAP objective against its reference oracle.
 
 ``GaussianProcess.fit_rows`` scores hyper-parameter vectors with
-``repro.models.gp._MapObjective``, which preallocates its arrays once per fit
-and calls LAPACK directly.  :func:`reference_negative_log_posterior` below is
+``repro.models.gp._MapObjective``, which preallocates its arrays once per
+fit, calls LAPACK directly and scores a vector one coordinate away from its
+last full build (a finite-difference probe) from that build's cached
+slices and sums.  :func:`reference_negative_log_posterior` below is
 the straightforward form it replaced: an allocating kernel build, ``K +
 (σ² + jitter)·I``, ``scipy.linalg.cholesky`` / ``cho_solve`` and
 ``scipy.stats.gamma.logpdf`` priors.  The objective must equal it exactly —
@@ -11,8 +13,9 @@ checkpoint depends on the hyper-parameters the fit lands on.
 
 Also here: the fused prior term ``GammaLogDensities`` and its per-prior
 oracle ``gamma_log_pdf`` against ``scipy.stats.gamma.logpdf``, the Matérn
-kernel's ``out=`` buffers against the allocating formula, the errors a fit
-raises on non-finite input, and a failed fit leaving the GP unchanged.
+kernel and its distance-to-kernel stage against the allocating formula, the
+errors a fit raises on non-finite input, and a failed fit leaving the GP
+unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.core.baco import BacoSettings, BacoTuner
 from repro.core.result import ObjectiveResult
 from repro.models.distances import DistanceComputer, IncrementalDistanceTensor
 from repro.models.gp import GaussianProcess, GPHyperparameters, _MapObjective
-from repro.models.kernels import KernelWork, matern52
+from repro.models.kernels import matern52, matern52_of_distance, scaled_distance
 from repro.models.priors import GammaLogDensities, GammaPrior
 from repro.space.parameters import (
     CategoricalParameter,
@@ -246,6 +249,158 @@ class TestMapObjective:
         assert _MapObjective(gp, tensor, y)(vector) == 1e25
 
 
+#: scipy's finite-difference step for L-BFGS-B, relative to max(1, |x|)
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+class TestProbes:
+    """One objective scores a whole sequence of calls, as L-BFGS-B makes
+    them, so its probe path (a vector one coordinate away from the last one
+    it built in full) is pinned to the oracle like its full builds."""
+
+    @given(
+        kinds=st.lists(st.integers(0, len(_MAKERS) - 1), min_size=1, max_size=12),
+        n=st.integers(2, 130),
+        seed=st.integers(0, 2**31 - 1),
+        strided=st.booleans(),
+        ls_prior=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_call_sequences_equal_reference_exactly(
+        self, kinds, n, seed, strided, ls_prior, data
+    ):
+        parameters = _parameters(kinds)
+        computer = DistanceComputer(parameters)
+        configs, _ = _dataset(parameters, seed, n)
+        tensor = _train_tensor(computer, computer.encoder.encode_batch(configs), strided)
+        y = np.random.default_rng(seed).normal(size=n)
+        gp = _gp(parameters, computer, ls_prior=ls_prior)
+        objective = _MapObjective(gp, tensor, y)
+        bounds = gp._hyper_bounds()
+        indices = st.integers(0, len(bounds) - 1)
+
+        def fresh():
+            return np.array([data.draw(st.floats(low, high), label="base") for low, high in bounds])
+
+        def probe(vector, i):
+            low, high = bounds[i]
+            fd_step = _FD_STEP * max(1.0, abs(vector[i]))
+            target = data.draw(
+                st.one_of(
+                    st.sampled_from([vector[i] + fd_step, vector[i] - fd_step, low, high]),
+                    st.floats(-5.0, 5.0).map(lambda step: vector[i] + step),
+                ),
+                label=f"probe {i}",
+            )
+            probed = vector.copy()
+            probed[i] = min(max(target, low), high)
+            return probed
+
+        def check(vector):
+            expected = reference_negative_log_posterior(gp, tensor, vector, y)
+            assert objective(vector) == expected
+
+        bases = [fresh()]
+        check(bases[0])
+        for i in data.draw(st.permutations(range(len(bounds))), label="every index"):
+            check(probe(bases[0], i))
+        last = bases[0]
+        for op in data.draw(
+            st.lists(st.sampled_from(["base", "probe", "old base probe", "repeat"]), max_size=12),
+            label="ops",
+        ):
+            if op == "base":
+                bases.append(fresh())
+                last = bases[-1]
+            elif op == "probe":
+                last = probe(bases[-1], data.draw(indices))
+            elif op == "old base probe":
+                last = probe(data.draw(st.sampled_from(bases)), data.draw(indices))
+            else:
+                last = last.copy()
+            check(last)
+
+    @staticmethod
+    def _counted(monkeypatch):
+        builds = []
+        build_base = _MapObjective._build_base
+
+        def counting(self, values):
+            builds.append(values.copy())
+            return build_base(self, values)
+
+        monkeypatch.setattr(_MapObjective, "_build_base", counting)
+        return builds
+
+    def test_one_coordinate_probes_skip_the_tensor_build(self, monkeypatch):
+        builds = self._counted(monkeypatch)
+        parameters = _parameters([0, 1, 2, 3, 4])
+        computer = DistanceComputer(parameters)
+        configs, _ = _dataset(parameters, 4, 30)
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
+        y = np.random.default_rng(4).normal(size=30)
+        gp = _gp(parameters, computer)
+        objective = _MapObjective(gp, tensor, y)
+        rng = np.random.default_rng(4)
+        base = np.array([rng.uniform(low, high) for low, high in gp._hyper_bounds()])
+        assert objective(base) == reference_negative_log_posterior(gp, tensor, base, y)
+        assert len(builds) == 1
+        for i in range(len(base)):
+            for step in (_FD_STEP, -_FD_STEP):
+                probed = base.copy()
+                probed[i] += step
+                assert objective(probed) == reference_negative_log_posterior(gp, tensor, probed, y)
+        assert objective(base.copy()) == reference_negative_log_posterior(gp, tensor, base, y)
+        assert len(builds) == 1
+        moved = base.copy()
+        moved[[0, -1]] += _FD_STEP
+        assert objective(moved) == reference_negative_log_posterior(gp, tensor, moved, y)
+        assert len(builds) == 2
+        assert _same_bits(builds[1], np.exp(moved))
+
+    def test_an_indefinite_probe_scores_1e25_and_the_next_matches(self):
+        """A noise probe that makes ``K`` indefinite scores 1e25; ``potrf``
+        overwrote only the probe's buffer, so the next probes still match."""
+        parameters = [OrdinalParameter("t", [1, 2, 4, 8]), IntegerParameter("u", 1, 9)]
+        computer = DistanceComputer(parameters)
+        gp = _gp(parameters, computer)
+        tensor = _path_tensor(2, 20)
+        y = np.random.default_rng(5).normal(size=20)
+        objective = _MapObjective(gp, tensor, y)
+        base = np.zeros(4)  # K = I + A on the path; noise 1 keeps it definite
+        sequence = [base, base + [0.0, 0.0, 0.0, math.log(1e-8)], base + [0.3, 0.0, 0.0, 0.0],
+                    base + [0.0, 0.0, -1.0, 0.0], base + [0.0, 0.0, 0.0, -0.1], base]
+        values = [objective(vector) for vector in sequence]
+        assert values[1] == 1e25
+        assert values[0] != 1e25 and values[2] != 1e25
+        for vector, value in zip(sequence, values):
+            assert value == reference_negative_log_posterior(gp, tensor, vector, y)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_tensor_raises_on_probes_too(self, monkeypatch, bad):
+        builds = self._counted(monkeypatch)
+        parameters = _parameters([0, 1, 2, 3])
+        computer = DistanceComputer(parameters)
+        configs, _ = _dataset(parameters, 6, 12)
+        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
+        tensor[1, 2, 5] = tensor[1, 5, 2] = bad
+        y = np.random.default_rng(6).normal(size=12)
+        gp = _gp(parameters, computer)
+        objective = _MapObjective(gp, tensor, y)
+        base = np.zeros(len(gp._hyper_bounds()))
+        for i in [None, *range(len(base))]:
+            vector = base.copy()
+            if i is not None:
+                vector[i] += _FD_STEP
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                reference_negative_log_posterior(gp, tensor, vector, y)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                objective(vector)
+        assert len(builds) == 1
+
+
 class TestFitParity:
     """Whole fits land on the same bits under the objective and the oracle."""
 
@@ -282,7 +437,7 @@ class TestFitParity:
 
 
 # ---------------------------------------------------------------------------
-# the prior and the kernel buffers
+# the prior and the kernel
 # ---------------------------------------------------------------------------
 
 
@@ -327,21 +482,27 @@ class TestGammaPriorMatchesScipy:
         assert _same_bits(mixed, [reference_log_pdf(p, v) for p, v in zip(self.PRIORS, values)])
 
 
-class TestKernelWork:
+class TestMatern52:
     @pytest.mark.parametrize("shape", [(3, 7, 7), (3, 5, 9), (4, 6)])
-    def test_same_bits_with_and_without_out(self, shape):
+    def test_same_bits_as_the_reference(self, shape):
+        """``matern52`` on a strided view, and its Matérn stage written into
+        ``out``, equal the allocating formula; the stage leaves its distance
+        matrix as it was, so the objective can reuse the base's."""
         rng = np.random.default_rng(11)
         buffer = rng.random((shape[0], *(s + 3 for s in shape[1:])))
         tensor = buffer[(slice(None), *(slice(0, s) for s in shape[1:]))]  # strided view
-        work = KernelWork(shape)
+        out = np.empty(shape[1:])
         for _ in range(3):
             lengthscales = rng.uniform(0.01, 10.0, shape[0])
             outputscale = float(rng.uniform(0.01, 100.0))
             expected = reference_kernel(tensor, lengthscales, outputscale)
             assert _same_bits(matern52(tensor, lengthscales, outputscale), expected)
-            got = matern52(tensor, lengthscales, outputscale, out=work)
-            assert got is work.kernel
+            distance = scaled_distance(tensor, lengthscales)
+            before = distance.copy()
+            got = matern52_of_distance(distance, outputscale, out=out)
+            assert got is out
             assert _same_bits(got, expected)
+            assert _same_bits(distance, before)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,39 @@ class TestCellFailures:
         with pytest.raises(RuntimeError, match="boom"):
             run_cells(cells[:1], config, raise_on_error=True)
 
+    def test_a_failed_cell_that_gets_a_history_is_recorded_cached(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A cell that failed and then got a valid history used to stay
+        ``failed`` in the manifest while ``repro status`` counted it cached."""
+        from repro.__main__ import main
+
+        config = _config(tmp_path)
+        [cell] = enumerate_cells(["hpvm_bfs"], ["Uniform Sampling"], config, budget=BUDGET)[:1]
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return run_single(*args, **kwargs)
+
+        monkeypatch.setattr("repro.experiments.orchestrator.run_single", fails_once)
+        assert run_cells([cell], config).outcomes[cell].status == "failed"
+        assert load_manifest(config)["cells"][cell.key]["status"] == "failed"
+        fails_once(cell.benchmark, cell.tuner, cell.budget, cell.seed, config)
+        assert run_cells([cell], config).outcomes[cell].status == "cached"
+        assert len(calls) == 2
+        entry = load_manifest(config)["cells"][cell.key]
+        assert (entry["status"], entry["error"]) == ("cached", "")
+        capsys.readouterr()
+        assert main(["status", "--benchmarks", "hpvm_bfs", "--tuners", "Uniform Sampling",
+                     "--repetitions", "1", "--budget", str(BUDGET),
+                     "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "(1 cached, 0 missing)" in out
+        assert out.rstrip().endswith("— 1 cached")
+
 
 class TestRunnerDelegation:
     def test_run_benchmark_parallel_matches_serial(self, tmp_path):

@@ -318,3 +318,21 @@ class TestBatchedTune:
         checkpoint.write_text(json.dumps(payload))
         assert self._tune("--resume", "--checkpoint", str(checkpoint)) == 2
         assert "'meta.batch_size'" in capsys.readouterr().err
+
+
+class TestTuneCountsBelowOne:
+    """``repro tune`` exits 2 naming the flag for a count below 1, as it does
+    for ``--budget 0``: ``--eval-workers 0`` and ``-3`` used to run serially,
+    ``--checkpoint-every 0`` to save after every tell, and ``--stop-after 0``
+    to stop after one evaluation."""
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--eval-workers", "--checkpoint-every", "--stop-after"])
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, flag, value):
+        from repro.__main__ import main
+
+        checkpoint = tmp_path / "run.ckpt.json"
+        argv = [*TestBatchedTune.CELL, "--checkpoint", str(checkpoint), flag, value]
+        assert main(["tune", *argv, "--quiet"]) == 2
+        assert f"error: {flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not checkpoint.exists()

@@ -2,11 +2,13 @@
 
 A trajectory is a deterministic function of (tuner, seed, budget), so the
 work it does is too: how many GP fits, Cholesky extensions, MAP-objective
-evaluations, feasibility fits and draws it makes, how many rows it predicts
-and how many neighbours its climb builds.  Counting them refutes a claim
-about where the time went without any timing noise: a speedup that keeps
-every trace keeps every count, and a change that adds work (a second predict
-per climb step, a refit per tell) moves one.
+evaluations (and how many of those build the kernel tensor in full rather
+than reuse the last full build for a finite-difference probe), feasibility
+fits and draws it makes, how many rows it predicts and how many neighbours
+its climb builds.  Counting them refutes a claim about where the time went
+without any timing noise: a speedup that keeps every trace keeps every
+count, and a change that adds work (a second predict per climb step, a
+refit per tell) moves one.
 
 The functions are wrapped with ``monkeypatch`` on their classes, so the
 counts include calls from anywhere in the run.  A change that is meant to
@@ -32,6 +34,7 @@ WRAPPED = (
     (GaussianProcess, "fit_rows", "gp.fit_calls", None, None),
     (GaussianProcess, "extend_cholesky", "gp.extend_calls", None, None),
     (_MapObjective, "__call__", "gp.objective_calls", None, None),
+    (_MapObjective, "_build_base", "gp.objective_full_calls", None, None),
     (GaussianProcess, "predict_rows", "gp.predict_calls", "gp.predict_rows",
      lambda args, result: len(args[1])),
     (FeasibilityModel, "fit_rows", "feas.fit_calls", None, None),
@@ -47,6 +50,7 @@ EXPECTED = {
         "gp.fit_calls": 29,
         "gp.extend_calls": 0,
         "gp.objective_calls": 14_634,
+        "gp.objective_full_calls": 1_552,
         "gp.predict_calls": 360,
         "gp.predict_rows": 37_474,
         "feas.fit_calls": 29,
@@ -59,6 +63,7 @@ EXPECTED = {
         "gp.fit_calls": 7,
         "gp.extend_calls": 46,
         "gp.objective_calls": 1_829,
+        "gp.objective_full_calls": 231,
         "gp.predict_calls": 439,
         "gp.predict_rows": 38_101,
         "feas.fit_calls": 53,
