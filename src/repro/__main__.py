@@ -232,6 +232,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
             return 2
     checkpoint = args.checkpoint
+    if checkpoint is None:
+        for flag, value, loss in (
+            ("--checkpoint-every", args.checkpoint_every, "saves nothing"),
+            ("--stop-after", args.stop_after, "loses the run"),
+        ):
+            if value is not None:
+                print(f"error: {flag} without --checkpoint {loss}", file=sys.stderr)
+                return 2
     if args.resume:
         if checkpoint is None or not checkpoint.exists():
             print(
@@ -275,10 +283,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     batch_size = session.meta.get("batch_size", 1)
 
     stop_after = args.stop_after
-    if stop_after is not None and checkpoint is None:
-        print("error: --stop-after without --checkpoint loses the run", file=sys.stderr)
-        return 2
-
+    checkpoint_every = args.checkpoint_every or 1
     last_saved = len(session.history)
 
     class _Interrupted(Exception):
@@ -292,7 +297,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             print(f"[{done}/{live_session.budget}] best={best:.6g}", flush=True)
         # counted in evaluations, not batches: with --eval-workers q each
         # after_tell advances the history by q tells
-        if checkpoint is not None and done - last_saved >= args.checkpoint_every:
+        if checkpoint is not None and done - last_saved >= checkpoint_every:
             save_session(live_session, checkpoint)
             last_saved = done
         if stop_after is not None and done >= stop_after:
@@ -429,8 +434,8 @@ def main(argv: list[str] | None = None) -> int:
         help="session checkpoint file, written every --checkpoint-every tells",
     )
     tune_parser.add_argument(
-        "--checkpoint-every", type=int, default=1,
-        help="evaluations between checkpoint writes (default: 1)",
+        "--checkpoint-every", type=int, default=None,
+        help="evaluations between checkpoint writes (default: 1); requires --checkpoint",
     )
     tune_parser.add_argument(
         "--resume", action="store_true",

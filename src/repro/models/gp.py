@@ -29,9 +29,10 @@ Incremental refit
 -----------------
 
 Refitting from scratch every iteration is the last hot-path bottleneck: a
-full fit is an O(n³) Cholesky factorization *per hyper-parameter objective
-evaluation*, dozens of times per multistart MAP search.  Three cheaper refit
-paths support the tuner's fast surrogate policy
+full fit is an O(n³) Cholesky factorization *per hyper-parameter vector the
+multistart MAP search scores*, about 550 per fit (59,773 over the 108 fits
+of a budget-120 ``rise_mm_gpu`` run).  Three cheaper refit paths support the
+tuner's fast surrogate policy
 (:class:`repro.core.baco.SurrogatePolicy`):
 
 * :meth:`fit_rows` with ``hyper_strategy="warm"`` skips the prior sweep and
@@ -99,58 +100,76 @@ class _MapObjective:
 
     :meth:`GaussianProcess.fit_rows` builds one per fit and hands it to the
     prior-sample sweep, the ``warm_start`` score and every L-BFGS-B call.
-    L-BFGS-B takes its gradient by finite differences, so a fit calls it
-    hundreds of times; what does not depend on the hyper-parameter vector is
-    set up here once:
+    L-BFGS-B takes its gradient by finite differences, so a fit scores
+    hundreds of vectors; what does not depend on the hyper-parameter vector
+    is set up here once:
 
-    * a contiguous copy of the ``(D, n, n)`` train tensor, transposed in its
-      last two axes, so that the row-major kernel buffer holds ``Kᵀ``.  Its
-      transpose is ``K`` in the column-major order LAPACK works in, so
-      ``potrf`` factors it in place and reads the lower triangle of ``K``;
-    * the LAPACK ``potrf`` / ``potrs`` that ``scipy.linalg.cholesky`` /
-      ``cho_solve`` call, without their argument checks and batch wrapper.
+    * the lower triangle of the ``(D, n, n)`` train tensor, packed as
+      ``(D, m)`` with ``m = n(n + 1)/2``: the diagonal first, then every
+      entry ``(i, j)``, ``i > j``, in the column-major order LAPACK stores
+      that triangle in.  ``potrf`` / ``potrs`` with ``lower=1`` read only
+      that triangle of ``K`` and the log-det only its diagonal, so no
+      kernel the objective scores is built beyond it.  One triangle
+      suffices because the tensor is symmetric:
+      :class:`~repro.models.distances.IncrementalDistanceTensor` mirrors
+      every cross block it appends, and ``pairwise_rows`` of one matrix is
+      elementwise symmetric.  Whether the whole tensor is finite is
+      checked here, once, and a non-finite one raises ``ValueError`` on
+      every call, as a non-finite ``K`` did;
+    * one LAPACK buffer per row of a gradient's probes, whose transpose
+      ``potrf`` factors in place, and the ``potrf`` / ``potrs`` that
+      ``scipy.linalg.cholesky`` / ``cho_solve`` call, without their
+      argument checks and batch wrapper.
 
-    The last vector scored in full is the *base*.  Its scaled slices
-    ``(dᵢ/lᵢ)²``, their running sums along the parameter axis, its distance
-    matrix and its noiseless kernel are kept, so the probes of a
-    finite-difference gradient, which each change one coordinate of the base,
-    skip the tensor build:
+    The last vector built in full (:meth:`_build_base`) is the *base*.  Its
+    scaled slices ``(dᵢ/lᵢ)²``, their running sums along the parameter
+    axis, its distance and its noiseless kernel are kept.  A call scores
+    the base again from a copy of that kernel and builds any other vector
+    in full, making it the base.
 
-    * a lengthscale probe recomputes its slice ``i`` alone, adds it to the
-      running sum through ``i − 1`` and then adds the base slices
-      ``i + 1 … D − 1``: the additions, in the order, of the axis-0 sum of a
-      full build, which adds the slices one after another;
-    * an outputscale probe runs the Matérn stage on the base distance matrix;
-    * a noise probe, or the base vector again, copies the base kernel.
-
-    Any other vector is built in full (:meth:`_build_base`) and becomes the
-    base.  The path depends only on the vector and the base, never on who
-    calls, and each gives the bits of a full build.  The noise goes onto the
-    diagonal in place.  That equals adding ``(σ² + jitter)·I``, whose
-    off-diagonal terms only add +0.0.  ``K`` is still checked for NaN and inf
-    on every call, as ``cholesky`` checks it, and ``y`` once per fit, so bad
-    inputs raise ``ValueError`` at the same point as before.  Every float
-    operation is the reference's, in its order, so the value is
-    bit-identical; ``tests/test_gp_map_objective.py`` pins it.
+    L-BFGS-B's finite-difference gradient goes through
+    :meth:`score_probes`, which ``_map_search`` passes as L-BFGS-B's
+    ``workers`` option: scipy computes the ``D + 2`` probes of a gradient,
+    each one coordinate away from the point it differentiates at, and
+    this scores them all in one batched pass over the base's arrays.
+    Every float operation is the reference's, in its order, so each value
+    is bit-identical to a full build; ``tests/test_gp_map_objective.py``
+    pins it.
     """
 
     def __init__(
         self, gp: "GaussianProcess", distance_tensor: np.ndarray, y: np.ndarray
     ) -> None:
-        self._tensor = np.ascontiguousarray(np.swapaxes(distance_tensor, 1, 2))
-        d, n = self._tensor.shape[0], len(y)
-        self._kernel = np.empty((n, n))
-        self._diagonal = self._kernel.reshape(-1)[:: n + 1]
-        self._probe = np.empty((n, n))
+        d, n = distance_tensor.shape[0], len(y)
+        k = d + 2  # one gradient's probes: every coordinate of the vector
+        # K[i, j] for i ≥ j, from distance_tensor[:, i, j]: the diagonal,
+        # then the strict lower triangle column by column
+        above, below = np.triu_indices(n, 1)
+        rows = np.concatenate([np.arange(n), below])
+        columns = np.concatenate([np.arange(n), above])
+        self._tensor = distance_tensor[:, rows, columns]
+        self._tensor_finite = bool(np.isfinite(distance_tensor).all())
+        # where K[i, j] sits in a row-major buffer whose transpose is K
+        self._positions = columns * n + rows
+        self._buffers = np.zeros((k, n, n))
+        self._flat_buffers = self._buffers.reshape(k, n * n)
+        self._kernels = np.empty((k, len(rows)))
+        # the probes' distances; the last row is the base's
+        self._distances = np.empty((d + 1, len(rows)))
         # the base: exp of its vector (NaN, equal to nothing, while unset),
-        # its slices, their running sums (the first is slice 0 itself), its
-        # distance matrix and its noiseless kernel
-        self._no_base = np.full(d + 2, np.nan)
+        # its slices, their running sums (the first is slice 0 again), its
+        # distance and its noiseless kernel
+        self._no_base = np.full(k, np.nan)
         self._base_values = self._no_base
         self._slices = np.empty_like(self._tensor)
-        self._sums = [self._slices[0], *np.empty((d - 1, n, n))]
-        self._base_distance = np.empty((n, n))
-        self._base_kernel = np.empty((n, n))
+        self._sums = np.empty_like(self._tensor)
+        self._base_distance = self._distances[d]
+        self._base_kernel = np.empty(len(rows))
+        # probe r moves coordinate r of the centre, so coordinate i of the
+        # centre is read from probe i + 1 (mod k)
+        self._index = np.arange(k)
+        self._next = (self._index + 1) % k
+        self._off_diagonal = ~np.eye(k, dtype=bool)
         self._y = y
         self._y_finite = bool(np.isfinite(y).all())
         self._log_2pi_term = 0.5 * n * math.log(2.0 * math.pi)
@@ -171,76 +190,105 @@ class _MapObjective:
         self._prior_index = np.array(index, dtype=np.intp)
         self._log_priors = GammaLogDensities(priors)
         self._potrf, self._potrs = linalg.get_lapack_funcs(
-            ("potrf", "potrs"), (self._kernel,)
+            ("potrf", "potrs"), (self._buffers[0],)
         )
 
     def __call__(self, vector: np.ndarray) -> float:
         # GPHyperparameters.from_vector, keeping the exp'd vector for the priors
         values = np.exp(np.asarray(vector, dtype=float))
-        k_t = self._noiseless_kernel(values)
-        self._diagonal += float(values[-1]) + _JITTER
-        if not np.isfinite(k_t).all():
-            raise ValueError("array must not contain infs or NaNs")
-        chol, info = self._potrf(k_t.T, lower=1, overwrite_a=1, clean=0)
-        if info > 0:  # not positive definite
-            return 1e25
-        if not self._y_finite:
-            raise ValueError("array must not contain infs or NaNs")
-        alpha, solve_info = self._potrs(chol, self._y, lower=1)
-        if info or solve_info:
-            raise ValueError(f"LAPACK rejected an argument (info {info}, {solve_info})")
-        nll = 0.5 * float(self._y @ alpha)
-        nll += float(np.sum(np.log(np.diag(chol))))
-        nll += self._log_2pi_term
-        if len(self._prior_index):
-            log_prior = self._log_priors(values[self._prior_index])
-            n_lengthscales = self._n_lengthscale_terms
-            if n_lengthscales:
-                nll -= float(np.sum(log_prior[:n_lengthscales]))
-            for term in log_prior[n_lengthscales:].tolist():
-                nll -= term
-        if not math.isfinite(nll):
-            return 1e25
-        return nll
-
-    def _noiseless_kernel(self, values: np.ndarray) -> np.ndarray:
-        """``Kᵀ`` without the noise for ``exp(vector)``, in the kernel buffer."""
-        d = len(self._sums)
-        changed = (values != self._base_values).nonzero()[0]
-        if len(changed) == 1 and changed[0] < d:
-            return self._lengthscale_probe(values, int(changed[0]))
-        if len(changed) == 1 and changed[0] == d:
-            return matern52_of_distance(
-                self._base_distance, float(values[d]), out=self._kernel
-            )
-        if len(changed) > 1:
+        if (values != self._base_values).any():
             self._build_base(values)
-        # a new base, a noise probe or the base vector again
-        np.copyto(self._kernel, self._base_kernel)
-        return self._kernel
+        self._kernels[0] = self._base_kernel
+        return self._score(values[None, :])[0]
+
+    def score_probes(self, fun, probes) -> list[float]:
+        """``[self(x) for x in probes]``, one gradient's probes in one pass.
+
+        L-BFGS-B calls this as ``workers(fun, probes)``; ``fun`` is scipy's
+        wrapper around this objective and is not needed.  scipy's 2-point
+        scheme sends ``D + 2`` probes, probe ``r`` one step along
+        coordinate ``r`` from the centre.  The centre is built in full
+        first unless it is the base, then every probe reuses the base:
+
+        * the ``D`` lengthscale probes divide the packed tensor by their
+          own lengthscale and square it, add the running sum through
+          ``r − 1``, then the base slices ``r + 1 … D − 1``: the additions,
+          in the order, of the axis-0 sum of a full build;
+        * the outputscale probe takes the base distance, and the Matérn
+          stage scores it with the lengthscale probes in one call, a
+          column holding each row's outputscale;
+        * the noise probe copies the base kernel.
+
+        Any other set of vectors is scored one at a time.
+        """
+        stack = np.array(list(probes), dtype=float)
+        k = len(self._index)
+        if stack.shape != (k, k) or (
+            (stack != stack[self._next, self._index]) & self._off_diagonal
+        ).any():  # not one step along each coordinate of one centre
+            return [self(vector) for vector in stack]
+        values = np.exp(stack)
+        centre_values = values[self._next, self._index]
+        if (centre_values != self._base_values).any():
+            self._build_base(centre_values)
+        d = k - 2
+        probed = self._distances[:d]
+        np.divide(self._tensor, values.diagonal()[:d, None], out=probed)
+        np.square(probed, out=probed)
+        np.add(self._sums[: d - 1], probed[1:], out=probed[1:])
+        for j in range(1, d):
+            np.add(probed[:j], self._slices[j], out=probed[:j])
+        np.sqrt(probed, out=probed)
+        matern52_of_distance(self._distances, values[: d + 1, d, None], out=self._kernels[: d + 1])
+        self._kernels[d + 1] = self._base_kernel
+        return self._score(values)
 
     def _build_base(self, values: np.ndarray) -> None:
         """Build every base array for ``values``, then make it the base."""
         d = len(self._sums)
         self._base_values = self._no_base  # the arrays below stop matching it
-        np.divide(self._tensor, values[:d].reshape(-1, 1, 1), out=self._slices)
+        np.divide(self._tensor, values[:d, None], out=self._slices)
         np.square(self._slices, out=self._slices)
+        self._sums[0] = self._slices[0]
         for j in range(1, d):
             np.add(self._sums[j - 1], self._slices[j], out=self._sums[j])
         np.sqrt(self._sums[-1], out=self._base_distance)
         matern52_of_distance(self._base_distance, float(values[d]), out=self._base_kernel)
         self._base_values = values
 
-    def _lengthscale_probe(self, values: np.ndarray, i: int) -> np.ndarray:
-        """The base with lengthscale ``i`` replaced; writes no base array."""
-        total = np.divide(self._tensor[i], values[i], out=self._probe)
-        np.square(total, out=total)
-        if i:
-            np.add(self._sums[i - 1], total, out=total)
-        for base_slice in self._slices[i + 1 :]:
-            np.add(total, base_slice, out=total)
-        np.sqrt(total, out=total)
-        return matern52_of_distance(total, float(values[len(self._sums)]), out=self._kernel)
+    def _score(self, values: np.ndarray) -> list[float]:
+        """Score the first ``len(values)`` kernels of the stack, row ``r``
+        the noiseless kernel of the exp'd vector ``values[r]``; the noise
+        is added in place."""
+        k = len(values)
+        kernels = self._kernels[:k]
+        diagonals = kernels[:, : len(self._y)]
+        np.add(diagonals, values[:, -1:] + _JITTER, out=diagonals)
+        if not (self._tensor_finite and np.isfinite(kernels).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        self._flat_buffers[:k, self._positions] = kernels
+        log_priors = self._log_priors(values[:, self._prior_index])
+        n_lengthscales = self._n_lengthscale_terms
+        scores = []
+        for buffer, log_prior in zip(self._buffers[:k], log_priors):
+            chol, info = self._potrf(buffer.T, lower=1, overwrite_a=1, clean=0)
+            if info > 0:  # not positive definite
+                scores.append(1e25)
+                continue
+            if not self._y_finite:
+                raise ValueError("array must not contain infs or NaNs")
+            alpha, solve_info = self._potrs(chol, self._y, lower=1)
+            if info or solve_info:
+                raise ValueError(f"LAPACK rejected an argument (info {info}, {solve_info})")
+            nll = 0.5 * float(self._y @ alpha)
+            nll += float(np.log(chol.diagonal()).sum())
+            nll += self._log_2pi_term
+            if n_lengthscales:
+                nll -= float(log_prior[:n_lengthscales].sum())
+            for term in log_prior[n_lengthscales:].tolist():
+                nll -= term
+            scores.append(nll if math.isfinite(nll) else 1e25)
+        return scores
 
 
 class GaussianProcess:
@@ -489,7 +537,10 @@ class GaussianProcess:
                 start,
                 method="L-BFGS-B",
                 bounds=self._hyper_bounds(),
-                options={"maxiter": self.max_optimizer_iterations},
+                options={
+                    "maxiter": self.max_optimizer_iterations,
+                    "workers": objective.score_probes,
+                },
             )
             if result.fun < best_value:
                 best_value, best_vector = float(result.fun), result.x

@@ -54,14 +54,16 @@ def scaled_distance(distance_tensor: np.ndarray, lengthscales: np.ndarray) -> np
 
 
 def matern52_of_distance(
-    distance: np.ndarray, outputscale: float, out: np.ndarray | None = None
+    distance: np.ndarray, outputscale: float | np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Matérn-5/2 of a scaled distance ``d`` (a matrix or a vector).
 
     ``outputscale * (1 + √5·d + 5/3·d²) * exp(-√5·d)``, grouped as written.
-    ``distance`` is left as it is; the result is written to ``out`` when
-    given (same shape, not ``distance`` itself) and to a fresh array
-    otherwise.
+    ``outputscale`` is a scalar, or an ``(r, 1)`` column giving each row of
+    an ``(r, m)`` stack of distances its own; each entry gets the bits the
+    scalar would give it.  ``distance`` is left as it is; the result is
+    written to ``out`` when given (same shape, not ``distance`` itself) and
+    to a fresh array otherwise.
     """
     sqrt5_d = np.multiply(_SQRT5, distance)
     k = np.add(1.0, sqrt5_d, out=out)

@@ -2,14 +2,16 @@
 
 ``GaussianProcess.fit_rows`` scores hyper-parameter vectors with
 ``repro.models.gp._MapObjective``, which preallocates its arrays once per
-fit, calls LAPACK directly and scores a vector one coordinate away from its
-last full build (a finite-difference probe) from that build's cached
-slices and sums.  :func:`reference_negative_log_posterior` below is
-the straightforward form it replaced: an allocating kernel build, ``K +
-(σ² + jitter)·I``, ``scipy.linalg.cholesky`` / ``cho_solve`` and
-``scipy.stats.gamma.logpdf`` priors.  The objective must equal it exactly —
-``==`` on floats, no tolerance — because every trajectory, fixture and
-checkpoint depends on the hyper-parameters the fit lands on.
+fit, builds only the triangle of the kernel LAPACK reads, calls LAPACK
+directly and scores the probes of each finite-difference gradient, which
+L-BFGS-B hands it through its ``workers`` option, in one batch from its
+last full build's cached slices and sums.
+:func:`reference_negative_log_posterior` below is the straightforward form
+it replaced: an allocating kernel build, ``K + (σ² + jitter)·I``,
+``scipy.linalg.cholesky`` / ``cho_solve`` and ``scipy.stats.gamma.logpdf``
+priors.  The objective must equal it exactly — ``==`` on floats, no
+tolerance — because every trajectory, fixture and checkpoint depends on the
+hyper-parameters the fit lands on.
 
 Also here: the fused prior term ``GammaLogDensities`` and its per-prior
 oracle ``gamma_log_pdf`` against ``scipy.stats.gamma.logpdf``, the Matérn
@@ -24,6 +26,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, stats
+from scipy.optimize import OptimizeWarning
+from scipy.optimize._numdiff import approx_derivative
 
 import repro.models.gp as gp_module
 from repro.core.baco import BacoSettings, BacoTuner
@@ -104,7 +109,8 @@ def reference_negative_log_posterior(
 
 
 class _ReferenceObjective:
-    """Drop-in for ``_MapObjective`` that evaluates the oracle."""
+    """Drop-in for ``_MapObjective`` that evaluates the oracle, one vector
+    at a time."""
 
     calls = 0
 
@@ -115,6 +121,27 @@ class _ReferenceObjective:
         type(self).calls += 1
         gp, distance_tensor, y = self._args
         return reference_negative_log_posterior(gp, distance_tensor, vector, y)
+
+    def score_probes(self, fun, probes):
+        return [self(x) for x in probes]
+
+
+class _CountingObjective(_MapObjective):
+    """``_MapObjective`` that counts its calls and records the exp'd vector
+    of each full build."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+        self.builds = []
+
+    def __call__(self, vector):
+        self.calls += 1
+        return super().__call__(vector)
+
+    def _build_base(self, values):
+        self.builds.append(values.copy())
+        super()._build_base(values)
 
 
 def _same_bits(a, b) -> bool:
@@ -249,14 +276,33 @@ class TestMapObjective:
         assert _MapObjective(gp, tensor, y)(vector) == 1e25
 
 
-#: scipy's finite-difference step for L-BFGS-B, relative to max(1, |x|)
+#: scipy's default finite-difference step for the 2-point scheme, relative
+#: to max(1, |x|); L-BFGS-B passes its own absolute step, ``eps`` = 1e-8
 _FD_STEP = math.sqrt(np.finfo(float).eps)
+_LBFGSB_STEP = 1e-8
+
+
+def _probe_set(centre, steps):
+    """Probe ``r`` moves coordinate ``r`` of ``centre`` by ``steps[r]``, as
+    scipy's 2-point scheme lays a gradient's probes out."""
+    return np.asarray(centre, dtype=float) + np.diag(steps)
+
+
+def _objective_case(kinds, seed, n):
+    parameters = _parameters(kinds)
+    computer = DistanceComputer(parameters)
+    configs, _ = _dataset(parameters, seed, n)
+    tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
+    y = np.random.default_rng(seed).normal(size=n)
+    return _gp(parameters, computer), tensor, y
 
 
 class TestProbes:
-    """One objective scores a whole sequence of calls, as L-BFGS-B makes
-    them, so its probe path (a vector one coordinate away from the last one
-    it built in full) is pinned to the oracle like its full builds."""
+    """L-BFGS-B scores its iterates with ``__call__`` and hands the probes
+    of each finite-difference gradient to ``score_probes`` (its
+    ``workers`` option).  Both are pinned to the oracle: any sequence of
+    calls, and every batch, gradient by gradient, against scoring its
+    probes one at a time."""
 
     @given(
         kinds=st.lists(st.integers(0, len(_MAKERS) - 1), min_size=1, max_size=12),
@@ -321,84 +367,147 @@ class TestProbes:
                 last = last.copy()
             check(last)
 
-    @staticmethod
-    def _counted(monkeypatch):
-        builds = []
-        build_base = _MapObjective._build_base
-
-        def counting(self, values):
-            builds.append(values.copy())
-            return build_base(self, values)
-
-        monkeypatch.setattr(_MapObjective, "_build_base", counting)
-        return builds
-
-    def test_one_coordinate_probes_skip_the_tensor_build(self, monkeypatch):
-        builds = self._counted(monkeypatch)
-        parameters = _parameters([0, 1, 2, 3, 4])
+    @given(
+        kinds=st.one_of(
+            st.lists(st.integers(0, len(_MAKERS) - 1), min_size=1, max_size=1),
+            st.lists(st.integers(0, len(_MAKERS) - 1), min_size=3, max_size=12),
+        ),
+        n=st.integers(2, 130),
+        seed=st.integers(0, 2**31 - 1),
+        strided=st.booleans(),
+        ls_prior=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gradients_equal_map_and_reference(self, kinds, n, seed, strided, ls_prior, data):
+        """scipy's gradient through the hook has the bits of its gradient
+        through ``map``, and every batched value is the oracle's.  The
+        draws hold ``D = 1`` (no prefix or tail additions), ``D ≥ 3`` (a
+        tail of two slices or more, whose order shows), centres on the
+        bounds (scipy flips the step there) and centres that are not the
+        base (the batch builds them first)."""
+        parameters = _parameters(kinds)
         computer = DistanceComputer(parameters)
-        configs, _ = _dataset(parameters, 4, 30)
-        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
-        y = np.random.default_rng(4).normal(size=30)
-        gp = _gp(parameters, computer)
-        objective = _MapObjective(gp, tensor, y)
+        configs, _ = _dataset(parameters, seed, n)
+        tensor = _train_tensor(computer, computer.encoder.encode_batch(configs), strided)
+        y = np.random.default_rng(seed).normal(size=n)
+        gp = _gp(parameters, computer, ls_prior=ls_prior)
+        objective = _CountingObjective(gp, tensor, y)
+        bounds = gp._hyper_bounds()
+        batches = []
+
+        def recording(fun, probes):
+            probes = list(probes)
+            calls, builds = objective.calls, len(objective.builds)
+            values = objective.score_probes(fun, probes)
+            batches.append(
+                (probes, values, objective.calls - calls, len(objective.builds) - builds)
+            )
+            return values
+
+        for _ in range(data.draw(st.integers(1, 3), label="gradients")):
+            centre = np.array([
+                data.draw(st.one_of(st.sampled_from([low, high]), st.floats(low, high)),
+                          label="centre")
+                for low, high in bounds
+            ])
+            f0 = reference_negative_log_posterior(gp, tensor, centre, y)
+            centre_is_base = data.draw(st.booleans(), label="centre is the base")
+            if centre_is_base:
+                assert objective(centre) == f0
+            options = dict(
+                method="2-point", f0=f0, bounds=tuple(np.array(bounds).T),
+                abs_step=data.draw(st.sampled_from([_LBFGSB_STEP, None]), label="step"),
+            )
+            batched = approx_derivative(objective, centre, workers=recording, **options)
+            probes, values, calls, builds = batches[-1]
+            assert (calls, builds) == (0, 0 if centre_is_base else 1)
+            for probe, value in zip(probes, values):
+                assert value == reference_negative_log_posterior(gp, tensor, probe, y)
+            mapped = approx_derivative(objective, centre, workers=map, **options)
+            assert _same_bits(batched, mapped)
+
+    def test_probe_batches_skip_the_tensor_build(self):
+        gp, tensor, y = _objective_case([0, 1, 2, 3, 4], 4, 30)
+        objective = _CountingObjective(gp, tensor, y)
         rng = np.random.default_rng(4)
         base = np.array([rng.uniform(low, high) for low, high in gp._hyper_bounds()])
         assert objective(base) == reference_negative_log_posterior(gp, tensor, base, y)
-        assert len(builds) == 1
-        for i in range(len(base)):
-            for step in (_FD_STEP, -_FD_STEP):
-                probed = base.copy()
-                probed[i] += step
-                assert objective(probed) == reference_negative_log_posterior(gp, tensor, probed, y)
+        for step in (_LBFGSB_STEP, -_LBFGSB_STEP):
+            probes = _probe_set(base, np.full(len(base), step))
+            assert objective.score_probes(None, probes) == [
+                reference_negative_log_posterior(gp, tensor, probe, y) for probe in probes
+            ]
         assert objective(base.copy()) == reference_negative_log_posterior(gp, tensor, base, y)
-        assert len(builds) == 1
+        assert (objective.calls, len(objective.builds)) == (2, 1)
         moved = base.copy()
-        moved[[0, -1]] += _FD_STEP
+        moved[[0, -1]] += _LBFGSB_STEP
+        probes = _probe_set(moved, np.full(len(moved), _LBFGSB_STEP))
+        assert objective.score_probes(None, probes) == [
+            reference_negative_log_posterior(gp, tensor, probe, y) for probe in probes
+        ]
+        assert (objective.calls, len(objective.builds)) == (2, 2)
+        assert _same_bits(objective.builds[1], np.exp(moved))
         assert objective(moved) == reference_negative_log_posterior(gp, tensor, moved, y)
-        assert len(builds) == 2
-        assert _same_bits(builds[1], np.exp(moved))
+        assert len(objective.builds) == 2
 
-    def test_an_indefinite_probe_scores_1e25_and_the_next_matches(self):
+    def test_an_indefinite_row_scores_1e25_and_the_others_match(self):
         """A noise probe that makes ``K`` indefinite scores 1e25; ``potrf``
-        overwrote only the probe's buffer, so the next probes still match."""
+        overwrote only that row's buffer, so the other rows and the next
+        call still match."""
         parameters = [OrdinalParameter("t", [1, 2, 4, 8]), IntegerParameter("u", 1, 9)]
         computer = DistanceComputer(parameters)
         gp = _gp(parameters, computer)
         tensor = _path_tensor(2, 20)
         y = np.random.default_rng(5).normal(size=20)
         objective = _MapObjective(gp, tensor, y)
-        base = np.zeros(4)  # K = I + A on the path; noise 1 keeps it definite
-        sequence = [base, base + [0.0, 0.0, 0.0, math.log(1e-8)], base + [0.3, 0.0, 0.0, 0.0],
-                    base + [0.0, 0.0, -1.0, 0.0], base + [0.0, 0.0, 0.0, -0.1], base]
-        values = [objective(vector) for vector in sequence]
-        assert values[1] == 1e25
-        assert values[0] != 1e25 and values[2] != 1e25
-        for vector, value in zip(sequence, values):
-            assert value == reference_negative_log_posterior(gp, tensor, vector, y)
+        centre = np.zeros(4)  # K = I + A on the path; noise 1 keeps it definite
+        probes = _probe_set(centre, [0.3, -0.2, -1.0, math.log(1e-8)])
+        values = objective.score_probes(None, probes)
+        assert values[3] == 1e25
+        assert 1e25 not in values[:3]
+        for probe, value in zip(probes, values):
+            assert value == reference_negative_log_posterior(gp, tensor, probe, y)
+        assert objective(centre) == reference_negative_log_posterior(gp, tensor, centre, y)
+
+    def test_any_other_probe_set_is_scored_one_vector_at_a_time(self):
+        gp, tensor, y = _objective_case([0, 2, 4], 8, 25)
+        objective = _CountingObjective(gp, tensor, y)
+        bounds = gp._hyper_bounds()
+        centre = np.array([0.5 * (low + high) for low, high in bounds])
+        options = dict(
+            method="3-point", bounds=tuple(np.array(bounds).T),
+            f0=reference_negative_log_posterior(gp, tensor, centre, y),
+        )
+        batched = approx_derivative(objective, centre, workers=objective.score_probes, **options)
+        assert objective.calls == 2 * len(centre)
+        assert _same_bits(batched, approx_derivative(objective, centre, workers=map, **options))
+        probes = _probe_set(centre, np.full(len(centre), _LBFGSB_STEP))
+        probes[0, 1] += 0.5  # the first probe moves two coordinates
+        calls = objective.calls
+        assert objective.score_probes(None, probes) == [
+            reference_negative_log_posterior(gp, tensor, probe, y) for probe in probes
+        ]
+        assert objective.calls - calls == len(probes)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_non_finite_tensor_raises_on_probes_too(self, monkeypatch, bad):
-        builds = self._counted(monkeypatch)
-        parameters = _parameters([0, 1, 2, 3])
-        computer = DistanceComputer(parameters)
-        configs, _ = _dataset(parameters, 6, 12)
-        tensor = computer.pairwise_rows(computer.encoder.encode_batch(configs))
-        tensor[1, 2, 5] = tensor[1, 5, 2] = bad
-        y = np.random.default_rng(6).normal(size=12)
-        gp = _gp(parameters, computer)
+    @pytest.mark.parametrize("entry", [(2, 5), (5, 2)], ids=["upper", "lower"])
+    def test_a_non_finite_tensor_entry_raises_on_every_call(self, bad, entry):
+        """One planted entry, in either triangle, raises on the first call
+        and on a batch, as it does in the oracle's full ``K``: the packed
+        kernel reads only the lower triangle, so the tensor is checked on
+        its own."""
+        gp, tensor, y = _objective_case([0, 1, 2, 3], 6, 12)
+        tensor[(1, *entry)] = bad
         objective = _MapObjective(gp, tensor, y)
         base = np.zeros(len(gp._hyper_bounds()))
-        for i in [None, *range(len(base))]:
-            vector = base.copy()
-            if i is not None:
-                vector[i] += _FD_STEP
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                reference_negative_log_posterior(gp, tensor, vector, y)
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                objective(vector)
-        assert len(builds) == 1
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            reference_negative_log_posterior(gp, tensor, base, y)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            objective(base)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            objective.score_probes(None, _probe_set(base, np.full(len(base), _LBFGSB_STEP)))
 
 
 class TestFitParity:
@@ -434,6 +543,24 @@ class TestFitParity:
         assert _same_bits(new._cholesky, ref._cholesky)
         assert _same_bits(new._alpha, ref._alpha)
         assert new._rng.bit_generator.state == ref._rng.bit_generator.state
+
+    def test_l_bfgs_b_takes_the_probe_hook(self, monkeypatch):
+        """L-BFGS-B's ``workers`` option is new in scipy 1.16.  An older
+        scipy warns ``Unknown solver options: workers`` and scores every
+        probe one at a time, with the same bits but none of the batching,
+        so the warning fails the fit here."""
+        batches = []
+        score_probes = _MapObjective.score_probes
+
+        def counting(self, fun, probes):
+            batches.append(1)
+            return score_probes(self, fun, probes)
+
+        monkeypatch.setattr(_MapObjective, "score_probes", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OptimizeWarning)
+            _fitted_gp()
+        assert batches
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +630,16 @@ class TestMatern52:
             assert got is out
             assert _same_bits(got, expected)
             assert _same_bits(distance, before)
+
+    def test_a_column_of_outputscales_gives_each_row_its_scalar_bits(self):
+        """The batched probes score a stack of distances with one
+        outputscale per row."""
+        rng = np.random.default_rng(12)
+        distances = rng.uniform(0.0, 5.0, (6, 37))
+        scales = rng.uniform(0.01, 100.0, (6, 1))
+        stacked = matern52_of_distance(distances, scales)
+        for row, scale, got in zip(distances, scales[:, 0], stacked):
+            assert _same_bits(got, matern52_of_distance(row, float(scale)))
 
 
 # ---------------------------------------------------------------------------

@@ -336,3 +336,23 @@ class TestTuneCountsBelowOne:
         assert main(["tune", *argv, "--quiet"]) == 2
         assert f"error: {flag} must be at least 1, got {value}" in capsys.readouterr().err
         assert not checkpoint.exists()
+
+
+class TestTuneFlagsThatNeedACheckpoint:
+    """``--checkpoint-every`` and ``--stop-after`` mean nothing without
+    ``--checkpoint``, so either alone exits 2 naming the flag before any
+    evaluation, instead of running to the end and saving nothing."""
+
+    @pytest.mark.parametrize(
+        "flag,loss",
+        [("--checkpoint-every", "saves nothing"), ("--stop-after", "loses the run")],
+    )
+    def test_exits_2_naming_the_flag(self, tmp_path, monkeypatch, capsys, flag, loss):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["tune", *TestBatchedTune.CELL, flag, "3"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} without --checkpoint {loss}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []

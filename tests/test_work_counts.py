@@ -2,13 +2,14 @@
 
 A trajectory is a deterministic function of (tuner, seed, budget), so the
 work it does is too: how many GP fits, Cholesky extensions, MAP-objective
-evaluations (and how many of those build the kernel tensor in full rather
-than reuse the last full build for a finite-difference probe), feasibility
-fits and draws it makes, how many rows it predicts and how many neighbours
-its climb builds.  Counting them refutes a claim about where the time went
-without any timing noise: a speedup that keeps every trace keeps every
-count, and a change that adds work (a second predict per climb step, a
-refit per tell) moves one.
+calls (and how many of those build the kernel tensor in full rather than
+rescore the last full build), batches of finite-difference probes and the
+probes in them, feasibility fits, forest nodes grown and draws it makes,
+how many rows it predicts and how many neighbours its climb builds.
+Counting them refutes a claim about where the time went without any timing
+noise: a speedup that keeps every trace keeps every count, and a change
+that adds work (a second predict per climb step, a refit per tell) moves
+one.
 
 The functions are wrapped with ``monkeypatch`` on their classes, so the
 counts include calls from anywhere in the run.  A change that is meant to
@@ -35,10 +36,13 @@ WRAPPED = (
     (GaussianProcess, "extend_cholesky", "gp.extend_calls", None, None),
     (_MapObjective, "__call__", "gp.objective_calls", None, None),
     (_MapObjective, "_build_base", "gp.objective_full_calls", None, None),
+    (_MapObjective, "score_probes", "gp.probe_batches", "gp.probe_rows",
+     lambda args, result: len(result)),
     (GaussianProcess, "predict_rows", "gp.predict_calls", "gp.predict_rows",
      lambda args, result: len(args[1])),
     (FeasibilityModel, "fit_rows", "feas.fit_calls", None, None),
-    (RandomForestClassifier, "fit", "forest.fit_calls", None, None),
+    (RandomForestClassifier, "fit", "forest.fit_calls", "forest.nodes",
+     lambda args, result: sum(len(tree.value) for tree in result.trees_)),
     (SearchSpace, "sample_rows", "space.sample_calls", None, None),
     (SearchSpace, "neighbour_rows_batch", "space.neighbour_calls", "space.neighbour_rows",
      lambda args, result: len(result[0])),
@@ -49,12 +53,15 @@ EXPECTED = {
     ("rise_mm_gpu", "exact", 3, 40): {
         "gp.fit_calls": 29,
         "gp.extend_calls": 0,
-        "gp.objective_calls": 14_634,
+        "gp.objective_calls": 1_554,  # with the probe rows, 14,634 vectors scored
         "gp.objective_full_calls": 1_552,
+        "gp.probe_batches": 1_090,
+        "gp.probe_rows": 13_080,
         "gp.predict_calls": 360,
         "gp.predict_rows": 37_474,
         "feas.fit_calls": 29,
         "forest.fit_calls": 26,
+        "forest.nodes": 5_866,
         "space.sample_calls": 30,
         "space.neighbour_calls": 331,
         "space.neighbour_rows": 30_050,
@@ -62,12 +69,15 @@ EXPECTED = {
     ("taco_spmm_scircuit", "fast", 100, 60): {
         "gp.fit_calls": 7,
         "gp.extend_calls": 46,
-        "gp.objective_calls": 1_829,
+        "gp.objective_calls": 237,  # with the probe rows, 1,829 vectors scored
         "gp.objective_full_calls": 231,
+        "gp.probe_batches": 199,
+        "gp.probe_rows": 1_592,
         "gp.predict_calls": 439,
         "gp.predict_rows": 38_101,
         "feas.fit_calls": 53,
         "forest.fit_calls": 0,
+        "forest.nodes": 0,
         "space.sample_calls": 54,
         "space.neighbour_calls": 386,
         "space.neighbour_rows": 24_538,
