@@ -103,6 +103,9 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    if args.budget is not None and args.budget < 1:
+        # before any cell is enumerated: a budget below 1 is no grid at all
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     config = default_config()
     overrides = {
         "repetitions": args.repetitions,
@@ -248,13 +251,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        # the checkpoint records the policy and the batch size; overriding
-        # either mid-run would silently break the deterministic replay contract
-        for flag, value in (
-            ("--surrogate-policy", args.surrogate_policy),
-            ("--eval-workers", args.eval_workers),
-        ):
-            if value is not None:
+        # the checkpoint records the run, its policy and its batch size;
+        # overriding any of them mid-run would silently break the
+        # deterministic replay contract
+        for flag in ("--benchmark", "--tuner", "--budget", "--seed", "--fidelity",
+                     "--surrogate-policy", "--eval-workers"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
                 print(
                     f"error: {flag} cannot be combined with --resume "
                     f"(the checkpoint already records it)",
@@ -275,7 +277,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         if budget is None:
             budget = get_benchmark(args.benchmark).full_budget
         session, benchmark = make_session(
-            args.benchmark, args.tuner, budget, args.seed or 0,
+            args.benchmark, args.tuner or "BaCO", budget, args.seed or 0,
             fidelity=args.fidelity or "fast",
             surrogate_policy=args.surrogate_policy,
         )
@@ -406,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     tune_parser.add_argument("--benchmark", default=None, help="benchmark instance name")
     tune_parser.add_argument(
-        "--tuner", default="BaCO", help="tuner variant name (default: BaCO)"
+        "--tuner", default=None, help="tuner variant name (default: BaCO)"
     )
     tune_parser.add_argument(
         "--budget", type=int, default=None,

@@ -1,17 +1,18 @@
 """snapshot-drift: mutable tuner state must ride the session snapshot.
 
-The restore contract (PRs 3/6/9): a snapshot restores by (1) calling
-``_reset_state``, (2) replaying the history through ``_observe``, (3)
-loading ``_state_dict`` via ``_load_state_dict``, (4) rebuilding derived
-caches in ``_post_restore``.  That gives every mutable attribute of a
-``Tuner`` subclass exactly three legal lifecycles:
+The restore contract (PRs 3/6/9): a snapshot restores in three steps,
+(1) ``_reset_state``, (2) one ``_observe`` call with the whole history,
+(3) ``_load_state_dict``, which loads what ``_state_dict`` wrote and
+rebuilds the caches that depend on both.  That gives every mutable
+attribute of a ``Tuner`` subclass exactly three legal lifecycles:
 
-* **replay-rebuilt** — mutated in ``_observe`` *and* reset in
-  ``_reset_state`` (e.g. encoded-row caches): the replay regenerates it;
+* **observe-rebuilt** — mutated in ``_observe`` *and* reset in
+  ``_reset_state`` (e.g. encoded-row caches): observing the history
+  regenerates it;
 * **snapshot-carried** — mutated on the ask path (``_plan`` / ``_propose``
   and anything they call) or in a ``set_*`` policy setter: must be read in
-  ``_state_dict`` *and* written back in ``_load_state_dict`` /
-  ``_post_restore``, because replay never re-runs the ask path;
+  ``_state_dict`` *and* written back in ``_load_state_dict``, because a
+  restore never re-runs the ask path;
 * **ephemeral** — only ever reset to literals; carries no information.
 
 Every PR from 6 through 9 added cadence/cache/pool state and had to
@@ -30,9 +31,9 @@ from ..base import Finding, Rule, register_rule
 from ..source import Project, SourceModule
 
 RESET_METHODS = {"_reset_state"}
-OBSERVE_METHODS = {"_observe", "_record_observation"}
+OBSERVE_METHODS = {"_observe"}
 STATE_READ_METHODS = {"_state_dict"}
-RESTORE_METHODS = {"_load_state_dict", "_post_restore"}
+RESTORE_METHODS = {"_load_state_dict"}
 ASK_ROOTS = {"_plan", "_propose"}
 
 #: base-class plumbing whose persistence the session layer owns directly
@@ -329,8 +330,8 @@ class SnapshotDrift(Rule):
         restore_writes = set(restore_ops.writes) | set(restore_ops.resets)
 
         def snapshot_covered(attr: str) -> bool:
-            # written on the restore path — either deserialized in
-            # _load_state_dict or rebuilt as a derived cache in _post_restore
+            # written on the restore path: deserialized or rebuilt as a
+            # derived cache in _load_state_dict
             return attr in restore_writes
 
         path = str(module.path)
@@ -342,23 +343,23 @@ class SnapshotDrift(Rule):
                 path=path,
                 line=line,
                 message=f"{name}.{attr} is mutated on the ask path but does "
-                "not ride the snapshot: restore replays _observe only, so "
-                "this state is lost (or stale) after restore",
-                hint=f"serialize {attr} in _state_dict and restore it in "
-                "_load_state_dict (or rebuild it in _post_restore)",
+                "not ride the snapshot: restore observes the history only, "
+                "so this state is lost (or stale) after restore",
+                hint=f"serialize {attr} in _state_dict and restore (or "
+                "rebuild) it in _load_state_dict",
             )
         for attr, line in sorted(observe_ops.writes.items(), key=lambda kv: kv[1]):
             if attr in EXEMPT_ATTRS or snapshot_covered(attr):
                 continue
             if attr in reset_ops.writes or attr in reset_ops.resets:
-                continue  # replay-rebuilt: reset + re-observed
+                continue  # observe-rebuilt: reset + re-observed
             yield Finding(
                 rule=self.id,
                 path=path,
                 line=line,
                 message=f"{name}.{attr} is mutated in _observe but never "
-                "reset in _reset_state: the restore replay would stack onto "
-                "stale state from the previous run",
-                hint=f"reset {attr} in _reset_state (replay rebuilds it) or "
-                "carry it in _state_dict",
+                "reset in _reset_state: observing the history on restore "
+                "would stack onto stale state from the previous run",
+                hint=f"reset {attr} in _reset_state (observing rebuilds it) "
+                "or carry it in _state_dict",
             )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -176,28 +176,34 @@ class OpenTunerLikeTuner(Tuner):
             proposals.append((config, "learning"))
         return proposals
 
-    def _observe(self, configuration: Mapping[str, Any], result: ObjectiveResult) -> None:
-        """Credit the producing technique once its evaluation is told back.
+    def _observe(
+        self, configurations: Sequence[Configuration], results: Sequence[ObjectiveResult]
+    ) -> None:
+        """Credit each producing technique once its evaluation is told back,
+        in the batch's order.
 
-        ``improved`` compares against the best value *before* this
-        observation (the history already contains it when the hook runs).
-        Initial-phase samples — and history replay during checkpoint restore,
-        where the bandit state is loaded separately — carry no in-flight
-        technique and update nothing.
+        ``improved`` compares against the best value *before* that
+        observation (the history already ends with the batch when the hook
+        runs).  Initial-phase samples — and the whole history during
+        checkpoint restore, where the bandit state is loaded separately —
+        carry no in-flight technique and update nothing.
         """
-        key = self.space.freeze(configuration)
-        techniques = self._inflight.get(key)
-        if not techniques:
-            return
-        technique = techniques.pop(0)
-        if not techniques:
-            del self._inflight[key]
-        prior = self._history.evaluations[:-1] if self._history is not None else []
-        best_before = min(
-            (e.value for e in prior if e.feasible), default=math.inf
-        )
-        improved = result.feasible and result.value < best_before
-        self._bandit.update(technique, improved)
+        super()._observe(configurations, results)
+        evaluations = self.history.evaluations
+        start = len(evaluations) - len(configurations)
+        for i, (configuration, result) in enumerate(zip(configurations, results)):
+            key = self.space.freeze(configuration)
+            techniques = self._inflight.get(key)
+            if not techniques:
+                continue
+            technique = techniques.pop(0)
+            if not techniques:
+                del self._inflight[key]
+            best_before = min(
+                (e.value for e in evaluations[: start + i] if e.feasible), default=math.inf
+            )
+            improved = result.feasible and result.value < best_before
+            self._bandit.update(technique, improved)
 
     # ------------------------------------------------------------------
     def _state_dict(self) -> dict[str, Any]:

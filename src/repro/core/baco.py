@@ -26,7 +26,7 @@ threshold, and the surrogate family (GP vs. RF).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -241,16 +241,12 @@ class BacoTuner(Tuner):
             enabled=self.settings.use_feasibility_threshold
         )
         # Shared encoding layer: one distance computer (and encoder) reused
-        # by every per-iteration GP instance, plus per-observation caches
-        # maintained by _observe() so the learning loop never re-encodes or
-        # re-copies the history.
+        # by every per-iteration GP instance, plus the caches _observe()
+        # keeps so the learning loop never re-encodes the history (values
+        # and feasibility flags are read from the history itself).
         self._model_distance = DistanceComputer(self._model_space.parameters)
         self._gp_distance_cache = IncrementalDistanceTensor(self._model_distance)
-        self._space_encoder = space.encoder
-        self._space_rows_all: list[np.ndarray] = []
-        self._space_rows_feasible: list[np.ndarray] = []
-        self._feasible_values: list[float] = []
-        self._feasible_flags: list[bool] = []
+        self._space_rows: list[np.ndarray] = []
         # Surrogate refit policy ("exact" keeps the historical per-iteration
         # full refit; "fast" reuses _fast_gp across iterations with
         # incremental Cholesky extension and warm-started hyper fits).
@@ -306,7 +302,6 @@ class BacoTuner(Tuner):
             "last_refit_n": 0,
             "hypers": None,
         }
-        self._restored_chol_base_n = 0
 
     @property
     def surrogate_policy(self) -> SurrogatePolicy:
@@ -329,33 +324,29 @@ class BacoTuner(Tuner):
     def _reset_state(self, budget: int) -> None:
         super()._reset_state(budget)
         self._gp_distance_cache.reset()
-        self._space_rows_all.clear()
-        self._space_rows_feasible.clear()
-        self._feasible_values.clear()
-        self._feasible_flags.clear()
+        self._space_rows.clear()
         self._reset_policy_state()
 
     def _plan(self, budget: int) -> None:
         doe_size = self.settings.doe_size or default_doe_size(self.space, budget)
         self._doe_queue = initial_design_queue(self.space, doe_size, budget, self._rng)
 
-    def _observe(self, configuration: Mapping[str, Any], result: ObjectiveResult) -> None:
+    def _observe(
+        self, configurations: Sequence[Configuration], results: Sequence[ObjectiveResult]
+    ) -> None:
         """Keep the encoded-row caches in step with the recorded history.
 
-        Each evaluated configuration is encoded exactly once per encoder;
-        feasible observations additionally extend the incremental train-train
-        distance tensor by a single cross block, so the next GP fit starts
-        from a fully built Gram input.
+        The batch is encoded with one ``encode_batch`` call per encoder, and
+        its feasible observations extend the incremental train-train
+        distance tensor in one append, so the next GP fit starts from a
+        fully built Gram input.  A restore observes the whole history at
+        once and gets the rows and tensor that one call per tell built.
         """
-        row = self._space_encoder.encode(configuration)
-        self._space_rows_all.append(row)
-        self._feasible_flags.append(result.feasible)
-        if result.feasible:
-            self._space_rows_feasible.append(row)
-            self._feasible_values.append(result.value)
-            self._gp_distance_cache.append(
-                self._model_distance.encoder.encode(configuration)[None, :]
-            )
+        super()._observe(configurations, results)
+        self._space_rows.append(self.space.encoder.encode_batch(configurations))
+        feasible = [c for c, result in zip(configurations, results) if result.feasible]
+        if feasible:
+            self._gp_distance_cache.append(self._model_distance.encoder.encode_batch(feasible))
 
     # ------------------------------------------------------------------
     def _propose(self, k: int, pending_keys: set[tuple]) -> list[tuple[Configuration, str]]:
@@ -381,16 +372,17 @@ class BacoTuner(Tuner):
         per-iteration recommendation, RNG draw for RNG draw.
         """
         exclude = self._evaluated_keys | extra_exclude
-        values = self._feasible_values
+        evaluations = self.history.evaluations
+        values = [e.value for e in evaluations if e.feasible]
         profiler = self.phase_profiler
 
         # nothing told back yet (e.g. ask(n) straight after start with n
         # beyond the DoE): skip the feasibility fit — vstack of zero rows is
         # an error — and let the too-few-values guard below go random
-        if self._feasibility is not None and self._space_rows_all:
+        if self._feasibility is not None and evaluations:
             with profiler.phase("feas_fit"):
                 self._feasibility.fit_rows(
-                    np.vstack(self._space_rows_all), self._feasible_flags
+                    np.vstack(self._space_rows), [e.feasible for e in evaluations]
                 )
 
         # Not enough feasible data to fit the surrogate: keep exploring randomly.
@@ -509,11 +501,11 @@ class BacoTuner(Tuner):
 
     def _state_declaration(self, budget: int) -> dict[str, Any]:
         """A ``fast`` policy's state: its own spec, counters within the
-        replayed feasible history, and ``null`` or finite positive
+        observed feasible history, and ``null`` or finite positive
         hyper-parameters."""
         declaration = super()._state_declaration(budget)
         if self._policy.mode == "fast":
-            counter = schema.integer(0, len(self._feasible_values))
+            counter = schema.integer(0, self.history.n_feasible)
             declaration["surrogate_policy"] = {
                 "spec": schema.one_of(self._policy.spec()),
                 "last_sweep_n": counter,
@@ -528,7 +520,8 @@ class BacoTuner(Tuner):
         return declaration
 
     def _load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Load the ``fast`` policy state that :meth:`_state_dict` wrote.
+        """Load the ``fast`` policy state that :meth:`_state_dict` wrote and
+        rebuild its GP over the observed rows.
 
         Beyond its declaration, the state must hold one lengthscale per
         model dimension, and hyper-parameters whenever the last full
@@ -564,34 +557,24 @@ class BacoTuner(Tuner):
             "last_refit_n": payload["last_refit_n"],
             "hypers": hypers,
         }
-        self._restored_chol_base_n = base_n
-
-    def _post_restore(self) -> None:
-        """Rebuild the fast-policy GP so a resumed run replays bit-exactly.
-
-        The snapshot records the hyper-parameters and how many rows the last
-        *full* factorization covered (``chol_base_n``).  Refactorizing those
-        rows with frozen hyper-parameters reproduces the original factor
-        exactly (deterministic linalg on identical inputs); the rows beyond
-        it are re-extended one at a time by the next :meth:`_fit_gp`, the
-        same per-row arithmetic the original run performed.
-        """
-        if self._policy.mode == "exact":
-            return
-        hypers = self._policy_state["hypers"]
-        base_n = self._restored_chol_base_n
         if hypers is None or base_n < 2:
-            self._fast_gp = None
             return
+        # Rebuild the GP so the resumed run replays bit-exactly: the last
+        # *full* factorization covered ``chol_base_n`` rows, and refactorizing
+        # them with the frozen hyper-parameters reproduces that factor exactly
+        # (deterministic linalg on identical inputs); the next _fit_gp
+        # re-extends the rows beyond it one at a time, the same per-row
+        # arithmetic the original run performed.
         gp = self._make_gp()
         gp.hyperparameters = GPHyperparameters(
             lengthscales=np.asarray(hypers["lengthscales"], dtype=float),
             outputscale=float(hypers["outputscale"]),
             noise_variance=float(hypers["noise_variance"]),
         )
+        values = [e.value for e in self.history.evaluations if e.feasible]
         gp.fit_rows(
             self._gp_distance_cache.rows[:base_n],
-            self._feasible_values[:base_n],
+            values[:base_n],
             distance_tensor=self._gp_distance_cache.tensor[:, :base_n, :base_n],
             hyper_strategy="frozen",
         )
@@ -612,7 +595,8 @@ class BacoTuner(Tuner):
         """EI over an RF surrogate (used for the Fig. 8 GP-vs-RF comparison)."""
         surrogate = RandomForestRegressor(n_trees=self.settings.rf_trees, rng=self._rng)
         targets = np.log(values) if self.settings.use_transformations else np.asarray(values, dtype=float)
-        features = np.vstack(self._space_rows_feasible)
+        feasible = np.asarray([e.feasible for e in self.history.evaluations])
+        features = np.vstack(self._space_rows)[feasible]
         surrogate.fit(features, targets)
         epsilon = self._epsilon_schedule.sample(self._rng)
         return _RFAcquisition(

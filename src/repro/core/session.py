@@ -16,8 +16,8 @@ BO frameworks (skopt/ytopt, OpenTuner):
 
 The session (not the tuner) owns the :class:`~repro.core.result.TuningHistory`
 and the evaluation budget; the tuner is reduced to a proposal state machine
-(:meth:`repro.core.tuner.Tuner._propose`) plus per-observation cache updates
-(:meth:`repro.core.tuner.Tuner._observe`).
+(:meth:`repro.core.tuner.Tuner._propose`) plus one batch observation hook
+(:meth:`repro.core.tuner.Tuner._observe`) that ``tell`` and restore share.
 
 Checkpoint / resume
 -------------------
@@ -27,12 +27,13 @@ JSON-serializable dict: the RNG bit-generator state, the full history, any
 suggestions issued but not yet told, and the tuner's private state (pending
 DoE queue, bandit statistics, dedup sets).  :meth:`TuningSession.restore`
 rebuilds a live session from such a payload and a *freshly constructed*
-tuner: the history is replayed through the tuner's observation hook, which
-deterministically reconstructs every derived cache (encoded rows, feasible
-values, the incremental GP train-train distance tensor) without storing a
-single float twice, and the RNG is restored bit-exactly.  A restored session
-therefore continues the run exactly where the snapshot left off — the
-completed trace is bit-identical to an uninterrupted one.
+tuner in three steps: ``_reset_state``, one ``_observe`` call with the whole
+history, which deterministically reconstructs every derived cache (encoded
+rows, the incremental GP train-train distance tensor) without storing a
+single float twice, and ``_load_state_dict``; then the RNG is restored
+bit-exactly.  A restored session therefore continues the run exactly where
+the snapshot left off — the completed trace is bit-identical to an
+uninterrupted one.
 
 JSON notes: Python's ``json`` round-trips ``float`` values exactly (``repr``
 emits the shortest representation that parses back to the same double), so
@@ -186,7 +187,7 @@ def frozen_declaration(space: Any) -> schema.Leaf:
 
 def _snapshot_declaration(tuner: "Tuner") -> dict[str, Any]:
     """What :meth:`TuningSession.snapshot` writes for ``tuner``; the tuner
-    state is declared by the tuner and checked once the history is replayed."""
+    state is declared by the tuner and checked once the history is observed."""
     configuration = configuration_declaration(tuner.space)
     rng = tuner._rng.bit_generator.state
     return {
@@ -400,7 +401,7 @@ class TuningSession:
                 raise TypeError("tell() expects an ObjectiveResult")
             evaluation = self.history.append(issued.configuration, result, phase=issued.phase)
             self.history.evaluation_seconds += max(0.0, float(elapsed))
-            self.tuner._record_observation(issued.configuration, result)
+            self.tuner._observe([issued.configuration], [result])
             return evaluation
 
     # ------------------------------------------------------------------
@@ -441,12 +442,12 @@ class TuningSession:
         ``tuner`` must be a freshly constructed instance equivalent to the one
         that produced the snapshot (same class, space, and settings); its RNG
         state is overwritten with the snapshotted one, and every derived cache
-        is reconstructed by replaying the history through the tuner's
-        observation hook.  The payload may come from a client, so it must be
+        is reconstructed by one call of the tuner's observation hook with the
+        whole history.  The payload may come from a client, so it must be
         exactly what :meth:`snapshot` writes (``meta`` excepted, which is
         free-form): it is checked against its declaration before anything is
         installed, and the tuner state against the tuner's once the history
-        is replayed.  A malformed field raises ``ValueError`` naming it.
+        is observed.  A malformed field raises ``ValueError`` naming it.
         """
         schema.check(payload, _snapshot_declaration(tuner))
         _check_snapshot_rules(payload, tuner)
@@ -456,15 +457,14 @@ class TuningSession:
         session.history = TuningHistory.from_dict(payload["history"])
         tuner._bind_session(session)
         tuner._reset_state(session.budget)
-        for evaluation in session.history.evaluations:
-            tuner._record_observation(
-                evaluation.configuration,
-                ObjectiveResult(value=evaluation.value, feasible=evaluation.feasible),
-            )
+        evaluations = session.history.evaluations
+        tuner._observe(
+            [e.configuration for e in evaluations],
+            [ObjectiveResult(value=e.value, feasible=e.feasible) for e in evaluations],
+        )
         state = payload["tuner_state"]
         schema.check(state, tuner._state_declaration(session.budget), "tuner_state")
         tuner._load_state_dict(state)
-        tuner._post_restore()
         tuner._rng.bit_generator.state = payload["rng"]
         session._reissue = deque(Suggestion.from_dict(entry) for entry in payload["pending"])
         session._next_id = meta["next_suggestion_id"]

@@ -7,13 +7,14 @@ Tuners are *proposal state machines* driven through an ask/tell
   (the DoE queue), consuming randomness exactly as the historical push-driven
   ``_run`` loops did;
 * :meth:`Tuner._propose` emits the next ``k`` configurations to evaluate;
-* :meth:`Tuner._observe` updates per-observation caches after each result is
-  told back;
+* :meth:`Tuner._observe` updates per-observation caches from a batch of
+  results: ``tell`` passes its one observation, a restore the whole history;
 * :meth:`Tuner._state_dict` / :meth:`Tuner._load_state_dict` round-trip the
   tuner-private state (queues, bandits, dedup sets) through JSON for
   checkpoint / resume, and :meth:`Tuner._state_declaration` declares it
   (:mod:`repro.core.schema`), so a restore accepts exactly what a snapshot
-  writes.
+  writes.  A restore is three steps: :meth:`Tuner._reset_state`, one
+  :meth:`Tuner._observe` of the history, :meth:`Tuner._load_state_dict`.
 
 :meth:`Tuner.tune` remains the convenience entry point used throughout the
 experiment harness — it runs the session API's one serial driver,
@@ -26,7 +27,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -120,7 +121,7 @@ class Tuner(ABC):
 
     def _reset_state(self, budget: int) -> None:
         """Clear all per-session state.  Must not consume randomness — the
-        checkpoint-restore path calls this before replaying the history."""
+        checkpoint-restore path calls this before observing the history."""
         self._evaluated_keys = set()
         self._doe_queue = deque()
         self.phase_profiler.reset()
@@ -136,22 +137,21 @@ class Tuner(ABC):
         yet told, so batch proposals can avoid duplicating in-flight work.
         """
 
-    def _record_observation(
-        self, configuration: Mapping[str, Any], result: ObjectiveResult
+    def _observe(
+        self, configurations: Sequence[Configuration], results: Sequence[ObjectiveResult]
     ) -> None:
-        """Uniform bookkeeping applied to every told observation."""
-        self._evaluated_keys.add(self.space.freeze(configuration))
-        self._observe(configuration, result)
+        """Hook called once the history ends with these observations.
 
-    def _observe(self, configuration: Mapping[str, Any], result: ObjectiveResult) -> None:
-        """Hook called after each evaluation is recorded.
-
-        Subclasses override this to maintain per-observation caches (encoded
+        ``tell`` passes its one observation; a restore passes the whole
+        history at once.  Subclasses extend this (calling ``super()``, which
+        records the frozen keys) to keep per-observation caches (encoded
         feature rows, incremental distance tensors, ...) in step with the
-        history instead of re-deriving them every iteration.  The hook is also
-        used to rebuild those caches when a checkpoint is restored, so it must
-        depend only on ``(configuration, result)`` — never on randomness.
+        history instead of re-deriving them every iteration, so it must
+        depend only on the observations and the history — never on
+        randomness — and give the same caches for any split of a history
+        into batches.
         """
+        self._evaluated_keys.update(self.space.freeze(c) for c in configurations)
 
     # ------------------------------------------------------------------
     # checkpoint / resume state
@@ -162,7 +162,7 @@ class Tuner(ABC):
         return {"doe_queue": [configuration_to_json(c) for c in self._doe_queue]}
 
     def _state_declaration(self, budget: int) -> dict[str, Any]:
-        """What :meth:`_state_dict` can write for the replayed history of a
+        """What :meth:`_state_dict` can write for the observed history of a
         ``budget``-evaluation session (:mod:`repro.core.schema`); restore
         checks it before :meth:`_load_state_dict` runs.  Subclasses extend it
         as they extend :meth:`_state_dict`."""
@@ -171,14 +171,11 @@ class Tuner(ABC):
     def _load_state_dict(self, payload: Mapping[str, Any]) -> None:
         """Restore the state produced by :meth:`_state_dict`; ``payload``
         matches :meth:`_state_declaration`, so only cross-field rules are
-        left to check."""
+        left to check.  The history is observed by then, so subclasses also
+        rebuild here the caches that depend on both (e.g. a Cholesky factor
+        over the observed rows with snapshotted hyper-parameters).  Must not
+        consume randomness."""
         self._doe_queue = deque(configuration_from_json(entry) for entry in payload["doe_queue"])
-
-    def _post_restore(self) -> None:
-        """Hook called once a snapshot restore has replayed the full history
-        and loaded the state dict.  Subclasses rebuild derived caches that
-        depend on *both* (e.g. a Cholesky factor over the replayed rows with
-        snapshotted hyper-parameters).  Must not consume randomness."""
 
     # ------------------------------------------------------------------
     # history access

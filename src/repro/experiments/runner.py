@@ -406,7 +406,7 @@ def restore_session(payload: Mapping[str, Any]) -> tuple[TuningSession, Benchmar
 
     The benchmark is re-resolved by name through the workload registry and a
     fresh tuner is constructed with the snapshotted variant name, seed, and
-    fidelity before :meth:`TuningSession.restore` replays the state.  Shared
+    fidelity before :meth:`TuningSession.restore` rebuilds the state.  Shared
     by :func:`load_session` (checkpoint files) and the tuning service's
     inline-payload ``restore`` op.
     """

@@ -190,11 +190,14 @@ class DistanceComputer:
 class IncrementalDistanceTensor:
     """Grows a symmetric train-train distance tensor one batch at a time.
 
-    The tuner appends each new observation's encoded row as it is evaluated;
-    only the cross block against the existing rows is computed, never the
-    full tensor.  Buffers grow by capacity doubling, so views handed out by
-    :attr:`tensor` / :attr:`rows` stay valid snapshots even after later
-    appends trigger a reallocation.
+    The tuner appends each new observation's encoded row as it is evaluated
+    (and a restore the whole history in one batch); only the cross block
+    against the existing rows is computed, never the full tensor.  Buffer
+    capacity is the smallest power of two (at least 8) that holds the rows,
+    which is what one-row appends reach by doubling, so any split of the
+    same rows into appends gives equal bytes, buffer shapes and view
+    strides.  Views handed out by :attr:`tensor` / :attr:`rows` stay valid
+    snapshots even after later appends trigger a reallocation.
     """
 
     def __init__(self, computer: DistanceComputer) -> None:
@@ -235,7 +238,7 @@ class IncrementalDistanceTensor:
         capacity = 0 if self._rows_buf is None else self._rows_buf.shape[0]
         if needed <= capacity:
             return
-        new_capacity = max(needed, max(8, 2 * capacity))
+        new_capacity = max(8, 1 << (needed - 1).bit_length())
         rows = np.empty((new_capacity, width))
         tensor = np.empty((depth, new_capacity, new_capacity))
         if self._n:

@@ -460,7 +460,7 @@ class TestBacoTunerPolicy:
         # one full sweep when the learning phase began, frozen extensions after
         assert gp.n_train_factorizations == 1
         # the last observation is never fit (no recommendation follows it)
-        assert gp._chol_n == len(tuner._feasible_values) - 1
+        assert gp._chol_n == tuner.history.n_feasible - 1
         assert gp._chol_base_n < gp._chol_n
 
     def test_fast_mode_warm_refits_on_cadence(self):

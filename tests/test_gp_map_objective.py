@@ -705,7 +705,7 @@ class TestNonFiniteInput:
             lambda c: ObjectiveResult(value=1.0 + abs(math.log2(c["tile"]) - 3) + 0.1 * c["unroll"]),
             10,
         )
-        values = list(tuner._feasible_values)
+        values = [e.value for e in tuner.history.evaluations if e.feasible]
         assert tuner._fit_gp(values) is not None
         tuner._gp_distance_cache._tensor_buf[0, 0, 1] = np.nan
         assert tuner._fit_gp(values) is None

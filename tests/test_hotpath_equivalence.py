@@ -41,6 +41,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baco import BacoSettings, BacoTuner
 from repro.models.distances import (
@@ -56,8 +58,10 @@ from repro.space.parameters import (
     PermutationParameter,
     RealParameter,
 )
+from repro.workloads.registry import get_benchmark
 
 from oracles import kendall_distance, pairwise_reference, sample_value
+from test_neighbour_tables import REGISTRY
 
 _DATA = Path(__file__).parent / "data"
 FIXTURES = {
@@ -192,6 +196,40 @@ class TestIncrementalTensor:
         view = cache.tensor
         cache.append(rows[3:])  # forces at least one reallocation
         assert np.array_equal(view, snapshot)
+
+    @given(
+        name=st.sampled_from(REGISTRY),
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 70),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_split_into_appends_gives_the_same_buffers(self, name, seed, n, data):
+        """A restore appends a whole history at once, a live run one row per
+        feasible tell: both must hand the GP the same bytes in the same
+        layout, so any split of the rows gives equal buffer shapes and view
+        strides, not only equal values."""
+        space = get_benchmark(name).space
+        configurations = space.sample(np.random.default_rng(seed), n)
+        split = data.draw(st.integers(0, n), label="split")
+        computer = DistanceComputer(space.parameters)
+        rows = computer.encoder.encode_batch(configurations)
+        per_row = np.vstack([computer.encoder.encode(c) for c in configurations])
+        assert rows.tobytes() == per_row.tobytes()
+
+        whole, row_by_row, two_chunks = (IncrementalDistanceTensor(computer) for _ in range(3))
+        whole.append(rows)
+        for i in range(n):
+            row_by_row.append(rows[i : i + 1])
+        two_chunks.append(rows[:split])
+        two_chunks.append(rows[split:])
+        for cache in (row_by_row, two_chunks):
+            assert cache._rows_buf.shape == whole._rows_buf.shape
+            assert cache._tensor_buf.shape == whole._tensor_buf.shape
+            for view in ("rows", "tensor"):
+                got, want = getattr(cache, view), getattr(whole, view)
+                assert got.tobytes() == want.tobytes()
+                assert got.strides == want.strides
 
 
 class TestGPEquivalence:

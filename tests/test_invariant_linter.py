@@ -160,8 +160,6 @@ class Tuner:
         return {"doe_queue": self._doe_queue}
     def _load_state_dict(self, payload):
         self._doe_queue = payload["doe_queue"]
-    def _post_restore(self):
-        pass
 """
 
 _BROKEN_TUNER = _TOY_TUNER_HEADER + """\
@@ -211,7 +209,9 @@ def test_snapshot_covered_ask_state_is_clean(tmp_path):
     assert report.ok
 
 
-def test_snapshot_post_restore_rebuild_counts_as_coverage(tmp_path):
+def test_snapshot_post_restore_write_is_not_coverage(tmp_path):
+    """A restore is _reset_state, _observe and _load_state_dict; nothing
+    calls a ``_post_restore`` method, so a write there restores nothing."""
     source = _TOY_TUNER_HEADER + """\
 
 class DerivedCacheTuner(Tuner):
@@ -222,6 +222,28 @@ class DerivedCacheTuner(Tuner):
         self._cache[k] = k
         return []
     def _post_restore(self):
+        self._cache = {"rebuilt": True}
+"""
+    report = check_snippet(
+        tmp_path, "toy.py", source, select=["snapshot-drift"]
+    )
+    findings = [f for f in report.findings if f.rule == "snapshot-drift"]
+    assert len(findings) == 1
+    assert "DerivedCacheTuner._cache" in findings[0].message
+
+
+def test_snapshot_load_state_dict_rebuild_counts_as_coverage(tmp_path):
+    source = _TOY_TUNER_HEADER + """\
+
+class DerivedCacheTuner(Tuner):
+    def _reset_state(self, budget):
+        super()._reset_state(budget)
+        self._cache = {}
+    def _propose(self, k, pending):
+        self._cache[k] = k
+        return []
+    def _load_state_dict(self, payload):
+        super()._load_state_dict(payload)
         self._cache = {"rebuilt": True}
 """
     report = check_snippet(

@@ -262,6 +262,26 @@ class TestCellFailures:
         assert out.rstrip().endswith("— 1 cached")
 
 
+class TestGridBudgetBelowOne:
+    """``sweep``, ``status`` and ``report`` exit 2 naming ``--budget`` below
+    1 before any cell is enumerated, as ``tune`` does: ``status --budget -2``
+    used to print a grid of missing cells, ``report --budget 0`` an empty
+    table, and ``sweep --budget 0`` to fail every cell into the manifest."""
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["sweep", "status", "report"])
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, command, value):
+        from repro.__main__ import main
+
+        argv = [command, "--benchmarks", "hpvm_bfs", "--tuners", "Uniform Sampling",
+                "--budget", value, "--cache-dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: --budget must be at least 1, got {value}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRunnerDelegation:
     def test_run_benchmark_parallel_matches_serial(self, tmp_path):
         from repro.experiments.runner import run_benchmark

@@ -271,6 +271,37 @@ class TestTamperedCheckpoint:
         assert named in capsys.readouterr().err
 
 
+class TestResumeRefusesRunFlags:
+    """A checkpoint defines its run, so ``repro tune --resume`` exits 2
+    naming each run-defining flag, before it loads the checkpoint: a BaCO
+    ``hpvm_bfs`` seed-7 checkpoint resumed with ``--seed 99`` (or another
+    benchmark, tuner, budget or fidelity) used to exit 0 and finish the
+    checkpoint's own run."""
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--benchmark", "hpvm_audio"), ("--tuner", "Uniform Sampling"),
+         ("--budget", "50"), ("--seed", "99"), ("--fidelity", "paper")],
+    )
+    def test_exits_2_naming_the_flag(self, tmp_path, monkeypatch, capsys, flag, value):
+        from repro.__main__ import main
+
+        session, _ = make_session("hpvm_bfs", "BaCO", 16, 7)
+        checkpoint = save_session(session, tmp_path / "run.ckpt.json")
+        saved = checkpoint.read_bytes()
+
+        def load_session(path):
+            raise AssertionError("the checkpoint was loaded")
+
+        monkeypatch.setattr(runner, "load_session", load_session)
+        argv = ["tune", "--resume", "--checkpoint", str(checkpoint), flag, value, "--quiet"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} cannot be combined with --resume" in captured.err
+        assert captured.out == ""
+        assert checkpoint.read_bytes() == saved
+
+
 class TestBatchedTune:
     """``repro tune --eval-workers q`` drives ``ask(q)`` batches over a
     process pool, records ``q`` in the checkpoint, and ``--resume`` reads it

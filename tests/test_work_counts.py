@@ -5,7 +5,10 @@ work it does is too: how many GP fits, Cholesky extensions, MAP-objective
 calls (and how many of those build the kernel tensor in full rather than
 rescore the last full build), batches of finite-difference probes and the
 probes in them, feasibility fits, forest nodes grown and draws it makes,
-how many rows it predicts and how many neighbours its climb builds.
+how many rows it predicts and how many neighbours its climb builds, and
+how many distance-tensor appends and batch encodes it makes.  A restore of
+the finished session observes the whole history at once, so it makes one
+append and one batch encode per encoder, however long the history is.
 Counting them refutes a claim about where the time went without any timing
 noise: a speedup that keeps every trace keeps every count, and a change
 that adds work (a second predict per climb step, a refit per tell) moves
@@ -24,9 +27,12 @@ from collections import Counter
 import pytest
 
 from repro.core.feasibility import FeasibilityModel
+from repro.core.session import TuningSession, drive
 from repro.experiments.runner import make_tuner
+from repro.models.distances import IncrementalDistanceTensor
 from repro.models.gp import GaussianProcess, _MapObjective
 from repro.models.random_forest import RandomForestClassifier
+from repro.space.encoding import ConfigEncoder
 from repro.space.space import SearchSpace
 from repro.workloads.registry import get_benchmark
 
@@ -46,7 +52,14 @@ WRAPPED = (
     (SearchSpace, "sample_rows", "space.sample_calls", None, None),
     (SearchSpace, "neighbour_rows_batch", "space.neighbour_calls", "space.neighbour_rows",
      lambda args, result: len(result[0])),
+    (IncrementalDistanceTensor, "append", "distance.appends", None, None),
+    (ConfigEncoder, "encode_batch", "encode.batches", None, None),
 )
+
+#: the same counts for restoring the finished session into a fresh tuner:
+#: the space encoder encodes every evaluation, the model encoder the
+#: feasible ones, and their rows extend the distance tensor in one append
+RESTORE_EXPECTED = {"distance.appends": 1, "encode.batches": 2}
 
 #: (benchmark, surrogate policy, seed, budget) -> counts at paper fidelity
 EXPECTED = {
@@ -65,6 +78,8 @@ EXPECTED = {
         "space.sample_calls": 30,
         "space.neighbour_calls": 331,
         "space.neighbour_rows": 30_050,
+        "distance.appends": 30,  # one per feasible tell
+        "encode.batches": 110,  # one per ask, per tell and per feasible tell
     },
     ("taco_spmm_scircuit", "fast", 100, 60): {
         "gp.fit_calls": 7,
@@ -81,6 +96,8 @@ EXPECTED = {
         "space.sample_calls": 54,
         "space.neighbour_calls": 386,
         "space.neighbour_rows": 24_538,
+        "distance.appends": 60,
+        "encode.batches": 180,
     },
 }
 
@@ -108,10 +125,17 @@ def test_work_counts(monkeypatch, benchmark_name, policy, seed, budget):
         method = getattr(cls, name)
         monkeypatch.setattr(cls, name, _counting(method, counts, calls, rows_key, rows_of))
     bench = get_benchmark(benchmark_name)
-    tuner = make_tuner(
-        "BaCO", bench.space, seed, fidelity="paper", surrogate_policy=policy
-    )
-    history = tuner.tune(bench.evaluate, budget, benchmark_name=benchmark_name)
+
+    def new_tuner():
+        return make_tuner("BaCO", bench.space, seed, fidelity="paper", surrogate_policy=policy)
+
+    session = new_tuner().start_session(budget, benchmark_name=benchmark_name)
+    history = drive(session, bench.evaluate)
     assert len(history) == budget
     expected = EXPECTED[(benchmark_name, policy, seed, budget)]
     assert {key: counts[key] for key in expected} == expected
+
+    payload = session.snapshot()
+    counts.clear()
+    TuningSession.restore(payload, new_tuner())
+    assert {key: counts[key] for key in RESTORE_EXPECTED} == RESTORE_EXPECTED
