@@ -340,6 +340,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import SessionRegistry, serve
 
+    if args.max_sessions < 1:
+        print(f"error: --max-sessions must be at least 1, got {args.max_sessions}",
+              file=sys.stderr)
+        return 2
+    if args.tcp is not None and not 0 <= args.tcp <= 65535:
+        print(f"error: --tcp must be a port in 0-65535, got {args.tcp}", file=sys.stderr)
+        return 2
     registry = SessionRegistry(
         sessions_dir=args.sessions_dir, max_sessions=args.max_sessions
     )
@@ -351,7 +358,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .server import TuningServer
 
-    server = TuningServer(registry, host=args.host, port=args.tcp)
+    try:
+        server = TuningServer(registry, host=args.host, port=args.tcp)
+    except OSError as exc:  # port in use, unknown host (socket.gaierror), ...
+        print(f"error: cannot listen on {args.host}:{args.tcp}: {exc}", file=sys.stderr)
+        return 1
     where = f"{server.server_address[0]}:{server.port}"
     extras = [f"max {args.max_sessions} sessions"]
     if args.sessions_dir is not None:

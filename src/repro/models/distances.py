@@ -163,6 +163,14 @@ class DistanceComputer:
     def n_dimensions(self) -> int:
         return len(self.parameters)
 
+    def check_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` as a float matrix of the encoder's width, or ``ValueError``."""
+        rows = np.asarray(rows, dtype=float)
+        width = self.encoder.width
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"expected rows of width {width}, got shape {rows.shape}")
+        return rows
+
     def pairwise_rows(
         self, rows_a: np.ndarray, rows_b: np.ndarray | None = None
     ) -> np.ndarray:
@@ -171,8 +179,8 @@ class DistanceComputer:
         When ``rows_b`` is ``None`` the (symmetric) self-distance tensor of
         ``rows_a`` is computed.
         """
-        a = np.asarray(rows_a, dtype=float)
-        b = a if rows_b is None else np.asarray(rows_b, dtype=float)
+        a = self.check_rows(rows_a)
+        b = a if rows_b is None else self.check_rows(rows_b)
         out = np.empty((self.n_dimensions, a.shape[0], b.shape[0]))
         for k, block in enumerate(self.encoder.blocks):
             if block.kind == "numeric":
@@ -249,7 +257,7 @@ class IncrementalDistanceTensor:
 
     def append(self, new_rows: np.ndarray) -> None:
         """Append encoded rows, extending the tensor by their cross blocks."""
-        new_rows = np.atleast_2d(np.asarray(new_rows, dtype=float))
+        new_rows = self._computer.check_rows(np.atleast_2d(new_rows))
         k = new_rows.shape[0]
         if k == 0:
             return

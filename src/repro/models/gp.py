@@ -69,6 +69,8 @@ from .priors import GammaLogDensities, GammaPrior
 __all__ = ["GaussianProcess", "GPHyperparameters"]
 
 _JITTER = 1e-8
+#: the finite-difference step L-BFGS-B takes by default (its ``eps`` option)
+_STEP = 1e-8
 _MIN_STD = 1e-12
 
 
@@ -116,10 +118,10 @@ class _MapObjective:
       elementwise symmetric.  Whether the whole tensor is finite is
       checked here, once, and a non-finite one raises ``ValueError`` on
       every call, as a non-finite ``K`` did;
-    * one LAPACK buffer per row of a gradient's probes, whose transpose
-      ``potrf`` factors in place, and the ``potrf`` / ``potrs`` that
-      ``scipy.linalg.cholesky`` / ``cho_solve`` call, without their
-      argument checks and batch wrapper.
+    * one LAPACK buffer per row an iterate scores (its ``D + 2`` probes,
+      then itself), whose transpose ``potrf`` factors in place, and the
+      ``potrf`` / ``potrs`` that ``scipy.linalg.cholesky`` / ``cho_solve``
+      call, without their argument checks and batch wrapper.
 
     The last vector built in full (:meth:`_build_base`) is the *base*.  Its
     scaled slices ``(dᵢ/lᵢ)²``, their running sums along the parameter
@@ -127,21 +129,18 @@ class _MapObjective:
     the base again from a copy of that kernel and builds any other vector
     in full, making it the base.
 
-    L-BFGS-B's finite-difference gradient goes through
-    :meth:`score_probes`, which ``_map_search`` passes as L-BFGS-B's
-    ``workers`` option: scipy computes the ``D + 2`` probes of a gradient,
-    each one coordinate away from the point it differentiates at, and
-    this scores them all in one batched pass over the base's arrays.
-    Every float operation is the reference's, in its order, so each value
-    is bit-identical to a full build; ``tests/test_gp_map_objective.py``
-    pins it.
+    L-BFGS-B calls :meth:`value_and_gradient` (``jac=True``), which scores
+    an iterate and its probes in one batched pass over the base's arrays.
+    Every float operation is the reference's, in its order, so values and
+    gradients keep the bits of full builds and of scipy's finite
+    differences; ``tests/test_gp_map_objective.py`` pins both.
     """
 
     def __init__(
         self, gp: "GaussianProcess", distance_tensor: np.ndarray, y: np.ndarray
     ) -> None:
         d, n = distance_tensor.shape[0], len(y)
-        k = d + 2  # one gradient's probes: every coordinate of the vector
+        k = d + 3  # the rows an iterate scores: its D + 2 probes, then itself
         # K[i, j] for i ≥ j, from distance_tensor[:, i, j]: the diagonal,
         # then the strict lower triangle column by column
         above, below = np.triu_indices(n, 1)
@@ -159,17 +158,13 @@ class _MapObjective:
         # the base: exp of its vector (NaN, equal to nothing, while unset),
         # its slices, their running sums (the first is slice 0 again), its
         # distance and its noiseless kernel
-        self._no_base = np.full(k, np.nan)
+        self._no_base = np.full(d + 2, np.nan)
         self._base_values = self._no_base
         self._slices = np.empty_like(self._tensor)
         self._sums = np.empty_like(self._tensor)
         self._base_distance = self._distances[d]
         self._base_kernel = np.empty(len(rows))
-        # probe r moves coordinate r of the centre, so coordinate i of the
-        # centre is read from probe i + 1 (mod k)
-        self._index = np.arange(k)
-        self._next = (self._index + 1) % k
-        self._off_diagonal = ~np.eye(k, dtype=bool)
+        self._lower, self._upper = np.array(gp._hyper_bounds()).T
         self._y = y
         self._y_finite = bool(np.isfinite(y).all())
         self._log_2pi_term = 0.5 * n * math.log(2.0 * math.pi)
@@ -201,37 +196,43 @@ class _MapObjective:
         self._kernels[0] = self._base_kernel
         return self._score(values[None, :])[0]
 
-    def score_probes(self, fun, probes) -> list[float]:
-        """``[self(x) for x in probes]``, one gradient's probes in one pass.
+    def value_and_gradient(self, vector: np.ndarray) -> tuple[float, np.ndarray]:
+        """``f(x)`` and its forward-difference gradient, scored in one pass.
 
-        L-BFGS-B calls this as ``workers(fun, probes)``; ``fun`` is scipy's
-        wrapper around this objective and is not needed.  scipy's 2-point
-        scheme sends ``D + 2`` probes, probe ``r`` one step along
-        coordinate ``r`` from the centre.  The centre is built in full
-        first unless it is the base, then every probe reuses the base:
+        The gradient is the 2-point one scipy's L-BFGS-B takes without
+        ``jac``, with its absolute step and the bounds: coordinate ``r`` is
+        ``(f(x + h_r·e_r) − f(x)) / ((x_r + h_r) − x_r)`` with
+        ``h_r = 1e-8``, or ``−1e-8`` where ``x_r + 1e-8`` passes the upper
+        bound.  The rest of scipy's step rule never fires for
+        :meth:`GaussianProcess._hyper_bounds`: each interval is 13.8 or 18.4
+        wide and ``|x| ≤ 18.5``, so ``(x_r + 1e-8) − x_r`` is never 0 and a
+        flipped step stays inside its interval."""
+        x = np.asarray(vector, dtype=float)
+        if ((x < self._lower) | (x > self._upper)).any():
+            raise ValueError("`x0` violates bound constraints.")
+        step = np.where(x + _STEP > self._upper, -_STEP, _STEP)
+        scores = self._score_moves(x, x + np.diag(step))
+        value = scores[-1]
+        return value, (np.array(scores[:-1]) - value) / ((x + step) - x)
 
-        * the ``D`` lengthscale probes divide the packed tensor by their
-          own lengthscale and square it, add the running sum through
-          ``r − 1``, then the base slices ``r + 1 … D − 1``: the additions,
-          in the order, of the axis-0 sum of a full build;
-        * the outputscale probe takes the base distance, and the Matérn
-          stage scores it with the lengthscale probes in one call, a
-          column holding each row's outputscale;
-        * the noise probe copies the base kernel.
+    def _score_moves(self, centre: np.ndarray, moved: np.ndarray) -> list[float]:
+        """Score the ``D + 2`` rows of ``moved``, row ``r`` ``centre`` with
+        coordinate ``r`` moved, then ``centre``, which is built in full
+        unless it is the base.  Every moved row reuses the base:
 
-        Any other set of vectors is scored one at a time.
+        * the ``D`` lengthscale moves divide the packed tensor by their own
+          lengthscale and square it, add the running sum through ``r − 1``,
+          then the base slices ``r + 1 … D − 1``: the additions, in the
+          order, of the axis-0 sum of a full build;
+        * the outputscale move takes the base distance, and the Matérn
+          stage scores it with the lengthscale moves in one call, a column
+          holding each row's outputscale;
+        * the noise move and the centre copy the base kernel.
         """
-        stack = np.array(list(probes), dtype=float)
-        k = len(self._index)
-        if stack.shape != (k, k) or (
-            (stack != stack[self._next, self._index]) & self._off_diagonal
-        ).any():  # not one step along each coordinate of one centre
-            return [self(vector) for vector in stack]
-        values = np.exp(stack)
-        centre_values = values[self._next, self._index]
-        if (centre_values != self._base_values).any():
-            self._build_base(centre_values)
-        d = k - 2
+        values = np.exp(np.vstack([moved, centre]))
+        if (values[-1] != self._base_values).any():
+            self._build_base(values[-1])
+        d = len(self._sums)
         probed = self._distances[:d]
         np.divide(self._tensor, values.diagonal()[:d, None], out=probed)
         np.square(probed, out=probed)
@@ -240,7 +241,7 @@ class _MapObjective:
             np.add(probed[:j], self._slices[j], out=probed[:j])
         np.sqrt(probed, out=probed)
         matern52_of_distance(self._distances, values[: d + 1, d, None], out=self._kernels[: d + 1])
-        self._kernels[d + 1] = self._base_kernel
+        self._kernels[d + 1 :] = self._base_kernel
         return self._score(values)
 
     def _build_base(self, values: np.ndarray) -> None:
@@ -466,7 +467,7 @@ class GaussianProcess:
                 f"unknown hyper_strategy {hyper_strategy!r}; "
                 "choose from 'sweep', 'warm', 'frozen'"
             )
-        rows = np.asarray(rows, dtype=float)
+        rows = self._distance.check_rows(rows)
         if len(rows) != len(targets):
             raise ValueError("configurations and targets must have the same length")
         if len(rows) < 2:
@@ -533,14 +534,12 @@ class GaussianProcess:
         best_value, best_vector = candidates[0]
         for _, start in candidates[:n_refined]:
             result = optimize.minimize(
-                objective,
+                objective.value_and_gradient,
                 start,
                 method="L-BFGS-B",
+                jac=True,
                 bounds=self._hyper_bounds(),
-                options={
-                    "maxiter": self.max_optimizer_iterations,
-                    "workers": objective.score_probes,
-                },
+                options={"maxiter": self.max_optimizer_iterations},
             )
             if result.fun < best_value:
                 best_value, best_vector = float(result.fun), result.x
@@ -654,7 +653,7 @@ class GaussianProcess:
         if not self.is_fitted:
             raise RuntimeError("predict_rows() called before fit_rows()")
         hp = self.hyperparameters
-        cross = self._distance.pairwise_rows(np.asarray(rows, dtype=float), self._train_rows)
+        cross = self._distance.pairwise_rows(rows, self._train_rows)
         k_star = matern52(cross, hp.lengthscales, hp.outputscale)
         mean = k_star @ self._alpha
         v = linalg.solve_triangular(self._cholesky, k_star.T, lower=True)

@@ -3,15 +3,16 @@
 ``GaussianProcess.fit_rows`` scores hyper-parameter vectors with
 ``repro.models.gp._MapObjective``, which preallocates its arrays once per
 fit, builds only the triangle of the kernel LAPACK reads, calls LAPACK
-directly and scores the probes of each finite-difference gradient, which
-L-BFGS-B hands it through its ``workers`` option, in one batch from its
-last full build's cached slices and sums.
+directly and, for L-BFGS-B (``jac=True``), scores each iterate and the
+probes of its finite-difference gradient in one batch from its last full
+build's cached slices and sums.
 :func:`reference_negative_log_posterior` below is the straightforward form
 it replaced: an allocating kernel build, ``K + (σ² + jitter)·I``,
 ``scipy.linalg.cholesky`` / ``cho_solve`` and ``scipy.stats.gamma.logpdf``
 priors.  The objective must equal it exactly — ``==`` on floats, no
-tolerance — because every trajectory, fixture and checkpoint depends on the
-hyper-parameters the fit lands on.
+tolerance — and its gradient must equal, in bytes, the one scipy's
+``approx_derivative`` takes from it, because every trajectory, fixture and
+checkpoint depends on the hyper-parameters the fit lands on.
 
 Also here: the fused prior term ``GammaLogDensities`` and its per-prior
 oracle ``gamma_log_pdf`` against ``scipy.stats.gamma.logpdf``, the Matérn
@@ -26,7 +27,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, stats
-from scipy.optimize import OptimizeWarning
 from scipy.optimize._numdiff import approx_derivative
 
 import repro.models.gp as gp_module
@@ -108,9 +107,24 @@ def reference_negative_log_posterior(
     return nll
 
 
+#: the absolute finite-difference step scipy's L-BFGS-B takes (its ``eps``)
+_LBFGSB_STEP = 1e-8
+
+
+def _lbfgsb_gradient(objective, vector, value, bounds):
+    """The gradient L-BFGS-B takes without ``jac``: scipy's 2-point scheme
+    with its absolute step and the bounds, each probe scored through
+    ``map``."""
+    return approx_derivative(
+        objective, vector, method="2-point", abs_step=_LBFGSB_STEP, f0=value,
+        bounds=tuple(np.array(bounds).T),
+    )
+
+
 class _ReferenceObjective:
     """Drop-in for ``_MapObjective`` that evaluates the oracle, one vector
-    at a time."""
+    at a time, and takes L-BFGS-B's gradient the way scipy does without
+    ``jac``."""
 
     calls = 0
 
@@ -122,18 +136,20 @@ class _ReferenceObjective:
         gp, distance_tensor, y = self._args
         return reference_negative_log_posterior(gp, distance_tensor, vector, y)
 
-    def score_probes(self, fun, probes):
-        return [self(x) for x in probes]
+    def value_and_gradient(self, vector):
+        value = self(vector)
+        return value, _lbfgsb_gradient(self, vector, value, self._args[0]._hyper_bounds())
 
 
 class _CountingObjective(_MapObjective):
-    """``_MapObjective`` that counts its calls and records the exp'd vector
-    of each full build."""
+    """``_MapObjective`` that counts its calls, records the exp'd vector of
+    each full build and each batch of moves with its scores."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.calls = 0
         self.builds = []
+        self.moves = []
 
     def __call__(self, vector):
         self.calls += 1
@@ -142,6 +158,11 @@ class _CountingObjective(_MapObjective):
     def _build_base(self, values):
         self.builds.append(values.copy())
         super()._build_base(values)
+
+    def _score_moves(self, centre, moved):
+        scores = super()._score_moves(centre, moved)
+        self.moves.append((np.vstack([moved, centre]), scores))
+        return scores
 
 
 def _same_bits(a, b) -> bool:
@@ -277,9 +298,8 @@ class TestMapObjective:
 
 
 #: scipy's default finite-difference step for the 2-point scheme, relative
-#: to max(1, |x|); L-BFGS-B passes its own absolute step, ``eps`` = 1e-8
+#: to max(1, |x|)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
-_LBFGSB_STEP = 1e-8
 
 
 def _probe_set(centre, steps):
@@ -298,11 +318,11 @@ def _objective_case(kinds, seed, n):
 
 
 class TestProbes:
-    """L-BFGS-B scores its iterates with ``__call__`` and hands the probes
-    of each finite-difference gradient to ``score_probes`` (its
-    ``workers`` option).  Both are pinned to the oracle: any sequence of
-    calls, and every batch, gradient by gradient, against scoring its
-    probes one at a time."""
+    """L-BFGS-B scores its iterates with ``value_and_gradient``; the prior
+    sweep and the warm start score theirs with ``__call__``.  Both are
+    pinned to the oracle: any sequence of calls, and every iterate's
+    value, gradient and probes against scipy's finite differences through
+    ``map`` and the oracle, probe by probe."""
 
     @given(
         kinds=st.lists(st.integers(0, len(_MAKERS) - 1), min_size=1, max_size=12),
@@ -380,12 +400,12 @@ class TestProbes:
     )
     @settings(max_examples=40, deadline=None)
     def test_gradients_equal_map_and_reference(self, kinds, n, seed, strided, ls_prior, data):
-        """scipy's gradient through the hook has the bits of its gradient
-        through ``map``, and every batched value is the oracle's.  The
-        draws hold ``D = 1`` (no prefix or tail additions), ``D ≥ 3`` (a
-        tail of two slices or more, whose order shows), centres on the
-        bounds (scipy flips the step there) and centres that are not the
-        base (the batch builds them first)."""
+        """``value_and_gradient`` returns the oracle's value and the bits
+        of scipy's gradient through ``map``, and every probe it scores is
+        the oracle's.  The draws hold ``D = 1`` (no prefix or tail
+        additions), ``D ≥ 3`` (a tail of two slices or more, whose order
+        shows), centres on the bounds (the step flips at the upper one)
+        and centres that are not the base (the call builds them first)."""
         parameters = _parameters(kinds)
         computer = DistanceComputer(parameters)
         configs, _ = _dataset(parameters, seed, n)
@@ -394,17 +414,6 @@ class TestProbes:
         gp = _gp(parameters, computer, ls_prior=ls_prior)
         objective = _CountingObjective(gp, tensor, y)
         bounds = gp._hyper_bounds()
-        batches = []
-
-        def recording(fun, probes):
-            probes = list(probes)
-            calls, builds = objective.calls, len(objective.builds)
-            values = objective.score_probes(fun, probes)
-            batches.append(
-                (probes, values, objective.calls - calls, len(objective.builds) - builds)
-            )
-            return values
-
         for _ in range(data.draw(st.integers(1, 3), label="gradients")):
             centre = np.array([
                 data.draw(st.one_of(st.sampled_from([low, high]), st.floats(low, high)),
@@ -415,46 +424,50 @@ class TestProbes:
             centre_is_base = data.draw(st.booleans(), label="centre is the base")
             if centre_is_base:
                 assert objective(centre) == f0
-            options = dict(
-                method="2-point", f0=f0, bounds=tuple(np.array(bounds).T),
-                abs_step=data.draw(st.sampled_from([_LBFGSB_STEP, None]), label="step"),
+            calls, builds = objective.calls, len(objective.builds)
+            value, gradient = objective.value_and_gradient(centre)
+            assert value == f0
+            assert (objective.calls - calls, len(objective.builds) - builds) == (
+                0, 0 if centre_is_base else 1
             )
-            batched = approx_derivative(objective, centre, workers=recording, **options)
-            probes, values, calls, builds = batches[-1]
-            assert (calls, builds) == (0, 0 if centre_is_base else 1)
-            for probe, value in zip(probes, values):
-                assert value == reference_negative_log_posterior(gp, tensor, probe, y)
-            mapped = approx_derivative(objective, centre, workers=map, **options)
-            assert _same_bits(batched, mapped)
+            rows, scores = objective.moves[-1]
+            assert len(rows) == len(centre) + 1
+            for row, score in zip(rows, scores):
+                assert score == reference_negative_log_posterior(gp, tensor, row, y)
+            assert _same_bits(gradient, _lbfgsb_gradient(objective, centre, value, bounds))
 
     def test_probe_batches_skip_the_tensor_build(self):
         gp, tensor, y = _objective_case([0, 1, 2, 3, 4], 4, 30)
         objective = _CountingObjective(gp, tensor, y)
         rng = np.random.default_rng(4)
         base = np.array([rng.uniform(low, high) for low, high in gp._hyper_bounds()])
-        assert objective(base) == reference_negative_log_posterior(gp, tensor, base, y)
+        expected = reference_negative_log_posterior(gp, tensor, base, y)
+        assert objective(base) == expected
+        assert objective.value_and_gradient(base)[0] == expected
         for step in (_LBFGSB_STEP, -_LBFGSB_STEP):
             probes = _probe_set(base, np.full(len(base), step))
-            assert objective.score_probes(None, probes) == [
-                reference_negative_log_posterior(gp, tensor, probe, y) for probe in probes
+            assert objective._score_moves(base, probes) == [
+                reference_negative_log_posterior(gp, tensor, probe, y)
+                for probe in [*probes, base]
             ]
-        assert objective(base.copy()) == reference_negative_log_posterior(gp, tensor, base, y)
+        assert objective(base.copy()) == expected
         assert (objective.calls, len(objective.builds)) == (2, 1)
         moved = base.copy()
         moved[[0, -1]] += _LBFGSB_STEP
-        probes = _probe_set(moved, np.full(len(moved), _LBFGSB_STEP))
-        assert objective.score_probes(None, probes) == [
-            reference_negative_log_posterior(gp, tensor, probe, y) for probe in probes
-        ]
+        assert objective.value_and_gradient(moved)[0] == reference_negative_log_posterior(
+            gp, tensor, moved, y
+        )
+        rows, scores = objective.moves[-1]
+        assert scores == [reference_negative_log_posterior(gp, tensor, row, y) for row in rows]
         assert (objective.calls, len(objective.builds)) == (2, 2)
         assert _same_bits(objective.builds[1], np.exp(moved))
         assert objective(moved) == reference_negative_log_posterior(gp, tensor, moved, y)
         assert len(objective.builds) == 2
 
     def test_an_indefinite_row_scores_1e25_and_the_others_match(self):
-        """A noise probe that makes ``K`` indefinite scores 1e25; ``potrf``
-        overwrote only that row's buffer, so the other rows and the next
-        call still match."""
+        """A noise move that makes ``K`` indefinite scores 1e25; ``potrf``
+        overwrote only that row's buffer, so the other rows, the centre and
+        the next call still match."""
         parameters = [OrdinalParameter("t", [1, 2, 4, 8]), IntegerParameter("u", 1, 9)]
         computer = DistanceComputer(parameters)
         gp = _gp(parameters, computer)
@@ -463,39 +476,19 @@ class TestProbes:
         objective = _MapObjective(gp, tensor, y)
         centre = np.zeros(4)  # K = I + A on the path; noise 1 keeps it definite
         probes = _probe_set(centre, [0.3, -0.2, -1.0, math.log(1e-8)])
-        values = objective.score_probes(None, probes)
+        values = objective._score_moves(centre, probes)
         assert values[3] == 1e25
-        assert 1e25 not in values[:3]
-        for probe, value in zip(probes, values):
+        assert 1e25 not in values[:3] + values[4:]
+        for probe, value in zip([*probes, centre], values):
             assert value == reference_negative_log_posterior(gp, tensor, probe, y)
         assert objective(centre) == reference_negative_log_posterior(gp, tensor, centre, y)
-
-    def test_any_other_probe_set_is_scored_one_vector_at_a_time(self):
-        gp, tensor, y = _objective_case([0, 2, 4], 8, 25)
-        objective = _CountingObjective(gp, tensor, y)
-        bounds = gp._hyper_bounds()
-        centre = np.array([0.5 * (low + high) for low, high in bounds])
-        options = dict(
-            method="3-point", bounds=tuple(np.array(bounds).T),
-            f0=reference_negative_log_posterior(gp, tensor, centre, y),
-        )
-        batched = approx_derivative(objective, centre, workers=objective.score_probes, **options)
-        assert objective.calls == 2 * len(centre)
-        assert _same_bits(batched, approx_derivative(objective, centre, workers=map, **options))
-        probes = _probe_set(centre, np.full(len(centre), _LBFGSB_STEP))
-        probes[0, 1] += 0.5  # the first probe moves two coordinates
-        calls = objective.calls
-        assert objective.score_probes(None, probes) == [
-            reference_negative_log_posterior(gp, tensor, probe, y) for probe in probes
-        ]
-        assert objective.calls - calls == len(probes)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [(2, 5), (5, 2)], ids=["upper", "lower"])
     def test_a_non_finite_tensor_entry_raises_on_every_call(self, bad, entry):
         """One planted entry, in either triangle, raises on the first call
-        and on a batch, as it does in the oracle's full ``K``: the packed
+        and on a gradient, as it does in the oracle's full ``K``: the packed
         kernel reads only the lower triangle, so the tensor is checked on
         its own."""
         gp, tensor, y = _objective_case([0, 1, 2, 3], 6, 12)
@@ -507,7 +500,18 @@ class TestProbes:
         with pytest.raises(ValueError, match="infs or NaNs"):
             objective(base)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            objective.score_probes(None, _probe_set(base, np.full(len(base), _LBFGSB_STEP)))
+            objective.value_and_gradient(base)
+
+    def test_a_vector_outside_the_bounds_raises_as_scipy_does(self):
+        gp, tensor, y = _objective_case([0, 3], 7, 10)
+        objective = _MapObjective(gp, tensor, y)
+        bounds = gp._hyper_bounds()
+        outside = np.zeros(len(bounds))
+        outside[-1] = bounds[-1][1] + 1e-8
+        with pytest.raises(ValueError, match="violates bound constraints"):
+            _lbfgsb_gradient(objective, outside, 0.0, bounds)
+        with pytest.raises(ValueError, match="violates bound constraints"):
+            objective.value_and_gradient(outside)
 
 
 class TestFitParity:
@@ -544,23 +548,18 @@ class TestFitParity:
         assert _same_bits(new._alpha, ref._alpha)
         assert new._rng.bit_generator.state == ref._rng.bit_generator.state
 
-    def test_l_bfgs_b_takes_the_probe_hook(self, monkeypatch):
-        """L-BFGS-B's ``workers`` option is new in scipy 1.16.  An older
-        scipy warns ``Unknown solver options: workers`` and scores every
-        probe one at a time, with the same bits but none of the batching,
-        so the warning fails the fit here."""
-        batches = []
-        score_probes = _MapObjective.score_probes
+    def test_fits_never_take_scipys_finite_differences(self, monkeypatch):
+        """L-BFGS-B takes the gradient from ``value_and_gradient``
+        (``jac=True``), so neither a ``sweep`` nor a ``warm`` fit calls
+        scipy's ``approx_derivative``."""
 
-        def counting(self, fun, probes):
-            batches.append(1)
-            return score_probes(self, fun, probes)
+        def refuse(*args, **kwargs):
+            raise AssertionError("approx_derivative was called")
 
-        monkeypatch.setattr(_MapObjective, "score_probes", counting)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", OptimizeWarning)
-            _fitted_gp()
-        assert batches
+        for module in ("_numdiff", "_differentiable_functions"):
+            monkeypatch.setattr(f"scipy.optimize.{module}.approx_derivative", refuse)
+        gp, _ = _fitted_gp()  # a sweep fit
+        gp.fit_rows(gp._train_rows, gp.from_model_scale(gp._train_y), hyper_strategy="warm")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import distance, sample_value
-from repro.models.distances import DistanceComputer, parameter_scale
+from repro.models.distances import DistanceComputer, IncrementalDistanceTensor, parameter_scale
+from repro.models.gp import GaussianProcess
 from repro.models.kernels import matern52, scaled_distance
 from repro.models.priors import GammaLogDensities, GammaPrior
 from repro.space.parameters import (
@@ -17,6 +18,7 @@ from repro.space.parameters import (
     PermutationParameter,
     RealParameter,
 )
+from repro.workloads.registry import get_benchmark
 
 
 def _params():
@@ -98,6 +100,69 @@ class TestDistanceComputer:
         computer = DistanceComputer(params)
         tensor = computer.pairwise_rows(computer.encoder.encode_batch(_configs(rng, params, 20)))
         assert tensor.max() <= 1.0 + 1e-9
+
+
+#: encoded rows of the wrong shape for a space of width 10 (``rise_mm_gpu``)
+_WRONG_WIDTH = {
+    "two extra columns": lambda rows: np.hstack([rows, rows[:, :2]]),
+    "one column short": lambda rows: rows[:, :-1],
+    "one column": lambda rows: rows[:, :1],
+    "one 1-D row": lambda rows: rows[0],
+}
+
+
+class TestRowWidth:
+    """Rows whose width is not the encoder's raise ``ValueError`` naming
+    it, instead of being read from their first columns or failing with an
+    ``IndexError`` inside a block."""
+
+    MESSAGE = r"expected rows of width 10, got shape \("
+
+    @staticmethod
+    def _case():
+        space = get_benchmark("rise_mm_gpu").space
+        rows = space.sample_rows(np.random.default_rng(0), 12)
+        gp = GaussianProcess(
+            space.parameters, n_prior_samples=2, n_refined_starts=1,
+            max_optimizer_iterations=3, rng=np.random.default_rng(0),
+        )
+        assert gp.encoder.width == rows.shape[1] == 10
+        return gp, rows, list(np.random.default_rng(1).uniform(1.0, 5.0, len(rows)))
+
+    @pytest.mark.parametrize("wrong", list(_WRONG_WIDTH))
+    def test_pairwise_rows(self, wrong):
+        gp, rows, _ = self._case()
+        bad = _WRONG_WIDTH[wrong](rows)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            gp._distance.pairwise_rows(bad)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            gp._distance.pairwise_rows(rows, bad)
+
+    @pytest.mark.parametrize("wrong", list(_WRONG_WIDTH))
+    def test_fit_rows_and_predict_rows(self, wrong):
+        """``fit_rows`` checks the rows even when it is handed their
+        tensor, so it never computes the distances itself."""
+        gp, rows, values = self._case()
+        bad = _WRONG_WIDTH[wrong](rows)
+        tensor = gp._distance.pairwise_rows(rows)
+        for kwargs in ({}, {"distance_tensor": tensor}):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                gp.fit_rows(bad, values, **kwargs)
+        assert not gp.is_fitted
+        gp.fit_rows(rows, values, distance_tensor=tensor)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            gp.predict_rows(bad)
+
+    @pytest.mark.parametrize("wrong", ["two extra columns", "one column short", "one column"])
+    def test_append_checks_before_it_writes(self, wrong):
+        gp, rows, _ = self._case()
+        cache = IncrementalDistanceTensor(gp._distance)
+        cache.append(rows[:5])
+        before = cache.rows.copy(), cache.tensor.copy(), cache._rows_buf.copy()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            cache.append(_WRONG_WIDTH[wrong](rows[5:6]))
+        after = cache.rows, cache.tensor, cache._rows_buf
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
 class TestKernels:

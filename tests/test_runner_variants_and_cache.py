@@ -369,6 +369,66 @@ class TestTuneCountsBelowOne:
         assert not checkpoint.exists()
 
 
+class TestServeFlagErrors:
+    """``repro serve`` flag errors end in one ``error:`` line: a bad
+    ``--tcp`` or ``--max-sessions`` exits 2 naming the flag before anything
+    binds, and an address it cannot listen on exits 1 without a
+    traceback."""
+
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_a_port_out_of_range_exits_2(self, monkeypatch, capsys, port):
+        from repro import __main__, server
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bound a socket")
+
+        monkeypatch.setattr(server, "TuningServer", refuse)
+        assert __main__.main(["serve", "--tcp", port]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --tcp must be a port in 0-65535, got {port}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tcp", [[], ["--tcp", "0"]], ids=["stdin", "tcp"])
+    def test_max_sessions_below_1_names_the_flag(self, capsys, tcp):
+        from repro.__main__ import main
+
+        assert main(["serve", *tcp, "--max-sessions", "0"]) == 2
+        assert capsys.readouterr().err == "error: --max-sessions must be at least 1, got 0\n"
+
+    def test_a_port_in_use_exits_1_in_one_line(self, capsys):
+        import socket
+
+        from repro.__main__ import main
+
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            assert main(["serve", "--tcp", str(port)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert "Address already in use" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_an_unknown_host_exits_1_in_one_line(self, monkeypatch, capsys):
+        """Binding resolves ``--host``; a name that does not resolve raises
+        ``socket.gaierror``, raised here without a lookup."""
+        import socket
+
+        from repro import __main__, server
+
+        def unresolvable(registry, host, port):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(server, "TuningServer", unresolvable)
+        assert __main__.main(["serve", "--tcp", "7730", "--host", "no-such-host"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot listen on no-such-host:7730: "
+            f"[Errno {socket.EAI_NONAME}] Name or service not known\n"
+        )
+
+
 class TestTuneFlagsThatNeedACheckpoint:
     """``--checkpoint-every`` and ``--stop-after`` mean nothing without
     ``--checkpoint``, so either alone exits 2 naming the flag before any

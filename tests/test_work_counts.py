@@ -2,11 +2,13 @@
 
 A trajectory is a deterministic function of (tuner, seed, budget), so the
 work it does is too: how many GP fits, Cholesky extensions, MAP-objective
-calls (and how many of those build the kernel tensor in full rather than
-rescore the last full build), batches of finite-difference probes and the
-probes in them, feasibility fits, forest nodes grown and draws it makes,
-how many rows it predicts and how many neighbours its climb builds, and
-how many distance-tensor appends and batch encodes it makes.  A restore of
+calls (the prior sweep's single vectors and L-BFGS-B's values with their
+gradients), full kernel builds (the rest rescore the last full build),
+scoring passes and the vectors they score, L-BFGS-B runs, their
+iterations and how each one ended, feasibility fits, forest nodes grown
+and draws it makes, how many rows it predicts and how many neighbours its
+climb builds, and how many distance-tensor appends and batch encodes it
+makes.  A restore of
 the finished session observes the whole history at once, so it makes one
 append and one batch encode per encoder, however long the history is.
 Counting them refutes a claim about where the time went without any timing
@@ -26,6 +28,7 @@ from collections import Counter
 
 import pytest
 
+import repro.models.gp as gp_module
 from repro.core.feasibility import FeasibilityModel
 from repro.core.session import TuningSession, drive
 from repro.experiments.runner import make_tuner
@@ -41,8 +44,9 @@ WRAPPED = (
     (GaussianProcess, "fit_rows", "gp.fit_calls", None, None),
     (GaussianProcess, "extend_cholesky", "gp.extend_calls", None, None),
     (_MapObjective, "__call__", "gp.objective_calls", None, None),
+    (_MapObjective, "value_and_gradient", "gp.gradient_calls", None, None),
     (_MapObjective, "_build_base", "gp.objective_full_calls", None, None),
-    (_MapObjective, "score_probes", "gp.probe_batches", "gp.probe_rows",
+    (_MapObjective, "_score", "gp.score_passes", "gp.scored_rows",
      lambda args, result: len(result)),
     (GaussianProcess, "predict_rows", "gp.predict_calls", "gp.predict_rows",
      lambda args, result: len(args[1])),
@@ -66,10 +70,13 @@ EXPECTED = {
     ("rise_mm_gpu", "exact", 3, 40): {
         "gp.fit_calls": 29,
         "gp.extend_calls": 0,
-        "gp.objective_calls": 1_554,  # with the probe rows, 14,634 vectors scored
+        "gp.objective_calls": 464,  # the prior sweep's vectors
+        "gp.gradient_calls": 1_090,  # one per L-BFGS-B iterate, 13 rows each
         "gp.objective_full_calls": 1_552,
-        "gp.probe_batches": 1_090,
-        "gp.probe_rows": 13_080,
+        "gp.score_passes": 1_554,
+        "gp.scored_rows": 14_634,
+        "lbfgsb.runs": 58,
+        "lbfgsb.iterations": 928,
         "gp.predict_calls": 360,
         "gp.predict_rows": 37_474,
         "feas.fit_calls": 29,
@@ -84,10 +91,13 @@ EXPECTED = {
     ("taco_spmm_scircuit", "fast", 100, 60): {
         "gp.fit_calls": 7,
         "gp.extend_calls": 46,
-        "gp.objective_calls": 237,  # with the probe rows, 1,829 vectors scored
+        "gp.objective_calls": 38,
+        "gp.gradient_calls": 199,  # 9 rows each
         "gp.objective_full_calls": 231,
-        "gp.probe_batches": 199,
-        "gp.probe_rows": 1_592,
+        "gp.score_passes": 237,
+        "gp.scored_rows": 1_829,
+        "lbfgsb.runs": 9,
+        "lbfgsb.iterations": 159,
         "gp.predict_calls": 439,
         "gp.predict_rows": 38_101,
         "feas.fit_calls": 53,
@@ -98,6 +108,20 @@ EXPECTED = {
         "space.neighbour_rows": 24_538,
         "distance.appends": 60,
         "encode.batches": 180,
+    },
+}
+
+
+#: how each pinned run's L-BFGS-B calls ended, by ``OptimizeResult.message``
+EXPECTED_MESSAGES = {
+    ("rise_mm_gpu", "exact", 3, 40): {
+        "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH": 56,
+        "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL": 2,
+    },
+    ("taco_spmm_scircuit", "fast", 100, 60): {
+        "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH": 7,
+        "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL": 1,
+        "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT": 1,
     },
 }
 
@@ -124,6 +148,17 @@ def test_work_counts(monkeypatch, benchmark_name, policy, seed, budget):
     for cls, name, calls, rows_key, rows_of in WRAPPED:
         method = getattr(cls, name)
         monkeypatch.setattr(cls, name, _counting(method, counts, calls, rows_key, rows_of))
+    messages: Counter = Counter()
+    minimize = gp_module.optimize.minimize
+
+    def lbfgsb(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        counts["lbfgsb.runs"] += 1
+        counts["lbfgsb.iterations"] += result.nit
+        messages[result.message] += 1
+        return result
+
+    monkeypatch.setattr(gp_module.optimize, "minimize", lbfgsb)
     bench = get_benchmark(benchmark_name)
 
     def new_tuner():
@@ -134,6 +169,7 @@ def test_work_counts(monkeypatch, benchmark_name, policy, seed, budget):
     assert len(history) == budget
     expected = EXPECTED[(benchmark_name, policy, seed, budget)]
     assert {key: counts[key] for key in expected} == expected
+    assert messages == EXPECTED_MESSAGES[(benchmark_name, policy, seed, budget)]
 
     payload = session.snapshot()
     counts.clear()
