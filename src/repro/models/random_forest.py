@@ -18,10 +18,19 @@ has ``left == right == -1`` and ``feature == -1``.  A forest stacks its
 trees into one node table at fit time and predicts by walking every tree
 for every row at once, one gather per level.
 
-Growth.  All trees of a forest grow in lockstep (:func:`_grow`): each
-round pops one node per tree in that tree's own preorder, so each tree's
-generator draws its candidate features in exactly the order the recursive
-implementation did, and the round's splits are scored in one batch.  Feature
+Growth.  All trees of a forest grow in lockstep (:func:`_grow`).  When a
+round's splits push their children, one batch settles each child as a leaf
+(too deep, too few rows or constant targets) or as a node that may split.
+Each round, each tree then pops, in its own preorder, its pending leaves and
+the next node that may split, which draws its candidate features; the
+round's draws are screened in one batch, and its splits partition their
+rows with one stable sort.  The draw order is the recursive
+implementation's because a leaf draws nothing: each tree's generator still
+draws once per node that may split, in that tree's preorder.  The 108 fits
+of a ``tune_hidden`` run (24 trees, 12–119 rows) take 1,534 rounds where
+one node per tree per round took 2,631.  Node means and the re-score's
+variances take ``np.mean``'s and ``np.var``'s own steps without their Python
+wrappers (:func:`_mean`, :func:`_var`), so they keep their bits.  Feature
 columns become integer codes (ranks of the column's distinct values) once
 per fit; one ``np.bincount`` per round then gives every (node, candidate
 feature, code) count and centred target sum, and prefix sums over the codes
@@ -82,6 +91,21 @@ def _n_split_features(max_features: str | int | None, n_features: int) -> int:
     raise ValueError(f"unsupported max_features {max_features!r}")
 
 
+def _mean(a: np.ndarray) -> float:
+    """``float(np.mean(a))`` of a non-empty 1-D float array: the steps
+    ``np.mean`` takes, without its Python wrapper."""
+    return float(np.add.reduce(a) / len(a))
+
+
+def _var(a: np.ndarray) -> np.float64:
+    """``np.var(a)`` of a non-empty 1-D float array: the steps ``np.var``
+    takes (mean, deviation, its in-place square, a second pairwise sum),
+    without its Python wrapper."""
+    deviation = a - np.add.reduce(a) / len(a)
+    np.multiply(deviation, deviation, out=deviation)
+    return np.add.reduce(deviation) / len(a)
+
+
 class DecisionTree:
     """A CART regression tree (classification uses 0/1 targets).
 
@@ -137,9 +161,11 @@ def _grow(
     """Grow ``trees[t]`` on rows ``samples[t]``, all trees in lockstep.
 
     Every tree shares the first one's hyper-parameters and draws from its
-    own generator.  Each round pops one pending node per tree (preorder:
-    left children are pushed last), records it, and screens the splits of
-    all nodes that may split in one batch (:func:`_best_splits`).
+    own generator.  Each pending node is settled as a leaf or as a node
+    that may split when it is pushed (:func:`_push`).  Each round, each
+    tree pops (in preorder: left children are pushed last) every pending
+    leaf up to its next node that may split, which draws its candidates;
+    the round's splits are screened in one batch (:func:`_best_splits`).
     """
     first = trees[0]
     n_features = features.shape[1]
@@ -154,55 +180,58 @@ def _grow(
     for column, unique in enumerate(uniques):
         values[column, : len(unique)] = unique
 
-    # per tree: pending (rows, depth, parent, is_left), and one record per
-    # node in preorder: [feature, threshold, left, right, value, n_samples, depth]
-    stacks = [[(rows, 0, -1, False)] for rows in samples]
+    # per tree: pending (rows, depth, parent, is_left, mean, may_split), and
+    # one record per node in preorder:
+    # [feature, threshold, left, right, value, n_samples, depth]
+    stacks = [[] for _ in trees]
     records = [[] for _ in trees]
+    _push(stacks, targets, first, np.concatenate(samples),
+          np.array([len(rows) for rows in samples]),
+          [(t, 0, -1, False) for t in range(len(trees))])
     while True:
-        active = [t for t, stack in enumerate(stacks) if stack]
-        if not active:
-            break
-        popped = [stacks[t].pop() for t in active]
-        sizes = np.array([len(rows) for rows, *_ in popped])
-        starts = np.cumsum(sizes) - sizes
-        node_targets = targets[np.concatenate([rows for rows, *_ in popped])]
-        constant = np.minimum.reduceat(node_targets, starts) == np.maximum.reduceat(
-            node_targets, starts
-        )
         splitting = []
-        for a, t in enumerate(active):
-            rows, depth, parent, is_left = popped[a]
+        for t, stack in enumerate(stacks):
             nodes = records[t]
-            if parent >= 0:
-                nodes[parent][2 if is_left else 3] = len(nodes)
-            mean = float(node_targets[starts[a] : starts[a] + len(rows)].mean())
-            nodes.append([-1, 0.0, -1, -1, mean, len(rows), depth])
-            if depth >= first.max_depth or len(rows) < first.min_samples_split or constant[a]:
-                continue
-            candidates = trees[t]._rng.choice(n_features, size=n_candidates, replace=False)
-            splitting.append((t, len(nodes) - 1, rows, candidates))
+            while stack:
+                rows, depth, parent, is_left, mean, may_split = stack.pop()
+                if parent >= 0:
+                    nodes[parent][2 if is_left else 3] = len(nodes)
+                nodes.append([-1, 0.0, -1, -1, mean, len(rows), depth])
+                if may_split:
+                    candidates = trees[t]._rng.choice(n_features, size=n_candidates, replace=False)
+                    splitting.append((t, len(nodes) - 1, rows, mean, candidates))
+                    break
         if not splitting:
-            continue
-        splits = _best_splits(
+            break
+        split, feature, threshold, cut = _best_splits(
             features,
             targets,
             codes,
             uniques,
             values,
-            [rows for _, _, rows, _ in splitting],
-            np.array([records[t][index][4] for t, index, _, _ in splitting]),
+            [rows for _, _, rows, _, _ in splitting],
+            np.array([mean for *_, mean, _ in splitting]),
             np.array([candidates for *_, candidates in splitting]),
             # an empty side never split either: its np.var is NaN
             max(first.min_samples_leaf, 1),
         )
-        for (t, index, rows, _), split in zip(splitting, splits):
-            if split is None:
-                continue
+        if not len(split):
+            continue
+        parents = [splitting[i] for i in split.tolist()]
+        pending = []
+        for (t, index, *_), f, th in zip(parents, feature.tolist(), threshold.tolist()):
             node = records[t][index]
-            node[0], node[1], cut = split
-            goes_left = codes[rows, node[0]] <= cut
-            stacks[t].append((rows[~goes_left], node[6] + 1, index, False))
-            stacks[t].append((rows[goes_left], node[6] + 1, index, True))
+            node[0], node[1] = f, th
+            pending += [(t, node[6] + 1, index, False), (t, node[6] + 1, index, True)]
+        # each parent's right rows, then its left rows (the push order),
+        # each side in the parent's row order
+        sizes = np.array([len(rows) for _, _, rows, _, _ in parents])
+        rows = np.concatenate([rows for _, _, rows, _, _ in parents])
+        side = np.repeat(np.arange(0, 2 * len(parents), 2), sizes) + (
+            codes[rows, np.repeat(feature, sizes)] <= np.repeat(cut, sizes)
+        )
+        _push(stacks, targets, first, rows[np.argsort(side, kind="stable")],
+              np.bincount(side, minlength=len(pending)), pending)
 
     for tree, nodes in zip(trees, records):
         table = np.array(nodes, dtype=float)
@@ -212,6 +241,32 @@ def _grow(
         )
         tree.threshold, tree.value = table[:, 1], table[:, 4]
         tree._depth = int(table[:, 6].max())
+
+
+def _push(
+    stacks: list[list],
+    targets: np.ndarray,
+    first: DecisionTree,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    pending: list[tuple[int, int, int, bool]],
+) -> None:
+    """Push each ``(tree, depth, parent, is_left)`` of ``pending``, whose
+    rows are the next ``sizes[i]`` of ``rows``, with its mean target and
+    whether it may split: not too deep, enough rows and targets that are
+    not all equal, decided for all of them in one batch."""
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    node_targets = targets[rows]
+    varied = np.minimum.reduceat(node_targets, starts) != np.maximum.reduceat(
+        node_targets, starts
+    )
+    may_split = varied & (sizes >= first.min_samples_split)
+    for (t, depth, parent, is_left), start, stop, split in zip(
+        pending, starts.tolist(), stops.tolist(), may_split.tolist()
+    ):
+        stacks[t].append((rows[start:stop], depth, parent, is_left,
+                          _mean(node_targets[start:stop]), split and depth < first.max_depth))
 
 
 def _best_splits(
@@ -224,14 +279,15 @@ def _best_splits(
     means: np.ndarray,
     candidates: np.ndarray,
     min_leaf: int,
-) -> list[tuple[int, float, int] | None]:
-    """The historical best split of each node, or ``None`` for a leaf.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The historical best split of each node that splits.
 
     ``node_rows[i]`` are node ``i``'s rows (in the order the recursive
     implementation held them), ``means[i]`` its mean target and ``candidates[i]``
-    its drawn feature subset.  A split is ``(feature, threshold, cut)``:
-    rows whose ``codes[:, feature]`` is at most ``cut`` go left, exactly the
-    rows with ``features[:, feature] <= threshold``.
+    its drawn feature subset.  Returns the nodes that split, ascending, and
+    each one's ``feature``, ``threshold`` and ``cut``: rows whose
+    ``codes[:, feature]`` is at most ``cut`` go left, exactly the rows with
+    ``features[:, feature] <= threshold``.
     """
     n_nodes, n_slots = candidates.shape
     sizes = np.array([len(rows) for rows in node_rows])
@@ -240,49 +296,44 @@ def _best_splits(
     deviation = targets[rows] - np.repeat(means, sizes)
     width = values.shape[1]
 
-    # per (node, slot, code): row count and centred target sum, then
-    # prefix sums along the codes = the left side of a cut at that code
-    bins = (np.arange(n_nodes * n_slots).reshape(n_nodes, n_slots)[owner] * width
+    # per key (node, slot) and code: row count and centred target sum,
+    # then prefix sums along the codes = the left side of a cut at that code
+    n_bins = n_nodes * n_slots * width
+    bins = ((owner[:, None] * n_slots + np.arange(n_slots)) * width
             + codes[rows[:, None], candidates[owner]]).ravel()
-    shape = (n_nodes, n_slots, width)
-    count = np.bincount(bins, minlength=n_nodes * n_slots * width).reshape(shape)
-    total = np.bincount(bins, np.repeat(deviation, n_slots), n_nodes * n_slots * width)
-    left_count = count.cumsum(axis=2)
-    left_sum = total.reshape(shape).cumsum(axis=2)
+    count = np.bincount(bins, minlength=n_bins)
+    left_count = count.reshape(-1, width).cumsum(axis=1).ravel()
+    left_sum = (np.bincount(bins, np.repeat(deviation, n_slots), n_bins)
+                .reshape(-1, width).cumsum(axis=1).ravel())
 
     # thresholds: midpoints between consecutive codes present in the node,
     # or the node column's quantiles when there are too many of those
-    present = count > 0
-    quantiled = present.sum(axis=2) > _MAX_THRESHOLDS + 1
-    code = np.where(present, np.arange(width), width)
-    following = np.minimum.accumulate(code[:, :, ::-1], axis=2)[:, :, ::-1]
-    upper = np.concatenate([following[:, :, 1:], np.full((n_nodes, n_slots, 1), width)], axis=2)
-    node, slot, lower = np.nonzero(present & (upper < width) & ~quantiled[:, :, None])
-    upper = upper[node, slot, lower]
-    column = candidates[node, slot]
+    key, code = np.divmod(np.flatnonzero(count), width)
+    quantiled = np.bincount(key, minlength=n_nodes * n_slots) > _MAX_THRESHOLDS + 1
+    pair = np.flatnonzero((key[1:] == key[:-1]) & ~quantiled[key[1:]])
+    key, lower, upper = key[pair], code[pair], code[pair + 1]
+    column = candidates.ravel()[key]
     low, high = values[column, lower], values[column, upper]
     threshold = (low + high) / 2.0
     # a rounded midpoint can land on the upper value; it then goes left too
     cut = np.where(threshold >= high, upper, lower)
     if quantiled.any():
-        parts = [(node, slot, cut, threshold)]
-        for i, j in zip(*np.nonzero(quantiled)):
-            f = candidates[i, j]
-            q = np.quantile(features[node_rows[i], f], _QUANTILES)
-            n_q = len(q)
-            cut_q = np.searchsorted(uniques[f], q, side="right") - 1
-            parts.append((np.full(n_q, i), np.full(n_q, j), cut_q, q))
-        order = np.argsort(np.concatenate([p[0] for p in parts]) * n_slots
-                           + np.concatenate([p[1] for p in parts]), kind="stable")
-        node, slot, cut, threshold = (np.concatenate(p)[order] for p in zip(*parts))
-        column = candidates[node, slot]
+        parts = [(key, cut, threshold)]
+        for k in np.flatnonzero(quantiled).tolist():
+            f = candidates.flat[k]
+            q = np.quantile(features[node_rows[k // n_slots], f], _QUANTILES)
+            parts.append((np.full(len(q), k), np.searchsorted(uniques[f], q, side="right") - 1, q))
+        order = np.argsort(np.concatenate([p[0] for p in parts]), kind="stable")
+        key, cut, threshold = (np.concatenate(p)[order] for p in zip(*parts))
+        column = candidates.ravel()[key]
+    node = key // n_slots
 
     # screened gain n_L n_R / n (mean_L - mean_R)^2, from centred sums
     n = sizes[node]
-    n_left = left_count[node, slot, cut]
+    n_left = left_count[key * width + cut]
     n_right = n - n_left
-    s_left = left_sum[node, slot, cut]
-    s_total = left_sum[node, slot, -1]
+    s_left = left_sum[key * width + cut]
+    s_total = left_sum[key * width + width - 1]
     # a midpoint or quantile that overflows to inf or NaN sent every row to
     # one side in the historical loop, so it never split there
     valid = np.isfinite(threshold) & (n_left >= min_leaf) & (n_right >= min_leaf)
@@ -294,34 +345,37 @@ def _best_splits(
     band = _BAND * np.bincount(owner, deviation * deviation, n_nodes)
     in_band = np.flatnonzero(valid & (gain >= (best - band)[node]))
     bounds = np.searchsorted(node[in_band], np.arange(n_nodes + 1))
+    n_band = bounds[1:] - bounds[:-1]
 
-    splits: list[tuple[int, float, int] | None] = [None] * n_nodes
-    for i in range(n_nodes):
+    # a node may split only if its band can clear the gain floor; a lone
+    # candidate that clears it by more than the band is taken as is, and
+    # the other nodes are re-scored
+    clears = (n_band > 0) & (best > _MIN_GAIN - band)
+    lone = clears & (n_band == 1) & (best > _MIN_GAIN + band)
+    chosen = np.full(n_nodes, -1)
+    chosen[lone] = in_band[bounds[:-1][lone]]
+    for i in np.flatnonzero(clears & ~lone).tolist():
         members = in_band[bounds[i] : bounds[i + 1]]
-        if not len(members) or best[i] <= _MIN_GAIN - band[i]:
-            continue  # nothing can clear the gain floor
-        if len(members) == 1 and best[i] > _MIN_GAIN + band[i]:
-            chosen = members[0]
-        else:
-            chosen = _rescore(features[node_rows[i]], targets[node_rows[i]], members,
-                              column[members], threshold[members])
-            if chosen is None:
-                continue
-        splits[i] = (int(column[chosen]), float(threshold[chosen]), int(cut[chosen]))
-    return splits
+        pick = _rescore(features[node_rows[i]], targets[node_rows[i]], members,
+                        column[members], threshold[members])
+        if pick is not None:
+            chosen[i] = pick
+    split = np.flatnonzero(chosen >= 0)
+    chosen = chosen[split]
+    return split, column[chosen], threshold[chosen], cut[chosen]
 
 
 def _rescore(features, targets, members, columns, thresholds):
     """The historical ``_best_split`` loop over one node's ``members``."""
     n_samples = len(targets)
-    parent_score = np.var(targets) * n_samples
+    parent_score = _var(targets) * n_samples
     best_gain = _MIN_GAIN
     best = None
-    for member, column, threshold in zip(members, columns, thresholds):
+    for member, column, threshold in zip(members.tolist(), columns.tolist(), thresholds.tolist()):
         left_mask = features[:, column] <= threshold
-        n_left = int(left_mask.sum())
+        n_left = np.count_nonzero(left_mask)
         n_right = n_samples - n_left
-        score = np.var(targets[left_mask]) * n_left + np.var(targets[~left_mask]) * n_right
+        score = _var(targets[left_mask]) * n_left + _var(targets[~left_mask]) * n_right
         gain = parent_score - score
         if gain > best_gain:
             best_gain = gain
@@ -330,7 +384,8 @@ def _rescore(features, targets, members, columns, thresholds):
 
 
 def _stack(trees: list[DecisionTree]) -> tuple:
-    """One node table for ``trees``: leaves point at themselves."""
+    """One node table for ``trees``: leaves point at themselves.  It ends
+    with the deepest tree's depth and the row width the trees were fitted on."""
     sizes = [len(tree.value) for tree in trees]
     offsets = np.cumsum([0] + sizes[:-1])
     own = np.arange(sum(sizes))
@@ -345,13 +400,19 @@ def _stack(trees: list[DecisionTree]) -> tuple:
         np.concatenate([tree.value for tree in trees]),
         offsets,
         max(tree.depth() for tree in trees),
+        trees[0].n_features_,
     )
 
 
 def _walk(table: tuple, features: np.ndarray) -> np.ndarray:
-    """``(n_trees, n_rows)`` leaf values: every tree, every row, one pass."""
-    feature, threshold, left, right, value, roots, depth = table
+    """``(n_trees, n_rows)`` leaf values: every tree, every row, one pass.
+
+    Rows that are not 2-D or not as wide as the training rows raise
+    ``ValueError`` rather than being read from their first columns."""
+    feature, threshold, left, right, value, roots, depth, width = table
     features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] != width:
+        raise ValueError(f"expected rows of width {width}, got shape {features.shape}")
     node = np.repeat(roots[:, None], len(features), axis=1)
     rows = np.arange(len(features))
     for _ in range(depth):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.space import (
     CategoricalParameter,
@@ -15,6 +18,12 @@ from repro.space import (
     SearchSpace,
 )
 from repro.core.result import ObjectiveResult
+
+#: ``HYPOTHESIS_PROFILE=deep`` runs each property that sets no
+#: ``max_examples`` of its own at 1,000 examples instead of hypothesis's
+#: default 100; CI runs the forest's oracle properties under it
+settings.register_profile("deep", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

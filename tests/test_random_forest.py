@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from repro.models.random_forest import (
     DecisionTree,
     RandomForestClassifier,
     RandomForestRegressor,
+    _mean,
+    _var,
 )
 
 
@@ -140,6 +144,58 @@ class TestRandomForestClassifier:
         assert np.allclose(a.predict_proba(x), b.predict_proba(x))
 
 
+#: rows of the wrong shape for a model fitted on rows of width 5
+_WRONG_WIDTH = {
+    "two extra columns": lambda rows: np.hstack([rows, np.full((len(rows), 2), 99.0)]),
+    "one column short": lambda rows: rows[:, :-1],
+    "one 1-D row": lambda rows: rows[0],
+    "zero-width rows": lambda rows: rows[:, :0],
+}
+
+
+def _predictions(model):
+    """Every predict method of ``model``, by name."""
+    names = {
+        DecisionTree: ["predict"],
+        RandomForestRegressor: ["predict", "predict_with_uncertainty"],
+        RandomForestClassifier: ["predict", "predict_proba"],
+    }[type(model)]
+    return {name: getattr(model, name) for name in names}
+
+
+class TestRowWidth:
+    """Rows that are not 2-D or not as wide as the training rows raise
+    ``ValueError`` naming the width, instead of being read from their
+    first columns or failing with an ``IndexError`` inside the walk."""
+
+    @staticmethod
+    def _models():
+        x = np.random.default_rng(5).uniform(-1, 1, size=(60, 5))
+        y = ((x[:, 0] + x[:, 1]) > 0).astype(float)
+        return x, [
+            DecisionTree(max_features=None, rng=np.random.default_rng(1)).fit(x, y),
+            RandomForestRegressor(n_trees=4, rng=np.random.default_rng(2)).fit(x, y),
+            RandomForestClassifier(n_trees=4, rng=np.random.default_rng(3)).fit(x, y),
+        ]
+
+    @pytest.mark.parametrize("wrong", list(_WRONG_WIDTH))
+    def test_wrong_width_raises(self, wrong):
+        x, models = self._models()
+        bad = _WRONG_WIDTH[wrong](x[:7])
+        for model in models:
+            for predict in _predictions(model).values():
+                with pytest.raises(ValueError, match=r"expected rows of width 5, got shape \("):
+                    predict(bad)
+
+    def test_zero_rows_of_the_right_width(self):
+        x, models = self._models()
+        for model in models:
+            for name, predict in _predictions(model).items():
+                outputs = predict(x[:0])
+                for output in outputs if isinstance(outputs, tuple) else (outputs,):
+                    assert output.shape == (0,), name
+
+
 @pytest.mark.parametrize("forest_class", [RandomForestRegressor, RandomForestClassifier])
 @pytest.mark.parametrize(
     "features, targets",
@@ -181,6 +237,35 @@ def _targets(rng, kind, n):
     infeasible = rng.random(n) < 0.3
     penalty = values[~infeasible].max() * 10.0 if (~infeasible).any() else 1e6
     return np.where(infeasible, penalty, values)
+
+
+@st.composite
+def reduction_inputs(draw):
+    """1-D float64 arrays as ``_grow`` and ``_rescore`` reduce them."""
+    n = draw(st.integers(1, 300))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["binary", "penalty", "scaled", "gathered"]))
+    if kind in ("binary", "penalty"):
+        return _targets(data, kind, n)
+    if kind == "scaled":
+        return data.normal(size=n) * 10.0 ** data.uniform(-5.0, 5.0)
+    # a node's targets, gathered from a larger array with repeats
+    targets = _targets(data, draw(st.sampled_from(["binary", "continuous", "penalty"])),
+                       n + int(data.integers(1, 300)))
+    return targets[data.integers(len(targets), size=n)]
+
+
+class TestWrapperFreeReductions:
+    """``_mean`` and ``_var`` take ``np.mean``'s and ``np.var``'s own
+    steps without their Python wrappers, so they agree to the last bit."""
+
+    @settings(deadline=None)
+    @given(reduction_inputs())
+    def test_bytes_equal_numpy(self, a):
+        mean = _mean(a)
+        assert type(mean) is float
+        assert struct.pack("<d", mean) == struct.pack("<d", float(np.mean(a)))
+        assert np.float64(_var(a)).tobytes() == np.float64(np.var(a)).tobytes()
 
 
 @st.composite
@@ -235,9 +320,11 @@ def _flat(tree):
 class TestOracleEquivalence:
     """The flat-array lockstep forest against the recursive implementation
     in ``tests/oracles.py``: same splits, same leaf values, same predictions
-    and the same generator state, compared with ``==``."""
+    and the same state of the forest's and every tree's generator, compared
+    with ``==``.  The properties take their example count from the
+    hypothesis profile (``tests/conftest.py``)."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(deadline=None)
     @given(forest_cases())
     def test_forest_matches_recursive_oracle(self, case):
         forest_class, params, seed, features, targets, fresh = case
@@ -251,6 +338,10 @@ class TestOracleEquivalence:
             _preorder(tree._root, []) for tree in reference
         ]
         assert forest._rng.bit_generator.state == oracle._rng.bit_generator.state
+        # one draw too many, even after a tree's last split, moves its generator
+        assert [tree._rng.bit_generator.state for tree in forest.trees_] == [
+            tree._rng.bit_generator.state for tree in reference
+        ]
 
         for rows in (features, fresh, np.zeros((0, features.shape[1]))):
             expected = np.vstack([tree.predict(rows) for tree in reference])

@@ -5,8 +5,9 @@ work it does is too: how many GP fits, Cholesky extensions, MAP-objective
 calls (the prior sweep's single vectors and L-BFGS-B's values with their
 gradients), full kernel builds (the rest rescore the last full build),
 scoring passes and the vectors they score, L-BFGS-B runs, their
-iterations and how each one ended, feasibility fits, forest nodes grown
-and draws it makes, how many rows it predicts and how many neighbours its
+iterations and how each one ended, feasibility fits, forest nodes grown,
+the forest's screening rounds and the nodes they screen (each one
+candidate draw), how many rows it predicts and how many neighbours its
 climb builds, and how many distance-tensor appends and batch encodes it
 makes.  A restore of
 the finished session observes the whole history at once, so it makes one
@@ -16,8 +17,9 @@ noise: a speedup that keeps every trace keeps every count, and a change
 that adds work (a second predict per climb step, a refit per tell) moves
 one.
 
-The functions are wrapped with ``monkeypatch`` on their classes, so the
-counts include calls from anywhere in the run.  A change that is meant to
+The functions are wrapped with ``monkeypatch`` on their classes (the
+forest's screen on its module), so the counts include calls from anywhere
+in the run.  A change that is meant to
 move a count updates its literal here and says by how much.
 """
 
@@ -29,6 +31,7 @@ from collections import Counter
 import pytest
 
 import repro.models.gp as gp_module
+import repro.models.random_forest as forest_module
 from repro.core.feasibility import FeasibilityModel
 from repro.core.session import TuningSession, drive
 from repro.experiments.runner import make_tuner
@@ -39,7 +42,8 @@ from repro.space.encoding import ConfigEncoder
 from repro.space.space import SearchSpace
 from repro.workloads.registry import get_benchmark
 
-#: (class, method, counter of calls, counter of rows or None, rows of a call)
+#: (class or module, function, counter of calls, counter of rows or None,
+#: rows of a call)
 WRAPPED = (
     (GaussianProcess, "fit_rows", "gp.fit_calls", None, None),
     (GaussianProcess, "extend_cholesky", "gp.extend_calls", None, None),
@@ -53,6 +57,9 @@ WRAPPED = (
     (FeasibilityModel, "fit_rows", "feas.fit_calls", None, None),
     (RandomForestClassifier, "fit", "forest.fit_calls", "forest.nodes",
      lambda args, result: sum(len(tree.value) for tree in result.trees_)),
+    # one screen per lockstep round; its node_rows are the nodes that drew
+    (forest_module, "_best_splits", "forest.screens", "forest.draws",
+     lambda args, result: len(args[5])),
     (SearchSpace, "sample_rows", "space.sample_calls", None, None),
     (SearchSpace, "neighbour_rows_batch", "space.neighbour_calls", "space.neighbour_rows",
      lambda args, result: len(result[0])),
@@ -82,6 +89,8 @@ EXPECTED = {
         "feas.fit_calls": 29,
         "forest.fit_calls": 26,
         "forest.nodes": 5_866,
+        "forest.screens": 179,  # leaves settle in the round of the next split
+        "forest.draws": 2_795,
         "space.sample_calls": 30,
         "space.neighbour_calls": 331,
         "space.neighbour_rows": 30_050,
@@ -103,6 +112,8 @@ EXPECTED = {
         "feas.fit_calls": 53,
         "forest.fit_calls": 0,
         "forest.nodes": 0,
+        "forest.screens": 0,
+        "forest.draws": 0,
         "space.sample_calls": 54,
         "space.neighbour_calls": 386,
         "space.neighbour_rows": 24_538,
