@@ -10,9 +10,10 @@ that a single set of lengthscale priors works across parameters of very
 different scales (Sec. 3.2: "By normalizing the input data, BaCO can use a
 single set of priors that works well for the majority of parameters").
 
-The one entry point is :meth:`DistanceComputer.pairwise_rows`, which
+The entry point is :meth:`DistanceComputer.pairwise_rows`, which
 operates on **pre-encoded** matrices produced by
-:class:`repro.space.encoding.ConfigEncoder`: every per-type block — numeric
+:class:`repro.space.encoding.ConfigEncoder`, one block at a time through
+:meth:`DistanceComputer.block_rows`: every per-type block — numeric
 absolute differences, categorical Hamming, and all four permutation
 semimetrics including Kendall — is computed with vectorized numpy, with no
 per-pair Python loop anywhere.  Callers holding configuration dicts encode
@@ -23,9 +24,17 @@ these blocks are pinned against.
 :class:`IncrementalDistanceTensor` grows the symmetric train-train tensor one
 observation at a time: appending a row computes only the new cross block, so
 the per-iteration cost of extending the GP's Gram inputs is O(n·D) instead of
-O(n²·D).  Block assembly is bit-identical to a full recompute.  Candidate
-rows get their test-train cross tensor from one
-:meth:`DistanceComputer.pairwise_rows` call per predict.
+O(n²·D).  Block assembly is bit-identical to a full recompute.
+
+Candidate rows get their scaled distance to the training rows from a
+:class:`DistanceTable`: every parameter of the paper's benchmarks is
+ordinal, categorical or a short permutation, with 64 to 150 legal values
+in all against hundreds of candidate rows scored per fit, so the table
+computes each legal value's squared scaled slice once per fit and a
+predict gathers the slices by value code.  Integer and real blocks, and
+any block whose batch holds a value outside its catalogue, are computed
+with :meth:`DistanceComputer.block_rows`; the result has the bits of
+``scaled_distance(pairwise_rows(rows, train), lengthscales)``.
 """
 # repro: hot-path — row-space module: per-row Python loops, .tolist(), and in-loop decode are flagged (see repro.analysis)
 
@@ -46,6 +55,7 @@ from ..space.parameters import (
 __all__ = [
     "parameter_scale",
     "DistanceComputer",
+    "DistanceTable",
     "IncrementalDistanceTensor",
     "kendall_pairwise_rows",
 ]
@@ -171,6 +181,20 @@ class DistanceComputer:
             raise ValueError(f"expected rows of width {width}, got shape {rows.shape}")
         return rows
 
+    def block_rows(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Normalized distances ``d_k / scale_k`` of block ``k``, ``(n_a, n_b)``,
+        between the encoded row matrices ``a`` and ``b``."""
+        block = self.encoder.blocks[k]
+        if block.kind == "numeric":
+            matrix = _numeric_block_rows(a[:, block.start], b[:, block.start])
+        elif block.kind == "categorical":
+            matrix = _categorical_block_rows(a[:, block.start], b[:, block.start])
+        else:
+            matrix = _permutation_block_rows(
+                block.parameter, a[:, block.columns], b[:, block.columns]
+            )
+        return matrix / self.scales[k]
+
     def pairwise_rows(
         self, rows_a: np.ndarray, rows_b: np.ndarray | None = None
     ) -> np.ndarray:
@@ -182,17 +206,70 @@ class DistanceComputer:
         a = self.check_rows(rows_a)
         b = a if rows_b is None else self.check_rows(rows_b)
         out = np.empty((self.n_dimensions, a.shape[0], b.shape[0]))
-        for k, block in enumerate(self.encoder.blocks):
-            if block.kind == "numeric":
-                matrix = _numeric_block_rows(a[:, block.start], b[:, block.start])
-            elif block.kind == "categorical":
-                matrix = _categorical_block_rows(a[:, block.start], b[:, block.start])
-            else:
-                matrix = _permutation_block_rows(
-                    block.parameter, a[:, block.columns], b[:, block.columns]
-                )
-            out[k] = matrix / self.scales[k]
+        for k in range(len(out)):
+            out[k] = self.block_rows(k, a, b)
         return out
+
+
+class DistanceTable:
+    """Squared scaled distances from every legal value to fixed training rows.
+
+    For each block ``k`` with a value catalogue
+    (:meth:`~repro.space.encoding.ConfigEncoder.catalogue`) the table holds
+    ``((d_k(v, train) / scale_k) / l_k)²`` for every legal value ``v``:
+    one ``(V_k, n)`` slab, computed once.  :meth:`distance` gathers each
+    query row's slices by value code and computes directly only the blocks
+    without a catalogue (integers, reals) and any block whose batch holds a
+    value outside its catalogue.  A catalogued value's encoding equals the
+    row's block exactly, and each entry is an elementwise function of the
+    two encodings, so every slice has the bits ``pairwise_rows`` and
+    :func:`~repro.models.kernels.scaled_distance` give it; the slices are
+    then summed over the parameter axis with ``np.sum`` of the same
+    ``(D, r, n)`` layout and square-rooted, as ``scaled_distance`` does.
+    """
+
+    def __init__(
+        self, computer: DistanceComputer, train: np.ndarray, lengthscales: np.ndarray
+    ) -> None:
+        self._computer = computer
+        self._train = computer.check_rows(train)
+        self._lengthscales = np.asarray(lengthscales, dtype=float)
+        encoder = computer.encoder
+        slabs = []
+        for k, block in enumerate(encoder.blocks):
+            values = encoder.catalogue(k)
+            if values is not None:
+                value_rows = np.zeros((len(values), encoder.width))
+                value_rows[:, block.columns] = values
+                slabs.append(self._square(k, computer.block_rows(k, value_rows, self._train)))
+        n = len(self._train)
+        self._table = np.concatenate(slabs) if slabs else np.empty((0, n))
+
+    def _square(self, k: int, scaled: np.ndarray) -> np.ndarray:
+        """``(scaled / l_k)²`` in place, ``scaled_distance``'s two steps."""
+        np.divide(scaled, self._lengthscales[k], out=scaled)
+        return np.square(scaled, out=scaled)
+
+    def _direct(self, k: int, rows: np.ndarray, out: np.ndarray) -> None:
+        """Block ``k``'s squared scaled distances computed, not gathered."""
+        out[...] = self._computer.block_rows(k, rows, self._train)
+        self._square(k, out)
+
+    def distance(self, rows: np.ndarray) -> np.ndarray:
+        """The scaled distance ``(r, n)`` of Eq. (2) from ``rows`` to the
+        training rows: ``scaled_distance(pairwise_rows(rows, train), l)``."""
+        rows = self._computer.check_rows(rows)
+        codes = self._computer.encoder.value_codes(rows)
+        (depth, r), n = codes.shape, len(self._train)
+        out = np.empty((depth, r, n))
+        if len(self._table):
+            # a miss (-1) clips to code 0; its block is recomputed below
+            flat = out.reshape(depth * r, n)
+            np.take(self._table, codes.reshape(-1), axis=0, out=flat, mode="clip")
+        for k in np.flatnonzero((codes < 0).any(axis=1)):
+            self._direct(k, rows, out[k])
+        distance = np.sum(out, axis=0)
+        return np.sqrt(distance, out=distance)
 
 
 class IncrementalDistanceTensor:

@@ -50,6 +50,23 @@ tuner's fast surrogate policy
 
 :attr:`n_train_factorizations` counts full train-matrix factorizations so
 tests can pin "one factorization per fit, zero per diagnostic call".
+
+Prediction
+----------
+
+The acquisition search predicts far more rows than the GP has training
+rows, all against one factor: :meth:`predict_rows` builds a
+:class:`~repro.models.distances.DistanceTable` of the training rows'
+squared scaled distances to every legal value of each discrete parameter
+at its first call after :meth:`fit_rows` or :meth:`extend_cholesky` (which
+drop it; :meth:`refit_targets` keeps it, as rows and hyper-parameters are
+unchanged), then gathers each batch's cross distances from it.  It solves
+with LAPACK's ``trtrs`` as ``scipy.linalg.solve_triangular`` calls it: the
+F-ordered factor of ``potrf`` directly, the C-ordered factor that
+:meth:`extend_cholesky` grows as its transpose.  Means and variances keep
+the bits of ``pairwise_rows`` and ``solve_triangular``, the reference
+``tests/oracles.py`` keeps, and their ``ValueError`` for a non-finite
+cross kernel or factor.
 """
 
 from __future__ import annotations
@@ -62,7 +79,7 @@ import numpy as np
 from scipy import linalg, optimize
 
 from ..space.parameters import Parameter
-from .distances import DistanceComputer
+from .distances import DistanceComputer, DistanceTable
 from .kernels import matern52, matern52_of_distance
 from .priors import GammaLogDensities, GammaPrior
 
@@ -72,6 +89,9 @@ _JITTER = 1e-8
 #: the finite-difference step L-BFGS-B takes by default (its ``eps`` option)
 _STEP = 1e-8
 _MIN_STD = 1e-12
+
+#: the LAPACK triangular solve ``scipy.linalg.solve_triangular`` calls
+_TRTRS = linalg.get_lapack_funcs("trtrs", (np.empty((1, 1)),))
 
 
 @dataclass
@@ -370,6 +390,9 @@ class GaussianProcess:
         #: full train-matrix factorizations performed so far (diagnostics;
         #: hyper-parameter search factorizations are not counted)
         self.n_train_factorizations = 0
+        #: the cross distances' value table, built by the first predict
+        #: after a fit or an extension (which drop it)
+        self._table: DistanceTable | None = None
 
     # ------------------------------------------------------------------
     # target transforms
@@ -507,6 +530,7 @@ class GaussianProcess:
         self._y_mean, self._y_std = y_mean, y_std
         self._cholesky, self._alpha, self._train_y = cholesky, alpha, y
         self._chol_n = self._chol_base_n = len(rows)
+        self._table = None
         self.n_train_factorizations += 1
 
     def _map_search(
@@ -615,6 +639,7 @@ class GaussianProcess:
             self.n_train_factorizations += 1
         self._train_rows = rows
         self._train_distance = distance_tensor
+        self._table = None
         self._alpha = None
         self._train_y = None
         return extended
@@ -645,21 +670,44 @@ class GaussianProcess:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Predictive mean and variance for pre-encoded rows (model scale).
 
-        One vectorized cross-distance + kernel evaluation for the whole
-        batch.  ``include_noise=False`` returns the latent (noise-free)
-        predictive variance used by BaCO's modified EI, which discourages
-        re-sampling already-observed configurations.
+        One cross-distance gather (:class:`DistanceTable`) and one kernel
+        evaluation for the whole batch.  ``include_noise=False`` returns the
+        latent (noise-free) predictive variance used by BaCO's modified EI,
+        which discourages re-sampling already-observed configurations.
         """
         if not self.is_fitted:
             raise RuntimeError("predict_rows() called before fit_rows()")
         hp = self.hyperparameters
-        cross = self._distance.pairwise_rows(rows, self._train_rows)
-        k_star = matern52(cross, hp.lengthscales, hp.outputscale)
+        if self._table is None:
+            if not np.isfinite(self._cholesky).all():
+                raise ValueError("array must not contain infs or NaNs")
+            self._table = DistanceTable(self._distance, self._train_rows, hp.lengthscales)
+        k_star = matern52_of_distance(self._table.distance(rows), hp.outputscale)
         mean = k_star @ self._alpha
-        v = linalg.solve_triangular(self._cholesky, k_star.T, lower=True)
+        v = self._solve_lower(k_star.T)
         prior_var = hp.outputscale
         var = prior_var - np.sum(v**2, axis=0)
         var = np.maximum(var, 1e-12)
         if include_noise:
             var = var + hp.noise_variance
         return mean, var
+
+    def _solve_lower(self, b: np.ndarray) -> np.ndarray:
+        """``L⁻¹ b`` for the cached factor, consuming ``b``: the ``trtrs``
+        call of ``solve_triangular(L, b, lower=True)`` and its errors.  A
+        factor from ``potrf`` is F-ordered; one grown by
+        :meth:`extend_cholesky` is C-ordered and is solved as its transpose."""
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
+        if not b.size:
+            return np.empty_like(b)
+        factor = self._cholesky
+        if factor.flags.f_contiguous:
+            x, info = _TRTRS(factor, b, overwrite_b=1, lower=1, trans=0)
+        else:
+            x, info = _TRTRS(factor.T, b, overwrite_b=1, lower=0, trans=1)
+        if info > 0:
+            raise linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info-1}")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+        return x

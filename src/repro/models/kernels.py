@@ -16,7 +16,8 @@ where the per-dimension distances come from
 
 :func:`matern52` is :func:`scaled_distance` followed by
 :func:`matern52_of_distance`.  The GP's hyper-parameter fit builds ``d`` its
-own way, from cached per-dimension slices, and calls
+own way, from cached per-dimension slices, and its predict gathers it from a
+:class:`~repro.models.distances.DistanceTable`; both call
 :func:`matern52_of_distance` on it, so the formula is written once.
 """
 # repro: hot-path — row-space module: per-row Python loops, .tolist(), and in-loop decode are flagged (see repro.analysis)

@@ -72,6 +72,8 @@ def _training_data(features, targets) -> tuple[np.ndarray, np.ndarray]:
     targets = np.asarray(targets, dtype=float)
     if features.ndim != 2:
         raise ValueError("features must be a 2-D array")
+    if features.shape[1] == 0:
+        raise ValueError("features must have at least one column")
     if targets.ndim != 1 or len(targets) != len(features):
         raise ValueError("targets must be a 1-D array with one value per feature row")
     if len(features) == 0:

@@ -24,11 +24,19 @@ and the models fit, predict and score on them.  Rows round-trip:
 (nearest legal value per parameter, rank-projection for permutation blocks),
 and ``decode(encode(c)) == c`` up to canonicalization for every parameter
 type.
+
+Discrete blocks also have a *value catalogue* (:meth:`ConfigEncoder.catalogue`):
+the encodings of every legal value of an ordinal or categorical parameter,
+or of a permutation of at most five elements, built on first use.
+:meth:`ConfigEncoder.value_codes` maps a row matrix to each block's
+catalogue index in one vectorised search, so a model can tabulate what it
+computes per value once and gather it by code.
 """
 # repro: hot-path — row-space module: per-row Python loops, .tolist(), and in-loop decode are flagged (see repro.analysis)
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -53,6 +61,9 @@ __all__ = ["ColumnBlock", "ConfigEncoder"]
 #: canonical encoding.  ``frompyfunc`` keeps column code bit-identical to it.
 _MATH_LOG = np.frompyfunc(math.log, 1, 1)
 _MATH_EXP = np.frompyfunc(math.exp, 1, 1)
+
+#: permutations of at most this many elements are catalogued (5! = 120 values)
+_MAX_CATALOGUED_ELEMENTS = 5
 
 
 @dataclass(frozen=True)
@@ -104,15 +115,20 @@ class ConfigEncoder:
         # for bit with :meth:`encode_batch`.
         self._ordinal_raw: dict[str, np.ndarray] = {}
         self._ordinal_warped: dict[str, np.ndarray] = {}
+        #: per ordinal: warped value -> value, the first value on a tie, as
+        #: ``argmin`` picks it
+        self._ordinal_by_warp: dict[str, dict[float, Any]] = {}
         for block in blocks:
             param = block.parameter
             if block.kind == "numeric" and isinstance(param, OrdinalParameter):
                 self._ordinal_raw[param.name] = np.asarray(
                     [float(v) for v in param.values], dtype=float
                 )
-                self._ordinal_warped[param.name] = np.asarray(
-                    [param._warp(v) for v in param.values], dtype=float
-                )
+                warped = [param._warp(v) for v in param.values]
+                self._ordinal_warped[param.name] = np.asarray(warped, dtype=float)
+                # reversed, so that the first value of a tie is written last
+                self._ordinal_by_warp[param.name] = dict(zip(warped[::-1], param.values[::-1]))
+        self._catalogue: _ValueCatalogue | None = None
 
     # ------------------------------------------------------------------
     def columns(self, name: str) -> slice:
@@ -205,6 +221,30 @@ class ConfigEncoder:
         return np.asarray([tuple(v) for v in values], dtype=float)
 
     # ------------------------------------------------------------------
+    # value catalogues
+    # ------------------------------------------------------------------
+    def _value_catalogue(self) -> "_ValueCatalogue":
+        if self._catalogue is None:
+            self._catalogue = _ValueCatalogue(self)
+        return self._catalogue
+
+    def catalogue(self, index: int) -> np.ndarray | None:
+        """The encodings of block ``index``'s legal values, ``(V, width)``,
+        in code order; ``None`` for an integer, real or longer permutation
+        block, which has no catalogue."""
+        return self._value_catalogue().catalogues[index]
+
+    def value_codes(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's value code in every block, ``(len(blocks), len(rows))``.
+
+        A code indexes the concatenation of the blocks' catalogues, in block
+        order; the row of that concatenation equals the row's block exactly.
+        It is -1 where none does: a block without a catalogue, an illegal
+        value, NaN.  ``rows`` must be a float matrix of the encoder's width.
+        """
+        return self._value_catalogue().codes(rows)
+
+    # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
     def decode(self, row: Sequence[float]) -> dict[str, Any]:
@@ -224,7 +264,15 @@ class ConfigEncoder:
         for block in self.blocks:
             param = block.parameter
             if block.kind == "numeric":
-                config[param.name] = _decode_numeric(param, float(row[block.start]))
+                value = float(row[block.start])
+                by_warp = self._ordinal_by_warp.get(param.name)
+                if by_warp is None:
+                    config[param.name] = _decode_numeric(param, value)
+                elif value in by_warp:
+                    config[param.name] = by_warp[value]
+                else:  # the nearest warped value; NaN and ±inf give the first
+                    warped = self._ordinal_warped[param.name]
+                    config[param.name] = param.values[int(np.argmin(np.abs(warped - value)))]
             elif block.kind == "categorical":
                 idx = int(round(float(row[block.start])))
                 idx = min(max(idx, 0), len(param.values) - 1)
@@ -237,10 +285,75 @@ class ConfigEncoder:
         return [self.decode(row) for row in np.asarray(rows, dtype=float)]
 
 
+def _catalogue(encoder: ConfigEncoder, block: ColumnBlock) -> np.ndarray | None:
+    """Block ``block``'s legal encodings, ``(V, width)``, in ascending key
+    order (:class:`_ValueCatalogue`), or ``None``."""
+    param = block.parameter
+    if block.kind == "categorical":
+        return np.arange(len(param.values), dtype=float)[:, None]
+    if block.kind == "numeric" and param.name in encoder._ordinal_warped:
+        return encoder._ordinal_warped[param.name][:, None]
+    if block.kind == "permutation" and block.width <= _MAX_CATALOGUED_ELEMENTS:
+        # lexicographic: ascending keys
+        return np.asarray(list(itertools.permutations(range(block.width))), dtype=float)
+    return None
+
+
+class _ValueCatalogue:
+    """The blocks' catalogues, and one sorted search over all of them.
+
+    Each catalogued value has a key: its encoding for a one-column block,
+    ``Σ xⱼ·nⁿ⁻¹⁻ʲ`` for a permutation of ``n`` elements (distinct exact
+    integers over the catalogue).  Keys live in one complex array, the
+    real part the block index and the imaginary part the key, which numpy
+    sorts and searches lexicographically; a row's query is built the same
+    way (NaN real parts for blocks without a catalogue, which sort after
+    every key), so one ``searchsorted`` finds every block's candidate code,
+    and an equality check, of the whole block for a permutation, confirms
+    it.  A value the search cannot find is only computed directly.
+    """
+
+    def __init__(self, encoder: ConfigEncoder) -> None:
+        blocks = encoder.blocks
+        self.catalogues = [_catalogue(encoder, block) for block in blocks]
+        offsets = np.cumsum([0] + [0 if c is None else len(c) for c in self.catalogues])
+        keys = [np.empty(0, dtype=complex)]
+        #: (block index, its columns, key weights, its values at every code)
+        self.permutations: list[tuple[int, slice, np.ndarray, np.ndarray]] = []
+        for index, (block, values) in enumerate(zip(blocks, self.catalogues)):
+            if values is None:
+                continue
+            if block.kind == "permutation":
+                weights = float(block.width) ** np.arange(block.width - 1, -1, -1)
+                at_codes = np.zeros((offsets[-1], block.width))
+                at_codes[offsets[index] : offsets[index + 1]] = values
+                self.permutations.append((index, block.columns, weights, at_codes))
+                keys.append(index + 1j * (values @ weights))
+            else:
+                keys.append(index + 1j * values[:, 0])
+        self.keys = np.concatenate(keys)
+        self.ids = np.array([[np.nan if c is None else i] for i, c in enumerate(self.catalogues)])
+        self.single = np.array([i for i, b in enumerate(blocks) if b.width == 1], dtype=np.intp)
+        self.single_columns = np.array([blocks[i].start for i in self.single], dtype=np.intp)
+
+    def codes(self, rows: np.ndarray) -> np.ndarray:
+        query = np.zeros((len(self.catalogues), len(rows)), dtype=complex)
+        if not len(self.keys):
+            return np.full(query.shape, -1, dtype=np.intp)
+        query.real = self.ids
+        query.imag[self.single] = rows[:, self.single_columns].T
+        for index, columns, weights, _ in self.permutations:
+            query.imag[index] = rows[:, columns] @ weights
+        codes = np.searchsorted(self.keys, query)
+        np.minimum(codes, len(self.keys) - 1, out=codes)
+        hit = self.keys[codes] == query
+        for index, columns, _, at_codes in self.permutations:
+            hit[index] &= (at_codes[codes[index]] == rows[:, columns]).all(axis=1)
+        return np.where(hit, codes, -1)
+
+
 def _decode_numeric(param: NumericParameter, value: float) -> Any:
-    if isinstance(param, OrdinalParameter):
-        warped = np.array([param._warp(v) for v in param.values])
-        return param.values[int(np.argmin(np.abs(warped - value)))]
+    """An integer or real value from its encoding (ordinals decode by table)."""
     raw = math.exp(value) if param.transform == "log" else value
     if isinstance(param, IntegerParameter):
         return int(min(max(round(raw), param.low), param.high))

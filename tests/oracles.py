@@ -31,6 +31,11 @@ specifications the vectorized paths are tested against:
   lockstep forest of ``repro.models.random_forest``;
 * :func:`log_likelihood` reads a fitted GP's log posterior back from its
   cached factor, the yardstick the GP-fit tests compare fits with;
+* :func:`predict_rows_reference` (``pairwise_rows``, ``matern52`` and
+  ``scipy.linalg.solve_triangular`` per call) pins
+  ``GaussianProcess.predict_rows`` and its value tables;
+* :func:`decode_numeric` (the per-call re-warp of every ordinal value) and
+  :func:`decode_reference` pin ``ConfigEncoder.decode``;
 * :func:`gamma_log_pdf` (``GammaPrior.log_pdf``, one prior per call) pins
   ``repro.models.priors.GammaLogDensities``.
 """
@@ -42,10 +47,12 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
+from scipy import linalg
 from scipy.special import gammaln, xlogy
 
 from repro.models.distances import DistanceComputer
 from repro.models.gp import GaussianProcess
+from repro.models.kernels import matern52
 from repro.models.priors import GammaPrior
 from repro.space.chain_of_trees import FeasibleSetTooLarge, Tree
 from repro.space.constraints import Constraint
@@ -763,6 +770,57 @@ def forest_reference(forest, features: np.ndarray, targets: np.ndarray) -> list[
         tree.fit(features[idx], targets[idx])
         trees.append(tree)
     return trees
+
+
+def predict_rows_reference(
+    gp: GaussianProcess, rows: np.ndarray, include_noise: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """``GaussianProcess.predict_rows`` before its value tables: the cross
+    tensor from ``pairwise_rows`` and scipy's ``solve_triangular``."""
+    if not gp.is_fitted:
+        raise RuntimeError("predict_rows() called before fit_rows()")
+    hp = gp.hyperparameters
+    cross = gp._distance.pairwise_rows(rows, gp._train_rows)
+    k_star = matern52(cross, hp.lengthscales, hp.outputscale)
+    mean = k_star @ gp._alpha
+    v = linalg.solve_triangular(gp._cholesky, k_star.T, lower=True)
+    prior_var = hp.outputscale
+    var = prior_var - np.sum(v**2, axis=0)
+    var = np.maximum(var, 1e-12)
+    if include_noise:
+        var = var + hp.noise_variance
+    return mean, var
+
+
+def decode_numeric(param: NumericParameter, value: float) -> Any:
+    """The encoder's numeric decode before its ordinal tables: an ordinal
+    re-warps all of its values on every call."""
+    if isinstance(param, OrdinalParameter):
+        warped = np.array([param._warp(v) for v in param.values])
+        return param.values[int(np.argmin(np.abs(warped - value)))]
+    raw = math.exp(value) if param.transform == "log" else value
+    if isinstance(param, IntegerParameter):
+        return int(min(max(round(raw), param.low), param.high))
+    if isinstance(param, RealParameter):
+        return float(min(max(raw, param.low), param.high))
+    return float(raw)
+
+
+def decode_reference(encoder: ConfigEncoder, row: Sequence[float]) -> dict[str, Any]:
+    """``ConfigEncoder.decode`` with :func:`decode_numeric`."""
+    row = np.asarray(row, dtype=float)
+    config: dict[str, Any] = {}
+    for block in encoder.blocks:
+        param = block.parameter
+        if block.kind == "numeric":
+            config[param.name] = decode_numeric(param, float(row[block.start]))
+        elif block.kind == "categorical":
+            idx = int(round(float(row[block.start])))
+            idx = min(max(idx, 0), len(param.values) - 1)
+            config[param.name] = param.values[idx]
+        else:
+            config[param.name] = _decode_permutation(param, row[block.columns])
+    return config
 
 
 def log_likelihood(gp: GaussianProcess) -> float:

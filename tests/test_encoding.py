@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sample_value
+from oracles import decode_reference, sample_value
 from repro.space import (
     CategoricalParameter,
     ConfigEncoder,
@@ -16,6 +16,8 @@ from repro.space import (
     PermutationParameter,
     RealParameter,
 )
+from repro.workloads.registry import get_benchmark
+from test_neighbour_tables import REGISTRY
 
 
 def _mixed_parameters():
@@ -141,3 +143,46 @@ class TestDecodeProjection:
         assert [small_space.freeze(c) for c in decoded] == [
             small_space.freeze(c) for c in configs
         ]
+
+
+class TestDecodeTables:
+    """``decode`` reads each ordinal from the encoder's warped-value table
+    (a dict for an exact hit, else ``argmin`` over the stored warps);
+    ``decode_reference`` re-warps every value on each call.  They must give
+    the same configuration, in value and type."""
+
+    @given(
+        name=st.sampled_from(REGISTRY),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 20),
+    )
+    @settings(deadline=None)
+    def test_decode_matches_the_reference(self, name, seed, n):
+        space = get_benchmark(name).space
+        encoder = ConfigEncoder(space.parameters)
+        data = np.random.default_rng(seed)
+        rows = space.sample_rows(data, n)
+        scale = data.choice([1e-12, 1e-3, 0.3, 5.0])
+        moved = rows + data.normal(scale=scale, size=rows.shape) * (data.random(rows.shape) < 0.5)
+        ordinal = [
+            b.start for b in encoder.blocks if isinstance(b.parameter, OrdinalParameter)
+        ]
+        if ordinal:
+            at = data.integers(len(rows), size=n)
+            moved[at, data.choice(ordinal, size=n)] = data.choice([np.nan, np.inf, -np.inf], size=n)
+        for row in np.vstack([rows, moved]):
+            got, want = encoder.decode(row), decode_reference(encoder, row)
+            assert got == want
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    def test_a_warp_tie_decodes_to_the_first_value(self):
+        # 10**16 and 10**16 + 2 are distinct values with one float log
+        param = OrdinalParameter("big", [10**16, 10**16 + 2, 10**17], transform="log")
+        enc = ConfigEncoder([param])
+        row = enc.encode({"big": 10**16 + 2})
+        assert enc.decode(row) == decode_reference(enc, row) == {"big": 10**16}
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ordinals_decode_as_argmin_does(self, value):
+        enc = ConfigEncoder([OrdinalParameter("t", [2, 4, 8], transform="log")])
+        assert enc.decode([value]) == decode_reference(enc, [value]) == {"t": 2}

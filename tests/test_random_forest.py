@@ -196,7 +196,9 @@ class TestRowWidth:
                     assert output.shape == (0,), name
 
 
-@pytest.mark.parametrize("forest_class", [RandomForestRegressor, RandomForestClassifier])
+@pytest.mark.parametrize(
+    "forest_class", [RandomForestRegressor, RandomForestClassifier, DecisionTree]
+)
 @pytest.mark.parametrize(
     "features, targets",
     [
@@ -204,6 +206,7 @@ class TestRowWidth:
         (np.arange(10.0).reshape(5, 2), np.zeros(3)),  # fewer targets than rows
         (np.arange(5.0), np.zeros(5)),  # 1-D features
         (np.full((5, 2), np.nan), np.zeros(5)),  # non-finite features
+        (np.zeros((5, 0)), np.array([0.0, 1.0, 0.0, 1.0, 1.0])),  # no columns
     ],
 )
 def test_rejected_fit_draws_nothing(forest_class, features, targets):

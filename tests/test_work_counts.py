@@ -7,11 +7,15 @@ gradients), full kernel builds (the rest rescore the last full build),
 scoring passes and the vectors they score, L-BFGS-B runs, their
 iterations and how each one ended, feasibility fits, forest nodes grown,
 the forest's screening rounds and the nodes they screen (each one
-candidate draw), how many rows it predicts and how many neighbours its
-climb builds, and how many distance-tensor appends and batch encodes it
-makes.  A restore of
+candidate draw), how many rows it predicts, how many distance tables the
+predicts build (one per fit or extension that is predicted from) and how
+many blocks they compute directly instead of gathering them (none on these
+all-discrete spaces: a code lookup that stops matching keeps every bit and
+moves only this count), how many neighbours its climb builds, and how many
+distance-tensor appends and batch encodes it makes.  A restore of
 the finished session observes the whole history at once, so it makes one
-append and one batch encode per encoder, however long the history is.
+append and one batch encode per encoder, however long the history is, and
+builds no table.
 Counting them refutes a claim about where the time went without any timing
 noise: a speedup that keeps every trace keeps every count, and a change
 that adds work (a second predict per climb step, a refit per tell) moves
@@ -35,7 +39,7 @@ import repro.models.random_forest as forest_module
 from repro.core.feasibility import FeasibilityModel
 from repro.core.session import TuningSession, drive
 from repro.experiments.runner import make_tuner
-from repro.models.distances import IncrementalDistanceTensor
+from repro.models.distances import DistanceTable, IncrementalDistanceTensor
 from repro.models.gp import GaussianProcess, _MapObjective
 from repro.models.random_forest import RandomForestClassifier
 from repro.space.encoding import ConfigEncoder
@@ -54,6 +58,8 @@ WRAPPED = (
      lambda args, result: len(result)),
     (GaussianProcess, "predict_rows", "gp.predict_calls", "gp.predict_rows",
      lambda args, result: len(args[1])),
+    (DistanceTable, "__init__", "gp.tables", None, None),
+    (DistanceTable, "_direct", "gp.direct_blocks", None, None),
     (FeasibilityModel, "fit_rows", "feas.fit_calls", None, None),
     (RandomForestClassifier, "fit", "forest.fit_calls", "forest.nodes",
      lambda args, result: sum(len(tree.value) for tree in result.trees_)),
@@ -70,7 +76,7 @@ WRAPPED = (
 #: the same counts for restoring the finished session into a fresh tuner:
 #: the space encoder encodes every evaluation, the model encoder the
 #: feasible ones, and their rows extend the distance tensor in one append
-RESTORE_EXPECTED = {"distance.appends": 1, "encode.batches": 2}
+RESTORE_EXPECTED = {"distance.appends": 1, "encode.batches": 2, "gp.tables": 0}
 
 #: (benchmark, surrogate policy, seed, budget) -> counts at paper fidelity
 EXPECTED = {
@@ -86,6 +92,8 @@ EXPECTED = {
         "lbfgsb.iterations": 928,
         "gp.predict_calls": 360,
         "gp.predict_rows": 37_474,
+        "gp.tables": 29,  # one per fit
+        "gp.direct_blocks": 0,
         "feas.fit_calls": 29,
         "forest.fit_calls": 26,
         "forest.nodes": 5_866,
@@ -109,6 +117,8 @@ EXPECTED = {
         "lbfgsb.iterations": 159,
         "gp.predict_calls": 439,
         "gp.predict_rows": 38_101,
+        "gp.tables": 53,  # one per fit or extension
+        "gp.direct_blocks": 0,
         "feas.fit_calls": 53,
         "forest.fit_calls": 0,
         "forest.nodes": 0,
