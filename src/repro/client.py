@@ -44,6 +44,23 @@ class ServiceError(RuntimeError):
         self.response = dict(response)
 
 
+def _decode_response(raw: bytes) -> dict[str, Any]:
+    """One response line as the dict it encodes: ``wire_decode(json.loads(raw))``.
+
+    Only a line holding a ``"$float"`` token can hold a marker, so any other
+    is returned as parsed, without the decoding walk.
+    """
+    try:
+        # the server is strict (allow_nan=False), so a bare NaN/Infinity
+        # token can only mean a corrupt or non-conforming peer
+        response = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise ConnectionError(f"malformed server response: {raw!r}") from exc
+    if not isinstance(response, dict):
+        raise ConnectionError(f"malformed server response: {raw!r}")
+    return wire_decode(response) if b'"$float"' in raw else response
+
+
 class TuningClient:
     """A line-framed blocking connection to a :class:`TuningServer`."""
 
@@ -90,17 +107,7 @@ class TuningClient:
                 ) from exc
         if not raw:
             raise ConnectionError("server closed the connection")
-        try:
-            # the server is strict (allow_nan=False), so a bare NaN/Infinity
-            # token can only mean a corrupt or non-conforming peer
-            response = json.loads(
-                raw.decode("utf-8"), parse_constant=_reject_constant
-            )
-        except ValueError as exc:
-            raise ConnectionError(f"malformed server response: {raw!r}") from exc
-        if not isinstance(response, dict):
-            raise ConnectionError(f"malformed server response: {raw!r}")
-        return wire_decode(response)
+        return _decode_response(raw)
 
     def request(self, op: str, **fields: Any) -> dict[str, Any]:
         """Like :meth:`call` but raises :class:`ServiceError` on ``ok: false``."""

@@ -183,16 +183,26 @@ class DistanceComputer:
 
     def block_rows(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Normalized distances ``d_k / scale_k`` of block ``k``, ``(n_a, n_b)``,
-        between the encoded row matrices ``a`` and ``b``."""
+        between the encoded row matrices ``a`` and ``b``.
+
+        A non-finite value carries into a numeric or Spearman distance, and
+        the GP's kernel check rejects it; a categorical block and a Kendall,
+        Hamming or naive permutation block only compare values, under which
+        NaN is merely unequal, so they reject one themselves with the same
+        ``ValueError``.
+        """
         block = self.encoder.blocks[k]
         if block.kind == "numeric":
             matrix = _numeric_block_rows(a[:, block.start], b[:, block.start])
-        elif block.kind == "categorical":
-            matrix = _categorical_block_rows(a[:, block.start], b[:, block.start])
         else:
-            matrix = _permutation_block_rows(
-                block.parameter, a[:, block.columns], b[:, block.columns]
-            )
+            a, b = a[:, block.columns], b[:, block.columns]
+            compares = block.kind == "categorical" or block.parameter.metric != "spearman"
+            if compares and not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise ValueError("array must not contain infs or NaNs")
+            if block.kind == "categorical":
+                matrix = _categorical_block_rows(a[:, 0], b[:, 0])
+            else:
+                matrix = _permutation_block_rows(block.parameter, a, b)
         return matrix / self.scales[k]
 
     def pairwise_rows(

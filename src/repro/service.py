@@ -43,8 +43,8 @@ restore    resume: exactly one of ``path`` (a checkpoint file) or an
 close      drop the session from the registry (autosaved first when a
            sessions directory is configured)
 sessions   list active and autosaved sessions
-shutdown   stop serving; autosaves every dirty session first (the
-           response is still written)
+shutdown   stop serving; first autosaves every session the disk lacks
+           (the response is still written)
 =========  ==============================================================
 
 Example exchange::
@@ -60,6 +60,9 @@ The registry holds at most ``max_sessions`` sessions in memory; the least
 recently used one is evicted when a new session would exceed the cap,
 atomically autosaved to ``sessions_dir`` (``save_session``'s temp-file +
 rename), and transparently reloaded on the next request that names it.
+Eviction, ``close`` and shutdown write a checkpoint only when the disk lacks
+it: a clean session whose autosave file still has the ``os.stat`` identity
+recorded when it became clean is not written again.
 Without a sessions directory the registry refuses to evict (evicting would
 silently lose a run) and reports itself full instead.
 
@@ -74,6 +77,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import threading
 from collections import OrderedDict
@@ -151,6 +155,20 @@ def _reject_constant(token: str) -> float:
     raise ValueError(f"non-finite number {token} is not valid strict JSON")
 
 
+def _file_identity(path: Path) -> tuple[int, int, int] | None:
+    """``(st_ino, st_size, st_mtime_ns)`` of ``path``, ``None`` if it is gone.
+
+    ``save_session`` renames a fresh temp file into place, so any rewrite of
+    a checkpoint, by this registry or by a ``snapshot`` of another session
+    to its path, gives the file a new identity.
+    """
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
 _SESSION_NAME = schema.Leaf(
     "a name matching [A-Za-z0-9][A-Za-z0-9._-]* (at most 100 characters)",
     lambda value: schema.string.accepts(value) and _NAME_RE.match(value) is not None,
@@ -184,9 +202,10 @@ REQUESTS: dict[str, dict[Any, Any]] = {
 
 
 class _ManagedSession:
-    """A named session plus its lock and autosave dirty flag."""
+    """A named session plus its lock, autosave dirty flag and, while it is
+    clean, the identity of the autosave file that holds it."""
 
-    __slots__ = ("name", "session", "lock", "dirty")
+    __slots__ = ("name", "session", "lock", "dirty", "on_disk")
 
     def __init__(self, name: str, session: TuningSession) -> None:
         self.name = name
@@ -195,6 +214,14 @@ class _ManagedSession:
         # so direct TuningSession users and the registry serialize together
         self.lock = session._lock
         self.dirty = True
+        #: :func:`_file_identity` of the autosave file when the entry became
+        #: clean (reloaded from it, or written to it)
+        self.on_disk: tuple[int, int, int] | None = None
+
+    def mark_clean(self, path: Path) -> None:
+        """Record that the autosave file ``path`` now holds the session."""
+        self.dirty = False
+        self.on_disk = _file_identity(path)
 
 
 class SessionRegistry:
@@ -252,8 +279,24 @@ class SessionRegistry:
         return self._dump(self.handle(request))
 
     def _dump(self, response: Mapping[str, Any]) -> str:
+        """The response as one strict-JSON line.
+
+        Most responses hold no non-finite float, so they are dumped in one
+        pass.  Only when that dump raises is the response walked by
+        :func:`wire_encode` and dumped again: on a ``ValueError`` for a
+        non-finite float (an inline snapshot whose history holds an
+        infeasible ``inf``) or a ``TypeError`` for a value or key json
+        cannot encode.  Either way the line has the bytes of
+        ``json.dumps(wire_encode(response))`` as long as every key is a
+        string, as every op's are: ``wire_encode`` writes a ``True`` or
+        ``None`` key as ``"True"`` or ``"None"``, where ``json.dumps``
+        writes ``"true"`` or ``"null"``.
+        """
         try:
-            return json.dumps(wire_encode(response), allow_nan=False)
+            try:
+                return json.dumps(response, allow_nan=False)
+            except (ValueError, TypeError):
+                return json.dumps(wire_encode(response), allow_nan=False)
         except Exception as exc:  # noqa: BLE001 - the last line of defence
             return json.dumps(
                 {
@@ -307,14 +350,17 @@ class SessionRegistry:
                 self._sessions.move_to_end(name)
                 return entry
         path = self._autosave_path(name)
-        if path is None or not path.exists():
+        # the identity is read before the file, so a rewrite racing the load
+        # can only make the entry look stale, never clean
+        on_disk = None if path is None else _file_identity(path)
+        if on_disk is None:
             raise KeyError(
                 f"unknown session {name!r} — send a start or restore request"
             )
         from .experiments.runner import load_session
 
         session, _ = load_session(path)
-        return self._admit(name, session, dirty=False)
+        return self._admit(name, session, dirty=False, on_disk=on_disk)
 
     @contextmanager
     def _locked_entry(self, name: str) -> "Iterator[_ManagedSession]":
@@ -349,9 +395,12 @@ class SessionRegistry:
         session: TuningSession,
         dirty: bool = True,
         guard_conflict: bool = False,
+        on_disk: tuple[int, int, int] | None = None,
     ) -> _ManagedSession:
         """Insert (or replace) a session and evict over-capacity LRU entries.
 
+        A reload admits its session clean (``dirty=False``) with the
+        identity ``on_disk`` of the file it read.
         ``guard_conflict`` re-runs the start/restore conflict check *inside*
         the registry lock: two concurrent non-force starts of the same name
         can both pass the advisory pre-check, and without this guard the
@@ -381,6 +430,7 @@ class SessionRegistry:
                 )
             entry = _ManagedSession(name, session)
             entry.dirty = dirty
+            entry.on_disk = on_disk
             self._sessions[name] = entry
             self._sessions.move_to_end(name)
             self._evict_lru_locked(protect=name)
@@ -436,24 +486,34 @@ class SessionRegistry:
             if victim is None:
                 break
             try:
-                self._save_entry(victim)
+                self._persist(victim)
                 del self._sessions[victim.name]
             finally:
                 victim.lock.release()
 
-    def _save_entry(self, entry: _ManagedSession) -> Path | None:
-        """Autosave one session (caller holds its lock).  Returns the path."""
+    def _persist(self, entry: _ManagedSession) -> Path | None:
+        """Autosave one session unless its checkpoint is already on disk
+        (caller holds its lock).  Returns the path written, or ``None``.
+
+        The disk holds the session when the entry is clean and its autosave
+        file still has the identity recorded when it became clean; a file
+        that is gone, or that a ``snapshot`` of another session replaced, is
+        written again.
+        """
         path = self._autosave_path(entry.name)
         if path is None:
             return None
+        if not entry.dirty and entry.on_disk is not None:
+            if entry.on_disk == _file_identity(path):
+                return None
         from .experiments.runner import save_session
 
         written = save_session(entry.session, path)
-        entry.dirty = False
+        entry.mark_clean(written)
         return written
 
     def autosave_all(self) -> list[str]:
-        """Autosave every dirty session; returns the written paths."""
+        """Autosave every session the disk lacks; returns the written paths."""
         if self.sessions_dir is None:
             return []
         with self._lock:
@@ -461,10 +521,9 @@ class SessionRegistry:
         written = []
         for entry in entries:
             with entry.lock:
-                if entry.dirty:
-                    path = self._save_entry(entry)
-                    if path is not None:
-                        written.append(str(path))
+                path = self._persist(entry)
+            if path is not None:
+                written.append(str(path))
         return written
 
     # ------------------------------------------------------------------
@@ -595,7 +654,7 @@ class SessionRegistry:
             # entry clean — a caller-supplied path must not disable the
             # shutdown/eviction autosave that kill/resume depends on
             if written == self._autosave_path(name):
-                entry.dirty = False
+                entry.mark_clean(written)
         return {"session": name, "path": str(written)}
 
     def _op_restore(self, request: Mapping[str, Any]) -> dict[str, Any]:
@@ -641,13 +700,9 @@ class SessionRegistry:
         # lock re-validates in _locked_entry, misses the map, and reloads the
         # checkpoint written here — never a stale one
         with self._locked_entry(name) as entry:
-            if entry.dirty:
-                saved = self._save_entry(entry)
-            else:
-                # only report a checkpoint that actually exists on disk
-                saved = self._autosave_path(name)
-                if saved is not None and not saved.exists():
-                    saved = None
+            # the checkpoint is written, or already on disk with the identity
+            # the entry recorded: either way the autosave path holds the run
+            saved = self._persist(entry) or self._autosave_path(name)
             # repro: allow[lock-discipline] same documented-safe inversion as _locked_entry: the registry lock is never held while blocking on a session lock
             with self._lock:
                 if self._sessions.get(name) is entry:

@@ -253,7 +253,11 @@ class ConfigEncoder:
         Exact inverse on encoded rows; arbitrary rows are projected to the
         nearest legal value per parameter (nearest warped value for
         numerics, nearest index for categoricals, rank projection for
-        permutation blocks).
+        permutation blocks).  A value that cannot be converted raises a
+        ``ValueError`` naming the parameter and the value: NaN outside an
+        ordinal, and a value whose conversion to an integer or through a
+        log warp's ``exp`` overflows (a real clamps ±inf to its bounds, an
+        ordinal projects NaN and ±inf to its first value).
         """
         row = np.asarray(row, dtype=float)
         if row.shape != (self.width,):
@@ -263,22 +267,28 @@ class ConfigEncoder:
         config: dict[str, Any] = {}
         for block in self.blocks:
             param = block.parameter
-            if block.kind == "numeric":
-                value = float(row[block.start])
-                by_warp = self._ordinal_by_warp.get(param.name)
-                if by_warp is None:
-                    config[param.name] = _decode_numeric(param, value)
-                elif value in by_warp:
-                    config[param.name] = by_warp[value]
-                else:  # the nearest warped value; NaN and ±inf give the first
-                    warped = self._ordinal_warped[param.name]
-                    config[param.name] = param.values[int(np.argmin(np.abs(warped - value)))]
-            elif block.kind == "categorical":
-                idx = int(round(float(row[block.start])))
-                idx = min(max(idx, 0), len(param.values) - 1)
-                config[param.name] = param.values[idx]
-            else:
-                config[param.name] = _decode_permutation(param, row[block.columns])
+            try:  # a conversion that fails is the error; a legal row pays nothing
+                if block.kind == "numeric":
+                    value = float(row[block.start])
+                    by_warp = self._ordinal_by_warp.get(param.name)
+                    if by_warp is None:
+                        config[param.name] = _decode_numeric(param, value)
+                    elif value in by_warp:
+                        config[param.name] = by_warp[value]
+                    else:  # the nearest warped value; NaN and ±inf give the first
+                        warped = self._ordinal_warped[param.name]
+                        config[param.name] = param.values[int(np.argmin(np.abs(warped - value)))]
+                elif block.kind == "categorical":
+                    idx = int(round(float(row[block.start])))
+                    idx = min(max(idx, 0), len(param.values) - 1)
+                    config[param.name] = param.values[idx]
+                else:
+                    config[param.name] = _decode_permutation(param, row[block.columns])
+            except (ValueError, OverflowError):
+                shown = row[block.start] if block.width == 1 else row[block.columns]
+                raise ValueError(
+                    f"cannot decode parameter {param.name!r} from {shown}"
+                ) from None
         return config
 
     def decode_batch(self, rows: np.ndarray) -> list[dict[str, Any]]:
@@ -358,6 +368,8 @@ def _decode_numeric(param: NumericParameter, value: float) -> Any:
     if isinstance(param, IntegerParameter):
         return int(min(max(round(raw), param.low), param.high))
     if isinstance(param, RealParameter):
+        if raw != raw:
+            raise ValueError("NaN has no nearest real value")
         return float(min(max(raw, param.low), param.high))
     return float(raw)
 

@@ -84,13 +84,6 @@ class Parameter(ABC):
         The distribution is that of ``n`` independent uniform draws; the RNG
         is consumed by one batched call, which is what makes the row
         samplers fast.
-
-        Integers, ordinals and categoricals take an optional third argument,
-        ``values``: a non-empty subsequence of :meth:`values_list` to draw
-        from instead (the unary-constraint narrowing of
-        :class:`~repro.space.space.SearchSpace`).  Passing the full
-        :meth:`values_list` draws exactly what omitting it draws (values,
-        dtype and generator state).
         """
 
     @abstractmethod
@@ -221,11 +214,7 @@ class IntegerParameter(NumericParameter):
         self.high = int(high)
         self.default = int(default) if default is not None else self.low
 
-    def sample_batch(
-        self, rng: np.random.Generator, n: int, values: Sequence[int] | None = None
-    ) -> np.ndarray:
-        if values is not None:
-            return _draw_from_table(rng, n, values, float, self.name)
+    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.integers(self.low, self.high + 1, size=n).astype(float)
 
     def contains(self, value: Any) -> bool:
@@ -290,11 +279,8 @@ class OrdinalParameter(NumericParameter):
             raise ValueError(f"default {default!r} not among ordinal values")
         self._index = {v: i for i, v in enumerate(vals)}
 
-    def sample_batch(
-        self, rng: np.random.Generator, n: int, values: Sequence[Any] | None = None
-    ) -> np.ndarray:
-        values = self.values if values is None else values
-        return _draw_from_table(rng, n, values, float, self.name)
+    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return _draw_from_table(rng, n, self.values, float, self.name)
 
     def contains(self, value: Any) -> bool:
         try:
@@ -345,11 +331,8 @@ class CategoricalParameter(Parameter):
             raise ValueError(f"default {default!r} not among categorical values")
         self._index = {v: i for i, v in enumerate(vals)}
 
-    def sample_batch(
-        self, rng: np.random.Generator, n: int, values: Sequence[Any] | None = None
-    ) -> np.ndarray:
-        values = self.values if values is None else values
-        return _draw_from_table(rng, n, values, object, self.name)
+    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return _draw_from_table(rng, n, self.values, object, self.name)
 
     def contains(self, value: Any) -> bool:
         try:

@@ -51,6 +51,15 @@ def _narrowable(param: Parameter) -> bool:
     return isinstance(param, (OrdinalParameter, CategoricalParameter))
 
 
+def _value_column(param: Parameter, values: Sequence[Any]) -> np.ndarray:
+    """Values of a discrete parameter as the column a draw gathers from:
+    object for a categorical, float otherwise."""
+    dtype = object if isinstance(param, CategoricalParameter) else float
+    column = np.empty(len(values), dtype=dtype)
+    column[:] = list(values)
+    return column
+
+
 def freeze_configuration(configuration: Mapping[str, Any], names: Sequence[str]) -> tuple:
     """Hashable, order-normalized representation of a configuration."""
     return tuple(
@@ -103,8 +112,8 @@ class SearchSpace:
         over that parameter's values, as the float or object column
         ``sample_rows``' residual mask sees, and keeps the values it accepts
         in ``values_list()`` order.  A parameter keeps an entry only when
-        some value failed, so every other parameter keeps its plain
-        ``sample_batch`` call.  Residual constraints only read free
+        some value failed; :meth:`_draw_tables` draws it from the surviving
+        values.  Residual constraints only read free
         parameters: the co-dependency grouping is transitively closed and
         tree capture is all-or-nothing per group.
         """
@@ -119,12 +128,7 @@ class SearchSpace:
                 if not _narrowable(param):
                     continue
                 values = kept[name] if name in kept else param.values_list()
-                column = np.empty(
-                    len(values),
-                    dtype=object if isinstance(param, CategoricalParameter) else float,
-                )
-                column[:] = values
-                passed = np.asarray(evaluator({name: column}), dtype=bool)
+                passed = np.asarray(evaluator({name: _value_column(param, values)}), dtype=bool)
                 kept[name] = [v for v, keep in zip(values, passed) if keep]
                 if not kept[name]:
                     raise RuntimeError(
@@ -314,6 +318,47 @@ class SearchSpace:
             self._vector_caches["tree_tables"] = tables
         return tables
 
+    def _draw_tables(self) -> tuple[list[tuple], set[str]]:
+        """How ``sample_rows`` draws the free parameters, cached.
+
+        Per free parameter (not covered by a tree), in space order:
+        ``(param, columns, raw, encoded)``.  An ordinal, a categorical and
+        any parameter :meth:`_narrowed_values` narrows draws from a table:
+        ``raw`` is the float or object column of its (surviving) values, as
+        :func:`~repro.space.parameters._draw_from_table` builds it, and
+        ``encoded`` that column's ``encode_value_column`` block, so a draw
+        is ``rng.integers(len(raw), size=n)`` and two gathers: the values
+        and the generator state of ``sample_batch``, without rebuilding and
+        re-encoding the table per call.  Reals, integers that are not
+        narrowed and permutations have ``raw = encoded = None`` and keep
+        ``sample_batch``.  Also returns the residual constraints'
+        variables, whose raw columns the residual mask reads.  The build
+        depends only on the space and is published by one assignment, so
+        racing builds are harmless.
+        """
+        tables = self._vector_caches.get("draw_tables")
+        if tables is None:
+            covered = self._covered_names()
+            narrowed = self._narrowed_values()
+            free = []
+            for param in self.parameters:
+                if param.name in covered:
+                    continue
+                values = narrowed.get(param.name)
+                if values is None and isinstance(param, (OrdinalParameter, CategoricalParameter)):
+                    values = param.values_list()
+                raw = encoded = None
+                if values is not None:
+                    raw = _value_column(param, values)
+                    encoded = self.encoder.encode_value_column(param.name, raw)
+                free.append((param, self.encoder.columns(param.name), raw, encoded))
+            residual_vars: set[str] = set()
+            for constraint, _ in self._compiled_residuals():
+                residual_vars |= constraint.variables
+            tables = (free, residual_vars)
+            self._vector_caches["draw_tables"] = tables
+        return tables
+
     def _compiled_residuals(self) -> list:
         """``(constraint, compiled column evaluator)`` per residual constraint, cached."""
         evaluators = self._vector_caches.get("compiled_residual")
@@ -372,7 +417,8 @@ class SearchSpace:
         """Draw ``n_samples`` feasible configurations as encoded rows.
 
         One vectorized pass per rejection round: every tree contributes a
-        leaf-matrix gather, every unconstrained parameter one batched draw,
+        leaf-matrix gather, every free parameter one batched draw (a gather
+        from its draw table, :meth:`_draw_tables`, or its ``sample_batch``),
         and the residual constraints are evaluated by their compiled column
         evaluators.  Returns an ``(n_samples, width)`` float matrix in the
         shared :class:`~repro.space.encoding.ConfigEncoder` layout.
@@ -387,13 +433,8 @@ class SearchSpace:
             raise ValueError("n_samples must be non-negative")
         encoder = self.encoder
         tree_tables = self._tree_tables()
-        covered = self._covered_names()
-        free_params = [p for p in self.parameters if p.name not in covered]
+        free, residual_vars = self._draw_tables()
         residuals = self._compiled_residuals()
-        residual_vars: set[str] = set()
-        for constraint, _ in residuals:
-            residual_vars |= constraint.variables
-        narrowed = self._narrowed_values()
 
         collected: list[np.ndarray] = []
         constraint_passed = [0] * len(residuals)
@@ -420,14 +461,16 @@ class SearchSpace:
                 for name in raw:
                     if name in residual_vars:
                         env[name] = raw[name][indices]
-            for param in free_params:
-                if param.name in narrowed:
-                    column = param.sample_batch(rng, need, narrowed[param.name])
-                else:
+            for param, columns, raw, encoded in free:
+                if raw is None:
                     column = param.sample_batch(rng, need)
-                rows[:, encoder.columns(param.name)] = encoder.encode_value_column(
-                    param.name, column
-                )
+                    rows[:, columns] = encoder.encode_value_column(param.name, column)
+                elif len(raw):
+                    indices = rng.integers(len(raw), size=need)
+                    rows[:, columns] = encoded[indices]
+                    column = raw[indices]
+                else:
+                    raise ValueError(f"empty domain for parameter {param.name!r}")
                 if param.name in residual_vars:
                     env[param.name] = self._env_column(np.asarray(column))
             if residuals:

@@ -11,7 +11,10 @@ specifications the vectorized paths are tested against:
   and :func:`hamming_permutation_distance` are the building blocks of the
   two oracles below;
 * :func:`pairwise_reference` pins ``DistanceComputer.pairwise_rows``;
-* :func:`sample_reference` pins the distribution of ``SearchSpace.sample``;
+* :func:`sample_reference` pins the distribution of ``SearchSpace.sample``,
+  and :func:`sample_rows_reference` (each round's per-parameter
+  ``sample_batch`` calls, narrowed values included) the rows, residual
+  columns and generator state of ``SearchSpace.sample_rows``;
 * :class:`NodeTree` (recursive ``CoTNode`` growth, the leaf-count pass, the
   membership walk, ``_collect_feasible_values`` / ``_subtree_matches`` and
   the stack walk over the leaves) pins the leaf tables of
@@ -65,8 +68,9 @@ from repro.space.parameters import (
     Parameter,
     PermutationParameter,
     RealParameter,
+    _draw_from_table,
 )
-from repro.space.space import Configuration, SearchSpace
+from repro.space.space import Configuration, SearchSpace, _rejection_failure_message
 
 
 def sample_value(param: Parameter, rng: np.random.Generator) -> Any:
@@ -405,6 +409,85 @@ def sample_reference(
         if all(c.evaluate(config) for c in space._residual_constraints):
             samples.append(config)
     return samples
+
+
+def sample_rows_reference(
+    space: SearchSpace,
+    rng: np.random.Generator,
+    n_samples: int = 1,
+    biased_cot: bool = False,
+    max_rejection_rounds: int = 10_000,
+) -> np.ndarray:
+    """``SearchSpace.sample_rows`` before its draw tables.
+
+    Every round draws each free parameter with its own ``sample_batch``
+    call, a narrowed one from its surviving values (the ``values`` argument
+    integers, ordinals and categoricals took), and encodes the drawn column
+    with ``encode_value_column``.
+    """
+    if n_samples < 0:
+        raise ValueError("n_samples must be non-negative")
+    encoder = space.encoder
+    tree_tables = space._tree_tables()
+    covered = space._covered_names()
+    free_params = [p for p in space.parameters if p.name not in covered]
+    residuals = space._compiled_residuals()
+    residual_vars: set[str] = set()
+    for constraint, _ in residuals:
+        residual_vars |= constraint.variables
+    narrowed = space._narrowed_values()
+
+    collected: list[np.ndarray] = []
+    constraint_passed = [0] * len(residuals)
+    accepted = 0
+    drawn = 0
+    rounds = 0
+    budget = max_rejection_rounds * max(1, n_samples)
+    while accepted < n_samples:
+        need = n_samples - accepted
+        if drawn >= budget:
+            stats = space._record_sample_stats(
+                n_samples, accepted, drawn, rounds, residuals, constraint_passed
+            )
+            raise RuntimeError(_rejection_failure_message(stats))
+        need = min(need, budget - drawn)
+        drawn += need
+        rounds += 1
+        rows = np.empty((need, encoder.width), dtype=float)
+        env: dict[str, np.ndarray] = {}
+        for tree, raw, encoded in tree_tables:
+            indices = tree.sample_leaf_indices(rng, need, biased=biased_cot)
+            for name, block in encoded.items():
+                rows[:, encoder.columns(name)] = block[indices]
+            for name in raw:
+                if name in residual_vars:
+                    env[name] = raw[name][indices]
+        for param in free_params:
+            if param.name in narrowed:
+                dtype = object if isinstance(param, CategoricalParameter) else float
+                column = _draw_from_table(rng, need, narrowed[param.name], dtype, param.name)
+            else:
+                column = param.sample_batch(rng, need)
+            rows[:, encoder.columns(param.name)] = encoder.encode_value_column(
+                param.name, column
+            )
+            if param.name in residual_vars:
+                env[param.name] = space._env_column(np.asarray(column))
+        if residuals:
+            mask = np.ones(need, dtype=bool)
+            for slot, (_, evaluator) in enumerate(residuals):
+                passed = np.asarray(evaluator(env), dtype=bool)
+                constraint_passed[slot] += int(passed.sum())
+                mask &= passed
+            rows = rows[mask]
+        collected.append(rows)
+        accepted += len(rows)
+    space._record_sample_stats(
+        n_samples, accepted, drawn, rounds, residuals, constraint_passed
+    )
+    if not collected:
+        return np.empty((0, encoder.width), dtype=float)
+    return np.vstack(collected)[:n_samples]
 
 
 def feasible_rows(space: SearchSpace, rows: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ direct path:
 
 * ``DistanceTable.distance`` against ``scaled_distance(pairwise_rows(...))``
   on all 31 registry spaces, for legal rows, rows with one block moved off
-  its values, rows holding NaN, and zero rows;
+  its values, rows holding NaN, and zero rows: the same bytes, or the same
+  ``ValueError`` for a NaN in a block that only compares values;
 * ``predict_rows`` against ``predict_rows_reference`` (the per-call
   ``pairwise_rows`` and ``scipy.linalg.solve_triangular`` body) after
   ``fit_rows``, whose factor is F-ordered, and after ``extend_cholesky``,
@@ -37,6 +38,7 @@ from repro.space import (
     OrdinalParameter,
     PermutationParameter,
     RealParameter,
+    SearchSpace,
 )
 from repro.workloads.registry import get_benchmark
 
@@ -75,6 +77,17 @@ def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _outcome(compute, *args) -> np.ndarray | tuple[np.ndarray, ...] | str:
+    """What ``compute`` returns, or the message of its ``ValueError`` (a
+    NaN that reaches the cross kernel, or one in a categorical block or a
+    Kendall, Hamming or naive permutation block, which raise it
+    themselves)."""
+    try:
+        return compute(*args)
+    except ValueError as error:
+        return str(error)
+
+
 # ---------------------------------------------------------------------------
 # the table against the direct distance
 # ---------------------------------------------------------------------------
@@ -94,8 +107,12 @@ def test_table_distance_has_the_direct_bytes(name, seed, n_train, n_query):
     lengthscales = _lengthscales(computer, data)
     rows = _queries(name, data, n_query)
     table = DistanceTable(computer, train, lengthscales)
-    want = scaled_distance(computer.pairwise_rows(rows, train), lengthscales)
-    assert _same_bytes(table.distance(rows), want)
+    want = _outcome(lambda: scaled_distance(computer.pairwise_rows(rows, train), lengthscales))
+    got = _outcome(table.distance, rows)
+    if isinstance(want, str):
+        assert got == want == "array must not contain infs or NaNs"
+    else:
+        assert _same_bytes(got, want)
 
 
 @pytest.mark.parametrize("name", REGISTRY)
@@ -123,17 +140,6 @@ def test_registry_rows_gather_every_catalogued_block(name, monkeypatch):
 # ---------------------------------------------------------------------------
 # predict_rows against the reference body
 # ---------------------------------------------------------------------------
-
-
-def _outcome(predict, *args) -> tuple[np.ndarray, ...] | str:
-    """The arrays a predict returns, or the message of its ``ValueError``
-    (a NaN that reaches the cross kernel; a NaN category, or a NaN in a
-    Kendall, Hamming or naive permutation, is unequal to every value, has
-    a finite distance and predicts)."""
-    try:
-        return predict(*args)
-    except ValueError as error:
-        return str(error)
 
 
 def _assert_predicts_match(gp: GaussianProcess, rows: np.ndarray) -> None:
@@ -200,6 +206,36 @@ def test_zero_rows_and_nan_rows():
         gp.predict_rows(bad)
     with pytest.raises(ValueError, match=r"expected rows of width 10, got shape \(4, 9\)"):
         gp.predict_rows(rows[:4, :9])
+
+
+def _comparing_space(kind: str) -> list:
+    """A categorical, or a permutation under a metric that only compares
+    values, next to an ordinal."""
+    if kind == "categorical":
+        block = CategoricalParameter("b", ["u", "v", "w"])
+    else:
+        block = PermutationParameter("b", 4, metric=kind)
+    return [OrdinalParameter("o", [1, 2, 4, 8, 16], transform="log"), block]
+
+
+@pytest.mark.parametrize("kind", ["categorical", "kendall", "hamming", "naive"])
+def test_a_non_finite_value_in_a_comparing_block_does_not_predict(kind):
+    """NaN is unequal to every value and orders below none, so these blocks
+    would give it a finite distance; the block raises the kernel's error
+    instead, in the direct distance, the table's fallback and the predict."""
+    space = SearchSpace(_comparing_space(kind))
+    data = np.random.default_rng(4)
+    rows = space.sample_rows(data, 12)
+    gp = GaussianProcess(space.parameters, rng=np.random.default_rng(3))
+    gp.fit_rows(rows[:10], data.lognormal(size=10))
+    for value in (np.nan, np.inf, -np.inf):
+        bad = rows.copy()
+        bad[11, 1 + data.integers(space.encoder.width - 1)] = value
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            gp._distance.pairwise_rows(bad, rows)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            gp.predict_rows(bad)
+    gp.predict_rows(rows)  # legal rows still predict
 
 
 def test_the_table_is_built_by_predict_and_dropped_by_fit_and_extension():

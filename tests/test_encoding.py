@@ -186,3 +186,34 @@ class TestDecodeTables:
     def test_non_finite_ordinals_decode_as_argmin_does(self, value):
         enc = ConfigEncoder([OrdinalParameter("t", [2, 4, 8], transform="log")])
         assert enc.decode([value]) == decode_reference(enc, [value]) == {"t": 2}
+
+
+class TestDecodeNonFinite:
+    """A value with no nearest legal one is an error naming the parameter
+    and the value, not a bare conversion error or an illegal ``nan``."""
+
+    @pytest.mark.parametrize(
+        "param,value",
+        [
+            (param, value)
+            for param in (
+                CategoricalParameter("sched", ["static", "dynamic"]),
+                IntegerParameter("threads", 1, 64),
+                PermutationParameter("order", 3),
+            )
+            for value in (np.nan, np.inf, -np.inf)
+        ]
+        + [(RealParameter("alpha", 0.1, 10.0, transform="log"), np.nan)],
+        ids=lambda case: getattr(case, "name", None) or str(case),
+    )
+    def test_names_the_parameter(self, param, value):
+        enc = ConfigEncoder([OrdinalParameter("tile", [2, 4, 8]), param])
+        row = enc.encode({"tile": 4, param.name: param.default})
+        row[enc.columns(param.name).stop - 1] = value
+        with pytest.raises(ValueError, match=rf"parameter '{param.name}' from .*{value}"):
+            enc.decode(row)
+
+    @pytest.mark.parametrize("value,bound", [(np.inf, 10.0), (-np.inf, 0.1)])
+    def test_a_real_clamps_infinity_to_its_bounds(self, value, bound):
+        enc = ConfigEncoder([RealParameter("alpha", 0.1, 10.0, transform="log")])
+        assert enc.decode([value]) == {"alpha": bound}

@@ -19,9 +19,10 @@ constraints.  Four protection layers:
   (each decodes to a configuration ``is_feasible`` accepts and encodes back
   to itself; the residual mask stays the final filter), reaches exactly the
   brute-force support of each single constraint, unary or not, and keeps
-  unconstrained dimensions untouched; a draw from a parameter's full ``values_list()`` is
-  the unrestricted draw (same values, dtype and generator state), so
-  parameters the filter leaves alone keep their plain streams;
+  unconstrained dimensions untouched; a draw table over a parameter's full
+  ``values_list()`` draws what its ``sample_batch`` draws (same encoded
+  values and generator state), so parameters the filter leaves alone keep
+  their plain streams;
 * **diagnostics** — a parameter with no surviving value raises at once, and
   an exhausted rejection budget names the constraints that starved it (also
   when only their conjunction is unsatisfiable);
@@ -53,7 +54,13 @@ from repro.space.parameters import (
 )
 from repro.space.space import SearchSpace
 
-from oracles import feasible_rows, neighbours, sample_reference, value_columns
+from oracles import (
+    feasible_rows,
+    neighbours,
+    sample_reference,
+    sample_rows_reference,
+    value_columns,
+)
 
 #: the parameter types the filter narrows (integers up to 4096 values)
 _NARROWABLE = (IntegerParameter, OrdinalParameter, CategoricalParameter)
@@ -160,6 +167,27 @@ def test_jointly_unsatisfiable_constraints_are_left_to_the_mask():
     with pytest.raises(RuntimeError, match="rejection sampling failed") as info:
         space.sample_rows(np.random.default_rng(0), 2, max_rejection_rounds=50)
     assert "'a < b'" in str(info.value) and "'b < a'" in str(info.value)
+
+
+def test_an_empty_draw_table_raises_where_the_draw_did():
+    """An empty value list (only a patched narrowing has one) raises in the
+    round that reaches it, after the parameters before it drew: the
+    generator state at the raise is the per-call body's."""
+    space = SearchSpace(
+        [
+            PermutationParameter("perm", 3),
+            OrdinalParameter("o", [1, 2, 4]),
+            CategoricalParameter("c", ["u", "v"]),
+        ]
+    )
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    with mock.patch.object(space, "_narrowed_values", return_value={"o": []}):
+        with pytest.raises(ValueError, match="empty domain for parameter 'o'"):
+            sample_rows_reference(space, want_rng, 8)
+        with pytest.raises(ValueError, match="empty domain for parameter 'o'"):
+            space.sample_rows(got_rng, 8)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got_rng.bit_generator.state != np.random.default_rng(3).bit_generator.state
 
 
 def test_reals_wide_integers_and_callables_are_not_narrowed():
@@ -315,14 +343,19 @@ _FULL_DOMAIN_PARAMETERS = [
 @given(st.integers(0, 2**32 - 1), st.integers(0, 64))
 @hyp_settings(max_examples=25, deadline=None)
 def test_full_domain_draw_is_the_unrestricted_draw(param, seed, n):
-    """Why passing only the narrowed lists draws what passing every full
-    list would: a parameter's own ``values_list()`` changes nothing."""
-    plain_rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    plain = param.sample_batch(plain_rng, n)
-    full = param.sample_batch(full_rng, n, param.values_list())
-    assert full.dtype == plain.dtype
-    np.testing.assert_array_equal(full, plain)
-    assert full_rng.bit_generator.state == plain_rng.bit_generator.state
+    """Why drawing only the narrowed parameters from tables draws what
+    tables over every full list would: a draw table holding a parameter's
+    own ``values_list()`` draws what its ``sample_batch`` draws."""
+    space = SearchSpace([param])
+    plain_rng, table_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    plain = space.encoder.encode_value_column(param.name, param.sample_batch(plain_rng, n))
+    full = {param.name: param.values_list()}
+    with mock.patch.object(space, "_narrowed_values", return_value=full):
+        drawn = space.sample_rows(table_rng, n)
+    [(_, _, raw, _)] = space._draw_tables()[0]
+    assert raw is not None and len(raw) == param.cardinality()
+    assert drawn.dtype == plain.dtype and drawn.tobytes() == plain.tobytes()
+    assert table_rng.bit_generator.state == plain_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

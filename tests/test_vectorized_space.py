@@ -12,10 +12,18 @@ Guards for the three layers introduced by the row-space refactor:
 * **Row-space search-space API** — ``sample_rows`` / ``neighbour_rows_batch``
   agree with the scalar dict paths, pinned both on hand-built spaces and on
   hypothesis-randomized R/I/O/C/P spaces; their rows are checked one by one
-  through ``is_feasible`` and the encoding round trip.
+  through ``is_feasible`` and the encoding round trip;
+* **draw tables** — ``sample_rows``, which gathers every ordinal,
+  categorical and narrowed parameter from a per-space table, has the
+  bytes, generator state and sample stats of ``sample_rows_reference``,
+  the body with one ``sample_batch`` call per free parameter and round, on
+  all 31 registry spaces.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -33,7 +41,9 @@ from repro.space import (
 )
 from repro.space.constraints import _SCALAR_GLOBALS, compile_column_evaluator
 
-from oracles import feasible_rows, neighbours, sample_reference
+from oracles import feasible_rows, neighbours, sample_reference, sample_rows_reference
+from repro.workloads.registry import get_benchmark
+from test_neighbour_tables import REGISTRY, _fresh
 
 
 def _mixed_params():
@@ -316,3 +326,55 @@ def test_sample_rows_decode_to_feasible_configurations(space, seed):
         config = space.encoder.decode(row)
         assert space.is_feasible(config)
         assert np.array_equal(space.encode(config), row)
+
+
+@given(
+    name=st.sampled_from(REGISTRY),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+)
+@settings(deadline=None)
+def test_draw_tables_have_the_reference_bytes(name, seed, n):
+    space = get_benchmark(name).space
+    for biased in (False, True):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = sample_rows_reference(space, want_rng, n, biased_cot=biased)
+        want_stats = space.last_sample_stats
+        got = space.sample_rows(got_rng, n, biased_cot=biased)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert repr(space.last_sample_stats) == repr(want_stats)
+
+
+@pytest.mark.parametrize("name", ["rise_mm_gpu", "hard_constraint_1e-4"])
+def test_threads_on_a_fresh_space_draw_the_reference(name):
+    """Threads that share a space whose draw tables are not built yet each
+    build or read them and all draw the per-call body's rows."""
+    threads = 4
+    space = _fresh(name)
+    barrier = threading.Barrier(threads, timeout=30)
+    results: list = [None] * threads
+
+    def work(slot: int) -> None:
+        rng = np.random.default_rng(slot)
+        barrier.wait()
+        results[slot] = [space.sample_rows(rng, 32, biased_cot=slot % 2 == 1) for _ in range(5)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(slot,)) for slot in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    reference = _fresh(name)
+    for slot, result in enumerate(results):
+        assert result is not None  # the thread raised
+        rng = np.random.default_rng(slot)
+        for rows in result:
+            want = sample_rows_reference(reference, rng, 32, biased_cot=slot % 2 == 1)
+            assert rows.tobytes() == want.tobytes()

@@ -11,7 +11,10 @@ candidate draw), how many rows it predicts, how many distance tables the
 predicts build (one per fit or extension that is predicted from) and how
 many blocks they compute directly instead of gathering them (none on these
 all-discrete spaces: a code lookup that stops matching keeps every bit and
-moves only this count), how many neighbours its climb builds, and how many
+moves only this count), how many ``Parameter.sample_batch`` calls its draws
+make (only for the parameters without a draw table: a table that stops
+being used keeps every bit and moves only this count), how many neighbours
+its climb builds, and how many
 distance-tensor appends and batch encodes it makes.  A restore of
 the finished session observes the whole history at once, so it makes one
 append and one batch encode per encoder, however long the history is, and
@@ -43,6 +46,13 @@ from repro.models.distances import DistanceTable, IncrementalDistanceTensor
 from repro.models.gp import GaussianProcess, _MapObjective
 from repro.models.random_forest import RandomForestClassifier
 from repro.space.encoding import ConfigEncoder
+from repro.space.parameters import (
+    CategoricalParameter,
+    IntegerParameter,
+    OrdinalParameter,
+    PermutationParameter,
+    RealParameter,
+)
 from repro.space.space import SearchSpace
 from repro.workloads.registry import get_benchmark
 
@@ -67,6 +77,11 @@ WRAPPED = (
     (forest_module, "_best_splits", "forest.screens", "forest.draws",
      lambda args, result: len(args[5])),
     (SearchSpace, "sample_rows", "space.sample_calls", None, None),
+    *(
+        (cls, "sample_batch", "space.sample_batches", None, None)
+        for cls in (RealParameter, IntegerParameter, OrdinalParameter,
+                    CategoricalParameter, PermutationParameter)
+    ),
     (SearchSpace, "neighbour_rows_batch", "space.neighbour_calls", "space.neighbour_rows",
      lambda args, result: len(result[0])),
     (IncrementalDistanceTensor, "append", "distance.appends", None, None),
@@ -100,6 +115,7 @@ EXPECTED = {
         "forest.screens": 179,  # leaves settle in the round of the next split
         "forest.draws": 2_795,
         "space.sample_calls": 30,
+        "space.sample_batches": 0,  # every free parameter has a draw table
         "space.neighbour_calls": 331,
         "space.neighbour_rows": 30_050,
         "distance.appends": 30,  # one per feasible tell
@@ -125,6 +141,7 @@ EXPECTED = {
         "forest.screens": 0,
         "forest.draws": 0,
         "space.sample_calls": 54,
+        "space.sample_batches": 54,  # one per call, for the permutation
         "space.neighbour_calls": 386,
         "space.neighbour_rows": 24_538,
         "distance.appends": 60,
