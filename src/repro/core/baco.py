@@ -233,7 +233,7 @@ class BacoTuner(Tuner):
     ) -> None:
         super().__init__(space, seed=seed)
         self.settings = settings or BacoSettings()
-        self._model_space = self._prepare_model_space(space, self.settings)
+        self._model_parameters = self._prepare_model_parameters(space, self.settings)
         self._feasibility = FeasibilityModel(
             space, n_trees=self.settings.feasibility_trees, rng=self._rng
         ) if self.settings.use_feasibility_model else None
@@ -244,7 +244,7 @@ class BacoTuner(Tuner):
         # by every per-iteration GP instance, plus the caches _observe()
         # keeps so the learning loop never re-encodes the history (values
         # and feasibility flags are read from the history itself).
-        self._model_distance = DistanceComputer(self._model_space.parameters)
+        self._model_distance = DistanceComputer(self._model_parameters)
         self._gp_distance_cache = IncrementalDistanceTensor(self._model_distance)
         self._space_rows: list[np.ndarray] = []
         # Surrogate refit policy ("exact" keeps the historical per-iteration
@@ -255,14 +255,15 @@ class BacoTuner(Tuner):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _prepare_model_space(space: SearchSpace, settings: BacoSettings) -> SearchSpace:
-        """Clone the space with the configured permutation metric / transforms.
+    def _prepare_model_parameters(space: SearchSpace, settings: BacoSettings) -> list[Parameter]:
+        """The space's parameters with the configured permutation metric /
+        transforms.
 
-        The *model* space only affects distances inside the surrogate; the
-        original space is still used for sampling and constraint handling, so
-        both always agree on which configurations are feasible.  Parameters
-        are immutable, so untouched ones are shared with the original space
-        rather than deep-copied.
+        The *model* parameters only affect distances inside the surrogate;
+        the original space is still used for sampling and constraint
+        handling, so both always agree on which configurations are feasible.
+        Parameters are immutable, so untouched ones are shared with the
+        original space rather than deep-copied.
         """
         parameters: list[Parameter] = []
         for param in space.parameters:
@@ -282,8 +283,7 @@ class BacoTuner(Tuner):
                 parameters.append(_without_log_transform(param))
             else:
                 parameters.append(param)
-        # constraints are irrelevant for distance computations
-        return SearchSpace(parameters, constraints=[], build_chain_of_trees=False)
+        return parameters
 
     def set_surrogate_policy(self, policy: "str | SurrogatePolicy") -> None:
         """Install a surrogate refit policy (spec string or instance).
@@ -309,7 +309,7 @@ class BacoTuner(Tuner):
 
     def _make_gp(self) -> GaussianProcess:
         return GaussianProcess(
-            self._model_space.parameters,
+            self._model_parameters,
             lengthscale_prior=GammaPrior(2.0, 2.0) if self.settings.use_lengthscale_priors else None,
             log_transform_output=self.settings.use_transformations,
             n_prior_samples=self.settings.gp_prior_samples,
@@ -533,7 +533,7 @@ class BacoTuner(Tuner):
             return
         payload = state["surrogate_policy"]
         hypers, base_n = payload["hypers"], payload["chol_base_n"]
-        n_dimensions = len(self._model_space.parameters)
+        n_dimensions = len(self._model_parameters)
         if hypers is None:
             if base_n >= 2:
                 schema.fail(

@@ -368,17 +368,15 @@ def make_session(
     return session, benchmark
 
 
-def save_session(session: TuningSession, path: Path | str, fidelity: str | None = None) -> Path:
+def save_session(session: TuningSession, path: Path | str) -> Path:
     """Write a crash-safe session checkpoint (atomic rename) and return it.
 
     The payload embeds everything :func:`load_session` needs to rebuild the
     tuner from the registry: the snapshot names the tuner variant, seed,
     budget, benchmark, and (via the session metadata) the fidelity the tuner
-    was built with.  Pass ``fidelity`` only to override the recorded one.
+    was built with.
     """
     path = Path(path)
-    if fidelity is not None:
-        session.meta["fidelity"] = fidelity
     _write_atomically(path, json.dumps(session.snapshot()))
     return path
 

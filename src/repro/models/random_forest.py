@@ -345,15 +345,20 @@ def _best_splits(
     best = np.full(n_nodes, -np.inf)
     np.maximum.at(best, node, gain)
     band = _BAND * np.bincount(owner, deviation * deviation, n_nodes)
-    in_band = np.flatnonzero(valid & (gain >= (best - band)[node]))
+    with np.errstate(invalid="ignore"):
+        floor = best - band
+    # a node whose gains or squared deviations overflow is blind: the screen
+    # cannot rank its thresholds, so every valid one is re-scored
+    blind = ~np.isfinite(floor)
+    in_band = np.flatnonzero(valid & ((gain >= floor[node]) | blind[node]))
     bounds = np.searchsorted(node[in_band], np.arange(n_nodes + 1))
     n_band = bounds[1:] - bounds[:-1]
 
     # a node may split only if its band can clear the gain floor; a lone
     # candidate that clears it by more than the band is taken as is, and
     # the other nodes are re-scored
-    clears = (n_band > 0) & (best > _MIN_GAIN - band)
-    lone = clears & (n_band == 1) & (best > _MIN_GAIN + band)
+    clears = (n_band > 0) & ((best > _MIN_GAIN - band) | blind)
+    lone = clears & ~blind & (n_band == 1) & (best > _MIN_GAIN + band)
     chosen = np.full(n_nodes, -1)
     chosen[lone] = in_band[bounds[:-1][lone]]
     for i in np.flatnonzero(clears & ~lone).tolist():

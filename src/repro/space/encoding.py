@@ -25,9 +25,10 @@ and the models fit, predict and score on them.  Rows round-trip:
 and ``decode(encode(c)) == c`` up to canonicalization for every parameter
 type.
 
-Discrete blocks also have a *value catalogue* (:meth:`ConfigEncoder.catalogue`):
-the encodings of every legal value of an ordinal or categorical parameter,
-or of a permutation of at most five elements, built on first use.
+Each discrete parameter has one :class:`ValueTable` (:meth:`ConfigEncoder.table`,
+built on first use), which the sampler, the climb and the decoder read.  The
+table's encodings are the block's *value catalogue* (:meth:`ConfigEncoder.catalogue`)
+for an ordinal or categorical parameter or a permutation of at most five elements.
 :meth:`ConfigEncoder.value_codes` maps a row matrix to each block's
 catalogue index in one vectorised search, so a model can tabulate what it
 computes per value once and gather it by code.
@@ -36,7 +37,6 @@ computes per value once and gather it by code.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -53,7 +53,7 @@ from .parameters import (
     RealParameter,
 )
 
-__all__ = ["ColumnBlock", "ConfigEncoder"]
+__all__ = ["ColumnBlock", "ConfigEncoder", "ValueTable"]
 
 #: Elementwise ``math.log`` / ``math.exp``.  Deliberately NOT ``np.log`` /
 #: ``np.exp``: vectorized libm kernels may differ from the scalar functions
@@ -85,6 +85,44 @@ class ColumnBlock:
         return slice(self.start, self.stop)
 
 
+@dataclass(frozen=True)
+class ValueTable:
+    """A discrete parameter's ``values_list()``; a value's *code* is its index.
+
+    ``raw`` is the column residual constraints read (float for numbers,
+    object for categories and permutation tuples), ``encoded`` the
+    ``(V, width)`` encodings with the bits of :meth:`ConfigEncoder.encode_batch`,
+    ``index`` maps a value to its code and ``code_of`` a block's key (its
+    float, or its floats' tuple) to the *first* code with that key, so an
+    ordinal warp tie resolves to the first value.  The arrays are read-only.
+    """
+
+    values: tuple
+    raw: np.ndarray
+    encoded: np.ndarray
+    index: dict[Any, int]
+    code_of: dict[Any, int]
+
+
+def _value_table(param: Parameter) -> ValueTable:
+    values = tuple(param.values_list())
+    if isinstance(param, PermutationParameter):
+        encodings = [tuple(map(float, value)) for value in values]
+    elif isinstance(param, CategoricalParameter):
+        encodings = [(float(code),) for code in range(len(values))]
+    else:  # the scalar warp: np.log may differ from math.log in the last ulp
+        encodings = [(param._warp(value),) for value in values]
+    raw = np.empty(len(values), dtype=float if isinstance(param, NumericParameter) else object)
+    raw[:] = values
+    encoded = np.array(encodings, dtype=float)
+    raw.flags.writeable = encoded.flags.writeable = False
+    keys = encodings if encoded.shape[1] > 1 else [key for (key,) in encodings]
+    index = {value: code for code, value in enumerate(values)}
+    # reversed, so that the first code of a key is written last
+    code_of = dict(zip(keys[::-1], range(len(values) - 1, -1, -1)))
+    return ValueTable(values, raw, encoded, index, code_of)
+
+
 class ConfigEncoder:
     """Maps configurations to fixed-width float rows and back."""
 
@@ -108,32 +146,24 @@ class ConfigEncoder:
         self.blocks: list[ColumnBlock] = blocks
         self.width: int = offset
         self._by_name = {b.parameter.name: b for b in blocks}
-        # Per-block lookup tables for the vectorized column paths.  np.log is
-        # not bitwise-identical to math.log on every libm, so discrete
-        # parameters warp through tables built with the scalar ``_warp`` once;
-        # column encodings are then exact ``np.take`` lookups that agree bit
-        # for bit with :meth:`encode_batch`.
-        self._ordinal_raw: dict[str, np.ndarray] = {}
-        self._ordinal_warped: dict[str, np.ndarray] = {}
-        #: per ordinal: warped value -> value, the first value on a tie, as
-        #: ``argmin`` picks it
-        self._ordinal_by_warp: dict[str, dict[float, Any]] = {}
-        for block in blocks:
-            param = block.parameter
-            if block.kind == "numeric" and isinstance(param, OrdinalParameter):
-                self._ordinal_raw[param.name] = np.asarray(
-                    [float(v) for v in param.values], dtype=float
-                )
-                warped = [param._warp(v) for v in param.values]
-                self._ordinal_warped[param.name] = np.asarray(warped, dtype=float)
-                # reversed, so that the first value of a tie is written last
-                self._ordinal_by_warp[param.name] = dict(zip(warped[::-1], param.values[::-1]))
+        # built on first use and published by one assignment each, so
+        # threads sharing the encoder may race to build them harmlessly
+        self._tables: dict[str, ValueTable] = {}
+        #: the ordinals' tables, filled at the first decode
+        self._ordinal_tables: dict[str, ValueTable] | None = None
         self._catalogue: _ValueCatalogue | None = None
 
     # ------------------------------------------------------------------
     def columns(self, name: str) -> slice:
         """Column slice owned by the named parameter."""
         return self._by_name[name].columns
+
+    def table(self, name: str) -> ValueTable:
+        """The named discrete parameter's :class:`ValueTable`, built on first use."""
+        table = self._tables.get(name)
+        if table is None:
+            table = self._tables[name] = _value_table(self._by_name[name].parameter)
+        return table
 
     def signature(self) -> tuple:
         """Layout + warp identity: equal signatures produce equal encodings.
@@ -196,18 +226,16 @@ class ConfigEncoder:
         """Encode one parameter's raw-value column as its ``(n, width)`` block.
 
         Values must be legal, canonical values of the parameter (the batch
-        samplers and leaf caches guarantee this).  Discrete parameters encode
-        through exact lookup tables, so the result is bit-identical to
+        samplers and leaf caches guarantee this).  An ordinal encodes
+        through its value table, so the result is bit-identical to
         :meth:`encode_batch` of the corresponding configurations.
         """
         block = self._by_name[name]
         param = block.parameter
         if block.kind == "numeric":
-            if name in self._ordinal_warped:
-                indices = np.searchsorted(
-                    self._ordinal_raw[name], np.asarray(values, dtype=float)
-                )
-                return self._ordinal_warped[name][indices][:, None]
+            if isinstance(param, OrdinalParameter):
+                table = self.table(name)
+                return table.encoded[np.searchsorted(table.raw, np.asarray(values, dtype=float))]
             column = np.asarray(values, dtype=float)
             if getattr(param, "transform", "linear") == "log":
                 column = _MATH_LOG(np.asarray(values)).astype(float)
@@ -255,29 +283,36 @@ class ConfigEncoder:
         numerics, nearest index for categoricals, rank projection for
         permutation blocks).  A value that cannot be converted raises a
         ``ValueError`` naming the parameter and the value: NaN outside an
-        ordinal, and a value whose conversion to an integer or through a
-        log warp's ``exp`` overflows (a real clamps ±inf to its bounds, an
-        ordinal projects NaN and ±inf to its first value).
+        ordinal, and a value whose conversion to an integer overflows.  A
+        real clamps ±inf, and a log warp whose ``exp`` overflows, to its
+        bounds; an ordinal projects NaN and ±inf to its first value.
         """
         row = np.asarray(row, dtype=float)
         if row.shape != (self.width,):
             raise ValueError(
                 f"expected a row of width {self.width}, got shape {row.shape}"
             )
+        ordinals = self._ordinal_tables
+        if ordinals is None:
+            ordinals = self._ordinal_tables = {
+                b.parameter.name: self.table(b.parameter.name)
+                for b in self.blocks
+                if isinstance(b.parameter, OrdinalParameter)
+            }
         config: dict[str, Any] = {}
         for block in self.blocks:
             param = block.parameter
             try:  # a conversion that fails is the error; a legal row pays nothing
                 if block.kind == "numeric":
                     value = float(row[block.start])
-                    by_warp = self._ordinal_by_warp.get(param.name)
-                    if by_warp is None:
+                    table = ordinals.get(param.name)
+                    if table is None:
                         config[param.name] = _decode_numeric(param, value)
-                    elif value in by_warp:
-                        config[param.name] = by_warp[value]
-                    else:  # the nearest warped value; NaN and ±inf give the first
-                        warped = self._ordinal_warped[param.name]
-                        config[param.name] = param.values[int(np.argmin(np.abs(warped - value)))]
+                    else:
+                        code = table.code_of.get(value)
+                        if code is None:  # the nearest warp; NaN and ±inf give the first
+                            code = int(np.argmin(np.abs(table.encoded[:, 0] - value)))
+                        config[param.name] = table.values[code]
                 elif block.kind == "categorical":
                     idx = int(round(float(row[block.start])))
                     idx = min(max(idx, 0), len(param.values) - 1)
@@ -293,20 +328,6 @@ class ConfigEncoder:
 
     def decode_batch(self, rows: np.ndarray) -> list[dict[str, Any]]:
         return [self.decode(row) for row in np.asarray(rows, dtype=float)]
-
-
-def _catalogue(encoder: ConfigEncoder, block: ColumnBlock) -> np.ndarray | None:
-    """Block ``block``'s legal encodings, ``(V, width)``, in ascending key
-    order (:class:`_ValueCatalogue`), or ``None``."""
-    param = block.parameter
-    if block.kind == "categorical":
-        return np.arange(len(param.values), dtype=float)[:, None]
-    if block.kind == "numeric" and param.name in encoder._ordinal_warped:
-        return encoder._ordinal_warped[param.name][:, None]
-    if block.kind == "permutation" and block.width <= _MAX_CATALOGUED_ELEMENTS:
-        # lexicographic: ascending keys
-        return np.asarray(list(itertools.permutations(range(block.width))), dtype=float)
-    return None
 
 
 class _ValueCatalogue:
@@ -325,7 +346,15 @@ class _ValueCatalogue:
 
     def __init__(self, encoder: ConfigEncoder) -> None:
         blocks = encoder.blocks
-        self.catalogues = [_catalogue(encoder, block) for block in blocks]
+        # value-table encodings, in ascending key order: ordinal values
+        # ascend, and permutations are listed lexicographically
+        self.catalogues = [
+            encoder.table(b.parameter.name).encoded
+            if isinstance(b.parameter, (OrdinalParameter, CategoricalParameter))
+            or (b.kind == "permutation" and b.width <= _MAX_CATALOGUED_ELEMENTS)
+            else None
+            for b in blocks
+        ]
         offsets = np.cumsum([0] + [0 if c is None else len(c) for c in self.catalogues])
         keys = [np.empty(0, dtype=complex)]
         #: (block index, its columns, key weights, its values at every code)
@@ -363,8 +392,14 @@ class _ValueCatalogue:
 
 
 def _decode_numeric(param: NumericParameter, value: float) -> Any:
-    """An integer or real value from its encoding (ordinals decode by table)."""
-    raw = math.exp(value) if param.transform == "log" else value
+    """An integer or real value from its encoding (ordinals decode by table).
+    A log warp whose ``exp`` overflows reads as ``+inf``."""
+    raw = value
+    if param.transform == "log":
+        try:
+            raw = math.exp(value)
+        except OverflowError:
+            raw = math.inf
     if isinstance(param, IntegerParameter):
         return int(min(max(round(raw), param.low), param.high))
     if isinstance(param, RealParameter):

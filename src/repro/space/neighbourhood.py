@@ -43,9 +43,8 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from .encoding import _MATH_EXP
+from .encoding import _MATH_EXP, ValueTable
 from .parameters import (
-    CategoricalParameter,
     IntegerParameter,
     Parameter,
     PermutationParameter,
@@ -129,11 +128,6 @@ class _FlatArray:
         return np.concatenate(self.chunks) if self.chunks else np.empty(0)
 
 
-def _block_key(row: list[float], column: int, width: int) -> Any:
-    """The dict key of a parameter's block: its float, or its floats' tuple."""
-    return row[column] if width == 1 else tuple(row[column : column + width])
-
-
 class _Slot:
     """One parameter's moves.  ``add`` appends a row's moves to a batch,
     given ``trees``, each tree's :meth:`_Tree.lookup` of the row; ``env``
@@ -154,28 +148,17 @@ class _Slot:
 
 
 class _Coded(_Slot):
-    """A discrete parameter with per-code tables: ``values`` in domain order,
-    their raw column and their encodings."""
+    """A discrete parameter read through its encoder value table: values
+    in domain order, their raw column, encodings and codes."""
 
-    def __init__(self, param: Parameter, columns: slice, space: "SearchSpace") -> None:
+    def __init__(self, param: Parameter, columns: slice, table: ValueTable) -> None:
         super().__init__(param, columns)
-        self.values = param.values_list()
-        self.index = {value: code for code, value in enumerate(self.values)}
-        if isinstance(param, CategoricalParameter):
-            # objects, as constraints see categories (``_raw_column`` would
-            # turn numeric ones into floats)
-            self.raw = np.empty(len(self.values), dtype=object)
-            self.raw[:] = self.values
-        else:
-            self.raw = space._raw_column(param, self.values)
-        self.encoded = space.encoder.encode_value_column(self.name, self.raw)
-        self.code_of = {
-            _block_key(block, 0, self.width): code
-            for code, block in enumerate(self.encoded.tolist())
-        }
+        self.table = table
+        self.code_of = table.code_of
 
     def code(self, row: list[float], index: int) -> int:
-        code = self.code_of.get(_block_key(row, self.column, self.width))
+        column, width = self.column, self.width
+        code = self.code_of.get(row[column] if width == 1 else tuple(row[column : column + width]))
         if code is None:
             raise _illegal(self.name, index)
         return code
@@ -185,17 +168,17 @@ class _Table(_Coded):
     """A free ordinal or categorical: per code, the runs of its moves."""
 
     def __init__(
-        self, param: Parameter, columns: slice, space: "SearchSpace", flat: _FlatArray
+        self, param: Parameter, columns: slice, table: ValueTable, flat: _FlatArray
     ) -> None:
-        super().__init__(param, columns, space)
-        base = flat.add(self.encoded)
+        super().__init__(param, columns, table)
+        base = flat.add(table.encoded)
         self.runs: list[tuple[int, ...]] = []
-        for value in self.values:
+        for value in table.values:
             runs: list[int] = []
             for move in param.neighbours(value):
                 if not param.contains(move):
                     continue
-                entry = base + self.index[param.canonical(move)]
+                entry = base + table.index[param.canonical(move)]
                 if runs and runs[-1] == entry:
                     runs[-1] += 1
                 else:
@@ -210,7 +193,8 @@ class _Table(_Coded):
 
     def env(self, out: np.ndarray, owners: np.ndarray, batch: _Batch) -> np.ndarray:
         # ordinal and categorical encodings ascend with the code
-        return self.raw[np.searchsorted(self.encoded[:, 0], out[:, self.column])]
+        table = self.table
+        return table.raw[np.searchsorted(table.encoded[:, 0], out[:, self.column])]
 
 
 class _Tree:
@@ -219,10 +203,11 @@ class _Tree:
     ``leaf_of`` maps a row's encoded tree columns to its leaf, and
     ``spans[leaf, 3 * level : 3 * level + 3]`` holds the flat-array offsets
     of the leaf's group at that level: its start, the leaf's own entry and
-    its stop.
+    its stop.  ``leaf_codes`` and ``encoded`` are the space's tree table
+    (``SearchSpace._tree_tables``).
     """
 
-    def __init__(self, tree: Any, levels: list[_TreeLevel], encoded: dict,
+    def __init__(self, tree: Any, levels: list[_TreeLevel], leaf_codes: dict, encoded: dict,
                  flat: _FlatArray) -> None:
         self.levels = levels
         n = tree.n_feasible
@@ -233,10 +218,7 @@ class _Tree:
         keys = np.hstack([encoded[level.name] for level in levels]).tolist()
         keys = [key[0] for key in keys] if len(columns) == 1 else map(tuple, keys)
         self.leaf_of = {key: leaf for leaf, key in enumerate(keys)}
-        codes = np.array(
-            [[level.index[leaf[k]] for leaf in tree.leaf_values] for k, level in enumerate(levels)],
-            dtype=np.int64,
-        )
+        codes = np.stack([leaf_codes[level.name] for level in levels])
         self.spans = np.empty((n, 3 * len(levels)), dtype=np.int64)
         for k, level in enumerate(levels):
             others = [codes[m] for m in range(len(levels)) if m != k]
@@ -266,15 +248,15 @@ class _Tree:
         leaf = self.leaf_of.get(self.key(row))
         if leaf is not None:
             return self.spans[leaf].tolist()
-        return {level.name: level.values[level.code(row, index)] for level in self.levels}
+        return {level.name: level.table.values[level.code(row, index)] for level in self.levels}
 
 
 class _TreeLevel(_Coded):
     """A parameter a tree covers: its leaf group minus the leaf itself."""
 
-    def __init__(self, param: Parameter, columns: slice, space: "SearchSpace", tree: Any,
+    def __init__(self, param: Parameter, columns: slice, table: ValueTable, tree: Any,
                  tree_index: int) -> None:
-        super().__init__(param, columns, space)
+        super().__init__(param, columns, table)
         self.tree = tree
         self.tree_index = tree_index
         self.level = tree.parameter_names.index(param.name)
@@ -287,7 +269,7 @@ class _TreeLevel(_Coded):
             # the row is no leaf, so its own value completes none of these
             moves = self.tree.feasible_values(self.name, spans)
             batch.add_values(
-                self.encoded[[self.index[v] for v in moves]].reshape(-1).tolist(),
+                self.table.encoded[[self.table.index[v] for v in moves]].reshape(-1).tolist(),
                 self.column,
                 self.width,
             )
@@ -397,19 +379,21 @@ class NeighbourTables:
             columns = encoder.columns(param.name)
             if param.name in tree_of:
                 t = tree_of[param.name]
-                slot: _Slot = _TreeLevel(param, columns, space, tree_tables[t][0], t)
+                slot: _Slot = _TreeLevel(
+                    param, columns, encoder.table(param.name), tree_tables[t][0], t
+                )
             elif isinstance(param, PermutationParameter):
                 slot = _Swaps(param, columns, space._env_column)
             elif isinstance(param, (IntegerParameter, RealParameter)):
                 slot = _Formula(param, columns, param.name in residual_vars)
             else:
-                slot = _Table(param, columns, space, flat)
+                slot = _Table(param, columns, encoder.table(param.name), flat)
             self.slots.append(slot)
         by_name = {slot.name: slot for slot in self.slots}
         self.trees: list[_Tree] = []
-        for tree, _, encoded in tree_tables:
+        for tree, leaf_codes, encoded in tree_tables:
             levels = [by_name[name] for name in tree.parameter_names]
-            self.trees.append(_Tree(tree, levels, encoded, flat))
+            self.trees.append(_Tree(tree, levels, leaf_codes, encoded, flat))
         self.source = flat.build()
         self._formulas = [slot for slot in self.slots if isinstance(slot, _Formula)]
         # residual constraints read free parameters only: a tree captures

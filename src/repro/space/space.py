@@ -32,7 +32,6 @@ from .parameters import (
     IntegerParameter,
     OrdinalParameter,
     Parameter,
-    PermutationParameter,
 )
 
 __all__ = ["SearchSpace", "Configuration", "freeze_configuration"]
@@ -49,15 +48,6 @@ def _narrowable(param: Parameter) -> bool:
     if isinstance(param, IntegerParameter):
         return param.cardinality() <= _MAX_NARROWED_INTEGERS
     return isinstance(param, (OrdinalParameter, CategoricalParameter))
-
-
-def _value_column(param: Parameter, values: Sequence[Any]) -> np.ndarray:
-    """Values of a discrete parameter as the column a draw gathers from:
-    object for a categorical, float otherwise."""
-    dtype = object if isinstance(param, CategoricalParameter) else float
-    column = np.empty(len(values), dtype=dtype)
-    column[:] = list(values)
-    return column
 
 
 def freeze_configuration(configuration: Mapping[str, Any], names: Sequence[str]) -> tuple:
@@ -109,38 +99,37 @@ class SearchSpace:
 
         Node consistency: each residual expression constraint whose only
         variable is :func:`_narrowable` runs its compiled column evaluator
-        over that parameter's values, as the float or object column
-        ``sample_rows``' residual mask sees, and keeps the values it accepts
-        in ``values_list()`` order.  A parameter keeps an entry only when
-        some value failed; :meth:`_draw_tables` draws it from the surviving
-        values.  Residual constraints only read free
+        over that parameter's value-table ``raw`` column, as
+        ``sample_rows``' residual mask sees it, and keeps the values it
+        accepts in ``values_list()`` order.  A parameter keeps an entry only
+        when some value failed; :meth:`_draw_tables` draws it from the
+        surviving values.  Residual constraints only read free
         parameters: the co-dependency grouping is transitively closed and
         tree capture is all-or-nothing per group.
         """
         narrowed = self._vector_caches.get("narrowed_values")
         if narrowed is None:
-            kept: dict[str, list] = {}
+            kept: dict[str, np.ndarray] = {}  # the surviving codes
             for constraint, evaluator in self._compiled_residuals():
                 if constraint.compile_columns() is None or len(constraint.variables) != 1:
                     continue  # callables and multi-variable constraints
                 [name] = constraint.variables
-                param = self._by_name[name]
-                if not _narrowable(param):
+                if not _narrowable(self._by_name[name]):
                     continue
-                values = kept[name] if name in kept else param.values_list()
-                passed = np.asarray(evaluator({name: _value_column(param, values)}), dtype=bool)
-                kept[name] = [v for v, keep in zip(values, passed) if keep]
-                if not kept[name]:
+                raw = self.encoder.table(name).raw
+                codes = kept[name] if name in kept else np.arange(len(raw))
+                kept[name] = codes[np.asarray(evaluator({name: raw[codes]}), dtype=bool)]
+                if not len(kept[name]):
                     raise RuntimeError(
                         f"no value of parameter {name!r} satisfies its unary "
                         "constraints: the known constraints admit no feasible "
                         "configuration"
                     )
-            narrowed = {
-                name: values
-                for name, values in kept.items()
-                if len(values) < self._by_name[name].cardinality()
-            }
+            narrowed = {}
+            for name, codes in kept.items():
+                if len(codes) < self._by_name[name].cardinality():
+                    values = self.encoder.table(name).values
+                    narrowed[name] = [values[code] for code in codes.tolist()]
             self._vector_caches["narrowed_values"] = narrowed
         return narrowed
 
@@ -276,45 +265,31 @@ class SearchSpace:
             return set()
         return set(self.chain_of_trees.parameter_names)
 
-    @staticmethod
-    def _raw_column(param: Parameter, values: Sequence[Any]) -> np.ndarray:
-        """Raw values as a column: float for numerics, object otherwise."""
-        if isinstance(param, PermutationParameter):
-            column = np.empty(len(values), dtype=object)
-            column[:] = [tuple(v) for v in values]
-            return column
-        first = values[0] if values else None
-        if isinstance(first, (int, float, np.integer, np.floating)) and not isinstance(
-            first, bool
-        ):
-            return np.asarray(values, dtype=float)
-        column = np.empty(len(values), dtype=object)
-        column[:] = list(values)
-        return column
+    def _tree_tables(self) -> list[tuple[Tree, dict[str, np.ndarray], dict[str, np.ndarray]]]:
+        """Per tree: (tree, leaf codes, encoded leaf blocks), cached.
 
-    def _tree_tables(self) -> list[tuple[Any, dict[str, np.ndarray], dict[str, np.ndarray]]]:
-        """Per tree: (tree, raw leaf columns, encoded leaf blocks), cached.
-
-        The leaf matrices turn one feasible draw into a single ``np.take``
-        per parameter instead of a per-level walk with one weighted
-        ``rng.choice`` per tree depth.
+        Per tree parameter, every leaf's value code in the parameter's value
+        table and the encodings gathered from the table by those codes.  The
+        leaf matrices turn one feasible draw into a single ``np.take`` per
+        parameter instead of a per-level walk with one weighted
+        ``rng.choice`` per tree depth.  No raw leaf column is kept: a tree
+        captures every constraint of its co-dependent group, so no residual
+        constraint reads a tree parameter.
         """
         tables = self._vector_caches.get("tree_tables")
         if tables is None:
             tables = []
             if self.chain_of_trees is not None:
                 for tree in self.chain_of_trees.trees:
-                    raw = {
-                        param.name: self._raw_column(
-                            param, [leaf[level] for leaf in tree.leaf_values]
+                    codes, encoded = {}, {}
+                    for level, param in enumerate(tree.parameters):
+                        table = self.encoder.table(param.name)
+                        index = table.index
+                        codes[param.name] = column = np.array(
+                            [index[leaf[level]] for leaf in tree.leaf_values], dtype=np.intp
                         )
-                        for level, param in enumerate(tree.parameters)
-                    }
-                    encoded = {
-                        name: self.encoder.encode_value_column(name, column)
-                        for name, column in raw.items()
-                    }
-                    tables.append((tree, raw, encoded))
+                        encoded[param.name] = table.encoded[column]
+                    tables.append((tree, codes, encoded))
             self._vector_caches["tree_tables"] = tables
         return tables
 
@@ -324,9 +299,8 @@ class SearchSpace:
         Per free parameter (not covered by a tree), in space order:
         ``(param, columns, raw, encoded)``.  An ordinal, a categorical and
         any parameter :meth:`_narrowed_values` narrows draws from a table:
-        ``raw`` is the float or object column of its (surviving) values, as
-        :func:`~repro.space.parameters._draw_from_table` builds it, and
-        ``encoded`` that column's ``encode_value_column`` block, so a draw
+        ``raw`` and ``encoded`` are the rows of its value table
+        (:meth:`ConfigEncoder.table`) for its (surviving) values, so a draw
         is ``rng.integers(len(raw), size=n)`` and two gathers: the values
         and the generator state of ``sample_batch``, without rebuilding and
         re-encoding the table per call.  Reals, integers that are not
@@ -344,13 +318,14 @@ class SearchSpace:
             for param in self.parameters:
                 if param.name in covered:
                     continue
-                values = narrowed.get(param.name)
-                if values is None and isinstance(param, (OrdinalParameter, CategoricalParameter)):
-                    values = param.values_list()
                 raw = encoded = None
-                if values is not None:
-                    raw = _value_column(param, values)
-                    encoded = self.encoder.encode_value_column(param.name, raw)
+                values = narrowed.get(param.name)
+                if values is not None or isinstance(param, (OrdinalParameter, CategoricalParameter)):
+                    table = self.encoder.table(param.name)
+                    raw, encoded = table.raw, table.encoded
+                    if values is not None:
+                        codes = np.array([table.index[v] for v in values], dtype=np.intp)
+                        raw, encoded = raw[codes], encoded[codes]
                 free.append((param, self.encoder.columns(param.name), raw, encoded))
             residual_vars: set[str] = set()
             for constraint, _ in self._compiled_residuals():
@@ -454,13 +429,10 @@ class SearchSpace:
             rounds += 1
             rows = np.empty((need, encoder.width), dtype=float)
             env: dict[str, np.ndarray] = {}
-            for tree, raw, encoded in tree_tables:
+            for tree, _, encoded in tree_tables:
                 indices = tree.sample_leaf_indices(rng, need, biased=biased_cot)
                 for name, block in encoded.items():
                     rows[:, encoder.columns(name)] = block[indices]
-                for name in raw:
-                    if name in residual_vars:
-                        env[name] = raw[name][indices]
             for param, columns, raw, encoded in free:
                 if raw is None:
                     column = param.sample_batch(rng, need)

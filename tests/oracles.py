@@ -39,12 +39,21 @@ specifications the vectorized paths are tested against:
   ``GaussianProcess.predict_rows`` and its value tables;
 * :func:`decode_numeric` (the per-call re-warp of every ordinal value) and
   :func:`decode_reference` pin ``ConfigEncoder.decode``;
+* :func:`value_column_reference` (``space._value_column``),
+  :func:`raw_column_reference` (``SearchSpace._raw_column``, with the
+  categorical override of the neighbour tables' ``_Coded``),
+  :func:`ordinal_maps_reference` (the encoder's eager ``_ordinal_*`` maps),
+  :func:`encode_value_column_reference`, :func:`catalogue_reference` (the
+  three builds of ``_catalogue``) and :func:`code_of_reference` (the
+  neighbour tables' ``code_of``) are the per-reader constructions that
+  ``ConfigEncoder.table``'s value tables replaced, and pin them;
 * :func:`gamma_log_pdf` (``GammaPrior.log_pdf``, one prior per call) pins
   ``repro.models.priors.GammaLogDensities``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -59,7 +68,7 @@ from repro.models.kernels import matern52
 from repro.models.priors import GammaPrior
 from repro.space.chain_of_trees import FeasibleSetTooLarge, Tree
 from repro.space.constraints import Constraint
-from repro.space.encoding import _MATH_EXP, ConfigEncoder, _decode_permutation
+from repro.space.encoding import _MATH_EXP, _MATH_LOG, ColumnBlock, ConfigEncoder, _decode_permutation
 from repro.space.parameters import (
     CategoricalParameter,
     IntegerParameter,
@@ -423,7 +432,9 @@ def sample_rows_reference(
     Every round draws each free parameter with its own ``sample_batch``
     call, a narrowed one from its surviving values (the ``values`` argument
     integers, ordinals and categoricals took), and encodes the drawn column
-    with ``encode_value_column``.
+    with :func:`encode_value_column_reference`.  Trees draw from the
+    space's leaf tables; no residual constraint reads a tree parameter, so
+    none of their values enters the residual mask.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
@@ -435,6 +446,7 @@ def sample_rows_reference(
     residual_vars: set[str] = set()
     for constraint, _ in residuals:
         residual_vars |= constraint.variables
+    assert not residual_vars & covered
     narrowed = space._narrowed_values()
 
     collected: list[np.ndarray] = []
@@ -455,21 +467,18 @@ def sample_rows_reference(
         rounds += 1
         rows = np.empty((need, encoder.width), dtype=float)
         env: dict[str, np.ndarray] = {}
-        for tree, raw, encoded in tree_tables:
+        for tree, _, encoded in tree_tables:
             indices = tree.sample_leaf_indices(rng, need, biased=biased_cot)
             for name, block in encoded.items():
                 rows[:, encoder.columns(name)] = block[indices]
-            for name in raw:
-                if name in residual_vars:
-                    env[name] = raw[name][indices]
         for param in free_params:
             if param.name in narrowed:
                 dtype = object if isinstance(param, CategoricalParameter) else float
                 column = _draw_from_table(rng, need, narrowed[param.name], dtype, param.name)
             else:
                 column = param.sample_batch(rng, need)
-            rows[:, encoder.columns(param.name)] = encoder.encode_value_column(
-                param.name, column
+            rows[:, encoder.columns(param.name)] = encode_value_column_reference(
+                encoder, param.name, column
             )
             if param.name in residual_vars:
                 env[param.name] = space._env_column(np.asarray(column))
@@ -565,10 +574,9 @@ def value_columns(encoder: ConfigEncoder, rows: np.ndarray) -> dict[str, np.ndar
         name = param.name
         if block.kind == "numeric":
             column = rows[:, block.start]
-            if name in encoder._ordinal_warped:
-                columns[name] = encoder._ordinal_raw[name][
-                    _nearest_indices(encoder._ordinal_warped[name], column)
-                ]
+            if isinstance(param, OrdinalParameter):
+                raw, warped, _ = ordinal_maps_reference(param)
+                columns[name] = raw[_nearest_indices(warped, column)]
             elif isinstance(param, IntegerParameter):
                 raw = np.exp(column) if param.transform == "log" else column
                 columns[name] = np.clip(np.rint(raw), param.low, param.high)
@@ -650,8 +658,8 @@ def neighbour_rows_reference(
             if not candidates:
                 continue
             block = np.tile(rows[i], (len(candidates), 1))
-            block[:, encoder.columns(param.name)] = encoder.encode_value_column(
-                param.name, space._raw_column(param, candidates)
+            block[:, encoder.columns(param.name)] = encode_value_column_reference(
+                encoder, param.name, raw_column_reference(param, candidates)
             )
             blocks.append(block)
             owners.extend([i] * len(candidates))
@@ -873,6 +881,93 @@ def predict_rows_reference(
     if include_noise:
         var = var + hp.noise_variance
     return mean, var
+
+
+# -- the per-reader value constructions the encoder's value tables replaced ---
+
+def value_column_reference(param: Parameter, values: Sequence[Any]) -> np.ndarray:
+    """Values of a discrete parameter as the column a draw gathered from and
+    unary narrowing evaluated: object for a categorical, float otherwise."""
+    dtype = object if isinstance(param, CategoricalParameter) else float
+    column = np.empty(len(values), dtype=dtype)
+    column[:] = list(values)
+    return column
+
+
+def raw_column_reference(param: Parameter, values: Sequence[Any]) -> np.ndarray:
+    """The neighbour tables' raw column: ``SearchSpace._raw_column`` (float
+    for numbers, object otherwise), except that a categorical stays object.
+
+    ``_raw_column`` read a column's type from its first value, so it turned
+    numeric categories into floats and could not build the column of a
+    categorical whose first value is a number and another a string.
+    """
+    if isinstance(param, CategoricalParameter):
+        column = np.empty(len(values), dtype=object)
+        column[:] = list(values)
+        return column
+    if isinstance(param, PermutationParameter):
+        column = np.empty(len(values), dtype=object)
+        column[:] = [tuple(v) for v in values]
+        return column
+    first = values[0] if values else None
+    if isinstance(first, (int, float, np.integer, np.floating)) and not isinstance(first, bool):
+        return np.asarray(values, dtype=float)
+    column = np.empty(len(values), dtype=object)
+    column[:] = list(values)
+    return column
+
+
+def ordinal_maps_reference(param: OrdinalParameter) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The encoder's eager per-ordinal maps: raw floats, warps, and warp ->
+    value with the first value on a tie."""
+    raw = np.asarray([float(v) for v in param.values], dtype=float)
+    warped = [param._warp(v) for v in param.values]
+    # reversed, so that the first value of a tie is written last
+    return raw, np.asarray(warped, dtype=float), dict(zip(warped[::-1], param.values[::-1]))
+
+
+def encode_value_column_reference(encoder: ConfigEncoder, name: str, values: Any) -> np.ndarray:
+    """``ConfigEncoder.encode_value_column`` with :func:`ordinal_maps_reference`."""
+    block = encoder._by_name[name]
+    param = block.parameter
+    if block.kind == "numeric":
+        if isinstance(param, OrdinalParameter):
+            raw, warped, _ = ordinal_maps_reference(param)
+            return warped[np.searchsorted(raw, np.asarray(values, dtype=float))][:, None]
+        column = np.asarray(values, dtype=float)
+        if getattr(param, "transform", "linear") == "log":
+            column = _MATH_LOG(np.asarray(values)).astype(float)
+        return column[:, None]
+    if block.kind == "categorical":
+        index_of = param.index_of
+        return np.asarray([index_of(v) for v in values], dtype=float)[:, None]
+    if isinstance(values, np.ndarray) and values.ndim == 2:
+        return values.astype(float)
+    return np.asarray([tuple(v) for v in values], dtype=float)
+
+
+def catalogue_reference(block: ColumnBlock) -> np.ndarray | None:
+    """``_catalogue``'s three builds: category indices, ordinal warps, and
+    the permutations of at most five elements in lexicographic order."""
+    param = block.parameter
+    if block.kind == "categorical":
+        return np.arange(len(param.values), dtype=float)[:, None]
+    if isinstance(param, OrdinalParameter):
+        return ordinal_maps_reference(param)[1][:, None]
+    if block.kind == "permutation" and block.width <= 5:
+        return np.asarray(list(itertools.permutations(range(block.width))), dtype=float)
+    return None
+
+
+def code_of_reference(encoded: np.ndarray) -> dict[Any, int]:
+    """The neighbour tables' ``code_of``: block key (its float, or its
+    floats' tuple) -> code, the *last* code of a key that repeats."""
+    width = encoded.shape[1]
+    return {
+        (block[0] if width == 1 else tuple(block)): code
+        for code, block in enumerate(encoded.tolist())
+    }
 
 
 def decode_numeric(param: NumericParameter, value: float) -> Any:

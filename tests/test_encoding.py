@@ -217,3 +217,14 @@ class TestDecodeNonFinite:
     def test_a_real_clamps_infinity_to_its_bounds(self, value, bound):
         enc = ConfigEncoder([RealParameter("alpha", 0.1, 10.0, transform="log")])
         assert enc.decode([value]) == {"alpha": bound}
+
+    @pytest.mark.parametrize("value", [709.8, 1000.0])
+    def test_a_log_real_whose_exp_overflows_clamps_to_its_upper_bound(self, value):
+        enc = ConfigEncoder([RealParameter("lr", 0.1, 1.0, transform="log")])
+        assert enc.decode([value]) == enc.decode([np.inf]) == {"lr": 1.0}
+
+    @pytest.mark.parametrize("value", [709.8, 1000.0, np.inf])
+    def test_a_log_integer_whose_exp_overflows_names_the_parameter(self, value):
+        enc = ConfigEncoder([IntegerParameter("t", 1, 1024, transform="log")])
+        with pytest.raises(ValueError, match=rf"parameter 't' from \[?{value}"):
+            enc.decode([value])

@@ -303,6 +303,38 @@ def forest_cases(draw):
     return forest_class, params, draw(st.integers(0, 2**32 - 1)), features, targets, fresh
 
 
+@st.composite
+def overflow_cases(draw):
+    """Regressor fits whose squared target deviations overflow: 3 trees that
+    try every feature on 4–5 rows of 1–2 features with targets of magnitude
+    up to 10^308, or 4 trees with ``"sqrt"`` features on 4–59 rows of 1–12
+    features with targets up to 10^160."""
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        params, rows, width, exponents = (
+            dict(n_trees=3, max_features=None, min_samples_leaf=1), (4, 6), (1, 3), (250, 308)
+        )
+    else:
+        params, rows, width, exponents = (
+            dict(n_trees=4, max_features="sqrt"), (4, 60), (1, 13), (140, 160)
+        )
+    n = int(data.integers(*rows))
+    features = data.normal(size=(n, int(data.integers(*width))))
+    targets = data.uniform(-1, 1, n) * 10.0 ** data.uniform(*exponents, n)
+    return params, draw(st.integers(0, 2**32 - 1)), features, targets
+
+
+def _same(got, want) -> bool:
+    """``got == want`` for nested tuples and lists, except that NaN equals NaN."""
+    if isinstance(got, (list, tuple)):
+        return (
+            isinstance(want, (list, tuple))
+            and len(got) == len(want)
+            and all(_same(a, b) for a, b in zip(got, want))
+        )
+    return got == want or (got != got and want != want)
+
+
 def _preorder(node, out):
     out.append((node.feature, node.threshold, node.value, node.n_samples, node.is_leaf()))
     if not node.is_leaf():
@@ -358,6 +390,27 @@ class TestOracleEquivalence:
                 got_mean, got_var = forest.predict_with_uncertainty(rows)
                 assert np.array_equal(got_mean, mean)
                 assert np.array_equal(got_var, expected.var(axis=0) + 1e-12)
+
+    @settings(deadline=None)
+    @given(overflow_cases())
+    def test_overflowing_targets_split_as_the_oracle_does(self, case):
+        """A node whose gains or squared deviations overflow cannot be
+        screened, so all its thresholds are re-scored and it splits where
+        ``np.var``'s scores split it.  Targets whose sum overflows leave NaN
+        leaves on both sides, which compare equal here."""
+        params, seed, features, targets = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            forest = RandomForestRegressor(rng=np.random.default_rng(seed), **params)
+            forest.fit(features, targets)
+            oracle = RandomForestRegressor(rng=np.random.default_rng(seed), **params)
+            reference = forest_reference(oracle, features, targets)
+        assert _same(
+            [_flat(tree) for tree in forest.trees_],
+            [_preorder(tree._root, []) for tree in reference],
+        )
+        assert [tree._rng.bit_generator.state for tree in forest.trees_] == [
+            tree._rng.bit_generator.state for tree in reference
+        ]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_binary_ties_break_like_np_var(self, seed):
