@@ -30,8 +30,9 @@ Incremental refit
 
 Refitting from scratch every iteration is the last hot-path bottleneck: a
 full fit is an O(n³) Cholesky factorization *per hyper-parameter vector the
-multistart MAP search scores*, about 550 per fit (59,773 over the 108 fits
-of a budget-120 ``rise_mm_gpu`` run).  Three cheaper refit paths support the
+multistart MAP search scores*, about 56 per fit (6,098 over the 108 fits
+of a budget-120 ``rise_mm_gpu`` run, 4,370 of them L-BFGS-B's, which also
+invert the factor for the gradient).  Three cheaper refit paths support the
 tuner's fast surrogate policy
 (:class:`repro.core.baco.SurrogatePolicy`):
 
@@ -86,8 +87,6 @@ from .priors import GammaLogDensities, GammaPrior
 __all__ = ["GaussianProcess", "GPHyperparameters"]
 
 _JITTER = 1e-8
-#: the finite-difference step L-BFGS-B takes by default (its ``eps`` option)
-_STEP = 1e-8
 _MIN_STD = 1e-12
 
 #: the LAPACK triangular solve ``scipy.linalg.solve_triangular`` calls
@@ -120,70 +119,50 @@ class GPHyperparameters:
 class _MapObjective:
     """Negative log posterior of the GP hyper-parameters, for one fit.
 
-    :meth:`GaussianProcess.fit_rows` builds one per fit and hands it to the
-    prior-sample sweep, the ``warm_start`` score and every L-BFGS-B call.
-    L-BFGS-B takes its gradient by finite differences, so a fit scores
-    hundreds of vectors; what does not depend on the hyper-parameter vector
-    is set up here once:
+    :meth:`GaussianProcess.fit_rows` builds one per fit; the prior-sample
+    sweep and the ``warm_start`` score call it for a value, and L-BFGS-B
+    takes :meth:`value_and_gradient` (``jac=True``).  Set up once:
 
     * the lower triangle of the ``(D, n, n)`` train tensor, packed as
       ``(D, m)`` with ``m = n(n + 1)/2``: the diagonal first, then every
       entry ``(i, j)``, ``i > j``, in the column-major order LAPACK stores
-      that triangle in.  ``potrf`` / ``potrs`` with ``lower=1`` read only
-      that triangle of ``K`` and the log-det only its diagonal, so no
-      kernel the objective scores is built beyond it.  One triangle
-      suffices because the tensor is symmetric:
-      :class:`~repro.models.distances.IncrementalDistanceTensor` mirrors
-      every cross block it appends, and ``pairwise_rows`` of one matrix is
-      elementwise symmetric.  Whether the whole tensor is finite is
-      checked here, once, and a non-finite one raises ``ValueError`` on
-      every call, as a non-finite ``K`` did;
-    * one LAPACK buffer per row an iterate scores (its ``D + 2`` probes,
-      then itself), whose transpose ``potrf`` factors in place, and the
-      ``potrf`` / ``potrs`` that ``scipy.linalg.cholesky`` / ``cho_solve``
-      call, without their argument checks and batch wrapper.
+      that triangle in.  ``potrf`` / ``potrs`` / ``potri`` with ``lower=1``
+      read only that triangle of ``K``, so no kernel is built beyond it.
+      One triangle suffices because the tensor is symmetric
+      (:class:`~repro.models.distances.IncrementalDistanceTensor` mirrors
+      every cross block it appends); whether the whole tensor is finite is
+      checked once, and a non-finite one raises ``ValueError`` on every
+      call, as a non-finite ``K`` did;
+    * one LAPACK buffer, which ``potrf`` factors and ``potri`` inverts in
+      place, and the LAPACK handles ``scipy.linalg.cholesky`` /
+      ``cho_solve`` call, without their argument checks.
 
-    The last vector built in full (:meth:`_build_base`) is the *base*.  Its
-    scaled slices ``(dᵢ/lᵢ)²``, their running sums along the parameter
-    axis, its distance and its noiseless kernel are kept.  A call scores
-    the base again from a copy of that kernel and builds any other vector
-    in full, making it the base.
-
-    L-BFGS-B calls :meth:`value_and_gradient` (``jac=True``), which scores
-    an iterate and its probes in one batched pass over the base's arrays.
-    Every float operation is the reference's, in its order, so values and
-    gradients keep the bits of full builds and of scipy's finite
-    differences; ``tests/test_gp_map_objective.py`` pins both.
+    Every float operation of the value is the reference's, in its order,
+    so it keeps the bits of the oracle ``tests/test_gp_map_objective.py``
+    pins it to.
     """
 
     def __init__(
         self, gp: "GaussianProcess", distance_tensor: np.ndarray, y: np.ndarray
     ) -> None:
-        d, n = distance_tensor.shape[0], len(y)
-        k = d + 3  # the rows an iterate scores: its D + 2 probes, then itself
+        n = len(y)
         # K[i, j] for i ≥ j, from distance_tensor[:, i, j]: the diagonal,
         # then the strict lower triangle column by column
         above, below = np.triu_indices(n, 1)
-        rows = np.concatenate([np.arange(n), below])
-        columns = np.concatenate([np.arange(n), above])
-        self._tensor = distance_tensor[:, rows, columns]
+        self._rows = np.concatenate([np.arange(n), below])
+        self._columns = np.concatenate([np.arange(n), above])
+        # C-ordered (the gather is F-ordered), so an axis-0 sum adds the
+        # slices one after another, in index order, as the reference's does
+        self._tensor = np.ascontiguousarray(distance_tensor[:, self._rows, self._columns])
         self._tensor_finite = bool(np.isfinite(distance_tensor).all())
         # where K[i, j] sits in a row-major buffer whose transpose is K
-        self._positions = columns * n + rows
-        self._buffers = np.zeros((k, n, n))
-        self._flat_buffers = self._buffers.reshape(k, n * n)
-        self._kernels = np.empty((k, len(rows)))
-        # the probes' distances; the last row is the base's
-        self._distances = np.empty((d + 1, len(rows)))
-        # the base: exp of its vector (NaN, equal to nothing, while unset),
-        # its slices, their running sums (the first is slice 0 again), its
-        # distance and its noiseless kernel
-        self._no_base = np.full(d + 2, np.nan)
-        self._base_values = self._no_base
+        self._positions = self._columns * n + self._rows
+        self._buffer = np.zeros((n, n))
+        self._flat_buffer = self._buffer.reshape(n * n)
+        # the iterate's scaled slices (dᵢ/lᵢ)², distance and noiseless kernel
         self._slices = np.empty_like(self._tensor)
-        self._sums = np.empty_like(self._tensor)
-        self._base_distance = self._distances[d]
-        self._base_kernel = np.empty(len(rows))
+        self._distance = np.empty(len(self._rows))
+        self._kernel = np.empty(len(self._rows))
         self._lower, self._upper = np.array(gp._hyper_bounds()).T
         self._y = y
         self._y_finite = bool(np.isfinite(y).all())
@@ -191,6 +170,7 @@ class _MapObjective:
         # exp(vector) holds the lengthscales, the outputscale and the noise;
         # their prior terms are subtracted in the order lengthscales, noise,
         # outputscale, and a missing prior drops its entries
+        d = distance_tensor.shape[0]
         index: list[int] = []
         priors: list[GammaPrior] = []
         for entries, prior in (
@@ -204,112 +184,79 @@ class _MapObjective:
         self._n_lengthscale_terms = d if gp.lengthscale_prior is not None else 0
         self._prior_index = np.array(index, dtype=np.intp)
         self._log_priors = GammaLogDensities(priors)
-        self._potrf, self._potrs = linalg.get_lapack_funcs(
-            ("potrf", "potrs"), (self._buffers[0],)
+        self._potrf, self._potrs, self._potri = linalg.get_lapack_funcs(
+            ("potrf", "potrs", "potri"), (self._buffer,)
         )
 
     def __call__(self, vector: np.ndarray) -> float:
-        # GPHyperparameters.from_vector, keeping the exp'd vector for the priors
-        values = np.exp(np.asarray(vector, dtype=float))
-        if (values != self._base_values).any():
-            self._build_base(values)
-        self._kernels[0] = self._base_kernel
-        return self._score(values[None, :])[0]
+        return self._evaluate(vector, gradient=False)[0]
 
     def value_and_gradient(self, vector: np.ndarray) -> tuple[float, np.ndarray]:
-        """``f(x)`` and its forward-difference gradient, scored in one pass.
-
-        The gradient is the 2-point one scipy's L-BFGS-B takes without
-        ``jac``, with its absolute step and the bounds: coordinate ``r`` is
-        ``(f(x + h_r·e_r) − f(x)) / ((x_r + h_r) − x_r)`` with
-        ``h_r = 1e-8``, or ``−1e-8`` where ``x_r + 1e-8`` passes the upper
-        bound.  The rest of scipy's step rule never fires for
-        :meth:`GaussianProcess._hyper_bounds`: each interval is 13.8 or 18.4
-        wide and ``|x| ≤ 18.5``, so ``(x_r + 1e-8) − x_r`` is never 0 and a
-        flipped step stays inside its interval."""
+        """``f(x)`` and its exact gradient; an ``x`` outside
+        :meth:`GaussianProcess._hyper_bounds` raises scipy's ``ValueError``."""
         x = np.asarray(vector, dtype=float)
         if ((x < self._lower) | (x > self._upper)).any():
             raise ValueError("`x0` violates bound constraints.")
-        step = np.where(x + _STEP > self._upper, -_STEP, _STEP)
-        scores = self._score_moves(x, x + np.diag(step))
-        value = scores[-1]
-        return value, (np.array(scores[:-1]) - value) / ((x + step) - x)
+        return self._evaluate(x, gradient=True)
 
-    def _score_moves(self, centre: np.ndarray, moved: np.ndarray) -> list[float]:
-        """Score the ``D + 2`` rows of ``moved``, row ``r`` ``centre`` with
-        coordinate ``r`` moved, then ``centre``, which is built in full
-        unless it is the base.  Every moved row reuses the base:
-
-        * the ``D`` lengthscale moves divide the packed tensor by their own
-          lengthscale and square it, add the running sum through ``r − 1``,
-          then the base slices ``r + 1 … D − 1``: the additions, in the
-          order, of the axis-0 sum of a full build;
-        * the outputscale move takes the base distance, and the Matérn
-          stage scores it with the lengthscale moves in one call, a column
-          holding each row's outputscale;
-        * the noise move and the centre copy the base kernel.
-        """
-        values = np.exp(np.vstack([moved, centre]))
-        if (values[-1] != self._base_values).any():
-            self._build_base(values[-1])
-        d = len(self._sums)
-        probed = self._distances[:d]
-        np.divide(self._tensor, values.diagonal()[:d, None], out=probed)
-        np.square(probed, out=probed)
-        np.add(self._sums[: d - 1], probed[1:], out=probed[1:])
-        for j in range(1, d):
-            np.add(probed[:j], self._slices[j], out=probed[:j])
-        np.sqrt(probed, out=probed)
-        matern52_of_distance(self._distances, values[: d + 1, d, None], out=self._kernels[: d + 1])
-        self._kernels[d + 1 :] = self._base_kernel
-        return self._score(values)
-
-    def _build_base(self, values: np.ndarray) -> None:
-        """Build every base array for ``values``, then make it the base."""
-        d = len(self._sums)
-        self._base_values = self._no_base  # the arrays below stop matching it
+    def _evaluate(self, vector: np.ndarray, gradient: bool) -> tuple[float, np.ndarray | None]:
+        """The score of ``vector`` and, if ``gradient``, its closed-form
+        gradient: with ``W = K⁻¹ − ααᵀ``, ``½·Σ W ∘ ∂K`` per coordinate, minus
+        each prior's slope.  ``∂K`` is ``σ(5/3)(1 + √5r)e^(−√5r)·(dᵢ/lᵢ)²``
+        for ``log lᵢ``, ``K`` for ``log σ`` and ``noise·I`` for ``log noise``.
+        A kernel that is not positive definite, or a non-finite score, gives
+        1e25 with a zero gradient."""
+        values = np.exp(np.asarray(vector, dtype=float))  # GPHyperparameters.from_vector
+        d, n = len(self._slices), len(self._y)
         np.divide(self._tensor, values[:d, None], out=self._slices)
         np.square(self._slices, out=self._slices)
-        self._sums[0] = self._slices[0]
-        for j in range(1, d):
-            np.add(self._sums[j - 1], self._slices[j], out=self._sums[j])
-        np.sqrt(self._sums[-1], out=self._base_distance)
-        matern52_of_distance(self._base_distance, float(values[d]), out=self._base_kernel)
-        self._base_values = values
-
-    def _score(self, values: np.ndarray) -> list[float]:
-        """Score the first ``len(values)`` kernels of the stack, row ``r``
-        the noiseless kernel of the exp'd vector ``values[r]``; the noise
-        is added in place."""
-        k = len(values)
-        kernels = self._kernels[:k]
-        diagonals = kernels[:, : len(self._y)]
-        np.add(diagonals, values[:, -1:] + _JITTER, out=diagonals)
-        if not (self._tensor_finite and np.isfinite(kernels).all()):
+        np.sum(self._slices, axis=0, out=self._distance)
+        np.sqrt(self._distance, out=self._distance)
+        kernel = matern52_of_distance(self._distance, float(values[d]), out=self._kernel)
+        self._flat_buffer[self._positions] = kernel
+        diagonal = self._flat_buffer[:: n + 1]
+        diagonal += values[-1] + _JITTER
+        finite = np.isfinite(kernel).all() and np.isfinite(diagonal).all()
+        if not (self._tensor_finite and finite):
             raise ValueError("array must not contain infs or NaNs")
-        self._flat_buffers[:k, self._positions] = kernels
-        log_priors = self._log_priors(values[:, self._prior_index])
+        failed = (1e25, np.zeros(d + 2) if gradient else None)
+        chol, info = self._potrf(self._buffer.T, lower=1, overwrite_a=1, clean=0)
+        if info > 0:  # not positive definite
+            return failed
+        if not self._y_finite:
+            raise ValueError("array must not contain infs or NaNs")
+        alpha, solve_info = self._potrs(chol, self._y, lower=1)
+        if info or solve_info:
+            raise ValueError(f"LAPACK rejected an argument (info {info}, {solve_info})")
+        nll = 0.5 * float(self._y @ alpha)
+        nll += float(np.log(chol.diagonal()).sum())
+        nll += self._log_2pi_term
+        log_prior = self._log_priors(values[self._prior_index])
         n_lengthscales = self._n_lengthscale_terms
-        scores = []
-        for buffer, log_prior in zip(self._buffers[:k], log_priors):
-            chol, info = self._potrf(buffer.T, lower=1, overwrite_a=1, clean=0)
-            if info > 0:  # not positive definite
-                scores.append(1e25)
-                continue
-            if not self._y_finite:
-                raise ValueError("array must not contain infs or NaNs")
-            alpha, solve_info = self._potrs(chol, self._y, lower=1)
-            if info or solve_info:
-                raise ValueError(f"LAPACK rejected an argument (info {info}, {solve_info})")
-            nll = 0.5 * float(self._y @ alpha)
-            nll += float(np.log(chol.diagonal()).sum())
-            nll += self._log_2pi_term
-            if n_lengthscales:
-                nll -= float(log_prior[:n_lengthscales].sum())
-            for term in log_prior[n_lengthscales:].tolist():
-                nll -= term
-            scores.append(nll if math.isfinite(nll) else 1e25)
-        return scores
+        if n_lengthscales:
+            nll -= float(log_prior[:n_lengthscales].sum())
+        for term in log_prior[n_lengthscales:].tolist():
+            nll -= term
+        if not math.isfinite(nll):
+            return failed
+        if not gradient:
+            return nll, None
+        inverse, info = self._potri(chol, lower=1, overwrite_c=1)
+        if info:
+            raise ValueError(f"LAPACK rejected an argument (potri info {info})")
+        # W on the packed triangle, each off-diagonal entry standing for two
+        weights = inverse.T.ravel()[self._positions]
+        weights -= alpha[self._rows] * alpha[self._columns]
+        weights[n:] *= 2.0
+        sqrt5_r = math.sqrt(5.0) * self._distance
+        slope = (5.0 / 3.0) * values[d] * (1.0 + sqrt5_r) * np.exp(-sqrt5_r)
+        grad = np.empty(d + 2)
+        grad[:d] = self._slices @ (weights * slope)
+        grad[d] = weights @ kernel
+        grad[d + 1] = values[-1] * weights[:n].sum()
+        grad *= 0.5
+        grad[self._prior_index] -= self._log_priors.log_slopes(values[self._prior_index])
+        return nll, grad
 
 
 class GaussianProcess:

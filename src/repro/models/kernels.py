@@ -16,8 +16,8 @@ where the per-dimension distances come from
 
 :func:`matern52` is :func:`scaled_distance` followed by
 :func:`matern52_of_distance`.  The GP's hyper-parameter fit builds ``d`` its
-own way, from cached per-dimension slices, and its predict gathers it from a
-:class:`~repro.models.distances.DistanceTable`; both call
+own way, on the packed triangle of the train tensor, and its predict gathers
+it from a :class:`~repro.models.distances.DistanceTable`; both call
 :func:`matern52_of_distance` on it, so the formula is written once.
 """
 # repro: hot-path — row-space module: per-row Python loops, .tolist(), and in-loop decode are flagged (see repro.analysis)
@@ -55,16 +55,14 @@ def scaled_distance(distance_tensor: np.ndarray, lengthscales: np.ndarray) -> np
 
 
 def matern52_of_distance(
-    distance: np.ndarray, outputscale: float | np.ndarray, out: np.ndarray | None = None
+    distance: np.ndarray, outputscale: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Matérn-5/2 of a scaled distance ``d`` (a matrix or a vector).
 
     ``outputscale * (1 + √5·d + 5/3·d²) * exp(-√5·d)``, grouped as written.
-    ``outputscale`` is a scalar, or an ``(r, 1)`` column giving each row of
-    an ``(r, m)`` stack of distances its own; each entry gets the bits the
-    scalar would give it.  ``distance`` is left as it is; the result is
-    written to ``out`` when given (same shape, not ``distance`` itself) and
-    to a fresh array otherwise.
+    ``distance`` is left as it is; the result is written to ``out`` when
+    given (same shape, not ``distance`` itself) and to a fresh array
+    otherwise.
     """
     sqrt5_d = np.multiply(_SQRT5, distance)
     k = np.add(1.0, sqrt5_d, out=out)

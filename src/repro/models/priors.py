@@ -62,3 +62,9 @@ class GammaLogDensities:
         z = values / self._scale
         with np.errstate(divide="ignore", invalid="ignore"):
             return xlogy(self._shape_minus_one, z) - z - self._log_gamma_shape - self._log_scale
+
+    def log_slopes(self, values: np.ndarray) -> np.ndarray:
+        """Each log density's derivative in the log of its value,
+        ``d log p / d log v = (a - 1) - v·rate``: the prior's share of the
+        MAP objective's gradient."""
+        return self._shape_minus_one - values / self._scale

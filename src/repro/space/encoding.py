@@ -93,8 +93,9 @@ class ValueTable:
     object for categories and permutation tuples), ``encoded`` the
     ``(V, width)`` encodings with the bits of :meth:`ConfigEncoder.encode_batch`,
     ``index`` maps a value to its code and ``code_of`` a block's key (its
-    float, or its floats' tuple) to the *first* code with that key, so an
-    ordinal warp tie resolves to the first value.  The arrays are read-only.
+    float, or its floats' tuple) to its code: no two values share a key,
+    as a numeric parameter rejects values whose warps tie.  The arrays are
+    read-only.
     """
 
     values: tuple
@@ -118,8 +119,7 @@ def _value_table(param: Parameter) -> ValueTable:
     raw.flags.writeable = encoded.flags.writeable = False
     keys = encodings if encoded.shape[1] > 1 else [key for (key,) in encodings]
     index = {value: code for code, value in enumerate(values)}
-    # reversed, so that the first code of a key is written last
-    code_of = dict(zip(keys[::-1], range(len(values) - 1, -1, -1)))
+    code_of = dict(zip(keys, range(len(values))))
     return ValueTable(values, raw, encoded, index, code_of)
 
 

@@ -140,6 +140,18 @@ class NumericParameter(Parameter):
             return math.log(value)
         return float(value)
 
+    def _reject_warp_ties(self, values: Sequence[float]) -> None:
+        """Raise ``ValueError`` if two adjacent sorted ``values`` share a
+        :meth:`_warp`: one encoded row would stand for both, and a row must
+        decode to the value it was drawn as."""
+        warps = [self._warp(value) for value in values]
+        for low, high, low_warp, high_warp in zip(values, values[1:], warps, warps[1:]):
+            if low_warp == high_warp:
+                raise ValueError(
+                    f"values {low!r} and {high!r} of parameter {self.name!r} "
+                    f"share the encoding {low_warp!r}"
+                )
+
 
 class RealParameter(NumericParameter):
     """A continuous parameter on the interval ``[low, high]``."""
@@ -213,6 +225,11 @@ class IntegerParameter(NumericParameter):
         self.low = int(low)
         self.high = int(high)
         self.default = int(default) if default is not None else self.low
+        # the four values at each end hold the tightest pairs: a log's gap
+        # shrinks as values grow, and beyond 2**53 any four consecutive
+        # integers hold two that round to one float
+        ends = {*range(self.low, self.low + 4), *range(self.high - 3, self.high + 1)}
+        self._reject_warp_ties(sorted(v for v in ends if self.low <= v <= self.high))
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.integers(self.low, self.high + 1, size=n).astype(float)
@@ -273,6 +290,7 @@ class OrdinalParameter(NumericParameter):
         vals = sorted(set(float(v) if not float(v).is_integer() else int(v) for v in values))
         if transform == "log" and vals[0] <= 0:
             raise ValueError("log-transformed ordinal parameters require positive values")
+        self._reject_warp_ties(vals)
         self.values = vals
         self.default = default if default is not None else vals[0]
         if self.default not in vals:

@@ -48,7 +48,9 @@ specifications the vectorized paths are tested against:
   neighbour tables' ``code_of``) are the per-reader constructions that
   ``ConfigEncoder.table``'s value tables replaced, and pin them;
 * :func:`gamma_log_pdf` (``GammaPrior.log_pdf``, one prior per call) pins
-  ``repro.models.priors.GammaLogDensities``.
+  ``repro.models.priors.GammaLogDensities``;
+* :func:`map_gradient_reference` (the closed-form gradient on dense
+  allocating matrices) pins the gradient of the GP's MAP objective.
 """
 
 from __future__ import annotations
@@ -1046,3 +1048,57 @@ def gamma_log_pdf(prior: GammaPrior, value: float | np.ndarray) -> float | np.nd
         lp = xlogy(prior.shape - 1.0, z) - z - gammaln(prior.shape) - np.log(scale)
     lp = np.where(value < 0.0, -np.inf, lp)
     return lp if lp.shape else float(lp)
+
+
+def map_gradient_reference(
+    gp: GaussianProcess, distance_tensor: np.ndarray, vector: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Gradient of the GP's negative log posterior in its log hyper-parameters,
+    dense and allocating: full ``(n, n)`` matrices throughout, ``K⁻¹`` from
+    ``cho_solve`` against the identity.
+
+    With ``W = K⁻¹ − ααᵀ`` and ``α = K⁻¹y``, coordinate ``θ`` is
+    ``½·Σ W ∘ ∂K/∂θ`` minus the prior's ``d log p / d log v = (a − 1) −
+    rate·v``.  ``∂K/∂log lᵢ`` is the Matérn-5/2's
+    ``σ·(5/3)(1 + √5r)e^(−√5r)·(dᵢ/lᵢ)²``, ``∂K/∂log σ`` the noiseless
+    kernel and ``∂K/∂log noise`` ``noise·I``.  Where the objective scores
+    1e25 (``K`` not positive definite, or a non-finite score) the gradient
+    is zero.
+    """
+    tensor = np.asarray(distance_tensor, dtype=float)
+    values = np.exp(np.asarray(vector, dtype=float))
+    lengthscales, outputscale, noise = values[:-2], values[-2], values[-1]
+    n = len(y)
+    scaled = (tensor / lengthscales[:, None, None]) ** 2
+    r = np.sqrt(scaled.sum(axis=0))
+    decay = np.exp(-math.sqrt(5.0) * r)
+    kernel = outputscale * (1.0 + math.sqrt(5.0) * r + (5.0 / 3.0) * r**2) * decay
+    slope = outputscale * (5.0 / 3.0) * (1.0 + math.sqrt(5.0) * r) * decay
+    k = kernel + (noise + 1e-8) * np.eye(n)
+    zero = np.zeros(len(values))
+    try:
+        chol = linalg.cholesky(k, lower=True)
+    except linalg.LinAlgError:
+        return zero
+    alpha = linalg.cho_solve((chol, True), y)
+    nll = 0.5 * float(y @ alpha) + float(np.sum(np.log(np.diag(chol))))
+    priors = [
+        (gp.lengthscale_prior, list(range(len(lengthscales)))),
+        (gp.outputscale_prior, [len(values) - 2]),
+        (gp.noise_prior, [len(values) - 1]),
+    ]
+    for prior, entries in priors:
+        if prior is not None:
+            nll -= float(np.sum(gamma_log_pdf(prior, values[entries])))
+    if not math.isfinite(nll):
+        return zero
+    w = linalg.cho_solve((chol, True), np.eye(n)) - np.outer(alpha, alpha)
+    gradient = np.empty(len(values))
+    for i in range(len(lengthscales)):
+        gradient[i] = 0.5 * np.sum(w * slope * scaled[i])
+    gradient[-2] = 0.5 * np.sum(w * kernel)
+    gradient[-1] = 0.5 * noise * np.trace(w)
+    for prior, entries in priors:
+        if prior is not None:
+            gradient[entries] -= (prior.shape - 1.0) - prior.rate * values[entries]
+    return gradient

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,12 +177,57 @@ class TestDecodeTables:
             assert got == want
             assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
-    def test_a_warp_tie_decodes_to_the_first_value(self):
-        # 10**16 and 10**16 + 2 are distinct values with one float log
-        param = OrdinalParameter("big", [10**16, 10**16 + 2, 10**17], transform="log")
-        enc = ConfigEncoder([param])
-        row = enc.encode({"big": 10**16 + 2})
-        assert enc.decode(row) == decode_reference(enc, row) == {"big": 10**16}
+    @pytest.mark.parametrize(
+        "make,tie",
+        [
+            # 10**16 and 10**16 + 2 are distinct values with one float log
+            (lambda: OrdinalParameter("big", [10**16, 10**16 + 2, 10**17], transform="log"),
+             (10**16, 10**16 + 2)),
+            # 2**53 + 1 rounds to the float 2**53, and its log to log(2**53)
+            (lambda: IntegerParameter("big", 2**53, 2**53 + 2), (2**53, 2**53 + 1)),
+            (lambda: IntegerParameter("big", 2**53, 2**53 + 2, transform="log"),
+             (2**53, 2**53 + 1)),
+            # 2**53 + 1 and 2**53 + 2 round apart, and the pair below them ties
+            (lambda: IntegerParameter("big", 1, 2**53 + 2), (2**53, 2**53 + 1)),
+            (lambda: IntegerParameter("big", -2**53 - 2, 0), (-2**53 - 1, -2**53)),
+            (lambda: IntegerParameter("big", 1, 10**16, transform="log"),
+             (10**16 - 3, 10**16 - 2)),
+        ],
+        ids=["log-ordinal", "integer", "log-integer", "integer-top", "integer-bottom",
+             "log-integer-top"],
+    )
+    def test_a_warp_tie_is_rejected_when_the_parameter_is_built(self, make, tie):
+        """Two values with one encoding would make a row stand for both;
+        the parameter names itself and the pair instead."""
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value).startswith(
+            f"values {tie[0]!r} and {tie[1]!r} of parameter 'big' share the encoding"
+        )
+
+    @given(
+        base=st.sampled_from([0, 2**53, -(2**53), 2**54, -(2**54), 2**60]),
+        offset=st.integers(-40, 40),
+        span=st.integers(0, 60),
+    )
+    @settings(deadline=None)
+    def test_a_linear_integer_is_rejected_exactly_when_two_values_tie(self, base, offset, span):
+        """Beyond 2**53 two adjacent integers can round to one float; the
+        check reads only the values at each end of the range, and must
+        still raise exactly when some adjacent pair ties, naming one."""
+        low = base + offset
+        tied = any(float(v) == float(v + 1) for v in range(low, low + span))
+        if not tied:
+            assert IntegerParameter("n", low, low + span).cardinality() == span + 1
+            return
+        with pytest.raises(ValueError) as raised:
+            IntegerParameter("n", low, low + span)
+        a, b = map(int, re.match(r"values (-?\d+) and (-?\d+) of parameter 'n'", str(raised.value)).groups())
+        assert b == a + 1 and float(a) == float(b) and low <= a < low + span
+
+    def test_values_just_below_a_tie_are_kept(self):
+        assert IntegerParameter("n", 2**53 - 2, 2**53).cardinality() == 3
+        assert OrdinalParameter("big", [10**16, 10**16 + 2]).values == [10**16, 10**16 + 2]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_ordinals_decode_as_argmin_does(self, value):

@@ -13,20 +13,22 @@ kept in ``tests/oracles.py``, and every field must equal them:
 * ``encoded`` byte for byte, as ``encode_value_column`` built it from
   those columns, as ``_catalogue`` built it, and as ``encode_batch``
   encodes each value;
-* ``code_of``, as the neighbour tables built it, except that a key two
-  values share (a warp tie) maps to the first code where they kept the
-  last.
+* ``code_of``, as the neighbour tables built it.
 
 A hypothesis property covers every discrete parameter of the 31 registry
 spaces and random hand-made ones: numeric and mixed categories, linear and
-log ordinals with warp ties, log integers, and permutations of 1–7
-elements.  The leaf tables of every registry tree, and of hand-made trees
-over a log integer, numeric categories and a tied ordinal, are checked
-against the old per-tree build.
+log ordinals, log integers, and permutations of 1–7 elements.  The leaf
+tables of every registry tree, and of a hand-made tree over a log integer
+and numeric categories, are checked against the old per-tree build.
+
+Two values that share a warp (a warp tie) would share one encoded row, so
+a numeric parameter rejects them when it is built; a property checks that
+an ordinal is rejected exactly when two of its values tie.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 from unittest import mock
@@ -71,23 +73,33 @@ _REGISTRY_PARAMETERS = [
     if not isinstance(param, RealParameter)
 ]
 
-#: ordinal values with one float warp: 2**53 + 1 rounds to 2**53, and
-#: 10**16 and 10**16 + 2 have one float log
+
+def _warp_ties(values, transform):
+    """The adjacent pairs of an ordinal's distinct values that share a warp."""
+    distinct = sorted({int(v) if float(v).is_integer() else float(v) for v in values})
+    warp = math.log if transform == "log" else float
+    return [(a, b) for a, b in zip(distinct, distinct[1:]) if warp(a) == warp(b)]
+
+
+#: ordinal values with one float warp: 2**53 + 1 rounds to 2**53 (so the
+#: two collapse to one value), 10**16 and 10**16 + 2 have one float log,
+#: and so can two adjacent floats
 _TIES = [2**53, 2**53 + 1, 10**16, 10**16 + 2]
 
-_ordinals = st.builds(
-    OrdinalParameter,
-    st.just("o"),
-    st.lists(
-        st.one_of(
-            st.integers(1, 10**6),
-            st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False),
-            st.sampled_from(_TIES),
-        ),
-        min_size=1,
-        max_size=12,
+_ordinal_values = st.lists(
+    st.one_of(
+        st.integers(1, 10**6),
+        st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False),
+        st.sampled_from(_TIES),
     ),
-    st.sampled_from(["linear", "log"]),
+    min_size=1,
+    max_size=12,
+)
+#: the ordinals a parameter accepts: no two values share a warp
+_ordinals = st.sampled_from(["linear", "log"]).flatmap(
+    lambda transform: _ordinal_values.filter(lambda values: not _warp_ties(values, transform)).map(
+        lambda values: OrdinalParameter("o", values, transform)
+    )
 )
 _categoricals = st.builds(
     CategoricalParameter,
@@ -153,15 +165,8 @@ def test_tables_have_the_reference_fields(param):
     if catalogue is not None:
         _assert_same_block(encoder.catalogue(0), catalogue)
 
-    first: dict = {}
-    for code, row in enumerate(encoded.tolist()):
-        first.setdefault(row[0] if len(row) == 1 else tuple(row), code)
-    assert table.code_of == first
-    last = code_of_reference(encoded)
-    if len(last) == len(values):  # no tie: the neighbour tables' own dict
-        assert table.code_of == last
-    else:
-        assert isinstance(param, OrdinalParameter)
+    assert table.code_of == code_of_reference(encoded)
+    assert len(table.code_of) == len(values)
 
     if isinstance(param, OrdinalParameter):
         raw_floats, warped, by_warp = ordinal_maps_reference(param)
@@ -177,8 +182,8 @@ def test_tables_have_the_reference_fields(param):
 # leaf tables
 # ---------------------------------------------------------------------------
 
-#: hand-made trees: a log integer, a permutation and a categorical with
-#: numeric and string values; an ordinal with a warp tie
+#: a hand-made tree: a log integer, a permutation and a categorical with
+#: numeric and string values
 _HAND_MADE = {
     "log_integer_tree": lambda: SearchSpace(
         [
@@ -192,13 +197,6 @@ _HAND_MADE = {
             Constraint("c != 'x' or t <= 4"),
             Constraint("p[0] != 2 or u >= 2"),
         ],
-    ),
-    "warp_tie_tree": lambda: SearchSpace(
-        [
-            OrdinalParameter("big", [10**16, 10**16 + 2, 10**17], transform="log"),
-            OrdinalParameter("u", [1, 2, 4]),
-        ],
-        [Constraint("big > 10000000000000000 or u <= 2")],
     ),
 }
 
@@ -243,22 +241,37 @@ def test_a_tree_over_mixed_categories_samples_and_climbs():
     assert got.tobytes() == want.tobytes() and owners.tobytes() == want_owners.tobytes()
 
 
-def test_a_warp_tie_moves_from_the_first_value():
-    """10**16 and 10**16 + 2 have one float log, so a row holding it is
-    either; the neighbour tables now take the first, as ``decode`` and the
-    per-row oracle do, where they took the last and moved to both of its
-    neighbours."""
-    param = OrdinalParameter("big", [10**16, 10**16 + 2, 10**17], transform="log")
-    space = SearchSpace([param, CategoricalParameter("c", ["a", "b"])])
-    rows = space.encode_batch([{"big": 10**16 + 2, "c": "a"}])
-    got, owners = space.neighbour_rows_batch(rows)
-    want, want_owners = neighbour_rows_reference(space, rows)
-    assert got.tobytes() == want.tobytes() and owners.tobytes() == want_owners.tobytes()
-    # 10**16's one neighbour, 10**16 + 2, encodes as the row does
-    assert [space.encoder.decode(row) for row in got] == [
-        {"big": 10**16, "c": "a"},
-        {"big": 10**16, "c": "b"},
-    ]
+@given(_ordinal_values, st.sampled_from(["linear", "log"]))
+@settings(deadline=None)
+def test_an_ordinal_is_rejected_exactly_when_two_values_tie(values, transform):
+    ties = _warp_ties(values, transform)
+    if not ties:
+        OrdinalParameter("o", values, transform)
+        return
+    with pytest.raises(ValueError) as raised:
+        OrdinalParameter("o", values, transform)
+    low, high = ties[0]
+    assert str(raised.value).startswith(f"values {low!r} and {high!r} of parameter 'o'")
+
+
+@pytest.mark.parametrize(
+    "big",
+    [
+        lambda: OrdinalParameter("big", [10**16, 10**16 + 2, 10**17], transform="log"),
+        lambda: IntegerParameter("big", 2**53, 2**53 + 2),
+    ],
+    ids=["log-ordinal", "integer"],
+)
+def test_a_space_with_a_warp_tie_is_rejected(big):
+    """In a Chain-of-Trees tree, a tied encoding lets the sampler return a
+    row drawn as one value that decodes to the other, here the infeasible
+    ``{'big': 10**16, 'u': 4}`` (or ``2**53``); the parameter is rejected
+    before the space is built."""
+    with pytest.raises(ValueError, match="of parameter 'big' share the encoding"):
+        SearchSpace(
+            [big(), OrdinalParameter("u", [1, 2, 4])],
+            [Constraint("big > 10000000000000000 or u <= 2")],
+        )
 
 
 # ---------------------------------------------------------------------------

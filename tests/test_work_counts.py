@@ -2,9 +2,8 @@
 
 A trajectory is a deterministic function of (tuner, seed, budget), so the
 work it does is too: how many GP fits, Cholesky extensions, MAP-objective
-calls (the prior sweep's single vectors and L-BFGS-B's values with their
-gradients), full kernel builds (the rest rescore the last full build),
-scoring passes and the vectors they score, L-BFGS-B runs, their
+calls (the prior sweep's values and L-BFGS-B's values with their
+gradients, each one kernel build and factorization), L-BFGS-B runs, their
 iterations and how each one ended, feasibility fits, forest nodes grown,
 the forest's screening rounds and the nodes they screen (each one
 candidate draw), how many rows it predicts, how many distance tables the
@@ -63,9 +62,6 @@ WRAPPED = (
     (GaussianProcess, "extend_cholesky", "gp.extend_calls", None, None),
     (_MapObjective, "__call__", "gp.objective_calls", None, None),
     (_MapObjective, "value_and_gradient", "gp.gradient_calls", None, None),
-    (_MapObjective, "_build_base", "gp.objective_full_calls", None, None),
-    (_MapObjective, "_score", "gp.score_passes", "gp.scored_rows",
-     lambda args, result: len(result)),
     (GaussianProcess, "predict_rows", "gp.predict_calls", "gp.predict_rows",
      lambda args, result: len(args[1])),
     (DistanceTable, "__init__", "gp.tables", None, None),
@@ -99,10 +95,7 @@ EXPECTED = {
         "gp.fit_calls": 29,
         "gp.extend_calls": 0,
         "gp.objective_calls": 464,  # the prior sweep's vectors
-        "gp.gradient_calls": 1_090,  # one per L-BFGS-B iterate, 13 rows each
-        "gp.objective_full_calls": 1_552,
-        "gp.score_passes": 1_554,
-        "gp.scored_rows": 14_634,
+        "gp.gradient_calls": 1_090,  # one per L-BFGS-B value with its gradient
         "lbfgsb.runs": 58,
         "lbfgsb.iterations": 928,
         "gp.predict_calls": 360,
@@ -125,12 +118,9 @@ EXPECTED = {
         "gp.fit_calls": 7,
         "gp.extend_calls": 46,
         "gp.objective_calls": 38,
-        "gp.gradient_calls": 199,  # 9 rows each
-        "gp.objective_full_calls": 231,
-        "gp.score_passes": 237,
-        "gp.scored_rows": 1_829,
+        "gp.gradient_calls": 197,
         "lbfgsb.runs": 9,
-        "lbfgsb.iterations": 159,
+        "lbfgsb.iterations": 157,
         "gp.predict_calls": 439,
         "gp.predict_rows": 38_101,
         "gp.tables": 53,  # one per fit or extension
