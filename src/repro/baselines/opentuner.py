@@ -177,7 +177,10 @@ class OpenTunerLikeTuner(Tuner):
         return proposals
 
     def _observe(
-        self, configurations: Sequence[Configuration], results: Sequence[ObjectiveResult]
+        self,
+        configurations: Sequence[Configuration],
+        results: Sequence[ObjectiveResult],
+        rows: np.ndarray,
     ) -> None:
         """Credit each producing technique once its evaluation is told back,
         in the batch's order.
@@ -188,7 +191,7 @@ class OpenTunerLikeTuner(Tuner):
         checkpoint restore, where the bandit state is loaded separately —
         carry no in-flight technique and update nothing.
         """
-        super()._observe(configurations, results)
+        super()._observe(configurations, results, rows)
         evaluations = self.history.evaluations
         start = len(evaluations) - len(configurations)
         for i, (configuration, result) in enumerate(zip(configurations, results)):

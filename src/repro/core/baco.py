@@ -245,6 +245,11 @@ class BacoTuner(Tuner):
         # keeps so the learning loop never re-encodes the history (values
         # and feasibility flags are read from the history itself).
         self._model_distance = DistanceComputer(self._model_parameters)
+        #: the model encodes as the space does (every variant with the
+        #: transformations on), so observed rows serve both
+        self._model_shares_rows = (
+            self._model_distance.encoder.signature() == space.encoder.signature()
+        )
         self._gp_distance_cache = IncrementalDistanceTensor(self._model_distance)
         self._space_rows: list[np.ndarray] = []
         # Surrogate refit policy ("exact" keeps the historical per-iteration
@@ -332,21 +337,33 @@ class BacoTuner(Tuner):
         self._doe_queue = initial_design_queue(self.space, doe_size, budget, self._rng)
 
     def _observe(
-        self, configurations: Sequence[Configuration], results: Sequence[ObjectiveResult]
+        self,
+        configurations: Sequence[Configuration],
+        results: Sequence[ObjectiveResult],
+        rows: np.ndarray,
     ) -> None:
         """Keep the encoded-row caches in step with the recorded history.
 
-        The batch is encoded with one ``encode_batch`` call per encoder, and
-        its feasible observations extend the incremental train-train
-        distance tensor in one append, so the next GP fit starts from a
-        fully built Gram input.  A restore observes the whole history at
-        once and gets the rows and tensor that one call per tell built.
+        The batch's rows join the space rows, and its feasible observations
+        extend the incremental train-train distance tensor in one append, so
+        the next GP fit starts from a fully built Gram input.  The GP takes
+        the feasible rows as they are when the model encoder's signature
+        equals the space's; only BaCO-- and the variants without
+        transformations, whose model drops a log warp, encode them again.
+        A restore observes the whole history at once and gets the rows and
+        tensor that one call per tell built.
         """
-        super()._observe(configurations, results)
-        self._space_rows.append(self.space.encoder.encode_batch(configurations))
-        feasible = [c for c, result in zip(configurations, results) if result.feasible]
-        if feasible:
-            self._gp_distance_cache.append(self._model_distance.encoder.encode_batch(feasible))
+        super()._observe(configurations, results, rows)
+        self._space_rows.append(rows)
+        feasible = [result.feasible for result in results]
+        if not any(feasible):
+            return
+        if self._model_shares_rows:
+            self._gp_distance_cache.append(rows[feasible])
+        else:
+            self._gp_distance_cache.append(self._model_distance.encoder.encode_batch(
+                [c for c, ok in zip(configurations, feasible) if ok]
+            ))
 
     # ------------------------------------------------------------------
     def _propose(self, k: int, pending_keys: set[tuple]) -> list[tuple[Configuration, str]]:

@@ -50,6 +50,7 @@ def configuration_from_json(payload: Mapping[str, Any]) -> dict[str, Any]:
 
 def history_declaration(
     configuration: Any,
+    columns: Callable[[list], bool],
     tuner: Any = schema.string,
     benchmark: Any = schema.string,
     seed: Any = schema.nullable(schema.integer()),
@@ -58,16 +59,20 @@ def history_declaration(
     """The declaration of :meth:`TuningHistory.to_dict` output whose
     configurations match ``configuration`` and whose ``tuner``, ``benchmark``
     and ``seed`` match theirs; without ``timings``, as in a history cache
-    file, the wall-clock fields are absent."""
+    file, the wall-clock fields are absent.  ``columns`` takes the
+    evaluations whole (:class:`~repro.core.schema.columns`), and the walk
+    checks them entry by entry only when it rejects them."""
     seconds = schema.number(at_least=0)
     timed = {"tuner_seconds": seconds, "evaluation_seconds": seconds} if timings else {}
-    return {"tuner": tuner, "benchmark": benchmark, "seed": seed, **timed, "evaluations": [{
+    evaluation = {
         "index": schema.integer(0),
         "configuration": configuration,
         "value": schema.number(),
         "feasible": schema.boolean,
         "phase": schema.one_of(*PHASES),
-    }]}
+    }
+    return {"tuner": tuner, "benchmark": benchmark, "seed": seed, **timed,
+            "evaluations": schema.columns(evaluation, columns)}
 
 
 def check_evaluations(payload: Mapping[str, Any], path: str) -> None:

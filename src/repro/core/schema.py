@@ -4,8 +4,9 @@ Wire requests, snapshots and cache files are declared once, beside the code
 that writes them, and :func:`check` walks a payload against its declaration.
 A dict is an object with exactly its keys (``"name?"`` optional, an ``...``
 key admitting any other key with the value declared for it); a one-item
-list is an array of that item; ``...`` is any value; anything else is a
-leaf (:func:`integer`, :func:`number`, :data:`boolean`, :data:`string`,
+list is an array of that item, and :class:`columns` an array that a
+function checks whole; ``...`` is any value; anything else is a leaf
+(:func:`integer`, :func:`number`, :data:`boolean`, :data:`string`,
 :func:`one_of`, :class:`nullable`, or a :class:`Leaf` made for one field).
 A JSON integer is an ``int`` that is not a ``bool``, and a JSON number an
 ``int`` or ``float`` that is not a ``bool`` and fits a float.  A mismatch,
@@ -18,8 +19,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, NamedTuple
 
-__all__ = ["Leaf", "boolean", "check", "fail", "integer", "join", "nullable",
-           "number", "one_of", "short", "string"]
+__all__ = ["Leaf", "boolean", "check", "columns", "fail", "integer", "join",
+           "nullable", "number", "one_of", "short", "string"]
 
 
 def short(value: Any, limit: int = 120) -> str:
@@ -50,6 +51,16 @@ class nullable(NamedTuple):
     """``null`` or a value matching ``declaration``."""
 
     declaration: Any
+
+
+class columns(NamedTuple):
+    """An array of ``item`` that ``accepts`` takes whole, in one pass over
+    its columns.  Only an array it rejects is walked entry by entry, so the
+    error is the one the walk of ``[item]`` raises; ``accepts`` must accept
+    no array that walk rejects."""
+
+    item: Any
+    accepts: Callable[[list], bool]
 
 
 def integer(low: int | None = None, high: int | None = None) -> Leaf:
@@ -118,6 +129,10 @@ def check(value: Any, declaration: Any, path: str = "") -> None:
         declaration = declaration.declaration
     if declaration is ...:
         return
+    if type(declaration) is columns:
+        if isinstance(value, list) and declaration.accepts(value):
+            return
+        declaration = [declaration.item]
     if type(declaration) is Leaf:
         if not declaration.accepts(value):
             fail(path, declaration.what, value)

@@ -18,6 +18,9 @@ The session (not the tuner) owns the :class:`~repro.core.result.TuningHistory`
 and the evaluation budget; the tuner is reduced to a proposal state machine
 (:meth:`repro.core.tuner.Tuner._propose`) plus one batch observation hook
 (:meth:`repro.core.tuner.Tuner._observe`) that ``tell`` and restore share.
+The hook receives the observed configurations with their encoded rows:
+``tell`` passes the suggestion's ``encoded_row``, which ``ask`` encoded, so
+no configuration is encoded twice.
 
 Checkpoint / resume
 -------------------
@@ -31,9 +34,14 @@ tuner in three steps: ``_reset_state``, one ``_observe`` call with the whole
 history, which deterministically reconstructs every derived cache (encoded
 rows, the incremental GP train-train distance tensor) without storing a
 single float twice, and ``_load_state_dict``; then the RNG is restored
-bit-exactly.  A restored session therefore continues the run exactly where
-the snapshot left off — the completed trace is bit-identical to an
-uninterrupted one.
+bit-exactly.  The history is checked one column at a time
+(:class:`HistoryColumns`): the evaluation fields as columns and each
+parameter's values as one column, and the rows that pass are the encoded
+rows ``_observe`` receives, so a restore encodes nothing one value at a
+time.  Only a history the column pass rejects is walked value by value,
+which raises the error naming the first bad field.  A restored session
+therefore continues the run exactly where the snapshot left off — the
+completed trace is bit-identical to an uninterrupted one.
 
 JSON notes: Python's ``json`` round-trips ``float`` values exactly (``repr``
 emits the shortest representation that parses back to the same double), so
@@ -55,13 +63,24 @@ further coordination and cannot perturb a session's trace.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from ..space.parameters import CategoricalParameter, Parameter, PermutationParameter
+import numpy as np
+
+from ..space.encoding import ColumnBlock, ConfigEncoder
+from ..space.parameters import (
+    CategoricalParameter,
+    IntegerParameter,
+    OrdinalParameter,
+    Parameter,
+    PermutationParameter,
+)
 from . import schema
 from .result import (
     PHASES,
@@ -78,6 +97,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tuner imports us)
     from .tuner import Tuner
 
 __all__ = [
+    "HistoryColumns",
     "Suggestion",
     "TuningSession",
     "configuration_declaration",
@@ -173,6 +193,129 @@ def configuration_declaration(space: Any) -> dict[str, schema.Leaf]:
     return {param.name: _value_declaration(param) for param in space.parameters}
 
 
+#: an evaluation's fields, in the order of the history declaration
+_FIELDS = ("index", "configuration", "value", "feasible", "phase")
+_EVALUATION = operator.itemgetter(*_FIELDS)
+_NUMBER_TYPES = {int, float}
+_SCALAR_TYPES = {str, int, float}
+_PHASES = set(PHASES)
+
+
+def _floats(column: Sequence[Any]) -> np.ndarray | None:
+    """``column`` as floats if it holds JSON numbers only (no ``bool``, no
+    ``int`` beyond a float's range), else ``None``."""
+    if not set(map(type, column)) <= _NUMBER_TYPES:
+        return None
+    try:
+        return np.array(column, dtype=float)
+    except OverflowError:
+        return None
+
+
+def _block_rows(encoder: ConfigEncoder, block: ColumnBlock, column: list) -> np.ndarray | None:
+    """The ``(n, width)`` encodings of one parameter's value column, with the
+    bits of ``encode_batch``, if every value passes its
+    :func:`_value_declaration`; else ``None``."""
+    param = block.parameter
+    if block.kind == "permutation":  # lists of ints holding 0 .. width-1 once
+        if set(map(type, column)) != {list} or set(map(len, column)) != {block.width}:
+            return None
+        if set(map(type, itertools.chain.from_iterable(column))) != {int}:
+            return None
+        try:
+            matrix = np.array(column, dtype=np.int64)
+        except OverflowError:
+            return None
+        if not (np.sort(matrix, axis=1) == np.arange(block.width)).all():
+            return None
+        return encoder.encode_value_column(param.name, matrix)
+    if block.kind == "categorical":  # strings or numbers the table indexes
+        types = set(map(type, column))
+        if not types <= _SCALAR_TYPES:
+            return None
+        if int in types and _floats([v for v in column if type(v) is int]) is None:
+            return None
+        table = encoder.table(param.name)
+        codes = list(map(table.index.get, column))
+        return None if None in codes else table.encoded[codes]
+    values = _floats(column)
+    if values is None:
+        return None
+    if isinstance(param, OrdinalParameter):  # a value's float, as contains reads it
+        table = encoder.table(param.name)
+        codes = np.minimum(np.searchsorted(table.raw, values), len(table.raw) - 1)
+        if not (table.raw[codes] == values).all():
+            return None
+        # a linear warp is the float itself, so -0.0 keeps its sign
+        return table.encoded[codes] if param.transform == "log" else values[:, None]
+    if isinstance(param, IntegerParameter):
+        if not (np.floor(values) == values).all():  # NaN or a fraction
+            return None
+        # min and max compare ints and floats (±inf too) exactly, past 2**53
+        if not param.low <= min(column) or not max(column) <= param.high:
+            return None
+    elif not ((values >= param.low) & (values <= param.high)).all():
+        return None
+    return encoder.encode_value_column(param.name, values)
+
+
+class HistoryColumns:
+    """The column pass over a history's evaluations in ``space``.
+
+    :meth:`accepts` checks the ``evaluations`` array whole: the evaluation
+    fields as columns (indices ``0 .. n-1``, booleans, JSON numbers finite
+    when feasible, phases in :data:`~repro.core.result.PHASES`) and each
+    parameter's values as one column, read through the encoder's value
+    tables or by vectorised type and bound checks.  On JSON it accepts
+    exactly what the evaluations' declaration and
+    :func:`~repro.core.result.check_evaluations` accept, and keeps in
+    :attr:`rows` the configurations' encoded rows, with the bits of
+    ``encode_batch``.  Declared as a :class:`~repro.core.schema.columns`,
+    it leaves a rejected history to the walk, whose error names the first
+    bad field.
+    """
+
+    def __init__(self, space: Any) -> None:
+        self.encoder: ConfigEncoder = space.encoder
+        self.rows: np.ndarray | None = None
+
+    def accepts(self, evaluations: list) -> bool:
+        try:
+            self.rows = self._rows(evaluations)
+        except KeyError:  # an evaluation or configuration lacks a key
+            self.rows = None
+        return self.rows is not None
+
+    def _rows(self, evaluations: list) -> np.ndarray | None:
+        encoder = self.encoder
+        if not evaluations:
+            return np.empty((0, encoder.width))
+        if set(map(type, evaluations)) != {dict} or set(map(len, evaluations)) != {len(_FIELDS)}:
+            return None
+        index, configurations, values, feasible, phases = zip(*map(_EVALUATION, evaluations))
+        if set(map(type, index)) != {int} or index != tuple(range(len(index))):
+            return None
+        if set(map(type, feasible)) != {bool} or set(map(type, phases)) != {str}:
+            return None
+        values = _floats(values)
+        if values is None or not set(phases) <= _PHASES:
+            return None
+        if not np.isfinite(values[np.array(feasible)]).all():
+            return None
+        if set(map(type, configurations)) != {dict}:
+            return None
+        if set(map(len, configurations)) != {len(encoder.blocks)}:
+            return None
+        rows = np.empty((len(configurations), encoder.width))
+        for block in encoder.blocks:
+            name = block.parameter.name
+            encoded = _block_rows(encoder, block, [c[name] for c in configurations])
+            if encoded is None:
+                return None
+            rows[:, block.columns] = encoded
+        return rows
+
+
 def frozen_declaration(space: Any) -> schema.Leaf:
     """A frozen configuration key of ``space`` as JSON
     (:func:`frozen_key_to_json`): one legal value per parameter, in order."""
@@ -185,9 +328,10 @@ def frozen_declaration(space: Any) -> schema.Leaf:
     )
 
 
-def _snapshot_declaration(tuner: "Tuner") -> dict[str, Any]:
-    """What :meth:`TuningSession.snapshot` writes for ``tuner``; the tuner
-    state is declared by the tuner and checked once the history is observed."""
+def _snapshot_declaration(tuner: "Tuner", columns: HistoryColumns) -> dict[str, Any]:
+    """What :meth:`TuningSession.snapshot` writes for ``tuner``, its history
+    checked by ``columns``; the tuner state is declared by the tuner and
+    checked once the history is observed."""
     configuration = configuration_declaration(tuner.space)
     rng = tuner._rng.bit_generator.state
     return {
@@ -203,18 +347,21 @@ def _snapshot_declaration(tuner: "Tuner") -> dict[str, Any]:
             "has_uint32": schema.integer(0, 1),
             "uinteger": schema.integer(0, 2**32 - 1),
         },
-        "history": history_declaration(configuration),
+        "history": history_declaration(configuration, columns.accepts),
         "pending": [{"id": schema.integer(0), "configuration": configuration,
                      "phase": schema.one_of(*PHASES), "encoded_row": [_NUMBER]}],
         "tuner_state": ...,
     }
 
 
-def _check_snapshot_rules(payload: Mapping[str, Any], tuner: "Tuner") -> None:
+def _check_snapshot_rules(
+    payload: Mapping[str, Any], tuner: "Tuner", evaluations_checked: bool
+) -> None:
     """The cross-field rules of a declared snapshot: it is this tuner's, its
-    history and pending suggestions fit the budget, pending ids ascend below
+    history (unless ``evaluations_checked`` by the column pass) and pending
+    suggestions fit the budget, pending ids ascend below
     ``session.next_suggestion_id``, and each pending ``encoded_row`` is its
-    configuration's encoding."""
+    configuration's encoding, bit for bit."""
     snap_tuner, meta = payload["tuner"], payload["session"]
     if snap_tuner["name"] != tuner.name:
         raise ValueError(
@@ -231,7 +378,8 @@ def _check_snapshot_rules(payload: Mapping[str, Any], tuner: "Tuner") -> None:
     ):
         if value != expected:
             schema.fail(path, repr(expected), value)
-    check_evaluations(history, "history")
+    if not evaluations_checked:
+        check_evaluations(history, "history")
     evaluations = history["evaluations"]
     if len(evaluations) + len(pending) > meta["budget"]:
         schema.fail(
@@ -251,8 +399,9 @@ def _check_snapshot_rules(payload: Mapping[str, Any], tuner: "Tuner") -> None:
                 entry["id"],
             )
         previous = entry["id"]
+        # tell hands this row to the tuner, so it must have the bits
         row = encoder.encode(configuration_from_json(entry["configuration"]))
-        if row.tolist() != entry["encoded_row"]:
+        if np.array(entry["encoded_row"], dtype=float).tobytes() != row.tobytes():
             schema.fail(
                 f"pending[{i}].encoded_row", "the configuration's encoding",
                 entry["encoded_row"],
@@ -401,7 +550,8 @@ class TuningSession:
                 raise TypeError("tell() expects an ObjectiveResult")
             evaluation = self.history.append(issued.configuration, result, phase=issued.phase)
             self.history.evaluation_seconds += max(0.0, float(elapsed))
-            self.tuner._observe([issued.configuration], [result])
+            row = np.array([issued.encoded_row], dtype=float)
+            self.tuner._observe([issued.configuration], [result], row)
             return evaluation
 
     # ------------------------------------------------------------------
@@ -443,14 +593,16 @@ class TuningSession:
         that produced the snapshot (same class, space, and settings); its RNG
         state is overwritten with the snapshotted one, and every derived cache
         is reconstructed by one call of the tuner's observation hook with the
-        whole history.  The payload may come from a client, so it must be
-        exactly what :meth:`snapshot` writes (``meta`` excepted, which is
-        free-form): it is checked against its declaration before anything is
-        installed, and the tuner state against the tuner's once the history
-        is observed.  A malformed field raises ``ValueError`` naming it.
+        whole history and the rows its column pass encoded.  The payload may
+        come from a client, so it must be exactly what :meth:`snapshot`
+        writes (``meta`` excepted, which is free-form): it is checked against
+        its declaration before anything is installed, and the tuner state
+        against the tuner's once the history is observed.  A malformed field
+        raises ``ValueError`` naming it.
         """
-        schema.check(payload, _snapshot_declaration(tuner))
-        _check_snapshot_rules(payload, tuner)
+        columns = HistoryColumns(tuner.space)
+        schema.check(payload, _snapshot_declaration(tuner, columns))
+        _check_snapshot_rules(payload, tuner, columns.rows is not None)
         meta = payload["session"]
         session = cls(tuner, meta["budget"], meta["benchmark_name"], _restoring=True)
         session.meta = dict(payload["meta"])
@@ -458,9 +610,14 @@ class TuningSession:
         tuner._bind_session(session)
         tuner._reset_state(session.budget)
         evaluations = session.history.evaluations
+        configurations = [e.configuration for e in evaluations]
+        rows = columns.rows
+        if rows is None:  # the walk took values of types no JSON parse makes
+            rows = tuner.space.encoder.encode_batch(configurations)
         tuner._observe(
-            [e.configuration for e in evaluations],
+            configurations,
             [ObjectiveResult(value=e.value, feasible=e.feasible) for e in evaluations],
+            rows,
         )
         state = payload["tuner_state"]
         schema.check(state, tuner._state_declaration(session.budget), "tuner_state")

@@ -8,7 +8,8 @@ Tuners are *proposal state machines* driven through an ask/tell
   ``_run`` loops did;
 * :meth:`Tuner._propose` emits the next ``k`` configurations to evaluate;
 * :meth:`Tuner._observe` updates per-observation caches from a batch of
-  results: ``tell`` passes its one observation, a restore the whole history;
+  results and their encoded rows: ``tell`` passes its one observation, a
+  restore the whole history;
 * :meth:`Tuner._state_dict` / :meth:`Tuner._load_state_dict` round-trip the
   tuner-private state (queues, bandits, dedup sets) through JSON for
   checkpoint / resume, and :meth:`Tuner._state_declaration` declares it
@@ -138,18 +139,25 @@ class Tuner(ABC):
         """
 
     def _observe(
-        self, configurations: Sequence[Configuration], results: Sequence[ObjectiveResult]
+        self,
+        configurations: Sequence[Configuration],
+        results: Sequence[ObjectiveResult],
+        rows: np.ndarray,
     ) -> None:
         """Hook called once the history ends with these observations.
 
         ``tell`` passes its one observation; a restore passes the whole
-        history at once.  Subclasses extend this (calling ``super()``, which
-        records the frozen keys) to keep per-observation caches (encoded
-        feature rows, incremental distance tensors, ...) in step with the
-        history instead of re-deriving them every iteration, so it must
-        depend only on the observations and the history — never on
-        randomness — and give the same caches for any split of a history
-        into batches.
+        history at once.  ``rows`` is the ``(len(configurations), width)``
+        float matrix of their encodings in the space's encoder, with the
+        bits of ``encode_batch``: ``tell`` passes the suggestion's
+        ``encoded_row`` and a restore the rows its column pass built, so a
+        subclass need not encode them again.  Subclasses extend this
+        (calling ``super()``, which records the frozen keys) to keep
+        per-observation caches (encoded feature rows, incremental distance
+        tensors, ...) in step with the history instead of re-deriving them
+        every iteration, so it must depend only on the observations and the
+        history — never on randomness — and give the same caches for any
+        split of a history into batches.
         """
         self._evaluated_keys.update(self.space.freeze(c) for c in configurations)
 

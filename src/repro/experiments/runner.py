@@ -28,7 +28,13 @@ from ..baselines.ytopt import YtoptLikeTuner
 from ..core.baco import BacoSettings, BacoTuner
 from ..core import schema
 from ..core.result import ObjectiveResult, TuningHistory, check_evaluations, history_declaration
-from ..core.session import Suggestion, TuningSession, configuration_declaration, drive
+from ..core.session import (
+    HistoryColumns,
+    Suggestion,
+    TuningSession,
+    configuration_declaration,
+    drive,
+)
 from ..core.tuner import Tuner
 from ..space.space import SearchSpace
 from ..workloads.base import Benchmark
@@ -198,6 +204,27 @@ def _timing_path(path: Path) -> Path:
     return path.with_suffix(".timing")
 
 
+def _checked_history(
+    payload: Any, benchmark: Benchmark, tuner_name: str, budget: int, seed: int
+) -> TuningHistory:
+    """``payload`` as a history if it is this cell's, else ``ValueError``
+    naming its first field that is not (see :func:`load_history`)."""
+    columns = HistoryColumns(benchmark.space)
+    schema.check(payload, history_declaration(
+        configuration_declaration(benchmark.space),
+        columns.accepts,
+        tuner=schema.one_of(tuner_name),
+        benchmark=schema.one_of(benchmark.name),
+        seed=schema.one_of(seed),
+        timings=False,
+    ))
+    if columns.rows is None:
+        check_evaluations(payload, "")
+    if len(payload["evaluations"]) != budget:
+        schema.fail("evaluations", f"{budget} entries long", len(payload["evaluations"]))
+    return TuningHistory.from_dict(payload)
+
+
 def load_history(
     path: Path, benchmark: Benchmark, tuner_name: str, budget: int, seed: int
 ) -> TuningHistory | None:
@@ -206,25 +233,17 @@ def load_history(
     The file must match the history declaration without the wall-clock
     fields: this cell's tuner, benchmark and seed, configurations legal in
     the benchmark's space, and exactly ``budget`` evaluations indexed
-    ``0 .. budget - 1``.  The ``.timing`` sidecar is read through its own
-    declaration; a malformed or missing one leaves the timings at zero.
+    ``0 .. budget - 1``; the evaluations are checked by the column pass
+    :class:`~repro.core.session.HistoryColumns`, as a restore's are.  The
+    ``.timing`` sidecar is read through its own declaration; a malformed or
+    missing one leaves the timings at zero.
     """
-    declaration = history_declaration(
-        configuration_declaration(benchmark.space),
-        tuner=schema.one_of(tuner_name),
-        benchmark=schema.one_of(benchmark.name),
-        seed=schema.one_of(seed),
-        timings=False,
-    )
     try:
-        payload = json.loads(path.read_text())
-        schema.check(payload, declaration)
-        check_evaluations(payload, "")
-        if len(payload["evaluations"]) != budget:
-            schema.fail("evaluations", f"{budget} entries long", len(payload["evaluations"]))
+        history = _checked_history(
+            json.loads(path.read_text()), benchmark, tuner_name, budget, seed
+        )
     except (OSError, ValueError):
         return None
-    history = TuningHistory.from_dict(payload)
     try:
         timings = json.loads(_timing_path(path).read_text())
         schema.check(timings, _TIMINGS)

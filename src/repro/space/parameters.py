@@ -225,11 +225,29 @@ class IntegerParameter(NumericParameter):
         self.low = int(low)
         self.high = int(high)
         self.default = int(default) if default is not None else self.low
-        # the four values at each end hold the tightest pairs: a log's gap
-        # shrinks as values grow, and beyond 2**53 any four consecutive
-        # integers hold two that round to one float
+        # the four values at each end hold a linear range's tightest pairs:
+        # beyond 2**53 any four consecutive integers hold two that round to
+        # one float
         ends = {*range(self.low, self.low + 4), *range(self.high - 3, self.high + 1)}
         self._reject_warp_ties(sorted(v for v in ends if self.low <= v <= self.high))
+        if transform == "log" and self.high > self.low:
+            self._reject_log_crowding()
+
+    def _reject_log_crowding(self) -> None:
+        """Raise ``ValueError`` if two of the range's logs may round to one
+        float.  The gap ``log(v + 1) - log(v)`` shrinks toward the top and
+        the float spacing grows, so the top gap is the tightest; libm's
+        ``log`` may err by up to one ulp on each side of it, so the gap must
+        exceed two ulps of ``log(high)`` for every pair to stay apart.  A
+        pair at the ends can round apart while one below it ties, so the
+        ends alone cannot show it."""
+        gap = math.log1p(1 / (self.high - 1))
+        if gap <= 2 * math.ulp(math.log(self.high)):
+            raise ValueError(
+                f"the logs of values {self.high - 1!r} and {self.high!r} of "
+                f"parameter {self.name!r} are {gap!r} apart, within two ulps, "
+                "so values of the range may share an encoding"
+            )
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.integers(self.low, self.high + 1, size=n).astype(float)
@@ -237,7 +255,7 @@ class IntegerParameter(NumericParameter):
     def contains(self, value: Any) -> bool:
         try:
             v = int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: ±inf
             return False
         return v == value and self.low <= v <= self.high
 

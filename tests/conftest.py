@@ -22,7 +22,8 @@ from repro.core.result import ObjectiveResult
 #: ``HYPOTHESIS_PROFILE=deep`` runs each property that sets no
 #: ``max_examples`` of its own at 1,000 examples instead of hypothesis's
 #: default 100; CI runs the forest's oracle properties, the distance-table
-#: properties, the decode property and the value-table property under it
+#: properties, the decode property, the value-table property, the history
+#: column-pass property and the log-integer property, among others, under it
 settings.register_profile("deep", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -228,6 +229,41 @@ class TestDecodeTables:
     def test_values_just_below_a_tie_are_kept(self):
         assert IntegerParameter("n", 2**53 - 2, 2**53).cardinality() == 3
         assert OrdinalParameter("big", [10**16, 10**16 + 2]).values == [10**16, 10**16 + 2]
+
+    def test_a_log_integer_with_an_interior_tie_is_rejected(self):
+        """In [1, 177097137403259] the four values at each end have distinct
+        logs, but 177097137403255 and 177097137403256 share one, so a row
+        would decode to the other value; the top gap is within two ulps."""
+        high = 177097137403259
+        assert math.log(high - 4) == math.log(high - 3)
+        assert len({math.log(v) for v in (*range(1, 5), *range(high - 3, high + 1))}) == 8
+        with pytest.raises(ValueError, match=r"of parameter 'x' are .* apart, within two ulps"):
+            IntegerParameter("x", 1, high, transform="log")
+
+    @staticmethod
+    def _top_logs_ascend(high: int) -> bool:
+        """Whether ``[1, high]`` builds as a log integer; if it does, its top
+        2,000 values have strictly ascending logs."""
+        try:
+            IntegerParameter("x", 1, high, transform="log")
+        except ValueError as exc:
+            assert "parameter 'x'" in str(exc)
+            return False
+        logs = [math.log(v) for v in range(high - 1999, high + 1)]
+        assert all(below < above for below, above in zip(logs, logs[1:]))
+        return True
+
+    def test_log_integers_that_build_have_distinct_logs(self):
+        """3,000 upper ends in [7e13, 2e14], where the top gap nears an ulp:
+        each range that builds keeps its top 2,000 logs apart."""
+        ends = np.random.default_rng(33).integers(7 * 10**13, 2 * 10**14, 3000, endpoint=True)
+        built = sum(self._top_logs_ascend(int(high)) for high in ends)
+        assert 0 < built < 3000
+
+    @given(high=st.integers(7 * 10**13, 2 * 10**14))
+    @settings(deadline=None)
+    def test_log_integer_top_logs_ascend(self, high):
+        self._top_logs_ascend(high)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_ordinals_decode_as_argmin_does(self, value):

@@ -14,10 +14,11 @@ moves only this count), how many ``Parameter.sample_batch`` calls its draws
 make (only for the parameters without a draw table: a table that stops
 being used keeps every bit and moves only this count), how many neighbours
 its climb builds, and how many
-distance-tensor appends and batch encodes it makes.  A restore of
-the finished session observes the whole history at once, so it makes one
-append and one batch encode per encoder, however long the history is, and
-builds no table.
+distance-tensor appends and batch encodes it makes (one per ask: ``tell``
+passes the suggestion's encoded row to the tuner, and the GP shares it).
+A restore of the finished session checks and encodes the history in one
+column pass and observes it at once, so it makes one append and no batch
+encode, however long the history is, and builds no table.
 Counting them refutes a claim about where the time went without any timing
 noise: a speedup that keeps every trace keeps every count, and a change
 that adds work (a second predict per climb step, a refit per tell) moves
@@ -85,9 +86,9 @@ WRAPPED = (
 )
 
 #: the same counts for restoring the finished session into a fresh tuner:
-#: the space encoder encodes every evaluation, the model encoder the
-#: feasible ones, and their rows extend the distance tensor in one append
-RESTORE_EXPECTED = {"distance.appends": 1, "encode.batches": 2, "gp.tables": 0}
+#: the column pass encodes the history (no batch encode) and the feasible
+#: rows extend the distance tensor in one append
+RESTORE_EXPECTED = {"distance.appends": 1, "encode.batches": 0, "gp.tables": 0}
 
 #: (benchmark, surrogate policy, seed, budget) -> counts at paper fidelity
 EXPECTED = {
@@ -112,7 +113,7 @@ EXPECTED = {
         "space.neighbour_calls": 331,
         "space.neighbour_rows": 30_050,
         "distance.appends": 30,  # one per feasible tell
-        "encode.batches": 110,  # one per ask, per tell and per feasible tell
+        "encode.batches": 40,  # one per ask; each tell passes the asked row
     },
     ("taco_spmm_scircuit", "fast", 100, 60): {
         "gp.fit_calls": 7,
@@ -135,7 +136,7 @@ EXPECTED = {
         "space.neighbour_calls": 386,
         "space.neighbour_rows": 24_538,
         "distance.appends": 60,
-        "encode.batches": 180,
+        "encode.batches": 60,  # one per ask
     },
 }
 
