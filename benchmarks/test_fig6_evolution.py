@@ -3,7 +3,9 @@
 The paper's annotations report that BaCO reaches the baselines' final
 performance using roughly 3-5x fewer evaluations; the assertion here only
 requires BaCO to be no slower than the baselines (factor >= 1) wherever the
-factor is defined, preserving the claim's direction.
+factor is defined, preserving the claim's direction.  The three kernels'
+``[evolution]`` curves are printed once, with every benchmark's, by
+``test_fig7_fig11_evolution_all.py``; this file prints the speedup table.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ import math
 from conftest import run_once
 
 from repro.experiments.figures import figure6_data
-from repro.experiments.reporting import format_evolution, format_table
+from repro.experiments.reporting import format_table
 
 
 def test_fig6_representative_evolution(benchmark, emit, experiment_config):
     entries = run_once(benchmark, lambda: figure6_data(experiment_config))
-    emit(format_evolution(entries))
 
     headers = ["Benchmark", "baseline", "BaCO speedup (evals)"]
     rows = []

@@ -66,10 +66,14 @@ class LocalSearchSettings:
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct rows in first-seen order (row equality == config equality)."""
+    """Distinct rows in first-seen order (row equality == config equality).
+
+    One 1-D ``np.unique`` over one void element per row; adding 0.0 turns
+    -0.0 into 0.0 first, so rows are equal exactly when their values are."""
     if len(rows) == 0:
         return rows
-    _, first = np.unique(rows, axis=0, return_index=True)
+    row = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    _, first = np.unique(np.ascontiguousarray(rows + 0.0).view(row).ravel(), return_index=True)
     return rows[np.sort(first)]
 
 

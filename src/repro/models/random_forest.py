@@ -12,39 +12,35 @@ Two uses inside the reproduction:
 Both are built on a shared CART-style :class:`DecisionTree` with bootstrap
 sampling and per-split feature subsampling.
 
-Layout.  A fitted tree is six flat node arrays in preorder — ``feature``,
+Layout.  A fitted tree is six flat node arrays in level order — ``feature``,
 ``threshold``, ``left``, ``right``, ``value``, ``n_samples`` — where a leaf
 has ``left == right == -1`` and ``feature == -1``.  A forest stacks its
 trees into one node table at fit time and predicts by walking every tree
 for every row at once, one gather per level.
 
-Growth.  All trees of a forest grow in lockstep (:func:`_grow`).  When a
-round's splits push their children, one batch settles each child as a leaf
-(too deep, too few rows or constant targets) or as a node that may split.
-Each round, each tree then pops, in its own preorder, its pending leaves and
-the next node that may split, which draws its candidate features; the
-round's draws are screened in one batch, and its splits partition their
-rows with one stable sort.  The draw order is the recursive
-implementation's because a leaf draws nothing: each tree's generator still
-draws once per node that may split, in that tree's preorder.  The 108 fits
-of a ``tune_hidden`` run (24 trees, 12–119 rows) take 1,534 rounds where
-one node per tree per round took 2,631.  Node means and the re-score's
-variances take ``np.mean``'s and ``np.var``'s own steps without their Python
-wrappers (:func:`_mean`, :func:`_var`), so they keep their bits.  Feature
+Growth.  All trees of a forest grow together, one level per round
+(:func:`_grow`), so a fit screens at most ``max_depth`` times.  A round
+settles the whole frontier in one batch: each node's mean target, and
+whether it may split (not too deep, at least ``min_samples_split`` rows,
+targets not all equal).  Each tree with nodes that may split draws their
+candidate features with one call on its own generator — the first ``k``
+of an argsort of one row of uniforms per node — so the forest's generator
+draws only each tree's seed and bootstrap sample.  One screen
+(:func:`_best_splits`) then scores every threshold of the round: feature
 columns become integer codes (ranks of the column's distinct values) once
-per fit; one ``np.bincount`` per round then gives every (node, candidate
-feature, code) count and centred target sum, and prefix sums over the codes
-score every threshold of the round.
+per fit, one ``np.bincount`` gives every (node, candidate feature, code)
+row count and target sum, and prefix sums over the codes give each
+threshold's reduction of the node's squared deviation.  A node splits at
+the screen's argmax, ties going to the first in (candidate, threshold)
+order, if that gain exceeds ``1e-12``; one stable sort then hands every
+child its rows, left child before right.
 
-That screen only ranks.  The split actually taken is the one the
-historical arithmetic takes — ``np.var`` of the two masked subsets, the
-first strictly greatest gain above ``1e-12`` — because ``np.var``'s
-pairwise summation breaks exact ties by element order, which prefix sums
-cannot see (a screened argmax alone picks another split at about one node
-in a hundred of a ``tune_hidden`` run).  So every threshold whose screened
-gain lies within a band of ``1e-9`` × the node's squared deviation of the
-best is re-scored with ``np.var``; a lone candidate in the band is taken as
-is.  ``tests/oracles.py`` keeps the recursive implementation as the oracle.
+Targets are scaled into [-1, 1] by a power of two for the fit, which is
+exact, so no sum or gain overflows even for targets near 1e308, and the
+screen's sums are taken relative to each node's smallest target, so the
+sums of 0/1 targets are exact and their equal gains tie exactly.
+``tests/oracles.py`` keeps the historical recursive tree's ``np.var``
+split rule as a split-quality oracle.
 """
 
 from __future__ import annotations
@@ -56,14 +52,8 @@ __all__ = ["DecisionTree", "RandomForestRegressor", "RandomForestClassifier"]
 #: a node column with more thresholds than this splits at quantiles instead
 _MAX_THRESHOLDS = 32
 _QUANTILES = np.linspace(0.05, 0.95, _MAX_THRESHOLDS)
-#: a split must reduce the parent's squared deviation by more than this
+#: a split must reduce the node's squared deviation by more than this
 _MIN_GAIN = 1e-12
-#: screened gains this close (× the node's squared deviation) to the best
-#: one are re-scored with the historical ``np.var`` arithmetic.  Safe
-#: because the screen's prefix sums and ``np.var`` each differ from the
-#: exact gain by O(n·ε) of that squared deviation, far inside the band, so
-#: the ``np.var`` argmax always lies in it.
-_BAND = 1e-9
 
 
 def _training_data(features, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -93,29 +83,14 @@ def _n_split_features(max_features: str | int | None, n_features: int) -> int:
     raise ValueError(f"unsupported max_features {max_features!r}")
 
 
-def _mean(a: np.ndarray) -> float:
-    """``float(np.mean(a))`` of a non-empty 1-D float array: the steps
-    ``np.mean`` takes, without its Python wrapper."""
-    return float(np.add.reduce(a) / len(a))
-
-
-def _var(a: np.ndarray) -> np.float64:
-    """``np.var(a)`` of a non-empty 1-D float array: the steps ``np.var``
-    takes (mean, deviation, its in-place square, a second pairwise sum),
-    without its Python wrapper."""
-    deviation = a - np.add.reduce(a) / len(a)
-    np.multiply(deviation, deviation, out=deviation)
-    return np.add.reduce(deviation) / len(a)
-
-
 class DecisionTree:
     """A CART regression tree (classification uses 0/1 targets).
 
     Splits minimize the weighted variance (MSE criterion); for binary
     classification targets this is equivalent to the Gini impurity up to a
     constant factor, so a single implementation serves both forests.
-    After :meth:`fit` the tree is the flat preorder node arrays described
-    in the module docstring.
+    After :meth:`fit` the tree is the flat level-order node arrays
+    described in the module docstring.
     """
 
     def __init__(
@@ -160,152 +135,135 @@ def _grow(
     targets: np.ndarray,
     samples: list[np.ndarray],
 ) -> None:
-    """Grow ``trees[t]`` on rows ``samples[t]``, all trees in lockstep.
+    """Grow ``trees[t]`` on rows ``samples[t]``, all trees one level per round.
 
     Every tree shares the first one's hyper-parameters and draws from its
-    own generator.  Each pending node is settled as a leaf or as a node
-    that may split when it is pushed (:func:`_push`).  Each round, each
-    tree pops (in preorder: left children are pushed last) every pending
-    leaf up to its next node that may split, which draws its candidates;
-    the round's splits are screened in one batch (:func:`_best_splits`).
+    own generator.  The frontier is every tree's nodes at one depth, tree
+    by tree, and each node's rows are one run of ``rows``.
     """
     first = trees[0]
-    n_features = features.shape[1]
+    n_trees, n_features = len(trees), features.shape[1]
     n_candidates = _n_split_features(first.max_features, n_features)
+    min_leaf = max(first.min_samples_leaf, 1)  # a child needs a row
     codes = np.empty(features.shape, dtype=np.intp)
     uniques = []
     for column in range(n_features):
         unique, codes[:, column] = np.unique(features[:, column], return_inverse=True)
         uniques.append(unique)
     # column values by code, padded; codes past a column's width never occur
-    values = np.zeros((n_features, max((len(u) for u in uniques), default=0)))
+    values = np.zeros((n_features, max(len(unique) for unique in uniques)))
     for column, unique in enumerate(uniques):
         values[column, : len(unique)] = unique
+    # an exact power-of-two scale into [-1, 1]: no sum or gain overflows
+    exponent = int(np.frexp(np.abs(targets).max())[1])
+    scaled = np.ldexp(targets, -exponent)
+    min_gain = np.ldexp(_MIN_GAIN, -2 * exponent)
 
-    # per tree: pending (rows, depth, parent, is_left, mean, may_split), and
-    # one record per node in preorder:
-    # [feature, threshold, left, right, value, n_samples, depth]
-    stacks = [[] for _ in trees]
-    records = [[] for _ in trees]
-    _push(stacks, targets, first, np.concatenate(samples),
-          np.array([len(rows) for rows in samples]),
-          [(t, 0, -1, False) for t in range(len(trees))])
+    tree = np.arange(n_trees)
+    sizes = np.array([len(rows) for rows in samples])
+    rows = np.concatenate(samples)
+    # per round: each frontier node's tree, value, row count, feature,
+    # threshold and, if it splits, its left child's index among all nodes
+    levels = []
+    n_nodes = 0
     while True:
-        splitting = []
-        for t, stack in enumerate(stacks):
-            nodes = records[t]
-            while stack:
-                rows, depth, parent, is_left, mean, may_split = stack.pop()
-                if parent >= 0:
-                    nodes[parent][2 if is_left else 3] = len(nodes)
-                nodes.append([-1, 0.0, -1, -1, mean, len(rows), depth])
-                if may_split:
-                    candidates = trees[t]._rng.choice(n_features, size=n_candidates, replace=False)
-                    splitting.append((t, len(nodes) - 1, rows, mean, candidates))
-                    break
-        if not splitting:
+        starts = np.cumsum(sizes) - sizes
+        node_targets = scaled[rows]
+        low = np.minimum.reduceat(node_targets, starts)
+        may_split = (sizes >= first.min_samples_split) & (
+            low != np.maximum.reduceat(node_targets, starts)
+        ) & (len(levels) < first.max_depth)
+        feature = np.full(len(sizes), -1)
+        threshold = np.zeros(len(sizes))
+        child = np.full(len(sizes), -1)
+        value = np.ldexp(np.add.reduceat(node_targets, starts) / sizes, exponent)
+        levels.append((tree, value, sizes, feature, threshold, child))
+        n_nodes += len(sizes)
+        splitting = np.flatnonzero(may_split)
+        if not len(splitting):
             break
-        split, feature, threshold, cut = _best_splits(
-            features,
-            targets,
-            codes,
-            uniques,
-            values,
-            [rows for _, _, rows, _, _ in splitting],
-            np.array([mean for *_, mean, _ in splitting]),
-            np.array([candidates for *_, candidates in splitting]),
-            # an empty side never split either: its np.var is NaN
-            max(first.min_samples_leaf, 1),
+        # each tree draws the candidates of all its splitting nodes in one call
+        per_tree = np.bincount(tree[splitting], minlength=n_trees).tolist()
+        candidates = np.concatenate([
+            trees[t]._rng.random((count, n_features)) for t, count in enumerate(per_tree) if count
+        ]).argsort(axis=1)[:, :n_candidates]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        screened = may_split[owner]
+        split, split_feature, split_threshold, cut = _best_splits(
+            features, codes, uniques, values, rows[screened], sizes[splitting],
+            (node_targets - low[owner])[screened], candidates, min_leaf, min_gain,
         )
         if not len(split):
-            continue
-        parents = [splitting[i] for i in split.tolist()]
-        pending = []
-        for (t, index, *_), f, th in zip(parents, feature.tolist(), threshold.tolist()):
-            node = records[t][index]
-            node[0], node[1] = f, th
-            pending += [(t, node[6] + 1, index, False), (t, node[6] + 1, index, True)]
-        # each parent's right rows, then its left rows (the push order),
-        # each side in the parent's row order
-        sizes = np.array([len(rows) for _, _, rows, _, _ in parents])
-        rows = np.concatenate([rows for _, _, rows, _, _ in parents])
-        side = np.repeat(np.arange(0, 2 * len(parents), 2), sizes) + (
-            codes[rows, np.repeat(feature, sizes)] <= np.repeat(cut, sizes)
-        )
-        _push(stacks, targets, first, rows[np.argsort(side, kind="stable")],
-              np.bincount(side, minlength=len(pending)), pending)
+            break
+        nodes = splitting[split]
+        feature[nodes], threshold[nodes] = split_feature, split_threshold
+        child[nodes] = n_nodes + 2 * np.arange(len(nodes))
+        # one stable sort hands each child its rows, left child before right
+        slot = np.full(len(sizes), -1)
+        slot[nodes] = np.arange(len(nodes))
+        slot = slot[owner]
+        kept = slot >= 0
+        rows, slot = rows[kept], slot[kept]
+        side = 2 * slot + (codes[rows, split_feature[slot]] > cut[slot])
+        rows = rows[np.argsort(side, kind="stable")]
+        sizes = np.bincount(side, minlength=2 * len(nodes))
+        tree = np.repeat(tree[nodes], 2)
 
-    for tree, nodes in zip(trees, records):
-        table = np.array(nodes, dtype=float)
-        tree.n_features_ = n_features
-        tree.feature, tree.left, tree.right, tree.n_samples = (
-            table[:, i].astype(np.intp) for i in (0, 2, 3, 5)
-        )
-        tree.threshold, tree.value = table[:, 1], table[:, 4]
-        tree._depth = int(table[:, 6].max())
-
-
-def _push(
-    stacks: list[list],
-    targets: np.ndarray,
-    first: DecisionTree,
-    rows: np.ndarray,
-    sizes: np.ndarray,
-    pending: list[tuple[int, int, int, bool]],
-) -> None:
-    """Push each ``(tree, depth, parent, is_left)`` of ``pending``, whose
-    rows are the next ``sizes[i]`` of ``rows``, with its mean target and
-    whether it may split: not too deep, enough rows and targets that are
-    not all equal, decided for all of them in one batch."""
-    stops = np.cumsum(sizes)
-    starts = stops - sizes
-    node_targets = targets[rows]
-    varied = np.minimum.reduceat(node_targets, starts) != np.maximum.reduceat(
-        node_targets, starts
+    # number each tree's nodes in level order and cut the tables per tree
+    tree, value, n_samples, feature, threshold, child = (
+        np.concatenate(column) for column in zip(*levels)
     )
-    may_split = varied & (sizes >= first.min_samples_split)
-    for (t, depth, parent, is_left), start, stop, split in zip(
-        pending, starts.tolist(), stops.tolist(), may_split.tolist()
-    ):
-        stacks[t].append((rows[start:stop], depth, parent, is_left,
-                          _mean(node_targets[start:stop]), split and depth < first.max_depth))
+    depth = np.repeat(np.arange(len(levels)), [len(level[0]) for level in levels])
+    order = np.argsort(tree, kind="stable")
+    counts = np.bincount(tree, minlength=n_trees)
+    stops = np.cumsum(counts)
+    local = np.empty(n_nodes, dtype=np.intp)
+    local[order] = np.arange(n_nodes) - np.repeat(stops - counts, counts)
+    left, right = np.full(n_nodes, -1), np.full(n_nodes, -1)
+    inner = child >= 0
+    left[inner], right[inner] = local[child[inner]], local[child[inner] + 1]
+    tables = [array[order] for array in (feature, threshold, left, right, value, n_samples)]
+    depth = depth[order]
+    for grown, start, stop in zip(trees, (stops - counts).tolist(), stops.tolist()):
+        grown.n_features_ = n_features
+        (grown.feature, grown.threshold, grown.left, grown.right, grown.value,
+         grown.n_samples) = (table[start:stop] for table in tables)
+        grown._depth = int(depth[stop - 1])
 
 
 def _best_splits(
     features: np.ndarray,
-    targets: np.ndarray,
     codes: np.ndarray,
     uniques: list[np.ndarray],
     values: np.ndarray,
-    node_rows: list[np.ndarray],
-    means: np.ndarray,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    offsets: np.ndarray,
     candidates: np.ndarray,
     min_leaf: int,
+    min_gain: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The historical best split of each node that splits.
+    """The screen's best split of each node that splits.
 
-    ``node_rows[i]`` are node ``i``'s rows (in the order the recursive
-    implementation held them), ``means[i]`` its mean target and ``candidates[i]``
-    its drawn feature subset.  Returns the nodes that split, ascending, and
-    each one's ``feature``, ``threshold`` and ``cut``: rows whose
+    Node ``i`` holds the next ``sizes[i]`` of ``rows``, whose targets less
+    the node's smallest are the same run of ``offsets``, and drew the
+    features ``candidates[i]``.  Returns the nodes that split, ascending,
+    and each one's ``feature``, ``threshold`` and ``cut``: rows whose
     ``codes[:, feature]`` is at most ``cut`` go left, exactly the rows with
     ``features[:, feature] <= threshold``.
     """
     n_nodes, n_slots = candidates.shape
-    sizes = np.array([len(rows) for rows in node_rows])
-    rows = np.concatenate(node_rows)
     owner = np.repeat(np.arange(n_nodes), sizes)
-    deviation = targets[rows] - np.repeat(means, sizes)
     width = values.shape[1]
 
-    # per key (node, slot) and code: row count and centred target sum,
-    # then prefix sums along the codes = the left side of a cut at that code
+    # per key (node, slot) and code: row count and offset sum, then prefix
+    # sums along the codes = the left side of a cut at that code
     n_bins = n_nodes * n_slots * width
     bins = ((owner[:, None] * n_slots + np.arange(n_slots)) * width
             + codes[rows[:, None], candidates[owner]]).ravel()
     count = np.bincount(bins, minlength=n_bins)
     left_count = count.reshape(-1, width).cumsum(axis=1).ravel()
-    left_sum = (np.bincount(bins, np.repeat(deviation, n_slots), n_bins)
+    left_sum = (np.bincount(bins, np.repeat(offsets, n_slots), n_bins)
                 .reshape(-1, width).cumsum(axis=1).ravel())
 
     # thresholds: midpoints between consecutive codes present in the node,
@@ -320,74 +278,40 @@ def _best_splits(
     # a rounded midpoint can land on the upper value; it then goes left too
     cut = np.where(threshold >= high, upper, lower)
     if quantiled.any():
+        stops = np.cumsum(sizes)
         parts = [(key, cut, threshold)]
         for k in np.flatnonzero(quantiled).tolist():
-            f = candidates.flat[k]
-            q = np.quantile(features[node_rows[k // n_slots], f], _QUANTILES)
+            f, i = candidates.flat[k], k // n_slots
+            q = np.quantile(features[rows[stops[i] - sizes[i] : stops[i]], f], _QUANTILES)
             parts.append((np.full(len(q), k), np.searchsorted(uniques[f], q, side="right") - 1, q))
         order = np.argsort(np.concatenate([p[0] for p in parts]), kind="stable")
         key, cut, threshold = (np.concatenate(p)[order] for p in zip(*parts))
         column = candidates.ravel()[key]
     node = key // n_slots
+    if not len(node):
+        return node, column, threshold, cut
 
-    # screened gain n_L n_R / n (mean_L - mean_R)^2, from centred sums
+    # gain n_L n_R / n (mean_L - mean_R)^2, the drop in squared deviation
     n = sizes[node]
     n_left = left_count[key * width + cut]
     n_right = n - n_left
     s_left = left_sum[key * width + cut]
     s_total = left_sum[key * width + width - 1]
-    # a midpoint or quantile that overflows to inf or NaN sent every row to
-    # one side in the historical loop, so it never split there
+    # a midpoint or quantile that overflows to inf or NaN sends every row
+    # one way; an empty side (a zero denominator) is never valid either
     valid = np.isfinite(threshold) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (n * s_left - n_left * s_total) ** 2 / (n * n_left * n_right)
+    gain = (n * s_left - n_left * s_total) ** 2 / np.maximum(n * n_left * n_right, 1)
     gain = np.where(valid, gain, -np.inf)
-    best = np.full(n_nodes, -np.inf)
-    np.maximum.at(best, node, gain)
-    band = _BAND * np.bincount(owner, deviation * deviation, n_nodes)
-    with np.errstate(invalid="ignore"):
-        floor = best - band
-    # a node whose gains or squared deviations overflow is blind: the screen
-    # cannot rank its thresholds, so every valid one is re-scored
-    blind = ~np.isfinite(floor)
-    in_band = np.flatnonzero(valid & ((gain >= floor[node]) | blind[node]))
-    bounds = np.searchsorted(node[in_band], np.arange(n_nodes + 1))
-    n_band = bounds[1:] - bounds[:-1]
-
-    # a node may split only if its band can clear the gain floor; a lone
-    # candidate that clears it by more than the band is taken as is, and
-    # the other nodes are re-scored
-    clears = (n_band > 0) & ((best > _MIN_GAIN - band) | blind)
-    lone = clears & ~blind & (n_band == 1) & (best > _MIN_GAIN + band)
-    chosen = np.full(n_nodes, -1)
-    chosen[lone] = in_band[bounds[:-1][lone]]
-    for i in np.flatnonzero(clears & ~lone).tolist():
-        members = in_band[bounds[i] : bounds[i + 1]]
-        pick = _rescore(features[node_rows[i]], targets[node_rows[i]], members,
-                        column[members], threshold[members])
-        if pick is not None:
-            chosen[i] = pick
-    split = np.flatnonzero(chosen >= 0)
-    chosen = chosen[split]
-    return split, column[chosen], threshold[chosen], cut[chosen]
-
-
-def _rescore(features, targets, members, columns, thresholds):
-    """The historical ``_best_split`` loop over one node's ``members``."""
-    n_samples = len(targets)
-    parent_score = _var(targets) * n_samples
-    best_gain = _MIN_GAIN
-    best = None
-    for member, column, threshold in zip(members.tolist(), columns.tolist(), thresholds.tolist()):
-        left_mask = features[:, column] <= threshold
-        n_left = np.count_nonzero(left_mask)
-        n_right = n_samples - n_left
-        score = _var(targets[left_mask]) * n_left + _var(targets[~left_mask]) * n_right
-        gain = parent_score - score
-        if gain > best_gain:
-            best_gain = gain
-            best = member
-    return best
+    # each node's first best threshold, in (candidate, threshold) order
+    first = np.ones(len(node), dtype=bool)
+    np.not_equal(node[1:], node[:-1], out=first[1:])
+    best = np.maximum.reduceat(gain, np.flatnonzero(first))
+    segment = np.cumsum(first) - 1
+    hits = np.flatnonzero(gain == best[segment])
+    first = np.ones(len(hits), dtype=bool)
+    np.not_equal(segment[hits[1:]], segment[hits[:-1]], out=first[1:])
+    chosen = hits[first][best > min_gain]
+    return node[chosen], column[chosen], threshold[chosen], cut[chosen]
 
 
 def _stack(trees: list[DecisionTree]) -> tuple:

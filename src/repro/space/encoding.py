@@ -145,6 +145,17 @@ class ConfigEncoder:
             offset += width
         self.blocks: list[ColumnBlock] = blocks
         self.width: int = offset
+        self._signature = tuple(
+            (
+                block.parameter.name,
+                block.kind,
+                block.width,
+                getattr(block.parameter, "transform", None),
+                # categorical encoding depends on the category order too
+                tuple(block.parameter.values) if block.kind == "categorical" else None,
+            )
+            for block in blocks
+        )
         self._by_name = {b.parameter.name: b for b in blocks}
         # built on first use and published by one assignment each, so
         # threads sharing the encoder may race to build them harmlessly
@@ -170,19 +181,9 @@ class ConfigEncoder:
 
         Two encoders with the same signature map any configuration to the
         same row, so consumers (GP vs. feasibility model) can share one
-        encoded matrix.
+        encoded matrix.  Built once with the encoder, whose blocks are fixed.
         """
-        parts = []
-        for block in self.blocks:
-            transform = getattr(block.parameter, "transform", None)
-            # categorical encoding depends on the category order too
-            values = (
-                tuple(block.parameter.values) if block.kind == "categorical" else None
-            )
-            parts.append(
-                (block.parameter.name, block.kind, block.width, transform, values)
-            )
-        return tuple(parts)
+        return self._signature
 
     # ------------------------------------------------------------------
     # encoding

@@ -28,10 +28,12 @@ specifications the vectorized paths are tested against:
   encoder's old column decode the latter reads rows with;
 * :func:`feasible_rows` checks sampler and neighbourhood output row by row
   through ``SearchSpace.is_feasible`` and the encoding round trip;
-* :class:`ReferenceTree` (recursive ``_Node`` growth, ``_best_split``'s
-  ``np.var`` scoring and the stack-walk ``predict``) and
-  :func:`forest_reference` (the per-tree bootstrap loop) pin the flat-array
-  lockstep forest of ``repro.models.random_forest``;
+* :class:`ReferenceTree` (``_best_split``'s ``np.var`` scoring, replayed
+  over a fitted tree with its level-wise candidate draws) is the
+  split-quality oracle of ``repro.models.random_forest``;
+  :func:`forest_reference` (the per-tree bootstrap loop) and
+  :func:`walk_reference` (one row, one node at a time) pin the forest's
+  draws and its predictions;
 * :func:`log_likelihood` reads a fitted GP's log posterior back from its
   cached factor, the yardstick the GP-fit tests compare fits with;
 * :func:`predict_rows_reference` (``pairwise_rows``, ``matern52`` and
@@ -50,7 +52,10 @@ specifications the vectorized paths are tested against:
 * :func:`gamma_log_pdf` (``GammaPrior.log_pdf``, one prior per call) pins
   ``repro.models.priors.GammaLogDensities``;
 * :func:`map_gradient_reference` (the closed-form gradient on dense
-  allocating matrices) pins the gradient of the GP's MAP objective.
+  allocating matrices) pins the gradient of the GP's MAP objective;
+* :func:`unique_rows_reference` (``np.unique(axis=0)``) pins the climb's
+  duplicate removal, and :func:`signature_reference` (the per-call build)
+  the signature an encoder stores.
 """
 
 from __future__ import annotations
@@ -692,25 +697,46 @@ def neighbour_rows_reference(
 
 
 @dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: float = 0.0
-    n_samples: int = 0
+class SplitRecord:
+    """One node of a fitted tree as :meth:`ReferenceTree.replay` scores it.
 
-    def is_leaf(self) -> bool:
-        return self.left is None
+    Gains are ``np.var`` gains (``np.var`` of the node times its rows, less
+    the same for both sides) of targets scaled by ``2**-exponent`` into
+    [-1, 1], which is exact, so they stay finite where the raw ones
+    overflow.
+    """
+
+    node: int
+    n_samples: int
+    #: ``np.mean`` of the rows' targets, and their largest magnitude (the
+    #: scale of a mean's rounding)
+    mean: float
+    spread: float
+    may_split: bool
+    #: the node's own ``np.var`` score, the scale of a gain's rounding
+    parent_score: float
+    #: best gain over the drawn candidates' thresholds, -inf if none is legal
+    best_gain: float
+    #: gain of the split the tree took (None for a leaf), and whether its
+    #: feature was drawn and its threshold is one of that feature's
+    taken_gain: float | None = None
+    taken_is_candidate: bool = False
 
 
 class ReferenceTree:
-    """The historical recursive CART tree (``DecisionTree`` before the
-    flat-array rewrite).
+    """The historical recursive CART tree's split rule, kept as an oracle
+    of split quality for the level-wise trees of
+    ``repro.models.random_forest``.
 
-    Splits minimize the weighted variance (MSE criterion); for binary
-    classification targets this is equivalent to the Gini impurity up to a
-    constant factor, so a single implementation serves both forests.
+    :meth:`replay` walks a fitted tree level by level over its training
+    rows.  It re-draws each level's candidate features from this tree's
+    generator, as the growth draws them: one
+    ``random((nodes, F)).argsort(axis=1)[:, :k]`` call per level for the
+    level's nodes that may split (enough rows, not too deep, targets not
+    all equal), in level order.  It then scores every threshold of every
+    drawn feature with ``_best_split``'s ``np.var`` arithmetic: midpoints
+    between the node's distinct values, or 32 quantiles when there are
+    more, each side holding at least ``min_samples_leaf`` rows.
     """
 
     def __init__(
@@ -726,126 +752,116 @@ class ReferenceTree:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._root: _Node | None = None
-        self.n_features_: int | None = None
 
-    # -- fitting --------------------------------------------------------
-    def fit(self, features: np.ndarray, targets: np.ndarray) -> "ReferenceTree":
-        features = np.asarray(features, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if len(features) != len(targets):
-            raise ValueError("features and targets must have the same length")
-        if len(features) == 0:
-            raise ValueError("cannot fit a tree on zero samples")
-        self.n_features_ = features.shape[1]
-        self._root = self._grow(features, targets, depth=0)
-        return self
-
-    def _n_split_features(self) -> int:
+    def _n_split_features(self, n_features: int) -> int:
         if self.max_features is None:
-            return self.n_features_
+            return n_features
         if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(self.n_features_)))
+            return max(1, int(np.sqrt(n_features)))
         if isinstance(self.max_features, int):
-            return max(1, min(self.max_features, self.n_features_))
+            return max(1, min(self.max_features, n_features))
         raise ValueError(f"unsupported max_features {self.max_features!r}")
 
-    def _grow(self, features: np.ndarray, targets: np.ndarray, depth: int) -> _Node:
-        node = _Node(value=float(np.mean(targets)), n_samples=len(targets))
-        if (
-            depth >= self.max_depth
-            or len(targets) < self.min_samples_split
-            or np.all(targets == targets[0])
-        ):
-            return node
-        best = self._best_split(features, targets)
-        if best is None:
-            return node
-        feature, threshold, left_mask = best
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(features[left_mask], targets[left_mask], depth + 1)
-        node.right = self._grow(features[~left_mask], targets[~left_mask], depth + 1)
-        return node
-
-    def _best_split(
-        self, features: np.ndarray, targets: np.ndarray
-    ) -> tuple[int, float, np.ndarray] | None:
-        n_samples = len(targets)
-        candidates = self._rng.choice(
-            self.n_features_, size=self._n_split_features(), replace=False
-        )
-        parent_score = np.var(targets) * n_samples
-        best_gain = 1e-12
-        best: tuple[int, float, np.ndarray] | None = None
-        for feature in candidates:
-            column = features[:, feature]
-            unique = np.unique(column)
-            if len(unique) < 2:
-                continue
-            thresholds = (unique[:-1] + unique[1:]) / 2.0
-            if len(thresholds) > 32:
-                thresholds = np.quantile(column, np.linspace(0.05, 0.95, 32))
-            for threshold in thresholds:
-                left_mask = column <= threshold
-                n_left = int(left_mask.sum())
-                n_right = n_samples - n_left
-                if n_left < self.min_samples_leaf or n_right < self.min_samples_leaf:
-                    continue
-                score = np.var(targets[left_mask]) * n_left + np.var(targets[~left_mask]) * n_right
-                gain = parent_score - score
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (int(feature), float(threshold), left_mask)
-        return best
-
-    # -- prediction -----------------------------------------------------
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Vectorized batch prediction.
-
-        Rather than walking the tree once per row, the whole batch is routed
-        down the tree with boolean masks: each split partitions the index set
-        of rows that reached it.
-        """
-        if self._root is None:
-            raise RuntimeError("predict() called before fit()")
+    def replay(self, tree, features: np.ndarray, targets: np.ndarray) -> tuple[list[SplitRecord], float]:
+        """Every node of ``tree`` (fitted on ``features``/``targets``) in
+        level order, and the smallest legal gain in the records' units."""
         features = np.asarray(features, dtype=float)
-        out = np.empty(len(features))
-        stack: list[tuple[_Node, np.ndarray]] = [(self._root, np.arange(len(features)))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf():
-                out[idx] = node.value
-                continue
-            goes_left = features[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[goes_left]))
-            stack.append((node.right, idx[~goes_left]))
-        return out
+        targets = np.asarray(targets, dtype=float)
+        exponent = int(np.frexp(np.abs(targets).max())[1])
+        scaled = np.ldexp(targets, -exponent)
+        n_features = features.shape[1]
+        records: list[SplitRecord] = []
+        frontier = [(0, np.arange(len(targets)))]
+        for depth in itertools.count():
+            if not frontier:
+                break
+            splitting = [
+                (node, idx) for node, idx in frontier
+                if depth < self.max_depth
+                and len(idx) >= self.min_samples_split
+                and not np.all(targets[idx] == targets[idx][0])
+            ]
+            may_split = {node for node, _ in splitting}
+            draws = iter(
+                self._rng.random((len(splitting), n_features)).argsort(axis=1)[
+                    :, : self._n_split_features(n_features)
+                ]
+                if splitting else ()
+            )
+            next_frontier = []
+            for node, idx in frontier:
+                y = scaled[idx]
+                record = SplitRecord(
+                    node=node,
+                    n_samples=len(idx),
+                    mean=float(np.ldexp(np.mean(y), exponent)),
+                    spread=float(np.abs(targets[idx]).max()),
+                    may_split=node in may_split,
+                    parent_score=float(np.var(y) * len(y)),
+                    best_gain=-np.inf,
+                )
+                records.append(record)
+                if not record.may_split:
+                    continue
+                candidates = next(draws)
+                scores = {}
+                for feature in candidates.tolist():
+                    for threshold, gain in self._gains(features[idx, feature], y):
+                        scores[feature, threshold] = gain
+                        record.best_gain = max(record.best_gain, gain)
+                if tree.left[node] < 0:
+                    continue
+                feature, threshold = int(tree.feature[node]), float(tree.threshold[node])
+                left_mask = features[idx, feature] <= threshold
+                record.taken_gain = self._gain(y, left_mask)
+                record.taken_is_candidate = (feature, threshold) in scores
+                next_frontier += [
+                    (int(tree.left[node]), idx[left_mask]),
+                    (int(tree.right[node]), idx[~left_mask]),
+                ]
+            frontier = next_frontier
+        return records, float(np.ldexp(1e-12, -2 * exponent))
 
-    def depth(self) -> int:
-        def rec(node: _Node | None) -> int:
-            if node is None or node.is_leaf():
-                return 0
-            return 1 + max(rec(node.left), rec(node.right))
+    def _gains(self, column: np.ndarray, y: np.ndarray):
+        unique = np.unique(column)
+        if len(unique) < 2:
+            return
+        thresholds = (unique[:-1] + unique[1:]) / 2.0
+        if len(thresholds) > 32:
+            thresholds = np.quantile(column, np.linspace(0.05, 0.95, 32))
+        for threshold in thresholds.tolist():
+            left_mask = column <= threshold
+            n_left = int(left_mask.sum())
+            if min(n_left, len(y) - n_left) >= max(self.min_samples_leaf, 1):
+                yield threshold, self._gain(y, left_mask)
 
-        return rec(self._root)
+    @staticmethod
+    def _gain(y: np.ndarray, left_mask: np.ndarray) -> float:
+        n_left = int(left_mask.sum())
+        score = np.var(y[left_mask]) * n_left + np.var(y[~left_mask]) * (len(y) - n_left)
+        return float(np.var(y) * len(y) - score)
 
 
-def forest_reference(forest, features: np.ndarray, targets: np.ndarray) -> list[ReferenceTree]:
+def walk_reference(tree, rows: np.ndarray) -> np.ndarray:
+    """Each row's leaf value, walking ``tree``'s node arrays one row and one
+    node at a time."""
+    out = []
+    for row in np.asarray(rows, dtype=float):
+        node = 0
+        while tree.left[node] >= 0:
+            goes_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if goes_left else tree.right[node]
+        out.append(tree.value[node])
+    return np.array(out, dtype=float)
+
+
+def forest_reference(forest, features: np.ndarray) -> list[tuple[ReferenceTree, np.ndarray]]:
     """The historical ``_BaseForest.fit`` bootstrap loop.
 
     Draws each tree's seed and bootstrap sample from ``forest``'s generator
-    and grows one :class:`ReferenceTree` per draw; ``np.vstack`` of the
-    trees' ``predict`` rows is what the forests averaged.
+    and returns one :class:`ReferenceTree` on that seed per draw, with the
+    training rows it samples.
     """
-    features = np.asarray(features, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if len(features) == 0:
-        raise ValueError("cannot fit a forest on zero samples")
     n = len(features)
     trees = []
     for _ in range(forest.n_trees):
@@ -860,9 +876,27 @@ def forest_reference(forest, features: np.ndarray, targets: np.ndarray) -> list[
             idx = forest._rng.integers(0, n, size=n)
         else:
             idx = np.arange(n)
-        tree.fit(features[idx], targets[idx])
-        trees.append(tree)
+        trees.append((tree, idx))
     return trees
+
+
+def unique_rows_reference(rows: np.ndarray) -> np.ndarray:
+    """The climb's historical duplicate removal: ``np.unique(axis=0)``, whose
+    field-wise compare holds -0.0 equal to 0.0, in first-seen order."""
+    if len(rows) == 0:
+        return rows
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
+def signature_reference(encoder: ConfigEncoder) -> tuple:
+    """``ConfigEncoder.signature()`` as it was built on every call."""
+    parts = []
+    for block in encoder.blocks:
+        transform = getattr(block.parameter, "transform", None)
+        values = tuple(block.parameter.values) if block.kind == "categorical" else None
+        parts.append((block.parameter.name, block.kind, block.width, transform, values))
+    return tuple(parts)
 
 
 def predict_rows_reference(

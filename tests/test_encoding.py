@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import decode_reference, sample_value
+from oracles import decode_reference, sample_value, signature_reference
 from repro.space import (
     CategoricalParameter,
     ConfigEncoder,
@@ -59,6 +59,20 @@ class TestLayout:
         assert log_enc.signature() == ConfigEncoder(
             [OrdinalParameter("t", [2, 4], transform="log")]
         ).signature()
+
+    @pytest.mark.parametrize("name", REGISTRY)
+    def test_stored_signature_is_a_fresh_build(self, name):
+        """The signature is built once with the encoder; it equals the
+        per-call build, for the space's encoder and for BaCO's model
+        encoders with the transformations on and off."""
+        from repro.core.baco import BacoSettings, BacoTuner
+
+        space = get_benchmark(name).space
+        encoders = [space.encoder, ConfigEncoder(space.parameters)]
+        for settings_ in (BacoSettings(), BacoSettings(use_transformations=False)):
+            encoders.append(BacoTuner(space, settings_, seed=0)._model_distance.encoder)
+        for encoder in encoders:
+            assert encoder.signature() == signature_reference(encoder)
 
 
 class TestRoundTrip:

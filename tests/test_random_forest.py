@@ -2,21 +2,13 @@
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceTree, forest_reference
-from repro.models.random_forest import (
-    DecisionTree,
-    RandomForestClassifier,
-    RandomForestRegressor,
-    _mean,
-    _var,
-)
+from oracles import ReferenceTree, forest_reference, walk_reference
+from repro.models.random_forest import DecisionTree, RandomForestClassifier, RandomForestRegressor
 
 
 def _regression_data(rng, n=200):
@@ -219,7 +211,7 @@ def test_rejected_fit_draws_nothing(forest_class, features, targets):
 
 
 # ---------------------------------------------------------------------------
-# the flat-array forest against the recursive oracle
+# the level-wise forest against the split-quality oracle
 # ---------------------------------------------------------------------------
 
 
@@ -240,35 +232,6 @@ def _targets(rng, kind, n):
     infeasible = rng.random(n) < 0.3
     penalty = values[~infeasible].max() * 10.0 if (~infeasible).any() else 1e6
     return np.where(infeasible, penalty, values)
-
-
-@st.composite
-def reduction_inputs(draw):
-    """1-D float64 arrays as ``_grow`` and ``_rescore`` reduce them."""
-    n = draw(st.integers(1, 300))
-    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["binary", "penalty", "scaled", "gathered"]))
-    if kind in ("binary", "penalty"):
-        return _targets(data, kind, n)
-    if kind == "scaled":
-        return data.normal(size=n) * 10.0 ** data.uniform(-5.0, 5.0)
-    # a node's targets, gathered from a larger array with repeats
-    targets = _targets(data, draw(st.sampled_from(["binary", "continuous", "penalty"])),
-                       n + int(data.integers(1, 300)))
-    return targets[data.integers(len(targets), size=n)]
-
-
-class TestWrapperFreeReductions:
-    """``_mean`` and ``_var`` take ``np.mean``'s and ``np.var``'s own
-    steps without their Python wrappers, so they agree to the last bit."""
-
-    @settings(deadline=None)
-    @given(reduction_inputs())
-    def test_bytes_equal_numpy(self, a):
-        mean = _mean(a)
-        assert type(mean) is float
-        assert struct.pack("<d", mean) == struct.pack("<d", float(np.mean(a)))
-        assert np.float64(_var(a)).tobytes() == np.float64(np.var(a)).tobytes()
 
 
 @st.composite
@@ -324,62 +287,58 @@ def overflow_cases(draw):
     return params, draw(st.integers(0, 2**32 - 1)), features, targets
 
 
-def _same(got, want) -> bool:
-    """``got == want`` for nested tuples and lists, except that NaN equals NaN."""
-    if isinstance(got, (list, tuple)):
-        return (
-            isinstance(want, (list, tuple))
-            and len(got) == len(want)
-            and all(_same(a, b) for a, b in zip(got, want))
-        )
-    return got == want or (got != got and want != want)
+def _assert_split_quality(tree, reference, features, targets):
+    """``tree``, fitted on ``features``/``targets``, against the oracle
+    ``reference`` on the tree's seed: every node reached by the rows its
+    splits send it, in level order; means as ``np.mean`` takes them; each
+    split among the drawn candidates' thresholds and as good as the best of
+    them by ``np.var`` (within rounding), each leaf one that may not split
+    or has no split worth ``1e-12``; and the tree's generator left where the
+    oracle's draws leave it."""
+    records, min_gain = reference.replay(tree, features, targets)
+    assert [record.node for record in records] == list(range(len(tree.value)))
+    for record in records:
+        assert tree.n_samples[record.node] == record.n_samples
+        assert abs(tree.value[record.node] - record.mean) <= 1e-12 * record.spread
+        tolerance = 1e-9 * record.parent_score
+        if record.taken_gain is None:
+            assert tree.left[record.node] == tree.right[record.node] == tree.feature[record.node] == -1
+            if record.may_split:
+                assert record.best_gain <= min_gain + tolerance
+        else:
+            assert record.may_split and record.taken_is_candidate
+            assert record.taken_gain >= record.best_gain - tolerance
+            assert record.taken_gain > min_gain - tolerance
+    # one draw too many, even after a tree's last split, moves its generator
+    assert tree._rng.bit_generator.state == reference._rng.bit_generator.state
 
 
-def _preorder(node, out):
-    out.append((node.feature, node.threshold, node.value, node.n_samples, node.is_leaf()))
-    if not node.is_leaf():
-        _preorder(node.left, out)
-        _preorder(node.right, out)
-    return out
+def _assert_forest_quality(forest, oracle, features, targets):
+    """Every tree of ``forest`` against the oracle trees that the unfitted
+    ``oracle`` (same class, seed and settings) draws."""
+    references = forest_reference(oracle, features)
+    assert forest._rng.bit_generator.state == oracle._rng.bit_generator.state
+    assert len(references) == len(forest.trees_)
+    for tree, (reference, idx) in zip(forest.trees_, references):
+        _assert_split_quality(tree, reference, features[idx], targets[idx])
 
 
-def _flat(tree):
-    return [
-        (int(f), float(t), float(v), int(n), bool(left < 0))
-        for f, t, v, n, left in zip(
-            tree.feature, tree.threshold, tree.value, tree.n_samples, tree.left
-        )
-    ]
-
-
-class TestOracleEquivalence:
-    """The flat-array lockstep forest against the recursive implementation
-    in ``tests/oracles.py``: same splits, same leaf values, same predictions
-    and the same state of the forest's and every tree's generator, compared
-    with ``==``.  The properties take their example count from the
+class TestSplitQuality:
+    """The level-wise forest against the split-quality oracle in
+    ``tests/oracles.py``, and its predictions against a per-row walk of its
+    own trees.  The properties take their example count from the
     hypothesis profile (``tests/conftest.py``)."""
 
     @settings(deadline=None)
     @given(forest_cases())
-    def test_forest_matches_recursive_oracle(self, case):
+    def test_splits_are_the_best_of_their_candidates(self, case):
         forest_class, params, seed, features, targets, fresh = case
-        forest = forest_class(rng=np.random.default_rng(seed), **params)
-        forest.fit(features, targets)
+        forest = forest_class(rng=np.random.default_rng(seed), **params).fit(features, targets)
         oracle = forest_class(rng=np.random.default_rng(seed), **params)
-        reference = forest_reference(oracle, features, targets)
-
-        # node splits and leaf values agree in preorder
-        assert [_flat(tree) for tree in forest.trees_] == [
-            _preorder(tree._root, []) for tree in reference
-        ]
-        assert forest._rng.bit_generator.state == oracle._rng.bit_generator.state
-        # one draw too many, even after a tree's last split, moves its generator
-        assert [tree._rng.bit_generator.state for tree in forest.trees_] == [
-            tree._rng.bit_generator.state for tree in reference
-        ]
+        _assert_forest_quality(forest, oracle, features, targets)
 
         for rows in (features, fresh, np.zeros((0, features.shape[1]))):
-            expected = np.vstack([tree.predict(rows) for tree in reference])
+            expected = np.vstack([walk_reference(tree, rows) for tree in forest.trees_])
             mean = expected.mean(axis=0)
             if forest_class is RandomForestClassifier:
                 proba = np.clip(mean, 0.0, 1.0)
@@ -393,46 +352,52 @@ class TestOracleEquivalence:
 
     @settings(deadline=None)
     @given(overflow_cases())
-    def test_overflowing_targets_split_as_the_oracle_does(self, case):
-        """A node whose gains or squared deviations overflow cannot be
-        screened, so all its thresholds are re-scored and it splits where
-        ``np.var``'s scores split it.  Targets whose sum overflows leave NaN
-        leaves on both sides, which compare equal here."""
+    def test_overflowing_targets_still_split_at_their_best(self, case):
+        """Targets whose squared deviations (or sums) overflow are scaled by
+        a power of two for the fit, so every node that has a split worth
+        taking takes its best one instead of staying a leaf, the leaves hold
+        finite means, and a second fit grows the same trees."""
         params, seed, features, targets = case
-        with np.errstate(over="ignore", invalid="ignore"):
-            forest = RandomForestRegressor(rng=np.random.default_rng(seed), **params)
-            forest.fit(features, targets)
-            oracle = RandomForestRegressor(rng=np.random.default_rng(seed), **params)
-            reference = forest_reference(oracle, features, targets)
-        assert _same(
-            [_flat(tree) for tree in forest.trees_],
-            [_preorder(tree._root, []) for tree in reference],
-        )
-        assert [tree._rng.bit_generator.state for tree in forest.trees_] == [
-            tree._rng.bit_generator.state for tree in reference
-        ]
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_binary_ties_break_like_np_var(self, seed):
-        """Small 0/1 data is full of exactly tied gains, which ``np.var``'s
-        pairwise summation breaks by element order; the re-score must break
-        them the same way (a screened argmax alone does not)."""
-        data = np.random.default_rng(seed)
-        features = data.integers(0, 4, size=(60, 6)).astype(float)
-        targets = (data.random(60) < 0.4).astype(float)
-        forest = RandomForestClassifier(n_trees=16, rng=np.random.default_rng(seed))
+        forest = RandomForestRegressor(rng=np.random.default_rng(seed), **params)
         forest.fit(features, targets)
-        oracle = RandomForestClassifier(n_trees=16, rng=np.random.default_rng(seed))
-        reference = forest_reference(oracle, features, targets)
-        assert [_flat(tree) for tree in forest.trees_] == [
-            _preorder(tree._root, []) for tree in reference
-        ]
+        again = RandomForestRegressor(rng=np.random.default_rng(seed), **params)
+        again.fit(features, targets)
+        for tree, twin in zip(forest.trees_, again.trees_):
+            for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
+                assert getattr(tree, name).tobytes() == getattr(twin, name).tobytes()
+            assert np.isfinite(tree.value).all()
+        oracle = RandomForestRegressor(rng=np.random.default_rng(seed), **params)
+        _assert_forest_quality(forest, oracle, features, targets)
 
-    def test_tree_matches_recursive_oracle(self, rng):
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_ties_go_to_the_first_drawn_candidate(self, seed):
+        """Two identical columns split the root equally well, and 0/1
+        targets make the screen's gains exact; the tree takes the column
+        drawn first."""
+        data = np.random.default_rng(seed)
+        signal = data.integers(0, 4, size=40).astype(float)
+        features = np.column_stack([data.normal(size=40), signal, data.normal(size=40), signal])
+        targets = (signal >= 2).astype(float)
+        tree = DecisionTree(max_features=None, rng=np.random.default_rng(seed)).fit(features, targets)
+        drawn = np.random.default_rng(seed).random((1, 4)).argsort(axis=1)[0].tolist()
+        assert tree.feature[0] == min((1, 3), key=drawn.index)
+        assert tree.threshold[0] == 1.5
+
+    @pytest.mark.parametrize("forest_class", [RandomForestRegressor, RandomForestClassifier])
+    def test_a_split_that_gains_nothing_is_not_taken(self, forest_class):
+        """The only threshold leaves both sides' means equal, so it gains
+        exactly nothing: every tree stays a single leaf."""
+        features = np.array([[0.0], [0.0], [1.0], [1.0]])
+        targets = np.array([0.0, 1.0, 0.0, 1.0])
+        forest = forest_class(n_trees=3, min_samples_split=2, min_samples_leaf=1,
+                              max_features=None, bootstrap=False, rng=np.random.default_rng(0))
+        forest.fit(features, targets)
+        assert [len(tree.value) for tree in forest.trees_] == [1, 1, 1]
+
+    def test_tree_against_the_oracle(self, rng):
         x = rng.integers(0, 3, size=(80, 5)).astype(float)
         y = (rng.random(80) < 0.5).astype(float)
         tree = DecisionTree(max_features=2, rng=np.random.default_rng(4)).fit(x, y)
-        reference = ReferenceTree(max_features=2, rng=np.random.default_rng(4)).fit(x, y)
-        assert _flat(tree) == _preorder(reference._root, [])
-        assert tree.depth() == reference.depth()
-        assert np.array_equal(tree.predict(x), reference.predict(x))
+        reference = ReferenceTree(max_features=2, rng=np.random.default_rng(4))
+        _assert_split_quality(tree, reference, x, y)
+        assert np.array_equal(tree.predict(x), walk_reference(tree, x))

@@ -5,8 +5,9 @@ work it does is too: how many GP fits, Cholesky extensions, MAP-objective
 calls (the prior sweep's values and L-BFGS-B's values with their
 gradients, each one kernel build and factorization), L-BFGS-B runs, their
 iterations and how each one ended, feasibility fits, forest nodes grown,
-the forest's screening rounds and the nodes they screen (each one
-candidate draw), how many rows it predicts, how many distance tables the
+the forest's screening rounds (one per tree level, so at most
+``max_depth`` a fit) and the nodes they screen (each one candidate draw),
+how many rows it predicts, how many distance tables the
 predicts build (one per fit or extension that is predicted from) and how
 many blocks they compute directly instead of gathering them (none on these
 all-discrete spaces: a code lookup that stops matching keeps every bit and
@@ -70,7 +71,7 @@ WRAPPED = (
     (FeasibilityModel, "fit_rows", "feas.fit_calls", None, None),
     (RandomForestClassifier, "fit", "forest.fit_calls", "forest.nodes",
      lambda args, result: sum(len(tree.value) for tree in result.trees_)),
-    # one screen per lockstep round; its node_rows are the nodes that drew
+    # one screen per level; its sizes are the nodes that drew
     (forest_module, "_best_splits", "forest.screens", "forest.draws",
      lambda args, result: len(args[5])),
     (SearchSpace, "sample_rows", "space.sample_calls", None, None),
@@ -90,29 +91,34 @@ WRAPPED = (
 #: rows extend the distance tensor in one append
 RESTORE_EXPECTED = {"distance.appends": 1, "encode.batches": 0, "gp.tables": 0}
 
-#: (benchmark, surrogate policy, seed, budget) -> counts at paper fidelity
+#: (benchmark, surrogate policy, seed, budget) -> counts at paper fidelity.
+#: The level-wise forest moved the ``rise_mm_gpu`` run (its feasibility
+#: predictions steer the climb): 32 of its 40 evaluations are feasible
+#: where 30 were, and the counts that follow the trajectory moved with it
+#: (the old value in each comment).  The ``taco_spmm_scircuit`` run never
+#: trains its forest, so none of its counts moved.
 EXPECTED = {
     ("rise_mm_gpu", "exact", 3, 40): {
         "gp.fit_calls": 29,
         "gp.extend_calls": 0,
         "gp.objective_calls": 464,  # the prior sweep's vectors
-        "gp.gradient_calls": 1_090,  # one per L-BFGS-B value with its gradient
+        "gp.gradient_calls": 1_112,  # 1,090; one per L-BFGS-B value with its gradient
         "lbfgsb.runs": 58,
-        "lbfgsb.iterations": 928,
-        "gp.predict_calls": 360,
-        "gp.predict_rows": 37_474,
+        "lbfgsb.iterations": 943,  # 928
+        "gp.predict_calls": 390,  # 360
+        "gp.predict_rows": 39_516,  # 37,474
         "gp.tables": 29,  # one per fit
         "gp.direct_blocks": 0,
         "feas.fit_calls": 29,
         "forest.fit_calls": 26,
-        "forest.nodes": 5_866,
-        "forest.screens": 179,  # leaves settle in the round of the next split
-        "forest.draws": 2_795,
+        "forest.nodes": 4_936,  # 5,866, on fewer infeasible rows
+        "forest.screens": 133,  # 179 lockstep rounds; one per level now
+        "forest.draws": 2_259,  # 2,795
         "space.sample_calls": 30,
         "space.sample_batches": 0,  # every free parameter has a draw table
-        "space.neighbour_calls": 331,
-        "space.neighbour_rows": 30_050,
-        "distance.appends": 30,  # one per feasible tell
+        "space.neighbour_calls": 361,  # 331
+        "space.neighbour_rows": 32_092,  # 30,050
+        "distance.appends": 32,  # 30; one per feasible tell
         "encode.batches": 40,  # one per ask; each tell passes the asked row
     },
     ("taco_spmm_scircuit", "fast", 100, 60): {
@@ -144,8 +150,8 @@ EXPECTED = {
 #: how each pinned run's L-BFGS-B calls ended, by ``OptimizeResult.message``
 EXPECTED_MESSAGES = {
     ("rise_mm_gpu", "exact", 3, 40): {
-        "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH": 56,
-        "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL": 2,
+        "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH": 57,  # 56
+        "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL": 1,  # 2
     },
     ("taco_spmm_scircuit", "fast", 100, 60): {
         "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH": 7,
@@ -188,6 +194,18 @@ def test_work_counts(monkeypatch, benchmark_name, policy, seed, budget):
         return result
 
     monkeypatch.setattr(gp_module.optimize, "minimize", lbfgsb)
+    # each trained fit grows one level per screen, so it screens at most
+    # max_depth times
+    screens_per_fit = []
+    fit = RandomForestClassifier.fit
+
+    def recording_fit(forest, *args, **kwargs):
+        before = counts["forest.screens"]
+        result = fit(forest, *args, **kwargs)
+        screens_per_fit.append((counts["forest.screens"] - before, forest.max_depth))
+        return result
+
+    monkeypatch.setattr(RandomForestClassifier, "fit", recording_fit)
     bench = get_benchmark(benchmark_name)
 
     def new_tuner():
@@ -199,6 +217,8 @@ def test_work_counts(monkeypatch, benchmark_name, policy, seed, budget):
     expected = EXPECTED[(benchmark_name, policy, seed, budget)]
     assert {key: counts[key] for key in expected} == expected
     assert messages == EXPECTED_MESSAGES[(benchmark_name, policy, seed, budget)]
+    assert len(screens_per_fit) == counts["forest.fit_calls"]
+    assert all(0 < screens <= depth for screens, depth in screens_per_fit)
 
     payload = session.snapshot()
     counts.clear()
